@@ -85,12 +85,12 @@ def _cmd_evaluate(args) -> int:
         raise ValueError("exactly one of --program / --highlevel is required")
     if args.program:
         prog = _load_lowlevel(args.program)
-        decision = prog.evaluate(args.input)
+        decision = prog.evaluate(args.input, args.tol)
         payload = {"decision": decision, "input": args.input, "num_vars": prog.num_vars}
     else:
         prog = _load_highlevel(args.highlevel)
         matrix = np.asarray(_read_json(args.input), dtype=float)
-        decision = prog.evaluate(matrix)
+        decision = prog.evaluate(matrix, args.tol)
         payload = {"decision": decision, "input": args.input, "shape": list(matrix.shape)}
     _write_output(render_json({"tool_version": TOOL_VERSION, "kind": "evaluate", **payload}), args.out)
     return 0
@@ -101,24 +101,12 @@ def _cmd_witness(args) -> int:
         raise ValueError("exactly one of --program / --highlevel is required")
     if args.program:
         prog = _load_lowlevel(args.program)
-        if args.tol is not None:
-            prog = LowLevelProgram(
-                dim=prog.dim, num_vars=prog.num_vars, target=prog.target,
-                free=prog.free, labeled=prog.labeled, tol=args.tol,
-            )
         source = args.input
-        decision = prog.evaluate(source)
     else:
         prog = _load_highlevel(args.highlevel)
         source = np.asarray(_read_json(args.input), dtype=float)
-        decision = prog.evaluate(source)
-    side = args.side
-    if side == "auto":
-        report = prog.witness(source)
-    elif side == "pos":
-        report = prog.positive_witness(source)
-    else:
-        report = prog.negative_witness(source)
+    solve = {"auto": prog.witness, "pos": prog.positive_witness, "neg": prog.negative_witness}[args.side]
+    report = solve(source, args.tol)
     payload = {"tool_version": TOOL_VERSION, "kind": "witness", **_witness_payload(report)}
     _write_output(render_json(payload), args.out)
     return 0

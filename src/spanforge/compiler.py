@@ -30,7 +30,7 @@ from .encoding import FixedPointCode, IntegerCode, encode_int, encode_real, inde
 from .errors import SparseFormatError
 from .highlevel import HighLevelProgram, wsize_over_inputs
 from .linalg import as_matrix
-from .lowlevel import DomainWitnessSizes, LabeledVector, LowLevelProgram, wsize_over_domain
+from .lowlevel import DomainWitnessSizes, LowLevelProgram, wsize_over_domain
 
 SQRT_HALF_POWERS = {a: 2.0 ** (-a / 2.0) for a in range(64)}
 
@@ -112,10 +112,7 @@ class ProgramBuilder:
             num_vars=self.variables.next_free,
             target=self._dense(self._target, dim),
             free=tuple(self._dense(e, dim) for e in self._free),
-            labeled=tuple(
-                LabeledVector(vec=self._dense(e, dim), var=var0 + 1, val=val)
-                for e, var0, val in self._labeled
-            ),
+            labeled=tuple((self._dense(e, dim), var0 + 1, val) for e, var0, val in self._labeled),
             tol=tol,
         )
 
@@ -596,7 +593,9 @@ class CompiledProgram:
                 for rec in lay.loaders
             ]
         avail = self.program.available_vectors(bits)
-        coeffs = np.zeros(len(avail.provenance))
+        nf = avail.num_free
+        columns = np.flatnonzero(avail.mask)
+        coeffs = np.zeros(columns.size)
         free_owner, labeled_owner = self._ownership()
         # mass arriving at each row-route root from its selected column
         row_route_mass: dict[str, float] = {}
@@ -610,14 +609,15 @@ class CompiledProgram:
                         continue
                     seen.add(sel)
                     row_route_mass[rec.name] = float(w[sel] * aq[i, sel])
-        for k, (kind, idx) in enumerate(avail.provenance):
-            owner = free_owner[idx] if kind == "free" else labeled_owner[idx]
+        for k, j in enumerate(columns):
+            is_free = j < nf
+            owner = free_owner[j] if is_free else labeled_owner[j - nf]
             if owner[0] == "hl":
                 coeffs[k] = phi[owner[1]]
             elif owner[0] == "loader":
                 rec = owner[1]
                 gamma = w[rec.column - 1]
-                if kind == "free":
+                if is_free:
                     coeffs[k] = gamma
                 else:
                     _, _, slot, a, b = owner
@@ -631,7 +631,7 @@ class CompiledProgram:
                 else:
                     sel = rows[rec.owner - 1][rec.slot - 1]
                     mass = -row_route_mass[rec.name]
-                if kind == "free":
+                if is_free:
                     coeffs[k] = mass
                 else:
                     _, _, a, b, l = owner

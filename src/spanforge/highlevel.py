@@ -58,37 +58,42 @@ class HighLevelProgram:
         f = self.free_basis
         return np.eye(self.space_dim) - f @ f.T
 
-    def evaluate(self, a, tol: float | None = None) -> int:
-        tol = self.tol if tol is None else tol
+    def _decide(self, a, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
+        """Checked input, residual of the target off span(A, F), decision."""
         mat = self._check_input(a)
-        stacked = np.hstack([mat, self.free_basis])
-        resid = project_complement(stacked, self.target, tol)
-        return int(np.linalg.norm(resid) <= tol * np.linalg.norm(self.target))
+        resid = project_complement(np.hstack([mat, self.free_basis]), self.target, tol)
+        return mat, resid, int(np.linalg.norm(resid) <= tol * np.linalg.norm(self.target))
+
+    def evaluate(self, a, tol: float | None = None) -> int:
+        return self._decide(a, self.tol if tol is None else tol)[2]
 
     def positive_witness(self, a, tol: float | None = None) -> WitnessReport:
         """Min |w|^2 with A w in target + F; only A-column coefficients count."""
-        tol = self.tol if tol is None else tol
-        mat = self._check_input(a)
-        if not self.evaluate(mat, tol):
-            raise NoPositiveWitness("program rejects this matrix; no positive witness")
-        q = self._free_projector()
-        w = min_norm_solve(q @ mat, q @ self.target, tol)
-        return WitnessReport(decision=1, size=float(w @ w), witness=w)
+        return self._solve(a, tol, side=1)
 
     def negative_witness(self, a, tol: float | None = None) -> WitnessReport:
         """Min |w'|^2 with <w', target> = 1, w' orthogonal to span A and F."""
-        tol = self.tol if tol is None else tol
-        mat = self._check_input(a)
-        if self.evaluate(mat, tol):
-            raise NoNegativeWitness("program accepts this matrix; no negative witness")
-        u = project_complement(np.hstack([mat, self.free_basis]), self.target, tol)
-        unorm2 = float(u @ u)
-        return WitnessReport(decision=0, size=1.0 / unorm2, witness=u / unorm2)
+        return self._solve(a, tol, side=0)
 
     def witness(self, a, tol: float | None = None) -> WitnessReport:
-        if self.evaluate(a, tol):
-            return self.positive_witness(a, tol)
-        return self.negative_witness(a, tol)
+        return self._solve(a, tol, side=None)
+
+    def _solve(self, a, tol: float | None, side: int | None) -> WitnessReport:
+        """Decide ``a`` once and build the witness of ``side`` (None: the side
+        the decision gives).  The negative witness is the decision's own
+        residual, rescaled."""
+        tol = self.tol if tol is None else tol
+        mat, resid, decision = self._decide(a, tol)
+        if side == 1 and not decision:
+            raise NoPositiveWitness("program rejects this matrix; no positive witness")
+        if side == 0 and decision:
+            raise NoNegativeWitness("program accepts this matrix; no negative witness")
+        if decision:
+            q = self._free_projector()
+            w = min_norm_solve(q @ mat, q @ self.target, tol)
+            return WitnessReport(decision=1, size=float(w @ w), witness=w)
+        unorm2 = float(resid @ resid)
+        return WitnessReport(decision=0, size=1.0 / unorm2, witness=resid / unorm2)
 
     def check_rescale_invariance(self, a, scales, tol: float | None = None) -> bool:
         """Decisions are invariant under positive rescaling of the columns."""

@@ -35,7 +35,11 @@ def as_vector(v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin SVD ``M = u @ diag(sigma) @ vt`` with a numerical rank attached."""
+    """SVD ``M = u @ diag(sigma) @ vt`` with a numerical rank attached.
+
+    Thin unless computed with ``full_matrices=True``, in which case ``u`` and
+    ``vt`` are complete orthonormal bases (square).
+    """
 
     u: np.ndarray
     sigma: np.ndarray
@@ -46,14 +50,17 @@ class SvdResult:
         return (self.u * self.sigma) @ self.vt
 
 
-def svd(m, tol: float = DEFAULT_TOL) -> SvdResult:
-    """Thin SVD of ``m``; rank = number of sigma_i > tol * sigma_1.
+def svd(m, tol: float = DEFAULT_TOL, full_matrices: bool = False) -> SvdResult:
+    """SVD of ``m``; rank = number of sigma_i > tol * sigma_1.
 
-    Empty matrices (zero rows or columns) are legal and yield rank 0.
+    Thin by default; ``full_matrices=True`` also returns the complete left and
+    right bases, e.g. ``u[:, rank:]`` spans the orthogonal complement of the
+    column span.  Empty matrices (zero rows or columns) are legal and yield
+    rank 0.
     """
     a = as_matrix(m)
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        u, s, vt = np.linalg.svd(a, full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix") from exc
     rank = numerical_rank_from_sigma(s, tol)
@@ -66,18 +73,21 @@ def numerical_rank_from_sigma(sigma: np.ndarray, tol: float = DEFAULT_TOL) -> in
     return int(np.count_nonzero(sigma > tol * sigma[0]))
 
 
-def min_norm_solve(m, b, tol: float = DEFAULT_TOL) -> np.ndarray:
+def min_norm_solve(m, b, tol: float = DEFAULT_TOL, dec: SvdResult | None = None) -> np.ndarray:
     """Minimum-2-norm solution of ``m @ w = b``.
 
     Raises InconsistentSystem when the residual exceeds
     ``tol * (sigma_1 * |w| + |b|)``.  A matrix with zero columns is consistent
-    only with b = 0 (the solution is the empty vector).
+    only with b = 0 (the solution is the empty vector).  ``dec`` is an SVD of
+    ``m`` (thin or full) already computed with the same ``tol``; without it
+    ``m`` is factored here.
     """
     a = as_matrix(m)
     rhs = as_vector(b)
     if a.shape[0] != rhs.shape[0]:
         raise ValueError(f"matrix has {a.shape[0]} rows but rhs has {rhs.shape[0]} entries")
-    dec = svd(a, tol)
+    if dec is None:
+        dec = svd(a, tol)
     sig = dec.sigma[: dec.rank]
     w = dec.vt[: dec.rank].T @ ((dec.u[:, : dec.rank].T @ rhs) / sig) if dec.rank else np.zeros(a.shape[1])
     residual = np.linalg.norm(a @ w - rhs)
@@ -96,9 +106,8 @@ def nullspace_basis(m, tol: float = DEFAULT_TOL) -> np.ndarray:
         return np.zeros((0, 0))
     if a.shape[0] == 0:
         return np.eye(a.shape[1])
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
-    rank = numerical_rank_from_sigma(s, tol)
-    return vt[rank:].T
+    dec = svd(a, tol, full_matrices=True)
+    return dec.vt[dec.rank :].T
 
 
 def project_complement(s, t, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -128,15 +137,17 @@ def min_quadratic_on_hyperplane(b, c, tol: float = DEFAULT_TOL) -> tuple[float, 
     cnorm = np.linalg.norm(con)
     if cnorm == 0.0:
         raise ZeroConstraint("constraint vector c is zero; the hyperplane <c,y>=1 is empty")
-    nul = nullspace_basis(mat, tol)
-    if nul.shape[1]:
-        z = nul @ (nul.T @ con)
-        if np.linalg.norm(z) > tol * cnorm:
-            return 0.0, z / float(con @ z)
+    # One thin SVD of B: its leading right singular vectors V_r span the row
+    # space, so c - V_r^T (V_r c) is the null-space component of c for every
+    # shape of B.
     dec = svd(mat, tol)
-    sig = dec.sigma[: dec.rank]
+    vr = dec.vt[: dec.rank]
+    proj = vr @ con
+    z = con - vr.T @ proj
+    if np.linalg.norm(z) > tol * cnorm:
+        return 0.0, z / float(con @ z)
     # G^+ c computed off the SVD of B to avoid squaring the condition number.
-    gpc = dec.vt[: dec.rank].T @ ((dec.vt[: dec.rank] @ con) / sig**2) if dec.rank else np.zeros(con.shape[0])
+    gpc = vr.T @ (proj / dec.sigma[: dec.rank] ** 2)
     denom = float(con @ gpc)
     if denom <= 0.0:
         raise ZeroConstraint(

@@ -20,14 +20,20 @@ from .linalg import (
     as_vector,
     min_norm_solve,
     min_quadratic_on_hyperplane,
-    nullspace_basis,
     project_complement,
+    svd,
 )
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
+def _frozen(a) -> np.ndarray:
+    """Read-only float array.  A read-only array whose memory owner is also
+    read-only (such as a column of a program's store) is kept as it is;
+    anything else is copied."""
+    out = np.asarray(a, dtype=float)
+    owner = out if out.base is None else out.base
+    if out.flags.writeable or not isinstance(owner, np.ndarray) or owner.flags.writeable:
+        out = np.array(out)
+        out.setflags(write=False)
     return out
 
 
@@ -62,12 +68,22 @@ class LabeledVector:
 class AvailableColumns:
     """Available vectors for one input, with per-column provenance.
 
-    ``provenance[k]`` is ("free", i) or ("labeled", i) giving the index of
-    column k in the program's free / labeled lists.
+    ``mask`` selects the available columns of the program's store (free
+    vectors first, then labeled ones); ``num_free`` is the number of free
+    vectors.  ``provenance[k]`` is ("free", i) or ("labeled", i) giving the
+    index of column k in the program's free / labeled lists.
     """
 
     matrix: np.ndarray
-    provenance: tuple[tuple[str, int], ...]
+    mask: np.ndarray
+    num_free: int
+
+    @property
+    def provenance(self) -> tuple[tuple[str, int], ...]:
+        nf = self.num_free
+        return tuple(
+            ("free", int(j)) if j < nf else ("labeled", int(j - nf)) for j in np.flatnonzero(self.mask)
+        )
 
 
 @dataclass(frozen=True)
@@ -80,21 +96,28 @@ class WitnessReport:
 
 @dataclass(frozen=True)
 class LowLevelProgram:
+    """Span program over ``num_vars`` Boolean variables.
+
+    Every input vector is stored once, as a column of one read-only
+    ``dim x N`` matrix (free vectors, then labeled ones); ``free[i]`` and
+    ``labeled[i].vec`` are read-only views of its columns.  ``free`` and
+    ``labeled`` accept any 1-D sequences, which are copied into the store one
+    at a time; ``labeled`` entries may be ``LabeledVector``s or
+    ``(vec, var, val)`` tuples.
+    """
+
     dim: int
     num_vars: int
     target: np.ndarray
     free: tuple[np.ndarray, ...] = ()
     labeled: tuple[LabeledVector, ...] = ()
     tol: float = DEFAULT_TOL
+    _columns: np.ndarray = field(init=False, repr=False, compare=False)
+    _var: np.ndarray = field(init=False, repr=False, compare=False)
+    _val: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "target", _frozen(as_vector(self.target)))
-        object.__setattr__(self, "free", tuple(_frozen(as_vector(v)) for v in self.free))
-        object.__setattr__(
-            self,
-            "labeled",
-            tuple(v if isinstance(v, LabeledVector) else LabeledVector(*v) for v in self.labeled),
-        )
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.num_vars < 0:
@@ -103,38 +126,53 @@ class LowLevelProgram:
             raise ValueError(f"target has {self.target.shape[0]} entries, expected dim={self.dim}")
         if not np.linalg.norm(self.target) > 0.0:
             raise ValueError("target vector must be nonzero")
+        labels = [(lv.vec, lv.var, lv.val) if isinstance(lv, LabeledVector) else tuple(lv) for lv in self.labeled]
+        nf = len(self.free)
+        store = np.empty((self.dim, nf + len(labels)), order="F")
         for i, v in enumerate(self.free):
-            if v.shape[0] != self.dim:
-                raise ValueError(f"free[{i}] has {v.shape[0]} entries, expected dim={self.dim}")
-        for i, lv in enumerate(self.labeled):
-            if lv.vec.shape[0] != self.dim:
-                raise ValueError(f"labeled[{i}].vec has {lv.vec.shape[0]} entries, expected dim={self.dim}")
-            if not 1 <= lv.var <= self.num_vars:
-                raise ValueError(f"labeled[{i}].var={lv.var} outside 1..{self.num_vars}")
-            if lv.val not in (0, 1):
-                raise ValueError(f"labeled[{i}].val={lv.val} must be 0 or 1")
+            store[:, i] = self._column(v, f"free[{i}]")
+        for i, (vec, var, val) in enumerate(labels):
+            store[:, nf + i] = self._column(vec, f"labeled[{i}].vec")
+            if not 1 <= var <= self.num_vars:
+                raise ValueError(f"labeled[{i}].var={var} outside 1..{self.num_vars}")
+            if val not in (0, 1):
+                raise ValueError(f"labeled[{i}].val={val} must be 0 or 1")
+        store.setflags(write=False)
+        object.__setattr__(self, "_columns", store)
+        object.__setattr__(self, "_var", np.array([var for _, var, _ in labels], dtype=np.intp))
+        object.__setattr__(self, "_val", np.array([val for _, _, val in labels], dtype=np.intp))
+        object.__setattr__(self, "free", tuple(store[:, i] for i in range(nf)))
+        object.__setattr__(
+            self,
+            "labeled",
+            tuple(LabeledVector(store[:, nf + i], var, val) for i, (_, var, val) in enumerate(labels)),
+        )
+
+    def _column(self, v, name: str) -> np.ndarray:
+        try:
+            vec = as_vector(v)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        if vec.shape[0] != self.dim:
+            raise ValueError(f"{name} has {vec.shape[0]} entries, expected dim={self.dim}")
+        return vec
 
     # -- queries ---------------------------------------------------------
 
     def available_vectors(self, x) -> AvailableColumns:
-        bits = normalize_bits(x, self.num_vars)
-        cols: list[np.ndarray] = []
-        prov: list[tuple[str, int]] = []
-        for i, v in enumerate(self.free):
-            cols.append(v)
-            prov.append(("free", i))
-        for i, lv in enumerate(self.labeled):
-            if bits[lv.var - 1] == lv.val:
-                cols.append(lv.vec)
-                prov.append(("labeled", i))
-        matrix = np.column_stack(cols) if cols else np.zeros((self.dim, 0))
-        return AvailableColumns(matrix=_frozen(matrix), provenance=tuple(prov))
+        bits = np.array(normalize_bits(x, self.num_vars), dtype=np.intp)
+        nf = len(self.free)
+        mask = np.ones(self._columns.shape[1], dtype=bool)
+        mask[nf:] = bits[self._var - 1] == self._val
+        matrix = self._columns[:, mask]
+        matrix.setflags(write=False)
+        return AvailableColumns(matrix=matrix, mask=mask, num_free=nf)
 
     def all_vectors(self) -> np.ndarray:
-        """All input vectors (free then labeled) as columns; negative sizes
-        are squared norms of this matrix transposed times the witness."""
-        cols = list(self.free) + [lv.vec for lv in self.labeled]
-        return np.column_stack(cols) if cols else np.zeros((self.dim, 0))
+        """All input vectors (free then labeled) as columns of the read-only
+        store; negative sizes are squared norms of this matrix transposed
+        times the witness."""
+        return self._columns
 
     def evaluate(self, x, tol: float | None = None) -> int:
         tol = self.tol if tol is None else tol
@@ -143,31 +181,44 @@ class LowLevelProgram:
         return int(np.linalg.norm(resid) <= tol * np.linalg.norm(self.target))
 
     def positive_witness(self, x, tol: float | None = None) -> WitnessReport:
-        tol = self.tol if tol is None else tol
-        if not self.evaluate(x, tol):
-            raise NoPositiveWitness(f"program rejects input {x!r}; no positive witness")
-        avail = self.available_vectors(x)
-        w = min_norm_solve(avail.matrix, self.target, tol)
-        return WitnessReport(decision=1, size=float(w @ w), witness=w, columns=avail)
+        return self._solve(x, tol, side=1)
 
     def negative_witness(self, x, tol: float | None = None) -> WitnessReport:
-        tol = self.tol if tol is None else tol
-        if self.evaluate(x, tol):
-            raise NoNegativeWitness(f"program accepts input {x!r}; no negative witness")
-        avail = self.available_vectors(x)
-        # Restrict to the orthogonal complement of the available span, then
-        # minimize the quadratic over the hyperplane <w', t> = 1.
-        nbasis = nullspace_basis(avail.matrix.T, tol)
-        c = nbasis.T @ self.target
-        b = self.all_vectors().T @ nbasis
-        size, y = min_quadratic_on_hyperplane(b, c, tol)
-        wprime = nbasis @ y
-        return WitnessReport(decision=0, size=float(size), witness=wprime)
+        return self._solve(x, tol, side=0)
 
     def witness(self, x, tol: float | None = None) -> WitnessReport:
-        if self.evaluate(x, tol):
-            return self.positive_witness(x, tol)
-        return self.negative_witness(x, tol)
+        return self._solve(x, tol, side=None)
+
+    def _solve(self, x, tol: float | None, side: int | None) -> WitnessReport:
+        """Decide ``x`` and build the witness of ``side`` (None: the side the
+        decision gives) from one SVD of the available columns.
+
+        Complete left singular vectors are computed when there are fewer
+        columns than ``dim`` (the thin ones are already complete otherwise),
+        so ``u[:, rank:]`` is an orthonormal basis of the complement of the
+        available span, the space negative witnesses live in.
+        """
+        tol = self.tol if tol is None else tol
+        avail = self.available_vectors(x)
+        a = avail.matrix
+        dec = svd(a, tol, full_matrices=a.shape[1] < self.dim)
+        span = dec.u[:, : dec.rank]
+        resid = self.target - span @ (span.T @ self.target)
+        decision = int(np.linalg.norm(resid) <= tol * np.linalg.norm(self.target))
+        if side == 1 and not decision:
+            raise NoPositiveWitness(f"program rejects input {x!r}; no positive witness")
+        if side == 0 and decision:
+            raise NoNegativeWitness(f"program accepts input {x!r}; no negative witness")
+        if decision:
+            w = min_norm_solve(a, self.target, tol, dec)
+            return WitnessReport(decision=1, size=float(w @ w), witness=w, columns=avail)
+        # Restrict to the orthogonal complement of the available span, then
+        # minimize the quadratic over the hyperplane <w', t> = 1.
+        nbasis = dec.u[:, dec.rank :]
+        c = nbasis.T @ self.target
+        b = self._columns.T @ nbasis
+        size, y = min_quadratic_on_hyperplane(b, c, tol)
+        return WitnessReport(decision=0, size=float(size), witness=nbasis @ y)
 
     # -- serialization ---------------------------------------------------
 
@@ -188,23 +239,32 @@ class LowLevelProgram:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "LowLevelProgram":
+        """Vectors go from the parsed lists straight into the store, without
+        intermediate per-vector arrays."""
         if not isinstance(data, dict):
             raise ValueError("program JSON must be an object")
         for key in ("dim", "num_vars", "target"):
             if key not in data:
                 raise ValueError(f"program JSON is missing field '{key}'")
+        free = data.get("free", [])
+        entries = data.get("labeled", [])
+        for key, value in (("free", free), ("labeled", entries)):
+            if not isinstance(value, list):
+                raise ValueError(f"program JSON field '{key}' must be a list")
         labeled = []
-        for i, entry in enumerate(data.get("labeled", [])):
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"labeled[{i}] must be an object with fields 'vec', 'var' and 'val'")
             for key in ("vec", "var", "val"):
                 if key not in entry:
                     raise ValueError(f"labeled[{i}] is missing field '{key}'")
-            labeled.append(LabeledVector(vec=entry["vec"], var=int(entry["var"]), val=int(entry["val"])))
+            labeled.append((entry["vec"], int(entry["var"]), int(entry["val"])))
         return cls(
             dim=int(data["dim"]),
             num_vars=int(data["num_vars"]),
             target=data["target"],
-            free=tuple(np.asarray(v, dtype=float) for v in data.get("free", [])),
-            labeled=tuple(labeled),
+            free=free,
+            labeled=labeled,
             tol=float(data.get("tol", DEFAULT_TOL)),
         )
 

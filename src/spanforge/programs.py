@@ -261,12 +261,10 @@ def run_rank_trials(
         else:
             l_used = c_r
         sample = build_rank_program(n, m, r, rng)
-        decision = sample.program.evaluate(a)
+        rep = sample.program.witness(a)
+        decision = rep.decision
         bound = bound_constant * (n - r + 1) * r * l_used**2
-        if decision:
-            size = sample.program.positive_witness(a).size
-        else:
-            size = float("inf")
+        size = rep.size if decision else float("inf")
         rows.append(
             RankTrialRow(
                 trial=trial, side="rank_ge_r", decision=decision, correct=decision == 1,
@@ -277,11 +275,9 @@ def run_rank_trials(
         # negative side: rank exactly r-1
         a_neg = random_rank_matrix(n, m, r - 1, rng)
         sample_neg = build_rank_program(n, m, r, rng)
-        decision_neg = sample_neg.program.evaluate(a_neg)
-        if decision_neg:
-            size_neg = float("inf")
-        else:
-            size_neg = sample_neg.program.negative_witness(a_neg).size
+        rep_neg = sample_neg.program.witness(a_neg)
+        decision_neg = rep_neg.decision
+        size_neg = float("inf") if decision_neg else rep_neg.size
         rows.append(
             RankTrialRow(
                 trial=trial, side="rank_lt_r", decision=decision_neg, correct=decision_neg == 0,

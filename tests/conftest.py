@@ -1,3 +1,11 @@
+import os
+
+# Pin BLAS thread pools before any test module imports numpy:
+# oversubscribed BLAS threads slowed small factorizations by up to 100x when
+# the suite shared the machine, which the acceptance time gates cannot absorb.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import pytest
 
 CRITERION_LINES = []

@@ -120,6 +120,36 @@ def test_witness_highlevel(capsys, hl_files):
     assert json.loads(out)["size"] == pytest.approx(1.0)
 
 
+@pytest.fixture
+def near_span_files(tmp_path):
+    """Low- and high-level programs whose target sits 1% off the span of the
+    available column: rejected at the default tolerance, accepted at 0.05."""
+    target = np.array([1.0, 0.01])
+    ll = LowLevelProgram(dim=2, num_vars=1, target=target, labeled=(([1.0, 0.0], 1, 1),))
+    hl = HighLevelProgram(space_dim=2, num_inputs=1, target=target)
+    ll_path = tmp_path / "near_ll.json"
+    ll_path.write_text(ll.to_json())
+    hl_path = tmp_path / "near_hl.json"
+    hl_path.write_text(hl.to_json())
+    matrix = tmp_path / "near_matrix.json"
+    matrix.write_text(json.dumps([[1.0], [0.0]]))
+    return (["--program", str(ll_path), "--input", "1"], ["--highlevel", str(hl_path), "--input", str(matrix)])
+
+
+@pytest.mark.parametrize("source", [0, 1], ids=["program", "highlevel"])
+def test_tol_flips_decision_and_evaluate_agrees_with_witness(capsys, near_span_files, source):
+    args = near_span_files[source]
+    for tol_args, expected in (([], 0), (["--tol", "0.05"], 1)):
+        code, out, _ = _run(capsys, ["evaluate", *args, *tol_args])
+        assert code == 0 and json.loads(out)["decision"] == expected
+        code, out, _ = _run(capsys, ["witness", *args, *tol_args])
+        assert code == 0 and json.loads(out)["decision"] == expected
+    code, out, _ = _run(capsys, ["witness", *args, "--tol", "0.05", "--side", "pos"])
+    assert code == 0 and json.loads(out)["size"] == pytest.approx(1.0)
+    code, _, err = _run(capsys, ["witness", *args, "--side", "pos"])
+    assert code == 2 and "infeasible" in err
+
+
 # ---------------------------------------------------------------------------
 # compile
 
@@ -270,6 +300,22 @@ def test_malformed_json_names_file(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     code, _, err = _run(capsys, ["evaluate", "--program", str(missing), "--input", "1"])
     assert code == 1 and "missing.json" in err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [5, "vec", [[1.0, 0.0], 1, 1], None, {"vec": [[1.0], [0.0]], "var": 1, "val": 0},
+     {"vec": ["a", 1.0], "var": 1, "val": 0}, {"vec": [{}, 1.0], "var": 1, "val": 0}],
+)
+def test_malformed_labeled_entry_names_field(capsys, tmp_path, onehot_program, entry):
+    data = json.loads(onehot_program.read_text())
+    data["labeled"][1] = entry
+    bad = tmp_path / "bad_labeled.json"
+    bad.write_text(json.dumps(data))
+    for cmd in ("evaluate", "witness"):
+        code, _, err = _run(capsys, [cmd, "--program", str(bad), "--input", "1"])
+        assert code == 1
+        assert "labeled[1]" in err and "Traceback" not in err
 
 
 def test_rank_experiment_byte_deterministic(tmp_path, capsys):
