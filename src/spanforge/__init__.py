@@ -21,14 +21,11 @@ from .compiler import (
     OverheadReport,
     compile_dense,
     compile_sparse,
-    compile_sparse_cols,
     measure_overhead,
 )
 from .encoding import (
     FixedPointCode,
     IntegerCode,
-    decode_int,
-    decode_real,
     encode_int,
     encode_real,
     grid_values,
@@ -121,9 +118,6 @@ __all__ = [
     "build_rank_program",
     "compile_dense",
     "compile_sparse",
-    "compile_sparse_cols",
-    "decode_int",
-    "decode_real",
     "encode_int",
     "encode_real",
     "exp_block_inverse_norm",

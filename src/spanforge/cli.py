@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import calibration
-from .compiler import CompiledProgram, compile_dense, compile_sparse, compile_sparse_cols
+from .compiler import CompiledProgram, compile_dense, compile_sparse
 from .errors import NoNegativeWitness, NoPositiveWitness, SpanforgeError
 from .highlevel import HighLevelProgram
 from .linalg import DEFAULT_TOL
@@ -119,11 +119,11 @@ def _cmd_compile(args) -> int:
     elif args.mode == "sparse_cols":
         if args.k_nnz is None:
             raise ValueError("--k-nnz is required for mode sparse_cols")
-        compiled = compile_sparse_cols(prog, k_nnz=args.k_nnz, precision=args.bits)
+        compiled = compile_sparse(prog, k_nnz=args.k_nnz, precision=args.bits)
     else:
         if args.k_nnz is None or args.l_nnz is None:
             raise ValueError("--k-nnz and --l-nnz are required for mode sparse")
-        compiled = compile_sparse(prog, k_nnz=args.k_nnz, l_nnz=args.l_nnz, precision=args.bits)
+        compiled = compile_sparse(prog, k_nnz=args.k_nnz, precision=args.bits, l_nnz=args.l_nnz)
     _write_output(compiled.to_json() + "\n", args.out)
     return 0
 

@@ -17,6 +17,9 @@ that reach the target space load exactly the decoded values.  A routing tree
 on n leaves is a truncated binary tree addressed little-endian by the index
 bits; the available edges telescope to (selected leaf - root).  Trees with a
 single leaf degenerate to one free connector vector.
+
+One builder emits every mode.  A compiled file holds ``program`` and
+``encoder`` only; loading recompiles them and rejects a file that differs.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .highlevel import HighLevelProgram, wsize_over_inputs
 from .linalg import as_matrix
 from .lowlevel import DomainWitnessSizes, LowLevelProgram, wsize_over_domain
 
+MODES = ("dense", "sparse_cols", "sparse")
 SQRT_HALF_POWERS = {a: 2.0 ** (-a / 2.0) for a in range(64)}
 
 
@@ -63,15 +67,20 @@ class Block:
 
 
 class IndexAllocator:
-    """Hands out contiguous 0-based index blocks in a stable order."""
+    """Hands out contiguous 0-based index blocks in a stable order, at most
+    ``limit`` indices when a limit is given."""
 
-    def __init__(self):
+    def __init__(self, limit: int | None = None, field: str = ""):
         self.next_free = 0
         self.blocks: list[Block] = []
+        self.limit = limit
+        self.field = field
 
     def claim(self, name: str, size: int) -> Block:
         if size < 0:
             raise ValueError(f"cannot claim negative size {size}")
+        if self.limit is not None and self.next_free + size > self.limit:
+            raise ValueError(f"encoder parameters need more than {self.field}={self.limit}")
         blk = Block(name=name, start=self.next_free, size=size)
         self.next_free += size
         self.blocks.append(blk)
@@ -79,23 +88,34 @@ class IndexAllocator:
 
 
 class ProgramBuilder:
-    """Accumulates sparse vectors against two allocators, then densifies."""
+    """Accumulates sparse vectors against two allocators, then densifies.
 
-    def __init__(self):
-        self.coords = IndexAllocator()
-        self.variables = IndexAllocator()
+    With ``stored`` the build may not outgrow that program: more coordinates,
+    variables, free or labeled vectors than it has raise ``ValueError``.
+    """
+
+    def __init__(self, stored: LowLevelProgram | None = None):
+        self.stored = stored
+        self.coords = IndexAllocator(None if stored is None else stored.dim, "program.dim")
+        self.variables = IndexAllocator(None if stored is None else stored.num_vars, "program.num_vars")
         self._target: dict[int, float] = {}
         self._free: list[dict[int, float]] = []
         self._labeled: list[tuple[dict[int, float], int, int]] = []
+
+    def _check_room(self, field: str, used: int) -> None:
+        if self.stored is not None and used >= len(getattr(self.stored, field)):
+            raise ValueError(f"encoder parameters need more than the {used} vectors of program.{field}")
 
     def set_target(self, entries: dict[int, float]) -> None:
         self._target = dict(entries)
 
     def add_free(self, entries: dict[int, float]) -> int:
+        self._check_room("free", len(self._free))
         self._free.append(dict(entries))
         return len(self._free) - 1
 
     def add_labeled(self, entries: dict[int, float], var0: int, val: int) -> int:
+        self._check_room("labeled", len(self._labeled))
         self._labeled.append((dict(entries), var0, val))
         return len(self._labeled) - 1
 
@@ -106,7 +126,15 @@ class ProgramBuilder:
         return v
 
     def build(self, tol: float) -> LowLevelProgram:
+        """The program, densified; with ``stored``, that program itself once it
+        is checked equal, else ``ValueError`` naming the first differing field."""
         dim = self.coords.next_free
+        if self.stored is not None:
+            labeled = [(e, var0 + 1, val) for e, var0, val in self._labeled]
+            field = self.stored.first_difference(dim, self.variables.next_free, tol, self._target, self._free, labeled)
+            if field:
+                raise ValueError(f"compiled program field 'program.{field}' differs from what its encoder parameters compile to")
+            return self.stored
         return LowLevelProgram(
             dim=dim,
             num_vars=self.variables.next_free,
@@ -161,16 +189,6 @@ class RouteRecord:
     @property
     def width(self) -> int:
         return len(self.bit_vars)
-
-    def node_coord(self, a: int, l: int) -> int:
-        if a == 0:
-            return self.root
-        if a == self.width:
-            return self.leaves[l]
-        for level, idx, coord in self.interior:
-            if level == a and idx == l:
-                return coord
-        raise KeyError(f"tree node ({a},{l}) was truncated")
 
     def reachable_leaf(self, a: int, l: int, selected: int) -> int | None:
         """Leaf index reached from node (a, l) along available edges, or None
@@ -394,14 +412,9 @@ class CompiledLayout:
     coord_blocks: tuple[Block, ...]
     num_vars: int
     hl_free: tuple[int, ...]  # program free indices carrying the source free basis
-    loaders: tuple[LoaderRecord, ...]
-    routes: tuple[RouteRecord, ...]
-
-    def col_routes(self, column: int) -> list[RouteRecord]:
-        return [r for r in self.routes if r.role == "col" and r.owner == column]
-
-    def row_routes(self, row: int) -> list[RouteRecord]:
-        return [r for r in self.routes if r.role == "row" and r.owner == row]
+    scratch: tuple[Block, ...]  # W_j per column, sparse mode only
+    loaders: tuple[LoaderRecord, ...]  # loaders[j - 1] feeds column j
+    routes: tuple[RouteRecord, ...]  # column routes, then row routes by row
 
 
 @dataclass(frozen=True)
@@ -495,45 +508,24 @@ class CompiledProgram:
         if lay.mode == "dense":
             for rec in lay.loaders:
                 for i in range(lay.n):
-                    code = FixedPointCode(
-                        precision=lay.precision,
-                        bits=tuple(bits[v] for v in rec.digit_vars[i]),
-                    )
-                    out[i, rec.column - 1] = code.value
+                    out[i, rec.column - 1] = _read_real(bits, rec.digit_vars[i], lay.precision)
             return out
-        listed: list[set[int]] | None = None
-        if lay.mode == "sparse":
-            listed = [set() for _ in range(lay.n)]
-            for rec in lay.routes:
-                if rec.role != "row":
-                    continue
-                sel = IntegerCode(
-                    width=rec.width, bits=tuple(bits[v] for v in rec.bit_vars)
-                ).value
-                if sel < len(rec.leaves):
-                    listed[rec.owner - 1].add(sel)
+        listed = [set() for _ in range(lay.n)] if lay.mode == "sparse" else None
+        for rec in lay.routes:
+            if rec.role == "row" and (sel := _read_index(bits, rec)) < len(rec.leaves):
+                listed[rec.owner - 1].add(sel)
         route_of = {(r.owner, r.slot): r for r in lay.routes if r.role == "col"}
         for rec in lay.loaders:
             j = rec.column
             slots = []
             usable = True
             for i in range(lay.k_nnz):
-                value = FixedPointCode(
-                    precision=lay.precision, bits=tuple(bits[v] for v in rec.digit_vars[i])
-                ).value
-                route = route_of[(j, i + 1)]
-                sel = (
-                    IntegerCode(width=route.width, bits=tuple(bits[v] for v in route.bit_vars)).value
-                    if route.width
-                    else 0
-                )
-                if value != 0.0:
-                    if sel >= lay.n:
-                        usable = False
-                        break
-                    if listed is not None and (j - 1) not in listed[sel]:
-                        usable = False
-                        break
+                value = _read_real(bits, rec.digit_vars[i], lay.precision)
+                sel = _read_index(bits, route_of[(j, i + 1)])
+                # a nonzero routed out of range, or into an unlisted row
+                if value != 0.0 and (sel >= lay.n or listed is not None and (j - 1) not in listed[sel]):
+                    usable = False
+                    break
                 slots.append((sel, value))
             if usable:
                 for sel, value in slots:
@@ -587,8 +579,7 @@ class CompiledProgram:
         quant_cols = None
         if lay.mode != "dense":
             quant_cols = [
-                [(sel, FixedPointCode(precision=lay.precision,
-                                      bits=tuple(bits[v] for v in rec.digit_vars[i])).value)
+                [(sel, _read_real(bits, rec.digit_vars[i], lay.precision))
                  for i, (sel, _) in enumerate(cols[rec.column - 1])]
                 for rec in lay.loaders
             ]
@@ -597,18 +588,16 @@ class CompiledProgram:
         columns = np.flatnonzero(avail.mask)
         coeffs = np.zeros(columns.size)
         free_owner, labeled_owner = self._ownership()
-        # mass arriving at each row-route root from its selected column
+        # mass arriving at each row-route root from its selected column; a
+        # column listed twice in one row carries it on its first route only
         row_route_mass: dict[str, float] = {}
-        if lay.mode == "sparse":
-            for i in range(lay.n):
-                seen = set()
-                for rec in self.layout.row_routes(i + 1):
-                    sel = rows[i][rec.slot - 1]
-                    if sel in seen:
-                        row_route_mass[rec.name] = 0.0
-                        continue
-                    seen.add(sel)
-                    row_route_mass[rec.name] = float(w[sel] * aq[i, sel])
+        seen = set()
+        for rec in lay.routes:
+            if rec.role == "row":
+                sel = rows[rec.owner - 1][rec.slot - 1]
+                first = (rec.owner, sel) not in seen
+                seen.add((rec.owner, sel))
+                row_route_mass[rec.name] = float(w[sel] * aq[rec.owner - 1, sel]) if first else 0.0
         for k, j in enumerate(columns):
             is_free = j < nf
             owner = free_owner[j] if is_free else labeled_owner[j - nf]
@@ -625,7 +614,7 @@ class CompiledProgram:
             else:  # route
                 rec = owner[1]
                 if rec.role == "col":
-                    slots = quant_cols[_loader_index(lay, rec.owner)]
+                    slots = quant_cols[rec.owner - 1]
                     sel, value = slots[rec.slot - 1]
                     mass = w[rec.owner - 1] * value
                 else:
@@ -661,14 +650,10 @@ class CompiledProgram:
         wt = np.zeros(self.program.dim)
         vblock = self.target_block
         wt[vblock.start : vblock.stop] = wprime
-        if lay.mode == "sparse":
-            # row-scratch values: listed columns copy the row value
-            listed = [set(rows[i]) for i in range(lay.n)]
-            for blk in lay.coord_blocks:
-                if blk.name.startswith("W") and blk.name[1:].isdigit():
-                    j = int(blk.name[1:])
-                    for i in range(lay.n):
-                        wt[blk[i]] = wprime[i] if (j - 1) in listed[i] else 0.0
+        # row-scratch values: listed columns copy the row value
+        for j, blk in enumerate(lay.scratch):
+            for i in range(lay.n):
+                wt[blk[i]] = wprime[i] if j in rows[i] else 0.0
         # interiors and roots take their reachable-leaf value
         for rec in lay.routes:
             if rec.role == "col":
@@ -736,102 +721,33 @@ class CompiledProgram:
         }
 
     def to_json_dict(self) -> dict:
-        lay = self.layout
-        return {
-            "program": self.program.to_json_dict(),
-            "encoder": self.encoder_descriptor(),
-            "layout": {
-                "coordinate_blocks": [
-                    {"name": b.name, "start": b.start, "size": b.size} for b in lay.coord_blocks
-                ],
-                "hl_free": list(lay.hl_free),
-                "loaders": [
-                    {
-                        "name": r.name,
-                        "column": r.column,
-                        "pivots": list(r.pivots),
-                        "precision": r.precision,
-                        "digit_vars": [[v + 1 for v in row] for row in r.digit_vars],
-                        "working": [list(row) for row in r.working],
-                        "free_index": r.free_index,
-                        "labeled_start": r.labeled_start,
-                    }
-                    for r in lay.loaders
-                ],
-                "routes": [
-                    {
-                        "name": r.name,
-                        "role": r.role,
-                        "owner": r.owner,
-                        "slot": r.slot,
-                        "root": r.root,
-                        "leaves": list(r.leaves),
-                        "bit_vars": [v + 1 for v in r.bit_vars],
-                        "interior": [list(t) for t in r.interior],
-                        "edges": [list(t) for t in r.edges],
-                        "free_index": r.free_index,
-                    }
-                    for r in lay.routes
-                ],
-            },
-        }
+        return {"program": self.program.to_json_dict(), "encoder": self.encoder_descriptor()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CompiledProgram":
-        for key in ("program", "encoder", "layout"):
+        """Recompile the stored program's source data with the encoder
+        parameters and require the stored ``program`` and ``encoder`` to equal
+        the result; a ``layout`` key, as older files carry, is ignored.  The
+        source target is the ``V`` block of the target, and the source free
+        basis the leading free vectors with no entry past ``V``: every gadget
+        free vector touches a coordinate outside it."""
+        if not isinstance(data, dict):
+            raise ValueError("compiled program JSON must be an object")
+        for key in ("program", "encoder"):
             if key not in data:
                 raise ValueError(f"compiled program JSON is missing field '{key}'")
-        program = LowLevelProgram.from_json_dict(data["program"])
+        stored = LowLevelProgram.from_json_dict(data["program"])
         enc = data["encoder"]
-        layd = data["layout"]
-        loaders = tuple(
-            LoaderRecord(
-                name=r["name"],
-                column=int(r["column"]),
-                pivots=tuple(r["pivots"]),
-                precision=int(r["precision"]),
-                digit_vars=tuple(tuple(v - 1 for v in row) for row in r["digit_vars"]),
-                working=tuple(tuple(row) for row in r["working"]),
-                free_index=int(r["free_index"]),
-                labeled_start=int(r["labeled_start"]),
-            )
-            for r in layd["loaders"]
-        )
-        routes = tuple(
-            RouteRecord(
-                name=r["name"],
-                role=r["role"],
-                owner=int(r["owner"]),
-                slot=int(r["slot"]),
-                root=int(r["root"]),
-                leaves=tuple(r["leaves"]),
-                bit_vars=tuple(v - 1 for v in r["bit_vars"]),
-                interior=tuple(tuple(t) for t in r["interior"]),
-                edges=tuple(tuple(t) for t in r["edges"]),
-                free_index=r["free_index"],
-            )
-            for r in layd["routes"]
-        )
-        layout = CompiledLayout(
-            mode=enc["mode"],
-            n=int(enc["n"]),
-            m=int(enc["m"]),
-            precision=int(enc["k"]),
-            k_nnz=enc.get("k_nnz"),
-            l_nnz=enc.get("l_nnz"),
-            coord_blocks=tuple(
-                Block(name=b["name"], start=int(b["start"]), size=int(b["size"]))
-                for b in layd["coordinate_blocks"]
-            ),
-            num_vars=program.num_vars,
-            hl_free=tuple(layd["hl_free"]),
-            loaders=loaders,
-            routes=routes,
-        )
-        return cls(program=program, layout=layout)
+        n, m, precision, k_nnz, l_nnz = _encoder_params(enc, stored)
+        store = stored.all_vectors()
+        reach_out = store[n:, : len(stored.free)].any(axis=0)
+        num_hl = int(np.argmax(reach_out)) if reach_out.any() else len(stored.free)
+        comp = _build(stored.target[:n], store[:n, :num_hl], stored.tol, m, precision, k_nnz, l_nnz, stored)
+        _check_descriptor(enc, comp.encoder_descriptor())
+        return comp
 
     @classmethod
     def from_json(cls, text: str) -> "CompiledProgram":
@@ -850,11 +766,44 @@ def _looks_dense(source) -> bool:
     return False
 
 
-def _loader_index(lay: CompiledLayout, column: int) -> int:
-    for idx, rec in enumerate(lay.loaders):
-        if rec.column == column:
-            return idx
-    raise KeyError(f"no loader for column {column}")
+def _read_real(bits, var_ids, precision: int) -> float:
+    return FixedPointCode(precision=precision, bits=tuple(bits[v] for v in var_ids)).value
+
+
+def _read_index(bits, rec: RouteRecord) -> int:
+    return IntegerCode(width=rec.width, bits=tuple(bits[v] for v in rec.bit_vars)).value
+
+
+def _encoder_params(enc, program: LowLevelProgram) -> list:
+    """[n, m, k, k_nnz, l_nnz] of a stored encoder block (None where the mode
+    has no such parameter), checked against the stored program before
+    anything is compiled from them."""
+    if not isinstance(enc, dict):
+        raise ValueError("compiled program field 'encoder' must be an object")
+    if enc.get("mode") not in MODES:
+        raise ValueError(f"encoder.mode must be one of {', '.join(MODES)}, got {enc.get('mode')!r}")
+    params = [None] * 5  # dense mode has neither budget, sparse_cols no l_nnz
+    for i, key in enumerate(("n", "m", "k", "k_nnz", "l_nnz")[: MODES.index(enc["mode"]) + 3]):
+        params[i] = enc.get(key)
+        if isinstance(params[i], bool) or not isinstance(params[i], int):
+            raise ValueError(f"encoder.{key} must be an integer, got {params[i]!r}")
+    n, m, k = params[:3]
+    if not 1 <= n <= program.dim:
+        raise ValueError(f"encoder.n={n} outside [1, program.dim={program.dim}]")
+    if m < 0 or k < 0 or m * (k + 1) > program.num_vars:
+        raise ValueError(f"encoder.m={m}, encoder.k={k}: need 0 <= m*(k+1) <= program.num_vars={program.num_vars}")
+    return params
+
+
+def _check_descriptor(stored, rebuilt: dict) -> None:
+    """Raise ``ValueError`` naming the first encoder field in which ``stored`` differs."""
+    for key in [*rebuilt, *(k for k in stored if k not in rebuilt)]:
+        got, want = stored.get(key), rebuilt.get(key)
+        if key not in stored or got != want:
+            if key == "variables" and isinstance(got, list):
+                i = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+                key = f"variables[{i}]"
+            raise ValueError(f"compiled program field 'encoder.{key}' differs from what its encoder parameters compile to")
 
 
 def _check_consistency(cols, rows) -> None:
@@ -871,117 +820,87 @@ def _check_consistency(cols, rows) -> None:
 # compile modes
 
 
-def _start_builder(program: HighLevelProgram) -> tuple[ProgramBuilder, Block, tuple[int, ...]]:
-    b = ProgramBuilder()
-    v = b.coords.claim("V", program.space_dim)
-    b.set_target({v[i]: float(program.target[i]) for i in range(program.space_dim)})
-    hl_free = []
-    fbasis = program.free_basis
-    for c in range(fbasis.shape[1]):
-        hl_free.append(b.add_free({v[i]: float(fbasis[i, c]) for i in range(program.space_dim)}))
-    return b, v, tuple(hl_free)
+def _build(target, free_basis, tol: float, m: int, precision: int,
+           k_nnz: int | None = None, l_nnz: int | None = None,
+           stored: LowLevelProgram | None = None) -> CompiledProgram:
+    """The construction behind every mode, claiming blocks in one order.
 
-
-def compile_dense(program: HighLevelProgram, precision: int) -> CompiledProgram:
-    """One vector-loading gadget per input column; digits are the only bits."""
-    n, m = program.space_dim, program.num_inputs
-    b, v, hl_free = _start_builder(program)
-    loaders = []
-    for j in range(1, m + 1):
-        vb = b.variables.claim(f"x[{j}]", n * (precision + 1))
-        loaders.append(
-            emit_vector_loading(b, name=f"L{j}", column=j, pivots=tuple(v.coords()), var_block=vb, precision=precision)
-        )
-    layout = CompiledLayout(
-        mode="dense", n=n, m=m, precision=precision, k_nnz=None, l_nnz=None,
-        coord_blocks=tuple(b.coords.blocks), num_vars=b.variables.next_free,
-        hl_free=hl_free, loaders=tuple(loaders), routes=(),
-    )
-    return CompiledProgram(program=b.build(program.tol), layout=layout)
-
-
-def compile_sparse_cols(program: HighLevelProgram, k_nnz: int, precision: int) -> CompiledProgram:
-    """Column payloads live in small scratch blocks; per-slot routing trees
-    steer each payload value to its queried target row."""
-    n, m = program.space_dim, program.num_inputs
-    if not 1 <= k_nnz <= n:
+    V holds the target and the source free basis.  Loaders then fill the
+    pivots of column j: V itself in dense mode (no ``k_nnz``), otherwise a
+    payload block U_j of ``k_nnz`` slots.  Column routes send each payload
+    slot to a leaf of V, or with a row stage (``l_nnz``) of a per-column
+    scratch block W_j, from which per-row routes pull listed entries into V.
+    With ``stored`` the build is capped at that program's size and checked
+    against it instead of densified.
+    """
+    n = len(target)
+    mode = MODES[(k_nnz is not None) + (l_nnz is not None)]  # one mode per budget given
+    if precision < 0:
+        raise ValueError(f"precision must be at least 0, got {precision}")
+    if k_nnz is not None and not 1 <= k_nnz <= n:
         raise ValueError(f"k_nnz must be within [1, {n}], got {k_nnz}")
-    b, v, hl_free = _start_builder(program)
-    payload = [b.coords.claim(f"U{j}", k_nnz) for j in range(1, m + 1)]
-    loaders = []
-    for j in range(1, m + 1):
-        vb = b.variables.claim(f"x[{j}]", k_nnz * (precision + 1))
-        loaders.append(
-            emit_vector_loading(
-                b, name=f"L{j}", column=j, pivots=tuple(payload[j - 1].coords()), var_block=vb, precision=precision
-            )
-        )
-    routes = []
-    for j in range(1, m + 1):
-        for i in range(1, k_nnz + 1):
-            vb = b.variables.claim(f"c[{i},{j}]", index_bit_width(n))
-            routes.append(
-                emit_route_tree(
-                    b, name=f"D[{i},{j}]", role="col", owner=j, slot=i,
-                    root=payload[j - 1][i - 1], leaves=tuple(v.coords()), var_block=vb,
-                )
-            )
-    layout = CompiledLayout(
-        mode="sparse_cols", n=n, m=m, precision=precision, k_nnz=k_nnz, l_nnz=None,
-        coord_blocks=tuple(b.coords.blocks), num_vars=b.variables.next_free,
-        hl_free=hl_free, loaders=tuple(loaders), routes=tuple(routes),
-    )
-    return CompiledProgram(program=b.build(program.tol), layout=layout)
-
-
-def compile_sparse(program: HighLevelProgram, k_nnz: int, l_nnz: int, precision: int) -> CompiledProgram:
-    """Row- and column-sparse mode: payloads are routed into per-column
-    scratch rows, and row adjacency lists pull listed entries into the
-    target space through reversed routing trees."""
-    n, m = program.space_dim, program.num_inputs
-    if not 1 <= k_nnz <= n:
-        raise ValueError(f"k_nnz must be within [1, {n}], got {k_nnz}")
-    if not 1 <= l_nnz <= m:
+    if l_nnz is not None and not 1 <= l_nnz <= m:
         raise ValueError(f"l_nnz must be within [1, {m}], got {l_nnz}")
-    b, v, hl_free = _start_builder(program)
-    payload = []
-    scratch = []
-    for j in range(1, m + 1):
-        payload.append(b.coords.claim(f"U{j}", k_nnz))
-        scratch.append(b.coords.claim(f"W{j}", n))
+    b = ProgramBuilder(stored)
+    v = b.coords.claim("V", n)
+    b.set_target({v[i]: float(target[i]) for i in range(n)})
+    hl_free = tuple(
+        b.add_free({v[i]: float(free_basis[i, c]) for i in range(n)}) for c in range(free_basis.shape[1])
+    )
+    payload, scratch = [v] * m, []
+    if k_nnz is not None:
+        payload = []
+        for j in range(1, m + 1):
+            payload.append(b.coords.claim(f"U{j}", k_nnz))
+            if l_nnz is not None:
+                scratch.append(b.coords.claim(f"W{j}", n))
     loaders = []
-    for j in range(1, m + 1):
-        vb = b.variables.claim(f"x[{j}]", k_nnz * (precision + 1))
+    for j, pivots in enumerate(payload, 1):
+        vb = b.variables.claim(f"x[{j}]", pivots.size * (precision + 1))
         loaders.append(
-            emit_vector_loading(
-                b, name=f"L{j}", column=j, pivots=tuple(payload[j - 1].coords()), var_block=vb, precision=precision
-            )
+            emit_vector_loading(b, name=f"L{j}", column=j, pivots=tuple(pivots.coords()), var_block=vb, precision=precision)
         )
-    routes = []
+    routes = []  # dense mode has no payload slots and no row lists
     for j in range(1, m + 1):
-        for i in range(1, k_nnz + 1):
+        for i in range(1, (k_nnz or 0) + 1):
             vb = b.variables.claim(f"c[{i},{j}]", index_bit_width(n))
             routes.append(
                 emit_route_tree(
-                    b, name=f"D[{i},{j}]", role="col", owner=j, slot=i,
-                    root=payload[j - 1][i - 1], leaves=tuple(scratch[j - 1].coords()), var_block=vb,
+                    b, name=f"D[{i},{j}]", role="col", owner=j, slot=i, root=payload[j - 1][i - 1],
+                    leaves=tuple((scratch[j - 1] if scratch else v).coords()), var_block=vb,
                 )
             )
     for i in range(1, n + 1):
-        for jj in range(1, l_nnz + 1):
+        for jj in range(1, (l_nnz or 0) + 1):
             vb = b.variables.claim(f"d[{i},{jj}]", index_bit_width(m))
             routes.append(
                 emit_route_tree(
                     b, name=f"M[{i},{jj}]", role="row", owner=i, slot=jj,
-                    root=v[i - 1], leaves=tuple(scratch[j][i - 1] for j in range(m)), var_block=vb,
+                    root=v[i - 1], leaves=tuple(w[i - 1] for w in scratch), var_block=vb,
                 )
             )
     layout = CompiledLayout(
-        mode="sparse", n=n, m=m, precision=precision, k_nnz=k_nnz, l_nnz=l_nnz,
-        coord_blocks=tuple(b.coords.blocks), num_vars=b.variables.next_free,
-        hl_free=hl_free, loaders=tuple(loaders), routes=tuple(routes),
+        mode=mode, n=n, m=m, precision=precision, k_nnz=k_nnz, l_nnz=l_nnz,
+        coord_blocks=tuple(b.coords.blocks), num_vars=b.variables.next_free, hl_free=hl_free,
+        scratch=tuple(scratch), loaders=tuple(loaders), routes=tuple(routes),
     )
-    return CompiledProgram(program=b.build(program.tol), layout=layout)
+    return CompiledProgram(program=b.build(tol), layout=layout)
+
+
+def compile_dense(program: HighLevelProgram, precision: int) -> CompiledProgram:
+    """One vector-loading gadget per input column; digits are the only bits."""
+    return _build(program.target, program.free_basis, program.tol, program.num_inputs, precision)
+
+
+def compile_sparse(
+    program: HighLevelProgram, k_nnz: int, precision: int, l_nnz: int | None = None
+) -> CompiledProgram:
+    """Column payloads of ``k_nnz`` slots, each steered to its row by a
+    routing tree.  Without ``l_nnz`` (mode ``sparse_cols``) the trees end in
+    the target space; with it (mode ``sparse``) they end in per-column
+    scratch rows, and row adjacency lists of ``l_nnz`` columns pull listed
+    entries into the target space through reversed routing trees."""
+    return _build(program.target, program.free_basis, program.tol, program.num_inputs, precision, k_nnz, l_nnz)
 
 
 # ---------------------------------------------------------------------------

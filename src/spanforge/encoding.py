@@ -43,14 +43,6 @@ def encode_int(c: int, n: int) -> IntegerCode:
     return IntegerCode(width=width, bits=tuple((c >> i) & 1 for i in range(width)))
 
 
-def decode_int(code) -> int:
-    """Value of a little-endian index code; accepts the code object or raw bits."""
-    if isinstance(code, IntegerCode):
-        return code.value
-    bits = tuple(int(b) for b in code)
-    return IntegerCode(width=len(bits), bits=bits).value
-
-
 @dataclass(frozen=True)
 class FixedPointCode:
     """Offset fixed-point real: value = sum_{i=0..k} bits[i] * 2^-i - 1."""
@@ -84,14 +76,6 @@ def encode_real(x: float, k: int) -> FixedPointCode:
     level = min(max(level, 0), 2 ** (k + 1) - 1)
     # bits[i] carries weight 2^(k-i) in the integer level
     return FixedPointCode(precision=k, bits=tuple((level >> (k - i)) & 1 for i in range(k + 1)))
-
-
-def decode_real(code) -> float:
-    """Value of a fixed-point code; accepts the code object or raw bits."""
-    if isinstance(code, FixedPointCode):
-        return code.value
-    bits = tuple(int(b) for b in code)
-    return FixedPointCode(precision=len(bits) - 1, bits=bits).value
 
 
 def grid_values(k: int) -> list[float]:

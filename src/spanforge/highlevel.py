@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NoNegativeWitness, NoPositiveWitness
 from .linalg import DEFAULT_TOL, as_matrix, as_vector, min_norm_solve, project_complement, svd
-from .lowlevel import DomainWitnessSizes, WitnessReport, _frozen
+from .lowlevel import DomainWitnessSizes, WitnessReport, _frozen, fold_witness_sizes
 
 
 @dataclass(frozen=True)
@@ -145,14 +145,4 @@ class HighLevelProgram:
 
 def wsize_over_inputs(program: HighLevelProgram, matrices, tol: float | None = None) -> DomainWitnessSizes:
     """Worst-case witness sizes over a finite family of input matrices."""
-    w0 = 0.0
-    w1 = 0.0
-    rows = []
-    for idx, a in enumerate(matrices):
-        rep = program.witness(a, tol)
-        if rep.decision:
-            w1 = max(w1, rep.size)
-        else:
-            w0 = max(w0, rep.size)
-        rows.append((str(idx), rep.decision, rep.size))
-    return DomainWitnessSizes(wsize_0=w0, wsize_1=w1, combined=float(np.sqrt(w0 * w1)), per_input=tuple(rows))
+    return fold_witness_sizes((str(idx), program.witness(a, tol)) for idx, a in enumerate(matrices))

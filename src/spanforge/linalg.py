@@ -46,9 +46,6 @@ class SvdResult:
     vt: np.ndarray
     rank: int
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.vt
-
 
 def svd(m, tol: float = DEFAULT_TOL, full_matrices: bool = False) -> SvdResult:
     """SVD of ``m``; rank = number of sigma_i > tol * sigma_1.

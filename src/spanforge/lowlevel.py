@@ -220,6 +220,36 @@ class LowLevelProgram:
         size, y = min_quadratic_on_hyperplane(b, c, tol)
         return WitnessReport(decision=0, size=float(size), witness=nbasis @ y)
 
+    def first_difference(self, dim: int, num_vars: int, tol: float, target: dict, free, labeled) -> str | None:
+        """Name of the first field, such as ``target`` or ``labeled[3]``, in
+        which this program differs from the one with the given fields; None
+        when equal.  Vectors are given sparsely, as ``{coord: value}`` dicts
+        (``labeled`` as ``(dict, var, val)`` triples), and the stored columns
+        are checked against them without densifying."""
+        for name, want in (("dim", dim), ("num_vars", num_vars), ("tol", tol)):
+            if getattr(self, name) != want:
+                return name
+        want_target = np.zeros(dim)
+        want_target[list(target)] = list(target.values())
+        if not np.array_equal(self.target, want_target):
+            return "target"
+        for name, vectors in (("free", free), ("labeled", labeled)):
+            if len(getattr(self, name)) != len(vectors):
+                return name
+        # equal at the given entries, with as many nonzeros, leaves none elsewhere
+        vectors = [*free, *(e for e, _, _ in labeled)]
+        cols = np.repeat(np.arange(len(vectors)), [len(e) for e in vectors])
+        rows = np.fromiter((c for e in vectors for c in e), int, cols.size)
+        vals = np.fromiter((x for e in vectors for x in e.values()), float, cols.size)
+        differs = np.bincount(cols[self._columns[rows, cols] != vals], minlength=len(vectors)) > 0
+        differs |= np.count_nonzero(self._columns, axis=0) != np.bincount(cols, vals != 0, minlength=len(vectors))
+        nf = len(free)
+        differs[nf:] |= (self._var != [v for _, v, _ in labeled]) | (self._val != [b for _, _, b in labeled])
+        if not differs.any():
+            return None
+        j = int(np.argmax(differs))
+        return f"free[{j}]" if j < nf else f"labeled[{j - nf}]"
+
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -283,21 +313,22 @@ class DomainWitnessSizes:
     per_input: tuple[tuple[str, int, float], ...] = field(repr=False, default=())
 
 
-def wsize_over_domain(program: LowLevelProgram, domain, tol: float | None = None) -> DomainWitnessSizes:
-    """Max positive / max negative witness sizes and their geometric mean.
-
-    ``domain`` is an iterable of bit strings; an empty side contributes 0.
-    """
+def fold_witness_sizes(reports) -> DomainWitnessSizes:
+    """Max positive / max negative witness sizes and their geometric mean
+    over ``(key, WitnessReport)`` pairs; an empty side contributes 0."""
     w0 = 0.0
     w1 = 0.0
     rows = []
-    for x in domain:
-        bits = normalize_bits(x, program.num_vars)
-        key = "".join(str(b) for b in bits)
-        rep = program.witness(bits, tol)
+    for key, rep in reports:
         if rep.decision:
             w1 = max(w1, rep.size)
         else:
             w0 = max(w0, rep.size)
         rows.append((key, rep.decision, rep.size))
     return DomainWitnessSizes(wsize_0=w0, wsize_1=w1, combined=float(np.sqrt(w0 * w1)), per_input=tuple(rows))
+
+
+def wsize_over_domain(program: LowLevelProgram, domain, tol: float | None = None) -> DomainWitnessSizes:
+    """Witness sizes over ``domain``, an iterable of bit strings."""
+    inputs = (normalize_bits(x, program.num_vars) for x in domain)
+    return fold_witness_sizes(("".join(map(str, bits)), program.witness(bits, tol)) for bits in inputs)

@@ -261,7 +261,7 @@ def run_rank_trials(
         else:
             l_used = c_r
         sample = build_rank_program(n, m, r, rng)
-        rep = sample.program.witness(a)
+        rep = sample.program.witness(a, config.tolerance)
         decision = rep.decision
         bound = bound_constant * (n - r + 1) * r * l_used**2
         size = rep.size if decision else float("inf")
@@ -275,7 +275,7 @@ def run_rank_trials(
         # negative side: rank exactly r-1
         a_neg = random_rank_matrix(n, m, r - 1, rng)
         sample_neg = build_rank_program(n, m, r, rng)
-        rep_neg = sample_neg.program.witness(a_neg)
+        rep_neg = sample_neg.program.witness(a_neg, config.tolerance)
         decision_neg = rep_neg.decision
         size_neg = float("inf") if decision_neg else rep_neg.size
         rows.append(

@@ -149,6 +149,11 @@ def ks_statistic(samples: np.ndarray, cdf) -> float:
 # experiments
 
 
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
 def _capped_chunk(chunk: int, n: int) -> int:
     # keep each batch of n x n matrices within ~64 MB
     return max(1, min(chunk, 8_000_000 // max(1, n * n)))
@@ -168,6 +173,8 @@ def exp_inverse_wishart_trace(
     n: int, m: int, trials: int, stream: RngStream, chunk: int = 4096
 ) -> TraceEstimate:
     """Monte Carlo E[tr W(n, m)^-1]; exact value n / (m - n - 1)."""
+    _require_at_least("--n", n, 1)
+    _require_at_least("--trials", trials, 1)
     if m <= n + 1:
         raise ValueError(f"mean of the inverse Wishart needs m > n + 1, got n={n}, m={m}")
     chunk = _capped_chunk(chunk, max(n, m))
@@ -210,6 +217,7 @@ def exp_block_inverse_norm(
     in-sample figure, not a stable one."""
     if n <= 3:
         raise ValueError(f"block check needs n > 3, got {n}")
+    _require_at_least("--trials", trials, 1)
     block = n - 2
     chunk = _capped_chunk(chunk, n)
     sizes = chunk_sizes(trials, chunk)
@@ -245,6 +253,8 @@ def exp_lambda_min_cdf(
 ) -> LambdaMinResult:
     """KS distance between the empirical law of n * lambda_min(W(n, n)) and
     the limit CDF."""
+    _require_at_least("--n", n, 1)
+    _require_at_least("--trials", trials, 1)
     chunk = _capped_chunk(chunk, n)
     sizes = chunk_sizes(trials, chunk)
 
@@ -284,6 +294,7 @@ def exp_c_bounded(
     """Per n, the empirical probability that c(A) exceeds delta for a square
     standard Gaussian A; the law is (conjecturally) tight uniformly in n, so
     the exceedance should stay flat once delta is calibrated."""
+    _require_at_least("--trials", trials, 1)
     rows = []
     for pos, n in enumerate(n_list):
         eff = _capped_chunk(chunk, n)
@@ -325,6 +336,10 @@ def exp_ratio_scaling(
     """Median of (1/sigma_min) / c(A) per n, with the log-log regression
     slope across n.  The ratio is at least 1 for every sample: the largest
     reciprocal singular value dominates their quadratic mean."""
+    _require_at_least("--trials", trials, 1)
+    for n in n_list:
+        # at n = 1 the ratio is identically 1, and log 1 = 0 leaves a fit over n = 1 singular
+        _require_at_least("--n", n, 2)
     rows = []
     for pos, n in enumerate(n_list):
         eff = _capped_chunk(chunk, n)

@@ -22,7 +22,6 @@ from spanforge.cli import main
 from spanforge.compiler import (
     compile_dense,
     compile_sparse,
-    compile_sparse_cols,
     measure_overhead,
     sparse_columns_from_dense,
 )
@@ -210,7 +209,7 @@ def test_criterion_03_compiled_equivalence_exhaustive(criterion_report):
         if mode == "dense":
             comp = compile_dense(prog, precision=k)
         elif mode == "sparse_cols":
-            comp = compile_sparse_cols(prog, k_nnz=k_nnz, precision=k)
+            comp = compile_sparse(prog, k_nnz=k_nnz, precision=k, l_nnz=None)
         else:
             comp = compile_sparse(prog, k_nnz=k_nnz, l_nnz=l_nnz, precision=k)
         for assignment in range(2**comp.layout.num_vars):
@@ -278,7 +277,7 @@ def test_criterion_04_cost_budgets(criterion_report):
             if prog.evaluate(a):
                 continue
         comp = (
-            compile_sparse_cols(prog, k_nnz=k_nnz, precision=k)
+            compile_sparse(prog, k_nnz=k_nnz, precision=k, l_nnz=None)
             if sparse_mode
             else compile_dense(prog, precision=k)
         )

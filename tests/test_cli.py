@@ -227,6 +227,17 @@ def test_rank_experiment_config_file(capsys, tmp_path):
     assert len(out.strip().splitlines()) == 7
 
 
+def test_rank_experiment_honours_tol(capsys, tmp_path):
+    # at tol 0.9 rank-deficient instances come out accepted, so rows change
+    _, default, _ = _run(capsys, _rank_args())
+    code, loose, _ = _run(capsys, _rank_args() + ["--tol", "0.9"])
+    assert code == 0 and loose != default
+    assert any(row[1] == "rank_lt_r" and row[2] == "1" for row in csv.reader(io.StringIO(loose)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 4, "m": 4, "r": 2, "trials": 5, "master_seed": 3, "tolerance": 0.9}))
+    assert _run(capsys, ["rank-experiment", "--config", str(cfg)])[1] == loose
+
+
 def test_wishart_experiment_kinds(capsys):
     code, out, _ = _run(
         capsys,
@@ -268,6 +279,20 @@ def test_ratio_experiment(capsys):
     assert float(rows[1][3]) >= 1.0
     code, _, err = _run(capsys, ["ratio-experiment", "--n", ",", "--trials", "5", "--seed", "5"])
     assert code == 1 and "--n" in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [(["wishart-experiment", "--n", "3", "--m", "8", "--trials", "0"], "--trials"),
+     (["wishart-experiment", "--kind", "block", "--n", "10", "--trials", "0"], "--trials"),
+     (["wishart-experiment", "--kind", "lambda-min", "--n", "0", "--trials", "10"], "--n"),
+     (["ratio-experiment", "--n", "1", "--trials", "10"], "--n")],
+    ids=["trace-trials", "block-trials", "lambda-min-n", "ratio-n"],
+)
+def test_experiment_sizes_out_of_range_exit_1(capsys, argv, flag):
+    code, out, err = _run(capsys, argv + ["--seed", "1"])
+    assert code == 1 and out == ""
+    assert flag in err and "Traceback" not in err
 
 
 def test_lowerbound_suite_default(capsys):

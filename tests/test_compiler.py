@@ -8,7 +8,6 @@ from spanforge.compiler import (
     CompiledProgram,
     compile_dense,
     compile_sparse,
-    compile_sparse_cols,
     measure_overhead,
     row_lists_from_dense,
     sparse_columns_from_dense,
@@ -71,7 +70,7 @@ def test_loader_digit_weights():
 
 def test_route_tree_telescopes_to_leaf_minus_root():
     prog = _hl(4, 1, target=[1.0, 0.0, 0.0, 0.0])
-    comp = compile_sparse_cols(prog, k_nnz=1, precision=0)
+    comp = compile_sparse(prog, k_nnz=1, precision=0, l_nnz=None)
     rec = comp.layout.routes[0]
     assert rec.width == 2
     assert len(rec.interior) == 2
@@ -89,7 +88,7 @@ def test_route_tree_telescopes_to_leaf_minus_root():
 
 def test_route_tree_truncation_three_leaves():
     prog = _hl(3, 1, target=[1.0, 0.0, 0.0])
-    comp = compile_sparse_cols(prog, k_nnz=1, precision=0)
+    comp = compile_sparse(prog, k_nnz=1, precision=0, l_nnz=None)
     rec = comp.layout.routes[0]
     assert rec.width == 2
     # node (1,1) is kept, leaf index 3 is not: 2 + 3 edges
@@ -104,7 +103,7 @@ def test_route_tree_truncation_three_leaves():
 
 def test_route_single_leaf_degenerates_to_free_connector():
     prog = _hl(1, 1, target=[1.0])
-    comp = compile_sparse_cols(prog, k_nnz=1, precision=0)
+    comp = compile_sparse(prog, k_nnz=1, precision=0, l_nnz=None)
     rec = comp.layout.routes[0]
     assert rec.width == 0
     assert rec.free_index is not None
@@ -141,7 +140,7 @@ def test_quantize_rounds_to_nearest():
 
 def test_sparse_cols_decode_out_of_range_zeroes_column():
     prog = _hl(3, 1, target=[1.0, 0.0, 0.0])
-    comp = compile_sparse_cols(prog, k_nnz=1, precision=0)
+    comp = compile_sparse(prog, k_nnz=1, precision=0, l_nnz=None)
     lay = comp.layout
     bits = [0] * lay.num_vars
     rec = lay.loaders[0]
@@ -163,7 +162,7 @@ def test_sparse_cols_decode_out_of_range_zeroes_column():
 
 def test_sparse_duplicate_payload_rows_rejected():
     prog = _hl(3, 1, target=[1.0, 0.0, 0.0])
-    comp = compile_sparse_cols(prog, k_nnz=2, precision=0)
+    comp = compile_sparse(prog, k_nnz=2, precision=0, l_nnz=None)
     with pytest.raises(SparseFormatError, match="repeats a row"):
         comp.encode([[(0, -1.0), (0, -1.0)]])
 
@@ -222,7 +221,7 @@ def test_sparse_cols_equivalence_exhaustive(n, m, k_nnz, k):
     # includes n = 3 where a 2-bit index can point past the last row
     rng = np.random.default_rng(200 + n * 10 + m + k)
     prog = _hl(n, m, rng=rng)
-    comp = compile_sparse_cols(prog, k_nnz=k_nnz, precision=k)
+    comp = compile_sparse(prog, k_nnz=k_nnz, precision=k, l_nnz=None)
     mismatches = 0
     for bits in _all_bits(comp.layout.num_vars):
         if comp.program.evaluate(bits) != prog.evaluate(comp.decode(bits)):
@@ -335,7 +334,7 @@ def test_sparse_cols_positive_optimum_closed_form(n, m, k_nnz, k):
         if np.linalg.norm(t) < 1e-6:
             continue
         prog = HighLevelProgram(space_dim=n, num_inputs=m, target=t, free_basis=np.zeros((n, 0)))
-        comp = compile_sparse_cols(prog, k_nnz=k_nnz, precision=k)
+        comp = compile_sparse(prog, k_nnz=k_nnz, precision=k, l_nnz=None)
         rep = comp.program.positive_witness(comp.encode(a))
         aq = comp.quantize(a)
         expected = _pos_oracle(aq, prog.free_basis, t, _sparse_cols_kappas(comp, a))
@@ -391,7 +390,7 @@ def test_sparse_cols_negative_budget():
         prog = _hl(n, m, rng=rng)
         if prog.evaluate(a):
             continue
-        comp = compile_sparse_cols(prog, k_nnz=k_nnz, precision=k)
+        comp = compile_sparse(prog, k_nnz=k_nnz, precision=k, l_nnz=None)
         rep = comp.program.negative_witness(comp.encode(a))
         wprime = prog.negative_witness(a).witness
         cols, _ = comp._canonical(a)
@@ -424,7 +423,7 @@ def test_lift_positive_reaches_target(mode):
     if mode == "dense":
         comp = compile_dense(prog, precision=k)
     elif mode == "sparse_cols":
-        comp = compile_sparse_cols(prog, k_nnz=2, precision=k)
+        comp = compile_sparse(prog, k_nnz=2, precision=k, l_nnz=None)
     else:
         comp = compile_sparse(prog, k_nnz=2, l_nnz=2, precision=k)
     lifted = comp.lift_positive(a)
@@ -454,7 +453,7 @@ def test_lift_negative_is_valid_witness(mode):
         if mode == "dense":
             comp = compile_dense(prog, precision=k)
         elif mode == "sparse_cols":
-            comp = compile_sparse_cols(prog, k_nnz=2, precision=k)
+            comp = compile_sparse(prog, k_nnz=2, precision=k, l_nnz=None)
         else:
             comp = compile_sparse(prog, k_nnz=2, l_nnz=2, precision=k)
         lifted = comp.lift_negative(a)
@@ -489,7 +488,7 @@ def test_compiled_json_roundtrip(mode):
     if mode == "dense":
         comp = compile_dense(prog, precision=1)
     elif mode == "sparse_cols":
-        comp = compile_sparse_cols(prog, k_nnz=2, precision=1)
+        comp = compile_sparse(prog, k_nnz=2, precision=1, l_nnz=None)
     else:
         comp = compile_sparse(prog, k_nnz=2, l_nnz=2, precision=1)
     back = CompiledProgram.from_json(comp.to_json())
@@ -548,9 +547,11 @@ def test_measure_overhead_requires_both_sides():
 def test_compile_parameter_validation():
     prog = _hl(2, 2, target=[1.0, 0.0])
     with pytest.raises(ValueError, match="k_nnz"):
-        compile_sparse_cols(prog, k_nnz=3, precision=0)
+        compile_sparse(prog, k_nnz=3, precision=0, l_nnz=None)
     with pytest.raises(ValueError, match="l_nnz"):
         compile_sparse(prog, k_nnz=1, l_nnz=3, precision=0)
+    with pytest.raises(ValueError, match="precision"):
+        compile_dense(prog, precision=-1)
 
 
 def test_compiled_json_missing_fields():
