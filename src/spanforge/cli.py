@@ -20,7 +20,7 @@ from . import calibration
 from .compiler import CompiledProgram, compile_dense, compile_sparse
 from .errors import NoNegativeWitness, NoPositiveWitness, SpanforgeError
 from .highlevel import HighLevelProgram
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, input_matrix
 from .lowlevel import LowLevelProgram
 from .programs import (
     RankExperimentConfig,
@@ -89,7 +89,7 @@ def _cmd_evaluate(args) -> int:
         payload = {"decision": decision, "input": args.input, "num_vars": prog.num_vars}
     else:
         prog = _load_highlevel(args.highlevel)
-        matrix = np.asarray(_read_json(args.input), dtype=float)
+        matrix = input_matrix(_read_json(args.input))
         decision = prog.evaluate(matrix, args.tol)
         payload = {"decision": decision, "input": args.input, "shape": list(matrix.shape)}
     _write_output(render_json({"tool_version": TOOL_VERSION, "kind": "evaluate", **payload}), args.out)
@@ -104,7 +104,7 @@ def _cmd_witness(args) -> int:
         source = args.input
     else:
         prog = _load_highlevel(args.highlevel)
-        source = np.asarray(_read_json(args.input), dtype=float)
+        source = input_matrix(_read_json(args.input))
     solve = {"auto": prog.witness, "pos": prog.positive_witness, "neg": prog.negative_witness}[args.side]
     report = solve(source, args.tol)
     payload = {"tool_version": TOOL_VERSION, "kind": "witness", **_witness_payload(report)}
@@ -176,20 +176,19 @@ def _cmd_rank_experiment(args) -> int:
 
 def _cmd_wishart_experiment(args) -> int:
     stream = RngStream(seed=args.seed)
-    if args.kind == "trace":
-        if args.m is None:
-            raise ValueError("--m is required for --kind trace")
-        est = exp_inverse_wishart_trace(args.n, args.m, args.trials, stream)
-        header = ["n", "m", "trials", "estimate", "stderr", "true_value"]
-        row = [est.n, est.m, est.trials, est.estimate, est.stderr, est.true_value]
-    elif args.kind == "block":
-        est = exp_block_inverse_norm(args.n, args.trials, stream)
-        header = ["n", "block", "trials", "estimate", "stderr", "true_value"]
-        row = [est.n, est.block, est.trials, est.estimate, est.stderr, est.true_value]
-    else:  # lambda-min
+    if args.kind == "lambda-min":
         est = exp_lambda_min_cdf(args.n, args.trials, stream)
         header = ["n", "trials", "ks_stat", "median_empirical", "median_limit"]
         row = [est.n, est.trials, est.ks_stat, est.median_empirical, est.median_limit]
+    else:
+        if args.kind == "block":
+            est = exp_block_inverse_norm(args.n, args.trials, stream)
+        elif args.m is None:
+            raise ValueError("--m is required for --kind trace")
+        else:
+            est = exp_inverse_wishart_trace(args.n, args.m, args.trials, stream)
+        header = ["n", "m" if args.kind == "trace" else "block", "trials", "estimate", "stderr", "true_value"]
+        row = [est.n, est.size, est.trials, est.estimate, est.stderr, est.true_value]
     if args.format == "csv":
         _write_output(render_csv(header, [row]), args.out)
     else:

@@ -32,7 +32,7 @@ import numpy as np
 from .encoding import FixedPointCode, IntegerCode, encode_int, encode_real, index_bit_width
 from .errors import SparseFormatError
 from .highlevel import HighLevelProgram, wsize_over_inputs
-from .linalg import as_matrix
+from .linalg import input_matrix
 from .lowlevel import DomainWitnessSizes, LowLevelProgram, wsize_over_domain
 
 MODES = ("dense", "sparse_cols", "sparse")
@@ -361,9 +361,11 @@ def validate_sparse_columns(entries, n: int, m: int, k_nnz: int) -> tuple[tuple[
         rows = [r for r, _ in slots]
         if len(set(rows)) != len(rows):
             raise SparseFormatError(f"column {j + 1} repeats a row index in its payload")
-        for r, _ in slots:
+        for r, v in slots:
             if not 0 <= r < n:
                 raise SparseFormatError(f"column {j + 1} addresses row {r}, outside [0, {n})")
+            if not np.isfinite(v):
+                raise SparseFormatError(f"column {j + 1} payload value at row {r} is not finite: {v}")
         for i in range(n):
             if len(slots) == k_nnz:
                 break
@@ -439,10 +441,7 @@ class CompiledProgram:
         converted, sparse descriptions validated and padded."""
         lay = self.layout
         if lay.mode == "dense":
-            a = as_matrix(source)
-            if a.shape != (lay.n, lay.m):
-                raise ValueError(f"input matrix has shape {a.shape}, expected ({lay.n}, {lay.m})")
-            return a, None
+            return input_matrix(source, (lay.n, lay.m)), None
         if isinstance(source, dict):
             if "columns" not in source:
                 raise SparseFormatError("sparse input dict is missing field 'columns'")
@@ -456,9 +455,7 @@ class CompiledProgram:
                 rows = None
             return cols, rows
         if _looks_dense(source):
-            a = as_matrix(source)
-            if a.shape != (lay.n, lay.m):
-                raise ValueError(f"input matrix has shape {a.shape}, expected ({lay.n}, {lay.m})")
+            a = input_matrix(source, (lay.n, lay.m))
             cols = sparse_columns_from_dense(a, lay.k_nnz)
             rows = row_lists_from_dense(a, lay.l_nnz) if lay.mode == "sparse" else None
             return cols, rows

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoNegativeWitness, NoPositiveWitness
-from .linalg import DEFAULT_TOL, as_matrix, as_vector, min_norm_solve, project_complement, svd
+from .linalg import DEFAULT_TOL, as_matrix, as_vector, input_matrix, min_norm_solve, project_complement, svd
 from .lowlevel import DomainWitnessSizes, WitnessReport, _frozen, fold_witness_sizes
 
 
@@ -25,7 +25,6 @@ class HighLevelProgram:
     num_inputs: int
     target: np.ndarray
     free_basis: np.ndarray | None = None
-    domain_note: str = ""
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
@@ -47,12 +46,7 @@ class HighLevelProgram:
     # -- queries ---------------------------------------------------------
 
     def _check_input(self, a) -> np.ndarray:
-        mat = as_matrix(a)
-        if mat.shape != (self.space_dim, self.num_inputs):
-            raise ValueError(
-                f"input matrix has shape {mat.shape}, expected ({self.space_dim}, {self.num_inputs})"
-            )
-        return mat
+        return input_matrix(a, (self.space_dim, self.num_inputs))
 
     def _free_projector(self) -> np.ndarray:
         f = self.free_basis
@@ -113,7 +107,6 @@ class HighLevelProgram:
             "num_inputs": self.num_inputs,
             "target": self.target.tolist(),
             "free_basis": [self.free_basis[:, j].tolist() for j in range(self.free_basis.shape[1])],
-            "domain_note": self.domain_note,
             "tol": self.tol,
         }
 
@@ -134,7 +127,6 @@ class HighLevelProgram:
             num_inputs=int(data["num_inputs"]),
             target=data["target"],
             free_basis=basis,
-            domain_note=str(data.get("domain_note", "")),
             tol=float(data.get("tol", DEFAULT_TOL)),
         )
 

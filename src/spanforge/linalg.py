@@ -26,6 +26,36 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def input_matrix(a, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """A queried input matrix as float64: 2-D, of ``shape`` when given, with
+    every entry a finite number; errors name the first bad entry [i][j]."""
+    try:
+        mat = np.asarray(a, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(_not_a_matrix(a)) from None
+    if mat.ndim != 2:
+        raise ValueError(f"input matrix must be 2-D, got shape {mat.shape}")
+    if shape is not None and mat.shape != shape:
+        raise ValueError(f"input matrix has shape {mat.shape}, expected {shape}")
+    if not np.isfinite(mat).all():
+        i, j = np.argwhere(~np.isfinite(mat))[0]
+        raise ValueError(f"input matrix entry [{i}][{j}] is not finite: {mat[i, j]}")
+    return mat
+
+
+def _not_a_matrix(a) -> str:
+    """Why numpy could not read ``a`` as a numeric matrix."""
+    if not isinstance(a, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in a):
+        return "input matrix must be an array of rows"
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            try:
+                float(x)
+            except (TypeError, ValueError):
+                return f"input matrix entry [{i}][{j}] is not a number: {x!r}"
+    return "input matrix rows differ in length"
+
+
 def as_vector(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.ndim != 1:

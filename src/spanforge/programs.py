@@ -45,36 +45,20 @@ class RankInstance:
             raise ValueError(f"promised bound L must be positive, got {self.L}")
 
 
-@dataclass(frozen=True)
-class RankProgramSample:
-    """One random draw of the rank-test program: target plus n-r free vectors."""
-
-    program: HighLevelProgram
-    s: int
-
-    def __post_init__(self):
-        if self.program.free_basis.shape[1] != self.s:
-            raise ValueError(
-                f"free basis has {self.program.free_basis.shape[1]} columns, expected s={self.s}"
-            )
-
-
-def build_rank_program(n: int, m: int, r: int, rng: np.random.Generator) -> RankProgramSample:
-    """Sample the rank-r test program on n-dimensional inputs with m columns."""
+def build_rank_program(n: int, m: int, r: int, rng: np.random.Generator) -> HighLevelProgram:
+    """Sample the rank-r test program on n-dimensional inputs with m columns:
+    a standard-normal target plus n-r standard-normal free vectors."""
     if not 0 <= r <= n:
         raise ValueError(f"rank threshold {r} outside [0, {n}]")
-    s = n - r
     t = rng.standard_normal(n)
-    v = rng.standard_normal((n, s))
-    prog = HighLevelProgram(space_dim=n, num_inputs=m, target=t, free_basis=v)
-    return RankProgramSample(program=prog, s=s)
+    v = rng.standard_normal((n, n - r))
+    return HighLevelProgram(space_dim=n, num_inputs=m, target=t, free_basis=v)
 
 
 def rank_decision(instance: RankInstance, rng: np.random.Generator, tol: float = DEFAULT_TOL) -> int:
     """Evaluate a fresh program sample on the instance matrix."""
     n, m = instance.matrix.shape
-    sample = build_rank_program(n, m, instance.r, rng)
-    prog = sample.program
+    prog = build_rank_program(n, m, instance.r, rng)
     if tol != prog.tol:
         prog = HighLevelProgram(
             space_dim=n, num_inputs=m, target=prog.target, free_basis=prog.free_basis, tol=tol
@@ -260,8 +244,7 @@ def run_rank_trials(
             l_used = config.L
         else:
             l_used = c_r
-        sample = build_rank_program(n, m, r, rng)
-        rep = sample.program.witness(a, config.tolerance)
+        rep = build_rank_program(n, m, r, rng).witness(a, config.tolerance)
         decision = rep.decision
         bound = bound_constant * (n - r + 1) * r * l_used**2
         size = rep.size if decision else float("inf")
@@ -274,8 +257,7 @@ def run_rank_trials(
         )
         # negative side: rank exactly r-1
         a_neg = random_rank_matrix(n, m, r - 1, rng)
-        sample_neg = build_rank_program(n, m, r, rng)
-        rep_neg = sample_neg.program.witness(a_neg, config.tolerance)
+        rep_neg = build_rank_program(n, m, r, rng).witness(a_neg, config.tolerance)
         decision_neg = rep_neg.decision
         size_neg = float("inf") if decision_neg else rep_neg.size
         rows.append(

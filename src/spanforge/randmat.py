@@ -3,7 +3,8 @@
 Reproducibility contract: every randomized routine takes an RngStream
 (seed, stream_id) and derives per-chunk generators as
 default_rng([seed, stream_id, chunk_index]), so results are bit-identical
-regardless of how many worker threads SPANFORGE_THREADS allows.
+regardless of how many worker threads SPANFORGE_THREADS allows.  Every
+experiment draws its Gaussian matrices through one driver, _gaussian_draws.
 """
 
 from __future__ import annotations
@@ -57,10 +58,6 @@ def chunk_sizes(trials: int, chunk: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # samplers
-
-
-def sample_gaussian(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    return rng.standard_normal((n, m))
 
 
 def _chi2(df: int, rng: np.random.Generator) -> float:
@@ -154,62 +151,64 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
         raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
-def _capped_chunk(chunk: int, n: int) -> int:
-    # keep each batch of n x n matrices within ~64 MB
-    return max(1, min(chunk, 8_000_000 // max(1, n * n)))
+def _gaussian_draws(stat, n: int, m: int, trials: int, stream: RngStream, chunk: int) -> list:
+    """stat(batch) for every chunk of ``trials`` standard Gaussian n x m
+    matrices, in chunk order.  Chunks hold ``chunk`` draws, fewer where a
+    batch would pass ~64 MB; the chunk grid fixes which generator draws each
+    matrix, so callers keep their chunk size fixed to keep reports stable."""
+    side = max(1, n, m)
+    sizes = chunk_sizes(trials, max(1, min(chunk, 8_000_000 // (side * side))))
+    return run_seeded_trials(
+        lambda idx, rng: stat(rng.standard_normal((sizes[idx], n, m))), len(sizes), stream
+    )
+
+
+def _size_streams(n_list, stream: RngStream) -> list[tuple[int, RngStream]]:
+    """Each size of a sweep draws from its own sub-stream, stream_id + 1 + pos."""
+    return [
+        (n, RngStream(seed=stream.seed, stream_id=stream.stream_id + 1 + pos))
+        for pos, n in enumerate(n_list)
+    ]
 
 
 @dataclass(frozen=True)
-class TraceEstimate:
+class MeanEstimate:
+    """Monte Carlo mean with its in-sample standard error.  ``size`` is m for
+    the inverse-Wishart trace and the block order n - 2 for the block check."""
+
     n: int
-    m: int
+    size: int
     trials: int
     estimate: float
     stderr: float
     true_value: float
 
 
-def exp_inverse_wishart_trace(
-    n: int, m: int, trials: int, stream: RngStream, chunk: int = 4096
-) -> TraceEstimate:
+def _mean_estimate(n: int, size: int, trials: int, true_value: float, values: list) -> MeanEstimate:
+    """Mean and stderr of per-chunk arrays of per-draw values, summed chunk by chunk."""
+    mean = sum(float(v.sum()) for v in values) / trials
+    var = max(sum(float((v**2).sum()) for v in values) / trials - mean**2, 0.0)
+    return MeanEstimate(
+        n=n, size=size, trials=trials, estimate=mean,
+        stderr=math.sqrt(var / trials), true_value=true_value,
+    )
+
+
+def exp_inverse_wishart_trace(n: int, m: int, trials: int, stream: RngStream) -> MeanEstimate:
     """Monte Carlo E[tr W(n, m)^-1]; exact value n / (m - n - 1)."""
     _require_at_least("--n", n, 1)
     _require_at_least("--trials", trials, 1)
     if m <= n + 1:
         raise ValueError(f"mean of the inverse Wishart needs m > n + 1, got n={n}, m={m}")
-    chunk = _capped_chunk(chunk, max(n, m))
-    sizes = chunk_sizes(trials, chunk)
 
-    def one(idx: int, rng: np.random.Generator):
-        a = rng.standard_normal((sizes[idx], n, m))
-        w = a @ a.transpose(0, 2, 1)
-        tr = np.einsum("tii->t", np.linalg.inv(w))
-        return float(tr.sum()), float((tr**2).sum())
+    def traces(a):
+        return np.einsum("tii->t", np.linalg.inv(a @ a.transpose(0, 2, 1)))
 
-    parts = run_seeded_trials(one, len(sizes), stream)
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    mean = total / trials
-    var = max(total_sq / trials - mean**2, 0.0)
-    return TraceEstimate(
-        n=n, m=m, trials=trials, estimate=mean,
-        stderr=math.sqrt(var / trials), true_value=n / (m - n - 1),
-    )
+    values = _gaussian_draws(traces, n, m, trials, stream, chunk=4096)
+    return _mean_estimate(n, m, trials, n / (m - n - 1), values)
 
 
-@dataclass(frozen=True)
-class BlockNormEstimate:
-    n: int
-    block: int
-    trials: int
-    estimate: float
-    stderr: float
-    true_value: float
-
-
-def exp_block_inverse_norm(
-    n: int, trials: int, stream: RngStream, chunk: int = 4096
-) -> BlockNormEstimate:
+def exp_block_inverse_norm(n: int, trials: int, stream: RngStream) -> MeanEstimate:
     """E of the squared Euclidean norm of the inverted leading (n-2)-block
     factor of W(n, n), equal to tr of the inverted block itself; exact value
     n - 2.  The estimator has infinite variance (the block is only two
@@ -219,24 +218,13 @@ def exp_block_inverse_norm(
         raise ValueError(f"block check needs n > 3, got {n}")
     _require_at_least("--trials", trials, 1)
     block = n - 2
-    chunk = _capped_chunk(chunk, n)
-    sizes = chunk_sizes(trials, chunk)
 
-    def one(idx: int, rng: np.random.Generator):
-        a = rng.standard_normal((sizes[idx], n, n))
+    def traces(a):
         w = a @ a.transpose(0, 2, 1)
-        tr = np.einsum("tii->t", np.linalg.inv(w[:, :block, :block]))
-        return float(tr.sum()), float((tr**2).sum())
+        return np.einsum("tii->t", np.linalg.inv(w[:, :block, :block]))
 
-    parts = run_seeded_trials(one, len(sizes), stream)
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    mean = total / trials
-    var = max(total_sq / trials - mean**2, 0.0)
-    return BlockNormEstimate(
-        n=n, block=block, trials=trials, estimate=mean,
-        stderr=math.sqrt(var / trials), true_value=float(n - 2),
-    )
+    values = _gaussian_draws(traces, n, n, trials, stream, chunk=4096)
+    return _mean_estimate(n, block, trials, float(block), values)
 
 
 @dataclass(frozen=True)
@@ -248,23 +236,16 @@ class LambdaMinResult:
     median_limit: float
 
 
-def exp_lambda_min_cdf(
-    n: int, trials: int, stream: RngStream, chunk: int = 4096
-) -> LambdaMinResult:
+def exp_lambda_min_cdf(n: int, trials: int, stream: RngStream) -> LambdaMinResult:
     """KS distance between the empirical law of n * lambda_min(W(n, n)) and
     the limit CDF."""
     _require_at_least("--n", n, 1)
     _require_at_least("--trials", trials, 1)
-    chunk = _capped_chunk(chunk, n)
-    sizes = chunk_sizes(trials, chunk)
 
-    def one(idx: int, rng: np.random.Generator):
-        a = rng.standard_normal((sizes[idx], n, n))
-        w = a @ a.transpose(0, 2, 1)
-        return n * np.linalg.eigvalsh(w)[:, 0]
+    def scaled_lambda_min(a):
+        return n * np.linalg.eigvalsh(a @ a.transpose(0, 2, 1))[:, 0]
 
-    parts = run_seeded_trials(one, len(sizes), stream)
-    samples = np.concatenate(parts)
+    samples = np.concatenate(_gaussian_draws(scaled_lambda_min, n, n, trials, stream, chunk=4096))
     return LambdaMinResult(
         n=n,
         trials=trials,
@@ -288,25 +269,18 @@ def _batched_c(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(1.0 / sigma**2, axis=1))
 
 
-def exp_c_bounded(
-    n_list, trials: int, delta: float, stream: RngStream, chunk: int = 1024
-) -> list[ExceedanceRow]:
+def exp_c_bounded(n_list, trials: int, delta: float, stream: RngStream) -> list[ExceedanceRow]:
     """Per n, the empirical probability that c(A) exceeds delta for a square
     standard Gaussian A; the law is (conjecturally) tight uniformly in n, so
     the exceedance should stay flat once delta is calibrated."""
     _require_at_least("--trials", trials, 1)
+
+    def exceeding(a):
+        return int(np.sum(_batched_c(a) > delta))
+
     rows = []
-    for pos, n in enumerate(n_list):
-        eff = _capped_chunk(chunk, n)
-        sizes = chunk_sizes(trials, eff)
-        sub = RngStream(seed=stream.seed, stream_id=stream.stream_id + 1 + pos)
-
-        def one(idx: int, rng: np.random.Generator):
-            a = rng.standard_normal((sizes[idx], n, n))
-            return int(np.sum(_batched_c(a) > delta))
-
-        exceed = sum(run_seeded_trials(one, len(sizes), sub))
-        p = exceed / trials
+    for n, sub in _size_streams(n_list, stream):
+        p = sum(_gaussian_draws(exceeding, n, n, trials, sub, chunk=1024)) / trials
         rows.append(
             ExceedanceRow(
                 n=n, trials=trials, delta=delta, exceedance=p,
@@ -330,9 +304,7 @@ class RatioScalingResult:
     slope: float
 
 
-def exp_ratio_scaling(
-    n_list, trials: int, stream: RngStream, chunk: int = 256
-) -> RatioScalingResult:
+def exp_ratio_scaling(n_list, trials: int, stream: RngStream) -> RatioScalingResult:
     """Median of (1/sigma_min) / c(A) per n, with the log-log regression
     slope across n.  The ratio is at least 1 for every sample: the largest
     reciprocal singular value dominates their quadratic mean."""
@@ -340,24 +312,20 @@ def exp_ratio_scaling(
     for n in n_list:
         # at n = 1 the ratio is identically 1, and log 1 = 0 leaves a fit over n = 1 singular
         _require_at_least("--n", n, 2)
+
+    def ratios(a):
+        sigma = np.linalg.svd(a, compute_uv=False)
+        c = np.sqrt(np.mean(1.0 / sigma**2, axis=1))
+        return (1.0 / sigma[:, -1]) / c
+
     rows = []
-    for pos, n in enumerate(n_list):
-        eff = _capped_chunk(chunk, n)
-        sizes = chunk_sizes(trials, eff)
-        sub = RngStream(seed=stream.seed, stream_id=stream.stream_id + 1 + pos)
-
-        def one(idx: int, rng: np.random.Generator):
-            a = rng.standard_normal((sizes[idx], n, n))
-            sigma = np.linalg.svd(a, compute_uv=False)
-            c = np.sqrt(np.mean(1.0 / sigma**2, axis=1))
-            return (1.0 / sigma[:, -1]) / c
-
-        ratios = np.concatenate(run_seeded_trials(one, len(sizes), sub))
+    for n, sub in _size_streams(n_list, stream):
+        sample = np.concatenate(_gaussian_draws(ratios, n, n, trials, sub, chunk=256))
         rows.append(
             RatioRow(
                 n=n, trials=trials,
-                median_ratio=float(np.median(ratios)),
-                min_ratio=float(np.min(ratios)),
+                median_ratio=float(np.median(sample)),
+                min_ratio=float(np.min(sample)),
             )
         )
     slope = float(

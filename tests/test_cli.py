@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import subprocess
@@ -363,6 +364,50 @@ def test_wishart_deterministic_across_thread_counts(tmp_path, capsys, monkeypatc
     assert main(argv + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of experiment stdout, taken from the per-experiment sampling loops
+# that preceded the shared Monte Carlo driver; the chunk grid fixes which
+# generator draws each matrix, so any change to it shows up here.
+PINNED_EXPERIMENTS = [
+    ("wishart-experiment --kind trace --n 3 --m 8 --trials 5000 --seed 1",
+     "fadb442e86f00af21310842d6e5dae09e1894a1e346ce81acac5bd802618595d"),
+    ("wishart-experiment --kind trace --n 3 --m 300 --trials 500 --seed 9 --format json",
+     "0e9872780c9458ea5adc9cc84b9fc0ea8732f3b347e55cfe34d7eb71ba706c69"),
+    ("wishart-experiment --kind block --n 10 --trials 3000 --seed 2 --format json",
+     "f84ed0ef97ed77c81a83c2e15b5575b2a9a019968bc0cc01d2858147dad89811"),
+    ("wishart-experiment --kind block --n 6 --trials 5000 --seed 2",
+     "10ee4058f33e8ca620790b37ef983132830ba64453d0ec33bc8c25626b556684"),
+    ("wishart-experiment --kind lambda-min --n 40 --trials 3000 --seed 3",
+     "8ec155106f90faa56de353dc57510f7d1794f8300aa1163afebc64ae0424bb6e"),
+    ("ratio-experiment --n 8,16,64 --trials 500 --seed 4 --format json",
+     "463f69283e3eef8528e8a50e0cae69f0005c8c0254799bdc44b6bfc262056a9a"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_EXPERIMENTS, ids=[a.split(" --seed")[0] for a, _ in PINNED_EXPERIMENTS])
+def test_experiment_output_pinned(capsys, argv, digest):
+    code, out, _ = _run(capsys, argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "text,entry",
+    [("[[1e400, 0], [0, 0]]", "[0][0]"),  # JSON reads 1e400 as inf
+     ("[[0, 0], [0, NaN]]", "[1][1]"),
+     ('[[1, "x"], [0, 0]]', "[0][1]"),
+     ("[[1, 0], [0]]", "differ in length"),
+     ("[1, 0]", "2-D")],
+    ids=["inf", "nan", "string", "ragged", "vector"],
+)
+@pytest.mark.parametrize("cmd", ["evaluate", "witness"])
+def test_bad_input_matrix_names_entry(capsys, hl_files, cmd, text, entry):
+    ppath, accept, _ = hl_files
+    accept.write_text(text)
+    code, out, err = _run(capsys, [cmd, "--highlevel", str(ppath), "--input", str(accept)])
+    assert code == 1 and out == ""
+    assert entry in err and "Traceback" not in err
 
 
 def test_module_entry_point():

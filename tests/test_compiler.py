@@ -184,6 +184,18 @@ def test_sparse_consistency_validation():
         comp.encode({"columns": [[(1, 0.0)], [(0, -1.0)]], "rows": [[0], [1]]})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
+def test_encode_rejects_nonfinite_entries(bad):
+    prog = _hl(2, 2, target=[1.0, 0.0])
+    a = [[0.5, 0.0], [0.0, bad]]
+    for comp in (compile_dense(prog, precision=1), compile_sparse(prog, k_nnz=1, l_nnz=1, precision=1)):
+        with pytest.raises(ValueError, match=r"entry \[1\]\[1\] is not finite"):
+            comp.encode(a)
+    comp = compile_sparse(prog, k_nnz=1, precision=1)
+    with pytest.raises(SparseFormatError, match="column 2 payload value at row 1 is not finite"):
+        comp.encode([[(0, 0.5)], [(1, bad)]])
+
+
 def test_sparse_needs_row_lists():
     prog = _hl(2, 2, target=[1.0, 0.0])
     comp = compile_sparse(prog, k_nnz=1, l_nnz=1, precision=0)

@@ -150,6 +150,16 @@ def test_json_roundtrip():
     assert back.evaluate(a) == prog.evaluate(a)
 
 
+def test_json_with_domain_note_still_loads():
+    # files written by earlier versions carry a free-text domain_note; it is ignored
+    data = json.loads(_simple().to_json())
+    assert "domain_note" not in data
+    data["domain_note"] = "entries in [-1, 1]"
+    back = HighLevelProgram.from_json_dict(data)
+    assert back.to_json() == _simple().to_json()
+    assert back.evaluate(np.array([[2.0], [0.0]])) == 1
+
+
 def test_json_missing_field_messages():
     data = json.loads(_simple().to_json())
     del data["space_dim"]

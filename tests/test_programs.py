@@ -103,19 +103,18 @@ def test_unique_search_input_shape():
 
 def test_build_rank_program_shapes():
     rng = np.random.default_rng(5)
-    sample = build_rank_program(n=6, m=4, r=2, rng=rng)
-    assert sample.s == 4
-    assert sample.program.space_dim == 6
-    assert sample.program.num_inputs == 4
-    assert sample.program.free_basis.shape == (6, 4)
+    prog = build_rank_program(n=6, m=4, r=2, rng=rng)
+    assert prog.space_dim == 6
+    assert prog.num_inputs == 4
+    assert prog.free_basis.shape == (6, 4)  # s = n - r free vectors
     with pytest.raises(ValueError, match="rank threshold"):
         build_rank_program(n=3, m=3, r=4, rng=rng)
 
 
 def test_rank_zero_threshold_accepts_everything():
     rng = np.random.default_rng(6)
-    sample = build_rank_program(n=4, m=4, r=0, rng=rng)
-    assert sample.program.evaluate(np.zeros((4, 4))) == 1
+    prog = build_rank_program(n=4, m=4, r=0, rng=rng)
+    assert prog.evaluate(np.zeros((4, 4))) == 1
 
 
 def test_rank_decision_on_diagonal_fixtures():

@@ -17,7 +17,6 @@ from spanforge.randmat import (
     lambda_min_limit_median,
     run_seeded_trials,
     sample_bartlett,
-    sample_gaussian,
     spectral_stats,
     worker_count,
 )
@@ -110,11 +109,6 @@ def test_bartlett_matches_direct_wishart_functionals():
     ]
     for sample_a, sample_b in checks:
         assert stats.ks_2samp(sample_a, sample_b).statistic <= 0.025
-
-
-def test_sample_gaussian_shape():
-    rng = np.random.default_rng(4)
-    assert sample_gaussian(2, 5, rng).shape == (2, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +208,7 @@ def test_trace_experiment_validation_and_determinism():
 
 def test_block_experiment_frozen_seed():
     res = exp_block_inverse_norm(10, trials=4000, stream=RngStream(seed=21))
-    assert res.block == 8
+    assert res.size == 8
     assert res.true_value == 8.0
     # heavy-tailed estimator: only a broad band is meaningful
     assert 2.0 < res.estimate < 40.0
@@ -243,17 +237,23 @@ def test_c_bounded_one_dimensional_closed_form():
     assert rows[0].n == 1 and rows[0].delta == delta
 
 
-def test_c_bounded_deterministic_across_thread_counts(monkeypatch):
+EXPERIMENTS = {
+    "trace": lambda s: exp_inverse_wishart_trace(3, 300, trials=200, stream=s),
+    "block": lambda s: exp_block_inverse_norm(6, trials=9000, stream=s),
+    "lambda_min": lambda s: exp_lambda_min_cdf(5, trials=9000, stream=s),
+    "c_bounded": lambda s: exp_c_bounded([4, 8], trials=2100, delta=5.0, stream=s),
+    "ratio": lambda s: exp_ratio_scaling([4, 8], trials=600, stream=s),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_experiments_deterministic_across_thread_counts(monkeypatch, name):
+    # every size above spans several chunks (the m = 300 trace through the
+    # 64 MB cap), so the workers really do split the draws
     monkeypatch.setenv("SPANFORGE_THREADS", "1")
-    a = exp_c_bounded([4, 8], trials=2000, delta=5.0, stream=RngStream(seed=51))
+    a = EXPERIMENTS[name](RngStream(seed=51))
     monkeypatch.setenv("SPANFORGE_THREADS", "4")
-    b = exp_c_bounded([4, 8], trials=2000, delta=5.0, stream=RngStream(seed=51), chunk=128)
-    # same substreams and chunk grid must give the same counts serially;
-    # with a different chunk grid only the distribution matches, so rerun
-    # with the default chunking for the strict comparison
-    c = exp_c_bounded([4, 8], trials=2000, delta=5.0, stream=RngStream(seed=51))
-    assert a == c
-    assert all(abs(x.exceedance - y.exceedance) <= 0.05 for x, y in zip(a, b))
+    assert EXPERIMENTS[name](RngStream(seed=51)) == a
 
 
 def test_ratio_scaling_minimum_and_slope():
