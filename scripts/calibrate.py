@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from spanforge.programs import RankExperimentConfig, run_rank_trials
-from spanforge.randmat import RngStream, _batched_c, _gaussian_draws
+from spanforge.randmat import RngStream, _batched_c, _draws, _gaussian
 
 CALIBRATION_SEED = 20240817
 CALIBRATION_TRIALS_RANK = 2000
@@ -41,7 +41,7 @@ def calibrate_delta() -> None:
     print("== c(A) exceedance threshold ==")
     n = 10
     stream = RngStream(seed=CALIBRATION_SEED, stream_id=90)
-    cs = np.concatenate(_gaussian_draws(_batched_c, n, n, CALIBRATION_TRIALS_DELTA, stream, chunk=1024))
+    cs = np.concatenate(_draws(_gaussian, _batched_c, n, n, CALIBRATION_TRIALS_DELTA, stream, chunk=1024))
     for q in (11 / 12, 0.93, 0.95):
         print(f"  n={n}: q{q:.4f} of c(A) = {np.quantile(cs, q):.4f}")
     delta = float(np.quantile(cs, 0.93))

@@ -15,7 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoNegativeWitness, NoPositiveWitness
-from .linalg import DEFAULT_TOL, as_matrix, as_vector, input_matrix, min_norm_solve, project_complement, svd
+from .linalg import (
+    DEFAULT_TOL,
+    as_matrix,
+    as_vector,
+    finite_vector,
+    input_matrix,
+    min_norm_solve,
+    project_complement,
+    svd,
+)
 from .lowlevel import DomainWitnessSizes, WitnessReport, _frozen, fold_witness_sizes
 
 
@@ -28,7 +37,7 @@ class HighLevelProgram:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "target", _frozen(as_vector(self.target)))
+        object.__setattr__(self, "target", _frozen(finite_vector(self.target, "target")))
         raw = np.zeros((self.space_dim, 0)) if self.free_basis is None else as_matrix(self.free_basis)
         if self.space_dim < 1:
             raise ValueError(f"space_dim must be >= 1, got {self.space_dim}")
@@ -40,6 +49,10 @@ class HighLevelProgram:
             raise ValueError("target vector must be nonzero")
         if raw.shape[0] != self.space_dim:
             raise ValueError(f"free_basis has {raw.shape[0]} rows, expected {self.space_dim}")
+        if not np.isfinite(raw).all():
+            # named as in the JSON form, a list of basis columns
+            j, i = np.argwhere(~np.isfinite(raw.T))[0]
+            raise ValueError(f"free_basis[{j}][{i}] is not finite: {raw[i, j]}")
         dec = svd(raw, self.tol)
         object.__setattr__(self, "free_basis", _frozen(dec.u[:, : dec.rank]))
 
@@ -121,7 +134,7 @@ class HighLevelProgram:
             if key not in data:
                 raise ValueError(f"program JSON is missing field '{key}'")
         cols = data.get("free_basis", [])
-        basis = np.column_stack([as_vector(c) for c in cols]) if cols else None
+        basis = np.column_stack([finite_vector(c, f"free_basis[{j}]") for j, c in enumerate(cols)]) if cols else None
         return cls(
             space_dim=int(data["space_dim"]),
             num_inputs=int(data["num_inputs"]),

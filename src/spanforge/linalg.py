@@ -63,6 +63,19 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
+def finite_vector(v, name: str) -> np.ndarray:
+    """``v`` as a 1-D float64 vector of finite numbers; errors name the field
+    ``name``, and a nonfinite entry as ``name[i]``."""
+    try:
+        vec = as_vector(v)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if not np.isfinite(vec).all():
+        i = int(np.argmin(np.isfinite(vec)))
+        raise ValueError(f"{name}[{i}] is not finite: {vec[i]}")
+    return vec
+
+
 @dataclass(frozen=True)
 class SvdResult:
     """SVD ``M = u @ diag(sigma) @ vt`` with a numerical rank attached.

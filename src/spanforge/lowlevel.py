@@ -18,6 +18,7 @@ from .errors import NoNegativeWitness, NoPositiveWitness
 from .linalg import (
     DEFAULT_TOL,
     as_vector,
+    finite_vector,
     min_norm_solve,
     min_quadratic_on_hyperplane,
     project_complement,
@@ -117,7 +118,7 @@ class LowLevelProgram:
     _val: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "target", _frozen(as_vector(self.target)))
+        object.__setattr__(self, "target", _frozen(finite_vector(self.target, "target")))
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.num_vars < 0:
@@ -149,10 +150,7 @@ class LowLevelProgram:
         )
 
     def _column(self, v, name: str) -> np.ndarray:
-        try:
-            vec = as_vector(v)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{name}: {exc}") from None
+        vec = finite_vector(v, name)
         if vec.shape[0] != self.dim:
             raise ValueError(f"{name} has {vec.shape[0]} entries, expected dim={self.dim}")
         return vec

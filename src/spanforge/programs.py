@@ -20,7 +20,7 @@ import numpy as np
 from .highlevel import HighLevelProgram
 from .linalg import DEFAULT_TOL, as_matrix
 from .lowlevel import normalize_bits
-from .randmat import RngStream, spectral_stats
+from .randmat import RngStream, run_seeded_trials, spectral_stats
 
 
 @dataclass(frozen=True)
@@ -227,9 +227,8 @@ def run_rank_trials(
     if stream is None:
         stream = RngStream(seed=config.master_seed)
     n, m, r = config.n, config.m, config.r
-    rows = []
-    for trial in range(config.trials):
-        rng = stream.generator(trial)
+
+    def trial_rows(trial: int, rng: np.random.Generator) -> tuple[RankTrialRow, RankTrialRow]:
         # positive side: rank exactly r
         a = random_rank_matrix(n, m, r, rng)
         c_r = spectral_stats(a, r).c_r
@@ -248,27 +247,26 @@ def run_rank_trials(
         decision = rep.decision
         bound = bound_constant * (n - r + 1) * r * l_used**2
         size = rep.size if decision else float("inf")
-        rows.append(
-            RankTrialRow(
-                trial=trial, side="rank_ge_r", decision=decision, correct=decision == 1,
-                witness_size=size, c_r=c_r, L_used=l_used, bound=bound,
-                within_bound=size <= bound, promise_met=promise_met,
-            )
+        positive = RankTrialRow(
+            trial=trial, side="rank_ge_r", decision=decision, correct=decision == 1,
+            witness_size=size, c_r=c_r, L_used=l_used, bound=bound,
+            within_bound=size <= bound, promise_met=promise_met,
         )
         # negative side: rank exactly r-1
         a_neg = random_rank_matrix(n, m, r - 1, rng)
         rep_neg = build_rank_program(n, m, r, rng).witness(a_neg, config.tolerance)
         decision_neg = rep_neg.decision
         size_neg = float("inf") if decision_neg else rep_neg.size
-        rows.append(
-            RankTrialRow(
-                trial=trial, side="rank_lt_r", decision=decision_neg, correct=decision_neg == 0,
-                witness_size=size_neg, c_r=float("inf"), L_used=l_used,
-                bound=negative_threshold, within_bound=size_neg <= negative_threshold,
-                promise_met=True,
-            )
+        negative = RankTrialRow(
+            trial=trial, side="rank_lt_r", decision=decision_neg, correct=decision_neg == 0,
+            witness_size=size_neg, c_r=float("inf"), L_used=l_used,
+            bound=negative_threshold, within_bound=size_neg <= negative_threshold,
+            promise_met=True,
         )
-    rows = tuple(rows)
+        return positive, negative
+
+    # one trial per chunk: trial i draws from stream.generator(i) at any worker count
+    rows = tuple(row for pair in run_seeded_trials(trial_rows, config.trials, stream) for row in pair)
     pos = [row for row in rows if row.side == "rank_ge_r" and row.promise_met]
     neg = [row for row in rows if row.side == "rank_lt_r"]
     return RankTrialSummary(

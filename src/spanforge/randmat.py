@@ -4,7 +4,10 @@ Reproducibility contract: every randomized routine takes an RngStream
 (seed, stream_id) and derives per-chunk generators as
 default_rng([seed, stream_id, chunk_index]), so results are bit-identical
 regardless of how many worker threads SPANFORGE_THREADS allows.  Every
-experiment draws its Gaussian matrices through one driver, _gaussian_draws.
+experiment draws through one driver, _draws, with its sampler as an
+argument: the experiments use bidiagonal factors (sample_bidiagonal), whose
+singular values have the law of a dense Gaussian matrix's; the dense sampler
+(_gaussian) is kept for scripts/calibrate.py and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DEFAULT_TOL
-
-CHI2_EXACT_DF_LIMIT = 64  # sum-of-squares sampling below, gamma method above
 
 
 @dataclass(frozen=True)
@@ -60,24 +61,74 @@ def chunk_sizes(trials: int, chunk: int) -> list[int]:
 # samplers
 
 
-def _chi2(df: int, rng: np.random.Generator) -> float:
-    if df <= CHI2_EXACT_DF_LIMIT:
-        return float(np.sum(rng.standard_normal(df) ** 2))
-    return float(2.0 * rng.standard_gamma(df / 2.0))
+def _gaussian(rng: np.random.Generator, size: int, n: int, m: int) -> np.ndarray:
+    """``size`` standard Gaussian n x m matrices, as one array."""
+    return rng.standard_normal((size, n, m))
 
 
-def sample_bartlett(n: int, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Lower-triangular T with T @ T.T distributed as the Wishart W(n, m):
-    diagonal entries sqrt(chi^2_(m-i)) for 0-based row i, standard normals
-    below the diagonal."""
-    if m < n:
-        raise ValueError(f"Wishart factor needs m >= n, got n={n}, m={m}")
-    t = np.zeros((n, n))
-    for i in range(n):
-        t[i, i] = math.sqrt(_chi2(m - i, rng))
-        if i:
-            t[i, :i] = rng.standard_normal(i)
-    return t
+@dataclass(frozen=True)
+class Bidiagonal:
+    """A batch of lower-bidiagonal n x n matrices B: ``d`` (batch x n) holds
+    the diagonals and ``e`` (batch x (n - 1)) the subdiagonals, so row i of B
+    is e[i - 1] at column i - 1 and d[i] at column i."""
+
+    d: np.ndarray
+    e: np.ndarray
+
+    def inverse_frobenius_sq(self) -> np.ndarray:
+        """||B^-1||_F^2 per matrix, the sum of 1 / sigma^2 over its singular
+        values.  Row i of B^-1 is (unit row i - e[i-1] * row i-1) / d[i], two
+        parts with disjoint supports, so the squared row norms follow the
+        positive recurrence S_i = S_(i-1) * (e[i-1] / d[i])^2 + 1 / d[i]^2,
+        which sums without cancellation."""
+        inv = 1.0 / self.d**2
+        row = inv[:, 0]
+        total = row.copy()
+        for i in range(1, inv.shape[1]):
+            row = row * self.e[:, i - 1] ** 2 * inv[:, i] + inv[:, i]
+            total += row
+        return total
+
+    def c(self) -> np.ndarray:
+        """c per matrix: the quadratic mean of its reciprocal singular values."""
+        return np.sqrt(self.inverse_frobenius_sq() / self.d.shape[1])
+
+    def sigma_min(self) -> np.ndarray:
+        """Smallest singular value per matrix: eigenvalue n (0-based, in
+        ascending order) of the 2n x 2n Golub-Kahan tridiagonal with zero
+        diagonal and off-diagonal d[0], e[0], d[1], ..., d[n-1], whose
+        eigenvalues are the +-sigma of B.  Bisection on it keeps small sigma
+        to near full relative precision; the eigenvalues of B @ B.T would
+        lose about half their digits."""
+        # imported here, not at module level: loading scipy.linalg takes about
+        # as long as importing the whole CLI, and only this kernel needs it
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        batch, n = self.d.shape
+        zeros = np.zeros(2 * n)
+        off = np.empty(2 * n - 1)
+        out = np.empty(batch)
+        for t in range(batch):
+            off[0::2] = self.d[t]
+            off[1::2] = self.e[t]
+            out[t] = eigvalsh_tridiagonal(
+                zeros, off, select="i", select_range=(n, n), check_finite=False
+            )[0]
+        return out
+
+
+def sample_bidiagonal(rng: np.random.Generator, size: int, n: int, m: int) -> Bidiagonal:
+    """``size`` lower-bidiagonal factors B whose singular values have the
+    joint law of a standard Gaussian n x m matrix's, m >= n (Dumitriu and
+    Edelman, "Matrix models for beta ensembles", beta = 1): for 0-based i,
+    d[i] ~ chi_(m - i) and e[i] ~ chi_(n - 1 - i), so B @ B.T has the
+    eigenvalues of a Wishart W(n, m).  2n - 1 chi variates per matrix
+    instead of n * m normals."""
+    if not 1 <= n <= m:
+        raise ValueError(f"bidiagonal factor needs 1 <= n <= m, got n={n}, m={m}")
+    d = np.sqrt(rng.chisquare(m - np.arange(n), size=(size, n)))
+    e = np.sqrt(rng.chisquare(n - 1 - np.arange(n - 1), size=(size, n - 1)))
+    return Bidiagonal(d=d, e=e)
 
 
 # ---------------------------------------------------------------------------
@@ -151,16 +202,15 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
         raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
-def _gaussian_draws(stat, n: int, m: int, trials: int, stream: RngStream, chunk: int) -> list:
-    """stat(batch) for every chunk of ``trials`` standard Gaussian n x m
-    matrices, in chunk order.  Chunks hold ``chunk`` draws, fewer where a
-    batch would pass ~64 MB; the chunk grid fixes which generator draws each
-    matrix, so callers keep their chunk size fixed to keep reports stable."""
+def _draws(sample, stat, n: int, m: int, trials: int, stream: RngStream, chunk: int) -> list:
+    """stat(sample(rng, size, n, m)) for every chunk of ``trials`` draws that
+    model standard Gaussian n x m matrices, in chunk order.  Chunks hold
+    ``chunk`` draws, fewer where a dense batch would pass ~64 MB; both
+    samplers share that grid, which fixes which generator draws each matrix,
+    so callers keep their chunk size fixed to keep reports stable."""
     side = max(1, n, m)
     sizes = chunk_sizes(trials, max(1, min(chunk, 8_000_000 // (side * side))))
-    return run_seeded_trials(
-        lambda idx, rng: stat(rng.standard_normal((sizes[idx], n, m))), len(sizes), stream
-    )
+    return run_seeded_trials(lambda idx, rng: stat(sample(rng, sizes[idx], n, m)), len(sizes), stream)
 
 
 def _size_streams(n_list, stream: RngStream) -> list[tuple[int, RngStream]]:
@@ -201,10 +251,8 @@ def exp_inverse_wishart_trace(n: int, m: int, trials: int, stream: RngStream) ->
     if m <= n + 1:
         raise ValueError(f"mean of the inverse Wishart needs m > n + 1, got n={n}, m={m}")
 
-    def traces(a):
-        return np.einsum("tii->t", np.linalg.inv(a @ a.transpose(0, 2, 1)))
-
-    values = _gaussian_draws(traces, n, m, trials, stream, chunk=4096)
+    # tr W^-1 = ||B^-1||_F^2 for the bidiagonal factor B of W
+    values = _draws(sample_bidiagonal, Bidiagonal.inverse_frobenius_sq, n, m, trials, stream, chunk=4096)
     return _mean_estimate(n, m, trials, n / (m - n - 1), values)
 
 
@@ -218,12 +266,8 @@ def exp_block_inverse_norm(n: int, trials: int, stream: RngStream) -> MeanEstima
         raise ValueError(f"block check needs n > 3, got {n}")
     _require_at_least("--trials", trials, 1)
     block = n - 2
-
-    def traces(a):
-        w = a @ a.transpose(0, 2, 1)
-        return np.einsum("tii->t", np.linalg.inv(w[:, :block, :block]))
-
-    values = _gaussian_draws(traces, n, n, trials, stream, chunk=4096)
+    # the leading block of W(n, n) = A @ A.T is W(n - 2, n), from A's first n - 2 rows
+    values = _draws(sample_bidiagonal, Bidiagonal.inverse_frobenius_sq, block, n, trials, stream, chunk=4096)
     return _mean_estimate(n, block, trials, float(block), values)
 
 
@@ -242,10 +286,10 @@ def exp_lambda_min_cdf(n: int, trials: int, stream: RngStream) -> LambdaMinResul
     _require_at_least("--n", n, 1)
     _require_at_least("--trials", trials, 1)
 
-    def scaled_lambda_min(a):
-        return n * np.linalg.eigvalsh(a @ a.transpose(0, 2, 1))[:, 0]
+    def scaled_lambda_min(b):
+        return n * b.sigma_min() ** 2
 
-    samples = np.concatenate(_gaussian_draws(scaled_lambda_min, n, n, trials, stream, chunk=4096))
+    samples = np.concatenate(_draws(sample_bidiagonal, scaled_lambda_min, n, n, trials, stream, chunk=4096))
     return LambdaMinResult(
         n=n,
         trials=trials,
@@ -265,6 +309,7 @@ class ExceedanceRow:
 
 
 def _batched_c(a: np.ndarray) -> np.ndarray:
+    """c(A) per dense matrix of a batch, from its singular values."""
     sigma = np.linalg.svd(a, compute_uv=False)
     return np.sqrt(np.mean(1.0 / sigma**2, axis=1))
 
@@ -275,12 +320,12 @@ def exp_c_bounded(n_list, trials: int, delta: float, stream: RngStream) -> list[
     the exceedance should stay flat once delta is calibrated."""
     _require_at_least("--trials", trials, 1)
 
-    def exceeding(a):
-        return int(np.sum(_batched_c(a) > delta))
+    def exceeding(b):
+        return int(np.sum(b.c() > delta))
 
     rows = []
     for n, sub in _size_streams(n_list, stream):
-        p = sum(_gaussian_draws(exceeding, n, n, trials, sub, chunk=1024)) / trials
+        p = sum(_draws(sample_bidiagonal, exceeding, n, n, trials, sub, chunk=1024)) / trials
         rows.append(
             ExceedanceRow(
                 n=n, trials=trials, delta=delta, exceedance=p,
@@ -313,14 +358,12 @@ def exp_ratio_scaling(n_list, trials: int, stream: RngStream) -> RatioScalingRes
         # at n = 1 the ratio is identically 1, and log 1 = 0 leaves a fit over n = 1 singular
         _require_at_least("--n", n, 2)
 
-    def ratios(a):
-        sigma = np.linalg.svd(a, compute_uv=False)
-        c = np.sqrt(np.mean(1.0 / sigma**2, axis=1))
-        return (1.0 / sigma[:, -1]) / c
+    def ratios(b):
+        return (1.0 / b.sigma_min()) / b.c()
 
     rows = []
     for n, sub in _size_streams(n_list, stream):
-        sample = np.concatenate(_gaussian_draws(ratios, n, n, trials, sub, chunk=256))
+        sample = np.concatenate(_draws(sample_bidiagonal, ratios, n, n, trials, sub, chunk=256))
         rows.append(
             RatioRow(
                 n=n, trials=trials,

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -366,22 +367,22 @@ def test_wishart_deterministic_across_thread_counts(tmp_path, capsys, monkeypatc
     assert a.read_bytes() == b.read_bytes()
 
 
-# SHA-256 of experiment stdout, taken from the per-experiment sampling loops
-# that preceded the shared Monte Carlo driver; the chunk grid fixes which
-# generator draws each matrix, so any change to it shows up here.
+# SHA-256 of experiment stdout from the bidiagonal draws; the chunk grid
+# fixes which generator draws each matrix, so any change to it, or to the
+# sampler, shows up here.
 PINNED_EXPERIMENTS = [
     ("wishart-experiment --kind trace --n 3 --m 8 --trials 5000 --seed 1",
-     "fadb442e86f00af21310842d6e5dae09e1894a1e346ce81acac5bd802618595d"),
+     "28a3a94205ac71c34734d5e81b9d8c5b0d4fff1dc7e3650eb16b123484854e28"),
     ("wishart-experiment --kind trace --n 3 --m 300 --trials 500 --seed 9 --format json",
-     "0e9872780c9458ea5adc9cc84b9fc0ea8732f3b347e55cfe34d7eb71ba706c69"),
+     "d08bcd6b52faef16fb131e102a1878390ce88b3d6defabb5aeba1a774627cc53"),
     ("wishart-experiment --kind block --n 10 --trials 3000 --seed 2 --format json",
-     "f84ed0ef97ed77c81a83c2e15b5575b2a9a019968bc0cc01d2858147dad89811"),
+     "31708a9ec25fe48b9172321b666cec3cf92da8c5e6d4bf79f4516e1d14a1ee4a"),
     ("wishart-experiment --kind block --n 6 --trials 5000 --seed 2",
-     "10ee4058f33e8ca620790b37ef983132830ba64453d0ec33bc8c25626b556684"),
+     "51485e9409516b502ce3a1372304035507006a6abe683ec953ff703f8079f704"),
     ("wishart-experiment --kind lambda-min --n 40 --trials 3000 --seed 3",
-     "8ec155106f90faa56de353dc57510f7d1794f8300aa1163afebc64ae0424bb6e"),
+     "ef859173fb687e927329c7866cd61b776edf5e687dfd083fa140b0f42045caed"),
     ("ratio-experiment --n 8,16,64 --trials 500 --seed 4 --format json",
-     "463f69283e3eef8528e8a50e0cae69f0005c8c0254799bdc44b6bfc262056a9a"),
+     "42082aa2c26485360c8bc3ddafa5baccfdfc09a7e383fea4fc855d792daa694b"),
 ]
 
 
@@ -390,6 +391,71 @@ def test_experiment_output_pinned(capsys, argv, digest):
     code, out, _ = _run(capsys, argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of rank-experiment stdout from the serial trial loop that preceded
+# run_seeded_trials; trial i keeps drawing from generator i.
+PINNED_RANK = [
+    ("rank-experiment --n 8 --m 8 --r 4 --trials 60 --seed 701",
+     "2c622945e51ab17ffed304c9f5d862854a413251e3e9426def7c116da4d20cc1"),
+    ("rank-experiment --n 8 --m 8 --r 4 --L 1.5 --trials 40 --seed 702 --format json",
+     "c946f96c20401a102966c72c9b4cc9fc05a2bc84a261aec11165f42c83cbf13f"),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "4"])
+@pytest.mark.parametrize("argv,digest", PINNED_RANK, ids=["csv", "promise-json"])
+def test_rank_experiment_pinned_at_any_worker_count(capsys, monkeypatch, workers, argv, digest):
+    monkeypatch.setenv("SPANFORGE_THREADS", workers)
+    code, out, _ = _run(capsys, argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "cmd,data,message",
+    [("evaluate --highlevel", {"space_dim": 2, "num_inputs": 2, "target": [float("inf"), 0]},
+      "target[0] is not finite: inf"),
+     ("evaluate --highlevel",
+      {"space_dim": 2, "num_inputs": 2, "target": [1.0, 0.0], "free_basis": [[float("nan"), 1.0]]},
+      "free_basis[0][0] is not finite: nan"),
+     ("evaluate --highlevel",
+      {"space_dim": 2, "num_inputs": 2, "target": [1.0, 0.0], "free_basis": [[0.0, 1.0], ["x", 1.0]]},
+      "free_basis[1]: could not convert"),
+     ("evaluate --program",
+      {"dim": 2, "num_vars": 1, "target": [1.0, float("nan")], "labeled": [{"vec": [1, 0], "var": 1, "val": 1}]},
+      "target[1] is not finite: nan"),
+     ("evaluate --program",
+      {"dim": 2, "num_vars": 1, "target": [1.0, 0.0], "free": [[0.0, 1.0], [float("-inf"), 0.0]]},
+      "free[1][0] is not finite: -inf"),
+     ("witness --program",
+      {"dim": 2, "num_vars": 1, "target": [1.0, 0.0], "labeled": [{"vec": [1.0, float("nan")], "var": 1, "val": 1}]},
+      "labeled[0].vec[1] is not finite: nan")],
+    ids=["hl-target-inf", "hl-free-basis-nan", "hl-free-basis-string", "ll-target-nan", "ll-free-inf",
+         "ll-labeled-nan"],
+)
+def test_bad_program_entry_names_field(capsys, tmp_path, cmd, data, message):
+    # json writes inf / nan as Infinity / NaN, which json.load reads back (so does 1e400, as inf)
+    ppath = tmp_path / "prog.json"
+    ppath.write_text(json.dumps(data))
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text("[[1, 0], [0, 1]]")
+    source = str(matrix) if "--highlevel" in cmd else "1"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, cmd.split() + [str(ppath), "--input", source])
+    assert code == 1 and out == ""
+    assert message in err and "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # loading scipy.linalg takes about as long as importing the CLI; only the sigma_min kernel needs it
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, spanforge.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,11 @@ import pytest
 from scipy import integrate, stats
 
 from spanforge.randmat import (
+    Bidiagonal,
     RngStream,
+    _batched_c,
+    _draws,
+    _gaussian,
     chunk_sizes,
     exp_block_inverse_norm,
     exp_c_bounded,
@@ -16,7 +20,7 @@ from spanforge.randmat import (
     lambda_min_limit_cdf,
     lambda_min_limit_median,
     run_seeded_trials,
-    sample_bartlett,
+    sample_bidiagonal,
     spectral_stats,
     worker_count,
 )
@@ -68,47 +72,109 @@ def test_chunk_sizes_partition():
 
 
 # ---------------------------------------------------------------------------
-# Bartlett factor
+# bidiagonal factor
 
 
-def test_bartlett_shape_and_triangularity():
+def _dense(b: Bidiagonal) -> np.ndarray:
+    batch, n = b.d.shape
+    out = np.zeros((batch, n, n))
+    idx = np.arange(n)
+    out[:, idx, idx] = b.d
+    out[:, idx[1:], idx[:-1]] = b.e
+    return out
+
+
+def test_bidiagonal_shape_and_positivity():
     rng = np.random.default_rng(1)
-    t = sample_bartlett(4, 9, rng)
-    assert t.shape == (4, 4)
-    assert np.allclose(np.triu(t, 1), 0.0)
-    assert np.all(np.diag(t) > 0.0)
-    with pytest.raises(ValueError, match="m >= n"):
-        sample_bartlett(5, 4, rng)
+    b = sample_bidiagonal(rng, 5, 4, 9)
+    assert b.d.shape == (5, 4) and b.e.shape == (5, 3)
+    assert np.all(b.d > 0.0) and np.all(b.e > 0.0)
+    dense = _dense(b)
+    assert np.allclose(np.triu(dense, 1), 0.0) and np.allclose(np.tril(dense, -2), 0.0)
+    one = sample_bidiagonal(rng, 3, 1, 1)
+    assert one.d.shape == (3, 1) and one.e.shape == (3, 0)
+    for n, m in ((5, 4), (0, 3)):
+        with pytest.raises(ValueError, match="1 <= n <= m"):
+            sample_bidiagonal(rng, 2, n, m)
 
 
-def test_bartlett_diagonal_moments():
-    # T[i,i]^2 is chi-squared with m - i degrees of freedom
+def test_bidiagonal_chi_moments():
+    # d[i]^2 is chi-squared with m - i degrees of freedom, e[i]^2 with n - 1 - i
     rng = np.random.default_rng(2)
-    m, draws = 7, 4000
-    sq = np.array([np.diag(sample_bartlett(3, m, rng)) ** 2 for _ in range(draws)])
-    for i in range(3):
-        df = m - i
-        assert np.mean(sq[:, i]) == pytest.approx(df, abs=4.0 * math.sqrt(2.0 * df / draws))
+    n, m, draws = 4, 7, 4000
+    b = sample_bidiagonal(rng, draws, n, m)
+    for sq, dfs in ((b.d**2, m - np.arange(n)), (b.e**2, n - 1 - np.arange(n - 1))):
+        for col, df in zip(sq.T, dfs):
+            assert np.mean(col) == pytest.approx(df, abs=4.0 * math.sqrt(2.0 * df / draws))
 
 
-def test_bartlett_matches_direct_wishart_functionals():
+def test_bidiagonal_matches_direct_wishart_functionals():
     # two-sample KS on trace, extreme eigenvalues, and the pooled spectrum
     rng = np.random.default_rng(3)
     n, m, draws = 3, 5, 20000
-    bart = np.array([sample_bartlett(n, m, rng) for _ in range(draws)])
-    w_bart = bart @ bart.transpose(0, 2, 1)
+    bd = _dense(sample_bidiagonal(rng, draws, n, m))
+    w_bidiagonal = bd @ bd.transpose(0, 2, 1)
     g = rng.standard_normal((draws, n, m))
     w_direct = g @ g.transpose(0, 2, 1)
-    ev_bart = np.linalg.eigvalsh(w_bart)
+    ev_bidiagonal = np.linalg.eigvalsh(w_bidiagonal)
     ev_direct = np.linalg.eigvalsh(w_direct)
     checks = [
-        (np.einsum("tii->t", w_bart), np.einsum("tii->t", w_direct)),
-        (ev_bart[:, 0], ev_direct[:, 0]),
-        (ev_bart[:, -1], ev_direct[:, -1]),
-        (ev_bart.ravel(), ev_direct.ravel()),
+        (np.einsum("tii->t", w_bidiagonal), np.einsum("tii->t", w_direct)),
+        (ev_bidiagonal[:, 0], ev_direct[:, 0]),
+        (ev_bidiagonal[:, -1], ev_direct[:, -1]),
+        (ev_bidiagonal.ravel(), ev_direct.ravel()),
     ]
     for sample_a, sample_b in checks:
         assert stats.ks_2samp(sample_a, sample_b).statistic <= 0.025
+
+
+def _ill_conditioned() -> Bidiagonal:
+    b = sample_bidiagonal(np.random.default_rng(4), 6, 12, 12)
+    d = b.d.copy()
+    d[:, 3] *= 1e-4  # condition numbers 5e4 to 2e6
+    return Bidiagonal(d=d, e=b.e)
+
+
+@pytest.mark.parametrize(
+    "draws",
+    [lambda rng: sample_bidiagonal(rng, 6, 1, 1),
+     lambda rng: sample_bidiagonal(rng, 6, 1, 5),
+     lambda rng: sample_bidiagonal(rng, 6, 7, 7),
+     lambda rng: sample_bidiagonal(rng, 6, 5, 13),
+     lambda rng: sample_bidiagonal(rng, 4, 60, 60),
+     lambda rng: _ill_conditioned()],
+    ids=["n=1", "n=1,m=5", "square", "m>n", "n=60", "ill-conditioned"],
+)
+def test_bidiagonal_kernels_match_dense_svd(draws):
+    b = draws(np.random.default_rng(5))
+    sigma = np.linalg.svd(_dense(b), compute_uv=False)
+    assert b.inverse_frobenius_sq() == pytest.approx(np.sum(1.0 / sigma**2, axis=1), rel=1e-9)
+    assert b.c() == pytest.approx(np.sqrt(np.mean(1.0 / sigma**2, axis=1)), rel=1e-9)
+    assert b.sigma_min() == pytest.approx(sigma[:, -1], rel=1e-9)
+
+
+# (dense statistic of a Gaussian batch, bidiagonal statistic, n, m) per law
+LAWS = {
+    "c": (_batched_c, Bidiagonal.c, 10, 10),
+    "n_lambda_min": (lambda a: 10 * np.linalg.svd(a, compute_uv=False)[:, -1] ** 2,
+                     lambda b: 10 * b.sigma_min() ** 2, 10, 10),
+    "trace_inverse_wishart": (lambda a: np.einsum("tii->t", np.linalg.inv(a @ a.transpose(0, 2, 1))),
+                              Bidiagonal.inverse_frobenius_sq, 4, 9),
+    "ratio": (lambda a: 1.0 / (np.linalg.svd(a, compute_uv=False)[:, -1] * _batched_c(a)),
+              lambda b: 1.0 / (b.sigma_min() * b.c()), 10, 10),
+}
+
+
+@pytest.mark.parametrize("law", list(LAWS))
+def test_bidiagonal_draws_agree_with_dense_gaussian_draws(law):
+    # fixed-seed two-sample KS: the experiments' statistics from bidiagonal
+    # draws against the same statistics of dense Gaussian draws
+    dense_stat, bidiagonal_stat, n, m = LAWS[law]
+    dense = np.concatenate(_draws(_gaussian, dense_stat, n, m, 3000, RngStream(seed=71), chunk=1024))
+    bidiagonal = np.concatenate(
+        _draws(sample_bidiagonal, bidiagonal_stat, n, m, 3000, RngStream(seed=72), chunk=1024)
+    )
+    assert stats.ks_2samp(dense, bidiagonal).pvalue >= 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +315,7 @@ EXPERIMENTS = {
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
 def test_experiments_deterministic_across_thread_counts(monkeypatch, name):
     # every size above spans several chunks (the m = 300 trace through the
-    # 64 MB cap), so the workers really do split the draws
+    # chunk cap), so the workers really do split the draws
     monkeypatch.setenv("SPANFORGE_THREADS", "1")
     a = EXPERIMENTS[name](RngStream(seed=51))
     monkeypatch.setenv("SPANFORGE_THREADS", "4")
