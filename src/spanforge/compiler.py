@@ -18,8 +18,9 @@ on n leaves is a truncated binary tree addressed little-endian by the index
 bits; the available edges telescope to (selected leaf - root).  Trees with a
 single leaf degenerate to one free connector vector.
 
-One builder emits every mode.  A compiled file holds ``program`` and
-``encoder`` only; loading recompiles them and rejects a file that differs.
+One builder emits every mode, and the program it emits is a function of the
+source program and the encoder parameters alone.  So a compiled file holds
+just those, ``source`` and ``encoder``, and loading one runs the builder.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoding import FixedPointCode, IntegerCode, encode_int, encode_real, index_bit_width
+from .encoding import FixedPointCode, IntegerCode, check_precision, encode_int, encode_real, index_bit_width
 from .errors import SparseFormatError
-from .highlevel import HighLevelProgram, wsize_over_inputs
-from .linalg import input_matrix
+from .highlevel import HighLevelProgram, read_source, source_json, wsize_over_inputs
+from .linalg import input_matrix, int_field
 from .lowlevel import DomainWitnessSizes, LowLevelProgram, wsize_over_domain
 
 MODES = ("dense", "sparse_cols", "sparse")
@@ -67,20 +68,15 @@ class Block:
 
 
 class IndexAllocator:
-    """Hands out contiguous 0-based index blocks in a stable order, at most
-    ``limit`` indices when a limit is given."""
+    """Hands out contiguous 0-based index blocks in a stable order."""
 
-    def __init__(self, limit: int | None = None, field: str = ""):
+    def __init__(self):
         self.next_free = 0
         self.blocks: list[Block] = []
-        self.limit = limit
-        self.field = field
 
     def claim(self, name: str, size: int) -> Block:
         if size < 0:
             raise ValueError(f"cannot claim negative size {size}")
-        if self.limit is not None and self.next_free + size > self.limit:
-            raise ValueError(f"encoder parameters need more than {self.field}={self.limit}")
         blk = Block(name=name, start=self.next_free, size=size)
         self.next_free += size
         self.blocks.append(blk)
@@ -88,34 +84,23 @@ class IndexAllocator:
 
 
 class ProgramBuilder:
-    """Accumulates sparse vectors against two allocators, then densifies.
+    """Accumulates sparse vectors against two allocators, then densifies."""
 
-    With ``stored`` the build may not outgrow that program: more coordinates,
-    variables, free or labeled vectors than it has raise ``ValueError``.
-    """
-
-    def __init__(self, stored: LowLevelProgram | None = None):
-        self.stored = stored
-        self.coords = IndexAllocator(None if stored is None else stored.dim, "program.dim")
-        self.variables = IndexAllocator(None if stored is None else stored.num_vars, "program.num_vars")
+    def __init__(self):
+        self.coords = IndexAllocator()
+        self.variables = IndexAllocator()
         self._target: dict[int, float] = {}
         self._free: list[dict[int, float]] = []
         self._labeled: list[tuple[dict[int, float], int, int]] = []
-
-    def _check_room(self, field: str, used: int) -> None:
-        if self.stored is not None and used >= len(getattr(self.stored, field)):
-            raise ValueError(f"encoder parameters need more than the {used} vectors of program.{field}")
 
     def set_target(self, entries: dict[int, float]) -> None:
         self._target = dict(entries)
 
     def add_free(self, entries: dict[int, float]) -> int:
-        self._check_room("free", len(self._free))
         self._free.append(dict(entries))
         return len(self._free) - 1
 
     def add_labeled(self, entries: dict[int, float], var0: int, val: int) -> int:
-        self._check_room("labeled", len(self._labeled))
         self._labeled.append((dict(entries), var0, val))
         return len(self._labeled) - 1
 
@@ -126,15 +111,7 @@ class ProgramBuilder:
         return v
 
     def build(self, tol: float) -> LowLevelProgram:
-        """The program, densified; with ``stored``, that program itself once it
-        is checked equal, else ``ValueError`` naming the first differing field."""
         dim = self.coords.next_free
-        if self.stored is not None:
-            labeled = [(e, var0 + 1, val) for e, var0, val in self._labeled]
-            field = self.stored.first_difference(dim, self.variables.next_free, tol, self._target, self._free, labeled)
-            if field:
-                raise ValueError(f"compiled program field 'program.{field}' differs from what its encoder parameters compile to")
-            return self.stored
         return LowLevelProgram(
             dim=dim,
             num_vars=self.variables.next_free,
@@ -692,59 +669,32 @@ class CompiledProgram:
 
     # -- serialization --------------------------------------------------
 
-    def encoder_descriptor(self) -> dict:
-        lay = self.layout
-        variables = []
-        for rec in lay.loaders:
-            for i in range(len(rec.pivots)):
-                for a, var0 in enumerate(rec.digit_vars[i]):
-                    variables.append(
-                        {"var": var0 + 1, "role": "digit", "column": rec.column, "slot": i + 1, "bit": a}
-                    )
-        for rec in lay.routes:
-            role = "col_index" if rec.role == "col" else "row_index"
-            for a, var0 in enumerate(rec.bit_vars):
-                key = "column" if rec.role == "col" else "row"
-                variables.append({"var": var0 + 1, "role": role, key: rec.owner, "slot": rec.slot, "bit": a})
-        variables.sort(key=lambda d: d["var"])
-        return {
-            "mode": lay.mode,
-            "n": lay.n,
-            "m": lay.m,
-            "k": lay.precision,
-            "k_nnz": lay.k_nnz,
-            "l_nnz": lay.l_nnz,
-            "variables": variables,
-        }
-
     def to_json_dict(self) -> dict:
-        return {"program": self.program.to_json_dict(), "encoder": self.encoder_descriptor()}
+        lay = self.layout
+        return {
+            "source": source_json(lay.n, lay.m, self.source_target(), self.source_free_basis(), self.program.tol),
+            "encoder": {"mode": lay.mode, "k": lay.precision, "k_nnz": lay.k_nnz, "l_nnz": lay.l_nnz},
+        }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CompiledProgram":
-        """Recompile the stored program's source data with the encoder
-        parameters and require the stored ``program`` and ``encoder`` to equal
-        the result; a ``layout`` key, as older files carry, is ignored.  The
-        source target is the ``V`` block of the target, and the source free
-        basis the leading free vectors with no entry past ``V``: every gadget
-        free vector touches a coordinate outside it."""
+        """Run the builder on the stored source and encoder parameters; the
+        source's free basis is not orthonormalized again, so the build repeats
+        the one that wrote the file.  Older files go through ``_load_legacy``."""
         if not isinstance(data, dict):
             raise ValueError("compiled program JSON must be an object")
-        for key in ("program", "encoder"):
+        for key in ("program" if "program" in data else "source", "encoder"):
             if key not in data:
                 raise ValueError(f"compiled program JSON is missing field '{key}'")
-        stored = LowLevelProgram.from_json_dict(data["program"])
-        enc = data["encoder"]
-        n, m, precision, k_nnz, l_nnz = _encoder_params(enc, stored)
-        store = stored.all_vectors()
-        reach_out = store[n:, : len(stored.free)].any(axis=0)
-        num_hl = int(np.argmax(reach_out)) if reach_out.any() else len(stored.free)
-        comp = _build(stored.target[:n], store[:n, :num_hl], stored.tol, m, precision, k_nnz, l_nnz, stored)
-        _check_descriptor(enc, comp.encoder_descriptor())
-        return comp
+        if not isinstance(data["encoder"], dict):
+            raise ValueError("compiled program field 'encoder' must be an object")
+        if "program" in data:
+            return _load_legacy(data)
+        n, m, target, free_basis, tol = read_source(data["source"], "source.")
+        return _build(target, free_basis, tol, m, *_encoder_params(data["encoder"], n, m))
 
     @classmethod
     def from_json(cls, text: str) -> "CompiledProgram":
@@ -771,36 +721,84 @@ def _read_index(bits, rec: RouteRecord) -> int:
     return IntegerCode(width=rec.width, bits=tuple(bits[v] for v in rec.bit_vars)).value
 
 
-def _encoder_params(enc, program: LowLevelProgram) -> list:
-    """[n, m, k, k_nnz, l_nnz] of a stored encoder block (None where the mode
-    has no such parameter), checked against the stored program before
-    anything is compiled from them."""
-    if not isinstance(enc, dict):
-        raise ValueError("compiled program field 'encoder' must be an object")
-    if enc.get("mode") not in MODES:
-        raise ValueError(f"encoder.mode must be one of {', '.join(MODES)}, got {enc.get('mode')!r}")
-    params = [None] * 5  # dense mode has neither budget, sparse_cols no l_nnz
-    for i, key in enumerate(("n", "m", "k", "k_nnz", "l_nnz")[: MODES.index(enc["mode"]) + 3]):
-        params[i] = enc.get(key)
-        if isinstance(params[i], bool) or not isinstance(params[i], int):
-            raise ValueError(f"encoder.{key} must be an integer, got {params[i]!r}")
-    n, m, k = params[:3]
-    if not 1 <= n <= program.dim:
-        raise ValueError(f"encoder.n={n} outside [1, program.dim={program.dim}]")
-    if m < 0 or k < 0 or m * (k + 1) > program.num_vars:
-        raise ValueError(f"encoder.m={m}, encoder.k={k}: need 0 <= m*(k+1) <= program.num_vars={program.num_vars}")
-    return params
+def _encoder_params(enc: dict, n: int, m: int) -> tuple[int, int | None, int | None]:
+    """(k, k_nnz, l_nnz) of a stored encoder block, each checked by name for
+    a source on ``n`` coordinates with ``m`` input columns; a budget the mode
+    does not have is None."""
+    mode = enc.get("mode")
+    if mode not in MODES:
+        raise ValueError(f"encoder.mode must be one of {', '.join(MODES)}, got {mode!r}")
+    k = int_field(enc.get("k"), "encoder.k")
+    k_nnz, l_nnz = (None if enc.get(key) is None else int_field(enc[key], f"encoder.{key}") for key in ("k_nnz", "l_nnz"))
+    # dense mode has neither budget, sparse_cols k_nnz only, sparse both
+    if [k_nnz is not None, l_nnz is not None] != [MODES.index(mode) >= 1, MODES.index(mode) >= 2]:
+        raise ValueError(f"encoder.mode={mode!r} disagrees with encoder.k_nnz={k_nnz}, encoder.l_nnz={l_nnz}")
+    _check_params(n, m, k, k_nnz, l_nnz, ("encoder.k", "encoder.k_nnz", "encoder.l_nnz"))
+    return k, k_nnz, l_nnz
 
 
-def _check_descriptor(stored, rebuilt: dict) -> None:
-    """Raise ``ValueError`` naming the first encoder field in which ``stored`` differs."""
-    for key in [*rebuilt, *(k for k in stored if k not in rebuilt)]:
-        got, want = stored.get(key), rebuilt.get(key)
-        if key not in stored or got != want:
-            if key == "variables" and isinstance(got, list):
-                i = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
-                key = f"variables[{i}]"
-            raise ValueError(f"compiled program field 'encoder.{key}' differs from what its encoder parameters compile to")
+def _check_params(n: int, m: int, precision: int, k_nnz: int | None, l_nnz: int | None,
+                  names=("precision", "k_nnz", "l_nnz")) -> None:
+    check_precision(precision, names[0])
+    for name, value, top in zip(names[1:], (k_nnz, l_nnz), (n, m)):
+        if value is not None and not 1 <= value <= top:
+            raise ValueError(f"{name} must be within [1, {top}], got {value}")
+
+
+def _load_legacy(data: dict) -> CompiledProgram:
+    """Load a file that stores the compiled ``program``, with ``n``, ``m`` and
+    the variable roles in ``encoder`` (and maybe an ignored ``layout``).  The
+    source target is the ``V`` block of the target, the source free basis the
+    leading free vectors with no entry past ``V`` (every gadget free vector
+    touches a coordinate outside it); the file must equal their recompile."""
+    stored = LowLevelProgram.from_json_dict(data["program"])
+    enc = data["encoder"]
+    n, m = int_field(enc.get("n"), "encoder.n"), int_field(enc.get("m"), "encoder.m")
+    if not 1 <= n <= stored.dim:
+        raise ValueError(f"encoder.n={n} outside [1, program.dim={stored.dim}]")
+    k, k_nnz, l_nnz = _encoder_params(enc, n, m)
+    # keeps the build within the size of the stored program
+    if m < 0 or m * (k + 1) > stored.num_vars:
+        raise ValueError(f"encoder.m={m}, encoder.k={k}: need 0 <= m*(k+1) <= program.num_vars={stored.num_vars}")
+    store = stored.all_vectors()
+    reach_out = store[n:, : len(stored.free)].any(axis=0)
+    num_hl = int(np.argmax(reach_out)) if reach_out.any() else len(stored.free)
+    comp = _build(stored.target[:n], store[:n, :num_hl], stored.tol, m, k, k_nnz, l_nnz)
+    encoder = {**comp.to_json_dict()["encoder"], "n": n, "m": m, "variables": _variable_roles(comp.layout)}
+    want = {"program": comp.program.to_json_dict(), "encoder": encoder}
+    path = _first_difference({key: value for key, value in data.items() if key != "layout"}, want)
+    if path is not None:
+        raise ValueError(f"compiled program field '{path}' differs from what its encoder parameters compile to")
+    return comp
+
+
+def _variable_roles(lay: CompiledLayout) -> list[dict]:
+    """One entry per variable, by number, saying which gadget bit it is."""
+    roles = []
+    for rec in lay.loaders:
+        for i in range(len(rec.pivots)):
+            for a, var0 in enumerate(rec.digit_vars[i]):
+                roles.append({"var": var0 + 1, "role": "digit", "column": rec.column, "slot": i + 1, "bit": a})
+    for rec in lay.routes:
+        role, key = ("col_index", "column") if rec.role == "col" else ("row_index", "row")
+        for a, var0 in enumerate(rec.bit_vars):
+            roles.append({"var": var0 + 1, "role": role, key: rec.owner, "slot": rec.slot, "bit": a})
+    return sorted(roles, key=lambda d: d["var"])
+
+
+def _first_difference(got, want, path: str = "") -> str | None:
+    """Path, such as ``program.labeled[3].val``, of the first place where the
+    JSON trees ``got`` and ``want`` differ (``...`` stands in for a missing
+    key); None when they are equal."""
+    if got == want:
+        return None
+    if isinstance(got, dict) and isinstance(want, dict):
+        pairs = [(f"{path}.{key}" if path else key, got.get(key, ...), want.get(key, ...)) for key in {**want, **got}]
+    elif isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        pairs = [(f"{path}[{i}]", g, w) for i, (g, w) in enumerate(zip(got, want))]
+    else:
+        return path
+    return next(filter(None, (_first_difference(g, w, sub) for sub, g, w in pairs)), path)
 
 
 def _check_consistency(cols, rows) -> None:
@@ -818,8 +816,7 @@ def _check_consistency(cols, rows) -> None:
 
 
 def _build(target, free_basis, tol: float, m: int, precision: int,
-           k_nnz: int | None = None, l_nnz: int | None = None,
-           stored: LowLevelProgram | None = None) -> CompiledProgram:
+           k_nnz: int | None = None, l_nnz: int | None = None) -> CompiledProgram:
     """The construction behind every mode, claiming blocks in one order.
 
     V holds the target and the source free basis.  Loaders then fill the
@@ -827,18 +824,11 @@ def _build(target, free_basis, tol: float, m: int, precision: int,
     payload block U_j of ``k_nnz`` slots.  Column routes send each payload
     slot to a leaf of V, or with a row stage (``l_nnz``) of a per-column
     scratch block W_j, from which per-row routes pull listed entries into V.
-    With ``stored`` the build is capped at that program's size and checked
-    against it instead of densified.
     """
     n = len(target)
     mode = MODES[(k_nnz is not None) + (l_nnz is not None)]  # one mode per budget given
-    if precision < 0:
-        raise ValueError(f"precision must be at least 0, got {precision}")
-    if k_nnz is not None and not 1 <= k_nnz <= n:
-        raise ValueError(f"k_nnz must be within [1, {n}], got {k_nnz}")
-    if l_nnz is not None and not 1 <= l_nnz <= m:
-        raise ValueError(f"l_nnz must be within [1, {m}], got {l_nnz}")
-    b = ProgramBuilder(stored)
+    _check_params(n, m, precision, k_nnz, l_nnz)
+    b = ProgramBuilder()
     v = b.coords.claim("V", n)
     b.set_target({v[i]: float(target[i]) for i in range(n)})
     hl_free = tuple(

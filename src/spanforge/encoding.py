@@ -10,6 +10,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# Largest fixed-point precision k.  encode_real rounds (x + 1) * 2^k, which
+# runs up to 2^(k+1); from 2^52 on float64 steps by whole numbers and loses
+# the half that the rounding subtracts, so at k >= 52 grid points start to
+# encode as a neighbour.
+MAX_PRECISION = 51
+
+
+def check_precision(k: int, name: str = "precision") -> None:
+    if not 0 <= k <= MAX_PRECISION:
+        raise ValueError(f"{name} must be within [0, {MAX_PRECISION}], got {k}")
+
 
 def index_bit_width(n: int) -> int:
     """Bits needed to address n slots; 0 when there is a single slot."""
@@ -51,8 +62,7 @@ class FixedPointCode:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if self.precision < 0:
-            raise ValueError(f"precision must be >= 0, got {self.precision}")
+        check_precision(self.precision)
         if len(self.bits) != self.precision + 1:
             raise ValueError(f"expected {self.precision + 1} bits, got {len(self.bits)}")
         if any(b not in (0, 1) for b in self.bits):
@@ -69,8 +79,7 @@ def encode_real(x: float, k: int) -> FixedPointCode:
     The grid is {-1, -1 + 2^-k, ..., 1 - 2^-k}; inputs are expected in
     [-1, 1] and anything outside clamps to the nearest end of the grid.
     """
-    if k < 0:
-        raise ValueError(f"precision must be >= 0, got {k}")
+    check_precision(k)
     scaled = (x + 1.0) * 2.0**k
     level = math.ceil(scaled - 0.5)  # nearest integer, half-way cases go down
     level = min(max(level, 0), 2 ** (k + 1) - 1)

@@ -20,7 +20,9 @@ from .linalg import (
     as_matrix,
     as_vector,
     finite_vector,
+    float_field,
     input_matrix,
+    int_field,
     min_norm_solve,
     project_complement,
     svd,
@@ -37,22 +39,8 @@ class HighLevelProgram:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self):
-        object.__setattr__(self, "target", _frozen(finite_vector(self.target, "target")))
-        raw = np.zeros((self.space_dim, 0)) if self.free_basis is None else as_matrix(self.free_basis)
-        if self.space_dim < 1:
-            raise ValueError(f"space_dim must be >= 1, got {self.space_dim}")
-        if self.num_inputs < 0:
-            raise ValueError(f"num_inputs must be >= 0, got {self.num_inputs}")
-        if self.target.shape[0] != self.space_dim:
-            raise ValueError(f"target has {self.target.shape[0]} entries, expected {self.space_dim}")
-        if not np.linalg.norm(self.target) > 0.0:
-            raise ValueError("target vector must be nonzero")
-        if raw.shape[0] != self.space_dim:
-            raise ValueError(f"free_basis has {raw.shape[0]} rows, expected {self.space_dim}")
-        if not np.isfinite(raw).all():
-            # named as in the JSON form, a list of basis columns
-            j, i = np.argwhere(~np.isfinite(raw.T))[0]
-            raise ValueError(f"free_basis[{j}][{i}] is not finite: {raw[i, j]}")
+        target, raw = _check_source(self.space_dim, self.num_inputs, self.target, self.free_basis)
+        object.__setattr__(self, "target", _frozen(target))
         dec = svd(raw, self.tol)
         object.__setattr__(self, "free_basis", _frozen(dec.u[:, : dec.rank]))
 
@@ -115,37 +103,66 @@ class HighLevelProgram:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "space_dim": self.space_dim,
-            "num_inputs": self.num_inputs,
-            "target": self.target.tolist(),
-            "free_basis": [self.free_basis[:, j].tolist() for j in range(self.free_basis.shape[1])],
-            "tol": self.tol,
-        }
+        return source_json(self.space_dim, self.num_inputs, self.target, self.free_basis, self.tol)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "HighLevelProgram":
-        if not isinstance(data, dict):
-            raise ValueError("program JSON must be an object")
-        for key in ("space_dim", "num_inputs", "target"):
-            if key not in data:
-                raise ValueError(f"program JSON is missing field '{key}'")
-        cols = data.get("free_basis", [])
-        basis = np.column_stack([finite_vector(c, f"free_basis[{j}]") for j, c in enumerate(cols)]) if cols else None
-        return cls(
-            space_dim=int(data["space_dim"]),
-            num_inputs=int(data["num_inputs"]),
-            target=data["target"],
-            free_basis=basis,
-            tol=float(data.get("tol", DEFAULT_TOL)),
-        )
+        space_dim, num_inputs, target, basis, tol = read_source(data)
+        return cls(space_dim=space_dim, num_inputs=num_inputs, target=target, free_basis=basis, tol=tol)
 
     @classmethod
     def from_json(cls, text: str) -> "HighLevelProgram":
         return cls.from_json_dict(json.loads(text))
+
+
+def _check_source(space_dim: int, num_inputs: int, target, free_basis, prefix: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """``target`` and ``free_basis`` (basis vectors as columns; None for none)
+    as float arrays, checked against ``space_dim`` and ``num_inputs``; errors
+    name the field with ``prefix`` in front."""
+    if space_dim < 1:
+        raise ValueError(f"{prefix}space_dim must be >= 1, got {space_dim}")
+    if num_inputs < 0:
+        raise ValueError(f"{prefix}num_inputs must be >= 0, got {num_inputs}")
+    target = finite_vector(target, prefix + "target", space_dim)
+    raw = np.zeros((space_dim, 0)) if free_basis is None else as_matrix(free_basis)
+    if not np.linalg.norm(target) > 0.0:
+        raise ValueError(f"{prefix}target vector must be nonzero")
+    if raw.shape[0] != space_dim:
+        raise ValueError(f"{prefix}free_basis has {raw.shape[0]} rows, expected {space_dim}")
+    if not np.isfinite(raw).all():
+        # named as in the JSON form, a list of basis columns
+        j, i = np.argwhere(~np.isfinite(raw.T))[0]
+        raise ValueError(f"{prefix}free_basis[{j}][{i}] is not finite: {raw[i, j]}")
+    return target, raw
+
+
+def read_source(data, prefix: str = "") -> tuple[int, int, np.ndarray, np.ndarray, float]:
+    """(space_dim, num_inputs, target, free basis, tol) of a program's JSON
+    form, every field checked by name with ``prefix`` in front.  The free
+    basis comes back as stored, one column per listed vector, without the
+    orthonormalization ``HighLevelProgram`` applies."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{prefix.rstrip('.') or 'program JSON'} must be an object")
+    for key in ("space_dim", "num_inputs", "target"):
+        if key not in data:
+            raise ValueError(f"program JSON is missing field '{prefix}{key}'")
+    space_dim = int_field(data["space_dim"], prefix + "space_dim")
+    num_inputs = int_field(data["num_inputs"], prefix + "num_inputs")
+    cols = data.get("free_basis", [])
+    if not isinstance(cols, list):
+        raise ValueError(f"{prefix}free_basis must be a list of columns")
+    cols = [finite_vector(c, f"{prefix}free_basis[{j}]", space_dim) for j, c in enumerate(cols)]
+    target, basis = _check_source(space_dim, num_inputs, data["target"], np.column_stack(cols) if cols else None, prefix)
+    return space_dim, num_inputs, target, basis, float_field(data.get("tol", DEFAULT_TOL), prefix + "tol")
+
+
+def source_json(space_dim: int, num_inputs: int, target: np.ndarray, free_basis: np.ndarray, tol: float) -> dict:
+    """The JSON form of a program, ``free_basis`` written column by column."""
+    return {"space_dim": space_dim, "num_inputs": num_inputs, "target": target.tolist(),
+            "free_basis": free_basis.T.tolist(), "tol": tol}
 
 
 def wsize_over_inputs(program: HighLevelProgram, matrices, tol: float | None = None) -> DomainWitnessSizes:

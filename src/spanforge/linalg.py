@@ -8,6 +8,7 @@ it exceeds ``tol`` times the largest singular value.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,17 +64,34 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
-def finite_vector(v, name: str) -> np.ndarray:
-    """``v`` as a 1-D float64 vector of finite numbers; errors name the field
-    ``name``, and a nonfinite entry as ``name[i]``."""
+def finite_vector(v, name: str, size: int | None = None) -> np.ndarray:
+    """``v`` as a 1-D float64 vector of finite numbers, of ``size`` entries
+    when given; errors name the field ``name``, and a nonfinite entry as
+    ``name[i]``."""
     try:
         vec = as_vector(v)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name}: {exc}") from None
+    if size is not None and vec.shape[0] != size:
+        raise ValueError(f"{name} has {vec.shape[0]} entries, expected {size}")
     if not np.isfinite(vec).all():
         i = int(np.argmin(np.isfinite(vec)))
         raise ValueError(f"{name}[{i}] is not finite: {vec[i]}")
     return vec
+
+
+def int_field(value, name: str) -> int:
+    """A JSON integer (not a boolean); errors name the field ``name``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def float_field(value, name: str) -> float:
+    """A finite JSON number (not a boolean); errors name the field ``name``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)

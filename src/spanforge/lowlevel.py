@@ -19,6 +19,8 @@ from .linalg import (
     DEFAULT_TOL,
     as_vector,
     finite_vector,
+    float_field,
+    int_field,
     min_norm_solve,
     min_quadratic_on_hyperplane,
     project_complement,
@@ -118,22 +120,20 @@ class LowLevelProgram:
     _val: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "target", _frozen(finite_vector(self.target, "target")))
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.num_vars < 0:
             raise ValueError(f"num_vars must be >= 0, got {self.num_vars}")
-        if self.target.shape[0] != self.dim:
-            raise ValueError(f"target has {self.target.shape[0]} entries, expected dim={self.dim}")
+        object.__setattr__(self, "target", _frozen(finite_vector(self.target, "target", self.dim)))
         if not np.linalg.norm(self.target) > 0.0:
             raise ValueError("target vector must be nonzero")
         labels = [(lv.vec, lv.var, lv.val) if isinstance(lv, LabeledVector) else tuple(lv) for lv in self.labeled]
         nf = len(self.free)
         store = np.empty((self.dim, nf + len(labels)), order="F")
         for i, v in enumerate(self.free):
-            store[:, i] = self._column(v, f"free[{i}]")
+            store[:, i] = finite_vector(v, f"free[{i}]", self.dim)
         for i, (vec, var, val) in enumerate(labels):
-            store[:, nf + i] = self._column(vec, f"labeled[{i}].vec")
+            store[:, nf + i] = finite_vector(vec, f"labeled[{i}].vec", self.dim)
             if not 1 <= var <= self.num_vars:
                 raise ValueError(f"labeled[{i}].var={var} outside 1..{self.num_vars}")
             if val not in (0, 1):
@@ -148,12 +148,6 @@ class LowLevelProgram:
             "labeled",
             tuple(LabeledVector(store[:, nf + i], var, val) for i, (_, var, val) in enumerate(labels)),
         )
-
-    def _column(self, v, name: str) -> np.ndarray:
-        vec = finite_vector(v, name)
-        if vec.shape[0] != self.dim:
-            raise ValueError(f"{name} has {vec.shape[0]} entries, expected dim={self.dim}")
-        return vec
 
     # -- queries ---------------------------------------------------------
 
@@ -218,36 +212,6 @@ class LowLevelProgram:
         size, y = min_quadratic_on_hyperplane(b, c, tol)
         return WitnessReport(decision=0, size=float(size), witness=nbasis @ y)
 
-    def first_difference(self, dim: int, num_vars: int, tol: float, target: dict, free, labeled) -> str | None:
-        """Name of the first field, such as ``target`` or ``labeled[3]``, in
-        which this program differs from the one with the given fields; None
-        when equal.  Vectors are given sparsely, as ``{coord: value}`` dicts
-        (``labeled`` as ``(dict, var, val)`` triples), and the stored columns
-        are checked against them without densifying."""
-        for name, want in (("dim", dim), ("num_vars", num_vars), ("tol", tol)):
-            if getattr(self, name) != want:
-                return name
-        want_target = np.zeros(dim)
-        want_target[list(target)] = list(target.values())
-        if not np.array_equal(self.target, want_target):
-            return "target"
-        for name, vectors in (("free", free), ("labeled", labeled)):
-            if len(getattr(self, name)) != len(vectors):
-                return name
-        # equal at the given entries, with as many nonzeros, leaves none elsewhere
-        vectors = [*free, *(e for e, _, _ in labeled)]
-        cols = np.repeat(np.arange(len(vectors)), [len(e) for e in vectors])
-        rows = np.fromiter((c for e in vectors for c in e), int, cols.size)
-        vals = np.fromiter((x for e in vectors for x in e.values()), float, cols.size)
-        differs = np.bincount(cols[self._columns[rows, cols] != vals], minlength=len(vectors)) > 0
-        differs |= np.count_nonzero(self._columns, axis=0) != np.bincount(cols, vals != 0, minlength=len(vectors))
-        nf = len(free)
-        differs[nf:] |= (self._var != [v for _, v, _ in labeled]) | (self._val != [b for _, _, b in labeled])
-        if not differs.any():
-            return None
-        j = int(np.argmax(differs))
-        return f"free[{j}]" if j < nf else f"labeled[{j - nf}]"
-
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -286,14 +250,14 @@ class LowLevelProgram:
             for key in ("vec", "var", "val"):
                 if key not in entry:
                     raise ValueError(f"labeled[{i}] is missing field '{key}'")
-            labeled.append((entry["vec"], int(entry["var"]), int(entry["val"])))
+            labeled.append((entry["vec"], *(int_field(entry[key], f"labeled[{i}].{key}") for key in ("var", "val"))))
         return cls(
-            dim=int(data["dim"]),
-            num_vars=int(data["num_vars"]),
+            dim=int_field(data["dim"], "dim"),
+            num_vars=int_field(data["num_vars"], "num_vars"),
             target=data["target"],
             free=free,
             labeled=labeled,
-            tol=float(data.get("tol", DEFAULT_TOL)),
+            tol=float_field(data.get("tol", DEFAULT_TOL), "tol"),
         )
 
     @classmethod

@@ -1,10 +1,14 @@
 import os
+from pathlib import Path
 
 # Pin BLAS thread pools before any test module imports numpy:
 # oversubscribed BLAS threads slowed small factorizations by up to 100x when
 # the suite shared the machine, which the acceptance time gates cannot absorb.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
+# Python subprocesses that tests start import spanforge from this checkout.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 import pytest
 

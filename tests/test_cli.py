@@ -172,6 +172,15 @@ def test_compile_dense_roundtrip(capsys, tmp_path, hl_files):
     assert code == 0 and json.loads(out)["decision"] == 1
 
 
+def test_compile_rejects_precision_past_the_cap(capsys, tmp_path, hl_files):
+    out_path = tmp_path / "compiled.json"
+    argv = ["compile", "--highlevel", str(hl_files[0]), "--mode", "dense", "--out", str(out_path), "--bits"]
+    code, _, err = _run(capsys, argv + ["52"])
+    assert code == 1 and "precision must be within [0, 51], got 52" in err
+    assert not out_path.exists()
+    assert _run(capsys, argv + ["51"])[0] == 0
+
+
 def test_compile_sparse_flag_validation(capsys, hl_files):
     code, _, err = _run(
         capsys, ["compile", "--highlevel", str(hl_files[0]), "--mode", "sparse_cols", "--bits", "0"]
@@ -430,9 +439,16 @@ def test_rank_experiment_pinned_at_any_worker_count(capsys, monkeypatch, workers
       "free[1][0] is not finite: -inf"),
      ("witness --program",
       {"dim": 2, "num_vars": 1, "target": [1.0, 0.0], "labeled": [{"vec": [1.0, float("nan")], "var": 1, "val": 1}]},
-      "labeled[0].vec[1] is not finite: nan")],
+      "labeled[0].vec[1] is not finite: nan"),
+     ("evaluate --highlevel", {"space_dim": "a", "num_inputs": 2, "target": [1.0, 0.0]},
+      "space_dim must be an integer, got 'a'"),
+     ("evaluate --highlevel",
+      {"space_dim": 2, "num_inputs": 2, "target": [1.0, 0.0], "free_basis": [[1.0, 0], [1.0]]},
+      "free_basis[1] has 1 entries, expected 2"),
+     ("witness --program", {"dim": "x", "num_vars": 1, "target": [1.0, 0.0]},
+      "dim must be an integer, got 'x'")],
     ids=["hl-target-inf", "hl-free-basis-nan", "hl-free-basis-string", "ll-target-nan", "ll-free-inf",
-         "ll-labeled-nan"],
+         "ll-labeled-nan", "hl-space-dim-string", "hl-free-basis-ragged", "ll-dim-string"],
 )
 def test_bad_program_entry_names_field(capsys, tmp_path, cmd, data, message):
     # json writes inf / nan as Infinity / NaN, which json.load reads back (so does 1e400, as inf)

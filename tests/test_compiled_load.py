@@ -1,6 +1,7 @@
-"""Compiled program files: they hold ``program`` and ``encoder`` only, and
-loading one recompiles its source program with its encoder parameters and
-rejects the file unless the result equals what it stores."""
+"""Compiled program files: they hold the ``source`` program and the
+``encoder`` parameters, and loading one runs the builder on them.  Files
+from older versions, which store the compiled ``program`` itself, still load
+when that program equals what their source compiles to."""
 
 import hashlib
 import json
@@ -17,6 +18,17 @@ from spanforge.highlevel import HighLevelProgram
 
 DATA = Path(__file__).parent / "data"
 MODES = ("dense", "sparse_cols", "sparse")
+# Written by older versions: the compiled program, an encoder block with a
+# role per variable and, in the first, the gadget layout.  Each with the
+# source program and the budgets it was compiled from, at precision 1.
+OLD_FILES = [
+    ("compiled_sparse_with_layout.json",
+     {"space_dim": 2, "num_inputs": 2, "target": [1.0, -0.5], "free_basis": [[0.0], [1.0]]},
+     {"k_nnz": 1, "l_nnz": 1}),
+    ("compiled_sparse_program.json",
+     {"space_dim": 3, "num_inputs": 2, "target": [1.0, -0.25, 0.5], "free_basis": [[0.0], [0.0], [1.0]]},
+     {"k_nnz": 2, "l_nnz": 2}),
+]
 
 
 def _compile(mode, prog, precision, k_nnz=None, l_nnz=None):
@@ -31,16 +43,25 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
-# SHA-256 of `to_json()` for one program per mode, taken from the output of
-# the three separate compile functions that preceded the shared builder,
-# with the `layout` key those versions wrote removed.
+def _same_program(a, b):
+    """Bit-for-bit equality of two low-level programs."""
+    assert (a.dim, a.num_vars, a.tol) == (b.dim, b.num_vars, b.tol)
+    assert np.array_equal(a.target, b.target)
+    assert np.array_equal(a.all_vectors(), b.all_vectors())
+    assert len(a.free) == len(b.free)
+    assert [(lv.var, lv.val) for lv in a.labeled] == [(lv.var, lv.val) for lv in b.labeled]
+
+
+# SHA-256 of `to_json()` for one program per mode.  The file holds the
+# source program exactly as `HighLevelProgram.to_json_dict()` writes it,
+# plus the encoder parameters.
 PINNED = [
     ("dense", 2, 2, [0.75, -0.5], [[0.0], [1.0]], 1, None, None,
-     "33267ab7d0d54c69bd0883d24efa4c9476b1210ca9e21dc8015b66688866f63c"),
+     "b5ac4f17a8418f606f1968b671305e2c10c060f4a867b1f98c154fce163e0ebe"),
     ("sparse_cols", 3, 2, [1.0, -0.25, 0.5], None, 1, 2, None,
-     "4ade92554c178843d7a9ec0b0522a4fb9e7bdc1d1f910998ed9cc507d50dd302"),
+     "ca9f21ba56a23a8cde8a51a2557053d792c1b380a5fd9c423855ce020de4c22f"),
     ("sparse", 3, 3, [0.5, 0.0, -1.0], [[1.0], [0.0], [0.0]], 1, 2, 2,
-     "aad6098067f9f17e84bfa0e6365533cf04548de8cb937d3128e0797182f41b07"),
+     "5460169739daff14c14cb7a979201b2f3c0b07f290b7dae53f042b1b197caa47"),
 ]
 
 
@@ -48,28 +69,32 @@ PINNED = [
 def test_compile_output_is_pinned(mode, n, m, target, free, precision, k_nnz, l_nnz, digest):
     prog = HighLevelProgram(space_dim=n, num_inputs=m, target=target, free_basis=free)
     text = _compile(mode, prog, precision, k_nnz, l_nnz).to_json()
-    assert "layout" not in json.loads(text)
+    data = json.loads(text)
+    assert data["source"] == prog.to_json_dict()
+    assert data["encoder"] == {"mode": mode, "k": precision, "k_nnz": k_nnz, "l_nnz": l_nnz}
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_file_with_layout_key_loads_and_answers_the_same(tmp_path, capsys):
-    # written by a version that stored the gadget layout next to the program
-    old = DATA / "compiled_sparse_with_layout.json"
-    data = json.loads(old.read_text())
-    assert "layout" in data
+@pytest.mark.parametrize("name,source,budgets", OLD_FILES, ids=["with-layout", "program"])
+def test_old_file_answers_as_its_new_form(tmp_path, capsys, name, source, budgets):
+    old = DATA / name
+    assert "program" in json.loads(old.read_text())
     comp = CompiledProgram.from_json(old.read_text())
-    del data["layout"]
-    prog = HighLevelProgram(space_dim=2, num_inputs=2, target=[1.0, -0.5], free_basis=[[0.0], [1.0]])
-    assert comp.to_json() == json.dumps(data, indent=2)
-    assert compile_sparse(prog, k_nnz=1, precision=1, l_nnz=1).to_json() == comp.to_json()
-    stripped = tmp_path / "stripped.json"
-    stripped.write_text(comp.to_json() + "\n")
-    for a, decision in (([[-1.0, 0.0], [0.0, 0.5]], 1), ([[0.0, 0.0], [-1.0, 0.0]], 0)):
-        bits = "".join(str(b) for b in comp.encode(np.array(a)))
+    assert compile_sparse(HighLevelProgram(**source), precision=1, **budgets).to_json() == comp.to_json()
+    new = tmp_path / "new.json"
+    new.write_text(comp.to_json() + "\n")
+    back = CompiledProgram.from_json(new.read_text())
+    _same_program(back.program, comp.program)
+    assert back.layout == comp.layout
+    rng = np.random.default_rng(5)
+    inputs = {tuple(int(b) for b in rng.integers(0, 2, comp.layout.num_vars)) for _ in range(12)}
+    assert {comp.program.evaluate(bits) for bits in inputs} == {0, 1}
+    for bits in sorted(inputs):
+        text = "".join(map(str, bits))
         for cmd in ("evaluate", "witness"):
-            code, out, _ = _run(capsys, [cmd, "--program", str(old), "--input", bits])
-            assert code == 0 and json.loads(out)["decision"] == decision
-            assert _run(capsys, [cmd, "--program", str(stripped), "--input", bits]) == (code, out, "")
+            code, out, _ = _run(capsys, [cmd, "--program", str(old), "--input", text])
+            assert code == 0
+            assert _run(capsys, [cmd, "--program", str(new), "--input", text]) == (code, out, "")
 
 
 @st.composite
@@ -90,6 +115,7 @@ def compiled_programs(draw):
 def test_json_roundtrip_recompiles_to_the_same_program(case):
     comp, rng = case
     back = CompiledProgram.from_json(comp.to_json())
+    _same_program(back.program, comp.program)
     assert back.to_json() == comp.to_json()
     assert back.layout == comp.layout
     for _ in range(4):
@@ -99,6 +125,17 @@ def test_json_roundtrip_recompiles_to_the_same_program(case):
         a = comp.decode(bits)
         assert back.encode(a) == comp.encode(a)
         assert back.program.evaluate(back.encode(a)) == comp.program.evaluate(comp.encode(a))
+
+
+def _rejected(tmp_path, capsys, data, field):
+    with pytest.raises(ValueError, match=field.replace("[", r"\[")):
+        CompiledProgram.from_json_dict(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    for cmd in ("evaluate", "witness"):
+        code, _, err = _run(capsys, [cmd, "--program", str(path), "--input", "0" * 22])
+        assert code == 1
+        assert field in err and "Traceback" not in err
 
 
 def _edit_program_entry(data):
@@ -138,15 +175,61 @@ def _truncate(data):
     ids=["program-entry", "scaled-entry", "label", "encoder-variable", "mode", "n-past-dim", "truncated"],
 )
 def test_edited_file_is_rejected_naming_the_field(tmp_path, capsys, edit, field):
-    prog = HighLevelProgram(space_dim=3, num_inputs=2, target=[1.0, -0.25, 0.5], free_basis=[[0.0], [0.0], [1.0]])
-    comp = compile_sparse(prog, k_nnz=2, precision=1, l_nnz=2)
-    data = comp.to_json_dict()
+    # an older-format file, unedited it loads
+    text = (DATA / "compiled_sparse_program.json").read_text()
+    assert CompiledProgram.from_json(text).program.num_vars == 22
+    data = json.loads(text)
     edit(data)
-    with pytest.raises(ValueError, match=field.replace("[", r"\[")):
-        CompiledProgram.from_json_dict(data)
-    path = tmp_path / "edited.json"
-    path.write_text(json.dumps(data))
-    for cmd in ("evaluate", "witness"):
-        code, _, err = _run(capsys, [cmd, "--program", str(path), "--input", "0" * comp.program.num_vars])
-        assert code == 1
-        assert field in err and "Traceback" not in err
+    _rejected(tmp_path, capsys, data, field)
+
+
+def _drop_source(data):
+    del data["source"]
+
+
+def _short_target(data):
+    data["source"]["target"].pop()
+
+
+def _nonfinite_target(data):
+    data["source"]["target"][1] = float("nan")
+
+
+def _ragged_basis(data):
+    data["source"]["free_basis"][0].pop()
+
+
+def _string_dim(data):
+    data["source"]["space_dim"] = "a"
+
+
+def _dense_with_budgets(data):
+    data["encoder"]["mode"] = "dense"
+
+
+def _k_nnz_past_n(data):
+    data["encoder"]["k_nnz"] = data["source"]["space_dim"] + 1
+
+
+def _zero_k_nnz(data):
+    data["encoder"]["k_nnz"] = 0
+
+
+def _k_past_cap(data):
+    data["encoder"]["k"] = 52
+
+
+@pytest.mark.parametrize(
+    "edit,field",
+    [(_drop_source, "source"), (_short_target, "source.target"), (_nonfinite_target, "source.target[1]"),
+     (_ragged_basis, "source.free_basis[0]"), (_string_dim, "source.space_dim"), (_edit_mode, "encoder.mode"),
+     (_dense_with_budgets, "encoder.mode"), (_k_nnz_past_n, "encoder.k_nnz"), (_zero_k_nnz, "encoder.k_nnz"),
+     (_k_past_cap, "encoder.k")],
+    ids=["no-source", "short-target", "nan-target", "ragged-basis", "string-dim", "mode", "mode-disagrees",
+         "k-nnz-past-n", "k-nnz-zero", "k-past-cap"],
+)
+def test_edited_new_file_is_rejected_naming_the_field(tmp_path, capsys, edit, field):
+    prog = HighLevelProgram(space_dim=3, num_inputs=2, target=[1.0, -0.25, 0.5], free_basis=[[0.0], [0.0], [1.0]])
+    data = compile_sparse(prog, k_nnz=2, precision=1, l_nnz=2).to_json_dict()
+    edit(data)
+    _rejected(tmp_path, capsys, data, field)

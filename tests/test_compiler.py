@@ -516,16 +516,17 @@ def test_compiled_json_roundtrip(mode):
     assert back.program.evaluate(back.encode(a)) == comp.program.evaluate(comp.encode(a))
 
 
-def test_encoder_descriptor_covers_all_variables():
+@pytest.mark.parametrize("l_nnz", [None, 1, 2])
+def test_layout_bits_cover_all_variables(l_nnz):
+    # every variable is a loader digit or a route index bit, and only one
     prog = _hl(3, 2, rng=np.random.default_rng(81))
-    comp = compile_sparse(prog, k_nnz=2, l_nnz=1, precision=1)
-    desc = comp.encoder_descriptor()
-    variables = desc["variables"]
-    assert [v["var"] for v in variables] == list(range(1, comp.program.num_vars + 1))
-    roles = {v["role"] for v in variables}
-    assert roles == {"digit", "col_index", "row_index"}
-    assert desc["mode"] == "sparse"
-    assert desc["k"] == 1 and desc["k_nnz"] == 2 and desc["l_nnz"] == 1
+    comp = compile_sparse(prog, k_nnz=2, l_nnz=l_nnz, precision=1)
+    lay = comp.layout
+    digits = [v for rec in lay.loaders for slot in rec.digit_vars for v in slot]
+    index_bits = [v for rec in lay.routes for v in rec.bit_vars]
+    assert sorted(digits + index_bits) == list(range(comp.program.num_vars))
+    assert {rec.role for rec in lay.routes if rec.bit_vars} == ({"col"} if l_nnz is None else {"col", "row"})
+    assert (lay.mode, lay.precision, lay.k_nnz, lay.l_nnz) == ("sparse_cols" if l_nnz is None else "sparse", 1, 2, l_nnz)
 
 
 def test_measure_overhead_closed_form_no_free_basis():

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from spanforge.encoding import (
+    MAX_PRECISION,
     FixedPointCode,
     IntegerCode,
     encode_int,
@@ -107,6 +108,35 @@ def test_fixed_point_bits_validation():
         FixedPointCode(precision=1, bits=(1,))
     with pytest.raises(ValueError):
         FixedPointCode(precision=0, bits=(2,))
+
+
+def _misencoded_levels(k):
+    """Probed grid levels near 0, 2^k and 2^(k+1) that do not round-trip."""
+    probes = [*range(64), *range(2**k - 32, 2**k + 32), *range(2 ** (k + 1) - 64, 2 ** (k + 1))]
+    bad = []
+    for level in probes:
+        x = level * 2.0**-k - 1.0
+        bits = tuple((level >> (k - i)) & 1 for i in range(k + 1))
+        if encode_real(x, k).bits != bits or FixedPointCode(precision=k, bits=bits).value != x:
+            bad.append(level)
+    return bad
+
+
+def test_grid_roundtrip_at_the_precision_cap():
+    assert MAX_PRECISION == 51
+    assert _misencoded_levels(MAX_PRECISION) == []
+
+
+def test_precision_past_the_cap_is_rejected(monkeypatch):
+    # one step past the cap the float64 rounding already misencodes grid points
+    monkeypatch.setattr("spanforge.encoding.MAX_PRECISION", 60)
+    assert len(_misencoded_levels(52)) == 48
+    monkeypatch.undo()
+    for k in (52, 54):
+        with pytest.raises(ValueError, match="precision"):
+            encode_real(0.0, k)
+        with pytest.raises(ValueError, match="precision"):
+            FixedPointCode(precision=k, bits=(0,) * (k + 1))
 
 
 def test_quantization_error_bounded():
