@@ -37,50 +37,25 @@ from .linalg import input_matrix, int_field
 from .lowlevel import DomainWitnessSizes, LowLevelProgram, wsize_over_domain
 
 MODES = ("dense", "sparse_cols", "sparse")
-SQRT_HALF_POWERS = {a: 2.0 ** (-a / 2.0) for a in range(64)}
 
 
 def _half_power(a: int) -> float:
-    return SQRT_HALF_POWERS.get(a) or 2.0 ** (-a / 2.0)
+    return 2.0 ** (-a / 2.0)
 
 
 # ---------------------------------------------------------------------------
 # allocation
 
 
-@dataclass(frozen=True)
-class Block:
-    name: str
-    start: int
-    size: int
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.size
-
-    def coords(self) -> range:
-        return range(self.start, self.stop)
-
-    def __getitem__(self, offset: int) -> int:
-        if not 0 <= offset < self.size:
-            raise IndexError(f"offset {offset} outside block '{self.name}' of size {self.size}")
-        return self.start + offset
-
-
 class IndexAllocator:
-    """Hands out contiguous 0-based index blocks in a stable order."""
+    """Hands out contiguous 0-based index ranges in a stable order."""
 
     def __init__(self):
         self.next_free = 0
-        self.blocks: list[Block] = []
 
-    def claim(self, name: str, size: int) -> Block:
-        if size < 0:
-            raise ValueError(f"cannot claim negative size {size}")
-        blk = Block(name=name, start=self.next_free, size=size)
+    def claim(self, size: int) -> range:
         self.next_free += size
-        self.blocks.append(blk)
-        return blk
+        return range(self.next_free - size, self.next_free)
 
 
 class ProgramBuilder:
@@ -187,17 +162,12 @@ def emit_vector_loading(
     name: str,
     column: int,
     pivots: tuple[int, ...],
-    var_block: Block,
+    var_block: range,
     precision: int,
 ) -> LoaderRecord:
     """Emit digit vectors and the tying free vector for one loaded column."""
     slots = len(pivots)
-    if var_block.size != slots * (precision + 1):
-        raise ValueError(
-            f"variable block '{var_block.name}' has {var_block.size} bits, "
-            f"expected {slots * (precision + 1)}"
-        )
-    work = builder.coords.claim(f"{name}.f", slots * (precision + 1))
+    work = builder.coords.claim(slots * (precision + 1))
     digit_vars = []
     working = []
     labeled_start = len(builder._labeled)
@@ -241,7 +211,7 @@ def emit_route_tree(
     slot: int,
     root: int,
     leaves: tuple[int, ...],
-    var_block: Block,
+    var_block: range,
 ) -> RouteRecord:
     """Emit the truncated binary routing tree between root and leaves.
 
@@ -251,8 +221,6 @@ def emit_route_tree(
     """
     n_leaves = len(leaves)
     width = index_bit_width(n_leaves)
-    if var_block.size != width:
-        raise ValueError(f"variable block '{var_block.name}' has {var_block.size} bits, expected {width}")
     if width == 0:
         free_index = builder.add_free({leaves[0]: 1.0, root: -1.0})
         return RouteRecord(
@@ -263,7 +231,7 @@ def emit_route_tree(
     node_of: dict[tuple[int, int], int] = {(0, 0): root}
     for a in range(1, width):
         for l in range(min(1 << a, n_leaves)):
-            coord = builder.coords.claim(f"{name}.t[{a},{l}]", 1)[0]
+            coord = builder.coords.claim(1)[0]
             interior.append((a, l, coord))
             node_of[(a, l)] = coord
     for l in range(n_leaves):
@@ -292,39 +260,13 @@ def emit_route_tree(
 def sparse_columns_from_dense(a: np.ndarray, k_nnz: int) -> tuple[tuple[tuple[int, float], ...], ...]:
     """Per-column (row, value) payload slots, padded with zero entries."""
     n, m = a.shape
-    out = []
-    for j in range(m):
-        nz = [int(i) for i in np.flatnonzero(a[:, j])]
-        if len(nz) > k_nnz:
-            raise SparseFormatError(f"column {j + 1} has {len(nz)} nonzeros, payload holds {k_nnz}")
-        rows = sorted(nz)
-        for i in range(n):
-            if len(rows) == k_nnz:
-                break
-            if i not in nz:
-                rows.append(i)
-        rows.sort()
-        out.append(tuple((i, float(a[i, j])) for i in rows))
-    return tuple(out)
+    return validate_sparse_columns([[(i, a[i, j]) for i in np.flatnonzero(a[:, j])] for j in range(m)], n, m, k_nnz)
 
 
 def row_lists_from_dense(a: np.ndarray, l_nnz: int) -> tuple[tuple[int, ...], ...]:
     """Per-row lists of column indices covering every nonzero, padded."""
     n, m = a.shape
-    out = []
-    for i in range(n):
-        nz = [int(j) for j in np.flatnonzero(a[i, :])]
-        if len(nz) > l_nnz:
-            raise SparseFormatError(f"row {i + 1} has {len(nz)} nonzeros, the row list holds {l_nnz}")
-        cols = sorted(nz)
-        for j in range(m):
-            if len(cols) == l_nnz:
-                break
-            if j not in nz:
-                cols.append(j)
-        cols.sort()
-        out.append(tuple(cols))
-    return tuple(out)
+    return validate_row_lists([np.flatnonzero(a[i, :]) for i in range(n)], n, m, l_nnz)
 
 
 def validate_sparse_columns(entries, n: int, m: int, k_nnz: int) -> tuple[tuple[tuple[int, float], ...], ...]:
@@ -334,7 +276,7 @@ def validate_sparse_columns(entries, n: int, m: int, k_nnz: int) -> tuple[tuple[
     for j, slots in enumerate(entries):
         slots = [(int(r), float(v)) for r, v in slots]
         if len(slots) > k_nnz:
-            raise SparseFormatError(f"column {j + 1} supplies {len(slots)} slots, payload holds {k_nnz}")
+            raise SparseFormatError(f"column {j + 1} has {len(slots)} entries, the payload holds {k_nnz}")
         rows = [r for r, _ in slots]
         if len(set(rows)) != len(rows):
             raise SparseFormatError(f"column {j + 1} repeats a row index in its payload")
@@ -360,7 +302,7 @@ def validate_row_lists(lists, n: int, m: int, l_nnz: int) -> tuple[tuple[int, ..
     for i, cols in enumerate(lists):
         cols = [int(c) for c in cols]
         if len(cols) > l_nnz:
-            raise SparseFormatError(f"row {i + 1} lists {len(cols)} columns, the list holds {l_nnz}")
+            raise SparseFormatError(f"row {i + 1} lists {len(cols)} columns, the row list holds {l_nnz}")
         for c in cols:
             if not 0 <= c < m:
                 raise SparseFormatError(f"row {i + 1} lists column {c}, outside [0, {m})")
@@ -388,10 +330,9 @@ class CompiledLayout:
     precision: int
     k_nnz: int | None
     l_nnz: int | None
-    coord_blocks: tuple[Block, ...]
     num_vars: int
     hl_free: tuple[int, ...]  # program free indices carrying the source free basis
-    scratch: tuple[Block, ...]  # W_j per column, sparse mode only
+    scratch: tuple[range, ...]  # W_j per column, sparse mode only
     loaders: tuple[LoaderRecord, ...]  # loaders[j - 1] feeds column j
     routes: tuple[RouteRecord, ...]  # column routes, then row routes by row
 
@@ -453,8 +394,6 @@ class CompiledProgram:
                     for a, b in enumerate(code.bits):
                         bits[rec.digit_vars[i][a]] = b
             return tuple(bits)
-        if lay.mode == "sparse":
-            _check_consistency(cols, rows)
         for rec in lay.loaders:
             for i, (_, value) in enumerate(cols[rec.column - 1]):
                 code = encode_real(value, lay.precision)
@@ -510,19 +449,13 @@ class CompiledProgram:
     def quantize(self, source) -> np.ndarray:
         return self.decode(self.encode(source))
 
-    # -- embedded source program data ----------------------------------
-
-    @property
-    def target_block(self) -> Block:
-        return self.layout.coord_blocks[0]
+    # -- embedded source program data: V is the first n coordinates ----
 
     def source_target(self) -> np.ndarray:
-        v = self.target_block
-        return self.program.target[v.start : v.stop]
+        return self.program.target[: self.layout.n]
 
     def source_free_basis(self) -> np.ndarray:
-        v = self.target_block
-        cols = [self.program.free[i][v.start : v.stop] for i in self.layout.hl_free]
+        cols = [self.program.free[i][: self.layout.n] for i in self.layout.hl_free]
         return np.column_stack(cols) if cols else np.zeros((self.layout.n, 0))
 
     # -- witness lifting ------------------------------------------------
@@ -622,8 +555,7 @@ class CompiledProgram:
             wprime = hl.negative_witness(aq).witness
         wprime = np.asarray(wprime, dtype=float)
         wt = np.zeros(self.program.dim)
-        vblock = self.target_block
-        wt[vblock.start : vblock.stop] = wprime
+        wt[: lay.n] = wprime
         # row-scratch values: listed columns copy the row value
         for j, blk in enumerate(lay.scratch):
             for i in range(lay.n):
@@ -686,15 +618,18 @@ class CompiledProgram:
         the one that wrote the file.  Older files go through ``_load_legacy``."""
         if not isinstance(data, dict):
             raise ValueError("compiled program JSON must be an object")
-        for key in ("program" if "program" in data else "source", "encoder"):
-            if key not in data:
-                raise ValueError(f"compiled program JSON is missing field '{key}'")
+        if "encoder" not in data:
+            raise ValueError("compiled program JSON is missing field 'encoder'")
         if not isinstance(data["encoder"], dict):
             raise ValueError("compiled program field 'encoder' must be an object")
         if "program" in data:
             return _load_legacy(data)
+        if "source" not in data:
+            raise ValueError("compiled program JSON is missing field 'source'")
         n, m, target, free_basis, tol = read_source(data["source"], "source.")
-        return _build(target, free_basis, tol, m, *_encoder_params(data["encoder"], n, m))
+        dim_names = ("source.space_dim", "source.num_inputs")
+        k, k_nnz, l_nnz, _ = _encoder_params(data["encoder"], n, m, free_basis.shape[1], dim_names)
+        return _build(target, free_basis, tol, m, k, k_nnz, l_nnz)
 
     @classmethod
     def from_json(cls, text: str) -> "CompiledProgram":
@@ -721,10 +656,11 @@ def _read_index(bits, rec: RouteRecord) -> int:
     return IntegerCode(width=rec.width, bits=tuple(bits[v] for v in rec.bit_vars)).value
 
 
-def _encoder_params(enc: dict, n: int, m: int) -> tuple[int, int | None, int | None]:
-    """(k, k_nnz, l_nnz) of a stored encoder block, each checked by name for
-    a source on ``n`` coordinates with ``m`` input columns; a budget the mode
-    does not have is None."""
+def _encoder_params(enc: dict, n: int, m: int, num_hl: int, dim_names: tuple[str, str]):
+    """(k, k_nnz, l_nnz) of a stored encoder block, and the sizes they compile
+    to, each checked by name for a source on ``n`` coordinates with ``m``
+    input columns and ``num_hl`` free-basis vectors (``n`` and ``m`` named by
+    ``dim_names``); a budget the mode does not have is None."""
     mode = enc.get("mode")
     if mode not in MODES:
         raise ValueError(f"encoder.mode must be one of {', '.join(MODES)}, got {mode!r}")
@@ -733,16 +669,56 @@ def _encoder_params(enc: dict, n: int, m: int) -> tuple[int, int | None, int | N
     # dense mode has neither budget, sparse_cols k_nnz only, sparse both
     if [k_nnz is not None, l_nnz is not None] != [MODES.index(mode) >= 1, MODES.index(mode) >= 2]:
         raise ValueError(f"encoder.mode={mode!r} disagrees with encoder.k_nnz={k_nnz}, encoder.l_nnz={l_nnz}")
-    _check_params(n, m, k, k_nnz, l_nnz, ("encoder.k", "encoder.k_nnz", "encoder.l_nnz"))
-    return k, k_nnz, l_nnz
+    sizes = _check_params(n, m, k, k_nnz, l_nnz, num_hl, (*dim_names, "encoder.k", "encoder.k_nnz", "encoder.l_nnz"))
+    return k, k_nnz, l_nnz, sizes
 
 
-def _check_params(n: int, m: int, precision: int, k_nnz: int | None, l_nnz: int | None,
-                  names=("precision", "k_nnz", "l_nnz")) -> None:
-    check_precision(precision, names[0])
-    for name, value, top in zip(names[1:], (k_nnz, l_nnz), (n, m)):
+# Largest store, dim x vectors float64 entries (128 MiB), that one build may
+# allocate.  The encoder parameters of a compiled file are a few bytes that
+# can ask for a store of any size; the largest program the tests and the
+# benchmark compile (sparse, n = m = 8, k = 3, both budgets 3) has 420,480.
+MAX_STORE_ENTRIES = 2**24
+
+
+def _check_params(n: int, m: int, precision: int, k_nnz: int | None, l_nnz: int | None, num_hl: int,
+                  names=("space_dim", "num_inputs", "precision", "k_nnz", "l_nnz")) -> tuple[int, int, int, int]:
+    """Check the build parameters, each error naming its field in ``names``,
+    and return the (dim, num_vars, free, labeled) counts of the program they
+    compile to; a store past ``MAX_STORE_ENTRIES`` is rejected."""
+    check_precision(precision, names[2])
+    for name, value, top in zip(names[3:], (k_nnz, l_nnz), (n, m)):
         if value is not None and not 1 <= value <= top:
             raise ValueError(f"{name} must be within [1, {top}], got {value}")
+    sizes = _layout_sizes(n, m, precision, k_nnz, l_nnz, num_hl)
+    if sizes[0] * (sizes[2] + sizes[3]) > MAX_STORE_ENTRIES:
+        given = ", ".join(f"{name}={value}" for name, value in zip(names, (n, m, precision, k_nnz, l_nnz))
+                          if value is not None)
+        raise ValueError(
+            f"{given} compile to a {sizes[0]} x {sizes[2] + sizes[3]} store, past the cap of {MAX_STORE_ENTRIES} entries"
+        )
+    return sizes
+
+
+def _layout_sizes(n: int, m: int, precision: int, k_nnz: int | None, l_nnz: int | None,
+                  num_hl: int) -> tuple[int, int, int, int]:
+    """(dim, num_vars, free, labeled) counts of the program ``_build`` emits,
+    in closed form.  A routing tree on L >= 2 leaves with w index bits has
+    full levels 1..w-1 (2^w - 2 interior nodes) and one edge into each node
+    under the root; on one leaf it is a single free connector."""
+    slots = n if k_nnz is None else k_nnz
+    digits = m * slots * (precision + 1)  # loader working coordinates and bits
+    dim, num_vars, free, labeled = n + digits, digits, num_hl + m, 2 * digits
+    if k_nnz is not None:
+        dim += m * k_nnz + (m * n if l_nnz is not None else 0)
+    for trees, leaves in ((m * (k_nnz or 0), n), (n * (l_nnz or 0), m)):
+        if trees:
+            width = index_bit_width(leaves)
+            interior = 2**width - 2 if width else 0
+            dim += trees * interior
+            num_vars += trees * width
+            free += trees * (width == 0)
+            labeled += trees * (interior + leaves if width else 0)
+    return dim, num_vars, free, labeled
 
 
 def _load_legacy(data: dict) -> CompiledProgram:
@@ -750,23 +726,25 @@ def _load_legacy(data: dict) -> CompiledProgram:
     the variable roles in ``encoder`` (and maybe an ignored ``layout``).  The
     source target is the ``V`` block of the target, the source free basis the
     leading free vectors with no entry past ``V`` (every gadget free vector
-    touches a coordinate outside it); the file must equal their recompile."""
+    touches a coordinate outside it); the file must equal their recompile,
+    whose sizes are checked against the stored ones before it is built."""
     stored = LowLevelProgram.from_json_dict(data["program"])
     enc = data["encoder"]
     n, m = int_field(enc.get("n"), "encoder.n"), int_field(enc.get("m"), "encoder.m")
-    if not 1 <= n <= stored.dim:
-        raise ValueError(f"encoder.n={n} outside [1, program.dim={stored.dim}]")
-    k, k_nnz, l_nnz = _encoder_params(enc, n, m)
-    # keeps the build within the size of the stored program
-    if m < 0 or m * (k + 1) > stored.num_vars:
-        raise ValueError(f"encoder.m={m}, encoder.k={k}: need 0 <= m*(k+1) <= program.num_vars={stored.num_vars}")
+    if not (1 <= n <= stored.dim and m >= 0):
+        raise ValueError(f"need 1 <= encoder.n <= program.dim={stored.dim} and encoder.m >= 0, got {n} and {m}")
     store = stored.all_vectors()
     reach_out = store[n:, : len(stored.free)].any(axis=0)
     num_hl = int(np.argmax(reach_out)) if reach_out.any() else len(stored.free)
+    k, k_nnz, l_nnz, sizes = _encoder_params(enc, n, m, num_hl, ("encoder.n", "encoder.m"))
+    have = (stored.dim, stored.num_vars, len(stored.free), len(stored.labeled))
+    for name, want, got in zip(("dim", "num_vars", "free", "labeled"), sizes, have):
+        if want != got:
+            count = "" if name in ("dim", "num_vars") else " vectors"
+            raise ValueError(f"program.{name} has {got}{count}, its encoder parameters compile to {want}")
     comp = _build(stored.target[:n], store[:n, :num_hl], stored.tol, m, k, k_nnz, l_nnz)
     encoder = {**comp.to_json_dict()["encoder"], "n": n, "m": m, "variables": _variable_roles(comp.layout)}
-    want = {"program": comp.program.to_json_dict(), "encoder": encoder}
-    path = _first_difference({key: value for key, value in data.items() if key != "layout"}, want)
+    path = _first_difference(enc, encoder, "encoder") or _program_difference(stored, comp.program)
     if path is not None:
         raise ValueError(f"compiled program field '{path}' differs from what its encoder parameters compile to")
     return comp
@@ -786,19 +764,35 @@ def _variable_roles(lay: CompiledLayout) -> list[dict]:
     return sorted(roles, key=lambda d: d["var"])
 
 
-def _first_difference(got, want, path: str = "") -> str | None:
-    """Path, such as ``program.labeled[3].val``, of the first place where the
-    JSON trees ``got`` and ``want`` differ (``...`` stands in for a missing
-    key); None when they are equal."""
+def _first_difference(got, want, path: str) -> str | None:
+    """Path, such as ``encoder.variables[2].slot``, of the first place where
+    the JSON trees ``got`` and ``want``, found at ``path``, differ (``...``
+    stands in for a missing key); None when they are equal."""
     if got == want:
         return None
     if isinstance(got, dict) and isinstance(want, dict):
-        pairs = [(f"{path}.{key}" if path else key, got.get(key, ...), want.get(key, ...)) for key in {**want, **got}]
+        pairs = [(f"{path}.{key}", got.get(key, ...), want.get(key, ...)) for key in {**want, **got}]
     elif isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
         pairs = [(f"{path}[{i}]", g, w) for i, (g, w) in enumerate(zip(got, want))]
     else:
         return path
     return next(filter(None, (_first_difference(g, w, sub) for sub, g, w in pairs)), path)
+
+
+def _program_difference(got: LowLevelProgram, want: LowLevelProgram) -> str | None:
+    """Path, such as ``program.labeled[3]``, of the first vector or field in
+    which two programs of the same sizes differ; None when they are equal."""
+    if got.tol != want.tol:
+        return "program.tol"
+    if not np.array_equal(got.target, want.target):
+        return "program.target"
+    nf = len(want.free)
+    differs = (got.all_vectors() != want.all_vectors()).any(axis=0)
+    differs[nf:] |= [(g.var, g.val) != (w.var, w.val) for g, w in zip(got.labeled, want.labeled)]
+    if not differs.any():
+        return None
+    j = int(np.argmax(differs))
+    return f"program.free[{j}]" if j < nf else f"program.labeled[{j - nf}]"
 
 
 def _check_consistency(cols, rows) -> None:
@@ -827,9 +821,9 @@ def _build(target, free_basis, tol: float, m: int, precision: int,
     """
     n = len(target)
     mode = MODES[(k_nnz is not None) + (l_nnz is not None)]  # one mode per budget given
-    _check_params(n, m, precision, k_nnz, l_nnz)
+    _check_params(n, m, precision, k_nnz, l_nnz, free_basis.shape[1])
     b = ProgramBuilder()
-    v = b.coords.claim("V", n)
+    v = b.coords.claim(n)
     b.set_target({v[i]: float(target[i]) for i in range(n)})
     hl_free = tuple(
         b.add_free({v[i]: float(free_basis[i, c]) for i in range(n)}) for c in range(free_basis.shape[1])
@@ -838,28 +832,28 @@ def _build(target, free_basis, tol: float, m: int, precision: int,
     if k_nnz is not None:
         payload = []
         for j in range(1, m + 1):
-            payload.append(b.coords.claim(f"U{j}", k_nnz))
+            payload.append(b.coords.claim(k_nnz))
             if l_nnz is not None:
-                scratch.append(b.coords.claim(f"W{j}", n))
+                scratch.append(b.coords.claim(n))
     loaders = []
     for j, pivots in enumerate(payload, 1):
-        vb = b.variables.claim(f"x[{j}]", pivots.size * (precision + 1))
+        vb = b.variables.claim(len(pivots) * (precision + 1))
         loaders.append(
-            emit_vector_loading(b, name=f"L{j}", column=j, pivots=tuple(pivots.coords()), var_block=vb, precision=precision)
+            emit_vector_loading(b, name=f"L{j}", column=j, pivots=tuple(pivots), var_block=vb, precision=precision)
         )
     routes = []  # dense mode has no payload slots and no row lists
     for j in range(1, m + 1):
         for i in range(1, (k_nnz or 0) + 1):
-            vb = b.variables.claim(f"c[{i},{j}]", index_bit_width(n))
+            vb = b.variables.claim(index_bit_width(n))
             routes.append(
                 emit_route_tree(
                     b, name=f"D[{i},{j}]", role="col", owner=j, slot=i, root=payload[j - 1][i - 1],
-                    leaves=tuple((scratch[j - 1] if scratch else v).coords()), var_block=vb,
+                    leaves=tuple(scratch[j - 1] if scratch else v), var_block=vb,
                 )
             )
     for i in range(1, n + 1):
         for jj in range(1, (l_nnz or 0) + 1):
-            vb = b.variables.claim(f"d[{i},{jj}]", index_bit_width(m))
+            vb = b.variables.claim(index_bit_width(m))
             routes.append(
                 emit_route_tree(
                     b, name=f"M[{i},{jj}]", role="row", owner=i, slot=jj,
@@ -868,7 +862,7 @@ def _build(target, free_basis, tol: float, m: int, precision: int,
             )
     layout = CompiledLayout(
         mode=mode, n=n, m=m, precision=precision, k_nnz=k_nnz, l_nnz=l_nnz,
-        coord_blocks=tuple(b.coords.blocks), num_vars=b.variables.next_free, hl_free=hl_free,
+        num_vars=b.variables.next_free, hl_free=hl_free,
         scratch=tuple(scratch), loaders=tuple(loaders), routes=tuple(routes),
     )
     return CompiledProgram(program=b.build(tol), layout=layout)

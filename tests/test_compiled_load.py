@@ -233,3 +233,28 @@ def test_edited_new_file_is_rejected_naming_the_field(tmp_path, capsys, edit, fi
     data = compile_sparse(prog, k_nnz=2, precision=1, l_nnz=2).to_json_dict()
     edit(data)
     _rejected(tmp_path, capsys, data, field)
+
+
+_HUGE = {"mode": "sparse", "k": 51, "k_nnz": 8, "l_nnz": 32}
+_E1 = [1.0] + [0.0] * 7
+
+
+@pytest.mark.parametrize(
+    "data,field",
+    [({"source": {"space_dim": 8, "num_inputs": 32, "target": _E1}, "encoder": _HUGE}, "encoder.k"),
+     ({"program": {"dim": 8, "num_vars": 2000, "target": _E1}, "encoder": {**_HUGE, "n": 8, "m": 32}}, "encoder.k"),
+     ({"program": {"dim": 8, "num_vars": 2000, "target": _E1},
+       "encoder": {"mode": "sparse", "k": 3, "k_nnz": 3, "l_nnz": 3, "n": 8, "m": 8}}, "program.dim")],
+    ids=["new", "old", "old-sizes"],
+)
+def test_small_file_asking_for_a_large_build_is_rejected(tmp_path, capsys, monkeypatch, data, field):
+    # about 200 bytes; the first two would compile to a 23,048 x 46,112
+    # store (7.9 GiB), the last to a program larger than the one stored.
+    # Each is rejected from its sizes, before the builder runs.
+    assert len(json.dumps(data)) < 250
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the builder ran")
+
+    monkeypatch.setattr("spanforge.compiler._build", no_build)
+    _rejected(tmp_path, capsys, data, field)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from spanforge.compiler import (
+    MAX_STORE_ENTRIES,
     CompiledProgram,
+    _layout_sizes,
     compile_dense,
     compile_sparse,
     measure_overhead,
@@ -527,6 +529,29 @@ def test_layout_bits_cover_all_variables(l_nnz):
     assert sorted(digits + index_bits) == list(range(comp.program.num_vars))
     assert {rec.role for rec in lay.routes if rec.bit_vars} == ({"col"} if l_nnz is None else {"col", "row"})
     assert (lay.mode, lay.precision, lay.k_nnz, lay.l_nnz) == ("sparse_cols" if l_nnz is None else "sparse", 1, 2, l_nnz)
+
+
+@pytest.mark.parametrize("mode", ["dense", "sparse_cols", "sparse"])
+def test_layout_sizes_match_the_build(mode):
+    # the closed form a build is checked against before it claims anything
+    rng = np.random.default_rng(83)
+    for n, m, k, nfree in [(1, 1, 0, 0), (2, 3, 1, 1), (3, 2, 2, 2), (5, 4, 1, 0), (4, 5, 0, 3), (8, 8, 3, 1)]:
+        prog = _hl(n, m, free=rng.standard_normal((n, nfree)), rng=rng)
+        if mode == "dense":
+            comp = compile_dense(prog, precision=k)
+        else:
+            comp = compile_sparse(prog, k_nnz=min(2, n), precision=k, l_nnz=min(3, m) if mode == "sparse" else None)
+        lay, p = comp.layout, comp.program
+        sizes = _layout_sizes(n, m, k, lay.k_nnz, lay.l_nnz, nfree)
+        assert sizes == (p.dim, p.num_vars, len(p.free), len(p.labeled))
+
+
+def test_compile_past_the_store_cap_is_rejected():
+    # n = m = 8 at k = 51 with both budgets 8 needs a 4,232 x 8,456 store
+    prog = _hl(8, 8, rng=np.random.default_rng(84))
+    with pytest.raises(ValueError, match=f"precision=51.*cap of {MAX_STORE_ENTRIES}"):
+        compile_sparse(prog, k_nnz=8, l_nnz=8, precision=51)
+    assert compile_sparse(prog, k_nnz=8, l_nnz=8, precision=3).program.all_vectors().size < MAX_STORE_ENTRIES
 
 
 def test_measure_overhead_closed_form_no_free_basis():
