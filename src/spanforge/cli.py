@@ -20,7 +20,7 @@ from . import calibration
 from .compiler import CompiledProgram, compile_dense, compile_sparse
 from .errors import NoNegativeWitness, NoPositiveWitness, SpanforgeError
 from .highlevel import HighLevelProgram
-from .linalg import DEFAULT_TOL, input_matrix
+from .linalg import DEFAULT_TOL, input_matrix, tol_field
 from .lowlevel import LowLevelProgram
 from .programs import (
     RankExperimentConfig,
@@ -201,7 +201,10 @@ def _cmd_wishart_experiment(args) -> int:
 
 
 def _cmd_ratio_experiment(args) -> int:
-    n_list = [int(tok) for tok in args.n.split(",") if tok]
+    try:
+        n_list = [int(tok) for tok in args.n.split(",") if tok]
+    except ValueError:
+        raise ValueError(f"--n must list integer sizes, e.g. 50,100,200, got {args.n!r}") from None
     if not n_list:
         raise ValueError("--n must list at least one size, e.g. 50,100,200")
     result = exp_ratio_scaling(n_list, args.trials, RngStream(seed=args.seed))
@@ -334,6 +337,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "tol", None) is not None:
+            tol_field(args.tol, "--tol")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.handler(args)
     except (NoPositiveWitness, NoNegativeWitness) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

@@ -20,12 +20,12 @@ from .linalg import (
     as_matrix,
     as_vector,
     finite_vector,
-    float_field,
+    in_span,
     input_matrix,
     int_field,
     min_norm_solve,
-    project_complement,
     svd,
+    tol_field,
 )
 from .lowlevel import DomainWitnessSizes, WitnessReport, _frozen, fold_witness_sizes
 
@@ -56,8 +56,8 @@ class HighLevelProgram:
     def _decide(self, a, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
         """Checked input, residual of the target off span(A, F), decision."""
         mat = self._check_input(a)
-        resid = project_complement(np.hstack([mat, self.free_basis]), self.target, tol)
-        return mat, resid, int(np.linalg.norm(resid) <= tol * np.linalg.norm(self.target))
+        _, resid, decision = in_span(np.hstack([mat, self.free_basis]), self.target, tol)
+        return mat, resid, decision
 
     def evaluate(self, a, tol: float | None = None) -> int:
         return self._decide(a, self.tol if tol is None else tol)[2]
@@ -156,7 +156,7 @@ def read_source(data, prefix: str = "") -> tuple[int, int, np.ndarray, np.ndarra
         raise ValueError(f"{prefix}free_basis must be a list of columns")
     cols = [finite_vector(c, f"{prefix}free_basis[{j}]", space_dim) for j, c in enumerate(cols)]
     target, basis = _check_source(space_dim, num_inputs, data["target"], np.column_stack(cols) if cols else None, prefix)
-    return space_dim, num_inputs, target, basis, float_field(data.get("tol", DEFAULT_TOL), prefix + "tol")
+    return space_dim, num_inputs, target, basis, tol_field(data.get("tol", DEFAULT_TOL), prefix + "tol")
 
 
 def source_json(space_dim: int, num_inputs: int, target: np.ndarray, free_basis: np.ndarray, tol: float) -> dict:

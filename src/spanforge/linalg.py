@@ -94,6 +94,14 @@ def float_field(value, name: str) -> float:
     raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+def tol_field(value, name: str) -> float:
+    """A relative tolerance: a finite number in [0, 1); errors name ``name``."""
+    tol = float_field(value, name)
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"{name} must lie in [0, 1), got {value!r}")
+    return tol
+
+
 @dataclass(frozen=True)
 class SvdResult:
     """SVD ``M = u @ diag(sigma) @ vt`` with a numerical rank attached.
@@ -121,14 +129,25 @@ def svd(m, tol: float = DEFAULT_TOL, full_matrices: bool = False) -> SvdResult:
         u, s, vt = np.linalg.svd(a, full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix") from exc
-    rank = numerical_rank_from_sigma(s, tol)
+    rank = int(np.count_nonzero(s > tol * s[0])) if s.size else 0
     return SvdResult(u=u, sigma=s, vt=vt, rank=rank)
 
 
-def numerical_rank_from_sigma(sigma: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    if sigma.size == 0:
-        return 0
-    return int(np.count_nonzero(sigma > tol * sigma[0]))
+def in_span(m, t, tol: float = DEFAULT_TOL, full_matrices: bool = False) -> tuple[SvdResult, np.ndarray, int]:
+    """Whether ``t`` lies in the column span of ``m``: the one acceptance rule.
+
+    Returns the SVD of ``m`` (``full_matrices`` as in ``svd``), the component
+    of ``t`` orthogonal to the span of ``u[:, :rank]``, and the decision
+    ``|residual| <= tol * |t|`` as 0 or 1.
+    """
+    a = as_matrix(m)
+    vec = as_vector(t)
+    if a.shape[0] != vec.shape[0]:
+        raise ValueError(f"span matrix has {a.shape[0]} rows but vector has {vec.shape[0]}")
+    dec = svd(a, tol, full_matrices)
+    basis = dec.u[:, : dec.rank]
+    resid = vec - basis @ (basis.T @ vec)
+    return dec, resid, int(np.linalg.norm(resid) <= tol * np.linalg.norm(vec))
 
 
 def min_norm_solve(m, b, tol: float = DEFAULT_TOL, dec: SvdResult | None = None) -> np.ndarray:
@@ -155,28 +174,6 @@ def min_norm_solve(m, b, tol: float = DEFAULT_TOL, dec: SvdResult | None = None)
             f"system is inconsistent: residual {residual:.3e} exceeds tol*scale {tol * scale:.3e}"
         )
     return w
-
-
-def nullspace_basis(m, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (as columns) of the null space of ``m``."""
-    a = as_matrix(m)
-    if a.shape[1] == 0:
-        return np.zeros((0, 0))
-    if a.shape[0] == 0:
-        return np.eye(a.shape[1])
-    dec = svd(a, tol, full_matrices=True)
-    return dec.vt[dec.rank :].T
-
-
-def project_complement(s, t, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Component of ``t`` orthogonal to the column span of ``s``."""
-    a = as_matrix(s)
-    vec = as_vector(t)
-    if a.shape[0] != vec.shape[0]:
-        raise ValueError(f"span matrix has {a.shape[0]} rows but vector has {vec.shape[0]}")
-    dec = svd(a, tol)
-    basis = dec.u[:, : dec.rank]
-    return vec - basis @ (basis.T @ vec)
 
 
 def min_quadratic_on_hyperplane(b, c, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:

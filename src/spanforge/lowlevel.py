@@ -17,14 +17,14 @@ import numpy as np
 from .errors import NoNegativeWitness, NoPositiveWitness
 from .linalg import (
     DEFAULT_TOL,
+    SvdResult,
     as_vector,
     finite_vector,
-    float_field,
+    in_span,
     int_field,
     min_norm_solve,
     min_quadratic_on_hyperplane,
-    project_complement,
-    svd,
+    tol_field,
 )
 
 
@@ -167,10 +167,7 @@ class LowLevelProgram:
         return self._columns
 
     def evaluate(self, x, tol: float | None = None) -> int:
-        tol = self.tol if tol is None else tol
-        avail = self.available_vectors(x)
-        resid = project_complement(avail.matrix, self.target, tol)
-        return int(np.linalg.norm(resid) <= tol * np.linalg.norm(self.target))
+        return self._decide(x, self.tol if tol is None else tol)[2]
 
     def positive_witness(self, x, tol: float | None = None) -> WitnessReport:
         return self._solve(x, tol, side=1)
@@ -181,28 +178,29 @@ class LowLevelProgram:
     def witness(self, x, tol: float | None = None) -> WitnessReport:
         return self._solve(x, tol, side=None)
 
-    def _solve(self, x, tol: float | None, side: int | None) -> WitnessReport:
-        """Decide ``x`` and build the witness of ``side`` (None: the side the
-        decision gives) from one SVD of the available columns.
+    def _decide(self, x, tol: float) -> tuple[AvailableColumns, SvdResult, int]:
+        """Available columns of ``x``, their SVD and the decision.
 
         Complete left singular vectors are computed when there are fewer
         columns than ``dim`` (the thin ones are already complete otherwise),
         so ``u[:, rank:]`` is an orthonormal basis of the complement of the
         available span, the space negative witnesses live in.
         """
-        tol = self.tol if tol is None else tol
         avail = self.available_vectors(x)
-        a = avail.matrix
-        dec = svd(a, tol, full_matrices=a.shape[1] < self.dim)
-        span = dec.u[:, : dec.rank]
-        resid = self.target - span @ (span.T @ self.target)
-        decision = int(np.linalg.norm(resid) <= tol * np.linalg.norm(self.target))
+        dec, _, decision = in_span(avail.matrix, self.target, tol, full_matrices=avail.matrix.shape[1] < self.dim)
+        return avail, dec, decision
+
+    def _solve(self, x, tol: float | None, side: int | None) -> WitnessReport:
+        """Decide ``x`` and build the witness of ``side`` (None: the side the
+        decision gives) from the decision's one SVD."""
+        tol = self.tol if tol is None else tol
+        avail, dec, decision = self._decide(x, tol)
         if side == 1 and not decision:
             raise NoPositiveWitness(f"program rejects input {x!r}; no positive witness")
         if side == 0 and decision:
             raise NoNegativeWitness(f"program accepts input {x!r}; no negative witness")
         if decision:
-            w = min_norm_solve(a, self.target, tol, dec)
+            w = min_norm_solve(avail.matrix, self.target, tol, dec)
             return WitnessReport(decision=1, size=float(w @ w), witness=w, columns=avail)
         # Restrict to the orthogonal complement of the available span, then
         # minimize the quadratic over the hyperplane <w', t> = 1.
@@ -257,7 +255,7 @@ class LowLevelProgram:
             target=data["target"],
             free=free,
             labeled=labeled,
-            tol=float_field(data.get("tol", DEFAULT_TOL), "tol"),
+            tol=tol_field(data.get("tol", DEFAULT_TOL), "tol"),
         )
 
     @classmethod

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .highlevel import HighLevelProgram
-from .linalg import DEFAULT_TOL, as_matrix
+from .linalg import DEFAULT_TOL, as_matrix, float_field, int_field, tol_field
 from .lowlevel import normalize_bits
 from .randmat import RngStream, run_seeded_trials, spectral_stats
 
@@ -58,12 +58,7 @@ def build_rank_program(n: int, m: int, r: int, rng: np.random.Generator) -> High
 def rank_decision(instance: RankInstance, rng: np.random.Generator, tol: float = DEFAULT_TOL) -> int:
     """Evaluate a fresh program sample on the instance matrix."""
     n, m = instance.matrix.shape
-    prog = build_rank_program(n, m, instance.r, rng)
-    if tol != prog.tol:
-        prog = HighLevelProgram(
-            space_dim=n, num_inputs=m, target=prog.target, free_basis=prog.free_basis, tol=tol
-        )
-    return prog.evaluate(instance.matrix)
+    return build_rank_program(n, m, instance.r, rng).evaluate(instance.matrix, tol)
 
 
 def threshold_matrix(x) -> np.ndarray:
@@ -139,22 +134,22 @@ class RankExperimentConfig:
             raise ValueError(f"r must lie in [1, {self.n}], got {self.r}")
         if self.trials <= 0:
             raise ValueError("trials must be positive")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         if self.L is not None and self.L <= 0:
             raise ValueError("L must be positive when given")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RankExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError("rank experiment config must be an object")
         for key in ("n", "m", "r", "trials", "master_seed"):
             if key not in data:
                 raise ValueError(f"rank experiment config is missing field '{key}'")
         return cls(
-            n=int(data["n"]),
-            m=int(data["m"]),
-            r=int(data["r"]),
-            L=None if data.get("L") is None else float(data["L"]),
-            trials=int(data["trials"]),
-            master_seed=int(data["master_seed"]),
-            tolerance=float(data.get("tolerance", DEFAULT_TOL)),
+            **{key: int_field(data[key], key) for key in ("n", "m", "r", "trials", "master_seed")},
+            L=None if data.get("L") is None else float_field(data["L"], "L"),
+            tolerance=tol_field(data.get("tolerance", DEFAULT_TOL), "tolerance"),
         )
 
     def to_json_dict(self) -> dict:

@@ -152,6 +152,28 @@ def test_tol_flips_decision_and_evaluate_agrees_with_witness(capsys, near_span_f
     assert code == 2 and "infeasible" in err
 
 
+@pytest.mark.parametrize("command,tol", [("witness", "-1"), ("evaluate", "nan"), ("evaluate", "1"), ("witness", "inf")])
+@pytest.mark.parametrize("source", [0, 1], ids=["program", "highlevel"])
+def test_tol_flag_outside_unit_interval_exits_1(capsys, near_span_files, source, command, tol):
+    code, out, err = _run(capsys, [command, *near_span_files[source], "--tol", tol])
+    assert code == 1 and out == ""
+    assert "--tol must" in err
+
+
+@pytest.mark.parametrize("tol", [-0.5, 1.0])
+@pytest.mark.parametrize("source", [0, 1], ids=["program", "highlevel"])
+def test_program_tol_outside_unit_interval_exits_1(capsys, near_span_files, source, tol):
+    args = near_span_files[source]
+    with open(args[1]) as fh:
+        data = json.load(fh)
+    with open(args[1], "w") as fh:
+        json.dump({**data, "tol": tol}, fh)
+    for command in ("evaluate", "witness"):
+        code, out, err = _run(capsys, [command, *args])
+        assert code == 1 and out == ""
+        assert err.startswith("error: tol must")
+
+
 # ---------------------------------------------------------------------------
 # compile
 
@@ -247,6 +269,41 @@ def test_rank_experiment_honours_tol(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 4, "m": 4, "r": 2, "trials": 5, "master_seed": 3, "tolerance": 0.9}))
     assert _run(capsys, ["rank-experiment", "--config", str(cfg)])[1] == loose
+
+
+_CONFIG = {"n": 4, "m": 4, "r": 2, "trials": 3, "master_seed": 9}
+
+
+@pytest.mark.parametrize(
+    "config,message",
+    [({**_CONFIG, "n": None}, "n must be an integer"), ({**_CONFIG, "n": "abc"}, "n must be an integer"),
+     ({**_CONFIG, "n": 4.7}, "n must be an integer"), ({**_CONFIG, "tolerance": "x"}, "tolerance must be a finite number"),
+     ({**_CONFIG, "tolerance": -1}, "tolerance must lie in [0, 1)"), ({**_CONFIG, "tolerance": 1}, "tolerance must lie"),
+     ({**_CONFIG, "master_seed": -1}, "master_seed must be"), ([_CONFIG], "config must be an object")],
+    ids=["n-null", "n-string", "n-fraction", "tolerance-string", "tolerance-negative", "tolerance-one",
+         "seed-negative", "not-an-object"],
+)
+def test_rank_experiment_config_fields_are_checked(capsys, tmp_path, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = _run(capsys, ["rank-experiment", "--config", str(cfg)])
+    assert code == 1 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [(_rank_args()[:-4] + ["--seed", "-1"], "--seed must"),
+     (_rank_args() + ["--tol", "1.5"], "--tol must"),
+     (["wishart-experiment", "--n", "3", "--m", "8", "--trials", "10", "--seed", "-1"], "--seed must"),
+     (["ratio-experiment", "--n", "8", "--trials", "10", "--seed", "-1"], "--seed must"),
+     (["ratio-experiment", "--n", "a,b", "--trials", "10", "--seed", "1"], "--n must")],
+    ids=["rank-seed", "rank-tol", "wishart-seed", "ratio-seed", "ratio-n"],
+)
+def test_experiment_flags_are_checked_by_name(capsys, argv, message):
+    code, out, err = _run(capsys, argv)
+    assert code == 1 and out == ""
+    assert message in err
 
 
 def test_wishart_experiment_kinds(capsys):

@@ -219,14 +219,18 @@ def _k_past_cap(data):
     data["encoder"]["k"] = 52
 
 
+def _tol_of_one(data):
+    data["source"]["tol"] = 1.0
+
+
 @pytest.mark.parametrize(
     "edit,field",
     [(_drop_source, "source"), (_short_target, "source.target"), (_nonfinite_target, "source.target[1]"),
      (_ragged_basis, "source.free_basis[0]"), (_string_dim, "source.space_dim"), (_edit_mode, "encoder.mode"),
      (_dense_with_budgets, "encoder.mode"), (_k_nnz_past_n, "encoder.k_nnz"), (_zero_k_nnz, "encoder.k_nnz"),
-     (_k_past_cap, "encoder.k")],
+     (_k_past_cap, "encoder.k"), (_tol_of_one, "source.tol")],
     ids=["no-source", "short-target", "nan-target", "ragged-basis", "string-dim", "mode", "mode-disagrees",
-         "k-nnz-past-n", "k-nnz-zero", "k-past-cap"],
+         "k-nnz-past-n", "k-nnz-zero", "k-past-cap", "tol-of-one"],
 )
 def test_edited_new_file_is_rejected_naming_the_field(tmp_path, capsys, edit, field):
     prog = HighLevelProgram(space_dim=3, num_inputs=2, target=[1.0, -0.25, 0.5], free_basis=[[0.0], [0.0], [1.0]])

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from spanforge.errors import InconsistentSystem, SolverFailure, ZeroConstraint
 from spanforge.linalg import (
+    in_span,
     min_norm_solve,
     min_quadratic_on_hyperplane,
-    nullspace_basis,
-    project_complement,
     svd,
 )
 
@@ -54,7 +54,7 @@ def test_min_norm_solve_is_minimal():
     a = RNG.standard_normal((2, 4))
     b = a @ RNG.standard_normal(4)
     w = min_norm_solve(a, b)
-    null = nullspace_basis(a)
+    null = null_space(a)
     # minimal-norm solutions are orthogonal to the nullspace
     assert np.allclose(null.T @ w, 0.0, atol=1e-9)
     for _ in range(10):
@@ -76,41 +76,42 @@ def test_min_norm_solve_no_columns():
         min_norm_solve(np.zeros((3, 0)), np.array([1.0, 0.0, 0.0]))
 
 
-def test_nullspace_basis_properties():
-    for shape in [(2, 5), (4, 4), (5, 3)]:
-        a = RNG.standard_normal(shape)
-        null = nullspace_basis(a)
-        assert null.shape == (shape[1], max(0, shape[1] - min(shape)))
-        assert np.allclose(a @ null, 0.0, atol=1e-9)
-        assert np.allclose(null.T @ null, np.eye(null.shape[1]), atol=1e-9)
-
-
-def test_nullspace_basis_degenerate_shapes():
-    assert np.allclose(nullspace_basis(np.zeros((0, 3))), np.eye(3))
-    assert nullspace_basis(np.zeros((3, 0))).shape == (0, 0)
-    full = nullspace_basis(np.zeros((2, 3)))
-    assert full.shape == (3, 3)
-
-
-def test_project_complement_in_span_is_zero():
+def test_in_span_accepts_vector_in_span():
     s = RNG.standard_normal((4, 2))
     t = s @ RNG.standard_normal(2)
-    assert np.linalg.norm(project_complement(s, t)) <= 1e-9 * np.linalg.norm(t)
+    _, resid, decision = in_span(s, t)
+    assert decision == 1
+    assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(t)
 
 
-def test_project_complement_orthogonality():
+def test_in_span_residual_is_orthogonal():
     s = RNG.standard_normal((5, 3))
     t = RNG.standard_normal(5)
-    u = project_complement(s, t)
+    dec, u, decision = in_span(s, t)
+    assert decision == 0 and dec.rank == 3
     assert np.allclose(s.T @ u, 0.0, atol=1e-9)
     # t - u lies in the span
     resid = (t - u) - s @ np.linalg.lstsq(s, t - u, rcond=None)[0]
     assert np.linalg.norm(resid) <= 1e-9
 
 
-def test_project_complement_empty_span():
+def test_in_span_empty_span():
     t = np.array([1.0, 2.0])
-    assert np.allclose(project_complement(np.zeros((2, 0)), t), t)
+    dec, resid, decision = in_span(np.zeros((2, 0)), t)
+    assert dec.rank == 0 and decision == 0
+    assert np.allclose(resid, t)
+
+
+@pytest.mark.parametrize("full_matrices", [False, True])
+def test_in_span_decides_on_each_side_of_tolerance(full_matrices):
+    """Target [1, eps] against the span of e_1: accepted exactly when
+    eps <= tol * |t|, here tol * sqrt(1 + eps^2) with tol 0.1."""
+    s = np.array([[1.0], [0.0]])
+    for eps, expected in ((0.0999, 1), (0.1004, 1), (0.1006, 0), (0.2, 0)):
+        dec, resid, decision = in_span(s, [1.0, eps], 0.1, full_matrices)
+        assert decision == expected, eps
+        assert np.allclose(resid, [0.0, eps])
+        assert dec.u.shape == ((2, 2) if full_matrices else (2, 1))
 
 
 def _brute_hyperplane_min(b, c):
@@ -119,7 +120,7 @@ def _brute_hyperplane_min(b, c):
     equations directly."""
     c = np.asarray(c, dtype=float)
     y0 = c / (c @ c)
-    basis = nullspace_basis(c.reshape(1, -1))
+    basis = null_space(c.reshape(1, -1))
     if basis.shape[1]:
         z = np.linalg.lstsq(b @ basis, -b @ y0, rcond=None)[0]
         y = y0 + basis @ z
