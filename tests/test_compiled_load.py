@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from spanforge.cli import main
 from spanforge.compiler import CompiledProgram, compile_dense, compile_sparse
 from spanforge.highlevel import HighLevelProgram
+from spanforge.lowlevel import LowLevelProgram
 
 DATA = Path(__file__).parent / "data"
 MODES = ("dense", "sparse_cols", "sparse")
@@ -52,27 +53,45 @@ def _same_program(a, b):
     assert [(lv.var, lv.val) for lv in a.labeled] == [(lv.var, lv.val) for lv in b.labeled]
 
 
-# SHA-256 of `to_json()` for one program per mode.  The file holds the
-# source program exactly as `HighLevelProgram.to_json_dict()` writes it,
-# plus the encoder parameters.
+def _store_digest(prog):
+    """SHA-256 of a program's store, target and labels, as little-endian
+    float64 / int64 bytes (the store in row-major order)."""
+    h = hashlib.sha256()
+    h.update(prog.all_vectors().astype("<f8").tobytes())
+    h.update(prog.target.astype("<f8").tobytes())
+    h.update(np.array([(lv.var, lv.val) for lv in prog.labeled], dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of `to_json()` for one program per mode, then of the compiled
+# program's store (`_store_digest`).  The file holds the source program
+# exactly as `HighLevelProgram.to_json_dict()` writes it, plus the encoder
+# parameters; the store is pure arithmetic on the source and the encoder.
 PINNED = [
     ("dense", 2, 2, [0.75, -0.5], [[0.0], [1.0]], 1, None, None,
-     "b5ac4f17a8418f606f1968b671305e2c10c060f4a867b1f98c154fce163e0ebe"),
+     "b5ac4f17a8418f606f1968b671305e2c10c060f4a867b1f98c154fce163e0ebe",
+     "b904ae87ae06f94e44da3f2f56a4ffc98f49c588890b0092ac2dd45eb4a18ad3"),
     ("sparse_cols", 3, 2, [1.0, -0.25, 0.5], None, 1, 2, None,
-     "ca9f21ba56a23a8cde8a51a2557053d792c1b380a5fd9c423855ce020de4c22f"),
+     "ca9f21ba56a23a8cde8a51a2557053d792c1b380a5fd9c423855ce020de4c22f",
+     "384206eeafb97fa5ca6e0b2a3292c3f23e2c1b0387abd901b390696cee2337d2"),
     ("sparse", 3, 3, [0.5, 0.0, -1.0], [[1.0], [0.0], [0.0]], 1, 2, 2,
-     "5460169739daff14c14cb7a979201b2f3c0b07f290b7dae53f042b1b197caa47"),
+     "5460169739daff14c14cb7a979201b2f3c0b07f290b7dae53f042b1b197caa47",
+     "c9db41c1aea0121b14b072c8708c784ced68d53de7f3cd202812ba124d0be6dc"),
 ]
 
 
-@pytest.mark.parametrize("mode,n,m,target,free,precision,k_nnz,l_nnz,digest", PINNED, ids=MODES)
-def test_compile_output_is_pinned(mode, n, m, target, free, precision, k_nnz, l_nnz, digest):
+@pytest.mark.parametrize("mode,n,m,target,free,precision,k_nnz,l_nnz,digest,store_digest", PINNED, ids=MODES)
+def test_compile_output_is_pinned(mode, n, m, target, free, precision, k_nnz, l_nnz, digest, store_digest):
     prog = HighLevelProgram(space_dim=n, num_inputs=m, target=target, free_basis=free)
-    text = _compile(mode, prog, precision, k_nnz, l_nnz).to_json()
+    comp = _compile(mode, prog, precision, k_nnz, l_nnz)
+    text = comp.to_json()
     data = json.loads(text)
     assert data["source"] == prog.to_json_dict()
     assert data["encoder"] == {"mode": mode, "k": precision, "k_nnz": k_nnz, "l_nnz": l_nnz}
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    for program in (comp.program, CompiledProgram.from_json(text).program,
+                    LowLevelProgram.from_json(comp.program.to_json())):
+        assert _store_digest(program) == store_digest
 
 
 @pytest.mark.parametrize("name,source,budgets", OLD_FILES, ids=["with-layout", "program"])

@@ -201,13 +201,13 @@ def test_wsize_over_domain():
 
 
 def test_validation_rejects_bad_programs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="target vector must be nonzero"):
         LowLevelProgram(dim=2, num_vars=1, target=[0.0, 0.0], free=(), labeled=(([1.0, 0.0], 1, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"labeled\[0\]\.var=2 outside 1\.\.1"):
         LowLevelProgram(dim=2, num_vars=1, target=[1.0, 0.0], free=(), labeled=(([1.0, 0.0], 2, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"labeled\[0\]\.val=2 must be 0 or 1"):
         LowLevelProgram(dim=2, num_vars=1, target=[1.0, 0.0], free=(), labeled=(([1.0, 0.0], 1, 2),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="target has 1 entries, expected 2"):
         LowLevelProgram(dim=2, num_vars=1, target=[1.0], free=(), labeled=(([1.0, 0.0], 1, 1),))
 
 

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from spanforge.compiler import CompiledProgram, compile_dense, compile_sparse
 from spanforge.errors import NoNegativeWitness, NoPositiveWitness
+from spanforge.highlevel import HighLevelProgram
 from spanforge.linalg import DEFAULT_TOL
 from spanforge.lowlevel import LowLevelProgram, normalize_bits
 from test_lowlevel import _oracle_negative_size
@@ -129,8 +131,30 @@ def test_available_vectors_match_column_loop(prog):
         assert avail.provenance == provenance
 
 
+@st.composite
+def compiled_programs(draw) -> LowLevelProgram:
+    """A small compiled program, as built, reloaded from its compiled file or
+    reloaded from its low-level JSON."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hl = HighLevelProgram(space_dim=n, num_inputs=m, target=rng.standard_normal(n) + 2.0,
+                          free_basis=rng.standard_normal((n, draw(st.integers(0, n - 1)))))
+    precision, k_nnz, l_nnz = draw(st.integers(0, 2)), draw(st.integers(1, n)), draw(st.integers(1, m))
+    comp = draw(st.sampled_from([
+        lambda: compile_dense(hl, precision),
+        lambda: compile_sparse(hl, k_nnz=k_nnz, precision=precision),
+        lambda: compile_sparse(hl, k_nnz=k_nnz, precision=precision, l_nnz=l_nnz),
+    ]))()
+    reload = draw(st.sampled_from([
+        lambda: comp.program,
+        lambda: CompiledProgram.from_json(comp.to_json()).program,
+        lambda: LowLevelProgram.from_json(comp.program.to_json()),
+    ]))
+    return reload()
+
+
 @PROPERTY_SETTINGS
-@given(programs())
+@given(st.one_of(programs(), compiled_programs()))
 def test_vectors_are_stored_once_and_read_only(prog):
     store = prog.all_vectors()
     vectors = list(prog.free) + [lv.vec for lv in prog.labeled]
