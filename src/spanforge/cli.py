@@ -114,30 +114,29 @@ def _cmd_witness(args) -> int:
 
 def _cmd_compile(args) -> int:
     prog = _load_highlevel(args.highlevel)
+    # dense mode takes neither budget, sparse_cols --k-nnz only, sparse both
+    budgets = (("--k-nnz", args.k_nnz, args.mode != "dense"), ("--l-nnz", args.l_nnz, args.mode == "sparse"))
+    for flag, value, used in budgets:
+        if (value is not None) != used:
+            raise ValueError(f"{flag} {'is required for' if used else 'does not apply to'} mode {args.mode}")
     if args.mode == "dense":
         compiled = compile_dense(prog, precision=args.bits)
-    elif args.mode == "sparse_cols":
-        if args.k_nnz is None:
-            raise ValueError("--k-nnz is required for mode sparse_cols")
-        compiled = compile_sparse(prog, k_nnz=args.k_nnz, precision=args.bits)
     else:
-        if args.k_nnz is None or args.l_nnz is None:
-            raise ValueError("--k-nnz and --l-nnz are required for mode sparse")
         compiled = compile_sparse(prog, k_nnz=args.k_nnz, precision=args.bits, l_nnz=args.l_nnz)
     _write_output(compiled.to_json() + "\n", args.out)
     return 0
 
 
 def _cmd_rank_experiment(args) -> int:
+    flags = {"--n": args.n, "--m": args.m, "--r": args.r, "--L": args.L, "--trials": args.trials,
+             "--seed": args.seed, "--tol": args.tol}
     if args.config:
+        given = [name for name, val in flags.items() if val is not None]
+        if given:
+            raise ValueError(f"rank-experiment --config reads every parameter from the file; drop {', '.join(given)}")
         config = RankExperimentConfig.from_json_dict(_read_json(args.config))
     else:
-        missing = [
-            name
-            for name, val in (("--n", args.n), ("--m", args.m), ("--r", args.r),
-                              ("--trials", args.trials), ("--seed", args.seed))
-            if val is None
-        ]
+        missing = [name for name in ("--n", "--m", "--r", "--trials", "--seed") if flags[name] is None]
         if missing:
             raise ValueError(f"rank-experiment needs {', '.join(missing)} (or --config)")
         config = RankExperimentConfig(
@@ -175,6 +174,8 @@ def _cmd_rank_experiment(args) -> int:
 
 
 def _cmd_wishart_experiment(args) -> int:
+    if args.kind != "trace" and args.m is not None:
+        raise ValueError(f"--m does not apply to --kind {args.kind}")
     stream = RngStream(seed=args.seed)
     if args.kind == "lambda-min":
         est = exp_lambda_min_cdf(args.n, args.trials, stream)

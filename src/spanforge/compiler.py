@@ -59,42 +59,39 @@ class IndexAllocator:
 
 
 class ProgramBuilder:
-    """Accumulates sparse vectors against two allocators, then densifies."""
+    """Writes gadget vectors straight into the columns of a program's store,
+    allocated up front from the (dim, num_vars, free, labeled) counts of the
+    program to emit: free vectors first, then labeled ones."""
 
-    def __init__(self):
+    def __init__(self, sizes: tuple[int, int, int, int]):
+        dim, _, free, labeled = self.sizes = sizes
         self.coords = IndexAllocator()
         self.variables = IndexAllocator()
-        self._target: dict[int, float] = {}
-        self._free: list[dict[int, float]] = []
-        self._labeled: list[tuple[dict[int, float], int, int]] = []
-
-    def set_target(self, entries: dict[int, float]) -> None:
-        self._target = dict(entries)
+        self.target = np.zeros(dim)
+        self.store = np.zeros((dim, free + labeled), order="F")
+        self.var = np.zeros(labeled, dtype=np.intp)
+        self.val = np.zeros(labeled, dtype=np.intp)
+        self.num_free = self.num_labeled = 0
 
     def add_free(self, entries: dict[int, float]) -> int:
-        self._free.append(dict(entries))
-        return len(self._free) - 1
+        for c, x in entries.items():
+            self.store[c, self.num_free] = x
+        self.num_free += 1
+        return self.num_free - 1
 
     def add_labeled(self, entries: dict[int, float], var0: int, val: int) -> int:
-        self._labeled.append((dict(entries), var0, val))
-        return len(self._labeled) - 1
-
-    def _dense(self, entries: dict[int, float], dim: int) -> np.ndarray:
-        v = np.zeros(dim)
+        i = self.num_labeled
         for c, x in entries.items():
-            v[c] = x
-        return v
+            self.store[c, self.sizes[2] + i] = x
+        self.var[i], self.val[i] = var0 + 1, val
+        self.num_labeled += 1
+        return i
 
     def build(self, tol: float) -> LowLevelProgram:
-        dim = self.coords.next_free
-        return LowLevelProgram(
-            dim=dim,
-            num_vars=self.variables.next_free,
-            target=self._dense(self._target, dim),
-            free=tuple(self._dense(e, dim) for e in self._free),
-            labeled=tuple((self._dense(e, dim), var0 + 1, val) for e, var0, val in self._labeled),
-            tol=tol,
-        )
+        emitted = (self.coords.next_free, self.variables.next_free, self.num_free, self.num_labeled)
+        if emitted != self.sizes:
+            raise RuntimeError(f"emitted (dim, num_vars, free, labeled) = {emitted}, the closed form gives {self.sizes}")
+        return LowLevelProgram.from_store(self.sizes[1], self.target, self.store, self.num_free, self.var, self.val, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +167,7 @@ def emit_vector_loading(
     work = builder.coords.claim(slots * (precision + 1))
     digit_vars = []
     working = []
-    labeled_start = len(builder._labeled)
+    labeled_start = builder.num_labeled
     free_entries: dict[int, float] = {}
     for i in range(slots):
         row_vars = []
@@ -455,10 +452,23 @@ class CompiledProgram:
         return self.program.target[: self.layout.n]
 
     def source_free_basis(self) -> np.ndarray:
-        cols = [self.program.free[i][: self.layout.n] for i in self.layout.hl_free]
-        return np.column_stack(cols) if cols else np.zeros((self.layout.n, 0))
+        # the source free vectors are the program's first free vectors
+        return np.ascontiguousarray(self.program.all_vectors()[: self.layout.n, : len(self.layout.hl_free)])
 
     # -- witness lifting ------------------------------------------------
+
+    def _lift_inputs(self, source, w, side: int):
+        """Bits of ``source``, its canonical columns and rows, the matrix the
+        bits stand for, and the high-level witness ``w`` of ``side``, solved
+        for on that matrix when None."""
+        lay = self.layout
+        bits = self.encode(source)
+        aq = self.decode(bits)
+        if w is None:
+            hl = HighLevelProgram(space_dim=lay.n, num_inputs=lay.m, target=self.source_target(),
+                                  free_basis=self.source_free_basis(), tol=self.program.tol)
+            w = (hl.positive_witness if side else hl.negative_witness)(aq).witness
+        return (bits, *self._canonical(source), aq, np.asarray(w, dtype=float))
 
     def lift_positive(self, source, w: np.ndarray | None = None) -> LiftedWitness:
         """Turn a high-level positive witness into compiled coefficients.
@@ -468,71 +478,42 @@ class CompiledProgram:
         the carried free-basis columns the residual coefficients.
         """
         lay = self.layout
-        bits = self.encode(source)
-        cols, rows = self._canonical(source)
-        aq = self.decode(bits)
-        t = self.source_target()
-        fbasis = self.source_free_basis()
-        if w is None:
-            hl = HighLevelProgram(
-                space_dim=lay.n, num_inputs=lay.m, target=t, free_basis=fbasis, tol=self.program.tol
-            )
-            w = hl.positive_witness(aq).witness
-        w = np.asarray(w, dtype=float)
+        bits, cols, rows, aq, w = self._lift_inputs(source, w, side=1)
+        t, fbasis = self.source_target(), self.source_free_basis()
         resid = t - aq @ w
         phi = fbasis.T @ resid
         if np.linalg.norm(resid - fbasis @ phi) > 1e-6 * (1.0 + np.linalg.norm(t)):
             raise ValueError("w is not a valid positive witness for the quantized input")
-        quant_cols = None
-        if lay.mode != "dense":
-            quant_cols = [
-                [(sel, _read_real(bits, rec.digit_vars[i], lay.precision))
-                 for i, (sel, _) in enumerate(cols[rec.column - 1])]
-                for rec in lay.loaders
-            ]
+        # coefficients of every column of the store, written gadget by gadget;
+        # the available ones are kept
         avail = self.program.available_vectors(bits)
         nf = avail.num_free
-        columns = np.flatnonzero(avail.mask)
-        coeffs = np.zeros(columns.size)
-        free_owner, labeled_owner = self._ownership()
+        full = np.zeros(avail.mask.size)
+        full[list(lay.hl_free)] = phi
+        for rec in lay.loaders:
+            gamma = w[rec.column - 1]
+            full[rec.free_index] = gamma
+            scale = np.array([_half_power(a) for a in range(rec.precision + 1) for _ in (0, 1)] * len(rec.pivots))
+            full[nf + rec.labeled_start : nf + rec.labeled_start + scale.size] = gamma * scale
         # mass arriving at each row-route root from its selected column; a
         # column listed twice in one row carries it on its first route only
-        row_route_mass: dict[str, float] = {}
         seen = set()
         for rec in lay.routes:
-            if rec.role == "row":
+            if rec.role == "col":
+                sel = cols[rec.owner - 1][rec.slot - 1][0]
+                value = _read_real(bits, lay.loaders[rec.owner - 1].digit_vars[rec.slot - 1], lay.precision)
+                mass = w[rec.owner - 1] * value
+            else:
                 sel = rows[rec.owner - 1][rec.slot - 1]
                 first = (rec.owner, sel) not in seen
                 seen.add((rec.owner, sel))
-                row_route_mass[rec.name] = float(w[sel] * aq[rec.owner - 1, sel]) if first else 0.0
-        for k, j in enumerate(columns):
-            is_free = j < nf
-            owner = free_owner[j] if is_free else labeled_owner[j - nf]
-            if owner[0] == "hl":
-                coeffs[k] = phi[owner[1]]
-            elif owner[0] == "loader":
-                rec = owner[1]
-                gamma = w[rec.column - 1]
-                if is_free:
-                    coeffs[k] = gamma
-                else:
-                    _, _, slot, a, b = owner
-                    coeffs[k] = gamma * _half_power(a)
-            else:  # route
-                rec = owner[1]
-                if rec.role == "col":
-                    slots = quant_cols[rec.owner - 1]
-                    sel, value = slots[rec.slot - 1]
-                    mass = w[rec.owner - 1] * value
-                else:
-                    sel = rows[rec.owner - 1][rec.slot - 1]
-                    mass = -row_route_mass[rec.name]
-                if is_free:
-                    coeffs[k] = mass
-                else:
-                    _, _, a, b, l = owner
-                    on_path = l == sel % (1 << a) and b == (sel >> a) & 1
-                    coeffs[k] = mass if on_path else 0.0
+                mass = -float(w[sel] * aq[rec.owner - 1, sel]) if first else -0.0
+            if rec.free_index is not None:
+                full[rec.free_index] = mass
+            for a, b, l, idx in rec.edges:
+                if l == sel % (1 << a) and b == (sel >> a) & 1:
+                    full[nf + idx] = mass
+        coeffs = full[avail.mask]
         return LiftedWitness(bits=bits, coefficients=coeffs, vector=None, size=float(coeffs @ coeffs))
 
     def lift_negative(self, source, wprime: np.ndarray | None = None) -> LiftedWitness:
@@ -543,17 +524,7 @@ class CompiledProgram:
         cut off by tree truncation, are set to zero.
         """
         lay = self.layout
-        bits = self.encode(source)
-        cols, rows = self._canonical(source)
-        aq = self.decode(bits)
-        t = self.source_target()
-        fbasis = self.source_free_basis()
-        if wprime is None:
-            hl = HighLevelProgram(
-                space_dim=lay.n, num_inputs=lay.m, target=t, free_basis=fbasis, tol=self.program.tol
-            )
-            wprime = hl.negative_witness(aq).witness
-        wprime = np.asarray(wprime, dtype=float)
+        bits, cols, rows, _, wprime = self._lift_inputs(source, wprime, side=0)
         wt = np.zeros(self.program.dim)
         wt[: lay.n] = wprime
         # row-scratch values: listed columns copy the row value
@@ -579,25 +550,6 @@ class CompiledProgram:
                     wt[rec.working[i][a]] = bits[rec.digit_vars[i][a]] * _half_power(a) * pivot_val
         size = float(np.sum((self.program.all_vectors().T @ wt) ** 2))
         return LiftedWitness(bits=bits, coefficients=None, vector=wt, size=size)
-
-    def _ownership(self):
-        """Per free / labeled vector index, which gadget emitted it."""
-        free_owner: dict[int, tuple] = {}
-        labeled_owner: dict[int, tuple] = {}
-        for col, fi in enumerate(self.layout.hl_free):
-            free_owner[fi] = ("hl", col)
-        for rec in self.layout.loaders:
-            free_owner[rec.free_index] = ("loader", rec)
-            for i in range(len(rec.pivots)):
-                for a in range(rec.precision + 1):
-                    for b in (0, 1):
-                        labeled_owner[rec.digit_labeled_index(i, a, b)] = ("loader", rec, i, a, b)
-        for rec in self.layout.routes:
-            if rec.free_index is not None:
-                free_owner[rec.free_index] = ("route", rec)
-            for a, b, l, idx in rec.edges:
-                labeled_owner[idx] = ("route", rec, a, b, l)
-        return free_owner, labeled_owner
 
     # -- serialization --------------------------------------------------
 
@@ -728,16 +680,16 @@ def _load_legacy(data: dict) -> CompiledProgram:
     leading free vectors with no entry past ``V`` (every gadget free vector
     touches a coordinate outside it); the file must equal their recompile,
     whose sizes are checked against the stored ones before it is built."""
-    stored = LowLevelProgram.from_json_dict(data["program"])
+    stored = LowLevelProgram.from_json_dict(data["program"], "program.")
     enc = data["encoder"]
     n, m = int_field(enc.get("n"), "encoder.n"), int_field(enc.get("m"), "encoder.m")
     if not (1 <= n <= stored.dim and m >= 0):
         raise ValueError(f"need 1 <= encoder.n <= program.dim={stored.dim} and encoder.m >= 0, got {n} and {m}")
-    store = stored.all_vectors()
-    reach_out = store[n:, : len(stored.free)].any(axis=0)
-    num_hl = int(np.argmax(reach_out)) if reach_out.any() else len(stored.free)
+    store, nf = stored.all_vectors(), stored.num_free
+    reach_out = store[n:, :nf].any(axis=0)
+    num_hl = int(np.argmax(reach_out)) if reach_out.any() else nf
     k, k_nnz, l_nnz, sizes = _encoder_params(enc, n, m, num_hl, ("encoder.n", "encoder.m"))
-    have = (stored.dim, stored.num_vars, len(stored.free), len(stored.labeled))
+    have = (stored.dim, stored.num_vars, nf, store.shape[1] - nf)
     for name, want, got in zip(("dim", "num_vars", "free", "labeled"), sizes, have):
         if want != got:
             count = "" if name in ("dim", "num_vars") else " vectors"
@@ -786,9 +738,9 @@ def _program_difference(got: LowLevelProgram, want: LowLevelProgram) -> str | No
         return "program.tol"
     if not np.array_equal(got.target, want.target):
         return "program.target"
-    nf = len(want.free)
+    nf = want.num_free
     differs = (got.all_vectors() != want.all_vectors()).any(axis=0)
-    differs[nf:] |= [(g.var, g.val) != (w.var, w.val) for g, w in zip(got.labeled, want.labeled)]
+    differs[nf:] |= (got.var != want.var) | (got.val != want.val)
     if not differs.any():
         return None
     j = int(np.argmax(differs))
@@ -821,10 +773,9 @@ def _build(target, free_basis, tol: float, m: int, precision: int,
     """
     n = len(target)
     mode = MODES[(k_nnz is not None) + (l_nnz is not None)]  # one mode per budget given
-    _check_params(n, m, precision, k_nnz, l_nnz, free_basis.shape[1])
-    b = ProgramBuilder()
+    b = ProgramBuilder(_check_params(n, m, precision, k_nnz, l_nnz, free_basis.shape[1]))
     v = b.coords.claim(n)
-    b.set_target({v[i]: float(target[i]) for i in range(n)})
+    b.target[:n] = target  # V is the first n coordinates
     hl_free = tuple(
         b.add_free({v[i]: float(free_basis[i, c]) for i in range(n)}) for c in range(free_basis.shape[1])
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,23 @@ def _frozen(a) -> np.ndarray:
         out = np.array(out)
         out.setflags(write=False)
     return out
+
+
+def _stack(vectors: list, dim: int, name) -> np.ndarray:
+    """``vectors`` as the columns of a new read-only ``dim x N`` array.  When
+    they do not stack, they are checked one by one and the first bad one is
+    named by ``name(j)``; otherwise finiteness is left to the check of the
+    whole store."""
+    if not vectors:
+        return np.empty((dim, 0))
+    try:
+        rows = np.array(vectors, dtype=float)
+    except (TypeError, ValueError):
+        rows = None
+    if rows is None or rows.shape != (len(vectors), dim):
+        rows = np.array([finite_vector(vec, name(j), dim) for j, vec in enumerate(vectors)])
+    rows.setflags(write=False)
+    return rows.T
 
 
 def normalize_bits(x, num_vars: int) -> tuple[int, ...]:
@@ -97,65 +115,88 @@ class WitnessReport:
     columns: AvailableColumns | None = None
 
 
-@dataclass(frozen=True)
 class LowLevelProgram:
     """Span program over ``num_vars`` Boolean variables.
 
     Every input vector is stored once, as a column of one read-only
-    ``dim x N`` matrix (free vectors, then labeled ones); ``free[i]`` and
-    ``labeled[i].vec`` are read-only views of its columns.  ``free`` and
-    ``labeled`` accept any 1-D sequences, which are copied into the store one
-    at a time; ``labeled`` entries may be ``LabeledVector``s or
-    ``(vec, var, val)`` tuples.
+    ``dim x N`` matrix (free vectors, then labeled ones), with the labeled
+    vectors' variables and values in two integer arrays.  ``free`` and
+    ``labeled`` accept any 1-D sequences, stacked into the store in one
+    step; ``labeled`` entries may be ``LabeledVector``s or ``(vec, var, val)``
+    tuples.  Read back, ``free[i]`` and ``labeled[i].vec`` are read-only views
+    of the store's columns, made on first read.
     """
 
-    dim: int
-    num_vars: int
-    target: np.ndarray
-    free: tuple[np.ndarray, ...] = ()
-    labeled: tuple[LabeledVector, ...] = ()
-    tol: float = DEFAULT_TOL
-    _columns: np.ndarray = field(init=False, repr=False, compare=False)
-    _var: np.ndarray = field(init=False, repr=False, compare=False)
-    _val: np.ndarray = field(init=False, repr=False, compare=False)
+    def __init__(self, dim: int, num_vars: int, target, free=(), labeled=(), tol: float = DEFAULT_TOL):
+        labels = [(lv.vec, lv.var, lv.val) if isinstance(lv, LabeledVector) else tuple(lv) for lv in labeled]
+        self._adopt(dim, num_vars, target, [*free, *(vec for vec, _, _ in labels)], len(free),
+                    [var for _, var, _ in labels], [val for _, _, val in labels], tol)
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.num_vars < 0:
-            raise ValueError(f"num_vars must be >= 0, got {self.num_vars}")
-        object.__setattr__(self, "target", _frozen(finite_vector(self.target, "target", self.dim)))
-        if not np.linalg.norm(self.target) > 0.0:
-            raise ValueError("target vector must be nonzero")
-        labels = [(lv.vec, lv.var, lv.val) if isinstance(lv, LabeledVector) else tuple(lv) for lv in self.labeled]
-        nf = len(self.free)
-        store = np.empty((self.dim, nf + len(labels)), order="F")
-        for i, v in enumerate(self.free):
-            store[:, i] = finite_vector(v, f"free[{i}]", self.dim)
-        for i, (vec, var, val) in enumerate(labels):
-            store[:, nf + i] = finite_vector(vec, f"labeled[{i}].vec", self.dim)
-            if not 1 <= var <= self.num_vars:
-                raise ValueError(f"labeled[{i}].var={var} outside 1..{self.num_vars}")
-            if val not in (0, 1):
-                raise ValueError(f"labeled[{i}].val={val} must be 0 or 1")
-        store.setflags(write=False)
-        object.__setattr__(self, "_columns", store)
-        object.__setattr__(self, "_var", np.array([var for _, var, _ in labels], dtype=np.intp))
-        object.__setattr__(self, "_val", np.array([val for _, _, val in labels], dtype=np.intp))
-        object.__setattr__(self, "free", tuple(store[:, i] for i in range(nf)))
-        object.__setattr__(
-            self,
-            "labeled",
-            tuple(LabeledVector(store[:, nf + i], var, val) for i, (_, var, val) in enumerate(labels)),
-        )
+    @classmethod
+    def from_store(cls, num_vars: int, target, store: np.ndarray, num_free: int, var, val,
+                   tol: float = DEFAULT_TOL) -> "LowLevelProgram":
+        """A program on a built ``dim x N`` store whose first ``num_free``
+        columns are the free vectors; ``var``/``val`` label the rest.  The
+        arrays are adopted, not copied, and made read-only."""
+        prog = cls.__new__(cls)
+        prog._adopt(store.shape[0], num_vars, target, store, num_free, var, val, tol)
+        return prog
+
+    def _adopt(self, dim, num_vars, target, columns, num_free, var, val, tol, prefix=""):
+        """The one check of a program, on its store as a whole; ``columns``
+        is the store, or the list of vectors to stack into it.  Errors name
+        the field as the JSON form does, with ``prefix`` in front."""
+        if dim < 1:
+            raise ValueError(f"{prefix}dim must be >= 1, got {dim}")
+        if num_vars < 0:
+            raise ValueError(f"{prefix}num_vars must be >= 0, got {num_vars}")
+        target = _frozen(finite_vector(target, prefix + "target", dim))
+        if not np.linalg.norm(target) > 0.0:
+            raise ValueError(f"{prefix}target vector must be nonzero")
+
+        def name(j):
+            return f"{prefix}free[{j}]" if j < num_free else f"{prefix}labeled[{j - num_free}].vec"
+
+        store = columns if isinstance(columns, np.ndarray) else _stack(columns, dim, name)
+        finite = np.isfinite(store)
+        if not finite.all():
+            j, i = np.argwhere(~finite.T)[0]
+            raise ValueError(f"{name(j)}[{i}] is not finite: {store[i, j]}")
+        try:
+            var, val = np.asarray(var, dtype=np.intp), np.asarray(val, dtype=np.intp)
+        except OverflowError:  # past int64, so out of range: kept to be named below
+            var, val = np.asarray(var, dtype=object), np.asarray(val, dtype=object)
+        for key, labels, bad, why in (("var", var, (var < 1) | (var > num_vars), f"outside 1..{num_vars}"),
+                                      ("val", val, (val != 0) & (val != 1), "must be 0 or 1")):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(f"{prefix}labeled[{i}].{key}={labels[i]} {why}")
+        var, val = var.astype(np.intp, copy=False), val.astype(np.intp, copy=False)
+        for a in (store, var, val):
+            a.setflags(write=False)
+        vars(self).update(dim=dim, num_vars=num_vars, target=target, tol=tol,
+                          _columns=store, num_free=num_free, var=var, val=val)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LowLevelProgram is immutable; cannot set {name}")
+
+    @cached_property
+    def free(self) -> tuple[np.ndarray, ...]:
+        return tuple(self._columns[:, j] for j in range(self.num_free))
+
+    @cached_property
+    def labeled(self) -> tuple[LabeledVector, ...]:
+        nf = self.num_free
+        return tuple(LabeledVector(self._columns[:, nf + i], var, val)
+                     for i, (var, val) in enumerate(zip(self.var.tolist(), self.val.tolist())))
 
     # -- queries ---------------------------------------------------------
 
     def available_vectors(self, x) -> AvailableColumns:
         bits = np.array(normalize_bits(x, self.num_vars), dtype=np.intp)
-        nf = len(self.free)
+        nf = self.num_free
         mask = np.ones(self._columns.shape[1], dtype=bool)
-        mask[nf:] = bits[self._var - 1] == self._val
+        mask[nf:] = bits[self.var - 1] == self.val
         matrix = self._columns[:, mask]
         matrix.setflags(write=False)
         return AvailableColumns(matrix=matrix, mask=mask, num_free=nf)
@@ -213,13 +254,15 @@ class LowLevelProgram:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        nf = self.num_free
         return {
             "dim": self.dim,
             "num_vars": self.num_vars,
             "target": self.target.tolist(),
-            "free": [v.tolist() for v in self.free],
+            "free": self._columns[:, :nf].T.tolist(),
             "labeled": [
-                {"vec": lv.vec.tolist(), "var": lv.var, "val": lv.val} for lv in self.labeled
+                {"vec": vec, "var": var, "val": val}
+                for vec, var, val in zip(self._columns[:, nf:].T.tolist(), self.var.tolist(), self.val.tolist())
             ],
             "tol": self.tol,
         }
@@ -228,35 +271,35 @@ class LowLevelProgram:
         return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "LowLevelProgram":
+    def from_json_dict(cls, data: dict, prefix: str = "") -> "LowLevelProgram":
         """Vectors go from the parsed lists straight into the store, without
-        intermediate per-vector arrays."""
+        intermediate per-vector arrays; errors name the field with ``prefix``
+        in front."""
         if not isinstance(data, dict):
-            raise ValueError("program JSON must be an object")
+            raise ValueError(f"{prefix.rstrip('.') or 'program JSON'} must be an object")
         for key in ("dim", "num_vars", "target"):
             if key not in data:
-                raise ValueError(f"program JSON is missing field '{key}'")
+                raise ValueError(f"program JSON is missing field '{prefix}{key}'")
         free = data.get("free", [])
         entries = data.get("labeled", [])
         for key, value in (("free", free), ("labeled", entries)):
             if not isinstance(value, list):
-                raise ValueError(f"program JSON field '{key}' must be a list")
-        labeled = []
+                raise ValueError(f"program JSON field '{prefix}{key}' must be a list")
+        vectors, var, val = list(free), [], []
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
-                raise ValueError(f"labeled[{i}] must be an object with fields 'vec', 'var' and 'val'")
+                raise ValueError(f"{prefix}labeled[{i}] must be an object with fields 'vec', 'var' and 'val'")
             for key in ("vec", "var", "val"):
                 if key not in entry:
-                    raise ValueError(f"labeled[{i}] is missing field '{key}'")
-            labeled.append((entry["vec"], *(int_field(entry[key], f"labeled[{i}].{key}") for key in ("var", "val"))))
-        return cls(
-            dim=int_field(data["dim"], "dim"),
-            num_vars=int_field(data["num_vars"], "num_vars"),
-            target=data["target"],
-            free=free,
-            labeled=labeled,
-            tol=tol_field(data.get("tol", DEFAULT_TOL), "tol"),
-        )
+                    raise ValueError(f"{prefix}labeled[{i}] is missing field '{key}'")
+            vectors.append(entry["vec"])
+            var.append(int_field(entry["var"], f"{prefix}labeled[{i}].var"))
+            val.append(int_field(entry["val"], f"{prefix}labeled[{i}].val"))
+        prog = cls.__new__(cls)
+        prog._adopt(int_field(data["dim"], prefix + "dim"), int_field(data["num_vars"], prefix + "num_vars"),
+                    data["target"], vectors, len(free), var, val,
+                    tol_field(data.get("tol", DEFAULT_TOL), prefix + "tol"), prefix)
+        return prog
 
     @classmethod
     def from_json(cls, text: str) -> "LowLevelProgram":

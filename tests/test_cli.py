@@ -213,6 +213,12 @@ def test_compile_sparse_flag_validation(capsys, hl_files):
         ["compile", "--highlevel", str(hl_files[0]), "--mode", "sparse", "--bits", "0", "--k-nnz", "1"],
     )
     assert code == 1 and "--l-nnz" in err
+    # a budget the mode does not take is rejected, not ignored
+    for mode, extra, flag in (("dense", ["--k-nnz", "1"], "--k-nnz"), ("dense", ["--l-nnz", "1"], "--l-nnz"),
+                              ("sparse_cols", ["--k-nnz", "1", "--l-nnz", "1"], "--l-nnz")):
+        code, out, err = _run(capsys, ["compile", "--highlevel", str(hl_files[0]), "--mode", mode, "--bits", "0", *extra])
+        assert code == 1 and out == ""
+        assert f"{flag} does not apply to mode {mode}" in err
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +303,23 @@ def test_rank_experiment_config_fields_are_checked(capsys, tmp_path, config, mes
      (_rank_args() + ["--tol", "1.5"], "--tol must"),
      (["wishart-experiment", "--n", "3", "--m", "8", "--trials", "10", "--seed", "-1"], "--seed must"),
      (["ratio-experiment", "--n", "8", "--trials", "10", "--seed", "-1"], "--seed must"),
-     (["ratio-experiment", "--n", "a,b", "--trials", "10", "--seed", "1"], "--n must")],
-    ids=["rank-seed", "rank-tol", "wishart-seed", "ratio-seed", "ratio-n"],
+     (["ratio-experiment", "--n", "a,b", "--trials", "10", "--seed", "1"], "--n must"),
+     *((["rank-experiment", "--config", "CONFIG", flag, value], f"drop {flag}")
+       for flag, value in (("--n", "99"), ("--m", "4"), ("--r", "2"), ("--L", "2.0"), ("--trials", "3"),
+                           ("--seed", "5"), ("--tol", "0.9"))),
+     (["rank-experiment", "--config", "CONFIG", "--seed", "5", "--tol", "0.9", "--n", "99"], "drop --n, --seed, --tol"),
+     (["wishart-experiment", "--kind", "block", "--n", "10", "--m", "99", "--trials", "10", "--seed", "4"],
+      "--m does not apply to --kind block"),
+     (["wishart-experiment", "--kind", "lambda-min", "--n", "10", "--m", "99", "--trials", "10", "--seed", "4"],
+      "--m does not apply to --kind lambda-min")],
+    ids=["rank-seed", "rank-tol", "wishart-seed", "ratio-seed", "ratio-n", "config-n", "config-m", "config-r",
+         "config-L", "config-trials", "config-seed", "config-tol", "config-several", "wishart-block-m",
+         "wishart-lambda-min-m"],
 )
-def test_experiment_flags_are_checked_by_name(capsys, argv, message):
-    code, out, err = _run(capsys, argv)
+def test_experiment_flags_are_checked_by_name(capsys, tmp_path, argv, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_CONFIG))
+    code, out, err = _run(capsys, [str(cfg) if arg == "CONFIG" else arg for arg in argv])
     assert code == 1 and out == ""
     assert message in err
 
@@ -503,9 +521,16 @@ def test_rank_experiment_pinned_at_any_worker_count(capsys, monkeypatch, workers
       {"space_dim": 2, "num_inputs": 2, "target": [1.0, 0.0], "free_basis": [[1.0, 0], [1.0]]},
       "free_basis[1] has 1 entries, expected 2"),
      ("witness --program", {"dim": "x", "num_vars": 1, "target": [1.0, 0.0]},
-      "dim must be an integer, got 'x'")],
+      "dim must be an integer, got 'x'"),
+     ("evaluate --program",
+      {"dim": 2, "num_vars": 1, "target": [1.0, 0.0], "labeled": [{"vec": [1.0, 0.0], "var": 10**30, "val": 1}]},
+      f"labeled[0].var={10**30} outside 1..1"),
+     ("evaluate --program",
+      {"dim": 2, "num_vars": 1, "target": [1.0, 0.0], "labeled": [{"vec": [1.0, 0.0], "var": 1, "val": -2**70}]},
+      f"labeled[0].val={-2**70} must be 0 or 1")],
     ids=["hl-target-inf", "hl-free-basis-nan", "hl-free-basis-string", "ll-target-nan", "ll-free-inf",
-         "ll-labeled-nan", "hl-space-dim-string", "hl-free-basis-ragged", "ll-dim-string"],
+         "ll-labeled-nan", "hl-space-dim-string", "hl-free-basis-ragged", "ll-dim-string", "ll-var-past-int64",
+         "ll-val-past-int64"],
 )
 def test_bad_program_entry_names_field(capsys, tmp_path, cmd, data, message):
     # json writes inf / nan as Infinity / NaN, which json.load reads back (so does 1e400, as inf)

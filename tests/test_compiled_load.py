@@ -186,12 +186,22 @@ def _truncate(data):
     data["program"]["labeled"].pop()
 
 
+def _program_tol(data):
+    data["program"]["tol"] = 2.0
+
+
+def _program_dim(data):
+    data["program"]["dim"] = 0
+
+
 @pytest.mark.parametrize(
     "edit,field",
     [(_edit_program_entry, "program.labeled[5]"), (_scale_entry, "program.labeled[4]"),
      (_flip_label, "program.labeled[3]"), (_edit_variable, "encoder.variables[2]"),
-     (_edit_mode, "encoder.mode"), (_edit_n, "encoder.n"), (_truncate, "program.labeled")],
-    ids=["program-entry", "scaled-entry", "label", "encoder-variable", "mode", "n-past-dim", "truncated"],
+     (_edit_mode, "encoder.mode"), (_edit_n, "encoder.n"), (_truncate, "program.labeled"),
+     (_program_tol, "program.tol"), (_program_dim, "program.dim")],
+    ids=["program-entry", "scaled-entry", "label", "encoder-variable", "mode", "n-past-dim", "truncated",
+         "program-tol", "program-dim"],
 )
 def test_edited_file_is_rejected_naming_the_field(tmp_path, capsys, edit, field):
     # an older-format file, unedited it loads

@@ -7,6 +7,7 @@ import pytest
 from spanforge.compiler import (
     MAX_STORE_ENTRIES,
     CompiledProgram,
+    ProgramBuilder,
     _layout_sizes,
     compile_dense,
     compile_sparse,
@@ -544,6 +545,32 @@ def test_layout_sizes_match_the_build(mode):
         lay, p = comp.layout, comp.program
         sizes = _layout_sizes(n, m, k, lay.k_nnz, lay.l_nnz, nfree)
         assert sizes == (p.dim, p.num_vars, len(p.free), len(p.labeled))
+
+
+def _two_vector_builder(free_entry, var0):
+    """A builder for dim 2, one variable, one free and one labeled vector."""
+    b = ProgramBuilder((2, 1, 1, 1))
+    b.coords.claim(2)
+    b.variables.claim(1)
+    b.target[0] = 1.0
+    b.add_free({0: 1.0, 1: free_entry})
+    b.add_labeled({1: 1.0}, var0, 1)
+    return b
+
+
+def test_builder_store_is_checked_naming_the_field():
+    prog = _two_vector_builder(0.5, 0).build(1e-9)
+    assert (prog.evaluate("0"), prog.evaluate("1")) == (0, 1) and np.array_equal(prog.free[0], [1.0, 0.5])
+    assert (prog.labeled[0].var, prog.labeled[0].val) == (1, 1)
+    with pytest.raises(ValueError, match=r"free\[0\]\[1\] is not finite: nan"):
+        _two_vector_builder(float("nan"), 0).build(1e-9)
+    with pytest.raises(ValueError, match=r"labeled\[0\]\.var=3 outside 1\.\.1"):
+        _two_vector_builder(0.5, 2).build(1e-9)
+    # counts that disagree with the closed form the store was sized from
+    b = _two_vector_builder(0.5, 0)
+    b.coords.claim(1)
+    with pytest.raises(RuntimeError, match="closed form"):
+        b.build(1e-9)
 
 
 def test_compile_past_the_store_cap_is_rejected():
