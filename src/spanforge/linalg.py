@@ -32,7 +32,7 @@ def input_matrix(a, shape: tuple[int, int] | None = None) -> np.ndarray:
     every entry a finite number; errors name the first bad entry [i][j]."""
     try:
         mat = np.asarray(a, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(_not_a_matrix(a)) from None
     if mat.ndim != 2:
         raise ValueError(f"input matrix must be 2-D, got shape {mat.shape}")
@@ -52,6 +52,8 @@ def _not_a_matrix(a) -> str:
         for j, x in enumerate(row):
             try:
                 float(x)
+            except OverflowError:
+                return f"input matrix entry [{i}][{j}] is too large for a float"
             except (TypeError, ValueError):
                 return f"input matrix entry [{i}][{j}] is not a number: {x!r}"
     return "input matrix rows differ in length"
@@ -70,7 +72,7 @@ def finite_vector(v, name: str, size: int | None = None) -> np.ndarray:
     ``name[i]``."""
     try:
         vec = as_vector(v)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from None
     if size is not None and vec.shape[0] != size:
         raise ValueError(f"{name} has {vec.shape[0]} entries, expected {size}")

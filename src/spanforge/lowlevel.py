@@ -50,12 +50,20 @@ def _stack(vectors: list, dim: int, name) -> np.ndarray:
         return np.empty((dim, 0))
     try:
         rows = np.array(vectors, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         rows = None
     if rows is None or rows.shape != (len(vectors), dim):
         rows = np.array([finite_vector(vec, name(j), dim) for j, vec in enumerate(vectors)])
     rows.setflags(write=False)
     return rows.T
+
+
+def column_rows(matrix: np.ndarray) -> list[list[int]]:
+    """For each column of ``matrix``, the rows where it is nonzero."""
+    cols, rows = np.nonzero(matrix.T != 0)
+    bounds = np.searchsorted(cols, np.arange(matrix.shape[1] + 1)).tolist()
+    rows = rows.tolist()
+    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def normalize_bits(x, num_vars: int) -> tuple[int, ...]:
@@ -112,7 +120,69 @@ class WitnessReport:
     decision: int
     size: float
     witness: np.ndarray
-    columns: AvailableColumns | None = None
+
+
+class Peel:
+    """The dead-end coordinates of one input, removed before factoring.
+
+    Degree-1 elimination on the nonzero pattern of the available columns
+    ``matrix`` (Davis, *Direct Methods for Sparse Linear Systems*, SIAM
+    2006), repeated in rounds until nothing changes: each round takes every
+    kept row where ``target`` is 0 and exactly one kept column is nonzero,
+    pairs each such column with the first of those rows (its pivot) and
+    drops both.  ``pattern[j]`` lists the rows where column j is nonzero
+    (``column_rows``).  ``rows`` and ``cols`` mask what is kept, ``rounds``
+    lists the pivots of each round as (rows, cols) index lists, and
+    ``block`` and ``target`` are what is factored: ``matrix`` and ``target``
+    themselves when nothing peels.
+
+    The peel is exact.  A pivot row is zero on the kept columns and on the
+    pivot columns of its own and later rounds, except its own pivot.  So
+    every solution of ``matrix @ w = target`` is 0 on the pivot columns and
+    solves the kept block on the rest; and a vector orthogonal to every
+    available column is fixed on the pivot rows by its kept rows
+    (``extend``).
+    """
+
+    def __init__(self, matrix: np.ndarray, target: np.ndarray, pattern: list[list[int]]):
+        row_cols = [[] for _ in range(matrix.shape[0])]
+        for j, col in enumerate(pattern):
+            for i in col:
+                row_cols[i].append(j)
+        degree = [len(js) for js in row_cols]
+        open_rows = (target == 0).tolist()  # kept rows where the target is 0
+        rows, cols = [True] * matrix.shape[0], [True] * matrix.shape[1]
+        dead = [i for i, d in enumerate(degree) if d == 1 and open_rows[i]]
+        rounds = []
+        while dead:
+            pivots = {}  # column -> its pivot row
+            for i in dead:
+                pivots.setdefault(next(j for j in row_cols[i] if cols[j]), i)
+            touched = set()
+            for j, i in pivots.items():
+                cols[j] = rows[i] = open_rows[i] = False
+                touched.update(pattern[j])
+                for k in pattern[j]:
+                    degree[k] -= 1
+            rounds.append((list(pivots.values()), list(pivots)))
+            dead = sorted(i for i in touched if degree[i] == 1 and open_rows[i])
+        rows, cols = np.array(rows, dtype=bool), np.array(cols, dtype=bool)
+        self.matrix, self.rows, self.cols, self.rounds = matrix, rows, cols, tuple(rounds)
+        self.block, self.target = (matrix[:, cols][rows], target[rows]) if rounds else (matrix, target)
+
+    def extend(self, basis: np.ndarray) -> np.ndarray:
+        """An orthonormal basis of the complement of the span of ``matrix``,
+        from ``basis``, one of the complement of the kept block's span on the
+        kept rows.  Sweeping the rounds from last to first, each pivot
+        column's orthogonality fixes the basis at its pivot row, one division
+        per pivot; a thin QR makes the result orthonormal again."""
+        if not self.rounds:
+            return basis
+        full = np.zeros((self.matrix.shape[0], basis.shape[1]))
+        full[self.rows] = basis
+        for rows, cols in reversed(self.rounds):
+            full[rows] = -(self.matrix[:, cols].T @ full) / self.matrix[rows, cols][:, None]
+        return np.linalg.qr(full)[0]
 
 
 class LowLevelProgram:
@@ -185,6 +255,11 @@ class LowLevelProgram:
         return tuple(self._columns[:, j] for j in range(self.num_free))
 
     @cached_property
+    def _pattern(self) -> list[list[int]]:
+        """``column_rows`` of the store, read by every peel."""
+        return column_rows(self._columns)
+
+    @cached_property
     def labeled(self) -> tuple[LabeledVector, ...]:
         nf = self.num_free
         return tuple(LabeledVector(self._columns[:, nf + i], var, val)
@@ -219,33 +294,41 @@ class LowLevelProgram:
     def witness(self, x, tol: float | None = None) -> WitnessReport:
         return self._solve(x, tol, side=None)
 
-    def _decide(self, x, tol: float) -> tuple[AvailableColumns, SvdResult, int]:
-        """Available columns of ``x``, their SVD and the decision.
+    def _decide(self, x, tol: float) -> tuple[Peel, SvdResult, int]:
+        """The peel of the available columns of ``x``, the SVD of its kept
+        block and the decision.
 
-        Complete left singular vectors are computed when there are fewer
-        columns than ``dim`` (the thin ones are already complete otherwise),
-        so ``u[:, rank:]`` is an orthonormal basis of the complement of the
-        available span, the space negative witnesses live in.
+        The peel drops the dead-end coordinates; only the kept block is
+        factored, and both witness sides come from its one SVD.  Complete left
+        singular vectors are computed when the block has fewer columns than
+        rows (the thin ones are already complete otherwise), so ``u[:, rank:]``
+        is an orthonormal basis of the complement of the block's span, which
+        ``Peel.extend`` turns into the space negative witnesses live in.
         """
         avail = self.available_vectors(x)
-        dec, _, decision = in_span(avail.matrix, self.target, tol, full_matrices=avail.matrix.shape[1] < self.dim)
-        return avail, dec, decision
+        pattern = self._pattern
+        peel = Peel(avail.matrix, self.target, [pattern[j] for j in np.flatnonzero(avail.mask).tolist()])
+        rows, cols = peel.block.shape
+        dec, _, decision = in_span(peel.block, peel.target, tol, full_matrices=cols < rows)
+        return peel, dec, decision
 
     def _solve(self, x, tol: float | None, side: int | None) -> WitnessReport:
         """Decide ``x`` and build the witness of ``side`` (None: the side the
         decision gives) from the decision's one SVD."""
         tol = self.tol if tol is None else tol
-        avail, dec, decision = self._decide(x, tol)
+        peel, dec, decision = self._decide(x, tol)
         if side == 1 and not decision:
             raise NoPositiveWitness(f"program rejects input {x!r}; no positive witness")
         if side == 0 and decision:
             raise NoNegativeWitness(f"program accepts input {x!r}; no negative witness")
         if decision:
-            w = min_norm_solve(avail.matrix, self.target, tol, dec)
-            return WitnessReport(decision=1, size=float(w @ w), witness=w, columns=avail)
+            # pivot columns carry 0 in every positive witness
+            w = np.zeros(peel.cols.size)
+            w[peel.cols] = min_norm_solve(peel.block, peel.target, tol, dec)
+            return WitnessReport(decision=1, size=float(w @ w), witness=w)
         # Restrict to the orthogonal complement of the available span, then
         # minimize the quadratic over the hyperplane <w', t> = 1.
-        nbasis = dec.u[:, dec.rank :]
+        nbasis = peel.extend(dec.u[:, dec.rank :])
         c = nbasis.T @ self.target
         b = self._columns.T @ nbasis
         size, y = min_quadratic_on_hyperplane(b, c, tol)

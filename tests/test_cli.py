@@ -527,10 +527,18 @@ def test_rank_experiment_pinned_at_any_worker_count(capsys, monkeypatch, workers
       f"labeled[0].var={10**30} outside 1..1"),
      ("evaluate --program",
       {"dim": 2, "num_vars": 1, "target": [1.0, 0.0], "labeled": [{"vec": [1.0, 0.0], "var": 1, "val": -2**70}]},
-      f"labeled[0].val={-2**70} must be 0 or 1")],
+      f"labeled[0].val={-2**70} must be 0 or 1"),
+     # json reads a long integer literal as a Python int that no float can hold
+     ("evaluate --program", {"dim": 2, "num_vars": 1, "target": [1.0, 0.0], "free": [[10**400, 0.0]]},
+      "free[0]: int too large to convert to float"),
+     ("witness --program",
+      {"dim": 2, "num_vars": 1, "target": [1.0, 0.0], "labeled": [{"vec": [1.0, -10**400], "var": 1, "val": 1}]},
+      "labeled[0].vec: int too large to convert to float"),
+     ("evaluate --highlevel", {"space_dim": 2, "num_inputs": 2, "target": [10**400, 0.0]},
+      "target: int too large to convert to float")],
     ids=["hl-target-inf", "hl-free-basis-nan", "hl-free-basis-string", "ll-target-nan", "ll-free-inf",
          "ll-labeled-nan", "hl-space-dim-string", "hl-free-basis-ragged", "ll-dim-string", "ll-var-past-int64",
-         "ll-val-past-int64"],
+         "ll-val-past-int64", "ll-free-past-float", "ll-labeled-past-float", "hl-target-past-float"],
 )
 def test_bad_program_entry_names_field(capsys, tmp_path, cmd, data, message):
     # json writes inf / nan as Infinity / NaN, which json.load reads back (so does 1e400, as inf)
@@ -562,8 +570,9 @@ def test_cli_import_leaves_scipy_unloaded():
      ("[[0, 0], [0, NaN]]", "[1][1]"),
      ('[[1, "x"], [0, 0]]', "[0][1]"),
      ("[[1, 0], [0]]", "differ in length"),
-     ("[1, 0]", "2-D")],
-    ids=["inf", "nan", "string", "ragged", "vector"],
+     ("[1, 0]", "2-D"),
+     (f"[[0, 0], [0, 1{'0' * 400}]]", "[1][1] is too large for a float")],
+    ids=["inf", "nan", "string", "ragged", "vector", "past-float"],
 )
 @pytest.mark.parametrize("cmd", ["evaluate", "witness"])
 def test_bad_input_matrix_names_entry(capsys, hl_files, cmd, text, entry):

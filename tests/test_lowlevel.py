@@ -7,6 +7,8 @@ from spanforge.errors import NoNegativeWitness, NoPositiveWitness
 from spanforge.lowlevel import (
     LabeledVector,
     LowLevelProgram,
+    Peel,
+    column_rows,
     normalize_bits,
     wsize_over_domain,
 )
@@ -122,6 +124,60 @@ def test_witness_dispatcher_matches_sides():
     prog = _one_hot_program()
     assert prog.witness("1").decision == 1
     assert prog.witness("0").decision == 0
+
+
+def _chain_program():
+    """Target e_0 in R^4 (coordinates counted from 0).  The free vectors
+    (1,1,0,0) and (0,1,2,0) make rows 2 and 1 a chain of dead ends; variable 1
+    adds e_0 and e_3."""
+    return LowLevelProgram(
+        dim=4, num_vars=1, target=[1.0, 0.0, 0.0, 0.0],
+        free=([1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 2.0, 0.0]),
+        labeled=(([1.0, 0.0, 0.0, 0.0], 1, 1), ([0.0, 0.0, 0.0, 1.0], 1, 1)),
+    )
+
+
+def _rounds(peel):
+    return [(list(rows), list(cols)) for rows, cols in peel.rounds]
+
+
+def test_peel_drops_dead_ends_round_by_round():
+    prog = _chain_program()
+    avail = prog.available_vectors("1").matrix
+    assert column_rows(avail) == [[0, 1], [1, 2], [0], [3]]
+    peel = Peel(avail, prog.target, column_rows(avail))
+    # round 1: rows 2 and 3 see only columns 1 and 3; then row 1 sees only column 0
+    assert _rounds(peel) == [([2, 3], [1, 3]), ([1], [0])]
+    assert peel.rows.tolist() == [True, False, False, False]
+    assert peel.cols.tolist() == [False, False, True, False]
+    assert peel.block.tolist() == [[1.0]]
+    rep = prog.positive_witness("1")
+    assert rep.witness == pytest.approx([0.0, 0.0, 1.0, 0.0], abs=1e-15)
+    assert rep.size == pytest.approx(1.0, abs=1e-15)
+
+
+def test_peel_extends_the_complement_over_pivot_rows():
+    prog = _chain_program()
+    avail = prog.available_vectors("0").matrix
+    peel = Peel(avail, prog.target, column_rows(avail))
+    # row 3 touches no available column and stays, as a zero row of the block
+    assert _rounds(peel) == [([2], [1]), ([1], [0])]
+    assert peel.rows.tolist() == [True, False, False, True] and peel.block.shape == (2, 0)
+    basis = peel.extend(np.eye(2))
+    assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-15)
+    assert np.allclose(avail.T @ basis, 0.0, atol=1e-15)
+    # <w', t> = 1 and w' orthogonal to both free vectors fix w' = (1, -1, 1/2, s);
+    # e_3 makes s = 0 optimal, and e_0 pays 1
+    rep = prog.negative_witness("0")
+    assert rep.witness == pytest.approx([1.0, -1.0, 0.5, 0.0], abs=1e-12)
+    assert rep.size == pytest.approx(1.0, abs=1e-12)
+
+
+def test_peel_keeps_a_matrix_without_dead_ends():
+    m = RNG.standard_normal((3, 4))
+    peel = Peel(m, np.array([1.0, 0.0, 0.0]), column_rows(m))
+    assert peel.rounds == () and peel.block is m
+    assert peel.extend(m) is m
 
 
 def _random_program(rng) -> LowLevelProgram:

@@ -3,19 +3,22 @@
 Programs are drawn as a seed for their Gaussian entries plus degeneracies
 chosen by hypothesis: duplicated (rescaled) columns, columns scaled near the
 rank tolerance, and a target in the span of some columns plus 1e-10 noise.
-Every input of each program is checked.
+Every input of each program is checked.  Compiled programs, too large to
+enumerate, are checked on random bit strings against one unpeeled SVD, and
+on valid encodings against their lifted witnesses.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from spanforge.compiler import CompiledProgram, compile_dense, compile_sparse
+from spanforge.encoding import grid_values
 from spanforge.errors import NoNegativeWitness, NoPositiveWitness
 from spanforge.highlevel import HighLevelProgram
-from spanforge.linalg import DEFAULT_TOL
-from spanforge.lowlevel import LowLevelProgram, normalize_bits
+from spanforge.linalg import DEFAULT_TOL, in_span, min_norm_solve, min_quadratic_on_hyperplane
+from spanforge.lowlevel import LowLevelProgram, Peel, column_rows, normalize_bits
 from test_lowlevel import _oracle_negative_size
 
 PROPERTY_SETTINGS = settings(
@@ -165,3 +168,98 @@ def test_vectors_are_stored_once_and_read_only(prog):
     for arr in (store, prog.target, *vectors, prog.available_vectors(next(_inputs(prog))).matrix):
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def _compile(draw, hl: HighLevelProgram, n: int, m: int, precision: int):
+    """``hl`` compiled in a mode drawn from the three, with budgets drawn
+    within ``n`` and ``m``."""
+    mode = draw(st.sampled_from(["dense", "sparse_cols", "sparse"]))
+    if mode == "dense":
+        return compile_dense(hl, precision)
+    k_nnz = draw(st.integers(1, n))
+    return compile_sparse(hl, k_nnz=k_nnz, precision=precision, l_nnz=draw(st.integers(1, m)) if mode == "sparse" else None)
+
+
+def _random_source(rng, n: int, m: int) -> HighLevelProgram:
+    return HighLevelProgram(space_dim=n, num_inputs=m, target=rng.standard_normal(n),
+                            free_basis=rng.standard_normal((n, int(rng.integers(0, n)))))
+
+
+@st.composite
+def compiled_queries(draw) -> tuple[LowLevelProgram, list]:
+    """A compiled program with more variables than criterion 03 enumerates
+    (at most 12), and random bit strings."""
+    n, m = draw(st.integers(3, 5)), draw(st.integers(3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prog = _compile(draw, _random_source(rng, n, m), n, m, draw(st.integers(1, 2))).program
+    assume(prog.num_vars > 12)
+    return prog, [rng.integers(0, 2, prog.num_vars) for _ in range(4)]
+
+
+def _unpeeled(prog: LowLevelProgram, bits) -> tuple[int, float]:
+    """Decision and optimal size from one SVD of all available columns."""
+    avail = prog.available_vectors(bits).matrix
+    dec, _, decision = in_span(avail, prog.target, prog.tol, full_matrices=avail.shape[1] < prog.dim)
+    if decision:
+        w = min_norm_solve(avail, prog.target, prog.tol, dec)
+        return 1, float(w @ w)
+    nbasis = dec.u[:, dec.rank :]
+    size, _ = min_quadratic_on_hyperplane(prog.all_vectors().T @ nbasis, nbasis.T @ prog.target, prog.tol)
+    return 0, size
+
+
+@PROPERTY_SETTINGS
+@given(compiled_queries())
+def test_peeled_witnesses_match_the_unpeeled_solver(query):
+    prog, inputs = query
+    for bits in inputs:
+        avail = prog.available_vectors(bits).matrix
+        rep = prog.witness(bits)
+        decision, size = _unpeeled(prog, bits)
+        assert rep.decision == decision == prog.evaluate(bits)
+        assert rep.size == pytest.approx(size, rel=1e-10)
+        if decision:
+            assert np.allclose(avail @ rep.witness, prog.target, atol=1e-9)
+            # pivot columns carry no coefficient
+            peel = Peel(avail, prog.target, column_rows(avail))
+            assert not rep.witness[~peel.cols].any()
+        else:
+            assert rep.witness @ prog.target == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(avail.T @ rep.witness) <= 1e-9
+
+
+def test_compiled_sparse_inputs_peel():
+    """Routing and loader gadgets leave dead ends on every input: the
+    factored block is smaller than the available columns both ways."""
+    rng = np.random.default_rng(5)
+    comp = compile_sparse(_random_source(rng, 4, 4), k_nnz=2, precision=2, l_nnz=2)
+    for _ in range(4):
+        a = _budgeted_grid_matrix(rng, 4, 4, 2, 2, 2)
+        avail = comp.program.available_vectors(comp.encode(a)).matrix
+        block = Peel(avail, comp.program.target, column_rows(avail)).block
+        assert block.shape[0] < avail.shape[0] and block.shape[1] < avail.shape[1]
+
+
+def _budgeted_grid_matrix(rng, n: int, m: int, precision: int, k_nnz, l_nnz) -> np.ndarray:
+    """A grid matrix with at most ``k_nnz`` nonzeros per column and
+    ``l_nnz`` per row (None: no cap)."""
+    a = rng.choice(grid_values(precision), size=(n, m))
+    for cap, view in ((k_nnz, a.T), (l_nnz, a)):
+        for line in view if cap is not None else ():
+            line[np.flatnonzero(line)[cap:]] = 0.0
+    return a
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_compiled_optimum_is_at_most_the_lifted_size(data):
+    """A lift is a feasible witness of a valid encoding, so it bounds the
+    compiled optimum from above."""
+    n, m, precision = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3)), data.draw(st.integers(0, 2))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    comp = _compile(data.draw, _random_source(rng, n, m), n, m, precision)
+    lay = comp.layout
+    a = _budgeted_grid_matrix(rng, n, m, precision, lay.k_nnz, lay.l_nnz)
+    rep = comp.program.witness(comp.encode(a))
+    lifted = (comp.lift_positive if rep.decision else comp.lift_negative)(a)
+    assert rep.size <= lifted.size * (1.0 + 1e-9) + 1e-9
