@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -122,17 +123,23 @@ class WitnessReport:
     witness: np.ndarray
 
 
+# Available matrices with fewer entries are factored without a peel: there
+# one SVD costs less than the peel's bookkeeping (on compiled sparse
+# programs, a peeled decision breaks even near 60 x 50 and 84 x 77).
+PEEL_MIN_CELLS = 4096
+
+
 class Peel:
     """The dead-end coordinates of one input, removed before factoring.
 
-    Degree-1 elimination on the nonzero pattern of the available columns
-    ``matrix`` (Davis, *Direct Methods for Sparse Linear Systems*, SIAM
-    2006), repeated in rounds until nothing changes: each round takes every
-    kept row where ``target`` is 0 and exactly one kept column is nonzero,
-    pairs each such column with the first of those rows (its pivot) and
-    drops both.  ``pattern[j]`` lists the rows where column j is nonzero
-    (``column_rows``).  ``rows`` and ``cols`` mask what is kept, ``rounds``
-    lists the pivots of each round as (rows, cols) index lists, and
+    ``Peel.of`` runs degree-1 elimination on the nonzero pattern of the
+    available columns ``matrix`` (Davis, *Direct Methods for Sparse Linear
+    Systems*, SIAM 2006), repeated in rounds until nothing changes: each
+    round takes every kept row where ``target`` is 0 and exactly one kept
+    column is nonzero, pairs each such column with the first of those rows
+    (its pivot) and drops both.  ``rounds`` lists the pivots of each round as
+    (rows, cols) index lists, ``pattern[j]`` the rows where column j is
+    nonzero (``column_rows``), ``rows`` and ``cols`` mask what is kept, and
     ``block`` and ``target`` are what is factored: ``matrix`` and ``target``
     themselves when nothing peels.
 
@@ -141,17 +148,30 @@ class Peel:
     every solution of ``matrix @ w = target`` is 0 on the pivot columns and
     solves the kept block on the rest; and a vector orthogonal to every
     available column is fixed on the pivot rows by its kept rows
-    (``extend``).
+    (``extend``).  Whether the block also keeps the tolerance decision of
+    one SVD of ``matrix`` is checked after it is factored (``stands``).
     """
 
-    def __init__(self, matrix: np.ndarray, target: np.ndarray, pattern: list[list[int]]):
+    def __init__(self, matrix: np.ndarray, target: np.ndarray, rounds=(), pattern=()):
+        self.matrix, self.rounds, self.pattern = matrix, tuple(rounds), pattern
+        self.rows, self.cols = np.ones(matrix.shape[0], dtype=bool), np.ones(matrix.shape[1], dtype=bool)
+        for rows, cols in self.rounds:
+            self.rows[rows] = self.cols[cols] = False
+        self.block, self.target = (matrix[:, self.cols][self.rows], target[self.rows]) if rounds else (matrix, target)
+
+    @classmethod
+    def of(cls, matrix: np.ndarray, target: np.ndarray, pattern=None) -> "Peel":
+        """The peel of ``matrix``; ``pattern`` is computed from it when not
+        given.  Unless some row is a dead end, nothing is read in Python."""
+        open_rows = target == 0  # kept rows where the target is 0
+        if not (open_rows & (np.count_nonzero(matrix, axis=1) == 1)).any():
+            return cls(matrix, target)
+        pattern = column_rows(matrix) if pattern is None else pattern
         row_cols = [[] for _ in range(matrix.shape[0])]
         for j, col in enumerate(pattern):
             for i in col:
                 row_cols[i].append(j)
-        degree = [len(js) for js in row_cols]
-        open_rows = (target == 0).tolist()  # kept rows where the target is 0
-        rows, cols = [True] * matrix.shape[0], [True] * matrix.shape[1]
+        degree, open_rows, cols = [len(js) for js in row_cols], open_rows.tolist(), [True] * matrix.shape[1]
         dead = [i for i, d in enumerate(degree) if d == 1 and open_rows[i]]
         rounds = []
         while dead:
@@ -160,15 +180,67 @@ class Peel:
                 pivots.setdefault(next(j for j in row_cols[i] if cols[j]), i)
             touched = set()
             for j, i in pivots.items():
-                cols[j] = rows[i] = open_rows[i] = False
+                cols[j] = open_rows[i] = False
                 touched.update(pattern[j])
                 for k in pattern[j]:
                     degree[k] -= 1
             rounds.append((list(pivots.values()), list(pivots)))
             dead = sorted(i for i in touched if degree[i] == 1 and open_rows[i])
-        rows, cols = np.array(rows, dtype=bool), np.array(cols, dtype=bool)
-        self.matrix, self.rows, self.cols, self.rounds = matrix, rows, cols, tuple(rounds)
-        self.block, self.target = (matrix[:, cols][rows], target[rows]) if rounds else (matrix, target)
+        return cls(matrix, target, rounds, pattern)
+
+    def stands(self, dec: SvdResult, resid: float, tol: float) -> bool:
+        """Whether one SVD of ``matrix`` would decide as the block did, with
+        ``dec`` the block's SVD and ``resid`` its residual norm.
+
+        That SVD counts rank against ``tol`` times its largest singular value,
+        which is at most ``hypot(s_1, xi)``: ``s_1`` is the block's and ``xi``
+        bounds the norm of the dropped columns by ``sqrt(|.|_1 |.|_inf)``.  In
+        the order of the rounds the pivot block D (pivot rows by pivot
+        columns) is lower triangular, so |D^-1| <= M^-1 entrywise for its
+        comparison matrix M (Higham, *Accuracy and Stability of Numerical
+        Algorithms*, 2nd ed., 2002, ch. 8), and one sweep over the rounds each
+        way bounds ``|D^-1|`` by ``kappa``.  The r + q singular values of
+        ``matrix`` that the block's rank-r part and the q pivots carry are at
+        least ``floor = 1 / (1/s_r + kappa (1 + xi/s_r)) - s_{r+1}``, where
+        ``s_{r+1}`` is the largest singular value the block's rank leaves
+        out.  The peel stands when ``floor`` clears the cutoff (``s_r`` then
+        clears it too), and the residual stays on its side of ``tol |t|``
+        both when the pivot columns pull it down to ``resid / hypot(1, xi
+        kappa)`` and when the left-out part moves it by ``|t| s_{r+1} /
+        floor``.
+        """
+        if not self.rounds:
+            return True
+        rows = np.concatenate([r for r, _ in self.rounds])
+        cols = np.concatenate([c for _, c in self.rounds])
+        lengths = [len(self.pattern[j]) for j in cols.tolist()]
+        at = np.fromiter(chain.from_iterable(self.pattern[j] for j in cols.tolist()), np.intp, sum(lengths))
+        owner = np.repeat(np.arange(cols.size), lengths)  # entry -> its pivot, in round order
+        size, pivot = np.abs(self.matrix[at, cols[owner]]), np.abs(self.matrix[rows, cols])
+        xi = float(np.sqrt(np.bincount(owner, size).max() * np.bincount(at, size).max()))
+        starts = np.cumsum([0] + lengths).tolist()  # pivot -> its first entry
+        ends = np.cumsum([0] + [len(c) for _, c in self.rounds]).tolist()
+        spans = [(a, b, starts[a], starts[b]) for a, b in zip(ends, ends[1:])]  # pivots and entries of each round
+        dim = self.matrix.shape[0]
+        y, pushed = np.empty(cols.size), np.zeros(dim)  # M y = 1, forward
+        for a, b, e, f in spans:
+            y[a:b] = (1.0 + pushed[rows[a:b]]) / pivot[a:b]
+            pushed += np.bincount(at[e:f], size[e:f] * y[owner[e:f]], dim)
+        z = np.zeros(dim)  # M^T z = 1, backward
+        for a, b, e, f in reversed(spans):
+            z[rows[a:b]] = (1.0 + np.bincount(owner[e:f] - a, size[e:f] * z[at[e:f]], b - a)) / pivot[a:b]
+        kappa = float(np.sqrt(y.max() * z.max()))
+        sigma, r = dec.sigma, dec.rank
+        s_r, s_next = (sigma[r - 1] if r else np.inf), (sigma[r] if r < sigma.size else 0.0)
+        cutoff = tol * np.hypot(sigma[0] if sigma.size else 0.0, xi)
+        floor = 1.0 / (1.0 / s_r + kappa * (1.0 + xi / s_r)) - s_next
+        if floor <= cutoff:
+            return False
+        bound = tol * np.linalg.norm(self.target)
+        shift = np.linalg.norm(self.target) * s_next / floor
+        if resid <= bound:
+            return resid + shift <= bound
+        return resid / np.hypot(1.0, xi * kappa) - shift > bound
 
     def extend(self, basis: np.ndarray) -> np.ndarray:
         """An orthonormal basis of the complement of the span of ``matrix``,
@@ -299,18 +371,27 @@ class LowLevelProgram:
         block and the decision.
 
         The peel drops the dead-end coordinates; only the kept block is
-        factored, and both witness sides come from its one SVD.  Complete left
+        factored, and both witness sides come from its one SVD.  Unless the
+        peel stands (the block decides as one SVD of all available columns
+        would), the available columns are factored whole instead, as they are
+        when they have fewer than ``PEEL_MIN_CELLS`` entries.  Complete left
         singular vectors are computed when the block has fewer columns than
         rows (the thin ones are already complete otherwise), so ``u[:, rank:]``
         is an orthonormal basis of the complement of the block's span, which
         ``Peel.extend`` turns into the space negative witnesses live in.
         """
         avail = self.available_vectors(x)
-        pattern = self._pattern
-        peel = Peel(avail.matrix, self.target, [pattern[j] for j in np.flatnonzero(avail.mask).tolist()])
-        rows, cols = peel.block.shape
-        dec, _, decision = in_span(peel.block, peel.target, tol, full_matrices=cols < rows)
-        return peel, dec, decision
+        if avail.matrix.size < PEEL_MIN_CELLS:
+            peel = Peel(avail.matrix, self.target)
+        else:
+            pattern = self._pattern
+            peel = Peel.of(avail.matrix, self.target, [pattern[j] for j in np.flatnonzero(avail.mask).tolist()])
+        while True:
+            rows, cols = peel.block.shape
+            dec, resid, decision = in_span(peel.block, peel.target, tol, full_matrices=cols < rows)
+            if peel.stands(dec, float(np.linalg.norm(resid)), tol):
+                return peel, dec, decision
+            peel = Peel(avail.matrix, self.target)
 
     def _solve(self, x, tol: float | None, side: int | None) -> WitnessReport:
         """Decide ``x`` and build the witness of ``side`` (None: the side the

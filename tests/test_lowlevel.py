@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spanforge.errors import NoNegativeWitness, NoPositiveWitness
+from spanforge.linalg import DEFAULT_TOL, in_span
 from spanforge.lowlevel import (
     LabeledVector,
     LowLevelProgram,
@@ -145,7 +146,7 @@ def test_peel_drops_dead_ends_round_by_round():
     prog = _chain_program()
     avail = prog.available_vectors("1").matrix
     assert column_rows(avail) == [[0, 1], [1, 2], [0], [3]]
-    peel = Peel(avail, prog.target, column_rows(avail))
+    peel = Peel.of(avail, prog.target)
     # round 1: rows 2 and 3 see only columns 1 and 3; then row 1 sees only column 0
     assert _rounds(peel) == [([2, 3], [1, 3]), ([1], [0])]
     assert peel.rows.tolist() == [True, False, False, False]
@@ -159,7 +160,7 @@ def test_peel_drops_dead_ends_round_by_round():
 def test_peel_extends_the_complement_over_pivot_rows():
     prog = _chain_program()
     avail = prog.available_vectors("0").matrix
-    peel = Peel(avail, prog.target, column_rows(avail))
+    peel = Peel.of(avail, prog.target)
     # row 3 touches no available column and stays, as a zero row of the block
     assert _rounds(peel) == [([2], [1]), ([1], [0])]
     assert peel.rows.tolist() == [True, False, False, True] and peel.block.shape == (2, 0)
@@ -175,9 +176,41 @@ def test_peel_extends_the_complement_over_pivot_rows():
 
 def test_peel_keeps_a_matrix_without_dead_ends():
     m = RNG.standard_normal((3, 4))
-    peel = Peel(m, np.array([1.0, 0.0, 0.0]), column_rows(m))
+    peel = Peel.of(m, np.array([1.0, 0.0, 0.0]))
     assert peel.rounds == () and peel.block is m
     assert peel.extend(m) is m
+
+
+@pytest.mark.parametrize("free, target, tol, decision, stands", [
+    # the dead end's one entry is within the tolerance of its column, which
+    # then counts as e_0
+    ([[1.0, 1e-20]], [1.0, 0.0], DEFAULT_TOL, 1, False),
+    ([[1.0, 0.3]], [1.0, 0.0], 0.5, 1, False),
+    ([[1.0, 3.0]], [1.0, 0.0], 0.5, 0, True),
+    # the dropped column sets the cutoff, which leaves e_0 out
+    ([[1.0, 0.0], [0.0, 1e12]], [1.0, 0.0], DEFAULT_TOL, 0, False),
+    ([[1.0, 0.0], [0.0, 3.0]], [1.0, 0.0], 0.5, 0, False),
+    ([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0], DEFAULT_TOL, 1, True),
+    # the pivot column, nearly parallel to the kept one, leaves one
+    # direction of the two above the cutoff
+    ([[1e-6, 0.0], [1.0, 1e-6]], [1.0, 0.0], DEFAULT_TOL, 0, False),
+    # the pivot column brings a residual of 2.8e-9 under the tolerance
+    ([[1.0, 1.0 + 4e-9, 0.0], [0.0, 1.0, 0.1]], [1.0, 1.0, 0.0], DEFAULT_TOL, 1, False),
+])
+def test_peel_stands_only_where_it_keeps_the_decision(free, target, tol, decision, stands):
+    """The decision is that of one SVD of all available columns, whose rank
+    cutoff is tol times the largest singular value.  Each program peels its
+    last row with its last column; where the block could decide otherwise,
+    the peel does not stand."""
+    prog = LowLevelProgram(dim=len(target), num_vars=0, target=target, free=free, tol=tol)
+    avail = prog.available_vectors("").matrix
+    assert in_span(avail, prog.target, tol)[2] == decision
+    assert prog.evaluate("") == prog.witness("").decision == decision
+    peel = Peel.of(avail, prog.target)
+    assert _rounds(peel) == [([len(target) - 1], [len(free) - 1])]
+    dec, resid, block_decision = in_span(peel.block, peel.target, tol)
+    assert peel.stands(dec, float(np.linalg.norm(resid)), tol) == stands
+    assert block_decision == decision or not stands
 
 
 def _random_program(rng) -> LowLevelProgram:

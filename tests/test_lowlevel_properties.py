@@ -18,7 +18,7 @@ from spanforge.encoding import grid_values
 from spanforge.errors import NoNegativeWitness, NoPositiveWitness
 from spanforge.highlevel import HighLevelProgram
 from spanforge.linalg import DEFAULT_TOL, in_span, min_norm_solve, min_quadratic_on_hyperplane
-from spanforge.lowlevel import LowLevelProgram, Peel, column_rows, normalize_bits
+from spanforge.lowlevel import LowLevelProgram, Peel, normalize_bits
 from test_lowlevel import _oracle_negative_size
 
 PROPERTY_SETTINGS = settings(
@@ -189,9 +189,9 @@ def _random_source(rng, n: int, m: int) -> HighLevelProgram:
 def compiled_queries(draw) -> tuple[LowLevelProgram, list]:
     """A compiled program with more variables than criterion 03 enumerates
     (at most 12), and random bit strings."""
-    n, m = draw(st.integers(3, 5)), draw(st.integers(3, 4))
+    n, m = draw(st.integers(4, 6)), draw(st.integers(4, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    prog = _compile(draw, _random_source(rng, n, m), n, m, draw(st.integers(1, 2))).program
+    prog = _compile(draw, _random_source(rng, n, m), n, m, draw(st.integers(2, 3))).program
     assume(prog.num_vars > 12)
     return prog, [rng.integers(0, 2, prog.num_vars) for _ in range(4)]
 
@@ -221,11 +221,65 @@ def test_peeled_witnesses_match_the_unpeeled_solver(query):
         if decision:
             assert np.allclose(avail @ rep.witness, prog.target, atol=1e-9)
             # pivot columns carry no coefficient
-            peel = Peel(avail, prog.target, column_rows(avail))
+            peel = prog._decide(bits, prog.tol)[0]
             assert not rep.witness[~peel.cols].any()
         else:
             assert rep.witness @ prog.target == pytest.approx(1.0, abs=1e-9)
             assert np.linalg.norm(avail.T @ rep.witness) <= 1e-9
+
+
+def _near_tolerance(prog: LowLevelProgram, rng, tol: float) -> LowLevelProgram:
+    """``prog`` at ``tol`` with dead ends near the tolerance: up to three rows
+    made dead ends (target 0, one nonzero entry), four nonzero entries set to
+    1e-3 or 1e3 times ``tol`` times the norm of the rest of their column, and
+    two columns scaled by 1e-4, 1 or 1e4."""
+    store, target = np.array(prog.all_vectors()), np.array(prog.target)
+    ncols = store.shape[1]
+    for i in rng.choice(prog.dim, size=min(prog.dim - 1, int(rng.integers(0, 4))), replace=False):
+        store[i, np.arange(ncols) != rng.integers(ncols)] = target[i] = 0.0
+    nonzero = np.argwhere(store)
+    for i, j in nonzero[rng.choice(len(nonzero), size=min(len(nonzero), 4), replace=False)]:
+        store[i, j] = 0.0
+        store[i, j] = rng.choice([1e-3, 1e3]) * tol * max(np.linalg.norm(store[:, j]), 1.0)
+    for j in rng.choice(ncols, size=min(ncols, 2), replace=False):
+        store[:, j] *= rng.choice([1e-4, 1.0, 1e4])
+    return LowLevelProgram.from_store(prog.num_vars, target, store, prog.num_free, prog.var, prog.val, tol)
+
+
+@st.composite
+def near_tolerance_queries(draw) -> tuple[LowLevelProgram, list]:
+    """A Gaussian program with all its inputs, or a compiled one with random
+    bit strings, given dead ends near the tolerance."""
+    if draw(st.booleans()):
+        prog = draw(programs())
+        inputs = list(_inputs(prog))
+    else:
+        prog, inputs = draw(compiled_queries())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    prog = _near_tolerance(prog, rng, draw(st.sampled_from([DEFAULT_TOL, 1e-4, 0.3])))
+    assume(np.linalg.norm(prog.target) > 0.0)
+    return prog, inputs
+
+
+@PROPERTY_SETTINGS
+@given(near_tolerance_queries())
+def test_peel_keeps_the_decision_near_the_tolerance(query):
+    """Dead-end entries within the tolerance of their column, and dropped
+    columns large enough to set the rank cutoff, leave the decision that of
+    one SVD of all available columns: a peel that could decide otherwise
+    does not stand."""
+    prog, inputs = query
+    for bits in inputs:
+        avail = prog.available_vectors(bits).matrix
+        decision = in_span(avail, prog.target, prog.tol)[2]
+        assert prog.evaluate(bits) == prog.witness(bits).decision == decision
+        # the peel itself, also where the available matrix is too small for
+        # evaluate to peel
+        peel = Peel.of(avail, prog.target)
+        rows, cols = peel.block.shape
+        dec, resid, block_decision = in_span(peel.block, peel.target, prog.tol, full_matrices=cols < rows)
+        if peel.stands(dec, float(np.linalg.norm(resid)), prog.tol):
+            assert block_decision == decision
 
 
 def test_compiled_sparse_inputs_peel():
@@ -235,9 +289,12 @@ def test_compiled_sparse_inputs_peel():
     comp = compile_sparse(_random_source(rng, 4, 4), k_nnz=2, precision=2, l_nnz=2)
     for _ in range(4):
         a = _budgeted_grid_matrix(rng, 4, 4, 2, 2, 2)
-        avail = comp.program.available_vectors(comp.encode(a)).matrix
-        block = Peel(avail, comp.program.target, column_rows(avail)).block
+        bits = comp.encode(a)
+        avail = comp.program.available_vectors(bits).matrix
+        block = Peel.of(avail, comp.program.target).block
         assert block.shape[0] < avail.shape[0] and block.shape[1] < avail.shape[1]
+        # and the peel stands
+        assert comp.program._decide(bits, comp.program.tol)[0].block.shape == block.shape
 
 
 def _budgeted_grid_matrix(rng, n: int, m: int, precision: int, k_nnz, l_nnz) -> np.ndarray:
