@@ -124,13 +124,25 @@ def svd(m, tol: float = DEFAULT_TOL, full_matrices: bool = False) -> SvdResult:
     Thin by default; ``full_matrices=True`` also returns the complete left and
     right bases, e.g. ``u[:, rank:]`` spans the orthogonal complement of the
     column span.  Empty matrices (zero rows or columns) are legal and yield
-    rank 0.
+    rank 0.  numpy factors by LAPACK gesdd, which fails to converge on some
+    finite matrices (columns scaled far apart); those are factored once more
+    by the slower gesvd before ``SolverFailure`` is raised.
     """
     a = as_matrix(m)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix") from exc
+        failure = SolverFailure(f"SVD did not converge for a {a.shape[0]}x{a.shape[1]} matrix")
+        if not np.isfinite(a).all():
+            raise failure from exc
+        # imported here, not at module level: loading scipy.linalg takes about
+        # as long as importing the whole CLI, and only this retry needs it
+        from scipy.linalg import svd as gesvd
+
+        try:
+            u, s, vt = gesvd(a, full_matrices=full_matrices, lapack_driver="gesvd", check_finite=False)
+        except np.linalg.LinAlgError:
+            raise failure from exc
     rank = int(np.count_nonzero(s > tol * s[0])) if s.size else 0
     return SvdResult(u=u, sigma=s, vt=vt, rank=rank)
 

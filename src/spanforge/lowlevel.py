@@ -129,97 +129,157 @@ class WitnessReport:
 PEEL_MIN_CELLS = 4096
 
 
+class _Side:
+    """One side of a peel's nonzero pattern: ``lines[i]`` lists the entries
+    of line i (the columns of a row, or the rows of a column), with which
+    lines are kept, how many kept entries each has, and which lines lost one
+    since their side last took pivots."""
+
+    def __init__(self, lines: list[list[int]]):
+        self.lines, self.kept = lines, [True] * len(lines)
+        self.degree = [len(entries) for entries in lines]
+        self.touched = set(range(len(lines)))
+
+    def pivots(self, other: "_Side", eligible=None) -> tuple[list[int], list[int]]:
+        """One round of degree-1 pivots: every touched kept line with exactly
+        one kept entry (and ``eligible``, when given) pairs with that entry,
+        unless an earlier line of the round took it, and both are dropped.
+        Returns the pivot lines and their entries."""
+        pivots = {}  # entry -> its line
+        for i in sorted(self.touched):
+            if self.kept[i] and self.degree[i] == 1 and (eligible is None or eligible[i]):
+                pivots.setdefault(next(j for j in self.lines[i] if other.kept[j]), i)
+        self.touched = set()
+        for j, i in pivots.items():
+            self.kept[i] = other.kept[j] = False
+            for k in other.lines[j]:
+                self.degree[k] -= 1
+            for k in self.lines[i]:
+                other.degree[k] -= 1
+            self.touched.update(other.lines[j])
+            other.touched.update(self.lines[i])
+        return list(pivots.values()), list(pivots)
+
+
 class Peel:
-    """The dead-end coordinates of one input, removed before factoring.
+    """The degree-1 coordinates of one input, removed before factoring.
 
     ``Peel.of`` runs degree-1 elimination on the nonzero pattern of the
     available columns ``matrix`` (Davis, *Direct Methods for Sparse Linear
-    Systems*, SIAM 2006), repeated in rounds until nothing changes: each
-    round takes every kept row where ``target`` is 0 and exactly one kept
-    column is nonzero, pairs each such column with the first of those rows
-    (its pivot) and drops both.  ``rounds`` lists the pivots of each round as
-    (rows, cols) index lists, ``pattern[j]`` the rows where column j is
-    nonzero (``column_rows``), ``rows`` and ``cols`` mask what is kept, and
-    ``block`` and ``target`` are what is factored: ``matrix`` and ``target``
-    themselves when nothing peels.
+    Systems*, SIAM 2006), in rounds until nothing changes.  Its pivots come
+    in two kinds, one the transpose of the other:
 
-    The peel is exact.  A pivot row is zero on the kept columns and on the
-    pivot columns of its own and later rounds, except its own pivot.  So
-    every solution of ``matrix @ w = target`` is 0 on the pivot columns and
-    solves the kept block on the rest; and a vector orthogonal to every
-    available column is fixed on the pivot rows by its kept rows
-    (``extend``).  Whether the block also keeps the tolerance decision of
-    one SVD of ``matrix`` is checked after it is factored (``stands``).
+    - a dead end: a kept row where ``target`` is 0 and exactly one kept
+      column is nonzero, paired with that column;
+    - a singleton: a kept column with exactly one nonzero among the kept
+      rows (a column singleton of LP presolve; Andersen and Andersen,
+      *Math. Programming* 71, 1995), paired with that row.
+
+    A round of each kind takes every such line, pairs it with its one entry
+    unless an earlier line of the round took it, and drops both; the kinds
+    alternate.  The kept rows where the target is 0 and no kept column is
+    nonzero go last (``zero``).  ``rounds`` and ``singletons`` list the
+    pivots of each round of either kind as (rows, cols) index lists,
+    ``pattern[j]`` the rows where column j is nonzero (``column_rows``),
+    ``rows`` and ``cols`` mask what is kept, and ``block`` and ``target`` are
+    what is factored: ``matrix`` and ``target`` themselves when nothing peels.
+    ``whole`` is the target on every row.
+
+    The peel is exact.  Order the pivots as the dead ends in the order of
+    their rounds, then the singletons in the reverse order: a dead-end row is
+    zero on every column kept when it goes, and a singleton column on every
+    row kept when it goes, so the pivot block D is lower triangular.  With
+    the pivots first, ``matrix = [[D, E], [F, K]]``, where E is zero on the
+    dead-end rows and F on the singleton columns, so ``F D^-1 E = 0`` and the
+    kept block K (with its zero rows) is exactly the Schur complement.  The
+    target is 0 on the dead-end rows, so ``F D^-1 t_P = 0`` and ``t`` lies in
+    the span of ``matrix`` exactly when ``t_K`` lies in the span of K.  The
+    complement of that span is null(K^T) (the zero rows' unit vectors
+    included), 0 on singleton rows and fixed on dead-end rows by their pivot
+    columns (``extend``).  Every solution of ``matrix @ w = t`` is 0 on the
+    dead-end columns and fixed on the singleton columns by their rows; the
+    null space of ``matrix`` is null(K) extended by ``-D^-1 E`` (``lift``).
+    Whether the block also keeps the tolerance decision of one SVD of
+    ``matrix`` is checked after it is factored (``stands``).
     """
 
-    def __init__(self, matrix: np.ndarray, target: np.ndarray, rounds=(), pattern=()):
-        self.matrix, self.rounds, self.pattern = matrix, tuple(rounds), pattern
+    def __init__(self, matrix: np.ndarray, target: np.ndarray, rounds=(), singletons=(), zero=(), pattern=()):
+        self.matrix, self.whole, self.pattern = matrix, target, pattern
+        self.rounds, self.singletons, self.zero = tuple(rounds), tuple(singletons), list(zero)
         self.rows, self.cols = np.ones(matrix.shape[0], dtype=bool), np.ones(matrix.shape[1], dtype=bool)
-        for rows, cols in self.rounds:
+        for rows, cols in self.rounds + self.singletons:
             self.rows[rows] = self.cols[cols] = False
-        self.block, self.target = (matrix[:, self.cols][self.rows], target[self.rows]) if rounds else (matrix, target)
+        self.rows[self.zero] = False
+        if self.rows.all() and self.cols.all():
+            self.block, self.target = matrix, target
+        else:
+            self.block, self.target = matrix[np.ix_(self.rows, self.cols)], target[self.rows]
 
     @classmethod
     def of(cls, matrix: np.ndarray, target: np.ndarray, pattern=None) -> "Peel":
         """The peel of ``matrix``; ``pattern`` is computed from it when not
-        given.  Unless some row is a dead end, nothing is read in Python."""
-        open_rows = target == 0  # kept rows where the target is 0
-        if not (open_rows & (np.count_nonzero(matrix, axis=1) == 1)).any():
+        given.  Unless some column has exactly one nonzero or some row where
+        the target is 0 has at most one, nothing is read in Python."""
+        open_rows = target == 0
+        degrees = np.count_nonzero(matrix, axis=0) if pattern is None else [len(rows) for rows in pattern]
+        if 1 not in degrees and not (open_rows & (np.count_nonzero(matrix, axis=1) <= 1)).any():
             return cls(matrix, target)
         pattern = column_rows(matrix) if pattern is None else pattern
         row_cols = [[] for _ in range(matrix.shape[0])]
         for j, col in enumerate(pattern):
             for i in col:
                 row_cols[i].append(j)
-        degree, open_rows, cols = [len(js) for js in row_cols], open_rows.tolist(), [True] * matrix.shape[1]
-        dead = [i for i, d in enumerate(degree) if d == 1 and open_rows[i]]
-        rounds = []
-        while dead:
-            pivots = {}  # column -> its pivot row
-            for i in dead:
-                pivots.setdefault(next(j for j in row_cols[i] if cols[j]), i)
-            touched = set()
-            for j, i in pivots.items():
-                cols[j] = open_rows[i] = False
-                touched.update(pattern[j])
-                for k in pattern[j]:
-                    degree[k] -= 1
-            rounds.append((list(pivots.values()), list(pivots)))
-            dead = sorted(i for i in touched if degree[i] == 1 and open_rows[i])
-        return cls(matrix, target, rounds, pattern)
+        rows, cols, open_rows = _Side(row_cols), _Side(pattern), open_rows.tolist()
+        rounds, singletons = [], []
+        while rows.touched or cols.touched:
+            dead_rows, dead_cols = rows.pivots(cols, open_rows)
+            if dead_rows:
+                rounds.append((dead_rows, dead_cols))
+            single_cols, single_rows = cols.pivots(rows)
+            if single_cols:
+                singletons.append((single_rows, single_cols))
+        zero = [i for i, (kept, degree, is_open) in enumerate(zip(rows.kept, rows.degree, open_rows))
+                if kept and is_open and not degree]
+        return cls(matrix, target, rounds, singletons, zero, pattern)
 
     def stands(self, dec: SvdResult, resid: float, tol: float) -> bool:
         """Whether one SVD of ``matrix`` would decide as the block did, with
         ``dec`` the block's SVD and ``resid`` its residual norm.
 
         That SVD counts rank against ``tol`` times its largest singular value,
-        which is at most ``hypot(s_1, xi)``: ``s_1`` is the block's and ``xi``
-        bounds the norm of the dropped columns by ``sqrt(|.|_1 |.|_inf)``.  In
-        the order of the rounds the pivot block D (pivot rows by pivot
-        columns) is lower triangular, so |D^-1| <= M^-1 entrywise for its
+        which is at most ``sqrt(s_1^2 + xi^2 + eta^2)``: ``s_1`` is the
+        block's, ``xi`` bounds the norm of the pivot columns and ``eta`` that
+        of E (the singleton rows on the kept columns), each by
+        ``sqrt(|.|_1 |.|_inf)``.  In the order of the class docstring the
+        pivot block D is lower triangular, so |D^-1| <= M^-1 entrywise for its
         comparison matrix M (Higham, *Accuracy and Stability of Numerical
-        Algorithms*, 2nd ed., 2002, ch. 8), and one sweep over the rounds each
-        way bounds ``|D^-1|`` by ``kappa``.  The r + q singular values of
-        ``matrix`` that the block's rank-r part and the q pivots carry are at
-        least ``floor = 1 / (1/s_r + kappa (1 + xi/s_r)) - s_{r+1}``, where
-        ``s_{r+1}`` is the largest singular value the block's rank leaves
-        out.  The peel stands when ``floor`` clears the cutoff (``s_r`` then
-        clears it too), and the residual stays on its side of ``tol |t|``
-        both when the pivot columns pull it down to ``resid / hypot(1, xi
-        kappa)`` and when the left-out part moves it by ``|t| s_{r+1} /
-        floor``.
+        Algorithms*, 2nd ed., 2002, ch. 8), and one sweep each way bounds
+        ``|D^-1|`` by ``kappa``.  With K_r the block's rank-r part,
+        ``[[D, E], [F, K_r]]`` has rank r + q for q pivots and a generalized
+        inverse of norm at most ``1/s_r + kappa (1 + (xi + eta + kappa xi
+        eta)/s_r)``, and it differs from ``matrix`` by the largest singular
+        value ``s_{r+1}`` that the block's rank leaves out.  So the r + q
+        singular values of ``matrix`` it carries are at least ``floor``, the
+        reciprocal of that norm minus ``s_{r+1}``.  The peel stands when
+        ``floor`` clears the cutoff, and the residual stays on its side of
+        ``tol |t|`` (``t`` the whole target) both when the pivot columns pull
+        it down to ``resid / hypot(1, xi kappa)`` and when the left-out part
+        moves it by ``|t| s_{r+1} / floor``.
         """
-        if not self.rounds:
+        order = [*self.rounds, *reversed(self.singletons)]
+        if not order:  # zero rows alone move neither the span nor the residual
             return True
-        rows = np.concatenate([r for r, _ in self.rounds])
-        cols = np.concatenate([c for _, c in self.rounds])
+        rows = np.concatenate([r for r, _ in order])
+        cols = np.concatenate([c for _, c in order])
         lengths = [len(self.pattern[j]) for j in cols.tolist()]
         at = np.fromiter(chain.from_iterable(self.pattern[j] for j in cols.tolist()), np.intp, sum(lengths))
-        owner = np.repeat(np.arange(cols.size), lengths)  # entry -> its pivot, in round order
+        owner = np.repeat(np.arange(cols.size), lengths)  # entry -> its pivot, in order
         size, pivot = np.abs(self.matrix[at, cols[owner]]), np.abs(self.matrix[rows, cols])
         xi = float(np.sqrt(np.bincount(owner, size).max() * np.bincount(at, size).max()))
         starts = np.cumsum([0] + lengths).tolist()  # pivot -> its first entry
-        ends = np.cumsum([0] + [len(c) for _, c in self.rounds]).tolist()
+        ends = np.cumsum([0] + [len(c) for _, c in order]).tolist()
+        edge = np.abs(self.matrix[np.ix_(rows[ends[len(self.rounds)] :], self.cols)])  # E on the singleton rows
+        eta = float(np.sqrt(edge.sum(0).max() * edge.sum(1).max())) if edge.size else 0.0
         spans = [(a, b, starts[a], starts[b]) for a, b in zip(ends, ends[1:])]  # pivots and entries of each round
         dim = self.matrix.shape[0]
         y, pushed = np.empty(cols.size), np.zeros(dim)  # M y = 1, forward
@@ -232,29 +292,58 @@ class Peel:
         kappa = float(np.sqrt(y.max() * z.max()))
         sigma, r = dec.sigma, dec.rank
         s_r, s_next = (sigma[r - 1] if r else np.inf), (sigma[r] if r < sigma.size else 0.0)
-        cutoff = tol * np.hypot(sigma[0] if sigma.size else 0.0, xi)
-        floor = 1.0 / (1.0 / s_r + kappa * (1.0 + xi / s_r)) - s_next
-        if floor <= cutoff:
+        cutoff = tol * np.sqrt((sigma[0] if sigma.size else 0.0) ** 2 + xi**2 + eta**2)
+        floor = 1.0 / (1.0 / s_r + kappa * (1.0 + (xi + eta + kappa * xi * eta) / s_r)) - s_next
+        if not floor > cutoff:
             return False
-        bound = tol * np.linalg.norm(self.target)
-        shift = np.linalg.norm(self.target) * s_next / floor
-        if resid <= bound:
+        norm = np.linalg.norm(self.whole)
+        bound, shift = tol * norm, norm * s_next / floor
+        if resid <= tol * np.linalg.norm(self.target):  # the block accepts
             return resid + shift <= bound
         return resid / np.hypot(1.0, xi * kappa) - shift > bound
 
     def extend(self, basis: np.ndarray) -> np.ndarray:
         """An orthonormal basis of the complement of the span of ``matrix``,
         from ``basis``, one of the complement of the kept block's span on the
-        kept rows.  Sweeping the rounds from last to first, each pivot
-        column's orthogonality fixes the basis at its pivot row, one division
-        per pivot; a thin QR makes the result orthonormal again."""
-        if not self.rounds:
+        kept rows.  The zero rows add their unit vectors and the singleton
+        rows stay 0.  Sweeping the dead-end rounds from last to first, each
+        pivot column's orthogonality fixes the basis at its pivot row, one
+        division per pivot; a thin QR makes the result orthonormal again."""
+        if self.block is self.matrix:
             return basis
-        full = np.zeros((self.matrix.shape[0], basis.shape[1]))
-        full[self.rows] = basis
+        full = np.zeros((self.matrix.shape[0], basis.shape[1] + len(self.zero)))
+        full[self.rows, : basis.shape[1]] = basis
+        full[self.zero, basis.shape[1] :] = np.eye(len(self.zero))
         for rows, cols in reversed(self.rounds):
             full[rows] = -(self.matrix[:, cols].T @ full) / self.matrix[rows, cols][:, None]
-        return np.linalg.qr(full)[0]
+        return np.linalg.qr(full)[0] if self.rounds else full
+
+    def lift(self, w: np.ndarray, null: np.ndarray) -> np.ndarray:
+        """The minimum-norm solution of ``matrix @ x = whole`` on the rank
+        the block kept, from ``w``, the block's, and ``null``, an orthonormal
+        basis of the block's null space: the mirror of ``extend``.  Dead-end
+        columns are 0.  Sweeping the singleton rounds from last to first,
+        each singleton row fixes its pivot column, one division per pivot,
+        in ``w`` and in ``null``, which then spans the null space of
+        ``[[D, E], [F, K_r]]``; a thin QR of it and one projection leave the
+        solution of least norm."""
+        if not self.singletons:
+            x = np.zeros(self.cols.size)
+            x[self.cols] = w
+            return x
+        both = np.zeros((self.cols.size, 1 + null.shape[1]))
+        both[self.cols, 0], both[self.cols, 1:] = w, null
+        live = self.cols.copy()  # all but the dead-end columns
+        for rows, cols in reversed(self.singletons):
+            step = self.matrix[rows] @ both
+            step[:, 0] -= self.whole[rows]
+            both[cols] = -step / self.matrix[rows, cols][:, None]
+            live[cols] = True
+        x = both[:, 0]
+        if null.shape[1]:
+            q = np.linalg.qr(both[live, 1:])[0]
+            x[live] -= q @ (q.T @ x[live])
+        return x
 
 
 class LowLevelProgram:
@@ -370,15 +459,17 @@ class LowLevelProgram:
         """The peel of the available columns of ``x``, the SVD of its kept
         block and the decision.
 
-        The peel drops the dead-end coordinates; only the kept block is
+        The peel drops the degree-1 coordinates; only the kept block is
         factored, and both witness sides come from its one SVD.  Unless the
         peel stands (the block decides as one SVD of all available columns
         would), the available columns are factored whole instead, as they are
         when they have fewer than ``PEEL_MIN_CELLS`` entries.  Complete left
         singular vectors are computed when the block has fewer columns than
-        rows (the thin ones are already complete otherwise), so ``u[:, rank:]``
-        is an orthonormal basis of the complement of the block's span, which
-        ``Peel.extend`` turns into the space negative witnesses live in.
+        rows, so ``u[:, rank:]`` is an orthonormal basis of the complement of
+        the block's span, which ``Peel.extend`` turns into the space negative
+        witnesses live in; complete right ones when singletons peeled, so
+        ``vt[rank:]`` spans the block's null space, which ``Peel.lift``
+        needs.  The thin factors are already complete otherwise.
         """
         avail = self.available_vectors(x)
         if avail.matrix.size < PEEL_MIN_CELLS:
@@ -388,7 +479,8 @@ class LowLevelProgram:
             peel = Peel.of(avail.matrix, self.target, [pattern[j] for j in np.flatnonzero(avail.mask).tolist()])
         while True:
             rows, cols = peel.block.shape
-            dec, resid, decision = in_span(peel.block, peel.target, tol, full_matrices=cols < rows)
+            dec, resid, decision = in_span(peel.block, peel.target, tol,
+                                           full_matrices=cols < rows or bool(peel.singletons))
             if peel.stands(dec, float(np.linalg.norm(resid)), tol):
                 return peel, dec, decision
             peel = Peel(avail.matrix, self.target)
@@ -403,9 +495,7 @@ class LowLevelProgram:
         if side == 0 and decision:
             raise NoNegativeWitness(f"program accepts input {x!r}; no negative witness")
         if decision:
-            # pivot columns carry 0 in every positive witness
-            w = np.zeros(peel.cols.size)
-            w[peel.cols] = min_norm_solve(peel.block, peel.target, tol, dec)
+            w = peel.lift(min_norm_solve(peel.block, peel.target, tol, dec), dec.vt[dec.rank :].T)
             return WitnessReport(decision=1, size=float(w @ w), witness=w)
         # Restrict to the orthogonal complement of the available span, then
         # minimize the quadratic over the hyperplane <w', t> = 1.

@@ -39,6 +39,29 @@ def test_svd_rejects_nonfinite():
         svd(np.array([[np.nan, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("full", [False, True])
+def test_svd_retries_with_gesvd_when_gesdd_fails(monkeypatch, full):
+    """gesdd failing to converge on a finite matrix hands it to gesvd, which
+    gives the same rank and singular values."""
+    a = RNG.standard_normal((6, 4)) @ np.diag([1e6, 1.0, 1e-3, 0.0])
+    expected = svd(a, full_matrices=full)
+    gesdd, calls = np.linalg.svd, []
+
+    def fails_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return gesdd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fails_once)
+    dec = svd(a, full_matrices=full)
+    assert len(calls) == 1  # the retry does not go through numpy
+    assert dec.rank == expected.rank == 3
+    assert dec.sigma == pytest.approx(expected.sigma, rel=1e-12)
+    assert dec.u.shape == expected.u.shape and dec.vt.shape == expected.vt.shape
+    assert np.allclose((dec.u[:, :4] * dec.sigma) @ dec.vt[:4], a, atol=1e-8)
+
+
 def test_min_norm_solve_matches_pinv():
     for shape in [(4, 4), (3, 5), (5, 3)]:
         a = RNG.standard_normal(shape)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spanforge.errors import NoNegativeWitness, NoPositiveWitness
-from spanforge.linalg import DEFAULT_TOL, in_span
+from spanforge.linalg import DEFAULT_TOL, in_span, min_norm_solve
 from spanforge.lowlevel import (
     LabeledVector,
     LowLevelProgram,
@@ -142,6 +142,10 @@ def _rounds(peel):
     return [(list(rows), list(cols)) for rows, cols in peel.rounds]
 
 
+def _singletons(peel):
+    return [(list(rows), list(cols)) for rows, cols in peel.singletons]
+
+
 def test_peel_drops_dead_ends_round_by_round():
     prog = _chain_program()
     avail = prog.available_vectors("1").matrix
@@ -149,22 +153,53 @@ def test_peel_drops_dead_ends_round_by_round():
     peel = Peel.of(avail, prog.target)
     # round 1: rows 2 and 3 see only columns 1 and 3; then row 1 sees only column 0
     assert _rounds(peel) == [([2, 3], [1, 3]), ([1], [0])]
-    assert peel.rows.tolist() == [True, False, False, False]
-    assert peel.cols.tolist() == [False, False, True, False]
-    assert peel.block.tolist() == [[1.0]]
+    # between them, column 2 is the only one left at row 0, and goes with it
+    assert _singletons(peel) == [([0], [2])]
+    assert not peel.rows.any() and not peel.cols.any()
+    assert peel.block.shape == (0, 0)
     rep = prog.positive_witness("1")
     assert rep.witness == pytest.approx([0.0, 0.0, 1.0, 0.0], abs=1e-15)
     assert rep.size == pytest.approx(1.0, abs=1e-15)
+
+
+def _singleton_chain_program():
+    """Target (1, 1, 1, 0, 1).  Column 4 is nonzero only at row 4; once it
+    goes with row 4, column 0 is left only at row 0.  Row 3 is a dead end of
+    column 3, and columns 1 and 2 on rows 1 and 2 stay, as a rank-1 block."""
+    return LowLevelProgram(
+        dim=5, num_vars=0, target=[1.0, 1.0, 1.0, 0.0, 1.0],
+        free=([2.0, 0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0, 0.0],
+              [0.0, 1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 3.0]),
+    )
+
+
+def test_peel_drops_singleton_columns_round_by_round():
+    prog = _singleton_chain_program()
+    avail = prog.available_vectors("").matrix
+    peel = Peel.of(avail, prog.target)
+    assert _rounds(peel) == [([3], [3])]
+    assert _singletons(peel) == [([4], [4]), ([0], [0])]
+    assert peel.rows.tolist() == peel.cols.tolist() == [False, True, True, False, False]
+    assert peel.block.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    dec, resid, decision = in_span(peel.block, peel.target, prog.tol, full_matrices=True)
+    assert decision == 1 and peel.stands(dec, float(np.linalg.norm(resid)), prog.tol)
+    # 2 w_0 + w_1 = 1, w_1 + w_2 = 1, w_3 = 0 and w_0 + 3 w_4 = 1, at least norm
+    w = peel.lift(min_norm_solve(peel.block, peel.target, prog.tol, dec), dec.vt[dec.rank :].T)
+    assert w == pytest.approx([19 / 82, 22 / 41, 19 / 41, 0.0, 21 / 82], abs=1e-15)
+    assert w[3] == 0.0
+    assert w == pytest.approx(np.linalg.pinv(avail) @ prog.target, abs=1e-14)
 
 
 def test_peel_extends_the_complement_over_pivot_rows():
     prog = _chain_program()
     avail = prog.available_vectors("0").matrix
     peel = Peel.of(avail, prog.target)
-    # row 3 touches no available column and stays, as a zero row of the block
-    assert _rounds(peel) == [([2], [1]), ([1], [0])]
-    assert peel.rows.tolist() == [True, False, False, True] and peel.block.shape == (2, 0)
-    basis = peel.extend(np.eye(2))
+    assert _rounds(peel) == [([2], [1]), ([1], [0])] and peel.singletons == ()
+    # row 3 touches no available column and its target is 0: it leaves the
+    # block, and its unit vector joins the complement
+    assert peel.zero == [3]
+    assert peel.rows.tolist() == [True, False, False, False] and peel.block.shape == (1, 0)
+    basis = peel.extend(np.eye(1))
     assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-15)
     assert np.allclose(avail.T @ basis, 0.0, atol=1e-15)
     # <w', t> = 1 and w' orthogonal to both free vectors fix w' = (1, -1, 1/2, s);
@@ -208,6 +243,39 @@ def test_peel_stands_only_where_it_keeps_the_decision(free, target, tol, decisio
     assert prog.evaluate("") == prog.witness("").decision == decision
     peel = Peel.of(avail, prog.target)
     assert _rounds(peel) == [([len(target) - 1], [len(free) - 1])]
+    dec, resid, block_decision = in_span(peel.block, peel.target, tol)
+    assert peel.stands(dec, float(np.linalg.norm(resid)), tol) == stands
+    assert block_decision == decision or not stands
+
+
+@pytest.mark.parametrize("free, target, tol, decision, stands", [
+    # the singleton's one entry is within the tolerance of the rest of its row
+    ([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1e-20, 0.0, 0.0]], [1.0, 0.0, 0.0], DEFAULT_TOL, 0, False),
+    ([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [0.3, 0.0, 0.0]], [1.0, 0.0, 0.0], 0.5, 0, False),
+    ([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [3.0, 0.0, 0.0]], [1.0, 0.0, 0.0], 0.5, 1, False),
+    ([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, 0.0, 0.0]], [1.0, 0.0, 0.0], DEFAULT_TOL, 1, True),
+    # the dropped singleton row sets the cutoff, which leaves the block out
+    ([[1e12, 1.0, 1.0], [0.0, 1.0, -1.0], [1.0, 0.0, 0.0]], [0.0, 1.0, 1.0], DEFAULT_TOL, 0, False),
+    ([[3.0, 1.0, 1.0], [0.0, 1.0, -1.0], [1.0, 0.0, 0.0]], [0.0, 1.0, 1.0], 0.5, 0, False),
+    ([[1.0, 1.0, 1.0], [0.0, 1.0, -1.0], [1.0, 0.0, 0.0]], [0.0, 1.0, 1.0], DEFAULT_TOL, 1, True),
+    # the singleton row, nearly parallel to the small kept rows, leaves two
+    # directions of the three above the cutoff
+    ([[1.0, 1e-6, 1e-6], [0.0, 1e-6, -1e-6], [1e-6, 0.0, 0.0]], [1.0, 1.0, 1.0], DEFAULT_TOL, 0, False),
+    # the target on the singleton row counts in tol |t|: the block rejects
+    # a residual of 0.6, which the whole target accepts
+    ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, 0.0]], [100.0, 1.0, 1.0, 0.6], 0.01, 1, False),
+    ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, 0.0]], [1.0, 1.0, 1.0, 0.6], 0.01, 0, True),
+])
+def test_singleton_peel_stands_only_where_it_keeps_the_decision(free, target, tol, decision, stands):
+    """The transposed cases: each program peels one singleton column, the
+    last or the first, with row 0; the other columns stay as a block that
+    peels no further."""
+    prog = LowLevelProgram(dim=len(target), num_vars=0, target=target, free=free, tol=tol)
+    avail = prog.available_vectors("").matrix
+    assert in_span(avail, prog.target, tol)[2] == decision
+    assert prog.evaluate("") == prog.witness("").decision == decision
+    peel = Peel.of(avail, prog.target)
+    assert peel.rounds == () and len(peel.singletons) == 1 and peel.singletons[0][0] == [0]
     dec, resid, block_decision = in_span(peel.block, peel.target, tol)
     assert peel.stands(dec, float(np.linalg.norm(resid)), tol) == stands
     assert block_decision == decision or not stands

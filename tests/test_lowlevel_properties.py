@@ -18,7 +18,7 @@ from spanforge.encoding import grid_values
 from spanforge.errors import NoNegativeWitness, NoPositiveWitness
 from spanforge.highlevel import HighLevelProgram
 from spanforge.linalg import DEFAULT_TOL, in_span, min_norm_solve, min_quadratic_on_hyperplane
-from spanforge.lowlevel import LowLevelProgram, Peel, normalize_bits
+from spanforge.lowlevel import PEEL_MIN_CELLS, LowLevelProgram, Peel, normalize_bits
 from test_lowlevel import _oracle_negative_size
 
 PROPERTY_SETTINGS = settings(
@@ -196,16 +196,17 @@ def compiled_queries(draw) -> tuple[LowLevelProgram, list]:
     return prog, [rng.integers(0, 2, prog.num_vars) for _ in range(4)]
 
 
-def _unpeeled(prog: LowLevelProgram, bits) -> tuple[int, float]:
-    """Decision and optimal size from one SVD of all available columns."""
+def _unpeeled(prog: LowLevelProgram, bits) -> tuple[int, float, np.ndarray | None]:
+    """Decision, optimal size and, when accepted, the positive witness from
+    one SVD of all available columns."""
     avail = prog.available_vectors(bits).matrix
     dec, _, decision = in_span(avail, prog.target, prog.tol, full_matrices=avail.shape[1] < prog.dim)
     if decision:
         w = min_norm_solve(avail, prog.target, prog.tol, dec)
-        return 1, float(w @ w)
+        return 1, float(w @ w), w
     nbasis = dec.u[:, dec.rank :]
     size, _ = min_quadratic_on_hyperplane(prog.all_vectors().T @ nbasis, nbasis.T @ prog.target, prog.tol)
-    return 0, size
+    return 0, size, None
 
 
 @PROPERTY_SETTINGS
@@ -215,28 +216,36 @@ def test_peeled_witnesses_match_the_unpeeled_solver(query):
     for bits in inputs:
         avail = prog.available_vectors(bits).matrix
         rep = prog.witness(bits)
-        decision, size = _unpeeled(prog, bits)
+        decision, size, positive = _unpeeled(prog, bits)
         assert rep.decision == decision == prog.evaluate(bits)
         assert rep.size == pytest.approx(size, rel=1e-10)
         if decision:
             assert np.allclose(avail @ rep.witness, prog.target, atol=1e-9)
-            # pivot columns carry no coefficient
+            # dead-end pivot columns carry no coefficient, and the witness is
+            # the unpeeled one, singleton pivot columns included
             peel = prog._decide(bits, prog.tol)[0]
-            assert not rep.witness[~peel.cols].any()
+            assert not rep.witness[[j for _, cols in peel.rounds for j in cols]].any()
+            assert np.allclose(rep.witness, positive, rtol=1e-9, atol=1e-9)
         else:
             assert rep.witness @ prog.target == pytest.approx(1.0, abs=1e-9)
             assert np.linalg.norm(avail.T @ rep.witness) <= 1e-9
 
 
 def _near_tolerance(prog: LowLevelProgram, rng, tol: float) -> LowLevelProgram:
-    """``prog`` at ``tol`` with dead ends near the tolerance: up to three rows
-    made dead ends (target 0, one nonzero entry), four nonzero entries set to
-    1e-3 or 1e3 times ``tol`` times the norm of the rest of their column, and
-    two columns scaled by 1e-4, 1 or 1e4."""
+    """``prog`` at ``tol`` with degree-1 coordinates near the tolerance: up to
+    three rows made dead ends (target 0, one nonzero entry), up to three
+    columns made one-entry columns whose entry is 1e-3 or 1e3 times ``tol``
+    times the norm of the rest of its row, four nonzero entries set to 1e-3
+    or 1e3 times ``tol`` times the norm of the rest of their column, and two
+    columns scaled by 1e-4, 1 or 1e4."""
     store, target = np.array(prog.all_vectors()), np.array(prog.target)
     ncols = store.shape[1]
     for i in rng.choice(prog.dim, size=min(prog.dim - 1, int(rng.integers(0, 4))), replace=False):
         store[i, np.arange(ncols) != rng.integers(ncols)] = target[i] = 0.0
+    for j in rng.choice(ncols, size=min(ncols, int(rng.integers(0, 4))), replace=False):
+        i = rng.integers(prog.dim)
+        store[:, j] = 0.0
+        store[i, j] = rng.choice([1e-3, 1e3]) * tol * max(np.linalg.norm(store[i]), 1.0)
     nonzero = np.argwhere(store)
     for i, j in nonzero[rng.choice(len(nonzero), size=min(len(nonzero), 4), replace=False)]:
         store[i, j] = 0.0
@@ -249,7 +258,7 @@ def _near_tolerance(prog: LowLevelProgram, rng, tol: float) -> LowLevelProgram:
 @st.composite
 def near_tolerance_queries(draw) -> tuple[LowLevelProgram, list]:
     """A Gaussian program with all its inputs, or a compiled one with random
-    bit strings, given dead ends near the tolerance."""
+    bit strings, given degree-1 coordinates near the tolerance."""
     if draw(st.booleans()):
         prog = draw(programs())
         inputs = list(_inputs(prog))
@@ -264,10 +273,11 @@ def near_tolerance_queries(draw) -> tuple[LowLevelProgram, list]:
 @PROPERTY_SETTINGS
 @given(near_tolerance_queries())
 def test_peel_keeps_the_decision_near_the_tolerance(query):
-    """Dead-end entries within the tolerance of their column, and dropped
-    columns large enough to set the rank cutoff, leave the decision that of
-    one SVD of all available columns: a peel that could decide otherwise
-    does not stand."""
+    """Dead-end entries within the tolerance of their column, singleton
+    entries within the tolerance of their row, and dropped columns or rows
+    large enough to set the rank cutoff, leave the decision that of one SVD
+    of all available columns: a peel that could decide otherwise does not
+    stand."""
     prog, inputs = query
     for bits in inputs:
         avail = prog.available_vectors(bits).matrix
@@ -297,6 +307,23 @@ def test_compiled_sparse_inputs_peel():
         assert comp.program._decide(bits, comp.program.tol)[0].block.shape == block.shape
 
 
+def test_compiled_dense_inputs_peel():
+    """Loader gadgets load each digit into a coordinate of its own, which
+    leaves singleton columns on every input: the factored block of a dense
+    compiled program is smaller than the available columns both ways."""
+    rng = np.random.default_rng(6)
+    comp = compile_dense(_random_source(rng, 4, 4), precision=3)
+    for _ in range(4):
+        bits = comp.encode(_budgeted_grid_matrix(rng, 4, 4, 3, None, None))
+        avail = comp.program.available_vectors(bits).matrix
+        assert avail.size >= PEEL_MIN_CELLS
+        peel = Peel.of(avail, comp.program.target)
+        assert peel.singletons
+        assert peel.block.shape[0] < avail.shape[0] and peel.block.shape[1] < avail.shape[1]
+        # and the peel stands
+        assert comp.program._decide(bits, comp.program.tol)[0].block.shape == peel.block.shape
+
+
 def _budgeted_grid_matrix(rng, n: int, m: int, precision: int, k_nnz, l_nnz) -> np.ndarray:
     """A grid matrix with at most ``k_nnz`` nonzeros per column and
     ``l_nnz`` per row (None: no cap)."""
@@ -320,3 +347,22 @@ def test_compiled_optimum_is_at_most_the_lifted_size(data):
     rep = comp.program.witness(comp.encode(a))
     lifted = (comp.lift_positive if rep.decision else comp.lift_negative)(a)
     assert rep.size <= lifted.size * (1.0 + 1e-9) + 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_compiled_programs_decide_as_their_source(data):
+    """On budgeted grid matrices, in every mode and past the sizes criterion
+    03 enumerates, a compiled program decides the encoding as its source
+    decides the quantized matrix.  Most of these available matrices have at
+    least ``PEEL_MIN_CELLS`` entries, so the compiled side decides on a
+    peeled block."""
+    n, m, precision = data.draw(st.integers(5, 6)), data.draw(st.integers(4, 5)), data.draw(st.integers(2, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    hl = _random_source(rng, n, m)
+    comp = _compile(data.draw, hl, n, m, precision)
+    lay = comp.layout
+    for _ in range(2):
+        a = _budgeted_grid_matrix(rng, n, m, precision, lay.k_nnz, lay.l_nnz)
+        bits = comp.encode(a)
+        assert comp.program.evaluate(bits) == hl.evaluate(comp.quantize(a))
