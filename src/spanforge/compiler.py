@@ -71,18 +71,22 @@ class ProgramBuilder:
         self.store = np.zeros((dim, free + labeled), order="F")
         self.var = np.zeros(labeled, dtype=np.intp)
         self.val = np.zeros(labeled, dtype=np.intp)
+        self.pattern = [[] for _ in range(free + labeled)]  # column -> its nonzero rows
         self.num_free = self.num_labeled = 0
 
-    def add_free(self, entries: dict[int, float]) -> int:
+    def _write(self, j: int, entries: dict[int, float]) -> None:
         for c, x in entries.items():
-            self.store[c, self.num_free] = x
+            self.store[c, j] = x
+        self.pattern[j] = sorted(c for c, x in entries.items() if x)
+
+    def add_free(self, entries: dict[int, float]) -> int:
+        self._write(self.num_free, entries)
         self.num_free += 1
         return self.num_free - 1
 
     def add_labeled(self, entries: dict[int, float], var0: int, val: int) -> int:
         i = self.num_labeled
-        for c, x in entries.items():
-            self.store[c, self.sizes[2] + i] = x
+        self._write(self.sizes[2] + i, entries)
         self.var[i], self.val[i] = var0 + 1, val
         self.num_labeled += 1
         return i
@@ -91,7 +95,8 @@ class ProgramBuilder:
         emitted = (self.coords.next_free, self.variables.next_free, self.num_free, self.num_labeled)
         if emitted != self.sizes:
             raise RuntimeError(f"emitted (dim, num_vars, free, labeled) = {emitted}, the closed form gives {self.sizes}")
-        return LowLevelProgram.from_store(self.sizes[1], self.target, self.store, self.num_free, self.var, self.val, tol)
+        return LowLevelProgram.from_store(self.sizes[1], self.target, self.store, self.num_free, self.var, self.val,
+                                          tol, self.pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -486,9 +491,8 @@ class CompiledProgram:
             raise ValueError("w is not a valid positive witness for the quantized input")
         # coefficients of every column of the store, written gadget by gadget;
         # the available ones are kept
-        avail = self.program.available_vectors(bits)
-        nf = avail.num_free
-        full = np.zeros(avail.mask.size)
+        mask, nf = self.program.available_mask(bits), self.program.num_free
+        full = np.zeros(mask.size)
         full[list(lay.hl_free)] = phi
         for rec in lay.loaders:
             gamma = w[rec.column - 1]
@@ -513,7 +517,7 @@ class CompiledProgram:
             for a, b, l, idx in rec.edges:
                 if l == sel % (1 << a) and b == (sel >> a) & 1:
                     full[nf + idx] = mass
-        coeffs = full[avail.mask]
+        coeffs = full[mask]
         return LiftedWitness(bits=bits, coefficients=coeffs, vector=None, size=float(coeffs @ coeffs))
 
     def lift_negative(self, source, wprime: np.ndarray | None = None) -> LiftedWitness:

@@ -67,6 +67,16 @@ def column_rows(matrix: np.ndarray) -> list[list[int]]:
     return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
+def column_entries(matrix: np.ndarray, pattern=None) -> list[dict[int, float]]:
+    """For each column of ``matrix``, a map from the rows where it is nonzero
+    to its entries; ``pattern`` is its ``column_rows`` when given."""
+    pattern = column_rows(matrix) if pattern is None else pattern
+    lengths = [len(rows) for rows in pattern]
+    at = np.fromiter(chain.from_iterable(pattern), np.intp, sum(lengths))
+    values = iter(matrix[at, np.repeat(np.arange(len(pattern)), lengths)].tolist())
+    return [dict(zip(rows, values)) for rows in pattern]  # zip stops at the end of rows, before reading values
+
+
 def normalize_bits(x, num_vars: int) -> tuple[int, ...]:
     """Accept '101', b'101', or an int sequence; validate length and values."""
     if isinstance(x, (bytes, bytearray)):
@@ -124,163 +134,328 @@ class WitnessReport:
 
 
 # Available matrices with fewer entries are factored without a peel: there
-# one SVD costs less than the peel's bookkeeping (on compiled sparse
-# programs, a peeled decision breaks even near 60 x 50 and 84 x 77).
+# one SVD costs less than the peel's bookkeeping (on compiled programs, with
+# doubletons merged, a peeled decision is 25-50% slower at 52 x 52 to
+# 60 x 55, breaks even near 68 x 68 and is 10-25% faster from 76 x 68 on).
 PEEL_MIN_CELLS = 4096
 
 
-class _Side:
-    """One side of a peel's nonzero pattern: ``lines[i]`` lists the entries
-    of line i (the columns of a row, or the rows of a column), with which
-    lines are kept, how many kept entries each has, and which lines lost one
-    since their side last took pivots."""
+class _Elimination:
+    """A peel in progress on the merged matrix.  ``columns[j]`` maps each row
+    where column j is nonzero to its entry, dropped rows included; a column
+    is copied before its first merge, so the maps handed in are only read.
+    ``lines[i]`` is the set of kept columns nonzero on kept row i, and
+    ``degree[j]`` counts the kept rows where column j is nonzero.  The next
+    rounds look at the rows where the target is 0 that were left with one
+    kept column (``ends``) or two (``twos``), and at the columns left with
+    one kept row (``ones``), since they last looked."""
 
-    def __init__(self, lines: list[list[int]]):
-        self.lines, self.kept = lines, [True] * len(lines)
-        self.degree = [len(entries) for entries in lines]
-        self.touched = set(range(len(lines)))
+    def __init__(self, columns: list[dict], open_rows: list[bool]):
+        self.columns, self.open, self.copied = list(columns), open_rows, set()
+        self.lines = lines = [set() for _ in open_rows]
+        for j, col in enumerate(columns):
+            for i in col:
+                lines[i].add(j)
+        self.row_kept, self.col_kept = [True] * len(open_rows), [True] * len(columns)
+        self.degree = [len(col) for col in columns]
+        self.ones = {j for j, degree in enumerate(self.degree) if degree == 1}
+        self.ends = {i for i, line in enumerate(lines) if len(line) == 1 and open_rows[i]}
+        self.twos = {i for i, line in enumerate(lines) if len(line) == 2 and open_rows[i]}
 
-    def pivots(self, other: "_Side", eligible=None) -> tuple[list[int], list[int]]:
-        """One round of degree-1 pivots: every touched kept line with exactly
-        one kept entry (and ``eligible``, when given) pairs with that entry,
-        unless an earlier line of the round took it, and both are dropped.
-        Returns the pivot lines and their entries."""
-        pivots = {}  # entry -> its line
-        for i in sorted(self.touched):
-            if self.kept[i] and self.degree[i] == 1 and (eligible is None or eligible[i]):
-                pivots.setdefault(next(j for j in self.lines[i] if other.kept[j]), i)
-        self.touched = set()
+    def _moved(self, i: int, line: set) -> None:
+        """Kept row i lost or gained a kept column, leaving ``line``."""
+        if self.open[i]:
+            if len(line) == 1:
+                self.ends.add(i)
+            elif len(line) == 2:
+                self.twos.add(i)
+
+    def drop(self, i: int, j: int) -> None:
+        self.row_kept[i] = self.col_kept[j] = False
+        degree, ones = self.degree, self.ones
+        for k in self.lines[i]:
+            degree[k] -= 1
+            if degree[k] == 1:
+                ones.add(k)
+        lines, kept = self.lines, self.row_kept
+        for k in self.columns[j]:
+            if kept[k]:
+                line = lines[k]
+                line.discard(j)
+                if len(line) <= 2:
+                    self._moved(k, line)
+
+    def dead_ends(self) -> tuple[list[int], list[int]]:
+        """One round of dead ends: every kept row where the target is 0 with
+        exactly one kept column pairs with it, unless an earlier row of the
+        round took it, and both are dropped.  Returns the rows and their
+        columns."""
+        pivots = {}  # column -> its row
+        for i in sorted(self.ends):
+            if self.row_kept[i] and len(self.lines[i]) == 1:
+                pivots.setdefault(next(iter(self.lines[i])), i)
+        self.ends = set()
         for j, i in pivots.items():
-            self.kept[i] = other.kept[j] = False
-            for k in other.lines[j]:
-                self.degree[k] -= 1
-            for k in self.lines[i]:
-                other.degree[k] -= 1
-            self.touched.update(other.lines[j])
-            other.touched.update(self.lines[i])
+            self.drop(i, j)
         return list(pivots.values()), list(pivots)
+
+    def singletons(self) -> tuple[list[int], list[int]]:
+        """One round of singletons, the transpose of ``dead_ends``: every kept
+        column with exactly one kept row pairs with it.  Returns the rows and
+        their columns."""
+        pivots = {}  # row -> its column
+        kept = self.row_kept
+        for j in sorted(self.ones):
+            if self.col_kept[j] and self.degree[j] == 1:
+                for i in self.columns[j]:
+                    if kept[i]:
+                        pivots.setdefault(i, j)
+                        break
+        self.ones = set()
+        for i, j in pivots.items():
+            self.drop(i, j)
+        return list(pivots), list(pivots.values())
+
+    def doubletons(self) -> tuple[list[int], list[int], list[int], list[float]]:
+        """One round of doubletons: every kept row r where the target
+        is 0 with exactly two kept columns pivots on k, the column of its
+        larger entry (the later one on a tie), and merges it into the other,
+        j: ``a_j <- a_j - m a_k`` with ``m = A[r, j] / A[r, k]``, so ``|m| <=
+        1`` and row r is left a dead end of column k; both are dropped.  A row
+        waits for a later round when an earlier row of this one pivots on j
+        or on k, or merges into k.  So no column a round pivots on is nonzero
+        on another row of the round, its merges reach none of them, and they
+        commute.  Returns the rows, j, k and m."""
+        pivoted, merged, waiting, pivots = set(), set(), set(), []
+        for r in sorted(self.twos):
+            line = self.lines[r]
+            if len(line) != 2 or not self.row_kept[r]:
+                continue
+            a, b = line
+            if a > b:
+                a, b = b, a
+            j, k = (a, b) if abs(self.columns[b][r]) >= abs(self.columns[a][r]) else (b, a)
+            if j in pivoted or k in pivoted or k in merged:
+                waiting.add(r)
+                continue
+            pivoted.add(k)
+            merged.add(j)
+            pivots.append((r, j, k, self.columns[j][r] / self.columns[k][r]))
+        self.twos = waiting
+        for r, j, k, m in pivots:
+            self.merge(r, j, k, m)
+            self.drop(r, k)
+        return tuple(map(list, zip(*pivots))) if pivots else ([], [], [], [])
+
+    def merge(self, r: int, j: int, k: int, m: float) -> None:
+        """``a_j <- a_j - m a_k``, with the entry at row r set to 0 and exact
+        cancellations dropped from the pattern."""
+        if j not in self.copied:
+            self.columns[j] = dict(self.columns[j])
+            self.copied.add(j)
+        col, degree = self.columns[j], self.degree
+        del col[r]
+        self.lines[r].discard(j)
+        degree[j] -= 1
+        for i, v in self.columns[k].items():
+            if i == r:
+                continue
+            had, new = i in col, col.get(i, 0.0) - m * v
+            if new:
+                col[i] = new
+            elif had:
+                del col[i]
+            if had != bool(new) and self.row_kept[i]:  # fill, or an exact cancellation
+                line = self.lines[i]
+                if new:
+                    line.add(j)
+                    degree[j] += 1
+                else:
+                    line.discard(j)
+                    degree[j] -= 1
+                self._moved(i, line)
+        if degree[j] == 1:
+            self.ones.add(j)
 
 
 class Peel:
-    """The degree-1 coordinates of one input, removed before factoring.
+    """The coordinates of one input removed before factoring.
 
-    ``Peel.of`` runs degree-1 elimination on the nonzero pattern of the
-    available columns ``matrix`` (Davis, *Direct Methods for Sparse Linear
-    Systems*, SIAM 2006), in rounds until nothing changes.  Its pivots come
-    in two kinds, one the transpose of the other:
+    ``Peel.of`` runs elimination on the nonzero pattern of the available
+    columns ``matrix`` (Davis, *Direct Methods for Sparse Linear Systems*,
+    SIAM 2006), in rounds until nothing changes.  Its pivots come in three
+    kinds:
 
     - a dead end: a kept row where ``target`` is 0 and exactly one kept
       column is nonzero, paired with that column;
     - a singleton: a kept column with exactly one nonzero among the kept
       rows (a column singleton of LP presolve; Andersen and Andersen,
-      *Math. Programming* 71, 1995), paired with that row.
+      *Math. Programming* 71, 1995), paired with that row;
+    - a doubleton: a kept row r where ``target`` is 0 and exactly two kept
+      columns j and k are nonzero (the doubleton equation of LP presolve),
+      with ``|A[r, k]| >= |A[r, j]|``.  Column k is merged into column j,
+      ``a_j <- a_j - m a_k`` with ``m = A[r, j] / A[r, k]``, which leaves row
+      r a dead end of column k (threshold pivoting: ``|m| <= 1``).
 
-    A round of each kind takes every such line, pairs it with its one entry
-    unless an earlier line of the round took it, and drops both; the kinds
-    alternate.  The kept rows where the target is 0 and no kept column is
-    nonzero go last (``zero``).  ``rounds`` and ``singletons`` list the
-    pivots of each round of either kind as (rows, cols) index lists,
-    ``pattern[j]`` the rows where column j is nonzero (``column_rows``),
-    ``rows`` and ``cols`` mask what is kept, and ``block`` and ``target`` are
-    what is factored: ``matrix`` and ``target`` themselves when nothing peels.
+    A round of one kind takes every such line unless an earlier line of the
+    round took one of its entries, and drops its pairs; dead-end and
+    singleton rounds alternate, and a doubleton round runs when neither
+    finds anything.  The kept rows where the target is 0 and no kept column
+    is nonzero go last (``zero``).  ``rounds`` lists the dead-end pivots of
+    each round as (rows, cols) index lists, doubleton rounds included, in
+    order; ``singletons`` those of each singleton round; ``merges`` the
+    (j, k, m) arrays of each doubleton round.  ``columns[j]`` maps each row
+    where column j of the merged matrix is nonzero to its entry, ``rows``
+    and ``cols`` mask what is kept, and ``block`` and ``target`` are what is
+    factored: ``matrix`` and ``target`` themselves when nothing peels.
     ``whole`` is the target on every row.
 
-    The peel is exact.  Order the pivots as the dead ends in the order of
-    their rounds, then the singletons in the reverse order: a dead-end row is
-    zero on every column kept when it goes, and a singleton column on every
-    row kept when it goes, so the pivot block D is lower triangular.  With
-    the pivots first, ``matrix = [[D, E], [F, K]]``, where E is zero on the
-    dead-end rows and F on the singleton columns, so ``F D^-1 E = 0`` and the
-    kept block K (with its zero rows) is exactly the Schur complement.  The
-    target is 0 on the dead-end rows, so ``F D^-1 t_P = 0`` and ``t`` lies in
-    the span of ``matrix`` exactly when ``t_K`` lies in the span of K.  The
-    complement of that span is null(K^T) (the zero rows' unit vectors
-    included), 0 on singleton rows and fixed on dead-end rows by their pivot
-    columns (``extend``).  Every solution of ``matrix @ w = t`` is 0 on the
-    dead-end columns and fixed on the singleton columns by their rows; the
-    null space of ``matrix`` is null(K) extended by ``-D^-1 E`` (``lift``).
-    Whether the block also keeps the tolerance decision of one SVD of
-    ``matrix`` is checked after it is factored (``stands``).
+    The peel is exact.  Each merge is an invertible column operation, so
+    the merged matrix is ``A C`` for a unit triangular C with span(A C) =
+    span(A); C^-1 is I plus m at (k, j) for each merge.  Order the pivots
+    of ``A C`` as the dead ends in the order of their rounds, then the
+    singletons in the reverse order: a dead-end row is zero on every column
+    kept when it goes (merges only combine kept columns), and a singleton
+    column on every row kept when it goes, so the pivot block D is lower
+    triangular.  With the pivots first, ``A C = [[D, E], [F, K]]``, where E
+    is zero on the dead-end rows and F on the singleton columns, so
+    ``F D^-1 E = 0`` and the kept block K (with its zero rows) is exactly
+    the Schur complement.  The target is 0 on the dead-end rows, so ``F
+    D^-1 t_P = 0`` and ``t`` lies in the span of ``matrix`` exactly when
+    ``t_K`` lies in the span of K.  The complement of that span is null(K^T)
+    (the zero rows' unit vectors included), 0 on singleton rows and fixed on
+    dead-end rows by their pivot columns (``extend``).  Every solution of
+    ``A C y = t`` is 0 on the dead-end columns and fixed on the singleton
+    columns by their rows, and C maps the solutions and the null space of
+    ``A C`` onto those of ``matrix`` (``lift``).  Whether the block also
+    keeps the tolerance decision of one SVD of ``matrix`` is checked after
+    it is factored (``stands``).
     """
 
-    def __init__(self, matrix: np.ndarray, target: np.ndarray, rounds=(), singletons=(), zero=(), pattern=()):
-        self.matrix, self.whole, self.pattern = matrix, target, pattern
+    def __init__(self, matrix: np.ndarray, target: np.ndarray, rounds=(), singletons=(), zero=(), columns=(),
+                 merges=()):
+        self.matrix, self.whole, self.columns = matrix, target, columns
         self.rounds, self.singletons, self.zero = tuple(rounds), tuple(singletons), list(zero)
+        self.merges = tuple(merges)
         self.rows, self.cols = np.ones(matrix.shape[0], dtype=bool), np.ones(matrix.shape[1], dtype=bool)
-        for rows, cols in self.rounds + self.singletons:
-            self.rows[rows] = self.cols[cols] = False
-        self.rows[self.zero] = False
+        pivots = self.rounds + self.singletons
+        self.rows[[i for rows, _ in pivots for i in rows] + self.zero] = False
+        self.cols[[j for _, cols in pivots for j in cols]] = False
         if self.rows.all() and self.cols.all():
             self.block, self.target = matrix, target
-        else:
-            self.block, self.target = matrix[np.ix_(self.rows, self.cols)], target[self.rows]
+            return
+        self.block, self.target = matrix[np.ix_(self.rows, self.cols)], target[self.rows]
+        merged = sorted({j for js, _, _ in self.merges for j in js.tolist()})
+        merged = [j for j in merged if self.cols[j]]
+        if merged:  # kept columns that differ from ``matrix``, written from their entries
+            at, values, lengths = self._entries(merged)
+            pos, keep = np.cumsum(self.cols)[merged] - 1, self.rows[at]
+            self.block[:, pos] = 0.0
+            self.block[(np.cumsum(self.rows) - 1)[at[keep]], np.repeat(pos, lengths)[keep]] = values[keep]
 
     @classmethod
-    def of(cls, matrix: np.ndarray, target: np.ndarray, pattern=None) -> "Peel":
-        """The peel of ``matrix``; ``pattern`` is computed from it when not
-        given.  Unless some column has exactly one nonzero or some row where
-        the target is 0 has at most one, nothing is read in Python."""
+    def of(cls, matrix: np.ndarray, target: np.ndarray, columns=None) -> "Peel":
+        """The peel of ``matrix``; ``columns`` (``column_entries`` of it) is
+        computed when not given.  Unless some column has exactly one nonzero
+        or some row where the target is 0 has at most two, nothing is read
+        in Python."""
         open_rows = target == 0
-        degrees = np.count_nonzero(matrix, axis=0) if pattern is None else [len(rows) for rows in pattern]
-        if 1 not in degrees and not (open_rows & (np.count_nonzero(matrix, axis=1) <= 1)).any():
+        degrees = np.count_nonzero(matrix, axis=0) if columns is None else [len(col) for col in columns]
+        if 1 not in degrees and not (open_rows & (np.count_nonzero(matrix, axis=1) <= 2)).any():
             return cls(matrix, target)
-        pattern = column_rows(matrix) if pattern is None else pattern
-        row_cols = [[] for _ in range(matrix.shape[0])]
-        for j, col in enumerate(pattern):
-            for i in col:
-                row_cols[i].append(j)
-        rows, cols, open_rows = _Side(row_cols), _Side(pattern), open_rows.tolist()
-        rounds, singletons = [], []
-        while rows.touched or cols.touched:
-            dead_rows, dead_cols = rows.pivots(cols, open_rows)
-            if dead_rows:
-                rounds.append((dead_rows, dead_cols))
-            single_cols, single_rows = cols.pivots(rows)
-            if single_cols:
-                singletons.append((single_rows, single_cols))
-        zero = [i for i, (kept, degree, is_open) in enumerate(zip(rows.kept, rows.degree, open_rows))
-                if kept and is_open and not degree]
-        return cls(matrix, target, rounds, singletons, zero, pattern)
+        state = _Elimination(column_entries(matrix) if columns is None else columns, open_rows.tolist())
+        rounds, singletons, merges = [], [], []
+        while True:
+            dead, single = state.dead_ends(), state.singletons()
+            if dead[0]:
+                rounds.append(dead)
+            if single[0]:
+                singletons.append(single)
+            if dead[0] or single[0]:
+                continue
+            rows, js, ks, ms = state.doubletons()
+            if not rows:
+                break
+            rounds.append((rows, ks))
+            merges.append((np.array(js, dtype=np.intp), np.array(ks, dtype=np.intp), np.array(ms)))
+        zero = [i for i, (kept, line, is_open) in enumerate(zip(state.row_kept, state.lines, state.open))
+                if kept and is_open and not line]
+        return cls(matrix, target, rounds, singletons, zero, state.columns, merges)
+
+    def _entries(self, cols) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """The entries of columns ``cols`` of the merged matrix, one column
+        after another: their rows, their values and how many each has."""
+        columns = [self.columns[j] for j in cols]
+        lengths = [len(col) for col in columns]
+        total = sum(lengths)
+        at = np.fromiter(chain.from_iterable(columns), np.intp, total)
+        values = np.fromiter(chain.from_iterable([col.values() for col in columns]), float, total)
+        return at, values, lengths
+
+    @cached_property
+    def _pivots(self):
+        """The pivots in the order of D: their rows and columns, the entries
+        of their columns (rows, values, and the pivot each belongs to), the
+        pivot entries, and per round the (first pivot, end, first entry, end)
+        spans."""
+        order = [*self.rounds, *reversed(self.singletons)]
+        rows = np.concatenate([r for r, _ in order])
+        cols = np.concatenate([c for _, c in order])
+        at, values, lengths = self._entries(cols.tolist())
+        owner = np.repeat(np.arange(cols.size), lengths)  # entry -> its pivot, in order
+        pivot = values[at == rows[owner]]
+        starts = np.cumsum([0] + lengths).tolist()  # pivot -> its first entry
+        ends = np.cumsum([0] + [len(c) for _, c in order]).tolist()
+        spans = [(a, b, starts[a], starts[b]) for a, b in zip(ends, ends[1:])]
+        return rows, cols, at, values, owner, pivot, np.array(starts), spans
 
     def stands(self, dec: SvdResult, resid: float, tol: float) -> bool:
         """Whether one SVD of ``matrix`` would decide as the block did, with
         ``dec`` the block's SVD and ``resid`` its residual norm.
 
-        That SVD counts rank against ``tol`` times its largest singular value,
-        which is at most ``sqrt(s_1^2 + xi^2 + eta^2)``: ``s_1`` is the
-        block's, ``xi`` bounds the norm of the pivot columns and ``eta`` that
-        of E (the singleton rows on the kept columns), each by
-        ``sqrt(|.|_1 |.|_inf)``.  In the order of the class docstring the
-        pivot block D is lower triangular, so |D^-1| <= M^-1 entrywise for its
-        comparison matrix M (Higham, *Accuracy and Stability of Numerical
-        Algorithms*, 2nd ed., 2002, ch. 8), and one sweep each way bounds
-        ``|D^-1|`` by ``kappa``.  With K_r the block's rank-r part,
-        ``[[D, E], [F, K_r]]`` has rank r + q for q pivots and a generalized
-        inverse of norm at most ``1/s_r + kappa (1 + (xi + eta + kappa xi
-        eta)/s_r)``, and it differs from ``matrix`` by the largest singular
-        value ``s_{r+1}`` that the block's rank leaves out.  So the r + q
+        First for the merged matrix ``A C``.  That SVD counts rank against
+        ``tol`` times its largest singular value, which is at most
+        ``sqrt(s_1^2 + xi^2 + eta^2)``: ``s_1`` is the block's, ``xi`` bounds
+        the norm of the pivot columns and ``eta`` that of E (the singleton
+        rows on the kept columns), each by ``sqrt(|.|_1 |.|_inf)``.  In the
+        order of the class docstring the pivot block D is lower triangular,
+        so |D^-1| <= M^-1 entrywise for its comparison matrix M (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch.
+        8), and one sweep each way bounds ``|D^-1|`` by ``kappa``.  With K_r
+        the block's rank-r part, ``[[D, E], [F, K_r]]`` has rank r + q for q
+        pivots and a generalized inverse of norm at most ``1/s_r + kappa (1 +
+        (xi + eta + kappa xi eta)/s_r)``, and it differs from ``A C`` by the
+        largest singular value ``s_{r+1}`` that the block's rank leaves out.
+
+        Then for ``matrix`` itself, through C: ``|C| <= (I - |C^-1 - I|)^-1``
+        entrywise (C^-1 is unit triangular), so one sweep each way over the
+        multipliers bounds |C| by ``grow``, and |C^-1| <= ``shrink`` = 1 +
+        sqrt(the largest sum of |m| merged into one column), since each
+        column goes as k at most once and ``|m| <= 1``.  Both are 1 without
+        merges.  Multiplied by C^-1, the rank-(r + q) matrix has its
+        smallest nonzero singular value divided by at most ``grow`` and
+        differs from ``matrix`` by at most ``shrink s_{r+1}``; so the r + q
         singular values of ``matrix`` it carries are at least ``floor``, the
-        reciprocal of that norm minus ``s_{r+1}``.  The peel stands when
-        ``floor`` clears the cutoff, and the residual stays on its side of
-        ``tol |t|`` (``t`` the whole target) both when the pivot columns pull
-        it down to ``resid / hypot(1, xi kappa)`` and when the left-out part
-        moves it by ``|t| s_{r+1} / floor``.
+        reciprocal of ``grow`` times that norm, minus ``shrink s_{r+1}``.
+        The peel stands when ``floor`` clears the cutoff (its bound above
+        times ``shrink``), the rest stay under the cutoff (``grow shrink
+        s_{r+1} <= tol s_1``), and the residual stays on its side of ``tol
+        |t|`` (``t`` the whole target) both when the pivot columns pull it
+        down to ``resid / hypot(1, xi kappa)`` and when the left-out part
+        moves it by ``|t| shrink s_{r+1} / floor``.
         """
-        order = [*self.rounds, *reversed(self.singletons)]
-        if not order:  # zero rows alone move neither the span nor the residual
+        if not self.rounds and not self.singletons:  # zero rows alone move neither the span nor the residual
             return True
-        rows = np.concatenate([r for r, _ in order])
-        cols = np.concatenate([c for _, c in order])
-        lengths = [len(self.pattern[j]) for j in cols.tolist()]
-        at = np.fromiter(chain.from_iterable(self.pattern[j] for j in cols.tolist()), np.intp, sum(lengths))
-        owner = np.repeat(np.arange(cols.size), lengths)  # entry -> its pivot, in order
-        size, pivot = np.abs(self.matrix[at, cols[owner]]), np.abs(self.matrix[rows, cols])
+        rows, cols, at, values, owner, pivot, starts, spans = self._pivots
+        size, pivot = np.abs(values), np.abs(pivot)
         xi = float(np.sqrt(np.bincount(owner, size).max() * np.bincount(at, size).max()))
-        starts = np.cumsum([0] + lengths).tolist()  # pivot -> its first entry
-        ends = np.cumsum([0] + [len(c) for _, c in order]).tolist()
-        edge = np.abs(self.matrix[np.ix_(rows[ends[len(self.rounds)] :], self.cols)])  # E on the singleton rows
-        eta = float(np.sqrt(edge.sum(0).max() * edge.sum(1).max())) if edge.size else 0.0
-        spans = [(a, b, starts[a], starts[b]) for a, b in zip(ends, ends[1:])]  # pivots and entries of each round
+        eta = 0.0
+        if self.singletons:  # the kept columns are 0 on the other pivot rows and the zero rows
+            at_kept, values_kept, lengths = self._entries(np.flatnonzero(self.cols).tolist())
+            edge = ~self.rows[at_kept]
+            if edge.any():
+                col, size_kept = np.repeat(np.arange(len(lengths)), lengths)[edge], np.abs(values_kept[edge])
+                eta = float(np.sqrt(np.bincount(col, size_kept).max() * np.bincount(at_kept[edge], size_kept).max()))
         dim = self.matrix.shape[0]
         y, pushed = np.empty(cols.size), np.zeros(dim)  # M y = 1, forward
         for a, b, e, f in spans:
@@ -290,14 +465,24 @@ class Peel:
         for a, b, e, f in reversed(spans):
             z[rows[a:b]] = (1.0 + np.bincount(owner[e:f] - a, size[e:f] * z[at[e:f]], b - a)) / pivot[a:b]
         kappa = float(np.sqrt(y.max() * z.max()))
+        grow = shrink = 1.0
+        if self.merges:
+            down, up, into = np.ones(self.cols.size), np.ones(self.cols.size), np.zeros(self.cols.size)
+            for js, ks, ms in reversed(self.merges):
+                down[ks] = 1.0 + np.abs(ms) * down[js]
+            for js, ks, ms in self.merges:
+                np.add.at(up, js, np.abs(ms) * up[ks])
+                np.add.at(into, js, np.abs(ms))
+            grow, shrink = float(np.sqrt(down.max() * up.max())), 1.0 + float(np.sqrt(into.max()))
         sigma, r = dec.sigma, dec.rank
+        s_1 = sigma[0] if sigma.size else 0.0
         s_r, s_next = (sigma[r - 1] if r else np.inf), (sigma[r] if r < sigma.size else 0.0)
-        cutoff = tol * np.sqrt((sigma[0] if sigma.size else 0.0) ** 2 + xi**2 + eta**2)
-        floor = 1.0 / (1.0 / s_r + kappa * (1.0 + (xi + eta + kappa * xi * eta) / s_r)) - s_next
-        if not floor > cutoff:
+        cutoff = tol * shrink * np.sqrt(s_1**2 + xi**2 + eta**2)
+        floor = 1.0 / (grow * (1.0 / s_r + kappa * (1.0 + (xi + eta + kappa * xi * eta) / s_r))) - shrink * s_next
+        if not floor > cutoff or grow * shrink * s_next > tol * s_1:
             return False
         norm = np.linalg.norm(self.whole)
-        bound, shift = tol * norm, norm * s_next / floor
+        bound, shift = tol * norm, norm * shrink * s_next / floor
         if resid <= tol * np.linalg.norm(self.target):  # the block accepts
             return resid + shift <= bound
         return resid / np.hypot(1.0, xi * kappa) - shift > bound
@@ -308,37 +493,60 @@ class Peel:
         kept rows.  The zero rows add their unit vectors and the singleton
         rows stay 0.  Sweeping the dead-end rounds from last to first, each
         pivot column's orthogonality fixes the basis at its pivot row, one
-        division per pivot; a thin QR makes the result orthonormal again."""
+        division per pivot over the column's nonzeros; a thin QR makes the
+        result orthonormal again."""
         if self.block is self.matrix:
             return basis
         full = np.zeros((self.matrix.shape[0], basis.shape[1] + len(self.zero)))
         full[self.rows, : basis.shape[1]] = basis
         full[self.zero, basis.shape[1] :] = np.eye(len(self.zero))
-        for rows, cols in reversed(self.rounds):
-            full[rows] = -(self.matrix[:, cols].T @ full) / self.matrix[rows, cols][:, None]
-        return np.linalg.qr(full)[0] if self.rounds else full
+        if not self.rounds:
+            return full
+        rows, _, at, values, _, pivot, starts, spans = self._pivots
+        for a, b, e, f in reversed(spans[: len(self.rounds)]):
+            sums = np.add.reduceat(values[e:f, None] * full[at[e:f]], starts[a:b] - e)
+            full[rows[a:b]] = -sums / pivot[a:b, None]
+        return np.linalg.qr(full)[0]
 
     def lift(self, w: np.ndarray, null: np.ndarray) -> np.ndarray:
         """The minimum-norm solution of ``matrix @ x = whole`` on the rank
         the block kept, from ``w``, the block's, and ``null``, an orthonormal
-        basis of the block's null space: the mirror of ``extend``.  Dead-end
-        columns are 0.  Sweeping the singleton rounds from last to first,
+        basis of the block's null space: the mirror of ``extend``.  On the
+        merged columns, dead-end columns are 0; sweeping the singleton rounds
+        from last to first,
         each singleton row fixes its pivot column, one division per pivot,
         in ``w`` and in ``null``, which then spans the null space of
-        ``[[D, E], [F, K_r]]``; a thin QR of it and one projection leave the
-        solution of least norm."""
-        if not self.singletons:
+        ``[[D, E], [F, K_r]]``.  Then C, one merge at a time from last to
+        first (``x_k <- x_k - m x_j``), carries both from the merged columns
+        to those of ``matrix``; a thin QR of the null space and one
+        projection leave the solution of least norm."""
+        if not self.singletons and not self.merges:
             x = np.zeros(self.cols.size)
             x[self.cols] = w
             return x
         both = np.zeros((self.cols.size, 1 + null.shape[1]))
         both[self.cols, 0], both[self.cols, 1:] = w, null
-        live = self.cols.copy()  # all but the dead-end columns
-        for rows, cols in reversed(self.singletons):
-            step = self.matrix[rows] @ both
-            step[:, 0] -= self.whole[rows]
-            both[cols] = -step / self.matrix[rows, cols][:, None]
-            live[cols] = True
+        live = self.cols.copy()  # in the end all but the dead-end columns no merge pivots on
+        if self.singletons:
+            # the merged matrix on the singleton rows, on the kept and
+            # singleton columns: ``both`` is 0 on the dead-end columns
+            rows = np.concatenate([r for r, _ in self.singletons])
+            cols = np.flatnonzero(self.cols).tolist() + [j for _, c in self.singletons for j in c]
+            at, values, lengths = self._entries(cols)
+            where = np.full(self.rows.size, -1)
+            where[rows] = np.arange(rows.size)
+            merged, keep = np.zeros((rows.size, self.cols.size)), where[at] >= 0
+            merged[where[at[keep]], np.repeat(cols, lengths)[keep]] = values[keep]
+            end = rows.size
+            for rows, cols in reversed(self.singletons):
+                end -= len(rows)
+                step = merged[end : end + len(rows)] @ both
+                step[:, 0] -= self.whole[rows]
+                both[cols] = -step / merged[end + np.arange(len(rows)), cols][:, None]
+                live[cols] = True
+        for js, ks, ms in reversed(self.merges):
+            both[ks] -= ms[:, None] * both[js]
+            live[ks] = True
         x = both[:, 0]
         if null.shape[1]:
             q = np.linalg.qr(both[live, 1:])[0]
@@ -365,12 +573,15 @@ class LowLevelProgram:
 
     @classmethod
     def from_store(cls, num_vars: int, target, store: np.ndarray, num_free: int, var, val,
-                   tol: float = DEFAULT_TOL) -> "LowLevelProgram":
+                   tol: float = DEFAULT_TOL, pattern=None) -> "LowLevelProgram":
         """A program on a built ``dim x N`` store whose first ``num_free``
         columns are the free vectors; ``var``/``val`` label the rest.  The
-        arrays are adopted, not copied, and made read-only."""
+        arrays are adopted, not copied, and made read-only.  ``pattern``, when
+        given, is ``column_rows(store)`` as its builder recorded it."""
         prog = cls.__new__(cls)
         prog._adopt(store.shape[0], num_vars, target, store, num_free, var, val, tol)
+        if pattern is not None:
+            vars(prog)["_pattern"] = pattern
         return prog
 
     def _adopt(self, dim, num_vars, target, columns, num_free, var, val, tol, prefix=""):
@@ -417,8 +628,13 @@ class LowLevelProgram:
 
     @cached_property
     def _pattern(self) -> list[list[int]]:
-        """``column_rows`` of the store, read by every peel."""
+        """``column_rows`` of the store, unless its builder handed it over."""
         return column_rows(self._columns)
+
+    @cached_property
+    def _entries(self) -> list[dict[int, float]]:
+        """``column_entries`` of the store, read by every peel."""
+        return column_entries(self._columns, self._pattern)
 
     @cached_property
     def labeled(self) -> tuple[LabeledVector, ...]:
@@ -428,14 +644,19 @@ class LowLevelProgram:
 
     # -- queries ---------------------------------------------------------
 
-    def available_vectors(self, x) -> AvailableColumns:
+    def available_mask(self, x) -> np.ndarray:
+        """Which columns of the store are available on input ``x``: the free
+        vectors, and the labeled ones whose variable takes their value."""
         bits = np.array(normalize_bits(x, self.num_vars), dtype=np.intp)
-        nf = self.num_free
         mask = np.ones(self._columns.shape[1], dtype=bool)
-        mask[nf:] = bits[self.var - 1] == self.val
+        mask[self.num_free :] = bits[self.var - 1] == self.val
+        return mask
+
+    def available_vectors(self, x) -> AvailableColumns:
+        mask = self.available_mask(x)
         matrix = self._columns[:, mask]
         matrix.setflags(write=False)
-        return AvailableColumns(matrix=matrix, mask=mask, num_free=nf)
+        return AvailableColumns(matrix=matrix, mask=mask, num_free=self.num_free)
 
     def all_vectors(self) -> np.ndarray:
         """All input vectors (free then labeled) as columns of the read-only
@@ -459,28 +680,29 @@ class LowLevelProgram:
         """The peel of the available columns of ``x``, the SVD of its kept
         block and the decision.
 
-        The peel drops the degree-1 coordinates; only the kept block is
-        factored, and both witness sides come from its one SVD.  Unless the
+        The peel drops the degree-1 coordinates and merges the doubletons;
+        only the kept block is factored, and both witness sides come from its
+        one SVD.  Unless the
         peel stands (the block decides as one SVD of all available columns
         would), the available columns are factored whole instead, as they are
         when they have fewer than ``PEEL_MIN_CELLS`` entries.  Complete left
         singular vectors are computed when the block has fewer columns than
         rows, so ``u[:, rank:]`` is an orthonormal basis of the complement of
         the block's span, which ``Peel.extend`` turns into the space negative
-        witnesses live in; complete right ones when singletons peeled, so
-        ``vt[rank:]`` spans the block's null space, which ``Peel.lift``
-        needs.  The thin factors are already complete otherwise.
+        witnesses live in; complete right ones when singletons or doubletons
+        peeled, so ``vt[rank:]`` spans the block's null space, which
+        ``Peel.lift`` needs.  The thin factors are already complete otherwise.
         """
         avail = self.available_vectors(x)
         if avail.matrix.size < PEEL_MIN_CELLS:
             peel = Peel(avail.matrix, self.target)
         else:
-            pattern = self._pattern
-            peel = Peel.of(avail.matrix, self.target, [pattern[j] for j in np.flatnonzero(avail.mask).tolist()])
+            entries = self._entries
+            peel = Peel.of(avail.matrix, self.target, [entries[j] for j in np.flatnonzero(avail.mask).tolist()])
         while True:
             rows, cols = peel.block.shape
             dec, resid, decision = in_span(peel.block, peel.target, tol,
-                                           full_matrices=cols < rows or bool(peel.singletons))
+                                           full_matrices=cols < rows or bool(peel.singletons or peel.merges))
             if peel.stands(dec, float(np.linalg.norm(resid)), tol):
                 return peel, dec, decision
             peel = Peel(avail.matrix, self.target)

@@ -19,6 +19,7 @@ from spanforge.encoding import grid_values, index_bit_width
 from spanforge.errors import SparseFormatError
 from spanforge.highlevel import HighLevelProgram
 from spanforge.linalg import min_norm_solve
+from spanforge.lowlevel import column_rows
 
 RNG = np.random.default_rng(909)
 
@@ -545,6 +546,24 @@ def test_layout_sizes_match_the_build(mode):
         lay, p = comp.layout, comp.program
         sizes = _layout_sizes(n, m, k, lay.k_nnz, lay.l_nnz, nfree)
         assert sizes == (p.dim, p.num_vars, len(p.free), len(p.labeled))
+
+
+@pytest.mark.parametrize("mode", ["dense", "sparse_cols", "sparse"])
+def test_builder_hands_over_the_nonzero_pattern(mode):
+    # zeros written by the builder (here in the free basis) are left out, and
+    # a compiled file rebuilds through the builder too
+    rng = np.random.default_rng(84)
+    for n, m, k, nfree in [(2, 3, 1, 1), (3, 2, 2, 2), (4, 5, 0, 3)]:
+        free = rng.standard_normal((n, nfree))
+        free[0] = 0.0
+        prog = _hl(n, m, free=free, rng=rng)
+        if mode == "dense":
+            comp = compile_dense(prog, precision=k)
+        else:
+            comp = compile_sparse(prog, k_nnz=min(2, n), precision=k, l_nnz=min(3, m) if mode == "sparse" else None)
+        for p in (comp.program, CompiledProgram.from_json(comp.to_json()).program):
+            assert "_pattern" in vars(p)
+            assert p._pattern == column_rows(p.all_vectors())
 
 
 def _two_vector_builder(free_entry, var0):

@@ -190,6 +190,39 @@ def test_peel_drops_singleton_columns_round_by_round():
     assert w == pytest.approx(np.linalg.pinv(avail) @ prog.target, abs=1e-14)
 
 
+def _doubleton_chain_program():
+    """Target (0, 0, 1, 1).  Row 0 is a doubleton of columns 0 and 1 (entries
+    1 and 2) and row 1 one of columns 1 and 2 (entries 1 and 1), a chain; the
+    merged column 0 and columns 3 and 4 stay on rows 2 and 3."""
+    return LowLevelProgram(
+        dim=4, num_vars=0, target=[0.0, 0.0, 1.0, 1.0],
+        free=([1.0, 0.0, 1.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+              [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, -1.0]),
+    )
+
+
+def test_peel_merges_doubleton_rows_round_by_round():
+    prog = _doubleton_chain_program()
+    avail = prog.available_vectors("").matrix
+    peel = Peel.of(avail, prog.target)
+    # round 1 pivots row 0 on column 1 (m = 1/2); row 1 shares column 1 and
+    # waits.  The merge leaves column 0 at -1/2 on row 1, so round 2 pivots
+    # row 1 on column 2 (m = -1/2)
+    assert _rounds(peel) == [([0], [1]), ([1], [2])] and peel.singletons == ()
+    assert [(js.tolist(), ks.tolist(), ms.tolist()) for js, ks, ms in peel.merges] == [
+        ([0], [1], [0.5]), ([0], [2], [-0.5])]
+    assert all(np.abs(ms).max() <= 1.0 for _, _, ms in peel.merges)
+    assert peel.columns[0] == {2: 1.0, 3: 0.5}
+    assert peel.block.tolist() == [[1.0, 1.0, 1.0], [0.5, 1.0, -1.0]]
+    dec, resid, decision = in_span(peel.block, peel.target, prog.tol, full_matrices=True)
+    assert decision == 1 and peel.stands(dec, float(np.linalg.norm(resid)), prog.tol)
+    # the least-norm solution of the four rows, carried back through both merges
+    w = peel.lift(min_norm_solve(peel.block, peel.target, prog.tol, dec), dec.vt[dec.rank :].T)
+    assert w == pytest.approx([6 / 17, -3 / 17, 3 / 17, 25 / 34, -3 / 34], abs=1e-15)
+    assert w == pytest.approx(np.linalg.pinv(avail) @ prog.target, abs=1e-14)
+    assert prog.positive_witness("").witness == pytest.approx(w, abs=1e-15)
+
+
 def test_peel_extends_the_complement_over_pivot_rows():
     prog = _chain_program()
     avail = prog.available_vectors("0").matrix
@@ -269,13 +302,45 @@ def test_peel_stands_only_where_it_keeps_the_decision(free, target, tol, decisio
 def test_singleton_peel_stands_only_where_it_keeps_the_decision(free, target, tol, decision, stands):
     """The transposed cases: each program peels one singleton column, the
     last or the first, with row 0; the other columns stay as a block that
-    peels no further."""
+    peels no further, unless the target is 0 on rows 1 and 2: there row 1 is
+    a doubleton that merges column 1 into column 0, and row 2 is left a dead
+    end of column 0."""
     prog = LowLevelProgram(dim=len(target), num_vars=0, target=target, free=free, tol=tol)
     avail = prog.available_vectors("").matrix
     assert in_span(avail, prog.target, tol)[2] == decision
     assert prog.evaluate("") == prog.witness("").decision == decision
     peel = Peel.of(avail, prog.target)
-    assert peel.rounds == () and len(peel.singletons) == 1 and peel.singletons[0][0] == [0]
+    assert len(peel.singletons) == 1 and peel.singletons[0][0] == [0]
+    assert _rounds(peel) == ([] if target[1:3] != [0.0, 0.0] else [([1], [1]), ([2], [0])])
+    dec, resid, block_decision = in_span(peel.block, peel.target, tol)
+    assert peel.stands(dec, float(np.linalg.norm(resid)), tol) == stands
+    assert block_decision == decision or not stands
+
+
+@pytest.mark.parametrize("free, target, tol, decision, stands", [
+    # the merge leaves 1e-12 of column 0, which one SVD of both columns
+    # counts under the cutoff
+    ([[1.0, 1.0], [1.0, 1.0 + 1e-12]], [0.0, 1.0], DEFAULT_TOL, 0, False),
+    ([[1.0, 1.0], [1.0, 1.1]], [0.0, 1.0], 0.1, 0, False),
+    ([[1.0, 1.0], [1.0, 1.5]], [0.0, 1.0], DEFAULT_TOL, 1, True),
+    # the pivot column sets the cutoff, which leaves the merged column out
+    ([[1.0, 1.0, 0.0], [1e12, 0.0, 1.0], [0.0, 1.0, 1.0]], [0.0, 1.0, 1.0], DEFAULT_TOL, 0, False),
+    ([[1.0, 1.0, 0.0], [3.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [0.0, 1.0, 1.0], 0.5, 0, False),
+    ([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [0.0, 1.0, 1.0], DEFAULT_TOL, 1, True),
+    # the pivot column could pull a residual of 0.015 under tol |t| = 0.0141;
+    # one of 0.05 stays above it
+    ([[1.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0]], [0.0, 1.0, 0.015, 1.0], 0.01, 0, False),
+    ([[1.0, 1.0, 0.0, 0.0], [2.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0]], [0.0, 1.0, 0.05, 1.0], 0.01, 0, True),
+])
+def test_doubleton_peel_stands_only_where_it_keeps_the_decision(free, target, tol, decision, stands):
+    """Each program merges column 1 into column 0 at row 0, the larger entry
+    of the row (the later one on a tie) as the pivot."""
+    prog = LowLevelProgram(dim=len(target), num_vars=0, target=target, free=free, tol=tol)
+    avail = prog.available_vectors("").matrix
+    assert in_span(avail, prog.target, tol)[2] == decision
+    assert prog.evaluate("") == prog.witness("").decision == decision
+    peel = Peel.of(avail, prog.target)
+    assert _rounds(peel)[0] == ([0], [1]) and [js.tolist() for js, _, _ in peel.merges] == [[0]]
     dec, resid, block_decision = in_span(peel.block, peel.target, tol)
     assert peel.stands(dec, float(np.linalg.norm(resid)), tol) == stands
     assert block_decision == decision or not stands

@@ -221,10 +221,12 @@ def test_peeled_witnesses_match_the_unpeeled_solver(query):
         assert rep.size == pytest.approx(size, rel=1e-10)
         if decision:
             assert np.allclose(avail @ rep.witness, prog.target, atol=1e-9)
-            # dead-end pivot columns carry no coefficient, and the witness is
-            # the unpeeled one, singleton pivot columns included
+            # dead-end pivot columns carry no coefficient, unless a doubleton
+            # merged them, and the witness is the unpeeled one, singleton and
+            # doubleton pivot columns included
             peel = prog._decide(bits, prog.tol)[0]
-            assert not rep.witness[[j for _, cols in peel.rounds for j in cols]].any()
+            merged = {k for _, ks, _ in peel.merges for k in ks.tolist()}
+            assert not rep.witness[[j for _, cols in peel.rounds for j in cols if j not in merged]].any()
             assert np.allclose(rep.witness, positive, rtol=1e-9, atol=1e-9)
         else:
             assert rep.witness @ prog.target == pytest.approx(1.0, abs=1e-9)
@@ -232,12 +234,14 @@ def test_peeled_witnesses_match_the_unpeeled_solver(query):
 
 
 def _near_tolerance(prog: LowLevelProgram, rng, tol: float) -> LowLevelProgram:
-    """``prog`` at ``tol`` with degree-1 coordinates near the tolerance: up to
-    three rows made dead ends (target 0, one nonzero entry), up to three
-    columns made one-entry columns whose entry is 1e-3 or 1e3 times ``tol``
-    times the norm of the rest of its row, four nonzero entries set to 1e-3
-    or 1e3 times ``tol`` times the norm of the rest of their column, and two
-    columns scaled by 1e-4, 1 or 1e4."""
+    """``prog`` at ``tol`` with degree-1 and doubleton coordinates near the
+    tolerance: up to three rows made dead ends (target 0, one nonzero entry),
+    up to three columns made one-entry columns whose entry is 1e-3 or 1e3
+    times ``tol`` times the norm of the rest of its row, four nonzero entries
+    set to 1e-3 or 1e3 times ``tol`` times the norm of the rest of their
+    column, two columns scaled by 1e-4, 1 or 1e4, and last up to three rows
+    made doubletons (target 0, two nonzero entries) whose entries differ, up
+    to sign, by a factor 1 + 1e-3 tol or 1 + 1e3 tol."""
     store, target = np.array(prog.all_vectors()), np.array(prog.target)
     ncols = store.shape[1]
     for i in rng.choice(prog.dim, size=min(prog.dim - 1, int(rng.integers(0, 4))), replace=False):
@@ -252,6 +256,12 @@ def _near_tolerance(prog: LowLevelProgram, rng, tol: float) -> LowLevelProgram:
         store[i, j] = rng.choice([1e-3, 1e3]) * tol * max(np.linalg.norm(store[:, j]), 1.0)
     for j in rng.choice(ncols, size=min(ncols, 2), replace=False):
         store[:, j] *= rng.choice([1e-4, 1.0, 1e4])
+    rows = np.flatnonzero(np.arange(prog.dim) != np.argmax(np.abs(target)))  # the largest target entry stays
+    for i in rng.choice(rows, size=min(rows.size, int(rng.integers(0, 4))) if ncols > 1 else 0, replace=False):
+        j, k = rng.choice(ncols, size=2, replace=False)
+        store[i] = target[i] = 0.0
+        store[i, j] = rng.standard_normal()
+        store[i, k] = store[i, j] * rng.choice([-1.0, 1.0]) * (1.0 + rng.choice([1e-3, 1e3]) * tol)
     return LowLevelProgram.from_store(prog.num_vars, target, store, prog.num_free, prog.var, prog.val, tol)
 
 
