@@ -107,7 +107,6 @@ class ProgramBuilder:
 class LoaderRecord:
     """Vector-loading gadget: one payload slot per pivot coordinate."""
 
-    name: str
     column: int  # 1-based input column this loader feeds
     pivots: tuple[int, ...]
     precision: int
@@ -129,7 +128,6 @@ class RouteRecord:
     (mass flows from the selected leaf into the root).
     """
 
-    name: str
     role: str  # "col" | "row"
     owner: int  # 1-based column (col routes) or row (row routes)
     slot: int  # 1-based payload slot / list position
@@ -161,7 +159,6 @@ class RouteRecord:
 
 def emit_vector_loading(
     builder: ProgramBuilder,
-    name: str,
     column: int,
     pivots: tuple[int, ...],
     var_block: range,
@@ -194,7 +191,6 @@ def emit_vector_loading(
         free_entries[p] = free_entries.get(p, 0.0) - 1.0
     free_index = builder.add_free(free_entries)
     return LoaderRecord(
-        name=name,
         column=column,
         pivots=tuple(pivots),
         precision=precision,
@@ -207,7 +203,6 @@ def emit_vector_loading(
 
 def emit_route_tree(
     builder: ProgramBuilder,
-    name: str,
     role: str,
     owner: int,
     slot: int,
@@ -226,7 +221,7 @@ def emit_route_tree(
     if width == 0:
         free_index = builder.add_free({leaves[0]: 1.0, root: -1.0})
         return RouteRecord(
-            name=name, role=role, owner=owner, slot=slot, root=root, leaves=tuple(leaves),
+            role=role, owner=owner, slot=slot, root=root, leaves=tuple(leaves),
             bit_vars=(), interior=(), edges=(), free_index=free_index,
         )
     interior = []
@@ -249,7 +244,7 @@ def emit_route_tree(
                 idx = builder.add_labeled(entries, var_block[a], b)
                 edges.append((a, b, l, idx))
     return RouteRecord(
-        name=name, role=role, owner=owner, slot=slot, root=root, leaves=tuple(leaves),
+        role=role, owner=owner, slot=slot, root=root, leaves=tuple(leaves),
         bit_vars=tuple(var_block[a] for a in range(width)),
         interior=tuple(interior), edges=tuple(edges), free_index=None,
     )
@@ -571,20 +566,18 @@ class CompiledProgram:
     def from_json_dict(cls, data: dict) -> "CompiledProgram":
         """Run the builder on the stored source and encoder parameters; the
         source's free basis is not orthonormalized again, so the build repeats
-        the one that wrote the file.  Older files go through ``_load_legacy``."""
+        the one that wrote the file."""
         if not isinstance(data, dict):
             raise ValueError("compiled program JSON must be an object")
         if "encoder" not in data:
             raise ValueError("compiled program JSON is missing field 'encoder'")
         if not isinstance(data["encoder"], dict):
             raise ValueError("compiled program field 'encoder' must be an object")
-        if "program" in data:
-            return _load_legacy(data)
-        if "source" not in data:
-            raise ValueError("compiled program JSON is missing field 'source'")
+        if "source" not in data:  # as in files of earlier versions, which store the compiled 'program'
+            raise ValueError("compiled program JSON is missing field 'source'; "
+                             "recompile the file from its high-level program")
         n, m, target, free_basis, tol = read_source(data["source"], "source.")
-        dim_names = ("source.space_dim", "source.num_inputs")
-        k, k_nnz, l_nnz, _ = _encoder_params(data["encoder"], n, m, free_basis.shape[1], dim_names)
+        k, k_nnz, l_nnz = _encoder_params(data["encoder"], n, m, free_basis.shape[1])
         return _build(target, free_basis, tol, m, k, k_nnz, l_nnz)
 
     @classmethod
@@ -612,11 +605,11 @@ def _read_index(bits, rec: RouteRecord) -> int:
     return IntegerCode(width=rec.width, bits=tuple(bits[v] for v in rec.bit_vars)).value
 
 
-def _encoder_params(enc: dict, n: int, m: int, num_hl: int, dim_names: tuple[str, str]):
-    """(k, k_nnz, l_nnz) of a stored encoder block, and the sizes they compile
-    to, each checked by name for a source on ``n`` coordinates with ``m``
-    input columns and ``num_hl`` free-basis vectors (``n`` and ``m`` named by
-    ``dim_names``); a budget the mode does not have is None."""
+def _encoder_params(enc: dict, n: int, m: int, num_hl: int) -> tuple[int, int | None, int | None]:
+    """(k, k_nnz, l_nnz) of a stored encoder block, each checked by name, as
+    is the size of the store they compile to, for a source on ``n``
+    coordinates with ``m`` input columns and ``num_hl`` free-basis vectors; a
+    budget the mode does not have is None."""
     mode = enc.get("mode")
     if mode not in MODES:
         raise ValueError(f"encoder.mode must be one of {', '.join(MODES)}, got {mode!r}")
@@ -625,8 +618,9 @@ def _encoder_params(enc: dict, n: int, m: int, num_hl: int, dim_names: tuple[str
     # dense mode has neither budget, sparse_cols k_nnz only, sparse both
     if [k_nnz is not None, l_nnz is not None] != [MODES.index(mode) >= 1, MODES.index(mode) >= 2]:
         raise ValueError(f"encoder.mode={mode!r} disagrees with encoder.k_nnz={k_nnz}, encoder.l_nnz={l_nnz}")
-    sizes = _check_params(n, m, k, k_nnz, l_nnz, num_hl, (*dim_names, "encoder.k", "encoder.k_nnz", "encoder.l_nnz"))
-    return k, k_nnz, l_nnz, sizes
+    _check_params(n, m, k, k_nnz, l_nnz, num_hl,
+                  ("source.space_dim", "source.num_inputs", "encoder.k", "encoder.k_nnz", "encoder.l_nnz"))
+    return k, k_nnz, l_nnz
 
 
 # Largest store, dim x vectors float64 entries (128 MiB), that one build may
@@ -677,80 +671,6 @@ def _layout_sizes(n: int, m: int, precision: int, k_nnz: int | None, l_nnz: int 
     return dim, num_vars, free, labeled
 
 
-def _load_legacy(data: dict) -> CompiledProgram:
-    """Load a file that stores the compiled ``program``, with ``n``, ``m`` and
-    the variable roles in ``encoder`` (and maybe an ignored ``layout``).  The
-    source target is the ``V`` block of the target, the source free basis the
-    leading free vectors with no entry past ``V`` (every gadget free vector
-    touches a coordinate outside it); the file must equal their recompile,
-    whose sizes are checked against the stored ones before it is built."""
-    stored = LowLevelProgram.from_json_dict(data["program"], "program.")
-    enc = data["encoder"]
-    n, m = int_field(enc.get("n"), "encoder.n"), int_field(enc.get("m"), "encoder.m")
-    if not (1 <= n <= stored.dim and m >= 0):
-        raise ValueError(f"need 1 <= encoder.n <= program.dim={stored.dim} and encoder.m >= 0, got {n} and {m}")
-    store, nf = stored.all_vectors(), stored.num_free
-    reach_out = store[n:, :nf].any(axis=0)
-    num_hl = int(np.argmax(reach_out)) if reach_out.any() else nf
-    k, k_nnz, l_nnz, sizes = _encoder_params(enc, n, m, num_hl, ("encoder.n", "encoder.m"))
-    have = (stored.dim, stored.num_vars, nf, store.shape[1] - nf)
-    for name, want, got in zip(("dim", "num_vars", "free", "labeled"), sizes, have):
-        if want != got:
-            count = "" if name in ("dim", "num_vars") else " vectors"
-            raise ValueError(f"program.{name} has {got}{count}, its encoder parameters compile to {want}")
-    comp = _build(stored.target[:n], store[:n, :num_hl], stored.tol, m, k, k_nnz, l_nnz)
-    encoder = {**comp.to_json_dict()["encoder"], "n": n, "m": m, "variables": _variable_roles(comp.layout)}
-    path = _first_difference(enc, encoder, "encoder") or _program_difference(stored, comp.program)
-    if path is not None:
-        raise ValueError(f"compiled program field '{path}' differs from what its encoder parameters compile to")
-    return comp
-
-
-def _variable_roles(lay: CompiledLayout) -> list[dict]:
-    """One entry per variable, by number, saying which gadget bit it is."""
-    roles = []
-    for rec in lay.loaders:
-        for i in range(len(rec.pivots)):
-            for a, var0 in enumerate(rec.digit_vars[i]):
-                roles.append({"var": var0 + 1, "role": "digit", "column": rec.column, "slot": i + 1, "bit": a})
-    for rec in lay.routes:
-        role, key = ("col_index", "column") if rec.role == "col" else ("row_index", "row")
-        for a, var0 in enumerate(rec.bit_vars):
-            roles.append({"var": var0 + 1, "role": role, key: rec.owner, "slot": rec.slot, "bit": a})
-    return sorted(roles, key=lambda d: d["var"])
-
-
-def _first_difference(got, want, path: str) -> str | None:
-    """Path, such as ``encoder.variables[2].slot``, of the first place where
-    the JSON trees ``got`` and ``want``, found at ``path``, differ (``...``
-    stands in for a missing key); None when they are equal."""
-    if got == want:
-        return None
-    if isinstance(got, dict) and isinstance(want, dict):
-        pairs = [(f"{path}.{key}", got.get(key, ...), want.get(key, ...)) for key in {**want, **got}]
-    elif isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
-        pairs = [(f"{path}[{i}]", g, w) for i, (g, w) in enumerate(zip(got, want))]
-    else:
-        return path
-    return next(filter(None, (_first_difference(g, w, sub) for sub, g, w in pairs)), path)
-
-
-def _program_difference(got: LowLevelProgram, want: LowLevelProgram) -> str | None:
-    """Path, such as ``program.labeled[3]``, of the first vector or field in
-    which two programs of the same sizes differ; None when they are equal."""
-    if got.tol != want.tol:
-        return "program.tol"
-    if not np.array_equal(got.target, want.target):
-        return "program.target"
-    nf = want.num_free
-    differs = (got.all_vectors() != want.all_vectors()).any(axis=0)
-    differs[nf:] |= (got.var != want.var) | (got.val != want.val)
-    if not differs.any():
-        return None
-    j = int(np.argmax(differs))
-    return f"program.free[{j}]" if j < nf else f"program.labeled[{j - nf}]"
-
-
 def _check_consistency(cols, rows) -> None:
     """Every nonzero payload entry must be reachable through its row list."""
     for j, slots in enumerate(cols):
@@ -793,28 +713,18 @@ def _build(target, free_basis, tol: float, m: int, precision: int,
     loaders = []
     for j, pivots in enumerate(payload, 1):
         vb = b.variables.claim(len(pivots) * (precision + 1))
-        loaders.append(
-            emit_vector_loading(b, name=f"L{j}", column=j, pivots=tuple(pivots), var_block=vb, precision=precision)
-        )
+        loaders.append(emit_vector_loading(b, column=j, pivots=tuple(pivots), var_block=vb, precision=precision))
     routes = []  # dense mode has no payload slots and no row lists
     for j in range(1, m + 1):
         for i in range(1, (k_nnz or 0) + 1):
             vb = b.variables.claim(index_bit_width(n))
-            routes.append(
-                emit_route_tree(
-                    b, name=f"D[{i},{j}]", role="col", owner=j, slot=i, root=payload[j - 1][i - 1],
-                    leaves=tuple(scratch[j - 1] if scratch else v), var_block=vb,
-                )
-            )
+            routes.append(emit_route_tree(b, role="col", owner=j, slot=i, root=payload[j - 1][i - 1],
+                                          leaves=tuple(scratch[j - 1] if scratch else v), var_block=vb))
     for i in range(1, n + 1):
         for jj in range(1, (l_nnz or 0) + 1):
             vb = b.variables.claim(index_bit_width(m))
-            routes.append(
-                emit_route_tree(
-                    b, name=f"M[{i},{jj}]", role="row", owner=i, slot=jj,
-                    root=v[i - 1], leaves=tuple(w[i - 1] for w in scratch), var_block=vb,
-                )
-            )
+            routes.append(emit_route_tree(b, role="row", owner=i, slot=jj, root=v[i - 1],
+                                          leaves=tuple(w[i - 1] for w in scratch), var_block=vb))
     layout = CompiledLayout(
         mode=mode, n=n, m=m, precision=precision, k_nnz=k_nnz, l_nnz=l_nnz,
         num_vars=b.variables.next_free, hl_free=hl_free,

@@ -18,7 +18,7 @@ from .errors import NoNegativeWitness, NoPositiveWitness
 from .linalg import (
     DEFAULT_TOL,
     as_matrix,
-    as_vector,
+    check_norm,
     finite_vector,
     in_span,
     input_matrix,
@@ -90,16 +90,6 @@ class HighLevelProgram:
         unorm2 = float(resid @ resid)
         return WitnessReport(decision=0, size=1.0 / unorm2, witness=resid / unorm2)
 
-    def check_rescale_invariance(self, a, scales, tol: float | None = None) -> bool:
-        """Decisions are invariant under positive rescaling of the columns."""
-        mat = self._check_input(a)
-        s = as_vector(scales)
-        if s.shape[0] != self.num_inputs:
-            raise ValueError(f"scales has {s.shape[0]} entries, expected {self.num_inputs}")
-        if not np.all(s > 0):
-            raise ValueError("column scales must be strictly positive")
-        return self.evaluate(mat, tol) == self.evaluate(mat * s, tol)
-
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -132,10 +122,8 @@ def _check_source(space_dim: int, num_inputs: int, target, free_basis, prefix: s
         raise ValueError(f"{prefix}target vector must be nonzero")
     if raw.shape[0] != space_dim:
         raise ValueError(f"{prefix}free_basis has {raw.shape[0]} rows, expected {space_dim}")
-    if not np.isfinite(raw).all():
-        # named as in the JSON form, a list of basis columns
-        j, i = np.argwhere(~np.isfinite(raw.T))[0]
-        raise ValueError(f"{prefix}free_basis[{j}][{i}] is not finite: {raw[i, j]}")
+    # named as in the JSON form, a list of basis columns
+    check_norm(raw.T, lambda j, i: f"{prefix}free_basis[{j}][{i}]")
     return target, raw
 
 

@@ -29,7 +29,8 @@ def as_matrix(m) -> np.ndarray:
 
 def input_matrix(a, shape: tuple[int, int] | None = None) -> np.ndarray:
     """A queried input matrix as float64: 2-D, of ``shape`` when given, with
-    every entry a finite number; errors name the first bad entry [i][j]."""
+    a squared norm that is a finite float (``check_norm``); errors name the
+    bad entry [i][j]."""
     try:
         mat = np.asarray(a, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -38,9 +39,7 @@ def input_matrix(a, shape: tuple[int, int] | None = None) -> np.ndarray:
         raise ValueError(f"input matrix must be 2-D, got shape {mat.shape}")
     if shape is not None and mat.shape != shape:
         raise ValueError(f"input matrix has shape {mat.shape}, expected {shape}")
-    if not np.isfinite(mat).all():
-        i, j = np.argwhere(~np.isfinite(mat))[0]
-        raise ValueError(f"input matrix entry [{i}][{j}] is not finite: {mat[i, j]}")
+    check_norm(mat, lambda i, j: f"input matrix entry [{i}][{j}]")
     return mat
 
 
@@ -66,19 +65,35 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
+def check_norm(a: np.ndarray, name) -> None:
+    """Require the squared norm of ``a``, over all its entries, to be a finite
+    float.  Then no entry is infinite or NaN, and no singular value of ``a``
+    (at most that norm) overflows, nor does its square.  Otherwise the error
+    names the first nonfinite entry, or if there is none the largest, as
+    ``name(*index)``."""
+    flat = a.ravel(order="K")
+    with np.errstate(over="ignore"):
+        if np.isfinite(flat @ flat):
+            return
+    bad = ~np.isfinite(a)
+    if bad.any():
+        index = tuple(np.argwhere(bad)[0])
+        raise ValueError(f"{name(*index)} is not finite: {a[index]}")
+    index = np.unravel_index(np.argmax(np.abs(a)), a.shape)
+    raise ValueError(f"{name(*index)} is too large: {a[index]} (the sum of the squared entries overflows a float)")
+
+
 def finite_vector(v, name: str, size: int | None = None) -> np.ndarray:
-    """``v`` as a 1-D float64 vector of finite numbers, of ``size`` entries
-    when given; errors name the field ``name``, and a nonfinite entry as
-    ``name[i]``."""
+    """``v`` as a 1-D float64 vector whose squared norm is a finite float, of
+    ``size`` entries when given; errors name the field ``name``, and an entry
+    as ``name[i]`` (``check_norm``)."""
     try:
         vec = as_vector(v)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from None
     if size is not None and vec.shape[0] != size:
         raise ValueError(f"{name} has {vec.shape[0]} entries, expected {size}")
-    if not np.isfinite(vec).all():
-        i = int(np.argmin(np.isfinite(vec)))
-        raise ValueError(f"{name}[{i}] is not finite: {vec[i]}")
+    check_norm(vec, lambda i: f"{name}[{i}]")
     return vec
 
 

@@ -21,6 +21,7 @@ from .linalg import (
     DEFAULT_TOL,
     SvdResult,
     as_vector,
+    check_norm,
     finite_vector,
     in_span,
     int_field,
@@ -106,24 +107,16 @@ class LabeledVector:
 
 @dataclass(frozen=True)
 class AvailableColumns:
-    """Available vectors for one input, with per-column provenance.
+    """Available vectors for one input.
 
     ``mask`` selects the available columns of the program's store (free
     vectors first, then labeled ones); ``num_free`` is the number of free
-    vectors.  ``provenance[k]`` is ("free", i) or ("labeled", i) giving the
-    index of column k in the program's free / labeled lists.
+    vectors.
     """
 
     matrix: np.ndarray
     mask: np.ndarray
     num_free: int
-
-    @property
-    def provenance(self) -> tuple[tuple[str, int], ...]:
-        nf = self.num_free
-        return tuple(
-            ("free", int(j)) if j < nf else ("labeled", int(j - nf)) for j in np.flatnonzero(self.mask)
-        )
 
 
 @dataclass(frozen=True)
@@ -584,26 +577,23 @@ class LowLevelProgram:
             vars(prog)["_pattern"] = pattern
         return prog
 
-    def _adopt(self, dim, num_vars, target, columns, num_free, var, val, tol, prefix=""):
+    def _adopt(self, dim, num_vars, target, columns, num_free, var, val, tol):
         """The one check of a program, on its store as a whole; ``columns``
         is the store, or the list of vectors to stack into it.  Errors name
-        the field as the JSON form does, with ``prefix`` in front."""
+        the field as the JSON form does."""
         if dim < 1:
-            raise ValueError(f"{prefix}dim must be >= 1, got {dim}")
+            raise ValueError(f"dim must be >= 1, got {dim}")
         if num_vars < 0:
-            raise ValueError(f"{prefix}num_vars must be >= 0, got {num_vars}")
-        target = _frozen(finite_vector(target, prefix + "target", dim))
+            raise ValueError(f"num_vars must be >= 0, got {num_vars}")
+        target = _frozen(finite_vector(target, "target", dim))
         if not np.linalg.norm(target) > 0.0:
-            raise ValueError(f"{prefix}target vector must be nonzero")
+            raise ValueError("target vector must be nonzero")
 
         def name(j):
-            return f"{prefix}free[{j}]" if j < num_free else f"{prefix}labeled[{j - num_free}].vec"
+            return f"free[{j}]" if j < num_free else f"labeled[{j - num_free}].vec"
 
         store = columns if isinstance(columns, np.ndarray) else _stack(columns, dim, name)
-        finite = np.isfinite(store)
-        if not finite.all():
-            j, i = np.argwhere(~finite.T)[0]
-            raise ValueError(f"{name(j)}[{i}] is not finite: {store[i, j]}")
+        check_norm(store.T, lambda j, i: f"{name(j)}[{i}]")
         try:
             var, val = np.asarray(var, dtype=np.intp), np.asarray(val, dtype=np.intp)
         except OverflowError:  # past int64, so out of range: kept to be named below
@@ -612,7 +602,7 @@ class LowLevelProgram:
                                       ("val", val, (val != 0) & (val != 1), "must be 0 or 1")):
             if bad.any():
                 i = int(np.argmax(bad))
-                raise ValueError(f"{prefix}labeled[{i}].{key}={labels[i]} {why}")
+                raise ValueError(f"labeled[{i}].{key}={labels[i]} {why}")
         var, val = var.astype(np.intp, copy=False), val.astype(np.intp, copy=False)
         for a in (store, var, val):
             a.setflags(write=False)
@@ -747,34 +737,32 @@ class LowLevelProgram:
         return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
-    def from_json_dict(cls, data: dict, prefix: str = "") -> "LowLevelProgram":
+    def from_json_dict(cls, data: dict) -> "LowLevelProgram":
         """Vectors go from the parsed lists straight into the store, without
-        intermediate per-vector arrays; errors name the field with ``prefix``
-        in front."""
+        intermediate per-vector arrays; errors name the field."""
         if not isinstance(data, dict):
-            raise ValueError(f"{prefix.rstrip('.') or 'program JSON'} must be an object")
+            raise ValueError("program JSON must be an object")
         for key in ("dim", "num_vars", "target"):
             if key not in data:
-                raise ValueError(f"program JSON is missing field '{prefix}{key}'")
+                raise ValueError(f"program JSON is missing field '{key}'")
         free = data.get("free", [])
         entries = data.get("labeled", [])
         for key, value in (("free", free), ("labeled", entries)):
             if not isinstance(value, list):
-                raise ValueError(f"program JSON field '{prefix}{key}' must be a list")
+                raise ValueError(f"program JSON field '{key}' must be a list")
         vectors, var, val = list(free), [], []
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
-                raise ValueError(f"{prefix}labeled[{i}] must be an object with fields 'vec', 'var' and 'val'")
+                raise ValueError(f"labeled[{i}] must be an object with fields 'vec', 'var' and 'val'")
             for key in ("vec", "var", "val"):
                 if key not in entry:
-                    raise ValueError(f"{prefix}labeled[{i}] is missing field '{key}'")
+                    raise ValueError(f"labeled[{i}] is missing field '{key}'")
             vectors.append(entry["vec"])
-            var.append(int_field(entry["var"], f"{prefix}labeled[{i}].var"))
-            val.append(int_field(entry["val"], f"{prefix}labeled[{i}].val"))
+            var.append(int_field(entry["var"], f"labeled[{i}].var"))
+            val.append(int_field(entry["val"], f"labeled[{i}].val"))
         prog = cls.__new__(cls)
-        prog._adopt(int_field(data["dim"], prefix + "dim"), int_field(data["num_vars"], prefix + "num_vars"),
-                    data["target"], vectors, len(free), var, val,
-                    tol_field(data.get("tol", DEFAULT_TOL), prefix + "tol"), prefix)
+        prog._adopt(int_field(data["dim"], "dim"), int_field(data["num_vars"], "num_vars"), data["target"], vectors,
+                    len(free), var, val, tol_field(data.get("tol", DEFAULT_TOL), "tol"))
         return prog
 
     @classmethod

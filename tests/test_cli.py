@@ -496,6 +496,11 @@ def test_rank_experiment_pinned_at_any_worker_count(capsys, monkeypatch, workers
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# the third free vector is the target
+_FLOAT_MAX_PROGRAM = {"dim": 3, "num_vars": 0, "target": [0, 1, 1],
+                      "free": [[1e308, 1e308, 0], [1.5e308, -1e308, 1e308], [0, 1, 1]]}
+
+
 @pytest.mark.parametrize(
     "cmd,data,message",
     [("evaluate --highlevel", {"space_dim": 2, "num_inputs": 2, "target": [float("inf"), 0]},
@@ -535,10 +540,24 @@ def test_rank_experiment_pinned_at_any_worker_count(capsys, monkeypatch, workers
       {"dim": 2, "num_vars": 1, "target": [1.0, 0.0], "labeled": [{"vec": [1.0, -10**400], "var": 1, "val": 1}]},
       "labeled[0].vec: int too large to convert to float"),
      ("evaluate --highlevel", {"space_dim": 2, "num_inputs": 2, "target": [10**400, 0.0]},
-      "target: int too large to convert to float")],
+      "target: int too large to convert to float"),
+     # finite entries whose sum of squares overflows, which would carry the
+     # largest singular value and with it the rank cutoff to inf
+     ("evaluate --program", _FLOAT_MAX_PROGRAM, "free[1][0] is too large: 1.5e+308"),
+     ("witness --program", _FLOAT_MAX_PROGRAM, "free[1][0] is too large: 1.5e+308"),
+     ("witness --program", {**_FLOAT_MAX_PROGRAM, "free": [[1e200, 1e200, 0], [1.5e200, -1e200, 1e200], [0, 1, 1]]},
+      "free[1][0] is too large: 1.5e+200"),
+     # each basis column's sum of squares is finite, that of the two is not
+     ("evaluate --highlevel", {"space_dim": 2, "num_inputs": 2, "target": [1.0, 0.0],
+                               "free_basis": [[1.2e154, 0.0], [1.3e154, 0.0]]},
+      "free_basis[1][0] is too large: 1.3e+154"),
+     ("witness --highlevel", {"space_dim": 2, "num_inputs": 2, "target": [1e200, -1e200]},
+      "target[0] is too large: 1e+200")],
     ids=["hl-target-inf", "hl-free-basis-nan", "hl-free-basis-string", "ll-target-nan", "ll-free-inf",
          "ll-labeled-nan", "hl-space-dim-string", "hl-free-basis-ragged", "ll-dim-string", "ll-var-past-int64",
-         "ll-val-past-int64", "ll-free-past-float", "ll-labeled-past-float", "hl-target-past-float"],
+         "ll-val-past-int64", "ll-free-past-float", "ll-labeled-past-float", "hl-target-past-float",
+         "ll-free-near-float-max", "ll-free-near-float-max-witness", "ll-free-squares-past-float",
+         "hl-free-basis-squares-past-float", "hl-target-squares-past-float"],
 )
 def test_bad_program_entry_names_field(capsys, tmp_path, cmd, data, message):
     # json writes inf / nan as Infinity / NaN, which json.load reads back (so does 1e400, as inf)
@@ -571,8 +590,9 @@ def test_cli_import_leaves_scipy_unloaded():
      ('[[1, "x"], [0, 0]]', "[0][1]"),
      ("[[1, 0], [0]]", "differ in length"),
      ("[1, 0]", "2-D"),
-     (f"[[0, 0], [0, 1{'0' * 400}]]", "[1][1] is too large for a float")],
-    ids=["inf", "nan", "string", "ragged", "vector", "past-float"],
+     (f"[[0, 0], [0, 1{'0' * 400}]]", "[1][1] is too large for a float"),
+     ("[[1.5e308, 1e308], [1e308, -1e308]]", "[0][0] is too large: 1.5e+308")],
+    ids=["inf", "nan", "string", "ragged", "vector", "past-float", "near-float-max"],
 )
 @pytest.mark.parametrize("cmd", ["evaluate", "witness"])
 def test_bad_input_matrix_names_entry(capsys, hl_files, cmd, text, entry):

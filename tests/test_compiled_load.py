@@ -1,11 +1,10 @@
 """Compiled program files: they hold the ``source`` program and the
 ``encoder`` parameters, and loading one runs the builder on them.  Files
-from older versions, which store the compiled ``program`` itself, still load
-when that program equals what their source compiles to."""
+from older versions, which store the compiled ``program`` itself, no longer
+load: they exit 1 asking for a recompile."""
 
 import hashlib
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,19 +16,7 @@ from spanforge.compiler import CompiledProgram, compile_dense, compile_sparse
 from spanforge.highlevel import HighLevelProgram
 from spanforge.lowlevel import LowLevelProgram
 
-DATA = Path(__file__).parent / "data"
 MODES = ("dense", "sparse_cols", "sparse")
-# Written by older versions: the compiled program, an encoder block with a
-# role per variable and, in the first, the gadget layout.  Each with the
-# source program and the budgets it was compiled from, at precision 1.
-OLD_FILES = [
-    ("compiled_sparse_with_layout.json",
-     {"space_dim": 2, "num_inputs": 2, "target": [1.0, -0.5], "free_basis": [[0.0], [1.0]]},
-     {"k_nnz": 1, "l_nnz": 1}),
-    ("compiled_sparse_program.json",
-     {"space_dim": 3, "num_inputs": 2, "target": [1.0, -0.25, 0.5], "free_basis": [[0.0], [0.0], [1.0]]},
-     {"k_nnz": 2, "l_nnz": 2}),
-]
 
 
 def _compile(mode, prog, precision, k_nnz=None, l_nnz=None):
@@ -94,28 +81,6 @@ def test_compile_output_is_pinned(mode, n, m, target, free, precision, k_nnz, l_
         assert _store_digest(program) == store_digest
 
 
-@pytest.mark.parametrize("name,source,budgets", OLD_FILES, ids=["with-layout", "program"])
-def test_old_file_answers_as_its_new_form(tmp_path, capsys, name, source, budgets):
-    old = DATA / name
-    assert "program" in json.loads(old.read_text())
-    comp = CompiledProgram.from_json(old.read_text())
-    assert compile_sparse(HighLevelProgram(**source), precision=1, **budgets).to_json() == comp.to_json()
-    new = tmp_path / "new.json"
-    new.write_text(comp.to_json() + "\n")
-    back = CompiledProgram.from_json(new.read_text())
-    _same_program(back.program, comp.program)
-    assert back.layout == comp.layout
-    rng = np.random.default_rng(5)
-    inputs = {tuple(int(b) for b in rng.integers(0, 2, comp.layout.num_vars)) for _ in range(12)}
-    assert {comp.program.evaluate(bits) for bits in inputs} == {0, 1}
-    for bits in sorted(inputs):
-        text = "".join(map(str, bits))
-        for cmd in ("evaluate", "witness"):
-            code, out, _ = _run(capsys, [cmd, "--program", str(old), "--input", text])
-            assert code == 0
-            assert _run(capsys, [cmd, "--program", str(new), "--input", text]) == (code, out, "")
-
-
 @st.composite
 def compiled_programs(draw):
     mode = draw(st.sampled_from(MODES))
@@ -157,59 +122,8 @@ def _rejected(tmp_path, capsys, data, field):
         assert field in err and "Traceback" not in err
 
 
-def _edit_program_entry(data):
-    data["program"]["labeled"][5]["vec"][0] += 0.25
-
-
-def _scale_entry(data):
-    vec = data["program"]["labeled"][4]["vec"]
-    vec[next(i for i, x in enumerate(vec) if x)] *= 2.0
-
-
-def _flip_label(data):
-    data["program"]["labeled"][3]["val"] ^= 1
-
-
-def _edit_variable(data):
-    data["encoder"]["variables"][2]["slot"] += 1
-
-
 def _edit_mode(data):
     data["encoder"]["mode"] = "bogus"
-
-
-def _edit_n(data):
-    data["encoder"]["n"] = data["program"]["dim"] + 1
-
-
-def _truncate(data):
-    data["program"]["labeled"].pop()
-
-
-def _program_tol(data):
-    data["program"]["tol"] = 2.0
-
-
-def _program_dim(data):
-    data["program"]["dim"] = 0
-
-
-@pytest.mark.parametrize(
-    "edit,field",
-    [(_edit_program_entry, "program.labeled[5]"), (_scale_entry, "program.labeled[4]"),
-     (_flip_label, "program.labeled[3]"), (_edit_variable, "encoder.variables[2]"),
-     (_edit_mode, "encoder.mode"), (_edit_n, "encoder.n"), (_truncate, "program.labeled"),
-     (_program_tol, "program.tol"), (_program_dim, "program.dim")],
-    ids=["program-entry", "scaled-entry", "label", "encoder-variable", "mode", "n-past-dim", "truncated",
-         "program-tol", "program-dim"],
-)
-def test_edited_file_is_rejected_naming_the_field(tmp_path, capsys, edit, field):
-    # an older-format file, unedited it loads
-    text = (DATA / "compiled_sparse_program.json").read_text()
-    assert CompiledProgram.from_json(text).program.num_vars == 22
-    data = json.loads(text)
-    edit(data)
-    _rejected(tmp_path, capsys, data, field)
 
 
 def _drop_source(data):
@@ -275,15 +189,14 @@ _E1 = [1.0] + [0.0] * 7
 @pytest.mark.parametrize(
     "data,field",
     [({"source": {"space_dim": 8, "num_inputs": 32, "target": _E1}, "encoder": _HUGE}, "encoder.k"),
-     ({"program": {"dim": 8, "num_vars": 2000, "target": _E1}, "encoder": {**_HUGE, "n": 8, "m": 32}}, "encoder.k"),
-     ({"program": {"dim": 8, "num_vars": 2000, "target": _E1},
-       "encoder": {"mode": "sparse", "k": 3, "k_nnz": 3, "l_nnz": 3, "n": 8, "m": 8}}, "program.dim")],
-    ids=["new", "old", "old-sizes"],
+     ({"program": {"dim": 8, "num_vars": 2000, "target": _E1}, "encoder": {**_HUGE, "n": 8, "m": 32}},
+      "field 'source'; recompile")],
+    ids=["new", "old-format"],
 )
 def test_small_file_asking_for_a_large_build_is_rejected(tmp_path, capsys, monkeypatch, data, field):
-    # about 200 bytes; the first two would compile to a 23,048 x 46,112
-    # store (7.9 GiB), the last to a program larger than the one stored.
-    # Each is rejected from its sizes, before the builder runs.
+    # about 200 bytes; the first would compile to a 23,048 x 46,112 store
+    # (7.9 GiB) and is rejected from its sizes, the second, in the format of
+    # earlier versions, for its missing source.  Neither runs the builder.
     assert len(json.dumps(data)) < 250
 
     def no_build(*args, **kwargs):

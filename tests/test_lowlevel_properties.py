@@ -131,7 +131,8 @@ def test_available_vectors_match_column_loop(prog):
         avail = prog.available_vectors(x)
         matrix, provenance = _seed_available(prog, x)
         assert np.array_equal(avail.matrix, matrix)
-        assert avail.provenance == provenance
+        columns = [i if kind == "free" else prog.num_free + i for kind, i in provenance]
+        assert np.flatnonzero(avail.mask).tolist() == columns
 
 
 @st.composite
