@@ -110,13 +110,11 @@ class AvailableColumns:
     """Available vectors for one input.
 
     ``mask`` selects the available columns of the program's store (free
-    vectors first, then labeled ones); ``num_free`` is the number of free
-    vectors.
+    vectors first, then labeled ones).
     """
 
     matrix: np.ndarray
     mask: np.ndarray
-    num_free: int
 
 
 @dataclass(frozen=True)
@@ -128,8 +126,9 @@ class WitnessReport:
 
 # Available matrices with fewer entries are factored without a peel: there
 # one SVD costs less than the peel's bookkeeping (on compiled programs, with
-# doubletons merged, a peeled decision is 25-50% slower at 52 x 52 to
-# 60 x 55, breaks even near 68 x 68 and is 10-25% faster from 76 x 68 on).
+# one BLAS thread, a peeled decision is about 40% slower at 45 x 46 to
+# 52 x 52 and 6% slower at 60 x 55 to 60 x 61, breaks even near 65 x 66 to
+# 68 x 69 and is 30-60% faster from 84 x 76 on).
 PEEL_MIN_CELLS = 4096
 
 
@@ -137,11 +136,9 @@ class _Elimination:
     """A peel in progress on the merged matrix.  ``columns[j]`` maps each row
     where column j is nonzero to its entry, dropped rows included; a column
     is copied before its first merge, so the maps handed in are only read.
-    ``lines[i]`` is the set of kept columns nonzero on kept row i, and
-    ``degree[j]`` counts the kept rows where column j is nonzero.  The next
+    ``lines[i]`` is the set of kept columns nonzero on kept row i.  The next
     rounds look at the rows where the target is 0 that were left with one
-    kept column (``ends``) or two (``twos``), and at the columns left with
-    one kept row (``ones``), since they last looked."""
+    kept column (``ends``) or two (``twos``) since they last looked."""
 
     def __init__(self, columns: list[dict], open_rows: list[bool]):
         self.columns, self.open, self.copied = list(columns), open_rows, set()
@@ -149,9 +146,7 @@ class _Elimination:
         for j, col in enumerate(columns):
             for i in col:
                 lines[i].add(j)
-        self.row_kept, self.col_kept = [True] * len(open_rows), [True] * len(columns)
-        self.degree = [len(col) for col in columns]
-        self.ones = {j for j, degree in enumerate(self.degree) if degree == 1}
+        self.row_kept = [True] * len(open_rows)
         self.ends = {i for i, line in enumerate(lines) if len(line) == 1 and open_rows[i]}
         self.twos = {i for i, line in enumerate(lines) if len(line) == 2 and open_rows[i]}
 
@@ -164,12 +159,7 @@ class _Elimination:
                 self.twos.add(i)
 
     def drop(self, i: int, j: int) -> None:
-        self.row_kept[i] = self.col_kept[j] = False
-        degree, ones = self.degree, self.ones
-        for k in self.lines[i]:
-            degree[k] -= 1
-            if degree[k] == 1:
-                ones.add(k)
+        self.row_kept[i] = False
         lines, kept = self.lines, self.row_kept
         for k in self.columns[j]:
             if kept[k]:
@@ -191,23 +181,6 @@ class _Elimination:
         for j, i in pivots.items():
             self.drop(i, j)
         return list(pivots.values()), list(pivots)
-
-    def singletons(self) -> tuple[list[int], list[int]]:
-        """One round of singletons, the transpose of ``dead_ends``: every kept
-        column with exactly one kept row pairs with it.  Returns the rows and
-        their columns."""
-        pivots = {}  # row -> its column
-        kept = self.row_kept
-        for j in sorted(self.ones):
-            if self.col_kept[j] and self.degree[j] == 1:
-                for i in self.columns[j]:
-                    if kept[i]:
-                        pivots.setdefault(i, j)
-                        break
-        self.ones = set()
-        for i, j in pivots.items():
-            self.drop(i, j)
-        return list(pivots), list(pivots.values())
 
     def doubletons(self) -> tuple[list[int], list[int], list[int], list[float]]:
         """One round of doubletons: every kept row r where the target
@@ -246,10 +219,9 @@ class _Elimination:
         if j not in self.copied:
             self.columns[j] = dict(self.columns[j])
             self.copied.add(j)
-        col, degree = self.columns[j], self.degree
+        col = self.columns[j]
         del col[r]
         self.lines[r].discard(j)
-        degree[j] -= 1
         for i, v in self.columns[k].items():
             if i == r:
                 continue
@@ -262,13 +234,9 @@ class _Elimination:
                 line = self.lines[i]
                 if new:
                     line.add(j)
-                    degree[j] += 1
                 else:
                     line.discard(j)
-                    degree[j] -= 1
                 self._moved(i, line)
-        if degree[j] == 1:
-            self.ones.add(j)
 
 
 class Peel:
@@ -276,64 +244,54 @@ class Peel:
 
     ``Peel.of`` runs elimination on the nonzero pattern of the available
     columns ``matrix`` (Davis, *Direct Methods for Sparse Linear Systems*,
-    SIAM 2006), in rounds until nothing changes.  Its pivots come in three
-    kinds:
+    SIAM 2006), in rounds until nothing changes.  Its pivots are rows where
+    ``target`` is 0, of two kinds:
 
-    - a dead end: a kept row where ``target`` is 0 and exactly one kept
-      column is nonzero, paired with that column;
-    - a singleton: a kept column with exactly one nonzero among the kept
-      rows (a column singleton of LP presolve; Andersen and Andersen,
-      *Math. Programming* 71, 1995), paired with that row;
-    - a doubleton: a kept row r where ``target`` is 0 and exactly two kept
-      columns j and k are nonzero (the doubleton equation of LP presolve),
-      with ``|A[r, k]| >= |A[r, j]|``.  Column k is merged into column j,
-      ``a_j <- a_j - m a_k`` with ``m = A[r, j] / A[r, k]``, which leaves row
-      r a dead end of column k (threshold pivoting: ``|m| <= 1``).
+    - a dead end: a kept row with exactly one kept column nonzero, paired
+      with that column;
+    - a doubleton: a kept row r with exactly two kept columns j and k
+      nonzero (the doubleton equation of LP presolve; Andersen and
+      Andersen, *Math. Programming* 71, 1995), with ``|A[r, k]| >= |A[r,
+      j]|``.  Column k is merged into column j, ``a_j <- a_j - m a_k`` with
+      ``m = A[r, j] / A[r, k]``, which leaves row r a dead end of column k
+      (threshold pivoting: ``|m| <= 1``).
 
-    A round of one kind takes every such line unless an earlier line of the
-    round took one of its entries, and drops its pairs; dead-end and
-    singleton rounds alternate, and a doubleton round runs when neither
-    finds anything.  The kept rows where the target is 0 and no kept column
-    is nonzero go last (``zero``).  ``rounds`` lists the dead-end pivots of
+    A round of one kind takes every such row unless an earlier row of the
+    round took one of its columns, and drops its pairs; dead-end rounds run
+    until none is left, then one doubleton round runs, and so on until
+    neither finds anything.  The kept rows where the target is 0 and no kept
+    column is nonzero go last (``zero``).  ``rounds`` lists the pivots of
     each round as (rows, cols) index lists, doubleton rounds included, in
-    order; ``singletons`` those of each singleton round; ``merges`` the
-    (j, k, m) arrays of each doubleton round.  ``columns[j]`` maps each row
-    where column j of the merged matrix is nonzero to its entry, ``rows``
-    and ``cols`` mask what is kept, and ``block`` and ``target`` are what is
-    factored: ``matrix`` and ``target`` themselves when nothing peels.
-    ``whole`` is the target on every row.
+    order; ``merges`` the (j, k, m) arrays of each doubleton round.
+    ``columns[j]`` maps each row where column j of the merged matrix is
+    nonzero to its entry, ``rows`` and ``cols`` mask what is kept, and
+    ``block`` and ``target`` are what is factored: ``matrix`` and
+    ``target`` themselves when nothing peels.  ``whole`` is the target on
+    every row.
 
     The peel is exact.  Each merge is an invertible column operation, so
     the merged matrix is ``A C`` for a unit triangular C with span(A C) =
-    span(A); C^-1 is I plus m at (k, j) for each merge.  Order the pivots
-    of ``A C`` as the dead ends in the order of their rounds, then the
-    singletons in the reverse order: a dead-end row is zero on every column
-    kept when it goes (merges only combine kept columns), and a singleton
-    column on every row kept when it goes, so the pivot block D is lower
-    triangular.  With the pivots first, ``A C = [[D, E], [F, K]]``, where E
-    is zero on the dead-end rows and F on the singleton columns, so
-    ``F D^-1 E = 0`` and the kept block K (with its zero rows) is exactly
-    the Schur complement.  The target is 0 on the dead-end rows, so ``F
-    D^-1 t_P = 0`` and ``t`` lies in the span of ``matrix`` exactly when
-    ``t_K`` lies in the span of K.  The complement of that span is null(K^T)
-    (the zero rows' unit vectors included), 0 on singleton rows and fixed on
-    dead-end rows by their pivot columns (``extend``).  Every solution of
-    ``A C y = t`` is 0 on the dead-end columns and fixed on the singleton
-    columns by their rows, and C maps the solutions and the null space of
-    ``A C`` onto those of ``matrix`` (``lift``).  Whether the block also
-    keeps the tolerance decision of one SVD of ``matrix`` is checked after
-    it is factored (``stands``).
+    span(A); C^-1 is I plus m at (k, j) for each merge.  A pivot row is 0 on
+    every column kept when it goes (merges only combine kept columns), so
+    with the pivots first, in the order of their rounds, ``A C = [[D, 0],
+    [F, K]]`` with D lower triangular, and the kept block K (with its zero
+    rows) is exactly the Schur complement.  The target is 0 on the pivot
+    rows, so ``t`` lies in the span of ``matrix`` exactly when ``t_K`` lies
+    in the span of K.  The complement of that span is null(K^T) (the zero
+    rows' unit vectors included), fixed on the pivot rows by their pivot
+    columns (``extend``).  Every solution of ``A C y = t``, and every vector
+    of its null space, is 0 on the pivot columns, and C maps them onto those
+    of ``matrix`` (``lift``).  Whether the block also keeps the tolerance
+    decision of one SVD of ``matrix`` is checked after it is factored
+    (``stands``).
     """
 
-    def __init__(self, matrix: np.ndarray, target: np.ndarray, rounds=(), singletons=(), zero=(), columns=(),
-                 merges=()):
+    def __init__(self, matrix: np.ndarray, target: np.ndarray, rounds=(), zero=(), columns=(), merges=()):
         self.matrix, self.whole, self.columns = matrix, target, columns
-        self.rounds, self.singletons, self.zero = tuple(rounds), tuple(singletons), list(zero)
-        self.merges = tuple(merges)
+        self.rounds, self.zero, self.merges = tuple(rounds), list(zero), tuple(merges)
         self.rows, self.cols = np.ones(matrix.shape[0], dtype=bool), np.ones(matrix.shape[1], dtype=bool)
-        pivots = self.rounds + self.singletons
-        self.rows[[i for rows, _ in pivots for i in rows] + self.zero] = False
-        self.cols[[j for _, cols in pivots for j in cols]] = False
+        self.rows[[i for rows, _ in self.rounds for i in rows] + self.zero] = False
+        self.cols[[j for _, cols in self.rounds for j in cols]] = False
         if self.rows.all() and self.cols.all():
             self.block, self.target = matrix, target
             return
@@ -349,22 +307,19 @@ class Peel:
     @classmethod
     def of(cls, matrix: np.ndarray, target: np.ndarray, columns=None) -> "Peel":
         """The peel of ``matrix``; ``columns`` (``column_entries`` of it) is
-        computed when not given.  Unless some column has exactly one nonzero
-        or some row where the target is 0 has at most two, nothing is read
-        in Python."""
+        computed when not given, and then only when some row where the
+        target is 0 has at most two nonzeros."""
         open_rows = target == 0
-        degrees = np.count_nonzero(matrix, axis=0) if columns is None else [len(col) for col in columns]
-        if 1 not in degrees and not (open_rows & (np.count_nonzero(matrix, axis=1) <= 2)).any():
-            return cls(matrix, target)
-        state = _Elimination(column_entries(matrix) if columns is None else columns, open_rows.tolist())
-        rounds, singletons, merges = [], [], []
+        if columns is None:
+            if not (open_rows & (np.count_nonzero(matrix, axis=1) <= 2)).any():
+                return cls(matrix, target)
+            columns = column_entries(matrix)
+        state = _Elimination(columns, open_rows.tolist())
+        rounds, merges = [], []
         while True:
-            dead, single = state.dead_ends(), state.singletons()
-            if dead[0]:
-                rounds.append(dead)
-            if single[0]:
-                singletons.append(single)
-            if dead[0] or single[0]:
+            rows, cols = state.dead_ends()
+            if rows:
+                rounds.append((rows, cols))
                 continue
             rows, js, ks, ms = state.doubletons()
             if not rows:
@@ -373,7 +328,7 @@ class Peel:
             merges.append((np.array(js, dtype=np.intp), np.array(ks, dtype=np.intp), np.array(ms)))
         zero = [i for i, (kept, line, is_open) in enumerate(zip(state.row_kept, state.lines, state.open))
                 if kept and is_open and not line]
-        return cls(matrix, target, rounds, singletons, zero, state.columns, merges)
+        return cls(matrix, target, rounds, zero, state.columns, merges)
 
     def _entries(self, cols) -> tuple[np.ndarray, np.ndarray, list[int]]:
         """The entries of columns ``cols`` of the merged matrix, one column
@@ -391,14 +346,13 @@ class Peel:
         of their columns (rows, values, and the pivot each belongs to), the
         pivot entries, and per round the (first pivot, end, first entry, end)
         spans."""
-        order = [*self.rounds, *reversed(self.singletons)]
-        rows = np.concatenate([r for r, _ in order])
-        cols = np.concatenate([c for _, c in order])
+        rows = np.concatenate([r for r, _ in self.rounds])
+        cols = np.concatenate([c for _, c in self.rounds])
         at, values, lengths = self._entries(cols.tolist())
         owner = np.repeat(np.arange(cols.size), lengths)  # entry -> its pivot, in order
         pivot = values[at == rows[owner]]
         starts = np.cumsum([0] + lengths).tolist()  # pivot -> its first entry
-        ends = np.cumsum([0] + [len(c) for _, c in order]).tolist()
+        ends = np.cumsum([0] + [len(c) for _, c in self.rounds]).tolist()
         spans = [(a, b, starts[a], starts[b]) for a, b in zip(ends, ends[1:])]
         return rows, cols, at, values, owner, pivot, np.array(starts), spans
 
@@ -408,16 +362,14 @@ class Peel:
 
         First for the merged matrix ``A C``.  That SVD counts rank against
         ``tol`` times its largest singular value, which is at most
-        ``sqrt(s_1^2 + xi^2 + eta^2)``: ``s_1`` is the block's, ``xi`` bounds
-        the norm of the pivot columns and ``eta`` that of E (the singleton
-        rows on the kept columns), each by ``sqrt(|.|_1 |.|_inf)``.  In the
-        order of the class docstring the pivot block D is lower triangular,
-        so |D^-1| <= M^-1 entrywise for its comparison matrix M (Higham,
-        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., 2002, ch.
-        8), and one sweep each way bounds ``|D^-1|`` by ``kappa``.  With K_r
-        the block's rank-r part, ``[[D, E], [F, K_r]]`` has rank r + q for q
-        pivots and a generalized inverse of norm at most ``1/s_r + kappa (1 +
-        (xi + eta + kappa xi eta)/s_r)``, and it differs from ``A C`` by the
+        ``hypot(s_1, xi)``: ``s_1`` is the block's and ``xi`` bounds the norm
+        of the pivot columns by ``sqrt(|.|_1 |.|_inf)``.  The pivot block D
+        is lower triangular, so |D^-1| <= M^-1 entrywise for its comparison
+        matrix M (Higham, *Accuracy and Stability of Numerical Algorithms*,
+        2nd ed., 2002, ch. 8), and one sweep each way bounds ``|D^-1|`` by
+        ``kappa``.  With K_r the block's rank-r part, ``[[D, 0], [F, K_r]]``
+        has rank r + q for q pivots and a generalized inverse of norm at most
+        ``1/s_r + kappa (1 + xi/s_r)``, and it differs from ``A C`` by the
         largest singular value ``s_{r+1}`` that the block's rank leaves out.
 
         Then for ``matrix`` itself, through C: ``|C| <= (I - |C^-1 - I|)^-1``
@@ -435,20 +387,15 @@ class Peel:
         s_{r+1} <= tol s_1``), and the residual stays on its side of ``tol
         |t|`` (``t`` the whole target) both when the pivot columns pull it
         down to ``resid / hypot(1, xi kappa)`` and when the left-out part
-        moves it by ``|t| shrink s_{r+1} / floor``.
+        moves it by ``|t| shrink s_{r+1} / floor``.  Each product of norms
+        under a square root is taken as a product of square roots, which
+        stays finite on every store whose sum of squares does.
         """
-        if not self.rounds and not self.singletons:  # zero rows alone move neither the span nor the residual
+        if not self.rounds:  # zero rows alone move neither the span nor the residual
             return True
         rows, cols, at, values, owner, pivot, starts, spans = self._pivots
         size, pivot = np.abs(values), np.abs(pivot)
-        xi = float(np.sqrt(np.bincount(owner, size).max() * np.bincount(at, size).max()))
-        eta = 0.0
-        if self.singletons:  # the kept columns are 0 on the other pivot rows and the zero rows
-            at_kept, values_kept, lengths = self._entries(np.flatnonzero(self.cols).tolist())
-            edge = ~self.rows[at_kept]
-            if edge.any():
-                col, size_kept = np.repeat(np.arange(len(lengths)), lengths)[edge], np.abs(values_kept[edge])
-                eta = float(np.sqrt(np.bincount(col, size_kept).max() * np.bincount(at_kept[edge], size_kept).max()))
+        xi = float(np.sqrt(np.bincount(owner, size).max()) * np.sqrt(np.bincount(at, size).max()))
         dim = self.matrix.shape[0]
         y, pushed = np.empty(cols.size), np.zeros(dim)  # M y = 1, forward
         for a, b, e, f in spans:
@@ -457,7 +404,7 @@ class Peel:
         z = np.zeros(dim)  # M^T z = 1, backward
         for a, b, e, f in reversed(spans):
             z[rows[a:b]] = (1.0 + np.bincount(owner[e:f] - a, size[e:f] * z[at[e:f]], b - a)) / pivot[a:b]
-        kappa = float(np.sqrt(y.max() * z.max()))
+        kappa = float(np.sqrt(y.max()) * np.sqrt(z.max()))
         grow = shrink = 1.0
         if self.merges:
             down, up, into = np.ones(self.cols.size), np.ones(self.cols.size), np.zeros(self.cols.size)
@@ -466,12 +413,12 @@ class Peel:
             for js, ks, ms in self.merges:
                 np.add.at(up, js, np.abs(ms) * up[ks])
                 np.add.at(into, js, np.abs(ms))
-            grow, shrink = float(np.sqrt(down.max() * up.max())), 1.0 + float(np.sqrt(into.max()))
+            grow, shrink = float(np.sqrt(down.max()) * np.sqrt(up.max())), 1.0 + float(np.sqrt(into.max()))
         sigma, r = dec.sigma, dec.rank
         s_1 = sigma[0] if sigma.size else 0.0
         s_r, s_next = (sigma[r - 1] if r else np.inf), (sigma[r] if r < sigma.size else 0.0)
-        cutoff = tol * shrink * np.sqrt(s_1**2 + xi**2 + eta**2)
-        floor = 1.0 / (grow * (1.0 / s_r + kappa * (1.0 + (xi + eta + kappa * xi * eta) / s_r))) - shrink * s_next
+        cutoff = tol * shrink * np.hypot(s_1, xi)
+        floor = 1.0 / (grow * (1.0 / s_r + kappa * (1.0 + xi / s_r))) - shrink * s_next
         if not floor > cutoff or grow * shrink * s_next > tol * s_1:
             return False
         norm = np.linalg.norm(self.whole)
@@ -483,11 +430,10 @@ class Peel:
     def extend(self, basis: np.ndarray) -> np.ndarray:
         """An orthonormal basis of the complement of the span of ``matrix``,
         from ``basis``, one of the complement of the kept block's span on the
-        kept rows.  The zero rows add their unit vectors and the singleton
-        rows stay 0.  Sweeping the dead-end rounds from last to first, each
-        pivot column's orthogonality fixes the basis at its pivot row, one
-        division per pivot over the column's nonzeros; a thin QR makes the
-        result orthonormal again."""
+        kept rows.  The zero rows add their unit vectors.  Sweeping the
+        rounds from last to first, each pivot column's orthogonality fixes
+        the basis at its pivot row, one division per pivot over the column's
+        nonzeros; a thin QR makes the result orthonormal again."""
         if self.block is self.matrix:
             return basis
         full = np.zeros((self.matrix.shape[0], basis.shape[1] + len(self.zero)))
@@ -496,7 +442,7 @@ class Peel:
         if not self.rounds:
             return full
         rows, _, at, values, _, pivot, starts, spans = self._pivots
-        for a, b, e, f in reversed(spans[: len(self.rounds)]):
+        for a, b, e, f in reversed(spans):
             sums = np.add.reduceat(values[e:f, None] * full[at[e:f]], starts[a:b] - e)
             full[rows[a:b]] = -sums / pivot[a:b, None]
         return np.linalg.qr(full)[0]
@@ -504,39 +450,18 @@ class Peel:
     def lift(self, w: np.ndarray, null: np.ndarray) -> np.ndarray:
         """The minimum-norm solution of ``matrix @ x = whole`` on the rank
         the block kept, from ``w``, the block's, and ``null``, an orthonormal
-        basis of the block's null space: the mirror of ``extend``.  On the
-        merged columns, dead-end columns are 0; sweeping the singleton rounds
-        from last to first,
-        each singleton row fixes its pivot column, one division per pivot,
-        in ``w`` and in ``null``, which then spans the null space of
-        ``[[D, E], [F, K_r]]``.  Then C, one merge at a time from last to
-        first (``x_k <- x_k - m x_j``), carries both from the merged columns
-        to those of ``matrix``; a thin QR of the null space and one
-        projection leave the solution of least norm."""
-        if not self.singletons and not self.merges:
+        basis of the block's null space: both are 0 on the pivot columns of
+        the merged matrix.  Then C, one merge at a time from last to first
+        (``x_k <- x_k - m x_j``), carries both to the columns of ``matrix``;
+        a thin QR of the null space and one projection leave the solution of
+        least norm."""
+        if not self.merges:
             x = np.zeros(self.cols.size)
             x[self.cols] = w
             return x
         both = np.zeros((self.cols.size, 1 + null.shape[1]))
         both[self.cols, 0], both[self.cols, 1:] = w, null
         live = self.cols.copy()  # in the end all but the dead-end columns no merge pivots on
-        if self.singletons:
-            # the merged matrix on the singleton rows, on the kept and
-            # singleton columns: ``both`` is 0 on the dead-end columns
-            rows = np.concatenate([r for r, _ in self.singletons])
-            cols = np.flatnonzero(self.cols).tolist() + [j for _, c in self.singletons for j in c]
-            at, values, lengths = self._entries(cols)
-            where = np.full(self.rows.size, -1)
-            where[rows] = np.arange(rows.size)
-            merged, keep = np.zeros((rows.size, self.cols.size)), where[at] >= 0
-            merged[where[at[keep]], np.repeat(cols, lengths)[keep]] = values[keep]
-            end = rows.size
-            for rows, cols in reversed(self.singletons):
-                end -= len(rows)
-                step = merged[end : end + len(rows)] @ both
-                step[:, 0] -= self.whole[rows]
-                both[cols] = -step / merged[end + np.arange(len(rows)), cols][:, None]
-                live[cols] = True
         for js, ks, ms in reversed(self.merges):
             both[ks] -= ms[:, None] * both[js]
             live[ks] = True
@@ -646,7 +571,7 @@ class LowLevelProgram:
         mask = self.available_mask(x)
         matrix = self._columns[:, mask]
         matrix.setflags(write=False)
-        return AvailableColumns(matrix=matrix, mask=mask, num_free=self.num_free)
+        return AvailableColumns(matrix=matrix, mask=mask)
 
     def all_vectors(self) -> np.ndarray:
         """All input vectors (free then labeled) as columns of the read-only
@@ -670,17 +595,16 @@ class LowLevelProgram:
         """The peel of the available columns of ``x``, the SVD of its kept
         block and the decision.
 
-        The peel drops the degree-1 coordinates and merges the doubletons;
-        only the kept block is factored, and both witness sides come from its
-        one SVD.  Unless the
-        peel stands (the block decides as one SVD of all available columns
-        would), the available columns are factored whole instead, as they are
-        when they have fewer than ``PEEL_MIN_CELLS`` entries.  Complete left
-        singular vectors are computed when the block has fewer columns than
-        rows, so ``u[:, rank:]`` is an orthonormal basis of the complement of
-        the block's span, which ``Peel.extend`` turns into the space negative
-        witnesses live in; complete right ones when singletons or doubletons
-        peeled, so ``vt[rank:]`` spans the block's null space, which
+        The peel drops the dead ends and merges the doubletons; only the kept
+        block is factored, and both witness sides come from its one SVD.
+        Unless the peel stands (the block decides as one SVD of all available
+        columns would), the available columns are factored whole instead, as
+        they are when they have fewer than ``PEEL_MIN_CELLS`` entries.
+        Complete left singular vectors are computed when the block has fewer
+        columns than rows, so ``u[:, rank:]`` is an orthonormal basis of the
+        complement of the block's span, which ``Peel.extend`` turns into the
+        space negative witnesses live in; complete right ones when doubletons
+        merged, so ``vt[rank:]`` spans the block's null space, which
         ``Peel.lift`` needs.  The thin factors are already complete otherwise.
         """
         avail = self.available_vectors(x)
@@ -692,7 +616,7 @@ class LowLevelProgram:
         while True:
             rows, cols = peel.block.shape
             dec, resid, decision = in_span(peel.block, peel.target, tol,
-                                           full_matrices=cols < rows or bool(peel.singletons or peel.merges))
+                                           full_matrices=cols < rows or bool(peel.merges))
             if peel.stands(dec, float(np.linalg.norm(resid)), tol):
                 return peel, dec, decision
             peel = Peel(avail.matrix, self.target)

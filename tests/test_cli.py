@@ -13,6 +13,7 @@ from spanforge.cli import main
 from spanforge.compiler import CompiledProgram
 from spanforge.highlevel import HighLevelProgram
 from spanforge.lowlevel import LabeledVector, LowLevelProgram
+from test_lowlevel import _near_float_max_program
 
 
 @pytest.fixture
@@ -571,6 +572,16 @@ def test_bad_program_entry_names_field(capsys, tmp_path, cmd, data, message):
         code, out, err = _run(capsys, cmd.split() + [str(ppath), "--input", source])
     assert code == 1 and out == ""
     assert message in err and "Traceback" not in err
+
+
+def test_store_near_the_float_maximum_exits_0_quietly(capsys, tmp_path):
+    ppath = tmp_path / "prog.json"
+    ppath.write_text(_near_float_max_program().to_json())
+    for cmd in ("evaluate", "witness"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, [cmd, "--program", str(ppath), "--input", ""])
+        assert code == 0 and err == "" and json.loads(out)["decision"] == 0
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -142,10 +143,6 @@ def _rounds(peel):
     return [(list(rows), list(cols)) for rows, cols in peel.rounds]
 
 
-def _singletons(peel):
-    return [(list(rows), list(cols)) for rows, cols in peel.singletons]
-
-
 def test_peel_drops_dead_ends_round_by_round():
     prog = _chain_program()
     avail = prog.available_vectors("1").matrix
@@ -153,19 +150,17 @@ def test_peel_drops_dead_ends_round_by_round():
     peel = Peel.of(avail, prog.target)
     # round 1: rows 2 and 3 see only columns 1 and 3; then row 1 sees only column 0
     assert _rounds(peel) == [([2, 3], [1, 3]), ([1], [0])]
-    # between them, column 2 is the only one left at row 0, and goes with it
-    assert _singletons(peel) == [([0], [2])]
-    assert not peel.rows.any() and not peel.cols.any()
-    assert peel.block.shape == (0, 0)
+    # column 2 is left alone at row 0, where the target is 1, and stays
+    assert peel.rows.tolist() == [True, False, False, False] and peel.cols.tolist() == [False, False, True, False]
+    assert peel.block.tolist() == [[1.0]]
     rep = prog.positive_witness("1")
     assert rep.witness == pytest.approx([0.0, 0.0, 1.0, 0.0], abs=1e-15)
     assert rep.size == pytest.approx(1.0, abs=1e-15)
 
 
 def _singleton_chain_program():
-    """Target (1, 1, 1, 0, 1).  Column 4 is nonzero only at row 4; once it
-    goes with row 4, column 0 is left only at row 0.  Row 3 is a dead end of
-    column 3, and columns 1 and 2 on rows 1 and 2 stay, as a rank-1 block."""
+    """Target (1, 1, 1, 0, 1).  Column 4 is nonzero only at row 4, and column
+    0 only at rows 0 and 4.  Row 3 is a dead end of column 3."""
     return LowLevelProgram(
         dim=5, num_vars=0, target=[1.0, 1.0, 1.0, 0.0, 1.0],
         free=([2.0, 0.0, 0.0, 0.0, 1.0], [1.0, 1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0, 0.0],
@@ -173,14 +168,14 @@ def _singleton_chain_program():
     )
 
 
-def test_peel_drops_singleton_columns_round_by_round():
+def test_peel_keeps_singleton_columns_in_the_block():
+    """The peel pivots only on rows where the target is 0: the singleton
+    columns stay in the block, and the witness is the unpeeled one."""
     prog = _singleton_chain_program()
     avail = prog.available_vectors("").matrix
     peel = Peel.of(avail, prog.target)
-    assert _rounds(peel) == [([3], [3])]
-    assert _singletons(peel) == [([4], [4]), ([0], [0])]
-    assert peel.rows.tolist() == peel.cols.tolist() == [False, True, True, False, False]
-    assert peel.block.tolist() == [[1.0, 1.0], [1.0, 1.0]]
+    assert _rounds(peel) == [([3], [3])] and peel.merges == ()
+    assert peel.rows.tolist() == peel.cols.tolist() == [True, True, True, False, True]
     dec, resid, decision = in_span(peel.block, peel.target, prog.tol, full_matrices=True)
     assert decision == 1 and peel.stands(dec, float(np.linalg.norm(resid)), prog.tol)
     # 2 w_0 + w_1 = 1, w_1 + w_2 = 1, w_3 = 0 and w_0 + 3 w_4 = 1, at least norm
@@ -208,7 +203,7 @@ def test_peel_merges_doubleton_rows_round_by_round():
     # round 1 pivots row 0 on column 1 (m = 1/2); row 1 shares column 1 and
     # waits.  The merge leaves column 0 at -1/2 on row 1, so round 2 pivots
     # row 1 on column 2 (m = -1/2)
-    assert _rounds(peel) == [([0], [1]), ([1], [2])] and peel.singletons == ()
+    assert _rounds(peel) == [([0], [1]), ([1], [2])]
     assert [(js.tolist(), ks.tolist(), ms.tolist()) for js, ks, ms in peel.merges] == [
         ([0], [1], [0.5]), ([0], [2], [-0.5])]
     assert all(np.abs(ms).max() <= 1.0 for _, _, ms in peel.merges)
@@ -227,7 +222,7 @@ def test_peel_extends_the_complement_over_pivot_rows():
     prog = _chain_program()
     avail = prog.available_vectors("0").matrix
     peel = Peel.of(avail, prog.target)
-    assert _rounds(peel) == [([2], [1]), ([1], [0])] and peel.singletons == ()
+    assert _rounds(peel) == [([2], [1]), ([1], [0])] and peel.merges == ()
     # row 3 touches no available column and its target is 0: it leaves the
     # block, and its unit vector joins the complement
     assert peel.zero == [3]
@@ -247,6 +242,28 @@ def test_peel_keeps_a_matrix_without_dead_ends():
     peel = Peel.of(m, np.array([1.0, 0.0, 0.0]))
     assert peel.rounds == () and peel.block is m
     assert peel.extend(m) is m
+
+
+def _near_float_max_program() -> LowLevelProgram:
+    """A free-only 141 x 71 program whose sum of squared entries is 1e308:
+    column 0 holds x on rows 1..70, and column j holds x on row 0, where the
+    target is 1, and on row 70 + j.  A pivot column's 1-norm times a row's
+    1-norm passes the float maximum."""
+    x = float(np.sqrt(1e308 / 210))
+    store = np.zeros((141, 71))
+    store[1:71, 0] = store[0, 1:] = x
+    store[np.arange(71, 141), np.arange(1, 71)] = x
+    return LowLevelProgram(dim=141, num_vars=0, target=np.eye(141)[0], free=store.T)
+
+
+def test_peel_of_a_store_near_the_float_maximum_stands_without_overflow():
+    prog = _near_float_max_program()
+    avail = prog.available_vectors("").matrix
+    assert in_span(avail, prog.target, prog.tol)[2] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert prog.evaluate("") == prog.witness("").decision == 0
+        assert prog._decide("", prog.tol)[0].block.shape == (1, 0)
 
 
 @pytest.mark.parametrize("free, target, tol, decision, stands", [
@@ -282,37 +299,42 @@ def test_peel_stands_only_where_it_keeps_the_decision(free, target, tol, decisio
 
 
 @pytest.mark.parametrize("free, target, tol, decision, stands", [
-    # the singleton's one entry is within the tolerance of the rest of its row
+    # the singleton's one entry, all that is left of the block, is within the
+    # tolerance of the rest of its row
     ([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1e-20, 0.0, 0.0]], [1.0, 0.0, 0.0], DEFAULT_TOL, 0, False),
     ([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [0.3, 0.0, 0.0]], [1.0, 0.0, 0.0], 0.5, 0, False),
     ([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [3.0, 0.0, 0.0]], [1.0, 0.0, 0.0], 0.5, 1, False),
     ([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0], [1.0, 0.0, 0.0]], [1.0, 0.0, 0.0], DEFAULT_TOL, 1, True),
-    # the dropped singleton row sets the cutoff, which leaves the block out
+    # row 0, a doubleton of the singleton column and a large entry, sets the
+    # cutoff, which leaves the block out
     ([[1e12, 1.0, 1.0], [0.0, 1.0, -1.0], [1.0, 0.0, 0.0]], [0.0, 1.0, 1.0], DEFAULT_TOL, 0, False),
     ([[3.0, 1.0, 1.0], [0.0, 1.0, -1.0], [1.0, 0.0, 0.0]], [0.0, 1.0, 1.0], 0.5, 0, False),
     ([[1.0, 1.0, 1.0], [0.0, 1.0, -1.0], [1.0, 0.0, 0.0]], [0.0, 1.0, 1.0], DEFAULT_TOL, 1, True),
-    # the singleton row, nearly parallel to the small kept rows, leaves two
-    # directions of the three above the cutoff
+    # no row where the target is 0: nothing peels
     ([[1.0, 1e-6, 1e-6], [0.0, 1e-6, -1e-6], [1e-6, 0.0, 0.0]], [1.0, 1.0, 1.0], DEFAULT_TOL, 0, False),
-    # the target on the singleton row counts in tol |t|: the block rejects
-    # a residual of 0.6, which the whole target accepts
     ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, 0.0]], [100.0, 1.0, 1.0, 0.6], 0.01, 1, False),
     ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0], [0.0, 1.0, -1.0, 0.0]], [1.0, 1.0, 1.0, 0.6], 0.01, 0, True),
 ])
 def test_singleton_peel_stands_only_where_it_keeps_the_decision(free, target, tol, decision, stands):
-    """The transposed cases: each program peels one singleton column, the
-    last or the first, with row 0; the other columns stay as a block that
-    peels no further, unless the target is 0 on rows 1 and 2: there row 1 is
-    a doubleton that merges column 1 into column 0, and row 2 is left a dead
-    end of column 0."""
+    """The transposed cases: each program has a singleton column, the last
+    or the first, nonzero on row 0 only.  The peel keeps it: where the target
+    is 0 on rows 1 and 2, row 1 is a doubleton that merges column 1 into
+    column 0 and row 2 is left a dead end of column 0; where it is 0 on row
+    0, row 0 is a doubleton; elsewhere nothing peels, and ``stands`` is not
+    read."""
     prog = LowLevelProgram(dim=len(target), num_vars=0, target=target, free=free, tol=tol)
     avail = prog.available_vectors("").matrix
     assert in_span(avail, prog.target, tol)[2] == decision
     assert prog.evaluate("") == prog.witness("").decision == decision
     peel = Peel.of(avail, prog.target)
-    assert len(peel.singletons) == 1 and peel.singletons[0][0] == [0]
-    assert _rounds(peel) == ([] if target[1:3] != [0.0, 0.0] else [([1], [1]), ([2], [0])])
     dec, resid, block_decision = in_span(peel.block, peel.target, tol)
+    if 0.0 not in target:
+        assert peel.rounds == () and peel.block is avail
+        return
+    if target[0]:
+        assert _rounds(peel) == [([1], [1]), ([2], [0])]
+    else:  # the column of row 0's larger entry, the later one on a tie, is merged
+        assert _rounds(peel) == [([0], [0 if free[0][0] > free[2][0] else 2])]
     assert peel.stands(dec, float(np.linalg.norm(resid)), tol) == stands
     assert block_decision == decision or not stands
 

@@ -223,8 +223,8 @@ def test_peeled_witnesses_match_the_unpeeled_solver(query):
         if decision:
             assert np.allclose(avail @ rep.witness, prog.target, atol=1e-9)
             # dead-end pivot columns carry no coefficient, unless a doubleton
-            # merged them, and the witness is the unpeeled one, singleton and
-            # doubleton pivot columns included
+            # merged them, and the witness is the unpeeled one, doubleton
+            # pivot columns included
             peel = prog._decide(bits, prog.tol)[0]
             merged = {k for _, ks, _ in peel.merges for k in ks.tolist()}
             assert not rep.witness[[j for _, cols in peel.rounds for j in cols if j not in merged]].any()
@@ -319,20 +319,27 @@ def test_compiled_sparse_inputs_peel():
 
 
 def test_compiled_dense_inputs_peel():
-    """Loader gadgets load each digit into a coordinate of its own, which
-    leaves singleton columns on every input: the factored block of a dense
-    compiled program is smaller than the available columns both ways."""
+    """Loader and routing gadgets leave chains of dead ends and doubletons on
+    every input: in each mode the factored block is at most the size of the
+    source's [A, F], n rows and m + f columns for a free basis of rank f, and
+    the peel stands."""
     rng = np.random.default_rng(6)
-    comp = compile_dense(_random_source(rng, 4, 4), precision=3)
-    for _ in range(4):
-        bits = comp.encode(_budgeted_grid_matrix(rng, 4, 4, 3, None, None))
-        avail = comp.program.available_vectors(bits).matrix
-        assert avail.size >= PEEL_MIN_CELLS
-        peel = Peel.of(avail, comp.program.target)
-        assert peel.singletons
-        assert peel.block.shape[0] < avail.shape[0] and peel.block.shape[1] < avail.shape[1]
-        # and the peel stands
-        assert comp.program._decide(bits, comp.program.tol)[0].block.shape == peel.block.shape
+    n, m, precision = 4, 4, 3
+    source = _random_source(rng, n, m)
+    f = source.free_basis.shape[1]
+    for comp, k_nnz, l_nnz in ((compile_dense(source, precision), None, None),
+                               (compile_sparse(source, k_nnz=2, precision=precision), 2, None),
+                               (compile_sparse(source, k_nnz=2, precision=precision, l_nnz=2), 2, 2)):
+        prog = comp.program
+        for _ in range(4):
+            bits = comp.encode(_budgeted_grid_matrix(rng, n, m, precision, k_nnz, l_nnz))
+            avail = prog.available_vectors(bits).matrix
+            assert avail.size >= PEEL_MIN_CELLS or k_nnz is not None  # evaluate peels every dense query
+            peel = Peel.of(avail, prog.target)
+            rows, cols = peel.block.shape
+            assert rows <= n and cols <= m + f
+            dec, resid, _ = in_span(peel.block, peel.target, prog.tol, full_matrices=cols < rows or bool(peel.merges))
+            assert peel.stands(dec, float(np.linalg.norm(resid)), prog.tol)
 
 
 def _budgeted_grid_matrix(rng, n: int, m: int, precision: int, k_nnz, l_nnz) -> np.ndarray:
