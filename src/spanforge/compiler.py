@@ -27,14 +27,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .encoding import FixedPointCode, IntegerCode, check_precision, encode_int, encode_real, index_bit_width
+from .encoding import check_precision, grid_levels, index_bit_width
 from .errors import SparseFormatError
 from .highlevel import HighLevelProgram, read_source, source_json, wsize_over_inputs
 from .linalg import input_matrix, int_field
-from .lowlevel import DomainWitnessSizes, LowLevelProgram, wsize_over_domain
+from .lowlevel import DomainWitnessSizes, LowLevelProgram, normalize_bits, wsize_over_domain
 
 MODES = ("dense", "sparse_cols", "sparse")
 
@@ -142,20 +143,6 @@ class RouteRecord:
     def width(self) -> int:
         return len(self.bit_vars)
 
-    def reachable_leaf(self, a: int, l: int, selected: int) -> int | None:
-        """Leaf index reached from node (a, l) along available edges, or None
-        when the walk hits a truncated branch."""
-        idx = l
-        for level in range(a, self.width):
-            idx = ((selected >> level) & 1) * (1 << level) + idx
-            if idx >= len(self.leaves):
-                return None
-        return idx
-
-    def path_edges(self, selected: int) -> list[tuple[int, int, int]]:
-        """(level, bit, index) edges from the root to the selected leaf."""
-        return [(a, (selected >> a) & 1, selected % (1 << a)) for a in range(self.width)]
-
 
 def emit_vector_loading(
     builder: ProgramBuilder,
@@ -254,19 +241,47 @@ def emit_route_tree(
 # canonical sparse descriptions
 
 
+def _slots(nonzero: np.ndarray, budget: int, message: str) -> np.ndarray:
+    """Per column of the boolean pattern ``nonzero``, its nonzero rows plus
+    the first rows it leaves zero, ``budget`` in all and ascending.  The first
+    column past the budget raises ``message`` with its number and count."""
+    count = nonzero.sum(axis=0)
+    if (over := count > budget).any():
+        j = int(np.argmax(over))
+        raise SparseFormatError(message.format(j + 1, count[j]))
+    pad = ~nonzero & (np.cumsum(~nonzero, axis=0) <= budget - count)
+    return np.nonzero((nonzero | pad).T)[1].reshape(nonzero.shape[1], budget)
+
+
+def _payload_rows(a: np.ndarray, k_nnz: int) -> np.ndarray:
+    return _slots(a != 0, k_nnz, f"column {{}} has {{}} entries, the payload holds {k_nnz}")
+
+
+def _row_lists(a: np.ndarray, l_nnz: int) -> np.ndarray:
+    return _slots((a != 0).T, l_nnz, f"row {{}} lists {{}} columns, the row list holds {l_nnz}")
+
+
+def _listed(lists: np.ndarray, m: int) -> np.ndarray:
+    """(n, m) booleans, row i lists column j; selections past m list nothing."""
+    out = np.zeros((len(lists), m + 1), dtype=bool)
+    out[np.arange(len(lists))[:, None], np.minimum(lists, m)] = True
+    return out[:, :m]
+
+
 def sparse_columns_from_dense(a: np.ndarray, k_nnz: int) -> tuple[tuple[tuple[int, float], ...], ...]:
     """Per-column (row, value) payload slots, padded with zero entries."""
-    n, m = a.shape
-    return validate_sparse_columns([[(i, a[i, j]) for i in np.flatnonzero(a[:, j])] for j in range(m)], n, m, k_nnz)
+    return tuple(tuple((i, float(a[i, j])) for i in rows) for j, rows in enumerate(_payload_rows(a, k_nnz).tolist()))
 
 
 def row_lists_from_dense(a: np.ndarray, l_nnz: int) -> tuple[tuple[int, ...], ...]:
     """Per-row lists of column indices covering every nonzero, padded."""
-    n, m = a.shape
-    return validate_row_lists([np.flatnonzero(a[i, :]) for i in range(n)], n, m, l_nnz)
+    return tuple(map(tuple, _row_lists(a, l_nnz).tolist()))
 
 
-def validate_sparse_columns(entries, n: int, m: int, k_nnz: int) -> tuple[tuple[tuple[int, float], ...], ...]:
+def validate_sparse_columns(entries, n: int, m: int, k_nnz: int) -> tuple[np.ndarray, np.ndarray]:
+    """(slot rows, values), each (m, k_nnz), of explicit column payloads:
+    every column padded with zero entries on its first unused rows, in row
+    order."""
     if len(entries) != m:
         raise SparseFormatError(f"expected {m} column payloads, got {len(entries)}")
     canon = []
@@ -282,17 +297,14 @@ def validate_sparse_columns(entries, n: int, m: int, k_nnz: int) -> tuple[tuple[
                 raise SparseFormatError(f"column {j + 1} addresses row {r}, outside [0, {n})")
             if not np.isfinite(v):
                 raise SparseFormatError(f"column {j + 1} payload value at row {r} is not finite: {v}")
-        for i in range(n):
-            if len(slots) == k_nnz:
-                break
-            if i not in rows:
-                slots.append((i, 0.0))
-        slots.sort(key=lambda rv: rv[0])
-        canon.append(tuple(slots))
-    return tuple(canon)
+        canon += sorted(slots + [(i, 0.0) for i in range(n) if i not in rows][: k_nnz - len(slots)])
+    canon = np.array(canon, dtype=float).reshape(m, k_nnz, 2)
+    return canon[..., 0].astype(np.intp), canon[..., 1]
 
 
-def validate_row_lists(lists, n: int, m: int, l_nnz: int) -> tuple[tuple[int, ...], ...]:
+def validate_row_lists(lists, n: int, m: int, l_nnz: int) -> np.ndarray:
+    """(n, l_nnz) column lists of the rows, each padded with its first
+    unlisted columns and sorted."""
     if len(lists) != n:
         raise SparseFormatError(f"expected {n} row lists, got {len(lists)}")
     canon = []
@@ -303,16 +315,8 @@ def validate_row_lists(lists, n: int, m: int, l_nnz: int) -> tuple[tuple[int, ..
         for c in cols:
             if not 0 <= c < m:
                 raise SparseFormatError(f"row {i + 1} lists column {c}, outside [0, {m})")
-        listed = set(cols)
-        for j in range(m):
-            if len(cols) == l_nnz:
-                break
-            if j not in listed:
-                cols.append(j)
-                listed.add(j)
-        cols.sort()
-        canon.append(tuple(cols))
-    return tuple(canon)
+        canon.append(sorted(cols + [j for j in range(m) if j not in cols][: l_nnz - len(cols)]))
+    return np.array(canon, dtype=np.intp).reshape(n, l_nnz)
 
 
 # ---------------------------------------------------------------------------
@@ -342,109 +346,170 @@ class LiftedWitness:
     size: float
 
 
+class _Routes:
+    """Index tables of the routing trees of one role, shaped (owners, slots,
+    ...).  The trees of a role share their leaf count, so they share the level
+    and child node of each edge, and the level and index of each node."""
+
+    def __init__(self, recs, owners: int, slots: int, roots: bool):
+        def table(rows):
+            return np.array(rows, dtype=np.intp).reshape(owners, slots, len(rows[0]) if rows else 0)
+
+        # a program without input columns has no routes, and empty tables
+        head = recs[0] if recs else RouteRecord("", 0, 0, 0, (), (), (), (), None)
+        self.bits = table([r.bit_vars for r in recs])
+        self.leaves = table([r.leaves for r in recs])
+        self.free = table([[r.free_index] for r in recs])[..., 0] if head.free_index is not None else None
+        self.edges = table([[idx for *_, idx in r.edges] for r in recs])
+        self.edge_level, self.edge_child = np.array(
+            [(a, b << a | l) for a, b, l, _ in head.edges], dtype=np.intp).reshape(-1, 2).T
+        # column routes give their root the selected leaf's value too, as node (0, 0)
+        nodes = [((0, 0, r.root),) * roots + r.interior for r in (head, *recs)]
+        self.nodes = table([[c for *_, c in ns] for ns in nodes[1:]])
+        self.node_level, self.node_index = np.array([(a, l) for a, l, _ in nodes[0]], dtype=np.intp).reshape(-1, 2).T
+
+    def carry(self, full: np.ndarray, nf: int, sel: np.ndarray, mass: np.ndarray) -> None:
+        """Put each route's ``mass`` on its free connector, or on the edges of
+        the path to its selected leaf, in the coefficients ``full``."""
+        if self.free is not None:
+            full[self.free] = mass
+            return
+        on_path = self.edge_child == sel[..., None] % (2 << self.edge_level)
+        full[nf + self.edges[on_path]] = np.broadcast_to(mass[..., None], on_path.shape)[on_path]
+
+    def spread(self, wt: np.ndarray, sel: np.ndarray) -> None:
+        """Give each node of ``wt`` the value of the leaf its available edges
+        reach, or 0 where the walk hits a truncated branch."""
+        leaf = self.node_index + sel[..., None] - sel[..., None] % (1 << self.node_level)
+        reach = leaf < self.leaves.shape[-1]
+        held = np.take_along_axis(self.leaves, np.where(reach, leaf, 0), axis=-1)
+        wt[self.nodes] = np.where(reach, wt[held], 0.0)
+
+
+class _Tables:
+    """Integer index tables of a layout, read once from its gadget records:
+    per (column, slot, digit), per (column, slot), and per route role."""
+
+    def __init__(self, lay: CompiledLayout):
+        k, slots = lay.precision, lay.k_nnz or lay.n
+        shape = (lay.m, slots, k + 1)
+        self.digits = np.array([r.digit_vars for r in lay.loaders], dtype=np.intp).reshape(shape)
+        self.working = np.array([r.working for r in lay.loaders], dtype=np.intp).reshape(shape)
+        self.pivots = np.array([r.pivots for r in lay.loaders], dtype=np.intp).reshape(shape[:2])
+        self.half = np.array([_half_power(a) for a in range(k + 1)])
+        self.loader_free = np.array([r.free_index for r in lay.loaders], dtype=np.intp)
+        # a loader's labeled vectors run by slot, then digit, then value 0 and 1
+        self.loader_labeled = (np.array([r.labeled_start for r in lay.loaders], dtype=np.intp)[:, None]
+                               + np.arange(2 * slots * (k + 1)))
+        self.digit_scale = np.tile(np.repeat(self.half, 2), slots)
+        self.scratch = np.array([list(blk) for blk in lay.scratch], dtype=np.intp) if lay.scratch else None
+        ncol = lay.m * (lay.k_nnz or 0)
+        self.cols = _Routes(lay.routes[:ncol], lay.m, lay.k_nnz, roots=True) if lay.k_nnz else None
+        self.rows = _Routes(lay.routes[ncol:], lay.n, lay.l_nnz, roots=False) if lay.l_nnz else None
+
+
 class CompiledProgram:
-    """A low-level program plus the encoder bookkeeping that produced it."""
+    """A low-level program plus the encoder bookkeeping that produced it.
+
+    Encode, decode and the lifts gather and scatter over index tables of the
+    layout, built on first use: loading and evaluating a compiled file builds
+    none."""
 
     def __init__(self, program: LowLevelProgram, layout: CompiledLayout):
         self.program = program
         self.layout = layout
 
+    @cached_property
+    def _tables(self) -> _Tables:
+        return _Tables(self.layout)
+
+    @cached_property
+    def _source(self) -> HighLevelProgram:
+        lay = self.layout
+        return HighLevelProgram(space_dim=lay.n, num_inputs=lay.m, target=self.source_target(),
+                                free_basis=self.source_free_basis(), tol=self.program.tol)
+
     # -- encoding ------------------------------------------------------
 
     def _canonical(self, source):
-        """Normalize an input to (col_entries, row_lists); dense matrices are
-        converted, sparse descriptions validated and padded."""
+        """An input as (slot values and slot rows by column, column lists by
+        row), None where the mode lacks one; dense mode's slots are the rows.
+        Sparse descriptions are validated and padded."""
         lay = self.layout
         if lay.mode == "dense":
-            return input_matrix(source, (lay.n, lay.m)), None
+            return input_matrix(source, (lay.n, lay.m)).T, None, None
+        if _looks_dense(source):
+            a = input_matrix(source, (lay.n, lay.m))
+            rows = _payload_rows(a, lay.k_nnz)
+            return a[rows, np.arange(lay.m)[:, None]], rows, _row_lists(a, lay.l_nnz) if lay.l_nnz else None
         if isinstance(source, dict):
             if "columns" not in source:
                 raise SparseFormatError("sparse input dict is missing field 'columns'")
-            cols = validate_sparse_columns(source["columns"], lay.n, lay.m, lay.k_nnz)
-            if lay.mode == "sparse":
-                if "rows" not in source:
-                    raise SparseFormatError("sparse mode needs a 'rows' adjacency list")
-                rows = validate_row_lists(source["rows"], lay.n, lay.m, lay.l_nnz)
-                _check_consistency(cols, rows)
-            else:
-                rows = None
-            return cols, rows
-        if _looks_dense(source):
-            a = input_matrix(source, (lay.n, lay.m))
-            cols = sparse_columns_from_dense(a, lay.k_nnz)
-            rows = row_lists_from_dense(a, lay.l_nnz) if lay.mode == "sparse" else None
-            return cols, rows
-        if lay.mode == "sparse":
+            payload = source["columns"]
+        elif lay.mode == "sparse":
             raise SparseFormatError("sparse mode needs a 'rows' adjacency list alongside 'columns'")
-        cols = validate_sparse_columns(source, lay.n, lay.m, lay.k_nnz)
-        return cols, None
+        else:
+            payload = source
+        rows, values = validate_sparse_columns(payload, lay.n, lay.m, lay.k_nnz)
+        if lay.mode == "sparse_cols":
+            return values, rows, None
+        if "rows" not in source:
+            raise SparseFormatError("sparse mode needs a 'rows' adjacency list")
+        lists = validate_row_lists(source["rows"], lay.n, lay.m, lay.l_nnz)
+        # every nonzero payload entry must be reachable through its row list
+        unlisted = (values != 0.0) & ~_listed(lists, lay.m)[rows, np.arange(lay.m)[:, None]]
+        if unlisted.any():
+            j, slot = np.argwhere(unlisted)[0]
+            r = rows[j, slot]
+            raise SparseFormatError(f"column {j + 1} has a nonzero in row {r + 1} but row {r + 1}'s list omits it")
+        return values, rows, lists
+
+    def _query(self, source):
+        """(grid levels, slot rows, row lists) of an input."""
+        values, rows, lists = self._canonical(source)
+        return grid_levels(values, self.layout.precision), rows, lists
+
+    def _bits(self, levels, rows, lists) -> np.ndarray:
+        """The bits that encode (grid levels, slot rows, row lists)."""
+        tab = self._tables
+        bits = np.zeros(self.layout.num_vars, dtype=np.intp)
+        bits[tab.digits] = levels[..., None] >> np.arange(self.layout.precision, -1, -1) & 1
+        for routes, sel in ((tab.cols, rows), (tab.rows, lists)):
+            if routes is not None:
+                bits[routes.bits] = sel[..., None] >> np.arange(routes.bits.shape[-1]) & 1
+        return bits
+
+    def _read(self, bits: np.ndarray):
+        """(grid levels, slot rows, row lists) that ``bits`` encode."""
+        tab = self._tables
+        levels = bits[tab.digits] @ (1 << np.arange(self.layout.precision, -1, -1))
+        return levels, *(None if r is None else bits[r.bits] @ (1 << np.arange(r.bits.shape[-1]))
+                          for r in (tab.cols, tab.rows))
+
+    def _matrix(self, levels, rows, lists) -> np.ndarray:
+        """The matrix an input stands for, honoring the routing semantics: a
+        column whose nonzero payload cannot reach the target space (index out
+        of range, or row list never mentioning it) contributes nothing."""
+        n, m = self.layout.n, self.layout.m
+        values = levels * 2.0**-self.layout.precision - 1.0
+        if rows is None:
+            return np.ascontiguousarray(values.T)
+        inside = rows < n
+        at = np.minimum(rows, n - 1) * m + np.arange(m)[:, None]  # flat (row, column) of each slot
+        reach = inside if lists is None else inside & _listed(lists, m).ravel()[at]
+        usable = inside & ~((values != 0.0) & ~reach).any(axis=1, keepdims=True)
+        return np.bincount(at[usable], values[usable], n * m).reshape(n, m)
 
     def encode(self, source) -> tuple[int, ...]:
         """Bits for one input, positionally aligned with program variables."""
-        lay = self.layout
-        bits = [0] * lay.num_vars
-        cols, rows = self._canonical(source)
-        if lay.mode == "dense":
-            for rec in lay.loaders:
-                for i in range(lay.n):
-                    code = encode_real(float(cols[i, rec.column - 1]), lay.precision)
-                    for a, b in enumerate(code.bits):
-                        bits[rec.digit_vars[i][a]] = b
-            return tuple(bits)
-        for rec in lay.loaders:
-            for i, (_, value) in enumerate(cols[rec.column - 1]):
-                code = encode_real(value, lay.precision)
-                for a, b in enumerate(code.bits):
-                    bits[rec.digit_vars[i][a]] = b
-        for rec in lay.routes:
-            if rec.role == "col":
-                sel = cols[rec.owner - 1][rec.slot - 1][0]
-            else:
-                sel = rows[rec.owner - 1][rec.slot - 1]
-            code = encode_int(sel, len(rec.leaves))
-            for a, b in enumerate(code.bits):
-                bits[rec.bit_vars[a]] = b
-        return tuple(bits)
+        return tuple(self._bits(*self._query(source)).tolist())
 
     def decode(self, bits) -> np.ndarray:
-        """Matrix a compiled input stands for, honoring the routing semantics:
-        a column whose nonzero payload cannot reach the target space (index
-        out of range, or row list never mentioning it) contributes nothing."""
-        lay = self.layout
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != lay.num_vars:
-            raise ValueError(f"expected {lay.num_vars} bits, got {len(bits)}")
-        out = np.zeros((lay.n, lay.m))
-        if lay.mode == "dense":
-            for rec in lay.loaders:
-                for i in range(lay.n):
-                    out[i, rec.column - 1] = _read_real(bits, rec.digit_vars[i], lay.precision)
-            return out
-        listed = [set() for _ in range(lay.n)] if lay.mode == "sparse" else None
-        for rec in lay.routes:
-            if rec.role == "row" and (sel := _read_index(bits, rec)) < len(rec.leaves):
-                listed[rec.owner - 1].add(sel)
-        route_of = {(r.owner, r.slot): r for r in lay.routes if r.role == "col"}
-        for rec in lay.loaders:
-            j = rec.column
-            slots = []
-            usable = True
-            for i in range(lay.k_nnz):
-                value = _read_real(bits, rec.digit_vars[i], lay.precision)
-                sel = _read_index(bits, route_of[(j, i + 1)])
-                # a nonzero routed out of range, or into an unlisted row
-                if value != 0.0 and (sel >= lay.n or listed is not None and (j - 1) not in listed[sel]):
-                    usable = False
-                    break
-                slots.append((sel, value))
-            if usable:
-                for sel, value in slots:
-                    if sel < lay.n:
-                        out[sel, j - 1] += value
-        return out
+        """Matrix a compiled input stands for (see ``_matrix``)."""
+        return self._matrix(*self._read(np.array(normalize_bits(bits, self.layout.num_vars), dtype=np.intp)))
 
     def quantize(self, source) -> np.ndarray:
-        return self.decode(self.encode(source))
+        return self._matrix(*self._query(source))
 
     # -- embedded source program data: V is the first n coordinates ----
 
@@ -458,17 +523,14 @@ class CompiledProgram:
     # -- witness lifting ------------------------------------------------
 
     def _lift_inputs(self, source, w, side: int):
-        """Bits of ``source``, its canonical columns and rows, the matrix the
-        bits stand for, and the high-level witness ``w`` of ``side``, solved
-        for on that matrix when None."""
-        lay = self.layout
-        bits = self.encode(source)
-        aq = self.decode(bits)
+        """Bits of ``source``, its (grid levels, slot rows, row lists), the
+        matrix they stand for, and the high-level witness ``w`` of ``side``,
+        solved for on that matrix when None."""
+        query = self._query(source)
+        aq = self._matrix(*query)
         if w is None:
-            hl = HighLevelProgram(space_dim=lay.n, num_inputs=lay.m, target=self.source_target(),
-                                  free_basis=self.source_free_basis(), tol=self.program.tol)
-            w = (hl.positive_witness if side else hl.negative_witness)(aq).witness
-        return (bits, *self._canonical(source), aq, np.asarray(w, dtype=float))
+            w = (self._source.positive_witness if side else self._source.negative_witness)(aq).witness
+        return self._bits(*query), query, aq, np.asarray(w, dtype=float)
 
     def lift_positive(self, source, w: np.ndarray | None = None) -> LiftedWitness:
         """Turn a high-level positive witness into compiled coefficients.
@@ -477,8 +539,8 @@ class CompiledProgram:
         gamma_j, each routing edge on a selected path the routed mass, and
         the carried free-basis columns the residual coefficients.
         """
-        lay = self.layout
-        bits, cols, rows, aq, w = self._lift_inputs(source, w, side=1)
+        lay, tab = self.layout, self._tables
+        bits, (levels, rows, lists), aq, w = self._lift_inputs(source, w, side=1)
         t, fbasis = self.source_target(), self.source_free_basis()
         resid = t - aq @ w
         phi = fbasis.T @ resid
@@ -486,32 +548,21 @@ class CompiledProgram:
             raise ValueError("w is not a valid positive witness for the quantized input")
         # coefficients of every column of the store, written gadget by gadget;
         # the available ones are kept
+        bits = tuple(bits.tolist())
         mask, nf = self.program.available_mask(bits), self.program.num_free
         full = np.zeros(mask.size)
         full[list(lay.hl_free)] = phi
-        for rec in lay.loaders:
-            gamma = w[rec.column - 1]
-            full[rec.free_index] = gamma
-            scale = np.array([_half_power(a) for a in range(rec.precision + 1) for _ in (0, 1)] * len(rec.pivots))
-            full[nf + rec.labeled_start : nf + rec.labeled_start + scale.size] = gamma * scale
-        # mass arriving at each row-route root from its selected column; a
-        # column listed twice in one row carries it on its first route only
-        seen = set()
-        for rec in lay.routes:
-            if rec.role == "col":
-                sel = cols[rec.owner - 1][rec.slot - 1][0]
-                value = _read_real(bits, lay.loaders[rec.owner - 1].digit_vars[rec.slot - 1], lay.precision)
-                mass = w[rec.owner - 1] * value
-            else:
-                sel = rows[rec.owner - 1][rec.slot - 1]
-                first = (rec.owner, sel) not in seen
-                seen.add((rec.owner, sel))
-                mass = -float(w[sel] * aq[rec.owner - 1, sel]) if first else -0.0
-            if rec.free_index is not None:
-                full[rec.free_index] = mass
-            for a, b, l, idx in rec.edges:
-                if l == sel % (1 << a) and b == (sel >> a) & 1:
-                    full[nf + idx] = mass
+        full[tab.loader_free] = w
+        full[nf + tab.loader_labeled] = w[:, None] * tab.digit_scale
+        if rows is not None:  # each payload slot carries its decoded entry times gamma_j
+            tab.cols.carry(full, nf, rows, w[:, None] * (levels * 2.0**-lay.precision - 1.0))
+        if lists is not None:
+            # mass arriving at each row-route root from its selected column; a
+            # column listed twice in one (sorted) row carries it on its first route only
+            first = np.ones(lists.shape, dtype=bool)
+            first[:, 1:] = lists[:, 1:] != lists[:, :-1]
+            mass = -(w[lists] * aq[np.arange(lay.n)[:, None], lists])
+            tab.rows.carry(full, nf, lists, np.where(first, mass, -0.0))
         coeffs = full[mask]
         return LiftedWitness(bits=bits, coefficients=coeffs, vector=None, size=float(coeffs @ coeffs))
 
@@ -522,33 +573,19 @@ class CompiledProgram:
         reaches; row-scratch coordinates of unlisted columns, and interiors
         cut off by tree truncation, are set to zero.
         """
-        lay = self.layout
-        bits, cols, rows, _, wprime = self._lift_inputs(source, wprime, side=0)
+        lay, tab = self.layout, self._tables
+        bits, (_, rows, lists), _, wprime = self._lift_inputs(source, wprime, side=0)
         wt = np.zeros(self.program.dim)
         wt[: lay.n] = wprime
-        # row-scratch values: listed columns copy the row value
-        for j, blk in enumerate(lay.scratch):
-            for i in range(lay.n):
-                wt[blk[i]] = wprime[i] if j in rows[i] else 0.0
-        # interiors and roots take their reachable-leaf value
-        for rec in lay.routes:
-            if rec.role == "col":
-                sel = cols[rec.owner - 1][rec.slot - 1][0]
-            else:
-                sel = rows[rec.owner - 1][rec.slot - 1]
-            for a, l, coord in rec.interior:
-                leaf = rec.reachable_leaf(a, l, sel)
-                wt[coord] = wt[rec.leaves[leaf]] if leaf is not None else 0.0
-            if rec.role == "col":
-                leaf = rec.reachable_leaf(0, 0, sel)
-                wt[rec.root] = wt[rec.leaves[leaf]] if leaf is not None else 0.0
-        for rec in lay.loaders:
-            for i in range(len(rec.pivots)):
-                pivot_val = wt[rec.pivots[i]]
-                for a in range(rec.precision + 1):
-                    wt[rec.working[i][a]] = bits[rec.digit_vars[i][a]] * _half_power(a) * pivot_val
+        if lists is not None:  # row-scratch values: listed columns copy the row value
+            wt[tab.scratch] = np.where(_listed(lists, lay.m).T, wprime, 0.0)
+        # interiors and column roots take their reachable-leaf value
+        for routes, sel in ((tab.cols, rows), (tab.rows, lists)):
+            if routes is not None:
+                routes.spread(wt, sel)
+        wt[tab.working] = bits[tab.digits] * tab.half * wt[tab.pivots][..., None]
         size = float(np.sum((self.program.all_vectors().T @ wt) ** 2))
-        return LiftedWitness(bits=bits, coefficients=None, vector=wt, size=size)
+        return LiftedWitness(bits=tuple(bits.tolist()), coefficients=None, vector=wt, size=size)
 
     # -- serialization --------------------------------------------------
 
@@ -595,14 +632,6 @@ def _looks_dense(source) -> bool:
         if isinstance(head, (list, tuple, np.ndarray)) and len(head):
             return np.isscalar(head[0]) or isinstance(head[0], (int, float, np.generic))
     return False
-
-
-def _read_real(bits, var_ids, precision: int) -> float:
-    return FixedPointCode(precision=precision, bits=tuple(bits[v] for v in var_ids)).value
-
-
-def _read_index(bits, rec: RouteRecord) -> int:
-    return IntegerCode(width=rec.width, bits=tuple(bits[v] for v in rec.bit_vars)).value
 
 
 def _encoder_params(enc: dict, n: int, m: int, num_hl: int) -> tuple[int, int | None, int | None]:
@@ -669,16 +698,6 @@ def _layout_sizes(n: int, m: int, precision: int, k_nnz: int | None, l_nnz: int 
             free += trees * (width == 0)
             labeled += trees * (interior + leaves if width else 0)
     return dim, num_vars, free, labeled
-
-
-def _check_consistency(cols, rows) -> None:
-    """Every nonzero payload entry must be reachable through its row list."""
-    for j, slots in enumerate(cols):
-        for r, v in slots:
-            if v != 0.0 and j not in rows[r]:
-                raise SparseFormatError(
-                    f"column {j + 1} has a nonzero in row {r + 1} but row {r + 1}'s list omits it"
-                )
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# Largest fixed-point precision k.  encode_real rounds (x + 1) * 2^k, which
+import numpy as np
+
+# Largest fixed-point precision k.  grid_levels rounds (x + 1) * 2^k, which
 # runs up to 2^(k+1); from 2^52 on float64 steps by whole numbers and loses
 # the half that the rounding subtracts, so at k >= 52 grid points start to
 # encode as a neighbour.
@@ -73,16 +75,26 @@ class FixedPointCode:
         return sum(b * 2.0**-i for i, b in enumerate(self.bits)) - 1.0
 
 
+def grid_levels(x, k: int) -> np.ndarray:
+    """Integer grid levels of the reals ``x`` (a scalar or an array) at
+    precision k: (x + 1) * 2^k rounded to the nearest integer, half-way cases
+    down, and clamped to [0, 2^(k+1) - 1].  Values past [-2, 2] clamp first,
+    so no finite x overflows the scaling."""
+    check_precision(k)
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("cannot encode NaN")
+    scaled = (np.clip(x, -2.0, 2.0) + 1.0) * 2.0**k
+    return np.clip(np.ceil(scaled - 0.5), 0, 2 ** (k + 1) - 1).astype(np.int64)
+
+
 def encode_real(x: float, k: int) -> FixedPointCode:
     """Round x to the nearest grid point, ties broken downward, then encode.
 
     The grid is {-1, -1 + 2^-k, ..., 1 - 2^-k}; inputs are expected in
     [-1, 1] and anything outside clamps to the nearest end of the grid.
     """
-    check_precision(k)
-    scaled = (x + 1.0) * 2.0**k
-    level = math.ceil(scaled - 0.5)  # nearest integer, half-way cases go down
-    level = min(max(level, 0), 2 ** (k + 1) - 1)
+    level = int(grid_levels(x, k))
     # bits[i] carries weight 2^(k-i) in the integer level
     return FixedPointCode(precision=k, bits=tuple((level >> (k - i)) & 1 for i in range(k + 1)))
 

@@ -79,18 +79,19 @@ def column_entries(matrix: np.ndarray, pattern=None) -> list[dict[int, float]]:
 
 
 def normalize_bits(x, num_vars: int) -> tuple[int, ...]:
-    """Accept '101', b'101', or an int sequence; validate length and values."""
+    """Accept '101', b'101', or a sequence of values equal to 0 or 1; a string
+    holds only the characters 0 and 1.  Errors name the length, or the
+    position (1-based) of the first bad bit."""
     if isinstance(x, (bytes, bytearray)):
         x = x.decode("ascii")
-    if isinstance(x, str):
-        bits = tuple(int(ch) for ch in x)
-    else:
-        bits = tuple(int(v) for v in x)
+    bits = tuple(x)
     if len(bits) != num_vars:
         raise ValueError(f"input has {len(bits)} bits but the program has {num_vars} variables")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"input bits must be 0/1, got {bits}")
-    return bits
+    allowed = ("0", "1") if isinstance(x, str) else (0, 1)
+    for i, b in enumerate(bits):
+        if b not in allowed:
+            raise ValueError(f"input bit {i + 1} must be 0 or 1, got {b!r}")
+    return tuple(map(int, bits))
 
 
 @dataclass(frozen=True)

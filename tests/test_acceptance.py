@@ -179,30 +179,30 @@ def test_criterion_02_exact_lowerbound_examples(criterion_report):
     criterion_report(2, ok, issues[0] if issues else detail)
 
 
-def test_criterion_03_compiled_equivalence_exhaustive(criterion_report):
-    started = time.monotonic()
+CRITERION_03_FIXTURES = [
+    ("dense", 1, 1, 2, None, None, 0),
+    ("dense", 2, 2, 1, None, None, 0),
+    ("dense", 3, 2, 0, None, None, 0),
+    ("dense", 2, 3, 1, None, None, 0),
+    ("dense", 3, 3, 0, None, None, 1),
+    ("dense", 1, 3, 2, None, None, 0),
+    ("sparse_cols", 2, 2, 1, 2, None, 0),
+    ("sparse_cols", 3, 2, 1, 1, None, 0),
+    ("sparse_cols", 3, 3, 0, 1, None, 0),
+    ("sparse_cols", 4, 1, 2, 1, None, 0),
+    ("sparse_cols", 4, 2, 0, 2, None, 1),
+    ("sparse", 2, 2, 0, 1, 1, 0),
+    ("sparse", 2, 3, 0, 1, 1, 0),
+    ("sparse", 3, 2, 1, 1, 1, 0),
+    ("sparse", 2, 2, 1, 1, 2, 0),
+    ("sparse", 2, 2, 0, 2, 2, 0),
+]
+
+
+def criterion_03_programs():
+    """(source, compiled) for each of criterion 03's fixtures, under its seed."""
     rng = np.random.default_rng(CALIBRATION_SEED + 3)
-    fixtures = [
-        ("dense", 1, 1, 2, None, None, 0),
-        ("dense", 2, 2, 1, None, None, 0),
-        ("dense", 3, 2, 0, None, None, 0),
-        ("dense", 2, 3, 1, None, None, 0),
-        ("dense", 3, 3, 0, None, None, 1),
-        ("dense", 1, 3, 2, None, None, 0),
-        ("sparse_cols", 2, 2, 1, 2, None, 0),
-        ("sparse_cols", 3, 2, 1, 1, None, 0),
-        ("sparse_cols", 3, 3, 0, 1, None, 0),
-        ("sparse_cols", 4, 1, 2, 1, None, 0),
-        ("sparse_cols", 4, 2, 0, 2, None, 1),
-        ("sparse", 2, 2, 0, 1, 1, 0),
-        ("sparse", 2, 3, 0, 1, 1, 0),
-        ("sparse", 3, 2, 1, 1, 1, 0),
-        ("sparse", 2, 2, 1, 1, 2, 0),
-        ("sparse", 2, 2, 0, 2, 2, 0),
-    ]
-    mismatches = 0
-    assignments = 0
-    for mode, n, m, k, k_nnz, l_nnz, f_cols in fixtures:
+    for mode, n, m, k, k_nnz, l_nnz, f_cols in CRITERION_03_FIXTURES:
         target = rng.standard_normal(n)
         fbasis = rng.standard_normal((n, f_cols))
         prog = HighLevelProgram(space_dim=n, num_inputs=m, target=target, free_basis=fbasis)
@@ -212,6 +212,14 @@ def test_criterion_03_compiled_equivalence_exhaustive(criterion_report):
             comp = compile_sparse(prog, k_nnz=k_nnz, precision=k, l_nnz=None)
         else:
             comp = compile_sparse(prog, k_nnz=k_nnz, l_nnz=l_nnz, precision=k)
+        yield prog, comp
+
+
+def test_criterion_03_compiled_equivalence_exhaustive(criterion_report):
+    started = time.monotonic()
+    mismatches = 0
+    assignments = 0
+    for prog, comp in criterion_03_programs():
         for assignment in range(2**comp.layout.num_vars):
             bits = tuple((assignment >> i) & 1 for i in range(comp.layout.num_vars))
             assignments += 1
@@ -221,7 +229,7 @@ def test_criterion_03_compiled_equivalence_exhaustive(criterion_report):
     ok = mismatches == 0 and elapsed < 300.0
     criterion_report(
         3, ok,
-        f"{len(fixtures)} fixtures / {assignments} assignments, {mismatches} mismatches, {elapsed:.1f}s",
+        f"{len(CRITERION_03_FIXTURES)} fixtures / {assignments} assignments, {mismatches} mismatches, {elapsed:.1f}s",
     )
 
 

@@ -72,6 +72,18 @@ def test_evaluate_lowlevel(capsys, onehot_program):
     assert json.loads(out)["decision"] == 0
 
 
+@pytest.mark.parametrize("cmd", ["evaluate", "witness"])
+@pytest.mark.parametrize("text,message", [
+    ("x", "input bit 1 must be 0 or 1, got 'x'"),
+    ("\u0661", "input bit 1 must be 0 or 1, got '\u0661'"),  # ARABIC-INDIC DIGIT ONE
+    ("\uff11", "input bit 1 must be 0 or 1, got '\uff11'"),  # FULLWIDTH DIGIT ONE
+    ("10", "input has 2 bits but the program has 1 variables"),
+])
+def test_bad_bit_string_names_the_bit(capsys, onehot_program, cmd, text, message):
+    code, out, err = _run(capsys, [cmd, "--program", str(onehot_program), "--input", text])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_evaluate_highlevel(capsys, hl_files):
     ppath, accept, reject = hl_files
     code, out, _ = _run(capsys, ["evaluate", "--highlevel", str(ppath), "--input", str(accept)])
@@ -397,6 +409,19 @@ def test_lowerbound_suite_default(capsys):
 def test_lowerbound_suite_odd_n(capsys):
     code, _, err = _run(capsys, ["lowerbound-suite", "--n", "3"])
     assert code == 1 and "even" in err
+
+
+@pytest.mark.parametrize("n,m,shape", [("100000", "3", "100001 x 100001"), ("2", "10000000", "2 x 10000000")])
+def test_lowerbound_suite_past_the_cap_builds_nothing(capsys, monkeypatch, n, m, shape):
+    # sized in closed form: no program is built, so no matrix is allocated
+    def refuse(*args):
+        raise AssertionError("a lowerbound-suite program was built past the cap")
+
+    monkeypatch.setattr("spanforge.cli.grover_dj_program", refuse)
+    monkeypatch.setattr("spanforge.cli.unique_search_program", refuse)
+    code, out, err = _run(capsys, ["lowerbound-suite", "--n", n, "--m", m])
+    assert code == 1 and out == ""
+    assert err == f"error: --n={n}, --m={m} ask for a {shape} matrix, past the cap of 16777216 entries\n"
 
 
 # ---------------------------------------------------------------------------

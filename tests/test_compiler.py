@@ -81,7 +81,8 @@ def test_route_tree_telescopes_to_leaf_minus_root():
     assert len(rec.edges) == 6
     for sel in range(4):
         total = np.zeros(comp.program.dim)
-        for a, b, l in rec.path_edges(sel):
+        for a in range(rec.width):  # the edge at level a leaves node (a, sel mod 2^a) by bit a
+            b, l = (sel >> a) & 1, sel % (1 << a)
             idx = next(i for (aa, bb, ll, i) in rec.edges if (aa, bb, ll) == (a, b, l))
             total += comp.program.labeled[idx].vec
         expected = np.zeros(comp.program.dim)
@@ -99,10 +100,15 @@ def test_route_tree_truncation_three_leaves():
     assert len(rec.edges) == 5
     bottom_children = {b * 2**a + l for (a, b, l, _) in rec.edges if a == rec.width - 1}
     assert bottom_children == {0, 1, 2}
-    for sel in range(3):
-        leaf = rec.reachable_leaf(0, 0, sel)
-        assert leaf == sel
-    assert rec.reachable_leaf(1, 1, 3) is None
+    # from node (a, l) the selection's bits from level a on lead to leaf
+    # l + (sel >> a << a): the root reaches leaves 0..2, and node (1, 1) leaves
+    # the tree on selections 2 and 3; a node that leaves it takes the value 0
+    node11 = next(c for a, l, c in rec.interior if (a, l) == (1, 1))
+    for sel, root_value, node11_value in [(0, 1.0, 2.0), (1, 2.0, 2.0), (2, 3.0, 0.0), (3, 0.0, 0.0)]:
+        wt = np.zeros(comp.program.dim)
+        wt[list(rec.leaves)] = [1.0, 2.0, 3.0]
+        comp._tables.cols.spread(wt, np.array([[sel]]))
+        assert (wt[rec.root], wt[node11]) == (root_value, node11_value)
 
 
 def test_route_single_leaf_degenerates_to_free_connector():
@@ -162,6 +168,15 @@ def test_sparse_cols_decode_out_of_range_zeroes_column():
     expected = np.zeros((3, 1))
     expected[2, 0] = -1.0
     assert np.allclose(comp.decode(bits), expected)
+
+
+def test_decode_checks_its_bits():
+    comp = compile_dense(_hl(1, 1, target=[1.0]), precision=1)
+    assert np.array_equal(comp.decode([1, 0.0]), [[0.0]])
+    with pytest.raises(ValueError, match="^input bit 1 must be 0 or 1, got 1.7$"):
+        comp.decode([1.7, 0.2])
+    with pytest.raises(ValueError, match="^input has 3 bits but the program has 2 variables$"):
+        comp.decode("101")
 
 
 def test_sparse_duplicate_payload_rows_rejected():
@@ -320,12 +335,12 @@ def test_dense_negative_optimum_closed_form(n, m, k):
 
 def _sparse_cols_kappas(comp, a):
     lay = comp.layout
-    cols, _ = comp._canonical(a)
+    values, _, _ = comp._canonical(a)
     width = index_bit_width(lay.n)
     route_cost = max(width, 1)
     kappas = []
     for j in range(lay.m):
-        vals = np.array([v for (_, v) in cols[j]])
+        vals = values[j]
         quant = np.array([np.round((v + 1.0) * 2.0**lay.precision) for v in vals])
         qv = quant * 2.0**-lay.precision - 1.0
         kappas.append(
@@ -409,9 +424,9 @@ def test_sparse_cols_negative_budget():
         comp = compile_sparse(prog, k_nnz=k_nnz, precision=k, l_nnz=None)
         rep = comp.program.negative_witness(comp.encode(a))
         wprime = prog.negative_witness(a).witness
-        cols, _ = comp._canonical(a)
+        _, rows, _ = comp._canonical(a)
         loader_budget = sum(
-            2.0 * wprime[c] ** 2 for j in range(m) for (c, _) in cols[j]
+            2.0 * wprime[c] ** 2 for j in range(m) for c in rows[j]
         )
         route_budget = m * k_nnz * (4.0 * index_bit_width(n) + 4.0) * float(wprime @ wprime)
         assert rep.size <= loader_budget + route_budget + 1e-9

@@ -44,6 +44,22 @@ def test_normalize_bits_errors():
         normalize_bits([2, 0], 2)
 
 
+def test_normalize_bits_accepts_only_zero_and_one():
+    assert normalize_bits([True, 0.0, np.int8(1)], 3) == (1, 0, 1)
+    assert normalize_bits(b"01", 2) == (0, 1)
+    for x, message in [
+        ([1.7, 0.2], "input bit 1 must be 0 or 1, got 1.7"),
+        ([1, 0.2], "input bit 2 must be 0 or 1, got 0.2"),
+        ("\uff11\u0660", "input bit 1 must be 0 or 1, got '\uff11'"),
+        ("1 ", "input bit 2 must be 0 or 1, got ' '"),
+        (["1", "0"], "input bit 1 must be 0 or 1, got '1'"),
+        ("101", "input has 3 bits but the program has 2 variables"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            normalize_bits(x, 2)
+        assert str(err.value) == message
+
+
 def test_evaluate_one_hot():
     prog = _one_hot_program()
     assert prog.evaluate("1") == 1
