@@ -18,14 +18,19 @@ on n leaves is a truncated binary tree addressed little-endian by the index
 bits; the available edges telescope to (selected leaf - root).  Trees with a
 single leaf degenerate to one free connector vector.
 
-One builder emits every mode, and the program it emits is a function of the
-source program and the encoder parameters alone.  So a compiled file holds
-just those, ``source`` and ``encoder``, and loading one runs the builder.
+One build serves every mode.  From the sizes (n, m, k, k_nnz, l_nnz, and the
+source's free-basis count) it lays out the index tables that encode, decode
+and the lifts run on, in closed form, then writes the column store from
+them by a few scatters.  The program is a function of the source program
+and the encoder parameters alone, so a compiled file holds just those,
+``source`` and ``encoder``, and loading one runs the build.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,206 +40,9 @@ from .encoding import check_precision, grid_levels, index_bit_width
 from .errors import SparseFormatError
 from .highlevel import HighLevelProgram, read_source, source_json, wsize_over_inputs
 from .linalg import input_matrix, int_field
-from .lowlevel import DomainWitnessSizes, LowLevelProgram, normalize_bits, wsize_over_domain
+from .lowlevel import DomainWitnessSizes, LowLevelProgram, normalize_bits, rows_by_column, wsize_over_domain
 
 MODES = ("dense", "sparse_cols", "sparse")
-
-
-def _half_power(a: int) -> float:
-    return 2.0 ** (-a / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# allocation
-
-
-class IndexAllocator:
-    """Hands out contiguous 0-based index ranges in a stable order."""
-
-    def __init__(self):
-        self.next_free = 0
-
-    def claim(self, size: int) -> range:
-        self.next_free += size
-        return range(self.next_free - size, self.next_free)
-
-
-class ProgramBuilder:
-    """Writes gadget vectors straight into the columns of a program's store,
-    allocated up front from the (dim, num_vars, free, labeled) counts of the
-    program to emit: free vectors first, then labeled ones."""
-
-    def __init__(self, sizes: tuple[int, int, int, int]):
-        dim, _, free, labeled = self.sizes = sizes
-        self.coords = IndexAllocator()
-        self.variables = IndexAllocator()
-        self.target = np.zeros(dim)
-        self.store = np.zeros((dim, free + labeled), order="F")
-        self.var = np.zeros(labeled, dtype=np.intp)
-        self.val = np.zeros(labeled, dtype=np.intp)
-        self.pattern = [[] for _ in range(free + labeled)]  # column -> its nonzero rows
-        self.num_free = self.num_labeled = 0
-
-    def _write(self, j: int, entries: dict[int, float]) -> None:
-        for c, x in entries.items():
-            self.store[c, j] = x
-        self.pattern[j] = sorted(c for c, x in entries.items() if x)
-
-    def add_free(self, entries: dict[int, float]) -> int:
-        self._write(self.num_free, entries)
-        self.num_free += 1
-        return self.num_free - 1
-
-    def add_labeled(self, entries: dict[int, float], var0: int, val: int) -> int:
-        i = self.num_labeled
-        self._write(self.sizes[2] + i, entries)
-        self.var[i], self.val[i] = var0 + 1, val
-        self.num_labeled += 1
-        return i
-
-    def build(self, tol: float) -> LowLevelProgram:
-        emitted = (self.coords.next_free, self.variables.next_free, self.num_free, self.num_labeled)
-        if emitted != self.sizes:
-            raise RuntimeError(f"emitted (dim, num_vars, free, labeled) = {emitted}, the closed form gives {self.sizes}")
-        return LowLevelProgram.from_store(self.sizes[1], self.target, self.store, self.num_free, self.var, self.val,
-                                          tol, self.pattern)
-
-
-# ---------------------------------------------------------------------------
-# gadget records
-
-
-@dataclass(frozen=True)
-class LoaderRecord:
-    """Vector-loading gadget: one payload slot per pivot coordinate."""
-
-    column: int  # 1-based input column this loader feeds
-    pivots: tuple[int, ...]
-    precision: int
-    digit_vars: tuple[tuple[int, ...], ...]  # [slot][bit] -> 0-based var id
-    working: tuple[tuple[int, ...], ...]  # [slot][bit] -> coordinate
-    free_index: int
-    labeled_start: int
-
-    def digit_labeled_index(self, slot: int, a: int, b: int) -> int:
-        return self.labeled_start + (slot * (self.precision + 1) + a) * 2 + b
-
-
-@dataclass(frozen=True)
-class RouteRecord:
-    """Routing tree: index bits steer the root coordinate to one leaf.
-
-    role="col" routes payload slot ``slot`` of column ``owner``; role="row"
-    is the reversed direction, list position ``slot`` of row ``owner``
-    (mass flows from the selected leaf into the root).
-    """
-
-    role: str  # "col" | "row"
-    owner: int  # 1-based column (col routes) or row (row routes)
-    slot: int  # 1-based payload slot / list position
-    root: int
-    leaves: tuple[int, ...]
-    bit_vars: tuple[int, ...]
-    interior: tuple[tuple[int, int, int], ...]  # (level, index, coord)
-    edges: tuple[tuple[int, int, int, int], ...]  # (level, bit, index, labeled index)
-    free_index: int | None  # single-leaf connector
-
-    @property
-    def width(self) -> int:
-        return len(self.bit_vars)
-
-
-def emit_vector_loading(
-    builder: ProgramBuilder,
-    column: int,
-    pivots: tuple[int, ...],
-    var_block: range,
-    precision: int,
-) -> LoaderRecord:
-    """Emit digit vectors and the tying free vector for one loaded column."""
-    slots = len(pivots)
-    work = builder.coords.claim(slots * (precision + 1))
-    digit_vars = []
-    working = []
-    labeled_start = builder.num_labeled
-    free_entries: dict[int, float] = {}
-    for i in range(slots):
-        row_vars = []
-        row_coords = []
-        for a in range(precision + 1):
-            var0 = var_block[i * (precision + 1) + a]
-            coord = work[i * (precision + 1) + a]
-            row_vars.append(var0)
-            row_coords.append(coord)
-            for b in (0, 1):
-                entries = {coord: -1.0}
-                if b:
-                    entries[pivots[i]] = _half_power(a)
-                builder.add_labeled(entries, var0, b)
-            free_entries[coord] = _half_power(a)
-        digit_vars.append(tuple(row_vars))
-        working.append(tuple(row_coords))
-    for p in pivots:
-        free_entries[p] = free_entries.get(p, 0.0) - 1.0
-    free_index = builder.add_free(free_entries)
-    return LoaderRecord(
-        column=column,
-        pivots=tuple(pivots),
-        precision=precision,
-        digit_vars=tuple(digit_vars),
-        working=tuple(working),
-        free_index=free_index,
-        labeled_start=labeled_start,
-    )
-
-
-def emit_route_tree(
-    builder: ProgramBuilder,
-    role: str,
-    owner: int,
-    slot: int,
-    root: int,
-    leaves: tuple[int, ...],
-    var_block: range,
-) -> RouteRecord:
-    """Emit the truncated binary routing tree between root and leaves.
-
-    Nodes at level a are kept when their index is below the leaf count, so
-    every emitted branch leads to a real leaf.  A single leaf needs no bits:
-    the route collapses to the free vector (leaf - root).
-    """
-    n_leaves = len(leaves)
-    width = index_bit_width(n_leaves)
-    if width == 0:
-        free_index = builder.add_free({leaves[0]: 1.0, root: -1.0})
-        return RouteRecord(
-            role=role, owner=owner, slot=slot, root=root, leaves=tuple(leaves),
-            bit_vars=(), interior=(), edges=(), free_index=free_index,
-        )
-    interior = []
-    node_of: dict[tuple[int, int], int] = {(0, 0): root}
-    for a in range(1, width):
-        for l in range(min(1 << a, n_leaves)):
-            coord = builder.coords.claim(1)[0]
-            interior.append((a, l, coord))
-            node_of[(a, l)] = coord
-    for l in range(n_leaves):
-        node_of[(width, l)] = leaves[l]
-    edges = []
-    for a in range(width):
-        for l in range(min(1 << a, n_leaves)):
-            for b in (0, 1):
-                child = b * (1 << a) + l
-                if child >= n_leaves:
-                    continue
-                entries = {node_of[(a + 1, child)]: 1.0, node_of[(a, l)]: -1.0}
-                idx = builder.add_labeled(entries, var_block[a], b)
-                edges.append((a, b, l, idx))
-    return RouteRecord(
-        role=role, owner=owner, slot=slot, root=root, leaves=tuple(leaves),
-        bit_vars=tuple(var_block[a] for a in range(width)),
-        interior=tuple(interior), edges=tuple(edges), free_index=None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,25 +86,56 @@ def row_lists_from_dense(a: np.ndarray, l_nnz: int) -> tuple[tuple[int, ...], ..
     return tuple(map(tuple, _row_lists(a, l_nnz).tolist()))
 
 
+def _items(x, what: str) -> list:
+    try:
+        return list(x)
+    except TypeError:
+        raise SparseFormatError(f"{what} must be a list, got {x!r}") from None
+
+
+def _index(x, what: str) -> int:
+    """A payload row or a listed column: a Python or numpy integer, not a bool."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    raise SparseFormatError(f"{what} must be an integer, got {x!r}")
+
+
+def _slot(slot, j: int) -> tuple[int, float]:
+    """A (row, value) slot of the payload of column ``j`` (1-based): the value
+    a Python or numpy number, not a bool, that is finite as a float."""
+    try:
+        r, v = slot
+    except (TypeError, ValueError):
+        raise SparseFormatError(f"column {j} payload slot {slot!r} is not a (row, value) pair") from None
+    r = _index(r, f"column {j} payload row")
+    at = f"column {j} payload value at row {r}"
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
+        raise SparseFormatError(f"{at} must be a number, got {v!r}")
+    if isinstance(v, (int, np.integer)) and abs(v) > sys.float_info.max:
+        raise SparseFormatError(f"{at} is too large for a float")
+    if not math.isfinite(v):
+        raise SparseFormatError(f"{at} is not finite: {v}")
+    return r, float(v)
+
+
 def validate_sparse_columns(entries, n: int, m: int, k_nnz: int) -> tuple[np.ndarray, np.ndarray]:
     """(slot rows, values), each (m, k_nnz), of explicit column payloads:
     every column padded with zero entries on its first unused rows, in row
     order."""
+    entries = _items(entries, "the column payloads")
     if len(entries) != m:
         raise SparseFormatError(f"expected {m} column payloads, got {len(entries)}")
     canon = []
-    for j, slots in enumerate(entries):
-        slots = [(int(r), float(v)) for r, v in slots]
+    for j, slots in enumerate(entries, 1):
+        slots = [_slot(slot, j) for slot in _items(slots, f"column {j} payload")]
         if len(slots) > k_nnz:
-            raise SparseFormatError(f"column {j + 1} has {len(slots)} entries, the payload holds {k_nnz}")
+            raise SparseFormatError(f"column {j} has {len(slots)} entries, the payload holds {k_nnz}")
         rows = [r for r, _ in slots]
         if len(set(rows)) != len(rows):
-            raise SparseFormatError(f"column {j + 1} repeats a row index in its payload")
-        for r, v in slots:
+            raise SparseFormatError(f"column {j} repeats a row index in its payload")
+        for r in rows:
             if not 0 <= r < n:
-                raise SparseFormatError(f"column {j + 1} addresses row {r}, outside [0, {n})")
-            if not np.isfinite(v):
-                raise SparseFormatError(f"column {j + 1} payload value at row {r} is not finite: {v}")
+                raise SparseFormatError(f"column {j} addresses row {r}, outside [0, {n})")
         canon += sorted(slots + [(i, 0.0) for i in range(n) if i not in rows][: k_nnz - len(slots)])
     canon = np.array(canon, dtype=float).reshape(m, k_nnz, 2)
     return canon[..., 0].astype(np.intp), canon[..., 1]
@@ -305,16 +144,17 @@ def validate_sparse_columns(entries, n: int, m: int, k_nnz: int) -> tuple[np.nda
 def validate_row_lists(lists, n: int, m: int, l_nnz: int) -> np.ndarray:
     """(n, l_nnz) column lists of the rows, each padded with its first
     unlisted columns and sorted."""
+    lists = _items(lists, "the row lists")
     if len(lists) != n:
         raise SparseFormatError(f"expected {n} row lists, got {len(lists)}")
     canon = []
-    for i, cols in enumerate(lists):
-        cols = [int(c) for c in cols]
+    for i, cols in enumerate(lists, 1):
+        cols = [_index(c, f"row {i} list entry") for c in _items(cols, f"row {i} list")]
         if len(cols) > l_nnz:
-            raise SparseFormatError(f"row {i + 1} lists {len(cols)} columns, the row list holds {l_nnz}")
+            raise SparseFormatError(f"row {i} lists {len(cols)} columns, the row list holds {l_nnz}")
         for c in cols:
             if not 0 <= c < m:
-                raise SparseFormatError(f"row {i + 1} lists column {c}, outside [0, {m})")
+                raise SparseFormatError(f"row {i} lists column {c}, outside [0, {m})")
         canon.append(sorted(cols + [j for j in range(m) if j not in cols][: l_nnz - len(cols)]))
     return np.array(canon, dtype=np.intp).reshape(n, l_nnz)
 
@@ -332,10 +172,7 @@ class CompiledLayout:
     k_nnz: int | None
     l_nnz: int | None
     num_vars: int
-    hl_free: tuple[int, ...]  # program free indices carrying the source free basis
-    scratch: tuple[range, ...]  # W_j per column, sparse mode only
-    loaders: tuple[LoaderRecord, ...]  # loaders[j - 1] feeds column j
-    routes: tuple[RouteRecord, ...]  # column routes, then row routes by row
+    num_hl: int  # source free-basis vectors, the program's first free vectors
 
 
 @dataclass(frozen=True)
@@ -346,27 +183,47 @@ class LiftedWitness:
     size: float
 
 
+COORD, VAR, FREE, LABELED = range(4)  # the kinds of index a build claims
+
+
 class _Routes:
     """Index tables of the routing trees of one role, shaped (owners, slots,
-    ...).  The trees of a role share their leaf count, so they share the level
-    and child node of each edge, and the level and index of each node."""
+    ...).  A tree numbers its nodes as a heap, node (level a, index l) at
+    2^a - 1 + l: the root, its interior nodes, then its leaves.  The trees of
+    a role share their leaf count, so they share the level and child node of
+    each edge, and the level and index of each node."""
 
-    def __init__(self, recs, owners: int, slots: int, roots: bool):
-        def table(rows):
-            return np.array(rows, dtype=np.intp).reshape(owners, slots, len(rows[0]) if rows else 0)
-
-        # a program without input columns has no routes, and empty tables
-        head = recs[0] if recs else RouteRecord("", 0, 0, 0, (), (), (), (), None)
-        self.bits = table([r.bit_vars for r in recs])
-        self.leaves = table([r.leaves for r in recs])
-        self.free = table([[r.free_index] for r in recs])[..., 0] if head.free_index is not None else None
-        self.edges = table([[idx for *_, idx in r.edges] for r in recs])
-        self.edge_level, self.edge_child = np.array(
-            [(a, b << a | l) for a, b, l, _ in head.edges], dtype=np.intp).reshape(-1, 2).T
+    def __init__(self, claim, root: np.ndarray, leaves: np.ndarray, spread_root: bool):
+        owners, slots = root.shape
+        count = leaves.shape[-1]
+        width = index_bit_width(count)
+        self.leaves = np.broadcast_to(leaves, (owners, slots, count))
+        interior = claim(COORD, owners, slots, max((1 << width) - 2, 0))
+        self.heap = np.concatenate([root[..., None], interior, self.leaves], axis=-1)
+        self.bits = claim(VAR, owners, slots, width)
+        # edge 2l + b of level a leaves node (a, l) for child b 2^a + l, kept
+        # when that leads to a leaf
+        level = np.repeat(np.arange(width), 2 << np.arange(width))
+        at = np.arange(level.size) + 2 - (2 << level)
+        child = (at & 1) << level | at >> 1
+        keep = child < count
+        self.edge_level, self.edge_child = level[keep], child[keep]
+        self.free = claim(FREE, owners, slots) if width == 0 else None  # a single leaf's connector
+        self.edges = claim(LABELED, owners, slots, int(keep.sum()))
         # column routes give their root the selected leaf's value too, as node (0, 0)
-        nodes = [((0, 0, r.root),) * roots + r.interior for r in (head, *recs)]
-        self.nodes = table([[c for *_, c in ns] for ns in nodes[1:]])
-        self.node_level, self.node_index = np.array([(a, l) for a, l, _ in nodes[0]], dtype=np.intp).reshape(-1, 2).T
+        heap_at = np.arange(0 if spread_root else 1, max((1 << width) - 1, 1))
+        self.nodes = self.heap[..., heap_at]
+        self.node_level = np.repeat(np.arange(width + 1), 1 << np.arange(width + 1))[heap_at]
+        self.node_index = heap_at + 1 - (1 << self.node_level)
+
+    def entries(self, nf: int) -> list:
+        """(rows, store columns, values) of the connectors, leaf - root, or
+        of the edges, child node - parent node."""
+        if self.free is not None:
+            return [(self.leaves[..., 0], self.free, 1.0), (self.heap[..., 0], self.free, -1.0)]
+        a, child = self.edge_level, self.edge_child
+        return [(self.heap[..., (2 << a) - 1 + child], nf + self.edges, 1.0),
+                (self.heap[..., (1 << a) - 1 + child % (1 << a)], nf + self.edges, -1.0)]
 
     def carry(self, full: np.ndarray, nf: int, sel: np.ndarray, mass: np.ndarray) -> None:
         """Put each route's ``mass`` on its free connector, or on the edges of
@@ -387,41 +244,80 @@ class _Routes:
 
 
 class _Tables:
-    """Integer index tables of a layout, read once from its gadget records:
-    per (column, slot, digit), per (column, slot), and per route role."""
+    """Integer index tables of a layout, laid out in closed form: per
+    (column, slot, digit), per (column, slot), and per route role.  Each kind
+    of index is claimed in one order.  Coordinates: V, then U_j/W_j per
+    column, the loaders' working coordinates, the column-route interiors and
+    the row-route interiors.  Variables: digits, column index bits, row index
+    bits.  Free columns: the source basis, the loaders, the connectors.
+    Labeled columns: the loaders' digit vectors, then the route edges."""
 
-    def __init__(self, lay: CompiledLayout):
-        k, slots = lay.precision, lay.k_nnz or lay.n
-        shape = (lay.m, slots, k + 1)
-        self.digits = np.array([r.digit_vars for r in lay.loaders], dtype=np.intp).reshape(shape)
-        self.working = np.array([r.working for r in lay.loaders], dtype=np.intp).reshape(shape)
-        self.pivots = np.array([r.pivots for r in lay.loaders], dtype=np.intp).reshape(shape[:2])
-        self.half = np.array([_half_power(a) for a in range(k + 1)])
-        self.loader_free = np.array([r.free_index for r in lay.loaders], dtype=np.intp)
+    def __init__(self, n: int, m: int, precision: int, k_nnz: int | None, l_nnz: int | None, num_hl: int):
+        claimed = [0, 0, 0, 0]
+
+        def claim(kind, *shape):
+            start = claimed[kind]
+            claimed[kind] += math.prod(shape)
+            return np.arange(start, claimed[kind], dtype=np.intp).reshape(shape)
+
+        slots, digits = k_nnz or n, precision + 1
+        v = claim(COORD, n)
+        claim(FREE, num_hl)
+        # loaders fill the pivots of column j: V itself in dense mode,
+        # otherwise a payload block U_j, claimed with W_j in sparse mode
+        blocks = claim(COORD, m, slots + n * (l_nnz is not None)) if k_nnz else np.broadcast_to(v, (m, n))
+        self.pivots, scratch = blocks[:, :slots], blocks[:, slots:]
+        self.scratch = scratch if l_nnz else None
+        self.working = claim(COORD, m, slots, digits)
+        self.digits = claim(VAR, m, slots, digits)
+        self.loader_free = claim(FREE, m)
         # a loader's labeled vectors run by slot, then digit, then value 0 and 1
-        self.loader_labeled = (np.array([r.labeled_start for r in lay.loaders], dtype=np.intp)[:, None]
-                               + np.arange(2 * slots * (k + 1)))
+        self.loader_labeled = claim(LABELED, m, 2 * slots * digits)
+        self.half = np.array([2.0 ** (-a / 2.0) for a in range(digits)])
         self.digit_scale = np.tile(np.repeat(self.half, 2), slots)
-        self.scratch = np.array([list(blk) for blk in lay.scratch], dtype=np.intp) if lay.scratch else None
-        ncol = lay.m * (lay.k_nnz or 0)
-        self.cols = _Routes(lay.routes[:ncol], lay.m, lay.k_nnz, roots=True) if lay.k_nnz else None
-        self.rows = _Routes(lay.routes[ncol:], lay.n, lay.l_nnz, roots=False) if lay.l_nnz else None
+        self.cols = _Routes(claim, self.pivots, scratch[:, None] if l_nnz else v, spread_root=True) if k_nnz else None
+        self.rows = (_Routes(claim, np.broadcast_to(v[:, None], (n, l_nnz)), scratch.T[:, None], spread_root=False)
+                     if l_nnz else None)
+        self.claimed = tuple(claimed)
+
+    def entries(self, free_basis: np.ndarray, nf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, store column, value) of every gadget entry, flat.  A loader's
+        free vector is sum_a 2^(-a/2) f_a - sum e; its digit vectors are -f_a,
+        plus 2^(-a/2) e for value 1."""
+        labeled = nf + self.loader_labeled.reshape(*self.digits.shape, 2)
+        parts = [(np.arange(len(free_basis))[:, None], np.arange(free_basis.shape[1]), free_basis),
+                 (self.working, self.loader_free[:, None, None], self.half),
+                 (self.pivots, self.loader_free[:, None], -1.0),
+                 (self.working[..., None], labeled, -1.0),
+                 (self.pivots[..., None], labeled[..., 1], self.half)]
+        for routes in (self.cols, self.rows):
+            if routes is not None:
+                parts += routes.entries(nf)
+        flat = [[x.ravel() for x in np.broadcast_arrays(*part)] for part in parts]
+        return tuple(np.concatenate(column) for column in zip(*flat))
+
+    def labels(self, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """(var, val) of the labeled columns: a digit's variable and value, or
+        the index bit of an edge's level and the branch the edge takes."""
+        var, val = np.zeros(count, dtype=np.intp), np.zeros(count, dtype=np.intp)
+        at = self.loader_labeled.reshape(*self.digits.shape, 2)
+        var[at], val[at] = self.digits[..., None] + 1, (0, 1)
+        for routes in (self.cols, self.rows):
+            if routes is not None:
+                var[routes.edges] = routes.bits[..., routes.edge_level] + 1
+                val[routes.edges] = routes.edge_child >> routes.edge_level
+        return var, val
 
 
 class CompiledProgram:
-    """A low-level program plus the encoder bookkeeping that produced it.
+    """A low-level program, its layout, and the index tables of the layout,
+    which its build laid out: encode, decode and the lifts gather and scatter
+    over them."""
 
-    Encode, decode and the lifts gather and scatter over index tables of the
-    layout, built on first use: loading and evaluating a compiled file builds
-    none."""
-
-    def __init__(self, program: LowLevelProgram, layout: CompiledLayout):
+    def __init__(self, program: LowLevelProgram, layout: CompiledLayout, tables: _Tables):
         self.program = program
         self.layout = layout
-
-    @cached_property
-    def _tables(self) -> _Tables:
-        return _Tables(self.layout)
+        self.tables = tables
 
     @cached_property
     def _source(self) -> HighLevelProgram:
@@ -471,7 +367,7 @@ class CompiledProgram:
 
     def _bits(self, levels, rows, lists) -> np.ndarray:
         """The bits that encode (grid levels, slot rows, row lists)."""
-        tab = self._tables
+        tab = self.tables
         bits = np.zeros(self.layout.num_vars, dtype=np.intp)
         bits[tab.digits] = levels[..., None] >> np.arange(self.layout.precision, -1, -1) & 1
         for routes, sel in ((tab.cols, rows), (tab.rows, lists)):
@@ -481,7 +377,7 @@ class CompiledProgram:
 
     def _read(self, bits: np.ndarray):
         """(grid levels, slot rows, row lists) that ``bits`` encode."""
-        tab = self._tables
+        tab = self.tables
         levels = bits[tab.digits] @ (1 << np.arange(self.layout.precision, -1, -1))
         return levels, *(None if r is None else bits[r.bits] @ (1 << np.arange(r.bits.shape[-1]))
                           for r in (tab.cols, tab.rows))
@@ -518,7 +414,7 @@ class CompiledProgram:
 
     def source_free_basis(self) -> np.ndarray:
         # the source free vectors are the program's first free vectors
-        return np.ascontiguousarray(self.program.all_vectors()[: self.layout.n, : len(self.layout.hl_free)])
+        return np.ascontiguousarray(self.program.all_vectors()[: self.layout.n, : self.layout.num_hl])
 
     # -- witness lifting ------------------------------------------------
 
@@ -539,7 +435,7 @@ class CompiledProgram:
         gamma_j, each routing edge on a selected path the routed mass, and
         the carried free-basis columns the residual coefficients.
         """
-        lay, tab = self.layout, self._tables
+        lay, tab = self.layout, self.tables
         bits, (levels, rows, lists), aq, w = self._lift_inputs(source, w, side=1)
         t, fbasis = self.source_target(), self.source_free_basis()
         resid = t - aq @ w
@@ -551,7 +447,7 @@ class CompiledProgram:
         bits = tuple(bits.tolist())
         mask, nf = self.program.available_mask(bits), self.program.num_free
         full = np.zeros(mask.size)
-        full[list(lay.hl_free)] = phi
+        full[: lay.num_hl] = phi
         full[tab.loader_free] = w
         full[nf + tab.loader_labeled] = w[:, None] * tab.digit_scale
         if rows is not None:  # each payload slot carries its decoded entry times gamma_j
@@ -573,7 +469,7 @@ class CompiledProgram:
         reaches; row-scratch coordinates of unlisted columns, and interiors
         cut off by tree truncation, are set to zero.
         """
-        lay, tab = self.layout, self._tables
+        lay, tab = self.layout, self.tables
         bits, (_, rows, lists), _, wprime = self._lift_inputs(source, wprime, side=0)
         wt = np.zeros(self.program.dim)
         wt[: lay.n] = wprime
@@ -601,7 +497,7 @@ class CompiledProgram:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CompiledProgram":
-        """Run the builder on the stored source and encoder parameters; the
+        """Run the build on the stored source and encoder parameters; the
         source's free basis is not orthonormalized again, so the build repeats
         the one that wrote the file."""
         if not isinstance(data, dict):
@@ -706,50 +602,34 @@ def _layout_sizes(n: int, m: int, precision: int, k_nnz: int | None, l_nnz: int 
 
 def _build(target, free_basis, tol: float, m: int, precision: int,
            k_nnz: int | None = None, l_nnz: int | None = None) -> CompiledProgram:
-    """The construction behind every mode, claiming blocks in one order.
+    """The construction behind every mode.
 
     V holds the target and the source free basis.  Loaders then fill the
     pivots of column j: V itself in dense mode (no ``k_nnz``), otherwise a
     payload block U_j of ``k_nnz`` slots.  Column routes send each payload
     slot to a leaf of V, or with a row stage (``l_nnz``) of a per-column
     scratch block W_j, from which per-row routes pull listed entries into V.
+    The store is sized and capped before anything is allocated, and written
+    from the tables; its nonzero pattern comes from the same entries.
     """
-    n = len(target)
+    n, num_hl = len(target), free_basis.shape[1]
     mode = MODES[(k_nnz is not None) + (l_nnz is not None)]  # one mode per budget given
-    b = ProgramBuilder(_check_params(n, m, precision, k_nnz, l_nnz, free_basis.shape[1]))
-    v = b.coords.claim(n)
-    b.target[:n] = target  # V is the first n coordinates
-    hl_free = tuple(
-        b.add_free({v[i]: float(free_basis[i, c]) for i in range(n)}) for c in range(free_basis.shape[1])
-    )
-    payload, scratch = [v] * m, []
-    if k_nnz is not None:
-        payload = []
-        for j in range(1, m + 1):
-            payload.append(b.coords.claim(k_nnz))
-            if l_nnz is not None:
-                scratch.append(b.coords.claim(n))
-    loaders = []
-    for j, pivots in enumerate(payload, 1):
-        vb = b.variables.claim(len(pivots) * (precision + 1))
-        loaders.append(emit_vector_loading(b, column=j, pivots=tuple(pivots), var_block=vb, precision=precision))
-    routes = []  # dense mode has no payload slots and no row lists
-    for j in range(1, m + 1):
-        for i in range(1, (k_nnz or 0) + 1):
-            vb = b.variables.claim(index_bit_width(n))
-            routes.append(emit_route_tree(b, role="col", owner=j, slot=i, root=payload[j - 1][i - 1],
-                                          leaves=tuple(scratch[j - 1] if scratch else v), var_block=vb))
-    for i in range(1, n + 1):
-        for jj in range(1, (l_nnz or 0) + 1):
-            vb = b.variables.claim(index_bit_width(m))
-            routes.append(emit_route_tree(b, role="row", owner=i, slot=jj, root=v[i - 1],
-                                          leaves=tuple(w[i - 1] for w in scratch), var_block=vb))
-    layout = CompiledLayout(
-        mode=mode, n=n, m=m, precision=precision, k_nnz=k_nnz, l_nnz=l_nnz,
-        num_vars=b.variables.next_free, hl_free=hl_free,
-        scratch=tuple(scratch), loaders=tuple(loaders), routes=tuple(routes),
-    )
-    return CompiledProgram(program=b.build(tol), layout=layout)
+    dim, num_vars, nf, nl = sizes = _check_params(n, m, precision, k_nnz, l_nnz, num_hl)
+    tab = _Tables(n, m, precision, k_nnz, l_nnz, num_hl)
+    if tab.claimed != sizes:
+        raise RuntimeError(f"the build claims (dim, num_vars, free, labeled) = {tab.claimed}, "
+                           f"the closed form gives {sizes}")
+    rows, cols, vals = tab.entries(free_basis, nf)
+    store = np.zeros((dim, nf + nl), order="F")
+    store[rows, cols] = vals
+    full_target = np.zeros(dim)
+    full_target[:n] = target  # V is the first n coordinates
+    nonzero = vals != 0.0
+    rows, cols = rows[nonzero], cols[nonzero]
+    order = np.lexsort((rows, cols))
+    program = LowLevelProgram.from_store(num_vars, full_target, store, nf, *tab.labels(nl), tol,
+                                         rows_by_column(cols[order], rows[order], nf + nl))
+    return CompiledProgram(program, CompiledLayout(mode, n, m, precision, k_nnz, l_nnz, num_vars, num_hl), tab)
 
 
 def compile_dense(program: HighLevelProgram, precision: int) -> CompiledProgram:

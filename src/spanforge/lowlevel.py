@@ -62,8 +62,13 @@ def _stack(vectors: list, dim: int, name) -> np.ndarray:
 
 def column_rows(matrix: np.ndarray) -> list[list[int]]:
     """For each column of ``matrix``, the rows where it is nonzero."""
-    cols, rows = np.nonzero(matrix.T != 0)
-    bounds = np.searchsorted(cols, np.arange(matrix.shape[1] + 1)).tolist()
+    return rows_by_column(*np.nonzero(matrix.T != 0), matrix.shape[1])
+
+
+def rows_by_column(cols: np.ndarray, rows: np.ndarray, count: int) -> list[list[int]]:
+    """The rows of (column, row) pairs sorted by column, then row, split into
+    the ``count`` columns."""
+    bounds = np.searchsorted(cols, np.arange(count + 1)).tolist()
     rows = rows.tolist()
     return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
 

@@ -1,5 +1,5 @@
 """Compiled program files: they hold the ``source`` program and the
-``encoder`` parameters, and loading one runs the builder on them.  Files
+``encoder`` parameters, and loading one runs the build on them.  Files
 from older versions, which store the compiled ``program`` itself, no longer
 load: they exit 1 asking for a recompile."""
 
@@ -15,6 +15,7 @@ from spanforge.cli import main
 from spanforge.compiler import CompiledProgram, compile_dense, compile_sparse
 from spanforge.highlevel import HighLevelProgram
 from spanforge.lowlevel import LowLevelProgram
+from spanforge.programs import build_rank_program
 
 MODES = ("dense", "sparse_cols", "sparse")
 
@@ -64,10 +65,22 @@ PINNED = [
     ("sparse", 3, 3, [0.5, 0.0, -1.0], [[1.0], [0.0], [0.0]], 1, 2, 2,
      "5460169739daff14c14cb7a979201b2f3c0b07f290b7dae53f042b1b197caa47",
      "c9db41c1aea0121b14b072c8708c784ced68d53de7f3cd202812ba124d0be6dc"),
+    # single-leaf connectors: column routes on n = 1, row routes on m = 1
+    ("sparse_cols", 1, 3, [0.75], None, 2, 1, None,
+     "feb1cf1a418e6e4377813461c061a2073c1e91ce513f802501a6b71eb1ab5448",
+     "312caf7b6eea128167188bd5d395c11a08a3696691249e109649bf38fef22633"),
+    ("sparse", 3, 1, [0.5, -0.25, 1.0], [[0.0], [1.0], [0.0]], 1, 2, 1,
+     "2f902ea123dfbc07a0d2e1f1e80320a8228d1da55174dd4ffc4755040da52b63",
+     "2b71910ee0aa97a80e6d23b27d63d5f25beeda0d03cd4d839292560675d7740d"),
+    # truncated trees on both sides: 5 leaves per column route, 3 per row route
+    ("sparse", 5, 3, [0.5, 0.0, -1.0, 0.25, 0.75], [[1.0], [0.0], [0.0], [0.0], [0.0]], 2, 2, 3,
+     "30cc6c24af35f99691da7c4cd139b3e93cdd9e40bd75a74c7812a10969ec68f6",
+     "815c7b92b1e20fe55e90b7557e884695af1497abe3e5cd7b50c78e872db5eefb"),
 ]
 
 
-@pytest.mark.parametrize("mode,n,m,target,free,precision,k_nnz,l_nnz,digest,store_digest", PINNED, ids=MODES)
+@pytest.mark.parametrize("mode,n,m,target,free,precision,k_nnz,l_nnz,digest,store_digest", PINNED,
+                         ids=[*MODES, "sparse_cols-one-row", "sparse-one-column", "sparse-truncated"])
 def test_compile_output_is_pinned(mode, n, m, target, free, precision, k_nnz, l_nnz, digest, store_digest):
     prog = HighLevelProgram(space_dim=n, num_inputs=m, target=target, free_basis=free)
     comp = _compile(mode, prog, precision, k_nnz, l_nnz)
@@ -79,6 +92,85 @@ def test_compile_output_is_pinned(mode, n, m, target, free, precision, k_nnz, l_
     for program in (comp.program, CompiledProgram.from_json(text).program,
                     LowLevelProgram.from_json(comp.program.to_json())):
         assert _store_digest(program) == store_digest
+
+
+def test_benchmark_rank_program_store_is_pinned():
+    # the sparse n = 8 rank program of the cli-roundtrip benchmark at seed 7
+    prog = build_rank_program(8, 8, 4, np.random.default_rng([7, 4]))
+    comp = compile_sparse(prog, k_nnz=3, l_nnz=3, precision=3)
+    assert comp.program.all_vectors().shape == (480, 876)
+    assert _store_digest(comp.program) == "7ba75b3fc32c23f62c3364ed3e75d735049de7cc7e917a8853e7bf24566fa03a"
+
+
+def _gadget_store(comp, free_basis):
+    """The store a compiled program should hold, written one gadget vector at
+    a time from its tables, with each labeled column's (var, val) checked."""
+    lay, tab, prog = comp.layout, comp.tables, comp.program
+    nf, digits = prog.num_free, lay.precision + 1
+    store = np.zeros(prog.all_vectors().shape)
+    store[: lay.n, : lay.num_hl] = free_basis
+    labels = {}
+    for j, s in np.ndindex(tab.pivots.shape):
+        pivot, free = tab.pivots[j, s], tab.loader_free[j]
+        store[pivot, free] = -1.0
+        for a in range(digits):
+            work = tab.working[j, s, a]
+            store[work, free] = 2.0 ** (-a / 2.0)
+            for b in (0, 1):
+                col = tab.loader_labeled[j, (s * digits + a) * 2 + b]
+                labels[col] = (tab.digits[j, s, a] + 1, b)
+                store[work, nf + col] = -1.0
+                if b:  # value 1 loads 2^(-a/2) at the pivot
+                    store[pivot, nf + col] = 2.0 ** (-a / 2.0)
+    for routes, roots in ((tab.cols, tab.pivots), (tab.rows, np.arange(lay.n)[:, None])):
+        if routes is None:
+            continue
+        width = routes.bits.shape[-1]
+        count = routes.leaves.shape[-1]
+        # every edge into a node under the root, of the levels of a truncated binary tree
+        assert sorted(zip(routes.edge_level.tolist(), routes.edge_child.tolist())) == [
+            (a, c) for a in range(width) for c in range(min(2 << a, count))]
+        assert sorted(zip(routes.node_level.tolist(), routes.node_index.tolist())) == [(0, 0)] * (
+            routes is tab.cols) + [(a, l) for a in range(1, width) for l in range(1 << a)]
+        for o, s in np.ndindex(routes.edges.shape[:2]):
+            root, leaves = roots[o, 0 if roots.shape[1] == 1 else s], routes.leaves[o, s]
+            scratch = np.arange(lay.n) if tab.scratch is None else tab.scratch[o] if routes is tab.cols else tab.scratch[:, o]
+            assert np.array_equal(leaves, scratch)
+            if routes.free is not None:  # a single leaf: the connector leaf - root
+                assert width == 0 and routes.edges.shape[-1] == 0
+                store[leaves[0], routes.free[o, s]] = 1.0
+                store[root, routes.free[o, s]] = -1.0
+                continue
+            node = dict(zip(zip(routes.node_level.tolist(), routes.node_index.tolist()), routes.nodes[o, s]))
+            assert node.setdefault((0, 0), root) == root
+            node |= {(width, l): leaf for l, leaf in enumerate(leaves)}
+            for e, (a, child) in enumerate(zip(routes.edge_level.tolist(), routes.edge_child.tolist())):
+                col = routes.edges[o, s, e]
+                labels[col] = (routes.bits[o, s, a] + 1, child >> a)
+                store[node[(a + 1, child)], nf + col] = 1.0
+                store[node[(a, child % (1 << a))], nf + col] = -1.0
+    # V, the payload and scratch blocks, the working coordinates and the route
+    # interiors share out the coordinates
+    coords = [np.arange(lay.n), tab.working.ravel()] + [tab.pivots.ravel()] * (lay.k_nnz is not None)
+    coords += [] if tab.scratch is None else [tab.scratch.ravel()]
+    coords += [r.nodes[..., r.node_level > 0].ravel() for r in (tab.cols, tab.rows) if r is not None]
+    assert sorted(np.concatenate(coords).tolist()) == list(range(prog.dim))
+    assert sorted(labels) == list(range(len(prog.labeled)))
+    assert [labels[i] for i in range(len(labels))] == list(zip(prog.var.tolist(), prog.val.tolist()))
+    return store
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_every_store_column_is_its_gadget(mode):
+    rng = np.random.default_rng(85)
+    for n, m, precision, nfree in [(1, 1, 0, 0), (1, 3, 2, 0), (3, 1, 1, 1), (2, 2, 0, 1), (3, 2, 2, 2),
+                                   (5, 3, 1, 1), (4, 5, 0, 0), (6, 4, 1, 2)]:
+        for l_nnz in sorted({1, m}):
+            free = rng.standard_normal((n, nfree))
+            prog = HighLevelProgram(space_dim=n, num_inputs=m, target=rng.standard_normal(n), free_basis=free)
+            comp = _compile(mode, prog, precision, min(2, n), l_nnz)
+            expected = _gadget_store(comp, prog.free_basis)
+            assert expected.tobytes() == comp.program.all_vectors().tobytes(), (mode, n, m, precision, l_nnz)
 
 
 @st.composite
@@ -196,11 +288,11 @@ _E1 = [1.0] + [0.0] * 7
 def test_small_file_asking_for_a_large_build_is_rejected(tmp_path, capsys, monkeypatch, data, field):
     # about 200 bytes; the first would compile to a 23,048 x 46,112 store
     # (7.9 GiB) and is rejected from its sizes, the second, in the format of
-    # earlier versions, for its missing source.  Neither runs the builder.
+    # earlier versions, for its missing source.  Neither runs the build.
     assert len(json.dumps(data)) < 250
 
     def no_build(*args, **kwargs):
-        raise AssertionError("the builder ran")
+        raise AssertionError("the build ran")
 
     monkeypatch.setattr("spanforge.compiler._build", no_build)
     _rejected(tmp_path, capsys, data, field)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from spanforge.compiler import (
     MAX_STORE_ENTRIES,
     CompiledProgram,
-    ProgramBuilder,
     _layout_sizes,
     compile_dense,
     compile_sparse,
@@ -19,7 +19,7 @@ from spanforge.encoding import grid_values, index_bit_width
 from spanforge.errors import SparseFormatError
 from spanforge.highlevel import HighLevelProgram
 from spanforge.linalg import min_norm_solve
-from spanforge.lowlevel import column_rows
+from spanforge.lowlevel import LowLevelProgram, column_rows
 
 RNG = np.random.default_rng(909)
 
@@ -61,64 +61,64 @@ def test_loader_vectors_smallest_case():
 def test_loader_digit_weights():
     prog = _hl(1, 1, target=[1.0])
     comp = compile_dense(prog, precision=2)
-    rec = comp.layout.loaders[0]
+    tab = comp.tables
     for a in range(3):
-        lv = comp.program.labeled[rec.digit_labeled_index(0, a, 1)]
+        # slot 0's labeled vectors run by digit, then value 0 and 1
+        lv = comp.program.labeled[tab.loader_labeled[0, 2 * a + 1]]
         assert lv.vec[0] == pytest.approx(2.0 ** (-a / 2.0), abs=1e-15)
-        assert lv.vec[rec.working[0][a]] == -1.0
-    free = comp.program.free[rec.free_index]
+        assert lv.vec[tab.working[0, 0, a]] == -1.0
+    free = comp.program.free[tab.loader_free[0]]
     assert free[0] == -1.0
     for a in range(3):
-        assert free[rec.working[0][a]] == pytest.approx(2.0 ** (-a / 2.0), abs=1e-15)
+        assert free[tab.working[0, 0, a]] == pytest.approx(2.0 ** (-a / 2.0), abs=1e-15)
 
 
 def test_route_tree_telescopes_to_leaf_minus_root():
     prog = _hl(4, 1, target=[1.0, 0.0, 0.0, 0.0])
     comp = compile_sparse(prog, k_nnz=1, precision=0, l_nnz=None)
-    rec = comp.layout.routes[0]
-    assert rec.width == 2
-    assert len(rec.interior) == 2
-    assert len(rec.edges) == 6
+    routes, root = comp.tables.cols, comp.tables.pivots[0, 0]
+    assert routes.bits.shape == (1, 1, 2)
+    assert routes.nodes.shape == (1, 1, 3)  # the root and two interior nodes
+    assert routes.edges.shape == (1, 1, 6)
     for sel in range(4):
         total = np.zeros(comp.program.dim)
-        for a in range(rec.width):  # the edge at level a leaves node (a, sel mod 2^a) by bit a
-            b, l = (sel >> a) & 1, sel % (1 << a)
-            idx = next(i for (aa, bb, ll, i) in rec.edges if (aa, bb, ll) == (a, b, l))
-            total += comp.program.labeled[idx].vec
+        for a in range(2):  # the edge at level a leaves node (a, sel mod 2^a) by bit a, to child sel mod 2^(a+1)
+            idx = routes.edges[0, 0][(routes.edge_level == a) & (routes.edge_child == sel % (2 << a))]
+            assert idx.shape == (1,)
+            total += comp.program.labeled[idx[0]].vec
         expected = np.zeros(comp.program.dim)
-        expected[rec.leaves[sel]] += 1.0
-        expected[rec.root] -= 1.0
+        expected[sel] += 1.0  # leaf sel is coordinate sel of V
+        expected[root] -= 1.0
         assert np.allclose(total, expected, atol=1e-15)
 
 
 def test_route_tree_truncation_three_leaves():
     prog = _hl(3, 1, target=[1.0, 0.0, 0.0])
     comp = compile_sparse(prog, k_nnz=1, precision=0, l_nnz=None)
-    rec = comp.layout.routes[0]
-    assert rec.width == 2
+    routes, root = comp.tables.cols, comp.tables.pivots[0, 0]
+    assert routes.bits.shape == (1, 1, 2)
     # node (1,1) is kept, leaf index 3 is not: 2 + 3 edges
-    assert len(rec.edges) == 5
-    bottom_children = {b * 2**a + l for (a, b, l, _) in rec.edges if a == rec.width - 1}
-    assert bottom_children == {0, 1, 2}
+    assert routes.edges.shape == (1, 1, 5)
+    assert set(routes.edge_child[routes.edge_level == 1].tolist()) == {0, 1, 2}
     # from node (a, l) the selection's bits from level a on lead to leaf
     # l + (sel >> a << a): the root reaches leaves 0..2, and node (1, 1) leaves
     # the tree on selections 2 and 3; a node that leaves it takes the value 0
-    node11 = next(c for a, l, c in rec.interior if (a, l) == (1, 1))
+    (node11,) = routes.nodes[0, 0][(routes.node_level == 1) & (routes.node_index == 1)]
     for sel, root_value, node11_value in [(0, 1.0, 2.0), (1, 2.0, 2.0), (2, 3.0, 0.0), (3, 0.0, 0.0)]:
         wt = np.zeros(comp.program.dim)
-        wt[list(rec.leaves)] = [1.0, 2.0, 3.0]
-        comp._tables.cols.spread(wt, np.array([[sel]]))
-        assert (wt[rec.root], wt[node11]) == (root_value, node11_value)
+        wt[routes.leaves[0, 0]] = [1.0, 2.0, 3.0]
+        routes.spread(wt, np.array([[sel]]))
+        assert (wt[root], wt[node11]) == (root_value, node11_value)
 
 
 def test_route_single_leaf_degenerates_to_free_connector():
     prog = _hl(1, 1, target=[1.0])
     comp = compile_sparse(prog, k_nnz=1, precision=0, l_nnz=None)
-    rec = comp.layout.routes[0]
-    assert rec.width == 0
-    assert rec.free_index is not None
-    vec = comp.program.free[rec.free_index]
-    assert vec[rec.leaves[0]] == 1.0 and vec[rec.root] == -1.0
+    routes = comp.tables.cols
+    assert routes.bits.shape == (1, 1, 0)
+    assert routes.free is not None
+    vec = comp.program.free[routes.free[0, 0]]
+    assert vec[0] == 1.0 and vec[comp.tables.pivots[0, 0]] == -1.0  # leaf 0 of V, and the payload slot
 
 
 def test_compile_is_deterministic():
@@ -153,18 +153,17 @@ def test_sparse_cols_decode_out_of_range_zeroes_column():
     comp = compile_sparse(prog, k_nnz=1, precision=0, l_nnz=None)
     lay = comp.layout
     bits = [0] * lay.num_vars
-    rec = lay.loaders[0]
-    route = lay.routes[0]
+    digit, route_bits = comp.tables.digits[0, 0, 0], comp.tables.cols.bits[0, 0]
     # payload value 0 (digit bit 1 at k=0), routed out of range: harmless
-    bits[rec.digit_vars[0][0]] = 1
-    bits[route.bit_vars[0]] = 1
-    bits[route.bit_vars[1]] = 1  # selection 3 >= n = 3
+    bits[digit] = 1
+    bits[route_bits[0]] = 1
+    bits[route_bits[1]] = 1  # selection 3 >= n = 3
     assert np.allclose(comp.decode(bits), 0.0)
     # payload value -1 (bit 0) with the same selection: column unusable
-    bits[rec.digit_vars[0][0]] = 0
+    bits[digit] = 0
     assert np.allclose(comp.decode(bits), 0.0)
     # in-range selection 2 carries the -1
-    bits[route.bit_vars[0]] = 0
+    bits[route_bits[0]] = 0
     expected = np.zeros((3, 1))
     expected[2, 0] = -1.0
     assert np.allclose(comp.decode(bits), expected)
@@ -213,6 +212,29 @@ def test_encode_rejects_nonfinite_entries(bad):
     comp = compile_sparse(prog, k_nnz=1, precision=1)
     with pytest.raises(SparseFormatError, match="column 2 payload value at row 1 is not finite"):
         comp.encode([[(0, 0.5)], [(1, bad)]])
+
+
+@pytest.mark.parametrize("columns,rows,message", [
+    ([[(1.7, 0.5)], []], None, "column 1 payload row must be an integer, got 1.7"),
+    ([[(True, 0.5)], []], None, "column 1 payload row must be an integer, got True"),
+    ([[], [(0, 10**400)]], None, "column 2 payload value at row 0 is too large for a float"),
+    ([[(0, "x")], []], None, "column 1 payload value at row 0 must be a number, got 'x'"),
+    ([[(0, 0.5)], [(1,)]], None, "column 2 payload slot (1,) is not a (row, value) pair"),
+    ([[(0, 0.5)], []], [[0.9], [], []], "row 1 list entry must be an integer, got 0.9"),
+    ([[(0, 0.5)], []], [[0], [True], []], "row 2 list entry must be an integer, got True"),
+], ids=["float-row", "bool-row", "huge-value", "string-value", "short-slot", "float-column", "bool-column"])
+def test_explicit_payloads_take_integer_indices_and_finite_values(columns, rows, message):
+    # a float or bool index was truncated to a row or column, and the other
+    # cases raised Python's unnamed errors
+    comp = compile_sparse(_hl(3, 2, target=[1.0, 0.0, 0.0]), k_nnz=2, precision=1, l_nnz=None if rows is None else 1)
+    with pytest.raises(SparseFormatError, match=f"^{re.escape(message)}$"):
+        comp.encode(columns if rows is None else {"columns": columns, "rows": rows})
+
+
+def test_explicit_payloads_take_numpy_scalars():
+    comp = compile_sparse(_hl(3, 2, target=[1.0, 0.0, 0.0]), k_nnz=2, precision=1, l_nnz=1)
+    source = {"columns": [[(np.int64(1), np.float32(0.5))], []], "rows": [[0], [np.int32(0)], [1]]}
+    assert comp.encode(source) == comp.encode({"columns": [[(1, 0.5)], []], "rows": [[0], [0], [1]]})
 
 
 def test_sparse_needs_row_lists():
@@ -540,11 +562,13 @@ def test_layout_bits_cover_all_variables(l_nnz):
     # every variable is a loader digit or a route index bit, and only one
     prog = _hl(3, 2, rng=np.random.default_rng(81))
     comp = compile_sparse(prog, k_nnz=2, l_nnz=l_nnz, precision=1)
-    lay = comp.layout
-    digits = [v for rec in lay.loaders for slot in rec.digit_vars for v in slot]
-    index_bits = [v for rec in lay.routes for v in rec.bit_vars]
+    lay, tab = comp.layout, comp.tables
+    roles = {"col": tab.cols, "row": tab.rows}
+    digits = tab.digits.ravel().tolist()
+    index_bits = [v for routes in roles.values() if routes is not None for v in routes.bits.ravel().tolist()]
     assert sorted(digits + index_bits) == list(range(comp.program.num_vars))
-    assert {rec.role for rec in lay.routes if rec.bit_vars} == ({"col"} if l_nnz is None else {"col", "row"})
+    assert {role for role, routes in roles.items() if routes is not None and routes.bits.size} == (
+        {"col"} if l_nnz is None else {"col", "row"})
     assert (lay.mode, lay.precision, lay.k_nnz, lay.l_nnz) == ("sparse_cols" if l_nnz is None else "sparse", 1, 2, l_nnz)
 
 
@@ -565,8 +589,8 @@ def test_layout_sizes_match_the_build(mode):
 
 @pytest.mark.parametrize("mode", ["dense", "sparse_cols", "sparse"])
 def test_builder_hands_over_the_nonzero_pattern(mode):
-    # zeros written by the builder (here in the free basis) are left out, and
-    # a compiled file rebuilds through the builder too
+    # zeros the build writes (here in the free basis) are left out, and a
+    # compiled file rebuilds through the build too
     rng = np.random.default_rng(84)
     for n, m, k, nfree in [(2, 3, 1, 1), (3, 2, 2, 2), (4, 5, 0, 3)]:
         free = rng.standard_normal((n, nfree))
@@ -581,30 +605,28 @@ def test_builder_hands_over_the_nonzero_pattern(mode):
             assert p._pattern == column_rows(p.all_vectors())
 
 
-def _two_vector_builder(free_entry, var0):
-    """A builder for dim 2, one variable, one free and one labeled vector."""
-    b = ProgramBuilder((2, 1, 1, 1))
-    b.coords.claim(2)
-    b.variables.claim(1)
-    b.target[0] = 1.0
-    b.add_free({0: 1.0, 1: free_entry})
-    b.add_labeled({1: 1.0}, var0, 1)
-    return b
+def _two_vector_program(free_entry, var):
+    """A program on dim 2 with one variable, one free and one labeled vector."""
+    store = np.array([[1.0, 0.0], [free_entry, 1.0]], order="F")
+    return LowLevelProgram.from_store(1, np.array([1.0, 0.0]), store, 1, np.array([var]), np.array([1]), 1e-9)
 
 
-def test_builder_store_is_checked_naming_the_field():
-    prog = _two_vector_builder(0.5, 0).build(1e-9)
+def test_builder_store_is_checked_naming_the_field(monkeypatch):
+    prog = _two_vector_program(0.5, 1)
     assert (prog.evaluate("0"), prog.evaluate("1")) == (0, 1) and np.array_equal(prog.free[0], [1.0, 0.5])
     assert (prog.labeled[0].var, prog.labeled[0].val) == (1, 1)
     with pytest.raises(ValueError, match=r"free\[0\]\[1\] is not finite: nan"):
-        _two_vector_builder(float("nan"), 0).build(1e-9)
+        _two_vector_program(float("nan"), 1)
     with pytest.raises(ValueError, match=r"labeled\[0\]\.var=3 outside 1\.\.1"):
-        _two_vector_builder(0.5, 2).build(1e-9)
+        _two_vector_program(0.5, 3)
     # counts that disagree with the closed form the store was sized from
-    b = _two_vector_builder(0.5, 0)
-    b.coords.claim(1)
+    def one_more_coordinate(*args):
+        dim, *rest = _layout_sizes(*args)
+        return dim + 1, *rest
+
+    monkeypatch.setattr("spanforge.compiler._layout_sizes", one_more_coordinate)
     with pytest.raises(RuntimeError, match="closed form"):
-        b.build(1e-9)
+        compile_dense(_hl(2, 1, target=[1.0, 0.0]), precision=0)
 
 
 def test_compile_past_the_store_cap_is_rejected():

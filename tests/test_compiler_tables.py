@@ -2,8 +2,8 @@
 
 ``CompiledProgram`` runs these steps as array gathers over index tables of
 its layout.  The references here read and write one fixed-point or index
-code at a time, through ``FixedPointCode``/``IntegerCode`` and the gadget
-records, as the compiler did before the tables.
+code at a time, through ``FixedPointCode``/``IntegerCode``, and read the
+variables of each (column, slot) or (row, slot) from the tables.
 """
 
 import functools
@@ -38,38 +38,40 @@ def reference_decode(comp, bits):
     """The matrix ``bits`` stand for, read one code at a time: a column whose
     nonzero payload is routed out of range, or into a row whose list does not
     name it, contributes nothing."""
-    lay = comp.layout
+    lay, tab = comp.layout, comp.tables
     bits = tuple(int(b) for b in bits)
 
-    def real(var_ids):
-        return FixedPointCode(precision=lay.precision, bits=tuple(bits[v] for v in var_ids)).value
+    def read(code, var_ids, **kw):
+        return code(bits=tuple(bits[v] for v in var_ids), **kw).value
 
-    def index(rec):
-        return IntegerCode(width=rec.width, bits=tuple(bits[v] for v in rec.bit_vars)).value
+    def real(j, slot):
+        return read(FixedPointCode, tab.digits[j, slot], precision=lay.precision)
+
+    def index(routes, owner, slot):
+        return read(IntegerCode, routes.bits[owner, slot], width=routes.bits.shape[-1])
 
     out = np.zeros((lay.n, lay.m))
     if lay.mode == "dense":
-        for rec in lay.loaders:
+        for j in range(lay.m):
             for i in range(lay.n):
-                out[i, rec.column - 1] = real(rec.digit_vars[i])
+                out[i, j] = real(j, i)
         return out
     listed = [set() for _ in range(lay.n)] if lay.mode == "sparse" else None
-    for rec in lay.routes:
-        if rec.role == "row" and (sel := index(rec)) < len(rec.leaves):
-            listed[rec.owner - 1].add(sel)
-    route_of = {(r.owner, r.slot): r for r in lay.routes if r.role == "col"}
-    for rec in lay.loaders:
-        j = rec.column
+    for i in range(lay.n if listed is not None else 0):
+        for slot in range(lay.l_nnz):
+            if (sel := index(tab.rows, i, slot)) < lay.m:
+                listed[i].add(sel)
+    for j in range(lay.m):
         slots = []
-        for i in range(lay.k_nnz):
-            value, sel = real(rec.digit_vars[i]), index(route_of[(j, i + 1)])
-            if value != 0.0 and (sel >= lay.n or listed is not None and (j - 1) not in listed[sel]):
+        for slot in range(lay.k_nnz):
+            value, sel = real(j, slot), index(tab.cols, j, slot)
+            if value != 0.0 and (sel >= lay.n or listed is not None and j not in listed[sel]):
                 break
             slots.append((sel, value))
         else:
             for sel, value in slots:
                 if sel < lay.n:
-                    out[sel, j - 1] += value
+                    out[sel, j] += value
     return out
 
 
@@ -81,32 +83,29 @@ def _padded(used, size, budget):
 def reference_encode(comp, a=None, columns=None, rows=None):
     """Bits of a dense matrix ``a`` or of explicit ``columns`` payloads (lists
     of (row, value)) and ``rows`` lists, one code at a time."""
-    lay = comp.layout
+    lay, tab = comp.layout, comp.tables
     bits = [0] * lay.num_vars
 
     def put(var_ids, code):
-        for v, b in zip(var_ids, code.bits):
+        for v, b in zip(var_ids, code.bits, strict=True):
             bits[v] = b
 
     if lay.mode == "dense":
-        for rec in lay.loaders:
+        for j in range(lay.m):
             for i in range(lay.n):
-                put(rec.digit_vars[i], encode_real(float(a[i, rec.column - 1]), lay.precision))
+                put(tab.digits[j, i], encode_real(float(a[i, j]), lay.precision))
         return tuple(bits)
     if columns is None:
         columns = [[(i, a[i, j]) for i in range(lay.n) if a[i, j] != 0] for j in range(lay.m)]
         rows = [[j for j in range(lay.m) if a[i, j] != 0] for i in range(lay.n)]
-    slots = []
-    for payload in columns:
+    for j, payload in enumerate(columns):
         values = dict(payload)
-        slots.append([(r, values.get(r, 0.0)) for r in _padded([r for r, _ in payload], lay.n, lay.k_nnz)])
-    lists = [_padded(cols, lay.m, lay.l_nnz) for cols in rows] if lay.mode == "sparse" else None
-    for rec in lay.loaders:
-        for i, (_, value) in enumerate(slots[rec.column - 1]):
-            put(rec.digit_vars[i], encode_real(float(value), lay.precision))
-    for rec in lay.routes:
-        sel = slots[rec.owner - 1][rec.slot - 1][0] if rec.role == "col" else lists[rec.owner - 1][rec.slot - 1]
-        put(rec.bit_vars, encode_int(sel, len(rec.leaves)))
+        for slot, r in enumerate(_padded([r for r, _ in payload], lay.n, lay.k_nnz)):
+            put(tab.digits[j, slot], encode_real(float(values.get(r, 0.0)), lay.precision))
+            put(tab.cols.bits[j, slot], encode_int(r, lay.n))
+    for i, cols in enumerate(rows if lay.mode == "sparse" else ()):
+        for slot, c in enumerate(_padded(cols, lay.m, lay.l_nnz)):
+            put(tab.rows.bits[i, slot], encode_int(c, lay.m))
     return tuple(bits)
 
 
