@@ -206,8 +206,8 @@ def _cmd_ratio_experiment(args) -> int:
         n_list = [int(tok) for tok in args.n.split(",") if tok]
     except ValueError:
         raise ValueError(f"--n must list integer sizes, e.g. 50,100,200, got {args.n!r}") from None
-    if not n_list:
-        raise ValueError("--n must list at least one size, e.g. 50,100,200")
+    if len(set(n_list)) < 2:
+        raise ValueError(f"--n must list at least two distinct sizes to fit a slope, e.g. 50,100,200, got {args.n!r}")
     result = exp_ratio_scaling(n_list, args.trials, RngStream(seed=args.seed))
     header = ["n", "trials", "median_ratio", "min_ratio", "slope"]
     rows = [[r.n, r.trials, r.median_ratio, r.min_ratio, result.slope] for r in result.rows]

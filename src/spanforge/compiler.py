@@ -40,7 +40,7 @@ from .encoding import check_precision, grid_levels, index_bit_width
 from .errors import SparseFormatError
 from .highlevel import HighLevelProgram, read_source, source_json, wsize_over_inputs
 from .linalg import input_matrix, int_field
-from .lowlevel import DomainWitnessSizes, LowLevelProgram, normalize_bits, rows_by_column, wsize_over_domain
+from .lowlevel import DomainWitnessSizes, LowLevelProgram, normalize_bits, wsize_over_domain
 
 MODES = ("dense", "sparse_cols", "sparse")
 
@@ -610,7 +610,8 @@ def _build(target, free_basis, tol: float, m: int, precision: int,
     slot to a leaf of V, or with a row stage (``l_nnz``) of a per-column
     scratch block W_j, from which per-row routes pull listed entries into V.
     The store is sized and capped before anything is allocated, and written
-    from the tables; its nonzero pattern comes from the same entries.
+    from the tables; the program keeps their nonzeros, sorted by column then
+    row, as the entry list every peel reads.
     """
     n, num_hl = len(target), free_basis.shape[1]
     mode = MODES[(k_nnz is not None) + (l_nnz is not None)]  # one mode per budget given
@@ -625,10 +626,10 @@ def _build(target, free_basis, tol: float, m: int, precision: int,
     full_target = np.zeros(dim)
     full_target[:n] = target  # V is the first n coordinates
     nonzero = vals != 0.0
-    rows, cols = rows[nonzero], cols[nonzero]
+    rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
     order = np.lexsort((rows, cols))
     program = LowLevelProgram.from_store(num_vars, full_target, store, nf, *tab.labels(nl), tol,
-                                         rows_by_column(cols[order], rows[order], nf + nl))
+                                         (cols[order], rows[order], vals[order]))
     return CompiledProgram(program, CompiledLayout(mode, n, m, precision, k_nnz, l_nnz, num_vars, num_hl), tab)
 
 

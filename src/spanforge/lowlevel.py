@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -60,27 +59,21 @@ def _stack(vectors: list, dim: int, name) -> np.ndarray:
     return rows.T
 
 
-def column_rows(matrix: np.ndarray) -> list[list[int]]:
-    """For each column of ``matrix``, the rows where it is nonzero."""
-    return rows_by_column(*np.nonzero(matrix.T != 0), matrix.shape[1])
+def nonzero_entries(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzeros of ``matrix`` as (column, row, value) arrays, sorted by
+    column, then row."""
+    cols, rows = np.nonzero(matrix.T)
+    return cols, rows, matrix[rows, cols]
 
 
-def rows_by_column(cols: np.ndarray, rows: np.ndarray, count: int) -> list[list[int]]:
-    """The rows of (column, row) pairs sorted by column, then row, split into
-    the ``count`` columns."""
-    bounds = np.searchsorted(cols, np.arange(count + 1)).tolist()
-    rows = rows.tolist()
-    return [rows[a:b] for a, b in zip(bounds, bounds[1:])]
-
-
-def column_entries(matrix: np.ndarray, pattern=None) -> list[dict[int, float]]:
-    """For each column of ``matrix``, a map from the rows where it is nonzero
-    to its entries; ``pattern`` is its ``column_rows`` when given."""
-    pattern = column_rows(matrix) if pattern is None else pattern
-    lengths = [len(rows) for rows in pattern]
-    at = np.fromiter(chain.from_iterable(pattern), np.intp, sum(lengths))
-    values = iter(matrix[at, np.repeat(np.arange(len(pattern)), lengths)].tolist())
-    return [dict(zip(rows, values)) for rows in pattern]  # zip stops at the end of rows, before reading values
+def _column_runs(cols: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the entries of the columns ``which`` are in ``cols``, sorted
+    column indices of an entry list: one column after another, with the
+    index in ``which`` each entry belongs to."""
+    lo, hi = np.searchsorted(cols, which), np.searchsorted(cols, which, side="right")
+    owner = np.repeat(np.arange(which.size), hi - lo)
+    start = np.cumsum(hi - lo) - (hi - lo)  # where each run begins in the result
+    return np.arange(owner.size) - start[owner] + lo[owner], owner
 
 
 def normalize_bits(x, num_vars: int) -> tuple[int, ...]:
@@ -132,124 +125,17 @@ class WitnessReport:
 
 # Available matrices with fewer entries are factored without a peel: there
 # one SVD costs less than the peel's bookkeeping (on compiled programs, with
-# one BLAS thread, a peeled decision is about 40% slower at 45 x 46 to
-# 52 x 52 and 6% slower at 60 x 55 to 60 x 61, breaks even near 65 x 66 to
-# 68 x 69 and is 30-60% faster from 84 x 76 on).
+# one BLAS thread, a peeled decision is about 2x slower at 44 x 44 to
+# 51 x 47, 25% slower at 52 x 53 and 10% slower at 64 x 67 to 76 x 68,
+# breaks even near 80 x 84 and is 40-80% faster from 105 x 94 on).
 PEEL_MIN_CELLS = 4096
-
-
-class _Elimination:
-    """A peel in progress on the merged matrix.  ``columns[j]`` maps each row
-    where column j is nonzero to its entry, dropped rows included; a column
-    is copied before its first merge, so the maps handed in are only read.
-    ``lines[i]`` is the set of kept columns nonzero on kept row i.  The next
-    rounds look at the rows where the target is 0 that were left with one
-    kept column (``ends``) or two (``twos``) since they last looked."""
-
-    def __init__(self, columns: list[dict], open_rows: list[bool]):
-        self.columns, self.open, self.copied = list(columns), open_rows, set()
-        self.lines = lines = [set() for _ in open_rows]
-        for j, col in enumerate(columns):
-            for i in col:
-                lines[i].add(j)
-        self.row_kept = [True] * len(open_rows)
-        self.ends = {i for i, line in enumerate(lines) if len(line) == 1 and open_rows[i]}
-        self.twos = {i for i, line in enumerate(lines) if len(line) == 2 and open_rows[i]}
-
-    def _moved(self, i: int, line: set) -> None:
-        """Kept row i lost or gained a kept column, leaving ``line``."""
-        if self.open[i]:
-            if len(line) == 1:
-                self.ends.add(i)
-            elif len(line) == 2:
-                self.twos.add(i)
-
-    def drop(self, i: int, j: int) -> None:
-        self.row_kept[i] = False
-        lines, kept = self.lines, self.row_kept
-        for k in self.columns[j]:
-            if kept[k]:
-                line = lines[k]
-                line.discard(j)
-                if len(line) <= 2:
-                    self._moved(k, line)
-
-    def dead_ends(self) -> tuple[list[int], list[int]]:
-        """One round of dead ends: every kept row where the target is 0 with
-        exactly one kept column pairs with it, unless an earlier row of the
-        round took it, and both are dropped.  Returns the rows and their
-        columns."""
-        pivots = {}  # column -> its row
-        for i in sorted(self.ends):
-            if self.row_kept[i] and len(self.lines[i]) == 1:
-                pivots.setdefault(next(iter(self.lines[i])), i)
-        self.ends = set()
-        for j, i in pivots.items():
-            self.drop(i, j)
-        return list(pivots.values()), list(pivots)
-
-    def doubletons(self) -> tuple[list[int], list[int], list[int], list[float]]:
-        """One round of doubletons: every kept row r where the target
-        is 0 with exactly two kept columns pivots on k, the column of its
-        larger entry (the later one on a tie), and merges it into the other,
-        j: ``a_j <- a_j - m a_k`` with ``m = A[r, j] / A[r, k]``, so ``|m| <=
-        1`` and row r is left a dead end of column k; both are dropped.  A row
-        waits for a later round when an earlier row of this one pivots on j
-        or on k, or merges into k.  So no column a round pivots on is nonzero
-        on another row of the round, its merges reach none of them, and they
-        commute.  Returns the rows, j, k and m."""
-        pivoted, merged, waiting, pivots = set(), set(), set(), []
-        for r in sorted(self.twos):
-            line = self.lines[r]
-            if len(line) != 2 or not self.row_kept[r]:
-                continue
-            a, b = line
-            if a > b:
-                a, b = b, a
-            j, k = (a, b) if abs(self.columns[b][r]) >= abs(self.columns[a][r]) else (b, a)
-            if j in pivoted or k in pivoted or k in merged:
-                waiting.add(r)
-                continue
-            pivoted.add(k)
-            merged.add(j)
-            pivots.append((r, j, k, self.columns[j][r] / self.columns[k][r]))
-        self.twos = waiting
-        for r, j, k, m in pivots:
-            self.merge(r, j, k, m)
-            self.drop(r, k)
-        return tuple(map(list, zip(*pivots))) if pivots else ([], [], [], [])
-
-    def merge(self, r: int, j: int, k: int, m: float) -> None:
-        """``a_j <- a_j - m a_k``, with the entry at row r set to 0 and exact
-        cancellations dropped from the pattern."""
-        if j not in self.copied:
-            self.columns[j] = dict(self.columns[j])
-            self.copied.add(j)
-        col = self.columns[j]
-        del col[r]
-        self.lines[r].discard(j)
-        for i, v in self.columns[k].items():
-            if i == r:
-                continue
-            had, new = i in col, col.get(i, 0.0) - m * v
-            if new:
-                col[i] = new
-            elif had:
-                del col[i]
-            if had != bool(new) and self.row_kept[i]:  # fill, or an exact cancellation
-                line = self.lines[i]
-                if new:
-                    line.add(j)
-                else:
-                    line.discard(j)
-                self._moved(i, line)
 
 
 class Peel:
     """The coordinates of one input removed before factoring.
 
-    ``Peel.of`` runs elimination on the nonzero pattern of the available
-    columns ``matrix`` (Davis, *Direct Methods for Sparse Linear Systems*,
+    ``Peel.of`` runs elimination on the nonzeros of the available columns
+    ``matrix`` (Davis, *Direct Methods for Sparse Linear Systems*,
     SIAM 2006), in rounds until nothing changes.  Its pivots are rows where
     ``target`` is 0, of two kinds:
 
@@ -262,18 +148,33 @@ class Peel:
       ``m = A[r, j] / A[r, k]``, which leaves row r a dead end of column k
       (threshold pivoting: ``|m| <= 1``).
 
-    A round of one kind takes every such row unless an earlier row of the
-    round took one of its columns, and drops its pairs; dead-end rounds run
-    until none is left, then one doubleton round runs, and so on until
-    neither finds anything.  The kept rows where the target is 0 and no kept
-    column is nonzero go last (``zero``).  ``rounds`` lists the pivots of
-    each round as (rows, cols) index lists, doubleton rounds included, in
-    order; ``merges`` the (j, k, m) arrays of each doubleton round.
-    ``columns[j]`` maps each row where column j of the merged matrix is
-    nonzero to its entry, ``rows`` and ``cols`` mask what is kept, and
-    ``block`` and ``target`` are what is factored: ``matrix`` and
-    ``target`` themselves when nothing peels.  ``whole`` is the target on
-    every row.
+    Each round is a few numpy steps over the nonzeros of the merged matrix,
+    one (column, row, value) entry list sorted by column, in which a kept
+    column is nonzero on kept rows only: one ``bincount`` of the kept
+    columns' entries gives every row its degree.  A dead-end round takes
+    every dead end, but the first of them, in row order, takes each column.
+    A doubleton round takes its rows in order, and a row waits for a later
+    round when a row the round took before it pivots on j or on k, or
+    merges into k (two rows may merge into one column).  So no column a
+    round pivots on is nonzero on another row of the round, its merges reach
+    none of them, and they commute.  They are applied in row order, each
+    entry of ``a_k`` but the one on row r subtracted from ``a_j``; the
+    updates of one entry run in turn (``np.subtract.accumulate``), entries
+    that cancel exactly leave the list, and an entry an update makes
+    nonzero enters its column behind those already there.  So a column
+    keeps its entries in the order they entered it, the store's own by row,
+    and ``stands`` and ``extend`` sum them in that order.
+
+    Dead-end rounds run until none is left, then one doubleton round runs,
+    and so on until neither finds anything.  The kept rows where the target
+    is 0 and no kept column is nonzero go last (``zero``).  ``rounds`` lists
+    the pivots of each round as (rows, cols) index arrays, doubleton rounds
+    included, in order; ``merges`` the (j, k, m) arrays of each doubleton
+    round.  ``nonzeros`` is the entry list the rounds leave, each pivot
+    column's entries as they were when it went; ``rows`` and ``cols`` mask
+    what is kept, and ``block`` and ``target`` are what is factored:
+    ``matrix`` and ``target`` themselves when nothing peels.  ``whole`` is
+    the target on every row.
 
     The peel is exact.  Each merge is an invertible column operation, so
     the merged matrix is ``A C`` for a unit triangular C with span(A C) =
@@ -292,59 +193,94 @@ class Peel:
     (``stands``).
     """
 
-    def __init__(self, matrix: np.ndarray, target: np.ndarray, rounds=(), zero=(), columns=(), merges=()):
-        self.matrix, self.whole, self.columns = matrix, target, columns
+    def __init__(self, matrix: np.ndarray, target: np.ndarray, rounds=(), zero=(), nonzeros=None, merges=()):
+        self.matrix, self.whole, self.nonzeros = matrix, target, nonzeros
         self.rounds, self.zero, self.merges = tuple(rounds), list(zero), tuple(merges)
         self.rows, self.cols = np.ones(matrix.shape[0], dtype=bool), np.ones(matrix.shape[1], dtype=bool)
-        self.rows[[i for rows, _ in self.rounds for i in rows] + self.zero] = False
-        self.cols[[j for _, cols in self.rounds for j in cols]] = False
+        self.rows[self.zero] = False
+        for rows, cols in self.rounds:
+            self.rows[rows], self.cols[cols] = False, False
         if self.rows.all() and self.cols.all():
             self.block, self.target = matrix, target
             return
-        self.block, self.target = matrix[np.ix_(self.rows, self.cols)], target[self.rows]
-        merged = sorted({j for js, _, _ in self.merges for j in js.tolist()})
-        merged = [j for j in merged if self.cols[j]]
-        if merged:  # kept columns that differ from ``matrix``, written from their entries
-            at, values, lengths = self._entries(merged)
-            pos, keep = np.cumsum(self.cols)[merged] - 1, self.rows[at]
-            self.block[:, pos] = 0.0
-            self.block[(np.cumsum(self.rows) - 1)[at[keep]], np.repeat(pos, lengths)[keep]] = values[keep]
+        self.block, self.target = matrix[self.rows][:, self.cols], target[self.rows]
+        merged = np.zeros(self.cols.size, dtype=bool)
+        for js, _, _ in self.merges:
+            merged[js] = True
+        merged &= self.cols
+        if merged.any():  # kept columns that differ from ``matrix``, written from their entries
+            cols, rows, values = self.nonzeros
+            at, pos = merged[cols], np.cumsum(self.cols) - 1
+            self.block[:, pos[merged]] = 0.0
+            self.block[(np.cumsum(self.rows) - 1)[rows[at]], pos[cols[at]]] = values[at]
 
     @classmethod
-    def of(cls, matrix: np.ndarray, target: np.ndarray, columns=None) -> "Peel":
-        """The peel of ``matrix``; ``columns`` (``column_entries`` of it) is
-        computed when not given, and then only when some row where the
-        target is 0 has at most two nonzeros."""
-        open_rows = target == 0
-        if columns is None:
-            if not (open_rows & (np.count_nonzero(matrix, axis=1) <= 2)).any():
-                return cls(matrix, target)
-            columns = column_entries(matrix)
-        state = _Elimination(columns, open_rows.tolist())
+    def of(cls, matrix: np.ndarray, target: np.ndarray, nonzeros=None) -> "Peel":
+        """The peel of ``matrix``, in rounds over ``nonzeros``, its entry
+        list (``nonzero_entries(matrix)``, computed when not given)."""
+        cols, rows, values = nonzero_entries(matrix) if nonzeros is None else nonzeros
+        dim, count = matrix.shape
+        open_rows, row_kept, col_kept = target == 0, np.ones(dim, dtype=bool), np.ones(count, dtype=bool)
         rounds, merges = [], []
         while True:
-            rows, cols = state.dead_ends()
-            if rows:
-                rounds.append((rows, cols))
+            live = col_kept[cols]  # a kept column is nonzero on kept rows only
+            degree = np.bincount(rows[live], minlength=dim)
+            at = (live & (open_rows & (degree == 1))[rows]).nonzero()[0]
+            if at.size:  # dead ends: the first of them, in row order, takes each column
+                at = at[rows[at].argsort()]
+                at = at[np.sort(np.unique(cols[at], return_index=True)[1])]
+                rounds.append((rows[at], cols[at]))
+                row_kept[rows[at]], col_kept[cols[at]] = False, False
                 continue
-            rows, js, ks, ms = state.doubletons()
-            if not rows:
+            at = (live & (open_rows & (degree == 2))[rows]).nonzero()[0]
+            at = at[rows[at].argsort(kind="stable")]
+            a, b = at[0::2], at[1::2]  # the two entries of each doubleton row, by column
+            later = np.abs(values[b]) >= np.abs(values[a])  # k, the column of the larger entry
+            at_j, at_k = np.where(later, a, b), np.where(later, b, a)
+            pivoted, merged, take = set(), set(), []
+            for t, (j, k) in enumerate(zip(cols[at_j].tolist(), cols[at_k].tolist())):
+                if j not in pivoted and k not in pivoted and k not in merged:
+                    pivoted.add(k)
+                    merged.add(j)
+                    take.append(t)
+            if not take:
                 break
-            rounds.append((rows, ks))
-            merges.append((np.array(js, dtype=np.intp), np.array(ks, dtype=np.intp), np.array(ms)))
-        zero = [i for i, (kept, line, is_open) in enumerate(zip(state.row_kept, state.lines, state.open))
-                if kept and is_open and not line]
-        return cls(matrix, target, rounds, zero, state.columns, merges)
-
-    def _entries(self, cols) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """The entries of columns ``cols`` of the merged matrix, one column
-        after another: their rows, their values and how many each has."""
-        columns = [self.columns[j] for j in cols]
-        lengths = [len(col) for col in columns]
-        total = sum(lengths)
-        at = np.fromiter(chain.from_iterable(columns), np.intp, total)
-        values = np.fromiter(chain.from_iterable([col.values() for col in columns]), float, total)
-        return at, values, lengths
+            at_j, at_k = at_j[take], at_k[take]
+            r, j, k, m = rows[at_k], cols[at_j], cols[at_k], values[at_j] / values[at_k]
+            rounds.append((r, k))
+            merges.append((j, k, m))
+            row_kept[r], col_kept[k] = False, False
+            # a_j <- a_j - m a_k, merge by merge in row order, except on row r
+            src, owner = _column_runs(cols, k)
+            keep = rows[src] != r[owner]
+            src, owner = src[keep], owner[keep]
+            into = np.isin(cols, j)
+            old = (into & row_kept[rows]).nonzero()[0]
+            keys, slot = np.unique(np.concatenate([cols[old] * dim + rows[old], j[owner] * dim + rows[src]]),
+                                   return_inverse=True)
+            was, hit = slot[: old.size], slot[old.size :]  # the entry of a_j of each old entry and update
+            hits = np.bincount(hit, minlength=keys.size)
+            by_entry = hit.argsort(kind="stable")
+            nth = np.empty_like(hit)  # how many updates of the same entry come before each
+            nth[by_entry] = np.arange(hit.size) - (np.cumsum(hits) - hits)[hit[by_entry]]
+            steps = np.zeros((keys.size, hits.max(initial=0) + 1))
+            steps[was, 0] = values[old]
+            steps[hit, nth + 1] = m[owner] * values[src]
+            steps = np.subtract.accumulate(steps, axis=1)  # each entry after each of its updates, in turn
+            # an entry enters its column, behind those already there, when an update makes it nonzero
+            born = (steps[hit, nth] == 0.0) & (steps[hit, nth + 1] != 0.0)
+            last = np.full(keys.size, -1)
+            np.maximum.at(last, hit[born], born.nonzero()[0])
+            now = steps[:, -1] != 0.0  # exact cancellations leave the list
+            entered = (now & (last >= 0)).nonzero()[0]
+            new = np.concatenate([was[now[was] & (last[was] < 0)], entered[last[entered].argsort()]])
+            cols = np.concatenate([cols[~into], keys[new] // dim])
+            rows = np.concatenate([rows[~into], keys[new] % dim])
+            values = np.concatenate([values[~into], steps[new, -1]])
+            order = cols.argsort(kind="stable")
+            cols, rows, values = cols[order], rows[order], values[order]
+        zero = np.flatnonzero(open_rows & row_kept & (degree == 0)).tolist()
+        return cls(matrix, target, rounds, zero, (cols, rows, values), merges)
 
     @cached_property
     def _pivots(self):
@@ -354,13 +290,14 @@ class Peel:
         spans."""
         rows = np.concatenate([r for r, _ in self.rounds])
         cols = np.concatenate([c for _, c in self.rounds])
-        at, values, lengths = self._entries(cols.tolist())
-        owner = np.repeat(np.arange(cols.size), lengths)  # entry -> its pivot, in order
+        by_col, at, values = self.nonzeros
+        pick, owner = _column_runs(by_col, cols)  # owner: entry -> its pivot, in order
+        at, values = at[pick], values[pick]
+        starts = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=cols.size))])  # pivot -> its first entry
         pivot = values[at == rows[owner]]
-        starts = np.cumsum([0] + lengths).tolist()  # pivot -> its first entry
         ends = np.cumsum([0] + [len(c) for _, c in self.rounds]).tolist()
-        spans = [(a, b, starts[a], starts[b]) for a, b in zip(ends, ends[1:])]
-        return rows, cols, at, values, owner, pivot, np.array(starts), spans
+        spans = [(a, b, int(starts[a]), int(starts[b])) for a, b in zip(ends, ends[1:])]
+        return rows, cols, at, values, owner, pivot, starts, spans
 
     def stands(self, dec: SvdResult, resid: float, tol: float) -> bool:
         """Whether one SVD of ``matrix`` would decide as the block did, with
@@ -497,15 +434,16 @@ class LowLevelProgram:
 
     @classmethod
     def from_store(cls, num_vars: int, target, store: np.ndarray, num_free: int, var, val,
-                   tol: float = DEFAULT_TOL, pattern=None) -> "LowLevelProgram":
+                   tol: float = DEFAULT_TOL, nonzeros=None) -> "LowLevelProgram":
         """A program on a built ``dim x N`` store whose first ``num_free``
         columns are the free vectors; ``var``/``val`` label the rest.  The
-        arrays are adopted, not copied, and made read-only.  ``pattern``, when
-        given, is ``column_rows(store)`` as its builder recorded it."""
+        arrays are adopted, not copied, and made read-only.  ``nonzeros``,
+        when given, is ``nonzero_entries(store)``, the (column, row, value)
+        entry list its builder wrote the store from."""
         prog = cls.__new__(cls)
         prog._adopt(store.shape[0], num_vars, target, store, num_free, var, val, tol)
-        if pattern is not None:
-            vars(prog)["_pattern"] = pattern
+        if nonzeros is not None:
+            vars(prog)["_nonzeros"] = nonzeros
         return prog
 
     def _adopt(self, dim, num_vars, target, columns, num_free, var, val, tol):
@@ -548,14 +486,10 @@ class LowLevelProgram:
         return tuple(self._columns[:, j] for j in range(self.num_free))
 
     @cached_property
-    def _pattern(self) -> list[list[int]]:
-        """``column_rows`` of the store, unless its builder handed it over."""
-        return column_rows(self._columns)
-
-    @cached_property
-    def _entries(self) -> list[dict[int, float]]:
-        """``column_entries`` of the store, read by every peel."""
-        return column_entries(self._columns, self._pattern)
+    def _nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``nonzero_entries`` of the store, read by every peel, unless its
+        builder handed them over."""
+        return nonzero_entries(self._columns)
 
     @cached_property
     def labeled(self) -> tuple[LabeledVector, ...]:
@@ -597,6 +531,13 @@ class LowLevelProgram:
     def witness(self, x, tol: float | None = None) -> WitnessReport:
         return self._solve(x, tol, side=None)
 
+    def _peel(self, avail: AvailableColumns) -> Peel:
+        """The peel of the available columns, on the store's entry list
+        gathered by ``avail.mask``."""
+        cols, rows, values = self._nonzeros
+        at = avail.mask[cols]
+        return Peel.of(avail.matrix, self.target, ((np.cumsum(avail.mask) - 1)[cols[at]], rows[at], values[at]))
+
     def _decide(self, x, tol: float) -> tuple[Peel, SvdResult, int]:
         """The peel of the available columns of ``x``, the SVD of its kept
         block and the decision.
@@ -614,11 +555,7 @@ class LowLevelProgram:
         ``Peel.lift`` needs.  The thin factors are already complete otherwise.
         """
         avail = self.available_vectors(x)
-        if avail.matrix.size < PEEL_MIN_CELLS:
-            peel = Peel(avail.matrix, self.target)
-        else:
-            entries = self._entries
-            peel = Peel.of(avail.matrix, self.target, [entries[j] for j in np.flatnonzero(avail.mask).tolist()])
+        peel = Peel(avail.matrix, self.target) if avail.matrix.size < PEEL_MIN_CELLS else self._peel(avail)
         while True:
             rows, cols = peel.block.shape
             dec, resid, decision = in_span(peel.block, peel.target, tol,

@@ -245,19 +245,11 @@ def _column_capped(a, cap):
     return a
 
 
-def test_criterion_04_cost_budgets(criterion_report):
+def criterion_04_fixtures():
+    """(source, compiled, matrix, accepting) for each of criterion 04's 200
+    fixtures, under its seed."""
     rng = np.random.default_rng(CALIBRATION_SEED + 4)
-    tol = 1e-8
     fixtures = 0
-    violations = []
-    worst_slack = math.inf
-
-    def check(opt, budget, tag):
-        nonlocal worst_slack
-        worst_slack = min(worst_slack, budget - opt)
-        if opt > budget + tol * (1.0 + budget):
-            violations.append(f"{tag}: optimum {opt} exceeds budget {budget}")
-
     while fixtures < 200:
         sparse_mode = fixtures >= 100
         accepting = fixtures % 2 == 0
@@ -289,6 +281,24 @@ def test_criterion_04_cost_budgets(criterion_report):
             if sparse_mode
             else compile_dense(prog, precision=k)
         )
+        yield prog, comp, a, accepting
+        fixtures += 1
+
+
+def test_criterion_04_cost_budgets(criterion_report):
+    tol = 1e-8
+    violations = []
+    worst_slack = math.inf
+
+    def check(opt, budget, tag):
+        nonlocal worst_slack
+        worst_slack = min(worst_slack, budget - opt)
+        if opt > budget + tol * (1.0 + budget):
+            violations.append(f"{tag}: optimum {opt} exceeds budget {budget}")
+
+    for prog, comp, a, accepting in criterion_04_fixtures():
+        (n, m), k, k_nnz = a.shape, comp.layout.precision, comp.layout.k_nnz
+        sparse_mode = k_nnz is not None
         bits = comp.encode(a)
         if accepting:
             w = prog.positive_witness(a).witness
@@ -322,7 +332,6 @@ def test_criterion_04_cost_budgets(criterion_report):
                 budget = 2.0 * m * neg.size
                 tag = f"dense negative n={n} m={m} k={k}"
         check(opt, budget, tag)
-        fixtures += 1
     ok = not violations
     detail = f"200 fixtures, smallest budget slack {worst_slack:.3g}"
     if violations:

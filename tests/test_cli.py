@@ -385,8 +385,10 @@ def test_ratio_experiment(capsys):
     [(["wishart-experiment", "--n", "3", "--m", "8", "--trials", "0"], "--trials"),
      (["wishart-experiment", "--kind", "block", "--n", "10", "--trials", "0"], "--trials"),
      (["wishart-experiment", "--kind", "lambda-min", "--n", "0", "--trials", "10"], "--n"),
-     (["ratio-experiment", "--n", "1", "--trials", "10"], "--n")],
-    ids=["trace-trials", "block-trials", "lambda-min-n", "ratio-n"],
+     (["ratio-experiment", "--n", "1", "--trials", "10"], "--n"),
+     (["ratio-experiment", "--n", "50", "--trials", "10"], "--n"),
+     (["ratio-experiment", "--n", "50,50", "--trials", "10"], "--n")],
+    ids=["trace-trials", "block-trials", "lambda-min-n", "ratio-n", "ratio-one-size", "ratio-repeated-size"],
 )
 def test_experiment_sizes_out_of_range_exit_1(capsys, argv, flag):
     code, out, err = _run(capsys, argv + ["--seed", "1"])

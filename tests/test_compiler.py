@@ -19,7 +19,7 @@ from spanforge.encoding import grid_values, index_bit_width
 from spanforge.errors import SparseFormatError
 from spanforge.highlevel import HighLevelProgram
 from spanforge.linalg import min_norm_solve
-from spanforge.lowlevel import LowLevelProgram, column_rows
+from spanforge.lowlevel import LowLevelProgram, nonzero_entries
 
 RNG = np.random.default_rng(909)
 
@@ -601,8 +601,9 @@ def test_builder_hands_over_the_nonzero_pattern(mode):
         else:
             comp = compile_sparse(prog, k_nnz=min(2, n), precision=k, l_nnz=min(3, m) if mode == "sparse" else None)
         for p in (comp.program, CompiledProgram.from_json(comp.to_json()).program):
-            assert "_pattern" in vars(p)
-            assert p._pattern == column_rows(p.all_vectors())
+            assert "_nonzeros" in vars(p)
+            for handed, derived in zip(p._nonzeros, nonzero_entries(p.all_vectors())):
+                assert handed.tobytes() == derived.tobytes()
 
 
 def _two_vector_program(free_entry, var):

@@ -10,7 +10,7 @@ from spanforge.lowlevel import (
     LabeledVector,
     LowLevelProgram,
     Peel,
-    column_rows,
+    nonzero_entries,
     normalize_bits,
     wsize_over_domain,
 )
@@ -162,7 +162,9 @@ def _rounds(peel):
 def test_peel_drops_dead_ends_round_by_round():
     prog = _chain_program()
     avail = prog.available_vectors("1").matrix
-    assert column_rows(avail) == [[0, 1], [1, 2], [0], [3]]
+    cols, rows, values = nonzero_entries(avail)
+    assert list(zip(cols.tolist(), rows.tolist())) == [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (3, 3)]
+    assert values.tolist() == [1.0, 1.0, 1.0, 2.0, 1.0, 1.0]
     peel = Peel.of(avail, prog.target)
     # round 1: rows 2 and 3 see only columns 1 and 3; then row 1 sees only column 0
     assert _rounds(peel) == [([2, 3], [1, 3]), ([1], [0])]
@@ -223,7 +225,8 @@ def test_peel_merges_doubleton_rows_round_by_round():
     assert [(js.tolist(), ks.tolist(), ms.tolist()) for js, ks, ms in peel.merges] == [
         ([0], [1], [0.5]), ([0], [2], [-0.5])]
     assert all(np.abs(ms).max() <= 1.0 for _, _, ms in peel.merges)
-    assert peel.columns[0] == {2: 1.0, 3: 0.5}
+    cols, rows, values = peel.nonzeros
+    assert rows[cols == 0].tolist() == [2, 3] and values[cols == 0].tolist() == [1.0, 0.5]
     assert peel.block.tolist() == [[1.0, 1.0, 1.0], [0.5, 1.0, -1.0]]
     dec, resid, decision = in_span(peel.block, peel.target, prog.tol, full_matrices=True)
     assert decision == 1 and peel.stands(dec, float(np.linalg.norm(resid)), prog.tol)

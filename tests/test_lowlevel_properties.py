@@ -20,6 +20,7 @@ from spanforge.highlevel import HighLevelProgram
 from spanforge.linalg import DEFAULT_TOL, in_span, min_norm_solve, min_quadratic_on_hyperplane
 from spanforge.lowlevel import PEEL_MIN_CELLS, LowLevelProgram, Peel, normalize_bits
 from test_lowlevel import _oracle_negative_size
+from test_peel_reference import assert_matches_reference, assert_program_peel_matches
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -216,6 +217,7 @@ def test_peeled_witnesses_match_the_unpeeled_solver(query):
     prog, inputs = query
     for bits in inputs:
         avail = prog.available_vectors(bits).matrix
+        assert_program_peel_matches(prog, bits)
         rep = prog.witness(bits)
         decision, size, positive = _unpeeled(prog, bits)
         assert rep.decision == decision == prog.evaluate(bits)
@@ -295,8 +297,9 @@ def test_peel_keeps_the_decision_near_the_tolerance(query):
         decision = in_span(avail, prog.target, prog.tol)[2]
         assert prog.evaluate(bits) == prog.witness(bits).decision == decision
         # the peel itself, also where the available matrix is too small for
-        # evaluate to peel
+        # evaluate to peel; it matches the per-pivot reference
         peel = Peel.of(avail, prog.target)
+        assert_matches_reference(peel, avail, prog.target)
         rows, cols = peel.block.shape
         dec, resid, block_decision = in_span(peel.block, peel.target, prog.tol, full_matrices=cols < rows)
         if peel.stands(dec, float(np.linalg.norm(resid)), prog.tol):
