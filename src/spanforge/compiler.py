@@ -40,7 +40,7 @@ from .encoding import check_precision, grid_levels, index_bit_width
 from .errors import SparseFormatError
 from .highlevel import HighLevelProgram, read_source, source_json, wsize_over_inputs
 from .linalg import input_matrix, int_field
-from .lowlevel import DomainWitnessSizes, LowLevelProgram, normalize_bits, wsize_over_domain
+from .lowlevel import DomainWitnessSizes, LowLevelProgram, bit_array, wsize_over_domain
 
 MODES = ("dense", "sparse_cols", "sparse")
 
@@ -402,7 +402,7 @@ class CompiledProgram:
 
     def decode(self, bits) -> np.ndarray:
         """Matrix a compiled input stands for (see ``_matrix``)."""
-        return self._matrix(*self._read(np.array(normalize_bits(bits, self.layout.num_vars), dtype=np.intp)))
+        return self._matrix(*self._read(bit_array(bits, self.layout.num_vars)))
 
     def quantize(self, source) -> np.ndarray:
         return self._matrix(*self._query(source))
@@ -480,7 +480,9 @@ class CompiledProgram:
             if routes is not None:
                 routes.spread(wt, sel)
         wt[tab.working] = bits[tab.digits] * tab.half * wt[tab.pivots][..., None]
-        size = float(np.sum((self.program.all_vectors().T @ wt) ** 2))
+        nonzero = np.flatnonzero(wt)
+        product = self.program.store_product(nonzero, np.zeros_like(nonzero), wt[nonzero], 1)[:, 0]
+        size = float(product @ product)
         return LiftedWitness(bits=tuple(bits.tolist()), coefficients=None, vector=wt, size=size)
 
     # -- serialization --------------------------------------------------

@@ -205,12 +205,15 @@ def min_norm_solve(m, b, tol: float = DEFAULT_TOL, dec: SvdResult | None = None)
     return w
 
 
-def min_quadratic_on_hyperplane(b, c, tol: float = DEFAULT_TOL) -> tuple[float, np.ndarray]:
+def min_quadratic_on_hyperplane(b, c, tol: float = DEFAULT_TOL,
+                                dec: SvdResult | None = None) -> tuple[float, np.ndarray]:
     """Minimize ``|B y|^2`` subject to ``<c, y> = 1``.
 
     Closed form via G = B^T B: a null vector z of G with <c, z> != 0 gives
     value 0 at y = z / <c, z>; otherwise c lies in the row space of B and the
-    optimum is 1 / <c, G^+ c> at y = G^+ c / <c, G^+ c>.
+    optimum is 1 / <c, G^+ c> at y = G^+ c / <c, G^+ c>.  ``dec`` is a thin
+    SVD of ``b`` already computed with the same ``tol``; without it ``b`` is
+    factored here.
 
     Returns (value, y).  Raises ZeroConstraint when c is numerically zero.
     """
@@ -224,7 +227,8 @@ def min_quadratic_on_hyperplane(b, c, tol: float = DEFAULT_TOL) -> tuple[float, 
     # One thin SVD of B: its leading right singular vectors V_r span the row
     # space, so c - V_r^T (V_r c) is the null-space component of c for every
     # shape of B.
-    dec = svd(mat, tol)
+    if dec is None:
+        dec = svd(mat, tol)
     vr = dec.vt[: dec.rank]
     proj = vr @ con
     z = con - vr.T @ proj

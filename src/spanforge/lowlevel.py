@@ -26,6 +26,7 @@ from .linalg import (
     int_field,
     min_norm_solve,
     min_quadratic_on_hyperplane,
+    svd,
     tol_field,
 )
 
@@ -66,30 +67,59 @@ def nonzero_entries(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return cols, rows, matrix[rows, cols]
 
 
-def _column_runs(cols: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where the entries of the columns ``which`` are in ``cols``, sorted
-    column indices of an entry list: one column after another, with the
-    index in ``which`` each entry belongs to."""
-    lo, hi = np.searchsorted(cols, which), np.searchsorted(cols, which, side="right")
-    owner = np.repeat(np.arange(which.size), hi - lo)
+def _runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions ``lo[i], ..., hi[i] - 1``, one run after another, with
+    the run i each belongs to."""
+    owner = np.repeat(np.arange(lo.size), hi - lo)
     start = np.cumsum(hi - lo) - (hi - lo)  # where each run begins in the result
     return np.arange(owner.size) - start[owner] + lo[owner], owner
 
 
-def normalize_bits(x, num_vars: int) -> tuple[int, ...]:
+def _column_runs(cols: np.ndarray, which: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the entries of the columns ``which`` are in ``cols``, sorted
+    column indices (below ``size``) of an entry list: one column after
+    another, with the index in ``which`` each entry belongs to."""
+    count = np.bincount(cols, minlength=size)
+    lo = (np.cumsum(count) - count)[which]
+    return _runs(lo, lo + count[which])
+
+
+def bit_array(x, num_vars: int) -> np.ndarray:
     """Accept '101', b'101', or a sequence of values equal to 0 or 1; a string
-    holds only the characters 0 and 1.  Errors name the length, or the
-    position (1-based) of the first bad bit."""
+    holds only the characters 0 and 1.  The bits as an integer array.  Errors
+    name the length, or the position (1-based) of the first bad bit.
+
+    A string, or a flat sequence numpy reads as booleans, integers or floats,
+    is checked in one numpy step; anything else (objects, complex numbers,
+    nested or mixed sequences) one bit at a time, by ``b in (0, 1)``."""
     if isinstance(x, (bytes, bytearray)):
         x = x.decode("ascii")
-    bits = tuple(x)
+    bits = x if isinstance(x, np.ndarray) and x.ndim == 1 else tuple(x)
     if len(bits) != num_vars:
         raise ValueError(f"input has {len(bits)} bits but the program has {num_vars} variables")
+    if isinstance(x, str):
+        if set(bits) <= {"0", "1"}:
+            return np.frombuffer(x.encode("ascii"), dtype=np.uint8).astype(np.intp) - ord("0")
+    else:
+        try:
+            values = np.asarray(bits)
+        except (TypeError, ValueError, OverflowError):  # ragged, or not numbers
+            values = np.empty(0, dtype=object)
+        if values.ndim == 1 and values.dtype.kind in "biuf":
+            ok = (values == 0) | (values == 1)
+            if ok.all():
+                return values.astype(np.intp)
+            bits = bits[: int(np.argmin(ok)) + 1]  # the loop below names the first bad bit
     allowed = ("0", "1") if isinstance(x, str) else (0, 1)
     for i, b in enumerate(bits):
         if b not in allowed:
             raise ValueError(f"input bit {i + 1} must be 0 or 1, got {b!r}")
-    return tuple(map(int, bits))
+    return np.array([int(b) for b in bits], dtype=np.intp)
+
+
+def normalize_bits(x, num_vars: int) -> tuple[int, ...]:
+    """``bit_array`` as a tuple of ints."""
+    return tuple(bit_array(x, num_vars).tolist())
 
 
 @dataclass(frozen=True)
@@ -129,6 +159,15 @@ class WitnessReport:
 # 51 x 47, 25% slower at 52 x 53 and 10% slower at 64 x 67 to 76 x 68,
 # breaks even near 80 x 84 and is 40-80% faster from 105 x 94 on).
 PEEL_MIN_CELLS = 4096
+
+# A rejected input's swept basis goes to its ``Reduced`` problem only when
+# the QR path's product of the store with it, dim x width x store columns
+# multiply-adds, reaches this (``LowLevelProgram._reduces``): below it that
+# product costs less than the reduction's fixed numpy steps (on compiled
+# programs, with one BLAS thread, the reduction takes 2.2-2.8x as long at
+# 1e4 to 3e5, 1.0-1.5x at 6e5 to 2.7e6, 0.8-0.9x at 5e6 to 6e6 and 0.45x at
+# 1.7e7).
+REDUCE_MIN_WORK = 1 << 22
 
 
 class Peel:
@@ -251,7 +290,7 @@ class Peel:
             merges.append((j, k, m))
             row_kept[r], col_kept[k] = False, False
             # a_j <- a_j - m a_k, merge by merge in row order, except on row r
-            src, owner = _column_runs(cols, k)
+            src, owner = _column_runs(cols, k, count)
             keep = rows[src] != r[owner]
             src, owner = src[keep], owner[keep]
             into = np.isin(cols, j)
@@ -291,7 +330,7 @@ class Peel:
         rows = np.concatenate([r for r, _ in self.rounds])
         cols = np.concatenate([c for _, c in self.rounds])
         by_col, at, values = self.nonzeros
-        pick, owner = _column_runs(by_col, cols)  # owner: entry -> its pivot, in order
+        pick, owner = _column_runs(by_col, cols, self.cols.size)  # owner: entry -> its pivot, in order
         at, values = at[pick], values[pick]
         starts = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=cols.size))])  # pivot -> its first entry
         pivot = values[at == rows[owner]]
@@ -370,25 +409,45 @@ class Peel:
             return resid + shift <= bound
         return resid / np.hypot(1.0, xi * kappa) - shift > bound
 
-    def extend(self, basis: np.ndarray) -> np.ndarray:
-        """An orthonormal basis of the complement of the span of ``matrix``,
-        from ``basis``, one of the complement of the kept block's span on the
-        kept rows.  The zero rows add their unit vectors.  Sweeping the
-        rounds from last to first, each pivot column's orthogonality fixes
-        the basis at its pivot row, one division per pivot over the column's
-        nonzeros; a thin QR makes the result orthonormal again."""
-        if self.block is self.matrix:
-            return basis
-        full = np.zeros((self.matrix.shape[0], basis.shape[1] + len(self.zero)))
-        full[self.rows, : basis.shape[1]] = basis
-        full[self.zero, basis.shape[1] :] = np.eye(len(self.zero))
-        if not self.rounds:
-            return full
-        rows, _, at, values, _, pivot, starts, spans = self._pivots
-        for a, b, e, f in reversed(spans):
-            sums = np.add.reduceat(values[e:f, None] * full[at[e:f]], starts[a:b] - e)
-            full[rows[a:b]] = -sums / pivot[a:b, None]
-        return np.linalg.qr(full)[0]
+    def extend(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A basis N of the complement of the span of ``matrix``, as its
+        (row, column, value) entries sorted by row, then column, from
+        ``basis``, an orthonormal basis of the complement of the kept block's
+        span on the kept rows; N has ``basis``'s columns, then one per zero
+        row, whose unit vector it adds.  Where nothing peeled, N is ``basis``
+        itself.  Sweeping the rounds from last to first, each pivot column's
+        orthogonality fixes N at its pivot row: each entry of the column
+        meets the entries of N on its row, and their products, summed per
+        pivot and column of N in the column's order, divided by the pivot,
+        are N's entries on the pivot row.  N is not orthonormal; it has full
+        column rank, since its columns, restricted to the kept and zero rows,
+        are orthonormal."""
+        kept, cols = np.nonzero(basis)
+        width, zero = basis.shape[1] + len(self.zero), np.asarray(self.zero, dtype=np.intp)
+        rows = np.concatenate([np.flatnonzero(self.rows)[kept], zero])
+        values = np.concatenate([basis[kept, cols], np.ones(zero.size)])
+        cols = np.concatenate([cols, np.arange(basis.shape[1], width)])
+        if self.rounds:
+            # every row gets its entries at once, so they stay contiguous: row
+            # r's are start[r], ..., start[r] + count[r] - 1
+            count = np.bincount(rows, minlength=self.matrix.shape[0])
+            start, first = np.zeros_like(count), np.flatnonzero(np.diff(rows, prepend=-1))
+            start[rows[first]] = first
+            pivot_rows, _, at, col_values, owner, pivot, _, spans = self._pivots
+            for a, b, e, f in reversed(spans):
+                lo = start[at[e:f]]
+                met, entry = _runs(lo, lo + count[at[e:f]])
+                entry += e  # the entries of N on the row of each entry of the round's pivot columns
+                keys, slot = np.unique((owner[entry] - a) * width + cols[met], return_inverse=True)
+                sums = np.bincount(slot, col_values[entry] * values[met], keys.size)
+                pivots, filled = a + keys // width, pivot_rows[a:b]
+                count[filled] = np.bincount(pivots - a, minlength=b - a)
+                start[filled] = rows.size + np.cumsum(count[filled]) - count[filled]
+                rows = np.concatenate([rows, pivot_rows[pivots]])
+                cols = np.concatenate([cols, keys % width])
+                values = np.concatenate([values, -sums / pivot[pivots]])
+        order = np.lexsort((cols, rows))
+        return rows[order], cols[order], values[order]
 
     def lift(self, w: np.ndarray, null: np.ndarray) -> np.ndarray:
         """The minimum-norm solution of ``matrix @ x = whole`` on the rank
@@ -413,6 +472,165 @@ class Peel:
             q = np.linalg.qr(both[live, 1:])[0]
             x[live] -= q @ (q.T @ x[live])
         return x
+
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _gamma(k) -> float:
+    """Higham's ``gamma_k = k u / (1 - k u)``, u the unit roundoff: the
+    relative error bound of a sum or product of k terms."""
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _norm_bound(col_sums: np.ndarray, row_sums: np.ndarray) -> float:
+    """``sqrt(|.|_1 |.|_inf)``, a bound on the 2-norm of a nonnegative matrix,
+    from its column and row sums."""
+    return float(np.sqrt(col_sums.max(initial=0.0)) * np.sqrt(row_sums.max(initial=0.0)))
+
+
+class Reduced:
+    """The negative witness problem on a basis N of the complement, reduced
+    to q x q through two Choleskys.
+
+    For any basis N of the space negative witnesses live in, the witness is
+    ``N y`` and its size ``|S^T N y|^2`` (S the store, every column), the
+    least subject to ``<N^T t, y> = 1`` (t the target).  With ``N^T N =
+    R_N^T R_N`` and ``B^T B = R_B^T R_B`` for ``B = S^T N``, the basis ``Q =
+    N R_N^-1`` is orthonormal and ``|S^T Q y| = |R_B R_N^-1 y|``: the
+    problem on Q is that of ``matrix = R_B R_N^-1`` (upper triangular) and
+    ``c = R_N^-T N^T t``, and the witness is ``N R_N^-1 y``.  N stays an
+    entry list, and B is ``LowLevelProgram.store_product``, dense as the QR
+    path's product is; ``N^T N`` and ``B^T B`` sum the products of the
+    nonzeros on each row of N and of B, in order.  ``x`` is the computed
+    ``R_N^-1``.  Where a factor overflows (a store near the float
+    maximum, or tiny pivots in N), ``of`` gives None, as it does when a
+    Cholesky fails.
+    """
+
+    def __init__(self, program: "LowLevelProgram", basis, width: int):
+        rows, cols, values = self.basis = basis
+        self.program, self.width = program, width
+        met, entry = _column_runs(rows, rows, program.dim)
+        gram_n = np.bincount(cols[entry] * width + cols[met], values[entry] * values[met], width * width)
+        self.product = program.store_product(rows, cols, values, width)  # B
+        at, self.b_cols = np.nonzero(self.product)
+        met, entry = _column_runs(at, at, self.product.shape[0])
+        terms = self.product[at, self.b_cols]
+        gram_b = np.bincount(self.b_cols[entry] * width + self.b_cols[met], terms[entry] * terms[met], width * width)
+        self.l_n = np.linalg.cholesky(gram_n.reshape(width, width))  # R_N^T
+        self.l_b = np.linalg.cholesky(gram_b.reshape(width, width))
+        self.x = np.linalg.inv(self.l_n.T)  # no pivoting on a triangular matrix: back substitution
+        self.matrix = self.l_b.T @ self.x
+        self.plain_c = np.bincount(cols, values * program.target[rows], width)  # N^T t
+        self.c = self.plain_c @ self.x
+
+    @classmethod
+    def of(cls, program: "LowLevelProgram", basis, width: int) -> "Reduced | None":
+        """The reduction on ``basis``, N's (row, column, value) entries sorted
+        by row (``Peel.extend``), or None where it has no finite factors."""
+        with np.errstate(all="ignore"):
+            try:
+                red = cls(program, basis, width)
+            except np.linalg.LinAlgError:
+                return None
+        return red if np.isfinite(red.matrix).all() and np.isfinite(red.c).all() else None
+
+    def witness(self, y: np.ndarray) -> np.ndarray:
+        """``N R_N^-1 y``."""
+        rows, cols, values = self.basis
+        return np.bincount(rows, values * (self.x @ y)[cols], self.program.dim)
+
+    def stands(self, dec: SvdResult, tol: float) -> bool:
+        """Whether the problem of ``matrix`` and ``c`` decides the rank as
+        the QR path does, a Householder QR of N, its product with S and the
+        SVD of that, and gives the size within 1e-10 relative, with ``dec``
+        the SVD of ``matrix``.  A bound to first order in the unit roundoff u.
+
+        Write ``g(k) = k u / (1 - k u)`` and, for a nonnegative matrix, ``n(.)
+        = sqrt(|.|_1 |.|_inf)``, at least its 2-norm; |.| is entrywise, X the
+        computed ``R_N^-1``.  A sum of k products is within ``g(k)`` of the
+        sum of their absolute values (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, 2nd ed., 2002, ch. 3); a Cholesky factor within
+        ``g(q + 1) |R^T| |R|`` (thm. 10.3); back substitution leaves ``|R_N X
+        - I| <= g(q) |R_N| |X|`` (thm. 8.5); an SVD moves singular values by
+        ``g(4q)`` times the largest.  With m_N, m_B and m_S the most
+        nonzeros in a column of N, B and S:
+
+        - ``Q = N X`` has ``|Q^T Q - I| <= phi = g(m_N + 3q + 1) (eta^2 +
+          nu^2)``, with ``eta = n(|N| |X|)`` and ``nu = n(|R_N| |X|)``: the
+          rounding of ``N^T N``, of its Cholesky and of X (``nu >= 1``).  This
+          is the cond(N)^2 u of the reduction.
+        - ``matrix^T matrix`` with the SVD's backward error is ``(B X)^T (B
+          X)`` within ``psi = g(m_B + q + 1) (beta^2 + lambda^2) + 2 mu_1
+          (g(m_S) omega + g(q) lambda) + 3 g(4q) mu_1^2``, with ``beta = n(|B|
+          |X|)``, ``lambda = n(|R_B| |X|)``, ``omega = n(|S|^T |N| |X|)`` and
+          ``mu_1 >= ... >= mu_q`` the singular values in ``dec``: the
+          rounding of B, of ``B^T B``, of its Cholesky and of ``matrix``.
+
+        So (Weyl's and Ostrowski's theorems) the singular values ``s_i`` of
+        ``S^T Q_0``, for any orthonormal basis Q_0 of span(N), lie between
+        ``lo = sqrt((mu_q^2 - psi) / (1 + phi))`` and ``hi = sqrt((mu_1^2 +
+        psi) / (1 - phi))``.  The QR path factors ``S^T Q_0`` within ``delta
+        = sqrt(q) g(d q) n(|S|) (2 + |N|_F n(|X|)) + g(4q) hi`` for d rows
+        (thm. 19.4: its Q is within ``sqrt(q) g(dq)`` of an orthonormal basis
+        of ``span(N + E)``, ``|E| <= sqrt(q) g(dq) |N|_F``).  It stands when:
+
+        - ``tol > g(6q)``: at full rank the null-space test of
+          ``min_quadratic_on_hyperplane`` measures rounding against ``tol
+          |c|``, and fails on both paths;
+        - ``lo - delta > tol (hi + delta)``: every s_i clears the cutoff on
+          both paths, so both keep rank q (``dec`` too);
+        - both optima ``1 / <c, G^-1 c>`` stay within 1e-10 relative of the
+          exact one: this path's moves by ``psi / (mu_q^2 - psi)`` from the
+          perturbation of G and ``2 (hi / lo) |dc| / |c|`` from that of c,
+          ``|dc| <= g(m_N) |(|t|^T |N| |X|)| + g(q) |(|N^T t|^T |X|)|``; the
+          QR path's, backward stable, by about ``2 (hi / lo) u kappa (|t| /
+          |c| + n(|S|) / lo)``, its data moved by u relative and its span by
+          ``kappa = n(|R_N|) n(|X|) >= cond(N)`` times that (this term is a
+          model, without the dimension factors of thm. 19.4, which would
+          refuse every compiled program).
+        """
+        rows, cols, values = self.basis
+        q, dim, count = self.width, self.program.dim, self.program.all_vectors().shape[1]
+        sigma = dec.sigma
+        if not tol > _gamma(6 * q) or sigma.size < q:
+            return False
+        s_cols, s_rows, s_values = self.program._nonzeros
+        with np.errstate(all="ignore"):
+            s_abs, n_abs, b_abs, ax = np.abs(s_values), np.abs(values), np.abs(self.product), np.abs(self.x)
+            ax_rows = ax.sum(axis=1)  # |X| 1
+            n_ax = np.bincount(rows, n_abs * ax_rows[cols], dim)  # |N| |X| 1
+            s_rows_sum = np.bincount(s_rows, s_abs, dim)  # |S| 1
+            eta = _norm_bound(np.bincount(cols, n_abs, q) @ ax, n_ax)
+            omega = _norm_bound(np.bincount(cols, n_abs * s_rows_sum[rows], q) @ ax,
+                                np.bincount(s_cols, s_abs * n_ax[s_rows], count))
+            beta = _norm_bound(b_abs.sum(axis=0) @ ax, b_abs @ ax_rows)
+            nu, lam = (_norm_bound(np.abs(low).sum(axis=1) @ ax, np.abs(low).T @ ax_rows)  # R = L^T
+                       for low in (self.l_n, self.l_b))
+            m_n, m_b = np.bincount(cols, minlength=q).max(), np.bincount(self.b_cols, minlength=q).max()
+            m_s = np.bincount(s_cols).max(initial=0)
+            mu_1, mu_q = sigma[0], sigma[q - 1]
+            phi = _gamma(m_n + 3 * q + 1) * (eta**2 + nu**2)
+            psi = (_gamma(m_b + q + 1) * (beta**2 + lam**2) + 2 * mu_1 * (_gamma(m_s) * omega + _gamma(q) * lam)
+                   + 3 * _gamma(4 * q) * mu_1**2)
+            floor = mu_q**2 - psi
+            if not (phi < 1.0 and floor > 0.0):
+                return False
+            lo, hi = np.sqrt(floor / (1.0 + phi)), np.sqrt((mu_1**2 + psi) / (1.0 - phi))
+            x_norm = _norm_bound(ax.sum(axis=0), ax_rows)
+            sigma_s = _norm_bound(np.bincount(s_cols, s_abs, count), s_rows_sum)
+            delta = (np.sqrt(q) * _gamma(dim * q) * sigma_s * (2.0 + np.sqrt(values @ values) * x_norm)
+                     + _gamma(4 * q) * hi)
+            if not lo - delta > tol * (hi + delta):
+                return False
+            t_abs, c_norm = np.abs(self.program.target), np.linalg.norm(self.c)
+            dc = (_gamma(m_n) * np.linalg.norm(np.bincount(cols, n_abs * t_abs[rows], q) @ ax)
+                  + _gamma(q) * np.linalg.norm(np.abs(self.plain_c) @ ax))
+            kappa = _norm_bound(np.abs(self.l_n).sum(axis=0), np.abs(self.l_n).sum(axis=1)) * x_norm
+            qr_moved = _UNIT_ROUNDOFF * kappa * (np.linalg.norm(self.program.target) / c_norm + sigma_s / lo)
+            error = psi / floor + 2.0 * hi / lo * (dc / c_norm + qr_moved)
+            return bool(error <= 1e-10)
 
 
 class LowLevelProgram:
@@ -502,7 +720,7 @@ class LowLevelProgram:
     def available_mask(self, x) -> np.ndarray:
         """Which columns of the store are available on input ``x``: the free
         vectors, and the labeled ones whose variable takes their value."""
-        bits = np.array(normalize_bits(x, self.num_vars), dtype=np.intp)
+        bits = bit_array(x, self.num_vars)
         mask = np.ones(self._columns.shape[1], dtype=bool)
         mask[self.num_free :] = bits[self.var - 1] == self.val
         return mask
@@ -516,8 +734,20 @@ class LowLevelProgram:
     def all_vectors(self) -> np.ndarray:
         """All input vectors (free then labeled) as columns of the read-only
         store; negative sizes are squared norms of this matrix transposed
-        times the witness."""
+        times the witness (``store_product``)."""
         return self._columns
+
+    def store_product(self, rows, cols, values, width: int) -> np.ndarray:
+        """``S^T N``, dense, for the store S and the ``dim x width`` matrix N
+        with the (row, column, value) entries given, sorted by row: each
+        store entry meets the entries of N on its row, and one ``bincount``
+        sums their products, each entry of the result in the order of the
+        store's entries."""
+        s_cols, s_rows, s_values = self._nonzeros
+        met, entry = _column_runs(rows, s_rows, self.dim)
+        count = self._columns.shape[1]
+        return np.bincount(s_cols[entry] * width + cols[met], s_values[entry] * values[met],
+                           count * width).reshape(count, width)
 
     def evaluate(self, x, tol: float | None = None) -> int:
         return self._decide(x, self.tol if tol is None else tol)[2]
@@ -549,8 +779,9 @@ class LowLevelProgram:
         they are when they have fewer than ``PEEL_MIN_CELLS`` entries.
         Complete left singular vectors are computed when the block has fewer
         columns than rows, so ``u[:, rank:]`` is an orthonormal basis of the
-        complement of the block's span, which ``Peel.extend`` turns into the
-        space negative witnesses live in; complete right ones when doubletons
+        complement of the block's span, which ``Peel.extend`` sweeps into a
+        basis, not orthonormal, of the space negative witnesses live in
+        (``_negative``); complete right ones when doubletons
         merged, so ``vt[rank:]`` spans the block's null space, which
         ``Peel.lift`` needs.  The thin factors are already complete otherwise.
         """
@@ -576,13 +807,49 @@ class LowLevelProgram:
         if decision:
             w = peel.lift(min_norm_solve(peel.block, peel.target, tol, dec), dec.vt[dec.rank :].T)
             return WitnessReport(decision=1, size=float(w @ w), witness=w)
-        # Restrict to the orthogonal complement of the available span, then
-        # minimize the quadratic over the hyperplane <w', t> = 1.
-        nbasis = peel.extend(dec.u[:, dec.rank :])
-        c = nbasis.T @ self.target
-        b = self._columns.T @ nbasis
-        size, y = min_quadratic_on_hyperplane(b, c, tol)
+        return self._negative(peel, dec, tol)
+
+    def _negative(self, peel: Peel, dec: SvdResult, tol: float) -> WitnessReport:
+        """The negative witness of a rejected input, from its peel and the SVD
+        of the kept block: ``w'`` in the complement of the available span
+        with ``<w', t> = 1`` and the least ``|S^T w'|^2``.  Where the peel took
+        rounds, on the ``Reduced`` problem of the swept basis, where it pays
+        (``_reduces``) and stands; otherwise on an orthonormal basis of the
+        complement, a thin QR of the swept basis where there is one,
+        multiplied by the store."""
+        nbasis = dec.u[:, dec.rank :]
+        if peel.block is not peel.matrix:
+            rows, cols, values = basis = peel.extend(nbasis)
+            width = nbasis.shape[1] + len(peel.zero)
+            red = Reduced.of(self, basis, width) if peel.rounds and self._reduces(rows, width) else None
+            if red is not None:
+                reduced = svd(red.matrix, tol)
+                if red.stands(reduced, tol):
+                    size, y = min_quadratic_on_hyperplane(red.matrix, red.c, tol, reduced)
+                    return WitnessReport(decision=0, size=float(size), witness=red.witness(y))
+            nbasis = np.zeros((self.dim, width))
+            nbasis[rows, cols] = values
+            if peel.rounds:  # the zero rows alone keep it orthonormal
+                nbasis = np.linalg.qr(nbasis)[0]
+        size, y = min_quadratic_on_hyperplane(self._columns.T @ nbasis, nbasis.T @ self.target, tol)
         return WitnessReport(decision=0, size=float(size), witness=nbasis @ y)
+
+    def _reduces(self, rows: np.ndarray, width: int) -> bool:
+        """Whether a swept basis of ``width`` columns with entries on
+        ``rows`` goes to its ``Reduced`` problem: the QR path's product of
+        the store with it, dim x width x store columns multiply-adds,
+        reaches ``REDUCE_MIN_WORK``, and the reduction's joins (each store
+        entry with the entries of N on its row, and the pairs of entries on
+        one row of N and of B) hold no more products than that path's dense
+        arrays hold entries."""
+        count = self._columns.shape[1]
+        if self.dim * width * count < REDUCE_MIN_WORK:
+            return False
+        s_cols, s_rows, _ = self._nonzeros
+        per_row = np.bincount(rows, minlength=self.dim)
+        per_col = np.bincount(s_cols, per_row[s_rows], count)  # products per store column
+        per_b = np.minimum(per_col, width)  # at least the entries of its row of B
+        return per_col.sum() + per_row @ per_row + per_b @ per_b <= (self.dim + count) * width
 
     # -- serialization ---------------------------------------------------
 

@@ -246,8 +246,12 @@ def test_peel_extends_the_complement_over_pivot_rows():
     # block, and its unit vector joins the complement
     assert peel.zero == [3]
     assert peel.rows.tolist() == [True, False, False, False] and peel.block.shape == (1, 0)
-    basis = peel.extend(np.eye(1))
-    assert np.allclose(basis.T @ basis, np.eye(2), atol=1e-15)
+    rows, cols, values = peel.extend(np.eye(1))
+    basis = np.zeros((4, 2))
+    basis[rows, cols] = values
+    # the swept basis: orthonormal on the kept and zero rows, fixed on the
+    # pivot rows by the pivot columns' orthogonality
+    assert basis[[0, 3]].tolist() == [[1.0, 0.0], [0.0, 1.0]]
     assert np.allclose(avail.T @ basis, 0.0, atol=1e-15)
     # <w', t> = 1 and w' orthogonal to both free vectors fix w' = (1, -1, 1/2, s);
     # e_3 makes s = 0 optimal, and e_0 pays 1
@@ -260,7 +264,9 @@ def test_peel_keeps_a_matrix_without_dead_ends():
     m = RNG.standard_normal((3, 4))
     peel = Peel.of(m, np.array([1.0, 0.0, 0.0]))
     assert peel.rounds == () and peel.block is m
-    assert peel.extend(m) is m
+    rows, cols, values = peel.extend(m)
+    assert rows.tolist() == np.repeat(np.arange(3), 4).tolist() and cols.tolist() == [0, 1, 2, 3] * 3
+    assert values.tobytes() == m.tobytes()
 
 
 def _near_float_max_program() -> LowLevelProgram:

@@ -17,10 +17,11 @@ from spanforge.compiler import CompiledProgram, compile_dense, compile_sparse
 from spanforge.encoding import grid_values
 from spanforge.errors import NoNegativeWitness, NoPositiveWitness
 from spanforge.highlevel import HighLevelProgram
-from spanforge.linalg import DEFAULT_TOL, in_span, min_norm_solve, min_quadratic_on_hyperplane
-from spanforge.lowlevel import PEEL_MIN_CELLS, LowLevelProgram, Peel, normalize_bits
+from spanforge.linalg import DEFAULT_TOL, in_span, min_norm_solve, min_quadratic_on_hyperplane, svd
+from spanforge.lowlevel import PEEL_MIN_CELLS, LowLevelProgram, Peel, Reduced, normalize_bits
+from spanforge.programs import build_rank_program
 from test_lowlevel import _oracle_negative_size
-from test_peel_reference import assert_matches_reference, assert_program_peel_matches
+from test_peel_reference import _rank_queries, assert_matches_reference, assert_program_peel_matches
 
 PROPERTY_SETTINGS = settings(
     max_examples=60,
@@ -236,6 +237,162 @@ def test_peeled_witnesses_match_the_unpeeled_solver(query):
             assert np.linalg.norm(avail.T @ rep.witness) <= 1e-9
 
 
+# ---------------------------------------------------------------------------
+# the negative side against the QR path it replaced
+
+
+def reference_sweep(peel: Peel, basis: np.ndarray) -> np.ndarray:
+    """The swept complement basis, dense, as the QR path built it: one
+    ``reduceat`` over every column of N per round (numpy sums each pivot's
+    terms but its first pairwise, so it may differ from ``Peel.extend`` in
+    the last digits)."""
+    full = np.zeros((peel.matrix.shape[0], basis.shape[1] + len(peel.zero)))
+    full[peel.rows, : basis.shape[1]] = basis
+    full[peel.zero, basis.shape[1] :] = np.eye(len(peel.zero))
+    rows, _, at, values, _, pivot, starts, spans = peel._pivots
+    for a, b, e, f in reversed(spans):
+        sums = np.add.reduceat(values[e:f, None] * full[at[e:f]], starts[a:b] - e)
+        full[rows[a:b]] = -sums / pivot[a:b, None]
+    return full
+
+
+def _swept(peel: Peel, dec) -> np.ndarray:
+    """``Peel.extend`` of the block's complement basis, dense."""
+    rows, cols, values = peel.extend(dec.u[:, dec.rank :])
+    swept = np.zeros((peel.matrix.shape[0], dec.u.shape[1] - dec.rank + len(peel.zero)))
+    swept[rows, cols] = values
+    return swept
+
+
+def reference_negative(prog: LowLevelProgram, peel: Peel, dec, tol: float) -> tuple[float, np.ndarray, int]:
+    """The QR path's negative solve on a peel with rounds: the swept basis
+    made orthonormal by a thin QR, multiplied by the dense store, and the
+    quadratic on that product.  Its size, witness and the rank of the
+    product."""
+    nbasis = np.linalg.qr(_swept(peel, dec))[0]
+    product = prog.all_vectors().T @ nbasis
+    size, y = min_quadratic_on_hyperplane(product, nbasis.T @ prog.target, tol)
+    return size, nbasis @ y, svd(product, tol).rank
+
+
+def assert_negative_matches_reference(prog: LowLevelProgram, peel: Peel, dec, tol: float) -> bool:
+    """The negative witness of a rejected, peeled input is the QR path's,
+    within 1e-10 relative in size and 1e-9 in the witness, and bit for bit
+    where the reduction is not taken.  Returns whether it is taken: it
+    stands, and it pays."""
+    rep = prog._negative(peel, dec, tol)
+    size, w, _ = reference_negative(prog, peel, dec, tol)
+    width = dec.u.shape[1] - dec.rank + len(peel.zero)
+    basis = peel.extend(dec.u[:, dec.rank :])
+    red = Reduced.of(prog, basis, width)
+    reduced = None if red is None else svd(red.matrix, tol)
+    taken = red is not None and red.stands(reduced, tol) and prog._reduces(basis[0], width)
+    if taken:
+        got, y = min_quadratic_on_hyperplane(red.matrix, red.c, tol, reduced)
+        assert rep.size == got and rep.witness.tobytes() == red.witness(y).tobytes()
+    else:
+        assert rep.size == size and rep.witness.tobytes() == w.tobytes()
+    assert rep.size == pytest.approx(size, rel=1e-10)
+    assert np.linalg.norm(rep.witness - w) <= 1e-9 * np.linalg.norm(w)
+    return taken
+
+
+def test_rejected_compiled_sparse_rank_queries_take_the_reduction():
+    """Every rejected query of the compiled sparse n = 8 rank programs at
+    seeds 7 and 402 is solved on the reduction, as the QR path solves it.
+    At tol = 0 the reduction does not stand, and the QR path runs."""
+    rejected = 0
+    for seed in (7, 402):
+        rng = np.random.default_rng(seed)
+        comp = compile_sparse(build_rank_program(8, 8, 4, rng), k_nnz=3, l_nnz=3, precision=3)
+        prog = comp.program
+        for _ in range(4):
+            for a in _rank_queries(8, 3, 3, rng):
+                bits = comp.encode(a)
+                peel, dec, decision = prog._decide(bits, prog.tol)
+                if not decision:
+                    assert peel.rounds and assert_negative_matches_reference(prog, peel, dec, prog.tol)
+                    swept = reference_sweep(peel, dec.u[:, dec.rank :])
+                    assert np.allclose(_swept(peel, dec), swept, rtol=1e-13, atol=1e-15)
+                    rejected, last = rejected + 1, (peel, dec)
+        assert not assert_negative_matches_reference(prog, *last, 0.0)
+    assert rejected == 24
+
+
+@st.composite
+def ill_conditioned_queries(draw) -> tuple[LowLevelProgram, float]:
+    """A program, at a tolerance drawn from 1e-9, 1e-4 and 0.3, whose
+    available columns (its free vectors, on input 0) peel into a Gaussian
+    kept block and chains of dead ends with small pivots: each pivot entry
+    is 1e-1 to 1e-10 times the norm of the rest of its column, which holds
+    Gaussian entries on kept rows and on the rows of later pivots.  Its
+    labeled vectors, more than its rows, are Gaussian and unavailable.  The
+    target lies off the block's span by ``1 + 1e-3`` times the tolerance."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tol = draw(st.sampled_from([DEFAULT_TOL, 1e-4, 0.3]))
+    rows, cols, pivots = draw(st.integers(3, 6)), draw(st.integers(1, 2)), draw(st.integers(2, 8))
+    dim, free = rows + pivots, cols + pivots
+    store = np.zeros((dim, free + dim + draw(st.integers(1, 3))))
+    store[:rows, :cols] = rng.standard_normal((rows, cols))
+    for p in range(pivots):
+        col = store[:, cols + p]
+        col[:rows] = rng.standard_normal(rows) * (rng.random(rows) < 0.7)
+        later = rows + p + 1 + np.flatnonzero(rng.random(pivots - p - 1) < 0.4)
+        col[later] = rng.standard_normal(later.size)
+        col[rows + p] = draw(st.sampled_from([1e-1, 1e-4, 1e-7, 1e-10])) * max(np.linalg.norm(col), 1.0)
+    store[:, free:] = rng.standard_normal((dim, store.shape[1] - free))
+    block = store[:rows, :cols]
+    inside = block @ rng.standard_normal(cols)
+    off = rng.standard_normal(rows)
+    off -= block @ np.linalg.lstsq(block, off, rcond=None)[0]
+    ratio = tol * (1.0 + 1e-3)
+    target = np.zeros(dim)
+    target[:rows] = inside + off * ratio * np.linalg.norm(inside) / np.sqrt(1.0 - ratio**2) / np.linalg.norm(off)
+    labels = np.ones(store.shape[1] - free, dtype=np.intp)
+    return LowLevelProgram.from_store(1, target, store, free, labels, labels, tol), tol
+
+
+@PROPERTY_SETTINGS
+@given(ill_conditioned_queries())
+def test_reduction_stands_only_where_it_matches_the_qr_path(query):
+    """Where the reduced problem decides the rank otherwise than the QR
+    path, or misses its size by more than 1e-10, the reduction does not
+    stand, and the QR path runs."""
+    prog, tol = query
+    avail = prog.available_vectors((0,)).matrix
+    peel = Peel.of(avail, prog.target)
+    rows, cols = peel.block.shape
+    dec, _, decision = in_span(peel.block, peel.target, tol, full_matrices=cols < rows or bool(peel.merges))
+    assume(peel.rounds and not decision)
+    red = Reduced.of(prog, peel.extend(dec.u[:, dec.rank :]), dec.u.shape[1] - dec.rank + len(peel.zero))
+    if red is not None:
+        reduced = svd(red.matrix, tol)
+        size, _ = min_quadratic_on_hyperplane(red.matrix, red.c, tol, reduced)
+        ref_size, _, ref_rank = reference_negative(prog, peel, dec, tol)
+        if reduced.rank != ref_rank or abs(size - ref_size) > 1e-10 * ref_size:
+            assert not red.stands(reduced, tol)
+    assert_negative_matches_reference(prog, peel, dec, tol)
+
+
+def test_reduction_refuses_a_sweep_through_tiny_pivots():
+    """Two dead ends in a chain, each pivot 1e-10 of its column, make the
+    swept basis too ill-conditioned for the reduction: the QR path runs."""
+    store = np.zeros((5, 5))
+    store[:, 0] = [1.0, 0.5, 0.0, 0.0, 0.0]
+    store[:, 1] = [1.0, 0.0, 1.0, 1e-10, 1.0]
+    store[:, 2] = [0.0, 1.0, 1.0, 0.0, 1e-10]
+    store[:, 3:] = np.random.default_rng(3).standard_normal((5, 2))
+    prog = LowLevelProgram.from_store(1, [1.0, 1.0, 1.0, 0.0, 0.0], store, 3, [1, 1], [1, 1])
+    avail = prog.available_vectors((0,)).matrix
+    peel = Peel.of(avail, prog.target)
+    assert [(r.tolist(), c.tolist()) for r, c in peel.rounds] == [([3], [1]), ([4], [2])]
+    dec, _, decision = in_span(peel.block, peel.target, prog.tol, full_matrices=True)
+    assert decision == 0
+    red = Reduced.of(prog, peel.extend(dec.u[:, dec.rank :]), dec.u.shape[1] - dec.rank)
+    assert red is None or not red.stands(svd(red.matrix, prog.tol), prog.tol)
+    assert not assert_negative_matches_reference(prog, peel, dec, prog.tol)
+
+
 def _near_tolerance(prog: LowLevelProgram, rng, tol: float) -> LowLevelProgram:
     """``prog`` at ``tol`` with degree-1 and doubleton coordinates near the
     tolerance: up to three rows made dead ends (target 0, one nonzero entry),
@@ -304,6 +461,10 @@ def test_peel_keeps_the_decision_near_the_tolerance(query):
         dec, resid, block_decision = in_span(peel.block, peel.target, prog.tol, full_matrices=cols < rows)
         if peel.stands(dec, float(np.linalg.norm(resid)), prog.tol):
             assert block_decision == decision
+        if not decision and avail.size >= PEEL_MIN_CELLS:  # and its negative witness is the QR path's
+            peel, dec, _ = prog._decide(bits, prog.tol)
+            if peel.rounds:
+                assert_negative_matches_reference(prog, peel, dec, prog.tol)
 
 
 def test_compiled_sparse_inputs_peel():

@@ -209,12 +209,34 @@ def _bits(assignment: int, num_vars: int) -> tuple:
     return tuple((assignment >> i) & 1 for i in range(num_vars))
 
 
+def _sparse_criterion_01_program(rng) -> LowLevelProgram:
+    """A program of criterion 01's sizes (``_random_lowlevel``) with about
+    half its entries zeroed and all but one or more of its target
+    coordinates set to 0, so that rows where the target is 0 and one or two
+    available columns are nonzero peel."""
+    prog = _random_lowlevel(rng)
+    store, target = np.array(prog.all_vectors()), np.array(prog.target)
+    store[rng.random(store.shape) < 0.5] = 0.0
+    target[rng.choice(prog.dim, size=int(rng.integers(0, prog.dim)), replace=False)] = 0.0
+    return LowLevelProgram.from_store(prog.num_vars, target, store, prog.num_free, prog.var, prog.val, prog.tol)
+
+
 def test_peel_matches_the_reference_on_criterion_01_queries():
+    """The criterion's own programs (their targets have no zero coordinate,
+    so nothing peels), then 500 sparse ones with zero target
+    coordinates, many of whose queries peel."""
     rng = np.random.default_rng(CALIBRATION_SEED)
     for _ in range(1000):
         prog = _random_lowlevel(rng)
         for assignment in range(2**prog.num_vars):
             assert_program_peel_matches(prog, _bits(assignment, prog.num_vars))
+    rng, peeled, queries = np.random.default_rng(CALIBRATION_SEED + 1), 0, 0
+    for _ in range(500):
+        prog = _sparse_criterion_01_program(rng)
+        for assignment in range(2**prog.num_vars):
+            peeled += bool(assert_program_peel_matches(prog, _bits(assignment, prog.num_vars)).rounds)
+            queries += 1
+    assert peeled > queries // 4
 
 
 def test_peel_matches_the_reference_on_criterion_03_queries():
