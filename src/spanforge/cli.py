@@ -17,11 +17,11 @@ import sys
 import numpy as np
 
 from . import calibration
-from .compiler import MAX_STORE_ENTRIES, CompiledProgram, compile_dense, compile_sparse
+from .compiler import CompiledProgram, compile_dense, compile_sparse
 from .errors import NoNegativeWitness, NoPositiveWitness, SpanforgeError
 from .highlevel import HighLevelProgram
 from .linalg import DEFAULT_TOL, input_matrix, tol_field
-from .lowlevel import LowLevelProgram
+from .lowlevel import MAX_DENSE_ENTRIES, LowLevelProgram
 from .programs import (
     RankExperimentConfig,
     grover_dj_program,
@@ -229,9 +229,9 @@ def _cmd_lowerbound_suite(args) -> int:
     # the largest matrices built are the (n + 1) x (n + 1) projector of the
     # unique-search witness and the n x m promise inputs
     height, width = max((n + 1, n + 1), (n, m), key=lambda shape: shape[0] * shape[1])
-    if min(n, m) > 0 and height * width > MAX_STORE_ENTRIES:
+    if min(n, m) > 0 and height * width > MAX_DENSE_ENTRIES:
         raise ValueError(f"--n={n}, --m={m} ask for a {height} x {width} matrix, "
-                         f"past the cap of {MAX_STORE_ENTRIES} entries")
+                         f"past the cap of {MAX_DENSE_ENTRIES} entries")
     rows = []
     gd = grover_dj_program(n, m)
     ones = np.ones((n, 1))

@@ -40,7 +40,7 @@ from .encoding import check_precision, grid_levels, index_bit_width
 from .errors import SparseFormatError
 from .highlevel import HighLevelProgram, read_source, source_json, wsize_over_inputs
 from .linalg import input_matrix, int_field
-from .lowlevel import DomainWitnessSizes, LowLevelProgram, bit_array, wsize_over_domain
+from .lowlevel import Columns, DomainWitnessSizes, LowLevelProgram, bit_array, wsize_over_domain
 
 MODES = ("dense", "sparse_cols", "sparse")
 
@@ -310,14 +310,16 @@ class _Tables:
 
 
 class CompiledProgram:
-    """A low-level program, its layout, and the index tables of the layout,
-    which its build laid out: encode, decode and the lifts gather and scatter
-    over them."""
+    """A low-level program, its layout, the index tables of the layout, which
+    its build laid out (encode, decode and the lifts gather and scatter over
+    them), and the source free basis it was built from, signed zeros and all,
+    which the program's store, holding only nonzeros, does not keep."""
 
-    def __init__(self, program: LowLevelProgram, layout: CompiledLayout, tables: _Tables):
+    def __init__(self, program: LowLevelProgram, layout: CompiledLayout, tables: _Tables, free_basis: np.ndarray):
         self.program = program
         self.layout = layout
         self.tables = tables
+        self.free_basis = free_basis
 
     @cached_property
     def _source(self) -> HighLevelProgram:
@@ -413,8 +415,7 @@ class CompiledProgram:
         return self.program.target[: self.layout.n]
 
     def source_free_basis(self) -> np.ndarray:
-        # the source free vectors are the program's first free vectors
-        return np.ascontiguousarray(self.program.all_vectors()[: self.layout.n, : self.layout.num_hl])
+        return self.free_basis
 
     # -- witness lifting ------------------------------------------------
 
@@ -480,8 +481,7 @@ class CompiledProgram:
             if routes is not None:
                 routes.spread(wt, sel)
         wt[tab.working] = bits[tab.digits] * tab.half * wt[tab.pivots][..., None]
-        nonzero = np.flatnonzero(wt)
-        product = self.program.store_product(nonzero, np.zeros_like(nonzero), wt[nonzero], 1)[:, 0]
+        product = self.program.store_product(wt[:, None])[:, 0]
         size = float(product @ product)
         return LiftedWitness(bits=tuple(bits.tolist()), coefficients=None, vector=wt, size=size)
 
@@ -550,30 +550,36 @@ def _encoder_params(enc: dict, n: int, m: int, num_hl: int) -> tuple[int, int | 
     return k, k_nnz, l_nnz
 
 
-# Largest store, dim x vectors float64 entries (128 MiB), that one build may
-# allocate.  The encoder parameters of a compiled file are a few bytes that
-# can ask for a store of any size; the largest program the tests and the
-# benchmark compile (sparse, n = m = 8, k = 3, both budgets 3) has 420,480.
+# Most entries a store may hold: the cells the dense store of earlier
+# versions could hold, so every store those built still builds (a store has
+# no more entries than cells).  A build peaks at about 85 bytes per entry
+# (364 MB at 4.3 million entries), about 1.4 GB at the cap.  The encoder
+# parameters of a compiled file are a few bytes that can ask for a store of
+# any size; sparse n = m = 8 (k = 3, both budgets 3) has 1,784 entries, n =
+# 32 has 25,952 and n = 184 has 993,416.
 MAX_STORE_ENTRIES = 2**24
 
 
 def _check_params(n: int, m: int, precision: int, k_nnz: int | None, l_nnz: int | None, num_hl: int,
                   names=("space_dim", "num_inputs", "precision", "k_nnz", "l_nnz")) -> tuple[int, int, int, int]:
     """Check the build parameters, each error naming its field in ``names``,
-    and return the (dim, num_vars, free, labeled) counts of the program they
-    compile to; a store past ``MAX_STORE_ENTRIES`` is rejected."""
+    and return the (dim, num_vars, free, labeled, entries) counts of the
+    program they compile to; past ``MAX_STORE_ENTRIES`` entries (the source
+    basis, a loader's free vector on its working coordinates and pivots, -f_a
+    per digit vector plus 2^(-a/2) for value 1, two per connector and edge)
+    it is rejected."""
     check_precision(precision, names[2])
     for name, value, top in zip(names[3:], (k_nnz, l_nnz), (n, m)):
         if value is not None and not 1 <= value <= top:
             raise ValueError(f"{name} must be within [1, {top}], got {value}")
-    sizes = _layout_sizes(n, m, precision, k_nnz, l_nnz, num_hl)
-    if sizes[0] * (sizes[2] + sizes[3]) > MAX_STORE_ENTRIES:
+    dim, _, free, labeled = sizes = _layout_sizes(n, m, precision, k_nnz, l_nnz, num_hl)
+    entries = (n - 2) * num_hl + m * ((k_nnz or n) - 2) + 2 * (free + labeled)
+    if entries > MAX_STORE_ENTRIES:
         given = ", ".join(f"{name}={value}" for name, value in zip(names, (n, m, precision, k_nnz, l_nnz))
                           if value is not None)
-        raise ValueError(
-            f"{given} compile to a {sizes[0]} x {sizes[2] + sizes[3]} store, past the cap of {MAX_STORE_ENTRIES} entries"
-        )
-    return sizes
+        raise ValueError(f"{given} compile to a {dim} x {free + labeled} store of {entries} entries, "
+                         f"past the cap of {MAX_STORE_ENTRIES}")
+    return *sizes, entries
 
 
 def _layout_sizes(n: int, m: int, precision: int, k_nnz: int | None, l_nnz: int | None,
@@ -611,28 +617,26 @@ def _build(target, free_basis, tol: float, m: int, precision: int,
     payload block U_j of ``k_nnz`` slots.  Column routes send each payload
     slot to a leaf of V, or with a row stage (``l_nnz``) of a per-column
     scratch block W_j, from which per-row routes pull listed entries into V.
-    The store is sized and capped before anything is allocated, and written
-    from the tables; the program keeps their nonzeros, sorted by column then
-    row, as the entry list every peel reads.
+    The store is sized and capped before anything is allocated, and is the
+    tables' nonzeros, sorted by column then row, as ``Columns``.
     """
     n, num_hl = len(target), free_basis.shape[1]
     mode = MODES[(k_nnz is not None) + (l_nnz is not None)]  # one mode per budget given
-    dim, num_vars, nf, nl = sizes = _check_params(n, m, precision, k_nnz, l_nnz, num_hl)
+    dim, num_vars, nf, nl, _ = sizes = _check_params(n, m, precision, k_nnz, l_nnz, num_hl)
     tab = _Tables(n, m, precision, k_nnz, l_nnz, num_hl)
-    if tab.claimed != sizes:
-        raise RuntimeError(f"the build claims (dim, num_vars, free, labeled) = {tab.claimed}, "
-                           f"the closed form gives {sizes}")
     rows, cols, vals = tab.entries(free_basis, nf)
-    store = np.zeros((dim, nf + nl), order="F")
-    store[rows, cols] = vals
+    if (*tab.claimed, rows.size) != sizes:
+        raise RuntimeError(f"the build claims (dim, num_vars, free, labeled, entries) = {(*tab.claimed, rows.size)}, "
+                           f"the closed form gives {sizes}")
     full_target = np.zeros(dim)
     full_target[:n] = target  # V is the first n coordinates
     nonzero = vals != 0.0
     rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
     order = np.lexsort((rows, cols))
-    program = LowLevelProgram.from_store(num_vars, full_target, store, nf, *tab.labels(nl), tol,
-                                         (cols[order], rows[order], vals[order]))
-    return CompiledProgram(program, CompiledLayout(mode, n, m, precision, k_nnz, l_nnz, num_vars, num_hl), tab)
+    store = Columns((dim, nf + nl), cols[order], rows[order], vals[order])
+    program = LowLevelProgram.from_store(num_vars, full_target, store, nf, *tab.labels(nl), tol)
+    layout = CompiledLayout(mode, n, m, precision, k_nnz, l_nnz, num_vars, num_hl)
+    return CompiledProgram(program, layout, tab, free_basis)
 
 
 def compile_dense(program: HighLevelProgram, precision: int) -> CompiledProgram:

@@ -32,19 +32,14 @@ from .linalg import (
 
 
 def _frozen(a) -> np.ndarray:
-    """Read-only float array.  A read-only array whose memory owner is also
-    read-only (such as a column of a program's store) is kept as it is;
-    anything else is copied."""
-    out = np.asarray(a, dtype=float)
-    owner = out if out.base is None else out.base
-    if out.flags.writeable or not isinstance(owner, np.ndarray) or owner.flags.writeable:
-        out = np.array(out)
-        out.setflags(write=False)
+    """A read-only float copy of ``a``."""
+    out = np.array(a, dtype=float)
+    out.setflags(write=False)
     return out
 
 
 def _stack(vectors: list, dim: int, name) -> np.ndarray:
-    """``vectors`` as the columns of a new read-only ``dim x N`` array.  When
+    """``vectors`` as the columns of a new ``dim x N`` array.  When
     they do not stack, they are checked one by one and the first bad one is
     named by ``name(j)``; otherwise finiteness is left to the check of the
     whole store."""
@@ -56,15 +51,63 @@ def _stack(vectors: list, dim: int, name) -> np.ndarray:
         rows = None
     if rows is None or rows.shape != (len(vectors), dim):
         rows = np.array([finite_vector(vec, name(j), dim) for j, vec in enumerate(vectors)])
-    rows.setflags(write=False)
     return rows.T
 
 
-def nonzero_entries(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzeros of ``matrix`` as (column, row, value) arrays, sorted by
-    column, then row."""
-    cols, rows = np.nonzero(matrix.T)
-    return cols, rows, matrix[rows, cols]
+# Largest dense matrix, in float64 entries (128 MiB), made of sparse columns
+# (``_dense``) or built by ``lowerbound-suite``.
+MAX_DENSE_ENTRIES = 2**24
+
+
+def _check_dense(rows: int, cols: int):
+    """Raise, naming the size, for a dense ``rows x cols`` matrix past
+    ``MAX_DENSE_ENTRIES``."""
+    if rows * cols > MAX_DENSE_ENTRIES:
+        raise ValueError(f"a dense {rows} x {cols} matrix is past the cap of {MAX_DENSE_ENTRIES} entries")
+
+
+def _dense(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A read-only ``shape`` matrix of ``values`` on (``rows``, ``cols``),
+    zero elsewhere; past ``MAX_DENSE_ENTRIES`` it raises."""
+    _check_dense(*shape)
+    out = np.zeros(shape)
+    out[rows, cols] = values
+    out.setflags(write=False)
+    return out
+
+
+class Columns:
+    """A read-only ``dim x count`` matrix as compressed sparse columns (Davis,
+    *Direct Methods for Sparse Linear Systems*, SIAM 2006, ch. 2): column j
+    holds the values ``data[indptr[j]:indptr[j + 1]]`` on the rows
+    ``indices[indptr[j]:indptr[j + 1]]``, ascending.  ``entries`` is its
+    (column, row, value) entry list, ``cols`` the column of each entry."""
+
+    def __init__(self, shape: tuple[int, int], cols: np.ndarray, rows: np.ndarray, values: np.ndarray):
+        """From the nonzeros, sorted by column, then row."""
+        self.shape, self.entries, self.cols, self.indices, self.data = shape, (cols, rows, values), cols, rows, values
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=shape[1]))])
+        for a in (self.indptr, cols, rows, values):
+            a.setflags(write=False)
+
+    @classmethod
+    def of(cls, matrix: np.ndarray) -> "Columns":
+        """The nonzeros of a dense ``matrix``."""
+        cols, rows = np.nonzero(matrix.T)
+        return cls(matrix.shape, cols, rows, matrix[rows, cols])
+
+    def select(self, mask: np.ndarray) -> "Columns":
+        """The columns where ``mask`` is True."""
+        at = mask[self.cols]
+        return Columns((self.shape[0], int(mask.sum())), (np.cumsum(mask) - 1)[self.cols[at]],
+                       self.indices[at], self.data[at])
+
+    def toarray(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Columns ``start`` to ``stop - 1`` (the last when None), dense and
+        read-only (``_dense``)."""
+        stop = self.shape[1] if stop is None else stop
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return _dense((self.shape[0], stop - start), self.indices[lo:hi], self.cols[lo:hi] - start, self.data[lo:hi])
 
 
 def _runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,13 +179,11 @@ class LabeledVector:
 
 @dataclass(frozen=True)
 class AvailableColumns:
-    """Available vectors for one input.
+    """Available vectors for one input: ``matrix``, the columns of the
+    program's store that ``mask`` selects (free vectors first, then labeled
+    ones)."""
 
-    ``mask`` selects the available columns of the program's store (free
-    vectors first, then labeled ones).
-    """
-
-    matrix: np.ndarray
+    matrix: Columns
     mask: np.ndarray
 
 
@@ -174,9 +215,9 @@ class Peel:
     """The coordinates of one input removed before factoring.
 
     ``Peel.of`` runs elimination on the nonzeros of the available columns
-    ``matrix`` (Davis, *Direct Methods for Sparse Linear Systems*,
-    SIAM 2006), in rounds until nothing changes.  Its pivots are rows where
-    ``target`` is 0, of two kinds:
+    ``matrix``, a ``Columns`` (Davis, *Direct Methods for Sparse Linear
+    Systems*, SIAM 2006), in rounds until nothing changes.  Its pivots are
+    rows where ``target`` is 0, of two kinds:
 
     - a dead end: a kept row with exactly one kept column nonzero, paired
       with that column;
@@ -211,9 +252,11 @@ class Peel:
     included, in order; ``merges`` the (j, k, m) arrays of each doubleton
     round.  ``nonzeros`` is the entry list the rounds leave, each pivot
     column's entries as they were when it went; ``rows`` and ``cols`` mask
-    what is kept, and ``block`` and ``target`` are what is factored:
-    ``matrix`` and ``target`` themselves when nothing peels.  ``whole`` is
-    the target on every row.
+    what is kept, and ``block`` and ``target`` are what is factored, the
+    block written densely from the kept columns' entries (``_dense``, so
+    past ``MAX_DENSE_ENTRIES`` it raises).  ``Peel(matrix, target)`` peels
+    nothing and factors ``matrix`` whole.  ``whole`` is the target on every
+    row.
 
     The peel is exact.  Each merge is an invertible column operation, so
     the merged matrix is ``A C`` for a unit triangular C with span(A C) =
@@ -232,32 +275,24 @@ class Peel:
     (``stands``).
     """
 
-    def __init__(self, matrix: np.ndarray, target: np.ndarray, rounds=(), zero=(), nonzeros=None, merges=()):
-        self.matrix, self.whole, self.nonzeros = matrix, target, nonzeros
+    def __init__(self, matrix: Columns, target: np.ndarray, rounds=(), zero=(), nonzeros=None, merges=()):
+        self.matrix, self.whole = matrix, target
+        self.nonzeros = matrix.entries if nonzeros is None else nonzeros
         self.rounds, self.zero, self.merges = tuple(rounds), list(zero), tuple(merges)
         self.rows, self.cols = np.ones(matrix.shape[0], dtype=bool), np.ones(matrix.shape[1], dtype=bool)
         self.rows[self.zero] = False
         for rows, cols in self.rounds:
             self.rows[rows], self.cols[cols] = False, False
-        if self.rows.all() and self.cols.all():
-            self.block, self.target = matrix, target
-            return
-        self.block, self.target = matrix[self.rows][:, self.cols], target[self.rows]
-        merged = np.zeros(self.cols.size, dtype=bool)
-        for js, _, _ in self.merges:
-            merged[js] = True
-        merged &= self.cols
-        if merged.any():  # kept columns that differ from ``matrix``, written from their entries
-            cols, rows, values = self.nonzeros
-            at, pos = merged[cols], np.cumsum(self.cols) - 1
-            self.block[:, pos[merged]] = 0.0
-            self.block[(np.cumsum(self.rows) - 1)[rows[at]], pos[cols[at]]] = values[at]
+        cols, rows, values = self.nonzeros
+        at = self.cols[cols]  # a kept column is nonzero on kept rows only
+        self.block = _dense((int(self.rows.sum()), int(self.cols.sum())), (np.cumsum(self.rows) - 1)[rows[at]],
+                            (np.cumsum(self.cols) - 1)[cols[at]], values[at])
+        self.target = target[self.rows]
 
     @classmethod
-    def of(cls, matrix: np.ndarray, target: np.ndarray, nonzeros=None) -> "Peel":
-        """The peel of ``matrix``, in rounds over ``nonzeros``, its entry
-        list (``nonzero_entries(matrix)``, computed when not given)."""
-        cols, rows, values = nonzero_entries(matrix) if nonzeros is None else nonzeros
+    def of(cls, matrix: Columns, target: np.ndarray) -> "Peel":
+        """The peel of ``matrix``, in rounds over its entry list."""
+        cols, rows, values = matrix.entries
         dim, count = matrix.shape
         open_rows, row_kept, col_kept = target == 0, np.ones(dim, dtype=bool), np.ones(count, dtype=bool)
         rounds, merges = [], []
@@ -500,9 +535,9 @@ class Reduced:
     N R_N^-1`` is orthonormal and ``|S^T Q y| = |R_B R_N^-1 y|``: the
     problem on Q is that of ``matrix = R_B R_N^-1`` (upper triangular) and
     ``c = R_N^-T N^T t``, and the witness is ``N R_N^-1 y``.  N stays an
-    entry list, and B is ``LowLevelProgram.store_product``, dense as the QR
-    path's product is; ``N^T N`` and ``B^T B`` sum the products of the
-    nonzeros on each row of N and of B, in order.  ``x`` is the computed
+    entry list, and so does B, the sums of ``LowLevelProgram._join`` that
+    do not cancel; ``N^T N`` and ``B^T B`` sum the products of the nonzeros
+    on each row of N and of B, in order.  ``x`` is the computed
     ``R_N^-1``.  Where a factor overflows (a store near the float
     maximum, or tiny pivots in N), ``of`` gives None, as it does when a
     Cholesky fails.
@@ -513,11 +548,13 @@ class Reduced:
         self.program, self.width = program, width
         met, entry = _column_runs(rows, rows, program.dim)
         gram_n = np.bincount(cols[entry] * width + cols[met], values[entry] * values[met], width * width)
-        self.product = program.store_product(rows, cols, values, width)  # B
-        at, self.b_cols = np.nonzero(self.product)
-        met, entry = _column_runs(at, at, self.product.shape[0])
-        terms = self.product[at, self.b_cols]
-        gram_b = np.bincount(self.b_cols[entry] * width + self.b_cols[met], terms[entry] * terms[met], width * width)
+        keys, products = program._join(rows, cols, values, width)
+        keys, slot = np.unique(keys, return_inverse=True)
+        sums = np.bincount(slot, products, keys.size)
+        keys, sums = keys[sums != 0.0], sums[sums != 0.0]
+        at, b_cols, terms = self.product = keys // width, keys % width, sums  # B
+        met, entry = _column_runs(at, at, program.store.shape[1])
+        gram_b = np.bincount(b_cols[entry] * width + b_cols[met], terms[entry] * terms[met], width * width)
         self.l_n = np.linalg.cholesky(gram_n.reshape(width, width))  # R_N^T
         self.l_b = np.linalg.cholesky(gram_b.reshape(width, width))
         self.x = np.linalg.inv(self.l_n.T)  # no pivoting on a triangular matrix: back substitution
@@ -592,23 +629,24 @@ class Reduced:
           refuse every compiled program).
         """
         rows, cols, values = self.basis
-        q, dim, count = self.width, self.program.dim, self.program.all_vectors().shape[1]
+        q, dim, count = self.width, self.program.dim, self.program.store.shape[1]
         sigma = dec.sigma
         if not tol > _gamma(6 * q) or sigma.size < q:
             return False
-        s_cols, s_rows, s_values = self.program._nonzeros
+        s_cols, s_rows, s_values = self.program.store.entries
         with np.errstate(all="ignore"):
-            s_abs, n_abs, b_abs, ax = np.abs(s_values), np.abs(values), np.abs(self.product), np.abs(self.x)
+            b_rows, b_cols, b_abs = self.product
+            s_abs, n_abs, b_abs, ax = np.abs(s_values), np.abs(values), np.abs(b_abs), np.abs(self.x)
             ax_rows = ax.sum(axis=1)  # |X| 1
             n_ax = np.bincount(rows, n_abs * ax_rows[cols], dim)  # |N| |X| 1
             s_rows_sum = np.bincount(s_rows, s_abs, dim)  # |S| 1
             eta = _norm_bound(np.bincount(cols, n_abs, q) @ ax, n_ax)
             omega = _norm_bound(np.bincount(cols, n_abs * s_rows_sum[rows], q) @ ax,
                                 np.bincount(s_cols, s_abs * n_ax[s_rows], count))
-            beta = _norm_bound(b_abs.sum(axis=0) @ ax, b_abs @ ax_rows)
+            beta = _norm_bound(np.bincount(b_cols, b_abs, q) @ ax, np.bincount(b_rows, b_abs * ax_rows[b_cols], count))
             nu, lam = (_norm_bound(np.abs(low).sum(axis=1) @ ax, np.abs(low).T @ ax_rows)  # R = L^T
                        for low in (self.l_n, self.l_b))
-            m_n, m_b = np.bincount(cols, minlength=q).max(), np.bincount(self.b_cols, minlength=q).max()
+            m_n, m_b = np.bincount(cols, minlength=q).max(), np.bincount(b_cols, minlength=q).max()
             m_s = np.bincount(s_cols).max(initial=0)
             mu_1, mu_q = sigma[0], sigma[q - 1]
             phi = _gamma(m_n + 3 * q + 1) * (eta**2 + nu**2)
@@ -637,12 +675,12 @@ class LowLevelProgram:
     """Span program over ``num_vars`` Boolean variables.
 
     Every input vector is stored once, as a column of one read-only
-    ``dim x N`` matrix (free vectors, then labeled ones), with the labeled
-    vectors' variables and values in two integer arrays.  ``free`` and
-    ``labeled`` accept any 1-D sequences, stacked into the store in one
-    step; ``labeled`` entries may be ``LabeledVector``s or ``(vec, var, val)``
-    tuples.  Read back, ``free[i]`` and ``labeled[i].vec`` are read-only views
-    of the store's columns, made on first read.
+    ``dim x N`` ``Columns``, the store (free vectors, then labeled ones), with
+    the labeled vectors' variables and values in two integer arrays.
+    ``free`` and ``labeled`` accept any 1-D sequences, stacked and converted
+    into the store in one step; ``labeled`` entries may be
+    ``LabeledVector``s or ``(vec, var, val)`` tuples.  Read back, ``free[i]``
+    and ``labeled[i].vec`` are read-only dense columns, made on first read.
     """
 
     def __init__(self, dim: int, num_vars: int, target, free=(), labeled=(), tol: float = DEFAULT_TOL):
@@ -651,23 +689,20 @@ class LowLevelProgram:
                     [var for _, var, _ in labels], [val for _, _, val in labels], tol)
 
     @classmethod
-    def from_store(cls, num_vars: int, target, store: np.ndarray, num_free: int, var, val,
-                   tol: float = DEFAULT_TOL, nonzeros=None) -> "LowLevelProgram":
+    def from_store(cls, num_vars: int, target, store: Columns, num_free: int, var, val,
+                   tol: float = DEFAULT_TOL) -> "LowLevelProgram":
         """A program on a built ``dim x N`` store whose first ``num_free``
         columns are the free vectors; ``var``/``val`` label the rest.  The
-        arrays are adopted, not copied, and made read-only.  ``nonzeros``,
-        when given, is ``nonzero_entries(store)``, the (column, row, value)
-        entry list its builder wrote the store from."""
+        arrays are adopted, not copied, and made read-only."""
         prog = cls.__new__(cls)
         prog._adopt(store.shape[0], num_vars, target, store, num_free, var, val, tol)
-        if nonzeros is not None:
-            vars(prog)["_nonzeros"] = nonzeros
         return prog
 
     def _adopt(self, dim, num_vars, target, columns, num_free, var, val, tol):
         """The one check of a program, on its store as a whole; ``columns``
-        is the store, or the list of vectors to stack into it.  Errors name
-        the field as the JSON form does."""
+        is the store, or the list of vectors to stack and convert into it.
+        The check runs over the store's ``data``, by column, then row, as a
+        dense pass would.  Errors name the field as the JSON form does."""
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         if num_vars < 0:
@@ -679,8 +714,9 @@ class LowLevelProgram:
         def name(j):
             return f"free[{j}]" if j < num_free else f"labeled[{j - num_free}].vec"
 
-        store = columns if isinstance(columns, np.ndarray) else _stack(columns, dim, name)
-        check_norm(store.T, lambda j, i: f"{name(j)}[{i}]")
+        if not isinstance(columns, Columns):
+            columns = Columns.of(_stack(columns, dim, name))
+        check_norm(columns.data, lambda e: f"{name(columns.cols[e])}[{columns.indices[e]}]")
         try:
             var, val = np.asarray(var, dtype=np.intp), np.asarray(val, dtype=np.intp)
         except OverflowError:  # past int64, so out of range: kept to be named below
@@ -691,29 +727,22 @@ class LowLevelProgram:
                 i = int(np.argmax(bad))
                 raise ValueError(f"labeled[{i}].{key}={labels[i]} {why}")
         var, val = var.astype(np.intp, copy=False), val.astype(np.intp, copy=False)
-        for a in (store, var, val):
+        for a in (var, val):
             a.setflags(write=False)
         vars(self).update(dim=dim, num_vars=num_vars, target=target, tol=tol,
-                          _columns=store, num_free=num_free, var=var, val=val)
+                          store=columns, num_free=num_free, var=var, val=val)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LowLevelProgram is immutable; cannot set {name}")
 
     @cached_property
     def free(self) -> tuple[np.ndarray, ...]:
-        return tuple(self._columns[:, j] for j in range(self.num_free))
-
-    @cached_property
-    def _nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``nonzero_entries`` of the store, read by every peel, unless its
-        builder handed them over."""
-        return nonzero_entries(self._columns)
+        return tuple(self.store.toarray(0, self.num_free).T)
 
     @cached_property
     def labeled(self) -> tuple[LabeledVector, ...]:
-        nf = self.num_free
-        return tuple(LabeledVector(self._columns[:, nf + i], var, val)
-                     for i, (var, val) in enumerate(zip(self.var.tolist(), self.val.tolist())))
+        return tuple(LabeledVector(vec, var, val) for vec, var, val in
+                     zip(self.store.toarray(self.num_free).T, self.var.tolist(), self.val.tolist()))
 
     # -- queries ---------------------------------------------------------
 
@@ -721,33 +750,50 @@ class LowLevelProgram:
         """Which columns of the store are available on input ``x``: the free
         vectors, and the labeled ones whose variable takes their value."""
         bits = bit_array(x, self.num_vars)
-        mask = np.ones(self._columns.shape[1], dtype=bool)
+        mask = np.ones(self.store.shape[1], dtype=bool)
         mask[self.num_free :] = bits[self.var - 1] == self.val
         return mask
 
     def available_vectors(self, x) -> AvailableColumns:
         mask = self.available_mask(x)
-        matrix = self._columns[:, mask]
-        matrix.setflags(write=False)
-        return AvailableColumns(matrix=matrix, mask=mask)
+        return AvailableColumns(matrix=self.store.select(mask), mask=mask)
 
     def all_vectors(self) -> np.ndarray:
-        """All input vectors (free then labeled) as columns of the read-only
-        store; negative sizes are squared norms of this matrix transposed
-        times the witness (``store_product``)."""
-        return self._columns
+        """All input vectors (free then labeled) as the columns of a dense,
+        read-only copy of the store; negative sizes are squared norms of its
+        transpose times the witness (``store_product``)."""
+        return self.store.toarray()
 
-    def store_product(self, rows, cols, values, width: int) -> np.ndarray:
-        """``S^T N``, dense, for the store S and the ``dim x width`` matrix N
-        with the (row, column, value) entries given, sorted by row: each
-        store entry meets the entries of N on its row, and one ``bincount``
-        sums their products, each entry of the result in the order of the
-        store's entries."""
-        s_cols, s_rows, s_values = self._nonzeros
+    def _join(self, rows, cols, values, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each store entry met with the entries on its row of the ``dim x
+        width`` matrix N, given as (row, column, value) entries sorted by
+        row: per pair the key ``store column * width + column of N`` and the
+        product, in the order of the store's entries."""
+        s_cols, s_rows, s_values = self.store.entries
         met, entry = _column_runs(rows, s_rows, self.dim)
-        count = self._columns.shape[1]
-        return np.bincount(s_cols[entry] * width + cols[met], s_values[entry] * values[met],
-                           count * width).reshape(count, width)
+        return s_cols[entry] * width + cols[met], s_values[entry] * values[met]
+
+    def store_product(self, basis: np.ndarray) -> np.ndarray:
+        """``S^T N``, dense, for the store S and a dense ``dim x width`` N;
+        past ``MAX_DENSE_ENTRIES`` it raises.  Where ``_join`` holds no more
+        products than the result has entries or the store nonzeros, one
+        ``bincount`` sums them; otherwise blocks of store columns, each made
+        dense with no more entries than that, multiply N.  So it holds about
+        as many numbers as the result or the store, however dense N is."""
+        count, width = self.store.shape[1], basis.shape[1]
+        _check_dense(count, width)
+        s_cols, s_rows, s_values = self.store.entries
+        budget = max(count * width, s_cols.size)
+        if np.count_nonzero(basis, axis=1)[s_rows].sum() <= budget:
+            rows, cols = np.nonzero(basis)
+            return np.bincount(*self._join(rows, cols, basis[rows, cols], width), count * width).reshape(count, width)
+        out, step, ptr = np.empty((count, width)), max(1, budget // self.dim), self.store.indptr
+        for a in range(0, count, step):
+            b = min(a + step, count)
+            block = _dense((b - a, self.dim), s_cols[ptr[a] : ptr[b]] - a, s_rows[ptr[a] : ptr[b]],
+                           s_values[ptr[a] : ptr[b]])
+            out[a:b] = block @ basis
+        return out
 
     def evaluate(self, x, tol: float | None = None) -> int:
         return self._decide(x, self.tol if tol is None else tol)[2]
@@ -761,13 +807,6 @@ class LowLevelProgram:
     def witness(self, x, tol: float | None = None) -> WitnessReport:
         return self._solve(x, tol, side=None)
 
-    def _peel(self, avail: AvailableColumns) -> Peel:
-        """The peel of the available columns, on the store's entry list
-        gathered by ``avail.mask``."""
-        cols, rows, values = self._nonzeros
-        at = avail.mask[cols]
-        return Peel.of(avail.matrix, self.target, ((np.cumsum(avail.mask) - 1)[cols[at]], rows[at], values[at]))
-
     def _decide(self, x, tol: float) -> tuple[Peel, SvdResult, int]:
         """The peel of the available columns of ``x``, the SVD of its kept
         block and the decision.
@@ -776,7 +815,9 @@ class LowLevelProgram:
         block is factored, and both witness sides come from its one SVD.
         Unless the peel stands (the block decides as one SVD of all available
         columns would), the available columns are factored whole instead, as
-        they are when they have fewer than ``PEEL_MIN_CELLS`` entries.
+        they are when they have fewer than ``PEEL_MIN_CELLS`` entries.  The
+        block factored is made dense, and past ``MAX_DENSE_ENTRIES`` the
+        query is refused, naming its size.
         Complete left singular vectors are computed when the block has fewer
         columns than rows, so ``u[:, rank:]`` is an orthonormal basis of the
         complement of the block's span, which ``Peel.extend`` sweeps into a
@@ -785,15 +826,16 @@ class LowLevelProgram:
         merged, so ``vt[rank:]`` spans the block's null space, which
         ``Peel.lift`` needs.  The thin factors are already complete otherwise.
         """
-        avail = self.available_vectors(x)
-        peel = Peel(avail.matrix, self.target) if avail.matrix.size < PEEL_MIN_CELLS else self._peel(avail)
+        avail = self.available_vectors(x).matrix
+        rows, cols = avail.shape
+        peel = Peel(avail, self.target) if rows * cols < PEEL_MIN_CELLS else Peel.of(avail, self.target)
         while True:
             rows, cols = peel.block.shape
             dec, resid, decision = in_span(peel.block, peel.target, tol,
                                            full_matrices=cols < rows or bool(peel.merges))
             if peel.stands(dec, float(np.linalg.norm(resid)), tol):
                 return peel, dec, decision
-            peel = Peel(avail.matrix, self.target)
+            peel = Peel(avail, self.target)
 
     def _solve(self, x, tol: float | None, side: int | None) -> WitnessReport:
         """Decide ``x`` and build the witness of ``side`` (None: the side the
@@ -815,10 +857,10 @@ class LowLevelProgram:
         with ``<w', t> = 1`` and the least ``|S^T w'|^2``.  Where the peel took
         rounds, on the ``Reduced`` problem of the swept basis, where it pays
         (``_reduces``) and stands; otherwise on an orthonormal basis of the
-        complement, a thin QR of the swept basis where there is one,
-        multiplied by the store."""
+        complement, a thin QR of the swept basis where there is one, and its
+        ``store_product``."""
         nbasis = dec.u[:, dec.rank :]
-        if peel.block is not peel.matrix:
+        if peel.rounds or peel.zero:
             rows, cols, values = basis = peel.extend(nbasis)
             width = nbasis.shape[1] + len(peel.zero)
             red = Reduced.of(self, basis, width) if peel.rounds and self._reduces(rows, width) else None
@@ -827,25 +869,25 @@ class LowLevelProgram:
                 if red.stands(reduced, tol):
                     size, y = min_quadratic_on_hyperplane(red.matrix, red.c, tol, reduced)
                     return WitnessReport(decision=0, size=float(size), witness=red.witness(y))
-            nbasis = np.zeros((self.dim, width))
-            nbasis[rows, cols] = values
+            nbasis = _dense((self.dim, width), rows, cols, values)
             if peel.rounds:  # the zero rows alone keep it orthonormal
                 nbasis = np.linalg.qr(nbasis)[0]
-        size, y = min_quadratic_on_hyperplane(self._columns.T @ nbasis, nbasis.T @ self.target, tol)
+        size, y = min_quadratic_on_hyperplane(self.store_product(nbasis), nbasis.T @ self.target, tol)
         return WitnessReport(decision=0, size=float(size), witness=nbasis @ y)
 
     def _reduces(self, rows: np.ndarray, width: int) -> bool:
         """Whether a swept basis of ``width`` columns with entries on
-        ``rows`` goes to its ``Reduced`` problem: the QR path's product of
-        the store with it, dim x width x store columns multiply-adds,
-        reaches ``REDUCE_MIN_WORK``, and the reduction's joins (each store
-        entry with the entries of N on its row, and the pairs of entries on
-        one row of N and of B) hold no more products than that path's dense
-        arrays hold entries."""
-        count = self._columns.shape[1]
-        if self.dim * width * count < REDUCE_MIN_WORK:
+        ``rows`` goes to its ``Reduced`` problem: a dense product of the
+        store with it, dim x width x store columns multiply-adds, reaches
+        ``REDUCE_MIN_WORK``, and the reduction's joins (each store entry
+        with the entries of N on its row, and the pairs of entries on one
+        row of N and of B) hold no more products than the QR path's dense
+        arrays hold entries.  Its q x q factors stay within
+        ``MAX_DENSE_ENTRIES``."""
+        count = self.store.shape[1]
+        if self.dim * width * count < REDUCE_MIN_WORK or width * width > MAX_DENSE_ENTRIES:
             return False
-        s_cols, s_rows, _ = self._nonzeros
+        s_cols, s_rows, _ = self.store.entries
         per_row = np.bincount(rows, minlength=self.dim)
         per_col = np.bincount(s_cols, per_row[s_rows], count)  # products per store column
         per_b = np.minimum(per_col, width)  # at least the entries of its row of B
@@ -859,10 +901,10 @@ class LowLevelProgram:
             "dim": self.dim,
             "num_vars": self.num_vars,
             "target": self.target.tolist(),
-            "free": self._columns[:, :nf].T.tolist(),
+            "free": self.store.toarray(0, nf).T.tolist(),
             "labeled": [
                 {"vec": vec, "var": var, "val": val}
-                for vec, var, val in zip(self._columns[:, nf:].T.tolist(), self.var.tolist(), self.val.tolist())
+                for vec, var, val in zip(self.store.toarray(nf).T.tolist(), self.var.tolist(), self.val.tolist())
             ],
             "tol": self.tol,
         }

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SolverFailure
 from .linalg import DEFAULT_TOL
 
 
@@ -99,21 +100,22 @@ class Bidiagonal:
         diagonal and off-diagonal d[0], e[0], d[1], ..., d[n-1], whose
         eigenvalues are the +-sigma of B.  Bisection on it keeps small sigma
         to near full relative precision; the eigenvalues of B @ B.T would
-        lose about half their digits."""
+        lose about half their digits.  LAPACK's ``stebz`` is called as
+        ``scipy.linalg.eigvalsh_tridiagonal`` calls it, without its checks."""
         # imported here, not at module level: loading scipy.linalg takes about
         # as long as importing the whole CLI, and only this kernel needs it
-        from scipy.linalg import eigvalsh_tridiagonal
+        from scipy.linalg import get_lapack_funcs
 
         batch, n = self.d.shape
-        zeros = np.zeros(2 * n)
-        off = np.empty(2 * n - 1)
+        zeros, off = np.zeros(2 * n), np.empty((batch, 2 * n - 1))
+        off[:, 0::2], off[:, 1::2] = self.d, self.e
+        (stebz,) = get_lapack_funcs(("stebz",), (zeros, off))
         out = np.empty(batch)
-        for t in range(batch):
-            off[0::2] = self.d[t]
-            off[1::2] = self.e[t]
-            out[t] = eigvalsh_tridiagonal(
-                zeros, off, select="i", select_range=(n, n), check_finite=False
-            )[0]
+        for t in range(batch):  # by index (2), eigenvalue n + 1 of 2n (1-based), tolerance 0, in order (E)
+            m, w, _, _, info = stebz(zeros, off[t], 2, 0.0, 1.0, n + 1, n + 1, 0.0, "E")
+            if info or m != 1:
+                raise SolverFailure(f"stebz found {m} eigenvalues of a {2 * n}-row tridiagonal (info {info})")
+            out[t] = w[0]
         return out
 
 

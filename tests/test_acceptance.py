@@ -48,7 +48,7 @@ from spanforge.randmat import (
 
 
 def _oracle_negative_size(prog: LowLevelProgram, bits) -> float:
-    avail = prog.available_vectors(bits).matrix
+    avail = prog.available_vectors(bits).matrix.toarray()
     constraints = np.vstack([prog.target.reshape(1, -1), avail.T])
     rhs = np.zeros(constraints.shape[0])
     rhs[0] = 1.0
@@ -97,7 +97,7 @@ def test_criterion_01_witness_duality(criterion_report):
             if rep.decision != decision:
                 problems.append("witness dispatcher disagrees with evaluate")
                 continue
-            avail = prog.available_vectors(bits).matrix
+            avail = prog.available_vectors(bits).matrix.toarray()
             if decision:
                 pos = prog.positive_witness(bits)
                 reach = avail @ pos.witness

@@ -280,15 +280,16 @@ _E1 = [1.0] + [0.0] * 7
 
 @pytest.mark.parametrize(
     "data,field",
-    [({"source": {"space_dim": 8, "num_inputs": 32, "target": _E1}, "encoder": _HUGE}, "encoder.k"),
+    [({"source": {"space_dim": 8, "num_inputs": 6000, "target": _E1}, "encoder": _HUGE}, "encoder.k"),
      ({"program": {"dim": 8, "num_vars": 2000, "target": _E1}, "encoder": {**_HUGE, "n": 8, "m": 32}},
       "field 'source'; recompile")],
     ids=["new", "old-format"],
 )
 def test_small_file_asking_for_a_large_build_is_rejected(tmp_path, capsys, monkeypatch, data, field):
-    # about 200 bytes; the first would compile to a 23,048 x 46,112 store
-    # (7.9 GiB) and is rejected from its sizes, the second, in the format of
-    # earlier versions, for its missing source.  Neither runs the build.
+    # about 200 bytes; the first would compile to a 4,976,648 x 9,302,640
+    # store of 18,641,280 entries and is rejected from its sizes, the
+    # second, in the format of earlier versions, for its missing source.
+    # Neither runs the build.
     assert len(json.dumps(data)) < 250
 
     def no_build(*args, **kwargs):

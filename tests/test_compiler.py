@@ -8,6 +8,7 @@ import pytest
 from spanforge.compiler import (
     MAX_STORE_ENTRIES,
     CompiledProgram,
+    _check_params,
     _layout_sizes,
     compile_dense,
     compile_sparse,
@@ -19,7 +20,7 @@ from spanforge.encoding import grid_values, index_bit_width
 from spanforge.errors import SparseFormatError
 from spanforge.highlevel import HighLevelProgram
 from spanforge.linalg import min_norm_solve
-from spanforge.lowlevel import LowLevelProgram, nonzero_entries
+from spanforge.lowlevel import Columns, LowLevelProgram
 
 RNG = np.random.default_rng(909)
 
@@ -481,7 +482,7 @@ def test_lift_positive_reaches_target(mode):
         comp = compile_sparse(prog, k_nnz=2, l_nnz=2, precision=k)
     lifted = comp.lift_positive(a)
     avail = comp.program.available_vectors(lifted.bits)
-    assert np.allclose(avail.matrix @ lifted.coefficients, comp.program.target, atol=1e-9)
+    assert np.allclose(avail.matrix.toarray() @ lifted.coefficients, comp.program.target, atol=1e-9)
     opt = comp.program.positive_witness(lifted.bits).size
     assert lifted.size >= opt - 1e-9
     # the forced-structure argument makes the lift optimal
@@ -512,7 +513,7 @@ def test_lift_negative_is_valid_witness(mode):
         lifted = comp.lift_negative(a)
         avail = comp.program.available_vectors(lifted.bits)
         assert lifted.vector @ comp.program.target == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(avail.matrix.T @ lifted.vector, 0.0, atol=1e-9)
+        assert np.allclose(avail.matrix.toarray().T @ lifted.vector, 0.0, atol=1e-9)
         opt = comp.program.negative_witness(lifted.bits).size
         assert lifted.size >= opt * (1.0 - 1e-9) - 1e-9
         found += 1
@@ -525,7 +526,7 @@ def test_lift_positive_accepts_supplied_witness():
     w = np.array([-1.0, 0.0])
     lifted = comp.lift_positive(a, w=w)
     avail = comp.program.available_vectors(lifted.bits)
-    assert np.allclose(avail.matrix @ lifted.coefficients, comp.program.target, atol=1e-12)
+    assert np.allclose(avail.matrix.toarray() @ lifted.coefficients, comp.program.target, atol=1e-12)
     with pytest.raises(ValueError, match="witness"):
         comp.lift_positive(a, w=np.array([5.0, 5.0]))
 
@@ -601,15 +602,16 @@ def test_builder_hands_over_the_nonzero_pattern(mode):
         else:
             comp = compile_sparse(prog, k_nnz=min(2, n), precision=k, l_nnz=min(3, m) if mode == "sparse" else None)
         for p in (comp.program, CompiledProgram.from_json(comp.to_json()).program):
-            assert "_nonzeros" in vars(p)
-            for handed, derived in zip(p._nonzeros, nonzero_entries(p.all_vectors())):
+            for handed, derived in zip(p.store.entries, Columns.of(p.all_vectors()).entries):
                 assert handed.tobytes() == derived.tobytes()
+            count = np.bincount(p.store.cols, minlength=p.store.shape[1])
+            assert p.store.indptr.tolist() == [0, *np.cumsum(count).tolist()]
 
 
 def _two_vector_program(free_entry, var):
     """A program on dim 2 with one variable, one free and one labeled vector."""
     store = np.array([[1.0, 0.0], [free_entry, 1.0]], order="F")
-    return LowLevelProgram.from_store(1, np.array([1.0, 0.0]), store, 1, np.array([var]), np.array([1]), 1e-9)
+    return LowLevelProgram.from_store(1, np.array([1.0, 0.0]), Columns.of(store), 1, np.array([var]), np.array([1]), 1e-9)
 
 
 def test_builder_store_is_checked_naming_the_field(monkeypatch):
@@ -631,11 +633,50 @@ def test_builder_store_is_checked_naming_the_field(monkeypatch):
 
 
 def test_compile_past_the_store_cap_is_rejected():
-    # n = m = 8 at k = 51 with both budgets 8 needs a 4,232 x 8,456 store
-    prog = _hl(8, 8, rng=np.random.default_rng(84))
-    with pytest.raises(ValueError, match=f"precision=51.*cap of {MAX_STORE_ENTRIES}"):
-        compile_sparse(prog, k_nnz=8, l_nnz=8, precision=51)
-    assert compile_sparse(prog, k_nnz=8, l_nnz=8, precision=3).program.all_vectors().size < MAX_STORE_ENTRIES
+    # n = m = 128 at k = 51 with both budgets 128 needs a 5,013,632 x
+    # 10,027,136 store of 20,070,400 entries; n = m = 64 at k = 3 with
+    # budgets 8, 266,752 entries
+    past = f"precision=51.*store of 20070400 entries, past the cap of {MAX_STORE_ENTRIES}"
+    with pytest.raises(ValueError, match=past):
+        compile_sparse(_hl(128, 128, rng=np.random.default_rng(84)), k_nnz=128, l_nnz=128, precision=51)
+    prog = _hl(64, 64, rng=np.random.default_rng(84))
+    assert compile_sparse(prog, k_nnz=8, l_nnz=8, precision=3).program.store.data.size == 266752
+
+
+def test_the_store_cap_counts_entries_and_takes_every_store_of_its_cells(monkeypatch):
+    # the cap counts entries, and a store has no more entries than cells, so
+    # every store of at most MAX_STORE_ENTRIES cells compiles: dense n = 1,100
+    # with one input and a 1,000-column free basis has 7,042,200 cells and
+    # 1,105,500 entries
+    dim, _, free, labeled, entries = _check_params(1100, 1, 0, None, None, 1000)
+    assert (dim * (free + labeled), entries) == (7042200, 1105500) and entries <= MAX_STORE_ENTRIES
+    prog = _hl(3, 2, rng=np.random.default_rng(85), free=np.eye(3)[:, :1])
+    size = _check_params(3, 2, 1, 2, 2, 1)[-1]
+    monkeypatch.setattr("spanforge.compiler.MAX_STORE_ENTRIES", size)
+    compile_sparse(prog, k_nnz=2, l_nnz=2, precision=1)  # at the cap
+    monkeypatch.setattr("spanforge.compiler.MAX_STORE_ENTRIES", size - 1)
+    with pytest.raises(ValueError, match=f"store of {size} entries, past the cap of {size - 1}"):
+        compile_sparse(prog, k_nnz=2, l_nnz=2, precision=1)
+
+
+@pytest.mark.parametrize("n", [20, 24])
+def test_sparse_rank_programs_past_the_dense_store_cap_decide_as_their_source(n):
+    """Sparse n = 20 (4,320 x 6,510) and n = 24 (5,280 x 8,388) have more
+    store cells than a dense store could hold (2^24), and 13,220 and 17,064
+    nonzeros: they compile, and decide an accepted and a rejected input as
+    their source does, in ``evaluate`` and in ``witness``."""
+    from spanforge.programs import build_rank_program
+    from test_peel_reference import _rank_queries
+
+    rng = np.random.default_rng(n)
+    hl = build_rank_program(n, n, n // 2, rng)
+    comp = compile_sparse(hl, k_nnz=3, l_nnz=3, precision=3)
+    prog = comp.program
+    assert prog.dim * prog.store.shape[1] > 2**24
+    for a, expected in zip(_rank_queries(n, 3, 3, rng), (1, 0)):
+        bits = comp.encode(a)
+        assert hl.evaluate(comp.quantize(a)) == expected
+        assert prog.evaluate(bits) == prog.witness(bits).decision == expected
 
 
 def test_measure_overhead_closed_form_no_free_basis():

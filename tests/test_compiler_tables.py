@@ -284,7 +284,7 @@ def test_lift_positive_carries_a_column_listed_twice_once():
     comp = compile_sparse(prog, k_nnz=1, l_nnz=2, precision=0)
     source = {"columns": [[(0, -1.0)], [(1, -1.0)]], "rows": [[0, 0], [1, 1]]}
     lifted = comp.lift_positive(source)
-    avail = comp.program.available_vectors(lifted.bits).matrix
+    avail = comp.program.available_vectors(lifted.bits).matrix.toarray()
     assert np.allclose(avail @ lifted.coefficients, comp.program.target, atol=1e-12)
 
 

@@ -7,10 +7,10 @@ import pytest
 from spanforge.errors import NoNegativeWitness, NoPositiveWitness
 from spanforge.linalg import DEFAULT_TOL, in_span, min_norm_solve
 from spanforge.lowlevel import (
+    Columns,
     LabeledVector,
     LowLevelProgram,
     Peel,
-    nonzero_entries,
     normalize_bits,
     wsize_over_domain,
 )
@@ -161,11 +161,11 @@ def _rounds(peel):
 
 def test_peel_drops_dead_ends_round_by_round():
     prog = _chain_program()
-    avail = prog.available_vectors("1").matrix
-    cols, rows, values = nonzero_entries(avail)
+    avail = prog.available_vectors("1").matrix.toarray()
+    cols, rows, values = Columns.of(avail).entries
     assert list(zip(cols.tolist(), rows.tolist())) == [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (3, 3)]
     assert values.tolist() == [1.0, 1.0, 1.0, 2.0, 1.0, 1.0]
-    peel = Peel.of(avail, prog.target)
+    peel = Peel.of(Columns.of(avail), prog.target)
     # round 1: rows 2 and 3 see only columns 1 and 3; then row 1 sees only column 0
     assert _rounds(peel) == [([2, 3], [1, 3]), ([1], [0])]
     # column 2 is left alone at row 0, where the target is 1, and stays
@@ -190,8 +190,8 @@ def test_peel_keeps_singleton_columns_in_the_block():
     """The peel pivots only on rows where the target is 0: the singleton
     columns stay in the block, and the witness is the unpeeled one."""
     prog = _singleton_chain_program()
-    avail = prog.available_vectors("").matrix
-    peel = Peel.of(avail, prog.target)
+    avail = prog.available_vectors("").matrix.toarray()
+    peel = Peel.of(Columns.of(avail), prog.target)
     assert _rounds(peel) == [([3], [3])] and peel.merges == ()
     assert peel.rows.tolist() == peel.cols.tolist() == [True, True, True, False, True]
     dec, resid, decision = in_span(peel.block, peel.target, prog.tol, full_matrices=True)
@@ -216,8 +216,8 @@ def _doubleton_chain_program():
 
 def test_peel_merges_doubleton_rows_round_by_round():
     prog = _doubleton_chain_program()
-    avail = prog.available_vectors("").matrix
-    peel = Peel.of(avail, prog.target)
+    avail = prog.available_vectors("").matrix.toarray()
+    peel = Peel.of(Columns.of(avail), prog.target)
     # round 1 pivots row 0 on column 1 (m = 1/2); row 1 shares column 1 and
     # waits.  The merge leaves column 0 at -1/2 on row 1, so round 2 pivots
     # row 1 on column 2 (m = -1/2)
@@ -239,8 +239,8 @@ def test_peel_merges_doubleton_rows_round_by_round():
 
 def test_peel_extends_the_complement_over_pivot_rows():
     prog = _chain_program()
-    avail = prog.available_vectors("0").matrix
-    peel = Peel.of(avail, prog.target)
+    avail = prog.available_vectors("0").matrix.toarray()
+    peel = Peel.of(Columns.of(avail), prog.target)
     assert _rounds(peel) == [([2], [1]), ([1], [0])] and peel.merges == ()
     # row 3 touches no available column and its target is 0: it leaves the
     # block, and its unit vector joins the complement
@@ -262,8 +262,8 @@ def test_peel_extends_the_complement_over_pivot_rows():
 
 def test_peel_keeps_a_matrix_without_dead_ends():
     m = RNG.standard_normal((3, 4))
-    peel = Peel.of(m, np.array([1.0, 0.0, 0.0]))
-    assert peel.rounds == () and peel.block is m
+    peel = Peel.of(Columns.of(m), np.array([1.0, 0.0, 0.0]))
+    assert peel.rounds == () and peel.block.tobytes() == m.tobytes()
     rows, cols, values = peel.extend(m)
     assert rows.tolist() == np.repeat(np.arange(3), 4).tolist() and cols.tolist() == [0, 1, 2, 3] * 3
     assert values.tobytes() == m.tobytes()
@@ -283,7 +283,7 @@ def _near_float_max_program() -> LowLevelProgram:
 
 def test_peel_of_a_store_near_the_float_maximum_stands_without_overflow():
     prog = _near_float_max_program()
-    avail = prog.available_vectors("").matrix
+    avail = prog.available_vectors("").matrix.toarray()
     assert in_span(avail, prog.target, prog.tol)[2] == 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -313,10 +313,10 @@ def test_peel_stands_only_where_it_keeps_the_decision(free, target, tol, decisio
     last row with its last column; where the block could decide otherwise,
     the peel does not stand."""
     prog = LowLevelProgram(dim=len(target), num_vars=0, target=target, free=free, tol=tol)
-    avail = prog.available_vectors("").matrix
+    avail = prog.available_vectors("").matrix.toarray()
     assert in_span(avail, prog.target, tol)[2] == decision
     assert prog.evaluate("") == prog.witness("").decision == decision
-    peel = Peel.of(avail, prog.target)
+    peel = Peel.of(Columns.of(avail), prog.target)
     assert _rounds(peel) == [([len(target) - 1], [len(free) - 1])]
     dec, resid, block_decision = in_span(peel.block, peel.target, tol)
     assert peel.stands(dec, float(np.linalg.norm(resid)), tol) == stands
@@ -348,13 +348,13 @@ def test_singleton_peel_stands_only_where_it_keeps_the_decision(free, target, to
     0, row 0 is a doubleton; elsewhere nothing peels, and ``stands`` is not
     read."""
     prog = LowLevelProgram(dim=len(target), num_vars=0, target=target, free=free, tol=tol)
-    avail = prog.available_vectors("").matrix
+    avail = prog.available_vectors("").matrix.toarray()
     assert in_span(avail, prog.target, tol)[2] == decision
     assert prog.evaluate("") == prog.witness("").decision == decision
-    peel = Peel.of(avail, prog.target)
+    peel = Peel.of(Columns.of(avail), prog.target)
     dec, resid, block_decision = in_span(peel.block, peel.target, tol)
     if 0.0 not in target:
-        assert peel.rounds == () and peel.block is avail
+        assert peel.rounds == () and peel.zero == [] and np.array_equal(peel.block, avail)
         return
     if target[0]:
         assert _rounds(peel) == [([1], [1]), ([2], [0])]
@@ -383,10 +383,10 @@ def test_doubleton_peel_stands_only_where_it_keeps_the_decision(free, target, to
     """Each program merges column 1 into column 0 at row 0, the larger entry
     of the row (the later one on a tie) as the pivot."""
     prog = LowLevelProgram(dim=len(target), num_vars=0, target=target, free=free, tol=tol)
-    avail = prog.available_vectors("").matrix
+    avail = prog.available_vectors("").matrix.toarray()
     assert in_span(avail, prog.target, tol)[2] == decision
     assert prog.evaluate("") == prog.witness("").decision == decision
-    peel = Peel.of(avail, prog.target)
+    peel = Peel.of(Columns.of(avail), prog.target)
     assert _rounds(peel)[0] == ([0], [1]) and [js.tolist() for js, _, _ in peel.merges] == [[0]]
     dec, resid, block_decision = in_span(peel.block, peel.target, tol)
     assert peel.stands(dec, float(np.linalg.norm(resid)), tol) == stands
@@ -411,13 +411,16 @@ def _random_program(rng) -> LowLevelProgram:
 
 def _oracle_negative_size(prog: LowLevelProgram, bits) -> float:
     """Brute-force negative optimum: parametrize the affine feasible set
-    {w': <w',t>=1, w' perp available} directly and least-squares the rest."""
-    avail = prog.available_vectors(bits).matrix
+    {w': <w',t>=1, w' perp available} directly and least-squares the rest.
+    The particular solution is feasible to 1e-9 times ``|constraints|_F |w0|``
+    (at least 1): a target near the span makes w0 large, and rounding leaves
+    a residual in proportion to it."""
+    avail = prog.available_vectors(bits).matrix.toarray()
     constraints = np.vstack([prog.target.reshape(1, -1), avail.T])
     rhs = np.zeros(constraints.shape[0])
     rhs[0] = 1.0
     w0, residual, *_ = np.linalg.lstsq(constraints, rhs, rcond=None)
-    if np.linalg.norm(constraints @ w0 - rhs) > 1e-9:
+    if np.linalg.norm(constraints @ w0 - rhs) > 1e-9 * max(1.0, np.linalg.norm(constraints) * np.linalg.norm(w0)):
         raise AssertionError("negative witness should be feasible")
     u, s, vt = np.linalg.svd(constraints)
     rank = int(np.sum(s > 1e-11 * (s[0] if len(s) else 1.0)))
@@ -440,7 +443,7 @@ def test_witness_duality_random_programs():
             decision = prog.evaluate(bits)
             if decision:
                 rep = prog.positive_witness(bits)
-                avail = prog.available_vectors(bits).matrix
+                avail = prog.available_vectors(bits).matrix.toarray()
                 assert np.allclose(avail @ rep.witness, prog.target, atol=1e-7)
                 # minimal norm against the Moore-Penrose solution
                 ref = np.linalg.pinv(avail) @ prog.target
@@ -449,7 +452,7 @@ def test_witness_duality_random_programs():
                     prog.negative_witness(bits)
             else:
                 rep = prog.negative_witness(bits)
-                avail = prog.available_vectors(bits).matrix
+                avail = prog.available_vectors(bits).matrix.toarray()
                 assert rep.witness @ prog.target == pytest.approx(1.0, abs=1e-7)
                 assert np.allclose(avail.T @ rep.witness, 0.0, atol=1e-7)
                 ref = _oracle_negative_size(prog, bits)

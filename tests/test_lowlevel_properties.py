@@ -8,17 +8,20 @@ enumerate, are checked on random bit strings against one unpeeled SVD, and
 on valid encodings against their lifted witnesses.
 """
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from spanforge.compiler import CompiledProgram, compile_dense, compile_sparse
 from spanforge.encoding import grid_values
 from spanforge.errors import NoNegativeWitness, NoPositiveWitness
-from spanforge.highlevel import HighLevelProgram
+from spanforge.highlevel import HighLevelProgram, source_json
 from spanforge.linalg import DEFAULT_TOL, in_span, min_norm_solve, min_quadratic_on_hyperplane, svd
-from spanforge.lowlevel import PEEL_MIN_CELLS, LowLevelProgram, Peel, Reduced, normalize_bits
+from spanforge.lowlevel import PEEL_MIN_CELLS, Columns, LowLevelProgram, Peel, Reduced, normalize_bits
 from spanforge.programs import build_rank_program
 from test_lowlevel import _oracle_negative_size
 from test_peel_reference import _rank_queries, assert_matches_reference, assert_program_peel_matches
@@ -99,26 +102,44 @@ def test_exactly_one_side_and_witness_agrees_with_evaluate(prog):
                 prog.positive_witness(x)
 
 
+@st.composite
+def near_span_programs(draw) -> tuple[bool, LowLevelProgram]:
+    near_span = draw(st.booleans())
+    return near_span, draw(programs(near_tol=False, near_span=near_span))
+
+
+# A target 1e-10 off the span of the one vector available on input 001: the
+# negative witness has norm 2.2e10, and rounding alone leaves 4e-7 in
+# avail.T @ w (found at 1,000 examples)
+_FAR_WITNESS = LowLevelProgram(
+    dim=3, num_vars=3, target=[0.013189114868807604, -0.013857815599584357, 0.0671804111893605],
+    labeled=[([0.1257302210933933, -0.1321048632913019, 0.6404226504432821], 3, 1)])
+
+
 @PROPERTY_SETTINGS
-@given(st.data())
-def test_sizes_match_pinv_and_negative_oracle(data):
+@given(near_span_programs())
+@example((True, _FAR_WITNESS))
+def test_sizes_match_pinv_and_negative_oracle(case):
     """Columns below the tolerance are left out: the brute-force oracle holds
     the witness orthogonal to them, the program treats them as zero.  A target
     within the tolerance of the span of all vectors has a positive negative
     optimum under the program's convention and 0 in exact arithmetic, so there
-    the oracle only bounds the size from below."""
-    near_span = data.draw(st.booleans())
-    prog = data.draw(programs(near_tol=False, near_span=near_span))
+    the oracle only bounds the size from below.  A witness is orthogonal to
+    the available vectors up to 1e-7 times ``|avail|_F |w|`` (at least 1):
+    a target near the span has a witness of large norm, and rounding leaves
+    ``avail.T @ w`` in proportion to it."""
+    near_span, prog = case
     for x in _inputs(prog):
         rep = prog.witness(x)
-        avail = prog.available_vectors(x).matrix
+        avail = prog.available_vectors(x).matrix.toarray()
         if rep.decision:
             ref = np.linalg.pinv(avail, rcond=prog.tol) @ prog.target
             assert np.allclose(avail @ rep.witness, prog.target, atol=1e-7)
             assert rep.size == pytest.approx(float(ref @ ref), abs=1e-7, rel=1e-6)
             continue
         assert rep.witness @ prog.target == pytest.approx(1.0, abs=1e-7)
-        assert np.allclose(avail.T @ rep.witness, 0.0, atol=1e-7)
+        scale = max(1.0, np.linalg.norm(avail) * np.linalg.norm(rep.witness))
+        assert np.allclose(avail.T @ rep.witness, 0.0, atol=1e-7 * scale)
         oracle = _oracle_negative_size(prog, x)
         if near_span:
             assert rep.size >= oracle * (1.0 - 1e-6) - 1e-7
@@ -132,7 +153,7 @@ def test_available_vectors_match_column_loop(prog):
     for x in _inputs(prog):
         avail = prog.available_vectors(x)
         matrix, provenance = _seed_available(prog, x)
-        assert np.array_equal(avail.matrix, matrix)
+        assert np.array_equal(avail.matrix.toarray(), matrix)
         columns = [i if kind == "free" else prog.num_free + i for kind, i in provenance]
         assert np.flatnonzero(avail.mask).tolist() == columns
 
@@ -162,15 +183,72 @@ def compiled_programs(draw) -> LowLevelProgram:
 @PROPERTY_SETTINGS
 @given(st.one_of(programs(), compiled_programs()))
 def test_vectors_are_stored_once_and_read_only(prog):
+    """One ``Columns`` holds every vector; the dense copies made of it, and
+    its arrays, are read-only."""
     store = prog.all_vectors()
     vectors = list(prog.free) + [lv.vec for lv in prog.labeled]
-    assert store.shape == (prog.dim, len(vectors))
+    assert store.shape == prog.store.shape == (prog.dim, len(vectors))
     for j, vec in enumerate(vectors):
-        assert np.shares_memory(vec, store)
         assert np.array_equal(vec, store[:, j])
-    for arr in (store, prog.target, *vectors, prog.available_vectors(next(_inputs(prog))).matrix):
+    avail = prog.available_vectors(next(_inputs(prog))).matrix
+    columns = [getattr(c, name) for c in (prog.store, avail) for name in ("indptr", "indices", "data", "cols")]
+    for arr in (store, prog.target, *vectors, avail.toarray(), *columns):
         with pytest.raises(ValueError):
-            arr[0] = 1.0
+            arr[:1] = 1
+
+
+@st.composite
+def dense_builds(draw) -> tuple[object, np.ndarray]:
+    """A program and its store as a dense build made it: a hand-written one
+    with its vectors stacked (entries drawn with zeros of both signs), or a
+    compiled one, in a mode drawn from the three, with its gadget triplets
+    written into a dense array (its source free basis drawn with zeros)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        dim, nfree, nlab = draw(st.integers(1, 5)), draw(st.integers(0, 2)), draw(st.integers(0, 4))
+        entry = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 3e150])
+        vectors = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=nfree + nlab,
+                                max_size=nfree + nlab))
+        prog = LowLevelProgram(dim, 1, rng.standard_normal(dim) + 3.0, free=vectors[:nfree],
+                               labeled=[(vec, 1, 1) for vec in vectors[nfree:]])
+        return prog, np.array(vectors, dtype=float).reshape(nfree + nlab, dim).T
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    free = rng.standard_normal((n, draw(st.integers(0, n)))) * (rng.random((n, 1)) < 0.6)
+    hl = HighLevelProgram(space_dim=n, num_inputs=m, target=rng.standard_normal(n) + 2.0, free_basis=free)
+    comp = _compile(draw, hl, n, m, draw(st.integers(0, 2)))
+    rows, cols, vals = comp.tables.entries(hl.free_basis, comp.program.num_free)
+    dense = np.zeros(comp.program.store.shape)
+    dense[rows, cols] = vals
+    return comp, dense
+
+
+@PROPERTY_SETTINGS
+@given(dense_builds())
+def test_the_column_store_is_the_dense_build_s_nonzeros(build):
+    """The ``Columns`` store holds the nonzeros of the dense build,
+    with its ``indptr``, and densifies back to it; ``to_json`` writes what
+    the dense build wrote, except that a hand-written vector's -0.0, not a
+    nonzero, is written 0.0.  A compiled file's bytes are unchanged, signed
+    zeros of its source free basis included."""
+    comp, dense = build
+    prog = getattr(comp, "program", comp)
+    for got, want in zip(prog.store.entries, Columns.of(dense).entries):
+        assert got.tobytes() == want.tobytes()
+    assert prog.store.indptr.tolist() == [0, *np.cumsum(np.count_nonzero(dense, axis=0)).tolist()]
+    assert prog.all_vectors().tobytes() == (dense + 0.0).tobytes()
+    if comp is prog:
+        nf = prog.num_free
+        written = {"dim": prog.dim, "num_vars": 1, "target": prog.target.tolist(),
+                   "free": (dense[:, :nf].T + 0.0).tolist(),
+                   "labeled": [{"vec": vec, "var": 1, "val": 1} for vec in (dense[:, nf:].T + 0.0).tolist()],
+                   "tol": prog.tol}
+        assert prog.to_json() == json.dumps(written, indent=2)
+        return
+    lay = comp.layout
+    written = {"source": source_json(lay.n, lay.m, prog.target[: lay.n], dense[: lay.n, : lay.num_hl], prog.tol),
+               "encoder": {"mode": lay.mode, "k": lay.precision, "k_nnz": lay.k_nnz, "l_nnz": lay.l_nnz}}
+    assert comp.to_json() == json.dumps(written, indent=2)
+    assert CompiledProgram.from_json(comp.to_json()).to_json() == comp.to_json()
 
 
 def _compile(draw, hl: HighLevelProgram, n: int, m: int, precision: int):
@@ -202,7 +280,7 @@ def compiled_queries(draw) -> tuple[LowLevelProgram, list]:
 def _unpeeled(prog: LowLevelProgram, bits) -> tuple[int, float, np.ndarray | None]:
     """Decision, optimal size and, when accepted, the positive witness from
     one SVD of all available columns."""
-    avail = prog.available_vectors(bits).matrix
+    avail = prog.available_vectors(bits).matrix.toarray()
     dec, _, decision = in_span(avail, prog.target, prog.tol, full_matrices=avail.shape[1] < prog.dim)
     if decision:
         w = min_norm_solve(avail, prog.target, prog.tol, dec)
@@ -217,7 +295,7 @@ def _unpeeled(prog: LowLevelProgram, bits) -> tuple[int, float, np.ndarray | Non
 def test_peeled_witnesses_match_the_unpeeled_solver(query):
     prog, inputs = query
     for bits in inputs:
-        avail = prog.available_vectors(bits).matrix
+        avail = prog.available_vectors(bits).matrix.toarray()
         assert_program_peel_matches(prog, bits)
         rep = prog.witness(bits)
         decision, size, positive = _unpeeled(prog, bits)
@@ -264,13 +342,15 @@ def _swept(peel: Peel, dec) -> np.ndarray:
     return swept
 
 
-def reference_negative(prog: LowLevelProgram, peel: Peel, dec, tol: float) -> tuple[float, np.ndarray, int]:
+def reference_negative(prog: LowLevelProgram, peel: Peel, dec, tol: float,
+                       dense: bool = False) -> tuple[float, np.ndarray, int]:
     """The QR path's negative solve on a peel with rounds: the swept basis
-    made orthonormal by a thin QR, multiplied by the dense store, and the
+    made orthonormal by a thin QR, multiplied by the store
+    (``store_product``), or with ``dense`` by the dense store, and the
     quadratic on that product.  Its size, witness and the rank of the
     product."""
     nbasis = np.linalg.qr(_swept(peel, dec))[0]
-    product = prog.all_vectors().T @ nbasis
+    product = prog.all_vectors().T @ nbasis if dense else prog.store_product(nbasis)
     size, y = min_quadratic_on_hyperplane(product, nbasis.T @ prog.target, tol)
     return size, nbasis @ y, svd(product, tol).rank
 
@@ -312,11 +392,88 @@ def test_rejected_compiled_sparse_rank_queries_take_the_reduction():
                 peel, dec, decision = prog._decide(bits, prog.tol)
                 if not decision:
                     assert peel.rounds and assert_negative_matches_reference(prog, peel, dec, prog.tol)
+                    sparse, dense = (reference_negative(prog, peel, dec, prog.tol, dense)[0] for dense in (0, 1))
+                    assert sparse == pytest.approx(dense, rel=1e-13)
                     swept = reference_sweep(peel, dec.u[:, dec.rank :])
                     assert np.allclose(_swept(peel, dec), swept, rtol=1e-13, atol=1e-15)
                     rejected, last = rejected + 1, (peel, dec)
         assert not assert_negative_matches_reference(prog, *last, 0.0)
     assert rejected == 24
+
+
+def _traced_peak(call):
+    """``call()`` and the peak of the memory it traced, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_dense_program_s_rejected_input_multiplies_dense_blocks_of_the_store():
+    """A rejected input of a dense hand-written program (120 x 240, 60
+    vectors available) takes the QR path on its dense complement basis N of
+    60 columns.  Joining each of the 28,800 store entries with the 60
+    entries of N on its row would hold 1.7M products (the witness peaked at
+    70 MB so); ``store_product`` multiplies dense blocks of the store
+    instead, and the witness peaks under 4 MB with the dense product's
+    size."""
+    rng = np.random.default_rng(5)
+    vectors = rng.standard_normal((240, 120))
+    prog = LowLevelProgram(120, 240, rng.standard_normal(120), labeled=[(v, j + 1, 1) for j, v in enumerate(vectors)])
+    x = [1] * 60 + [0] * 180
+    rep, peak = _traced_peak(lambda: prog.witness(x))
+    peel, dec, _ = prog._decide(x, prog.tol)
+    nbasis = dec.u[:, dec.rank :]
+    assert rep.decision == 0 and not (peel.rounds or peel.zero) and nbasis.shape[1] == 60
+    assert peak < 4e6
+    product = prog.all_vectors().T @ nbasis
+    np.testing.assert_allclose(prog.store_product(nbasis), product, rtol=1e-12, atol=1e-12)
+    size, _ = min_quadratic_on_hyperplane(product, nbasis.T @ prog.target, prog.tol)
+    assert rep.size == pytest.approx(size, rel=1e-12)
+
+
+def test_the_whole_matrix_fallback_s_product_holds_about_its_result(monkeypatch):
+    """Where a compiled query's peel does not stand, its available columns
+    are factored whole and the QR path multiplies the store by their dense
+    complement basis (41 columns on this sparse n = 8 rejected input).  The
+    negative solve holds about three times the count x width product
+    (twelve when every store entry met its row of N), and gives the dense
+    product's size."""
+    rng = np.random.default_rng([7, 8])
+    comp = compile_sparse(build_rank_program(8, 8, 4, rng), k_nnz=3, l_nnz=3, precision=3)
+    prog, bits = comp.program, comp.encode(list(_rank_queries(8, 3, 3, rng))[1])
+    monkeypatch.setattr(Peel, "stands", lambda self, *args: not (self.rounds or self.zero))
+    peel, dec, decision = prog._decide(bits, prog.tol)
+    nbasis = dec.u[:, dec.rank :]
+    assert decision == 0 and not (peel.rounds or peel.zero) and nbasis.shape[1] == 41
+    rep, peak = _traced_peak(lambda: prog._negative(peel, dec, prog.tol))
+    assert peak < 4 * prog.store.shape[1] * nbasis.shape[1] * 8
+    size, _ = min_quadratic_on_hyperplane(prog.all_vectors().T @ nbasis, nbasis.T @ prog.target, prog.tol)
+    assert rep.size == pytest.approx(size, rel=1e-12)
+
+
+def test_every_dense_matrix_of_a_query_is_capped(monkeypatch):
+    """The kept block, the available columns factored whole and the QR
+    path's product are made dense under ``MAX_DENSE_ENTRIES``: past it the
+    query raises, naming the size (shown on a sparse n = 8 program with the
+    cap lowered)."""
+    rng = np.random.default_rng([7, 8])
+    comp = compile_sparse(build_rank_program(8, 8, 4, rng), k_nnz=3, l_nnz=3, precision=3)
+    prog = comp.program
+    accepted, rejected = (comp.encode(a) for a in list(_rank_queries(8, 3, 3, rng))[:2])
+    peel, dec, _ = prog._decide(rejected, 0.0)  # at tol = 0 the QR path runs
+    product = (prog.store.shape[1], dec.u.shape[1] - dec.rank + len(peel.zero))
+    block = prog._decide(accepted, prog.tol)[0].block.shape
+    whole = prog.available_vectors(accepted).matrix.shape
+    for shape in (block, product):
+        monkeypatch.setattr("spanforge.lowlevel.MAX_DENSE_ENTRIES", shape[0] * shape[1] - 1)
+        with pytest.raises(ValueError, match=f"a dense {shape[0]} x {shape[1]} matrix is past the cap"):
+            prog.witness(accepted) if shape is block else prog.witness(rejected, 0.0)
+    monkeypatch.setattr(Peel, "stands", lambda self, *args: not (self.rounds or self.zero))
+    monkeypatch.setattr("spanforge.lowlevel.MAX_DENSE_ENTRIES", whole[0] * whole[1] - 1)
+    with pytest.raises(ValueError, match=f"a dense {whole[0]} x {whole[1]} matrix is past the cap"):
+        prog.witness(accepted)
 
 
 @st.composite
@@ -349,7 +506,7 @@ def ill_conditioned_queries(draw) -> tuple[LowLevelProgram, float]:
     target = np.zeros(dim)
     target[:rows] = inside + off * ratio * np.linalg.norm(inside) / np.sqrt(1.0 - ratio**2) / np.linalg.norm(off)
     labels = np.ones(store.shape[1] - free, dtype=np.intp)
-    return LowLevelProgram.from_store(1, target, store, free, labels, labels, tol), tol
+    return LowLevelProgram.from_store(1, target, Columns.of(store), free, labels, labels, tol), tol
 
 
 @PROPERTY_SETTINGS
@@ -359,8 +516,8 @@ def test_reduction_stands_only_where_it_matches_the_qr_path(query):
     path, or misses its size by more than 1e-10, the reduction does not
     stand, and the QR path runs."""
     prog, tol = query
-    avail = prog.available_vectors((0,)).matrix
-    peel = Peel.of(avail, prog.target)
+    avail = prog.available_vectors((0,)).matrix.toarray()
+    peel = Peel.of(Columns.of(avail), prog.target)
     rows, cols = peel.block.shape
     dec, _, decision = in_span(peel.block, peel.target, tol, full_matrices=cols < rows or bool(peel.merges))
     assume(peel.rounds and not decision)
@@ -382,9 +539,9 @@ def test_reduction_refuses_a_sweep_through_tiny_pivots():
     store[:, 1] = [1.0, 0.0, 1.0, 1e-10, 1.0]
     store[:, 2] = [0.0, 1.0, 1.0, 0.0, 1e-10]
     store[:, 3:] = np.random.default_rng(3).standard_normal((5, 2))
-    prog = LowLevelProgram.from_store(1, [1.0, 1.0, 1.0, 0.0, 0.0], store, 3, [1, 1], [1, 1])
-    avail = prog.available_vectors((0,)).matrix
-    peel = Peel.of(avail, prog.target)
+    prog = LowLevelProgram.from_store(1, [1.0, 1.0, 1.0, 0.0, 0.0], Columns.of(store), 3, [1, 1], [1, 1])
+    avail = prog.available_vectors((0,)).matrix.toarray()
+    peel = Peel.of(Columns.of(avail), prog.target)
     assert [(r.tolist(), c.tolist()) for r, c in peel.rounds] == [([3], [1]), ([4], [2])]
     dec, _, decision = in_span(peel.block, peel.target, prog.tol, full_matrices=True)
     assert decision == 0
@@ -422,7 +579,8 @@ def _near_tolerance(prog: LowLevelProgram, rng, tol: float) -> LowLevelProgram:
         store[i] = target[i] = 0.0
         store[i, j] = rng.standard_normal()
         store[i, k] = store[i, j] * rng.choice([-1.0, 1.0]) * (1.0 + rng.choice([1e-3, 1e3]) * tol)
-    return LowLevelProgram.from_store(prog.num_vars, target, store, prog.num_free, prog.var, prog.val, tol)
+    return LowLevelProgram.from_store(prog.num_vars, target, Columns.of(store), prog.num_free, prog.var, prog.val,
+                                      tol)
 
 
 @st.composite
@@ -450,12 +608,12 @@ def test_peel_keeps_the_decision_near_the_tolerance(query):
     stand."""
     prog, inputs = query
     for bits in inputs:
-        avail = prog.available_vectors(bits).matrix
+        avail = prog.available_vectors(bits).matrix.toarray()
         decision = in_span(avail, prog.target, prog.tol)[2]
         assert prog.evaluate(bits) == prog.witness(bits).decision == decision
         # the peel itself, also where the available matrix is too small for
         # evaluate to peel; it matches the per-pivot reference
-        peel = Peel.of(avail, prog.target)
+        peel = Peel.of(Columns.of(avail), prog.target)
         assert_matches_reference(peel, avail, prog.target)
         rows, cols = peel.block.shape
         dec, resid, block_decision = in_span(peel.block, peel.target, prog.tol, full_matrices=cols < rows)
@@ -475,8 +633,8 @@ def test_compiled_sparse_inputs_peel():
     for _ in range(4):
         a = _budgeted_grid_matrix(rng, 4, 4, 2, 2, 2)
         bits = comp.encode(a)
-        avail = comp.program.available_vectors(bits).matrix
-        block = Peel.of(avail, comp.program.target).block
+        avail = comp.program.available_vectors(bits).matrix.toarray()
+        block = Peel.of(Columns.of(avail), comp.program.target).block
         assert block.shape[0] < avail.shape[0] and block.shape[1] < avail.shape[1]
         # and the peel stands
         assert comp.program._decide(bits, comp.program.tol)[0].block.shape == block.shape
@@ -497,9 +655,9 @@ def test_compiled_dense_inputs_peel():
         prog = comp.program
         for _ in range(4):
             bits = comp.encode(_budgeted_grid_matrix(rng, n, m, precision, k_nnz, l_nnz))
-            avail = prog.available_vectors(bits).matrix
+            avail = prog.available_vectors(bits).matrix.toarray()
             assert avail.size >= PEEL_MIN_CELLS or k_nnz is not None  # evaluate peels every dense query
-            peel = Peel.of(avail, prog.target)
+            peel = Peel.of(Columns.of(avail), prog.target)
             rows, cols = peel.block.shape
             assert rows <= n and cols <= m + f
             dec, resid, _ = in_span(peel.block, peel.target, prog.tol, full_matrices=cols < rows or bool(peel.merges))

@@ -15,7 +15,7 @@ import pytest
 
 from spanforge.compiler import compile_dense, compile_sparse
 from spanforge.linalg import in_span, min_norm_solve
-from spanforge.lowlevel import LowLevelProgram, Peel
+from spanforge.lowlevel import Columns, LowLevelProgram, Peel
 from spanforge.programs import build_rank_program
 from test_acceptance import CALIBRATION_SEED, _random_lowlevel, criterion_03_programs, criterion_04_fixtures
 
@@ -197,11 +197,11 @@ def assert_matches_reference(peel: Peel, matrix: np.ndarray, target: np.ndarray)
 
 
 def assert_program_peel_matches(prog: LowLevelProgram, bits) -> Peel:
-    """The peel of ``bits`` on the entry list of ``prog`` matches the
-    reference; returns it."""
-    avail = prog.available_vectors(bits)
-    peel = prog._peel(avail)
-    assert_matches_reference(peel, avail.matrix, prog.target)
+    """The peel of ``bits`` on the columns of the store of ``prog`` that
+    ``available_vectors`` gathers matches the reference; returns it."""
+    avail = prog.available_vectors(bits).matrix
+    peel = Peel.of(avail, prog.target)
+    assert_matches_reference(peel, avail.toarray(), prog.target)
     return peel
 
 
@@ -218,7 +218,8 @@ def _sparse_criterion_01_program(rng) -> LowLevelProgram:
     store, target = np.array(prog.all_vectors()), np.array(prog.target)
     store[rng.random(store.shape) < 0.5] = 0.0
     target[rng.choice(prog.dim, size=int(rng.integers(0, prog.dim)), replace=False)] = 0.0
-    return LowLevelProgram.from_store(prog.num_vars, target, store, prog.num_free, prog.var, prog.val, prog.tol)
+    return LowLevelProgram.from_store(prog.num_vars, target, Columns.of(store), prog.num_free, prog.var, prog.val,
+                                      prog.tol)
 
 
 def test_peel_matches_the_reference_on_criterion_01_queries():
@@ -294,8 +295,8 @@ def test_doubleton_round_takes_a_row_after_one_that_waits():
         dim=4, num_vars=0, target=[0.0, 0.0, 0.0, 1.0],
         free=([1.0, 2.0, 0.0, 1.0], [2.0, 0.0, 0.0, 1.0], [0.0, 1.0, 2.0, 1.0], [0.0, 0.0, 1.0, 1.0]),
     )
-    avail = prog.available_vectors("").matrix
-    peel = Peel.of(avail, prog.target)
+    avail = prog.available_vectors("").matrix.toarray()
+    peel = Peel.of(Columns.of(avail), prog.target)
     assert_matches_reference(peel, avail, prog.target)
     assert [(rows.tolist(), cols.tolist()) for rows, cols in peel.rounds] == [([0, 2], [1, 2]), ([1], [0])]
     assert [(js.tolist(), ks.tolist(), ms.tolist()) for js, ks, ms in peel.merges] == [
@@ -319,7 +320,7 @@ def test_merges_into_one_entry_are_applied_in_row_order():
     store[np.arange(9), np.arange(1, 10)] = 1.0
     store[9, 1:] = -(2.0**-53)
     target = np.eye(10)[9]
-    peel = Peel.of(store, target)
+    peel = Peel.of(Columns.of(store), target)
     assert_matches_reference(peel, store, target)
     assert [(rows.tolist(), cols.tolist()) for rows, cols in peel.rounds] == [(list(range(9)), list(range(1, 10)))]
     assert peel.merges[0][0].tolist() == [0] * 9 and peel.merges[0][2].tolist() == [1.0] * 9

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from spanforge.errors import SolverFailure
 from spanforge.randmat import (
     Bidiagonal,
     RngStream,
@@ -151,6 +152,24 @@ def test_bidiagonal_kernels_match_dense_svd(draws):
     assert b.inverse_frobenius_sq() == pytest.approx(np.sum(1.0 / sigma**2, axis=1), rel=1e-9)
     assert b.c() == pytest.approx(np.sqrt(np.mean(1.0 / sigma**2, axis=1)), rel=1e-9)
     assert b.sigma_min() == pytest.approx(sigma[:, -1], rel=1e-9)
+
+
+def test_sigma_min_is_the_tridiagonal_eigenvalue_bit_for_bit(monkeypatch):
+    """``sigma_min`` calls LAPACK's ``stebz`` as ``eigvalsh_tridiagonal``
+    does, so it returns that wrapper's bits; a call that fails raises."""
+    import scipy.linalg
+
+    for b in (sample_bidiagonal(np.random.default_rng(6), 8, 9, 11), _ill_conditioned()):
+        n = b.d.shape[1]
+        ref = []
+        for d, e in zip(b.d, b.e):
+            off = np.insert(d, np.arange(1, n), e)  # d[0], e[0], d[1], ..., d[n - 1]
+            ref.append(scipy.linalg.eigvalsh_tridiagonal(np.zeros(2 * n), off, select="i", select_range=(n, n))[0])
+        assert b.sigma_min().tobytes() == np.array(ref).tobytes()
+    monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
+                        lambda names, arrays: (lambda *args: (0, np.zeros(1), None, None, 2),))
+    with pytest.raises(SolverFailure, match=r"stebz found 0 eigenvalues of a 24-row tridiagonal \(info 2\)"):
+        _ill_conditioned().sigma_min()
 
 
 # (dense statistic of a Gaussian batch, bidiagonal statistic, n, m) per law
