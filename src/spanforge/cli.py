@@ -11,6 +11,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -72,7 +73,7 @@ def _witness_payload(report) -> dict:
     return {
         "decision": report.decision,
         "size": report.size,
-        "witness": [float(x) for x in report.witness],
+        "witness": report.witness.tolist(),
     }
 
 
@@ -83,7 +84,7 @@ def _witness_payload(report) -> dict:
 def _cmd_evaluate(args) -> int:
     if (args.program is None) == (args.highlevel is None):
         raise ValueError("exactly one of --program / --highlevel is required")
-    if args.program:
+    if args.program is not None:
         prog = _load_lowlevel(args.program)
         decision = prog.evaluate(args.input, args.tol)
         payload = {"decision": decision, "input": args.input, "num_vars": prog.num_vars}
@@ -99,7 +100,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_witness(args) -> int:
     if (args.program is None) == (args.highlevel is None):
         raise ValueError("exactly one of --program / --highlevel is required")
-    if args.program:
+    if args.program is not None:
         prog = _load_lowlevel(args.program)
         source = args.input
     else:
@@ -265,6 +266,8 @@ def _cmd_lowerbound_suite(args) -> int:
 # parser
 
 
+# built once and shared by every caller, who must not change it; parse_args makes a fresh namespace per call
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spanforge", description="Span program workbench batch front end."

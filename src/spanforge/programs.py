@@ -136,8 +136,8 @@ class RankExperimentConfig:
             raise ValueError("trials must be positive")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
-        if self.L is not None and self.L <= 0:
-            raise ValueError("L must be positive when given")
+        if self.L is not None and not 0 < self.L <= 1e154:  # so that the bound's L**2 is finite
+            raise ValueError(f"L must lie in (0, 1e154] when given, got {self.L}")
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RankExperimentConfig":

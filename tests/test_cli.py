@@ -102,6 +102,14 @@ def test_evaluate_requires_one_program_source(capsys, onehot_program, hl_files):
     assert code == 1 and "exactly one" in err
 
 
+@pytest.mark.parametrize("cmd", ["evaluate", "witness"])
+@pytest.mark.parametrize("flag", ["--program", "--highlevel"])
+def test_an_empty_program_path_names_the_file(capsys, cmd, flag):
+    code, out, err = _run(capsys, [cmd, flag, "", "--input", "0"])
+    assert code == 1 and out == ""
+    assert "input file '' does not exist" in err
+
+
 def test_witness_auto_both_sides(capsys, onehot_program):
     code, out, _ = _run(capsys, ["witness", "--program", str(onehot_program), "--input", "1"])
     assert code == 0
@@ -288,6 +296,24 @@ def test_rank_experiment_honours_tol(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n": 4, "m": 4, "r": 2, "trials": 5, "master_seed": 3, "tolerance": 0.9}))
     assert _run(capsys, ["rank-experiment", "--config", str(cfg)])[1] == loose
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "1e155", "1e300"])
+def test_rank_experiment_L_outside_its_range_exits_1(capsys, tmp_path, value):
+    code, out, err = _run(capsys, _rank_args() + ["--L", value])
+    assert code == 1 and out == ""
+    assert "L must lie in (0, 1e154] when given" in err
+    if value in ("0", "-1", "1e155", "1e300"):  # JSON has no nan or inf
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4, "m": 4, "r": 2, "trials": 3, "master_seed": 9, "L": float(value)}))
+        code, out, err = _run(capsys, ["rank-experiment", "--config", str(cfg)])
+        assert code == 1 and out == ""
+        assert "L must lie in (0, 1e154] when given" in err
+
+
+def test_rank_experiment_L_at_its_cap_is_accepted(capsys):
+    # L**2 is finite; the bound, a few times that, may overflow to inf
+    assert _run(capsys, _rank_args() + ["--L", "1e154"])[0] == 0
 
 
 _CONFIG = {"n": 4, "m": 4, "r": 2, "trials": 3, "master_seed": 9}

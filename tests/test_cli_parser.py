@@ -1,0 +1,178 @@
+"""One parser per process: ``cli.main`` builds it on its first call and reuses
+it.  Reuse must not change what any command prints or returns, and no
+command line, however malformed, may end in anything but exit 0, 1 or 2."""
+
+import argparse
+import contextlib
+import io
+import json
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from spanforge import cli
+from spanforge.compiler import compile_dense
+from spanforge.highlevel import HighLevelProgram
+
+SUBCOMMANDS = ("evaluate", "witness", "compile", "rank-experiment", "wishart-experiment",
+               "ratio-experiment", "lowerbound-suite")
+
+
+def _run(argv):
+    """(status, stdout, stderr) of one ``main`` call: the status is what
+    ``main`` returned, or ``("exit", code)`` for a ``SystemExit``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A 2 x 2 high-level program accepting ``accept`` and rejecting
+    ``reject``, its dense k = 1 compilation with both inputs' bit strings, a
+    rank-experiment config, a directory and a missing path."""
+    d = tmp_path_factory.mktemp("cli")
+    hl = HighLevelProgram(space_dim=2, num_inputs=2, target=np.array([1.0, 0.0]), free_basis=np.zeros((2, 0)))
+    comp = compile_dense(hl, precision=1)
+    accept, reject = np.array([[-1.0, 0.0], [0.0, -1.0]]), np.array([[0.0, 0.0], [-1.0, -1.0]])
+    paths = {name: d / name for name in ("hl.json", "compiled.json", "accept.json", "reject.json", "config.json")}
+    paths["hl.json"].write_text(hl.to_json())
+    paths["compiled.json"].write_text(comp.to_json())
+    paths["accept.json"].write_text(json.dumps(accept.tolist()))
+    paths["reject.json"].write_text(json.dumps(reject.tolist()))
+    paths["config.json"].write_text(json.dumps({"n": 4, "m": 4, "r": 2, "trials": 2, "master_seed": 3}))
+    paths["dir"], paths["missing"], paths["out"] = d, d / "missing.json", d / "out.txt"
+    paths["bits"] = ["".join(map(str, comp.encode(a))) for a in (accept, reject)]
+    return paths
+
+
+def test_a_second_main_call_builds_no_parser(files, monkeypatch):
+    assert cli.main(["lowerbound-suite", "--out", str(files["out"])]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    assert cli.main(["lowerbound-suite", "--out", str(files["out"])]) == 0
+    assert _run(["witness", "--help"])[0] == ("exit", 0)
+    assert built == []
+
+
+def _parity_cases(files):
+    help_ = [["--help"]] + [[sub, "--help"] for sub in SUBCOMMANDS]
+    usage = [
+        [],
+        ["evaluate", "--program", str(files["compiled.json"])],
+        ["witness", "--input", "0", "--side", "both"],
+        ["compile", "--highlevel", str(files["hl.json"]), "--mode", "dense", "--bits", "one"],
+        ["rank-experiment", "--n", "4", "--L"],
+        ["wishart-experiment", "--kind", "trace", "--n", "3"],
+        ["ratio-experiment", "--n", "2,4", "--trials", "2", "--seed", "1", "--format", "xml"],
+        ["lowerbound-suite", "--n", "4", "--extra"],
+    ]
+    handler = [["evaluate", "--program", str(files["missing"]), "--input", "0"]]
+    return ([(argv, ("exit", 0)) for argv in help_ + [["--version"]]] + [(argv, ("exit", 2)) for argv in usage]
+            + [(argv, 1) for argv in handler])
+
+
+def test_a_reused_parser_prints_what_a_fresh_one_prints(files, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    cases = _parity_cases(files)
+    reused = [(_run(argv), _run(argv)) for argv, _ in cases]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    for (argv, status), (first, second) in zip(cases, reused):
+        fresh = _run(argv)
+        assert first == second == fresh, argv
+        assert fresh[0] == status and (fresh[1] or fresh[2]), argv
+    assert reused[0][0][1].startswith("usage: spanforge [-h] [--version]")
+    assert reused[len(SUBCOMMANDS) + 1][0][1] == f"spanforge {cli.TOOL_VERSION}\n"
+
+
+# ---------------------------------------------------------------------------
+# argv property
+
+# what each file-naming option is given besides junk: its own kind of file,
+# another kind, a directory or a missing path
+PATHS = {"--program": ("compiled.json", "hl.json", "dir", "missing"),
+         "--highlevel": ("hl.json", "compiled.json", "missing"),
+         "--input": ("accept.json", "reject.json", "hl.json", "missing"),
+         "--config": ("config.json", "hl.json", "dir", "missing")}
+INTS = st.integers(-2, 6).map(str)
+FLOATS = st.sampled_from(["0", "0.5", "-0.25", "1e-12", "1e300", "nan", "inf", "-inf"])
+JUNK = st.sampled_from(["", "x", "-", "--", "0,1", "2,4", "3,3", "0110", "[]", "{}", "\u0661"])
+
+
+def _subparsers():
+    parser = cli.build_parser.__wrapped__()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _value(action, files, clean):
+    """A value of the option's own kind, or, unless ``clean``, now and then
+    any value or none."""
+    flag = action.option_strings[0]
+    if flag == "--out":  # never write outside the test's directory
+        return st.sampled_from([str(files["out"])] if clean else [str(files["out"]), str(files["dir"]), None])
+    if flag == "--trials":
+        typed = st.integers(-2, 3).map(str)
+    elif action.choices:
+        typed = st.sampled_from(list(action.choices))
+    elif flag in PATHS:
+        typed = st.sampled_from([str(files[name]) for name in PATHS[flag]] + (files["bits"] if flag == "--input" else []))
+    elif action.type is int:
+        typed = INTS
+    elif action.type is float:
+        typed = INTS | FLOATS
+    else:  # ratio-experiment's comma-separated sizes
+        typed = st.lists(INTS, max_size=3).map(",".join)
+    if clean:
+        return typed
+    anything = FLOATS | JUNK if flag == "--trials" else INTS | FLOATS | JUNK
+    return st.sampled_from([typed] * 6 + [anything, st.none()]).flatmap(lambda values: values)
+
+
+@st.composite
+def command_lines(draw, subparsers, files):
+    """A subcommand with a random subset of its options in random order.  Half
+    the lines give every option a value of its kind and every required
+    option; the rest leave a required option out one time in eight."""
+    name = draw(st.sampled_from(SUBCOMMANDS))
+    clean = draw(st.booleans())
+    actions = [a for a in subparsers[name]._actions if a.option_strings[0] != "-h"]
+    chosen = draw(st.lists(st.sampled_from(actions), unique=True))
+    chosen += [a for a in actions if a.required and a not in chosen and (clean or draw(st.integers(0, 7)))]
+    argv = [name]
+    for action in chosen:
+        value = draw(_value(action, files, clean))
+        argv += [action.option_strings[0]] + ([] if value is None else [value])
+    return argv
+
+
+def test_any_command_line_exits_0_1_or_2(files):
+    reference = ["evaluate", "--program", str(files["compiled.json"]), "--input", files["bits"][0]]
+    before = _run(reference)
+    assert before[0] == 0 and json.loads(before[1])["decision"] == 1
+
+    # once an empty --program fell through to the high-level branch
+    # (TypeError), and --L 1e300 overflowed the bound's L**2 (OverflowError)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @example([["evaluate", "--program", "", "--input", "-"]])
+    @example([["rank-experiment", "--n", "4", "--m", "4", "--r", "4", "--trials", "1", "--seed", "1", "--L", "1e300"]])
+    @given(st.lists(command_lines(_subparsers(), files), min_size=1, max_size=3))
+    def check(sequence):
+        for argv in sequence:
+            code, _, err = _run(argv)
+            assert code in (0, 1, 2, ("exit", 0), ("exit", 2)), (argv, code)
+            assert "Traceback" not in err, argv
+        assert _run(reference) == before
+
+    check()
