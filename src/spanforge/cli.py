@@ -1,16 +1,19 @@
 """Batch command-line front end.
 
 Subcommands: evaluate, witness, compile, rank-experiment,
-wishart-experiment, ratio-experiment, lowerbound-suite.  Exit codes: 0 on
-success, 1 for malformed inputs (the message names the offending field or
+wishart-experiment, ratio-experiment, lowerbound-suite.  Each handler
+returns its report, which ``main`` writes to the file ``--out`` names, or to
+stdout when ``--out`` is omitted; an empty ``--out`` exits 1.  Exit codes: 0
+on success, 1 for malformed inputs (the message names the offending field or
 file), 2 for infeasible requests such as asking for a witness side that
-does not exist.  Identical command lines with identical seeds produce
-byte-identical outputs.
+does not exist, and for command lines argparse rejects.  Identical command
+lines with identical seeds produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -25,6 +28,7 @@ from .linalg import DEFAULT_TOL, input_matrix, tol_field
 from .lowlevel import MAX_DENSE_ENTRIES, LowLevelProgram
 from .programs import (
     RankExperimentConfig,
+    RankTrialRow,
     grover_dj_program,
     run_rank_trials,
     unique_search_input,
@@ -57,64 +61,54 @@ def _load_lowlevel(path: str) -> LowLevelProgram:
     return LowLevelProgram.from_json_dict(data)
 
 
-def _load_highlevel(path: str) -> HighLevelProgram:
-    return HighLevelProgram.from_json_dict(_read_json(path))
+def _load(args) -> tuple:
+    """The program that ``--program`` or ``--highlevel`` names, with its
+    input: the ``--input`` bit string, or the matrix its file holds."""
+    if (args.program is None) == (args.highlevel is None):
+        raise ValueError("exactly one of --program / --highlevel is required")
+    if args.program is not None:
+        return _load_lowlevel(args.program), args.input
+    return HighLevelProgram.from_json_dict(_read_json(args.highlevel)), input_matrix(_read_json(args.input))
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _check_matrix_size(height: int, width: int, sizes: dict) -> None:
+    """Refuse a request whose largest matrix, ``height x width``, is past
+    ``MAX_DENSE_ENTRIES``, naming the ``sizes`` that ask for it."""
+    if height * width > MAX_DENSE_ENTRIES:
+        given = ", ".join(f"{name}={value}" for name, value in sizes.items())
+        raise ValueError(f"{given} ask for a {height} x {width} matrix, past the cap of {MAX_DENSE_ENTRIES} entries")
 
 
-def _witness_payload(report) -> dict:
-    return {
-        "decision": report.decision,
-        "size": report.size,
-        "witness": report.witness.tolist(),
-    }
+def _report(args, kind: str, config: dict, header: list[str], rows: list, results: dict) -> str:
+    """An experiment's report: ``rows`` under ``header`` as CSV, or
+    ``results`` in the JSON envelope, as ``--format`` asks."""
+    if args.format == "csv":
+        return render_csv(header, rows)
+    return render_json(report_envelope(kind, config, results))
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its report, which ``main`` writes
 
 
-def _cmd_evaluate(args) -> int:
-    if (args.program is None) == (args.highlevel is None):
-        raise ValueError("exactly one of --program / --highlevel is required")
-    if args.program is not None:
-        prog = _load_lowlevel(args.program)
-        decision = prog.evaluate(args.input, args.tol)
-        payload = {"decision": decision, "input": args.input, "num_vars": prog.num_vars}
-    else:
-        prog = _load_highlevel(args.highlevel)
-        matrix = input_matrix(_read_json(args.input))
-        decision = prog.evaluate(matrix, args.tol)
-        payload = {"decision": decision, "input": args.input, "shape": list(matrix.shape)}
-    _write_output(render_json({"tool_version": TOOL_VERSION, "kind": "evaluate", **payload}), args.out)
-    return 0
+def _cmd_evaluate(args) -> str:
+    prog, source = _load(args)
+    dims = {"num_vars": prog.num_vars} if args.program is not None else {"shape": list(source.shape)}
+    decision = prog.evaluate(source, args.tol)
+    return render_json({"tool_version": TOOL_VERSION, "kind": "evaluate", "decision": decision,
+                        "input": args.input, **dims})
 
 
-def _cmd_witness(args) -> int:
-    if (args.program is None) == (args.highlevel is None):
-        raise ValueError("exactly one of --program / --highlevel is required")
-    if args.program is not None:
-        prog = _load_lowlevel(args.program)
-        source = args.input
-    else:
-        prog = _load_highlevel(args.highlevel)
-        source = input_matrix(_read_json(args.input))
+def _cmd_witness(args) -> str:
+    prog, source = _load(args)
     solve = {"auto": prog.witness, "pos": prog.positive_witness, "neg": prog.negative_witness}[args.side]
     report = solve(source, args.tol)
-    payload = {"tool_version": TOOL_VERSION, "kind": "witness", **_witness_payload(report)}
-    _write_output(render_json(payload), args.out)
-    return 0
+    return render_json({"tool_version": TOOL_VERSION, "kind": "witness", "decision": report.decision,
+                        "size": report.size, "witness": report.witness.tolist()})
 
 
-def _cmd_compile(args) -> int:
-    prog = _load_highlevel(args.highlevel)
+def _cmd_compile(args) -> str:
+    prog = HighLevelProgram.from_json_dict(_read_json(args.highlevel))
     # dense mode takes neither budget, sparse_cols --k-nnz only, sparse both
     budgets = (("--k-nnz", args.k_nnz, args.mode != "dense"), ("--l-nnz", args.l_nnz, args.mode == "sparse"))
     for flag, value, used in budgets:
@@ -124,11 +118,10 @@ def _cmd_compile(args) -> int:
         compiled = compile_dense(prog, precision=args.bits)
     else:
         compiled = compile_sparse(prog, k_nnz=args.k_nnz, precision=args.bits, l_nnz=args.l_nnz)
-    _write_output(compiled.to_json() + "\n", args.out)
-    return 0
+    return compiled.to_json() + "\n"
 
 
-def _cmd_rank_experiment(args) -> int:
+def _cmd_rank_experiment(args) -> str:
     flags = {"--n": args.n, "--m": args.m, "--r": args.r, "--L": args.L, "--trials": args.trials,
              "--seed": args.seed, "--tol": args.tol}
     if args.config:
@@ -144,37 +137,27 @@ def _cmd_rank_experiment(args) -> int:
             n=args.n, m=args.m, r=args.r, L=args.L, trials=args.trials,
             master_seed=args.seed, tolerance=args.tol if args.tol is not None else DEFAULT_TOL,
         )
+    # a trial's largest matrix, its available columns (the n x m input and
+    # n - r free vectors), is at most n x (n + m)
+    n, m = config.n, config.m
+    _check_matrix_size(n, n + m, {"n": n, "m": m} if args.config else {"--n": n, "--m": m})
     summary = run_rank_trials(
         config,
         bound_constant=calibration.RANK_POSITIVE_C,
         negative_threshold=calibration.RANK_NEGATIVE_THRESHOLD,
     )
-    header = [
-        "trial", "side", "decision", "correct", "witness_size",
-        "c_r", "L_used", "bound", "within_bound", "promise_met",
-    ]
-    rows = [
-        [r.trial, r.side, r.decision, r.correct, r.witness_size,
-         r.c_r, r.L_used, r.bound, r.within_bound, r.promise_met]
-        for r in summary.rows
-    ]
+    header = [field.name for field in dataclasses.fields(RankTrialRow)]
+    rows = [dataclasses.astuple(row) for row in summary.rows]
     results = {
         "fraction_correct": summary.fraction_correct,
         "positive_within_bound": summary.positive_within_bound,
         "negative_within_threshold": summary.negative_within_threshold,
         "rows": [dict(zip(header, row)) for row in rows],
     }
-    if args.format == "csv":
-        _write_output(render_csv(header, rows), args.out)
-    else:
-        _write_output(
-            render_json(report_envelope("rank-experiment", config.to_json_dict(), results)),
-            args.out,
-        )
-    return 0
+    return _report(args, "rank-experiment", dataclasses.asdict(config), header, rows, results)
 
 
-def _cmd_wishart_experiment(args) -> int:
+def _cmd_wishart_experiment(args) -> str:
     if args.kind != "trace" and args.m is not None:
         raise ValueError(f"--m does not apply to --kind {args.kind}")
     stream = RngStream(seed=args.seed)
@@ -191,18 +174,11 @@ def _cmd_wishart_experiment(args) -> int:
             est = exp_inverse_wishart_trace(args.n, args.m, args.trials, stream)
         header = ["n", "m" if args.kind == "trace" else "block", "trials", "estimate", "stderr", "true_value"]
         row = [est.n, est.size, est.trials, est.estimate, est.stderr, est.true_value]
-    if args.format == "csv":
-        _write_output(render_csv(header, [row]), args.out)
-    else:
-        config = {"kind": args.kind, "n": args.n, "m": args.m, "trials": args.trials, "seed": args.seed}
-        _write_output(
-            render_json(report_envelope("wishart-experiment", config, dict(zip(header, row)))),
-            args.out,
-        )
-    return 0
+    config = {"kind": args.kind, "n": args.n, "m": args.m, "trials": args.trials, "seed": args.seed}
+    return _report(args, "wishart-experiment", config, header, [row], dict(zip(header, row)))
 
 
-def _cmd_ratio_experiment(args) -> int:
+def _cmd_ratio_experiment(args) -> str:
     try:
         n_list = [int(tok) for tok in args.n.split(",") if tok]
     except ValueError:
@@ -212,27 +188,19 @@ def _cmd_ratio_experiment(args) -> int:
     result = exp_ratio_scaling(n_list, args.trials, RngStream(seed=args.seed))
     header = ["n", "trials", "median_ratio", "min_ratio", "slope"]
     rows = [[r.n, r.trials, r.median_ratio, r.min_ratio, result.slope] for r in result.rows]
-    if args.format == "csv":
-        _write_output(render_csv(header, rows), args.out)
-    else:
-        config = {"n_list": n_list, "trials": args.trials, "seed": args.seed}
-        results = {"slope": result.slope, "rows": [dict(zip(header, row)) for row in rows]}
-        _write_output(
-            render_json(report_envelope("ratio-experiment", config, results)), args.out
-        )
-    return 0
+    config = {"n_list": n_list, "trials": args.trials, "seed": args.seed}
+    results = {"slope": result.slope, "rows": [dict(zip(header, row)) for row in rows]}
+    return _report(args, "ratio-experiment", config, header, rows, results)
 
 
-def _cmd_lowerbound_suite(args) -> int:
+def _cmd_lowerbound_suite(args) -> str:
     n, m = args.n, args.m
     if n % 2:
         raise ValueError(f"--n must be even for the promise family, got {n}")
     # the largest matrices built are the (n + 1) x (n + 1) projector of the
     # unique-search witness and the n x m promise inputs
-    height, width = max((n + 1, n + 1), (n, m), key=lambda shape: shape[0] * shape[1])
-    if min(n, m) > 0 and height * width > MAX_DENSE_ENTRIES:
-        raise ValueError(f"--n={n}, --m={m} ask for a {height} x {width} matrix, "
-                         f"past the cap of {MAX_DENSE_ENTRIES} entries")
+    if min(n, m) > 0:
+        _check_matrix_size(*max((n + 1, n + 1), (n, m), key=lambda shape: shape[0] * shape[1]), {"--n": n, "--m": m})
     rows = []
     gd = grover_dj_program(n, m)
     ones = np.ones((n, 1))
@@ -246,20 +214,11 @@ def _cmd_lowerbound_suite(args) -> int:
     us = unique_search_program(n)
     rep = us.positive_witness(unique_search_input([0] * n))
     rows.append(["unique_search", "zero_input", rep.decision, rep.size, 1.0, abs(rep.size - 1.0) <= 1e-9])
-    weight1 = [0] * n
-    weight1[0] = 1
-    rep = us.negative_witness(unique_search_input(weight1))
+    rep = us.negative_witness(unique_search_input([1] + [0] * (n - 1)))
     rows.append(["unique_search", "weight_one", rep.decision, rep.size, 2.0, rep.size <= 2.0 + 1e-9])
     header = ["program", "instance", "decision", "size", "claimed_bound", "within_bound"]
-    if args.format == "csv":
-        _write_output(render_csv(header, rows), args.out)
-    else:
-        config = {"n": n, "m": m}
-        results = {"rows": [dict(zip(header, row)) for row in rows]}
-        _write_output(
-            render_json(report_envelope("lowerbound-suite", config, results)), args.out
-        )
-    return 0
+    results = {"rows": [dict(zip(header, row)) for row in rows]}
+    return _report(args, "lowerbound-suite", {"n": n, "m": m}, header, rows, results)
 
 
 # ---------------------------------------------------------------------------
@@ -280,9 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--highlevel", help="high-level program JSON")
     pe.add_argument("--input", required=True, help="bit string, or matrix JSON path for --highlevel")
     pe.add_argument("--tol", type=float, default=None)
-    pe.add_argument("--out")
-    pe.add_argument("--format", choices=["json"], default="json")
-    pe.set_defaults(handler=_cmd_evaluate)
 
     pw = sub.add_parser("witness", help="optimal witness for one input")
     pw.add_argument("--program")
@@ -290,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--input", required=True)
     pw.add_argument("--side", choices=["auto", "pos", "neg"], default="auto")
     pw.add_argument("--tol", type=float, default=None)
-    pw.add_argument("--out")
-    pw.add_argument("--format", choices=["json"], default="json")
-    pw.set_defaults(handler=_cmd_witness)
 
     pc = sub.add_parser("compile", help="compile a high-level program to Boolean queries")
     pc.add_argument("--highlevel", required=True)
@@ -300,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--bits", type=int, required=True, help="fixed-point precision k")
     pc.add_argument("--k-nnz", type=int, default=None, help="column sparsity budget")
     pc.add_argument("--l-nnz", type=int, default=None, help="row sparsity budget")
-    pc.add_argument("--out")
-    pc.set_defaults(handler=_cmd_compile)
 
     pr = sub.add_parser("rank-experiment", help="seeded rank-program trial suite")
     pr.add_argument("--config", help="JSON config {n,m,r,L,trials,master_seed,tolerance}")
@@ -312,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--trials", type=int)
     pr.add_argument("--seed", type=int)
     pr.add_argument("--tol", type=float, default=None)
-    pr.add_argument("--out")
-    pr.add_argument("--format", choices=["csv", "json"], default="csv")
-    pr.set_defaults(handler=_cmd_rank_experiment)
 
     pwish = sub.add_parser("wishart-experiment", help="Wishart Monte Carlo checks")
     pwish.add_argument("--kind", choices=["trace", "lambda-min", "block"], default="trace")
@@ -322,24 +270,26 @@ def build_parser() -> argparse.ArgumentParser:
     pwish.add_argument("--m", type=int, default=None)
     pwish.add_argument("--trials", type=int, required=True)
     pwish.add_argument("--seed", type=int, required=True)
-    pwish.add_argument("--out")
-    pwish.add_argument("--format", choices=["csv", "json"], default="csv")
-    pwish.set_defaults(handler=_cmd_wishart_experiment)
 
     prat = sub.add_parser("ratio-experiment", help="1/sigma_min vs c(A) scaling")
     prat.add_argument("--n", required=True, help="comma-separated sizes, e.g. 50,100,200,400")
     prat.add_argument("--trials", type=int, required=True)
     prat.add_argument("--seed", type=int, required=True)
-    prat.add_argument("--out")
-    prat.add_argument("--format", choices=["csv", "json"], default="csv")
-    prat.set_defaults(handler=_cmd_ratio_experiment)
 
     plow = sub.add_parser("lowerbound-suite", help="exact witness sizes of the hand-built examples")
     plow.add_argument("--n", type=int, default=4)
     plow.add_argument("--m", type=int, default=3)
-    plow.add_argument("--out")
-    plow.add_argument("--format", choices=["csv", "json"], default="csv")
-    plow.set_defaults(handler=_cmd_lowerbound_suite)
+
+    # every subcommand writes one report; compile writes JSON only, and takes no --format
+    for sp, handler, formats in ((pe, _cmd_evaluate, ["json"]), (pw, _cmd_witness, ["json"]), (pc, _cmd_compile, []),
+                                 (pr, _cmd_rank_experiment, ["csv", "json"]),
+                                 (pwish, _cmd_wishart_experiment, ["csv", "json"]),
+                                 (prat, _cmd_ratio_experiment, ["csv", "json"]),
+                                 (plow, _cmd_lowerbound_suite, ["csv", "json"])):
+        sp.add_argument("--out")
+        if formats:
+            sp.add_argument("--format", choices=formats, default=formats[0])
+        sp.set_defaults(handler=handler)
     return parser
 
 
@@ -347,11 +297,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out == "":
+            raise ValueError("--out must name a file, got ''")
         if getattr(args, "tol", None) is not None:
             tol_field(args.tol, "--tol")
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.handler(args)
+        report = args.handler(args)
+        if args.out is None:
+            sys.stdout.write(report)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        return 0
     except (NoPositiveWitness, NoNegativeWitness) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

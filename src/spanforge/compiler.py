@@ -221,9 +221,9 @@ class _Routes:
         of the edges, child node - parent node."""
         if self.free is not None:
             return [(self.leaves[..., 0], self.free, 1.0), (self.heap[..., 0], self.free, -1.0)]
-        a, child = self.edge_level, self.edge_child
-        return [(self.heap[..., (2 << a) - 1 + child], nf + self.edges, 1.0),
-                (self.heap[..., (1 << a) - 1 + child % (1 << a)], nf + self.edges, -1.0)]
+        a, child, edges = self.edge_level, self.edge_child, nf + self.edges
+        return [(self.heap[..., (2 << a) - 1 + child], edges, 1.0),
+                (self.heap[..., (1 << a) - 1 + child % (1 << a)], edges, -1.0)]
 
     def carry(self, full: np.ndarray, nf: int, sel: np.ndarray, mass: np.ndarray) -> None:
         """Put each route's ``mass`` on its free connector, or on the edges of
@@ -293,8 +293,9 @@ class _Tables:
         for routes in (self.cols, self.rows):
             if routes is not None:
                 parts += routes.entries(nf)
-        flat = [[x.ravel() for x in np.broadcast_arrays(*part)] for part in parts]
-        return tuple(np.concatenate(column) for column in zip(*flat))
+        shaped = [np.broadcast_arrays(*part) for part in parts]
+        # one column at a time, so that only one column's flat parts live at once
+        return tuple(np.concatenate([part[c].ravel() for part in shaped]) for c in range(3))
 
     def labels(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """(var, val) of the labeled columns: a digit's variable and value, or
@@ -552,11 +553,11 @@ def _encoder_params(enc: dict, n: int, m: int, num_hl: int) -> tuple[int, int | 
 
 # Most entries a store may hold: the cells the dense store of earlier
 # versions could hold, so every store those built still builds (a store has
-# no more entries than cells).  A build peaks at about 85 bytes per entry
-# (364 MB at 4.3 million entries), about 1.4 GB at the cap.  The encoder
-# parameters of a compiled file are a few bytes that can ask for a store of
-# any size; sparse n = m = 8 (k = 3, both budgets 3) has 1,784 entries, n =
-# 32 has 25,952 and n = 184 has 993,416.
+# no more entries than cells).  A build peaks at about 54 bytes per entry
+# (87 MB at 1.6 million entries, sparse n = 256), about 0.9 GB at the cap.
+# The encoder parameters of a compiled file are a few bytes that can ask for
+# a store of any size; sparse n = m = 8 (k = 3, both budgets 3) has 1,784
+# entries, n = 32 has 25,952 and n = 184 has 993,416.
 MAX_STORE_ENTRIES = 2**24
 
 
@@ -630,10 +631,15 @@ def _build(target, free_basis, tol: float, m: int, precision: int,
                            f"the closed form gives {sizes}")
     full_target = np.zeros(dim)
     full_target[:n] = target  # V is the first n coordinates
-    nonzero = vals != 0.0
-    rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+    # one sort, by column then row; the zeros leave through its order, and
+    # each sorted array replaces its source before the next is made
     order = np.lexsort((rows, cols))
-    store = Columns((dim, nf + nl), cols[order], rows[order], vals[order])
+    order = order[vals[order] != 0.0]
+    cols = cols[order]
+    rows = rows[order]
+    vals = vals[order]
+    del order
+    store = Columns((dim, nf + nl), cols, rows, vals)
     program = LowLevelProgram.from_store(num_vars, full_target, store, nf, *tab.labels(nl), tol)
     layout = CompiledLayout(mode, n, m, precision, k_nnz, l_nnz, num_vars, num_hl)
     return CompiledProgram(program, layout, tab, free_basis)

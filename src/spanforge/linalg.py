@@ -37,6 +37,7 @@ def input_matrix(a, shape: tuple[int, int] | None = None) -> np.ndarray:
         raise ValueError(_not_a_matrix(a)) from None
     if mat.ndim != 2:
         raise ValueError(f"input matrix must be 2-D, got shape {mat.shape}")
+    check_numbers(a, lambda i, j: f"input matrix entry [{i}][{j}]")
     if shape is not None and mat.shape != shape:
         raise ValueError(f"input matrix has shape {mat.shape}, expected {shape}")
     check_norm(mat, lambda i, j: f"input matrix entry [{i}][{j}]")
@@ -56,6 +57,20 @@ def _not_a_matrix(a) -> str:
             except (TypeError, ValueError):
                 return f"input matrix entry [{i}][{j}] is not a number: {x!r}"
     return "input matrix rows differ in length"
+
+
+def check_numbers(v, name, index: tuple = ()) -> None:
+    """numpy reads JSON's true and false as 1 and 0, null as nan, and a
+    numeric string as its number; in a list, or in lists nested in it, each
+    is refused, the first named as ``name(*index)``.  Arrays pass as they are.
+    A list is scanned by the types of its entries, in C, and walked only
+    where that finds a nested list or a non-number."""
+    if not isinstance(v, (list, tuple)) or set(map(type, v)).isdisjoint((bool, str, type(None), list, tuple)):
+        return
+    for i, x in enumerate(v):
+        if isinstance(x, (bool, str)) or x is None:
+            raise ValueError(f"{name(*index, i)} is not a number: {x!r}")
+        check_numbers(x, name, (*index, i))
 
 
 def as_vector(v) -> np.ndarray:
@@ -91,6 +106,7 @@ def finite_vector(v, name: str, size: int | None = None) -> np.ndarray:
         vec = as_vector(v)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from None
+    check_numbers(v, lambda i: f"{name}[{i}]")
     if size is not None and vec.shape[0] != size:
         raise ValueError(f"{name} has {vec.shape[0]} entries, expected {size}")
     check_norm(vec, lambda i: f"{name}[{i}]")

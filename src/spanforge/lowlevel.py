@@ -21,6 +21,7 @@ from .linalg import (
     SvdResult,
     as_vector,
     check_norm,
+    check_numbers,
     finite_vector,
     in_span,
     int_field,
@@ -41,7 +42,8 @@ def _frozen(a) -> np.ndarray:
 def _stack(vectors: list, dim: int, name) -> np.ndarray:
     """``vectors`` as the columns of a new ``dim x N`` array.  When
     they do not stack, they are checked one by one and the first bad one is
-    named by ``name(j)``; otherwise finiteness is left to the check of the
+    named by ``name(j)``; otherwise only their booleans, nulls and strings
+    are (``check_numbers``), and finiteness is left to the check of the
     whole store."""
     if not vectors:
         return np.empty((dim, 0))
@@ -51,6 +53,8 @@ def _stack(vectors: list, dim: int, name) -> np.ndarray:
         rows = None
     if rows is None or rows.shape != (len(vectors), dim):
         rows = np.array([finite_vector(vec, name(j), dim) for j, vec in enumerate(vectors)])
+    else:
+        check_numbers(vectors, lambda j, i: f"{name(j)}[{i}]")
     return rows.T
 
 

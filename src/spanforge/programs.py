@@ -119,6 +119,9 @@ def unique_search_input(x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RankExperimentConfig:
+    """A rank-experiment run; ``dataclasses.asdict`` gives the JSON form that
+    ``from_json_dict`` reads."""
+
     n: int
     m: int
     r: int
@@ -151,17 +154,6 @@ class RankExperimentConfig:
             L=None if data.get("L") is None else float_field(data["L"], "L"),
             tolerance=tol_field(data.get("tolerance", DEFAULT_TOL), "tolerance"),
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "r": self.r,
-            "L": self.L,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "tolerance": self.tolerance,
-        }
 
 
 def random_rank_matrix(n: int, m: int, rank: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import SolverFailure
 from .linalg import DEFAULT_TOL
+from .lowlevel import MAX_DENSE_ENTRIES
 
 
 @dataclass(frozen=True)
@@ -204,6 +205,15 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
         raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
+def _require_draw_fits(flag: str, n: int) -> None:
+    """A bidiagonal draw of order n holds 2n - 1 chi variates, and its
+    Golub-Kahan tridiagonal (``Bidiagonal.sigma_min``) 2n entries; past
+    ``MAX_DENSE_ENTRIES`` the size ``flag`` is refused before drawing."""
+    if 2 * n > MAX_DENSE_ENTRIES:
+        raise ValueError(f"{flag}={n} asks for bidiagonal draws of {2 * n} entries, "
+                         f"past the cap of {MAX_DENSE_ENTRIES} entries")
+
+
 def _draws(sample, stat, n: int, m: int, trials: int, stream: RngStream, chunk: int) -> list:
     """stat(sample(rng, size, n, m)) for every chunk of ``trials`` draws that
     model standard Gaussian n x m matrices, in chunk order.  Chunks hold
@@ -249,6 +259,7 @@ def _mean_estimate(n: int, size: int, trials: int, true_value: float, values: li
 def exp_inverse_wishart_trace(n: int, m: int, trials: int, stream: RngStream) -> MeanEstimate:
     """Monte Carlo E[tr W(n, m)^-1]; exact value n / (m - n - 1)."""
     _require_at_least("--n", n, 1)
+    _require_draw_fits("--n", n)
     _require_at_least("--trials", trials, 1)
     if m <= n + 1:
         raise ValueError(f"mean of the inverse Wishart needs m > n + 1, got n={n}, m={m}")
@@ -266,6 +277,7 @@ def exp_block_inverse_norm(n: int, trials: int, stream: RngStream) -> MeanEstima
     in-sample figure, not a stable one."""
     if n <= 3:
         raise ValueError(f"block check needs n > 3, got {n}")
+    _require_draw_fits("--n", n)
     _require_at_least("--trials", trials, 1)
     block = n - 2
     # the leading block of W(n, n) = A @ A.T is W(n - 2, n), from A's first n - 2 rows
@@ -286,6 +298,7 @@ def exp_lambda_min_cdf(n: int, trials: int, stream: RngStream) -> LambdaMinResul
     """KS distance between the empirical law of n * lambda_min(W(n, n)) and
     the limit CDF."""
     _require_at_least("--n", n, 1)
+    _require_draw_fits("--n", n)
     _require_at_least("--trials", trials, 1)
 
     def scaled_lambda_min(b):
@@ -359,6 +372,7 @@ def exp_ratio_scaling(n_list, trials: int, stream: RngStream) -> RatioScalingRes
     for n in n_list:
         # at n = 1 the ratio is identically 1, and log 1 = 0 leaves a fit over n = 1 singular
         _require_at_least("--n", n, 2)
+        _require_draw_fits("--n", n)
 
     def ratios(b):
         return (1.0 / b.sigma_min()) / b.c()

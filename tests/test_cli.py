@@ -422,6 +422,53 @@ def test_experiment_sizes_out_of_range_exit_1(capsys, argv, flag):
     assert flag in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [("rank-experiment --n 10000000 --m 10000000 --r 1 --trials 1 --seed 1",
+      "--n=10000000, --m=10000000 ask for a 10000000 x 20000000 matrix, past the cap of 16777216 entries"),
+     ("rank-experiment --n 2048 --m 6145 --r 1 --trials 1 --seed 1",
+      "--n=2048, --m=6145 ask for a 2048 x 8193 matrix"),
+     ("wishart-experiment --kind lambda-min --n 1000000000000 --trials 1 --seed 1",
+      "--n=1000000000000 asks for bidiagonal draws of 2000000000000 entries, past the cap of 16777216 entries"),
+     ("wishart-experiment --kind trace --n 8388609 --m 8388611 --trials 1 --seed 1", "--n=8388609 asks"),
+     ("wishart-experiment --kind block --n 8388609 --trials 1 --seed 1", "--n=8388609 asks"),
+     ("ratio-experiment --n 2,1000000000000 --trials 1 --seed 1", "--n=1000000000000 asks for bidiagonal draws")],
+    ids=["rank", "rank-one-past", "lambda-min", "trace", "block", "ratio"],
+)
+def test_experiment_sizes_past_the_dense_cap_exit_1(capsys, monkeypatch, argv, message):
+    # sized before drawing: no trial or draw runs
+    def refuse(*args):
+        raise AssertionError("an experiment drew past the cap")
+
+    monkeypatch.setattr("spanforge.cli.run_rank_trials", refuse)
+    monkeypatch.setattr("spanforge.randmat._draws", refuse)
+    code, out, err = _run(capsys, argv.split())
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_rank_experiment_config_past_the_dense_cap_names_its_fields(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_CONFIG, "n": 10000000, "m": 10000000, "r": 1}))
+    code, out, err = _run(capsys, ["rank-experiment", "--config", str(cfg)])
+    assert code == 1 and out == ""
+    assert err == "error: n=10000000, m=10000000 ask for a 10000000 x 20000000 matrix, past the cap of 16777216 entries\n"
+
+
+def test_sizes_at_the_dense_cap_reach_the_draws(capsys, monkeypatch):
+    def reached(*args, **kwargs):
+        raise ValueError("reached the draws")
+
+    monkeypatch.setattr("spanforge.cli.run_rank_trials", reached)
+    monkeypatch.setattr("spanforge.randmat._draws", reached)
+    for argv in ("rank-experiment --n 2048 --m 6144 --r 1 --trials 1 --seed 1",  # 2048 x 8192 = 2^24
+                 "wishart-experiment --kind trace --n 8388608 --m 8388610 --trials 1 --seed 1",
+                 "wishart-experiment --kind block --n 8388608 --trials 1 --seed 1",
+                 "wishart-experiment --kind lambda-min --n 8388608 --trials 1 --seed 1",
+                 "ratio-experiment --n 2,8388608 --trials 1 --seed 1"):
+        assert _run(capsys, argv.split()) == (1, "", "error: reached the draws\n"), argv
+
+
 def test_lowerbound_suite_default(capsys):
     code, out, _ = _run(capsys, ["lowerbound-suite"])
     assert code == 0
@@ -665,6 +712,33 @@ def test_bad_input_matrix_names_entry(capsys, hl_files, cmd, text, entry):
     code, out, err = _run(capsys, [cmd, "--highlevel", str(ppath), "--input", str(accept)])
     assert code == 1 and out == ""
     assert entry in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "kind,text,message",
+    [("matrix", '[["1", 0], [0, 1]]', "input matrix entry [0][0] is not a number: '1'"),
+     ("matrix", "[[true, false], [false, true]]", "input matrix entry [0][0] is not a number: True"),
+     ("matrix", "[[1, 0], [0, null]]", "input matrix entry [1][1] is not a number: None"),
+     ("highlevel", '{"space_dim": 2, "num_inputs": 2, "target": [true, 0]}', "target[0] is not a number: True"),
+     ("highlevel", '{"space_dim": 2, "num_inputs": 2, "target": [1, 0], "free_basis": [[0, "1"]]}',
+      "free_basis[0][1] is not a number: '1'"),
+     ("lowlevel", '{"dim": 2, "num_vars": 1, "target": [1, 0], "free": [[null, 0]]}', "free[0][0] is not a number: None"),
+     ("lowlevel", '{"dim": 2, "num_vars": 1, "target": [1, 0], "labeled": [{"vec": [1, false], "var": 1, "val": 1}]}',
+      "labeled[0].vec[1] is not a number: False")],
+    ids=["matrix-string", "matrix-booleans", "matrix-null", "hl-target-true", "hl-basis-string", "ll-free-null",
+         "ll-labeled-false"],
+)
+@pytest.mark.parametrize("cmd", ["evaluate", "witness"])
+def test_json_values_that_are_not_numbers_exit_1(capsys, hl_files, tmp_path, kind, text, message, cmd):
+    # numpy reads "1" and true as 1.0 and null as nan, so a check after
+    # conversion would accept the first two and name null as a nan
+    ppath, accept, _ = hl_files
+    path = tmp_path / "file.json"
+    path.write_text(text)
+    argv = {"matrix": ["--highlevel", str(ppath), "--input", str(path)],
+            "highlevel": ["--highlevel", str(path), "--input", str(accept)],
+            "lowlevel": ["--program", str(path), "--input", "1"]}[kind]
+    assert _run(capsys, [cmd, *argv]) == (1, "", f"error: {message}\n")
 
 
 def test_module_entry_point():

@@ -1,15 +1,17 @@
 """One parser per process: ``cli.main`` builds it on its first call and reuses
 it.  Reuse must not change what any command prints or returns, and no
-command line, however malformed, may end in anything but exit 0, 1 or 2."""
+command line or input file, however malformed, may end in anything but exit
+0, 1 or 2."""
 
 import argparse
 import contextlib
+import copy
 import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spanforge import cli
@@ -97,6 +99,87 @@ def test_a_reused_parser_prints_what_a_fresh_one_prints(files, monkeypatch):
     assert reused[len(SUBCOMMANDS) + 1][0][1] == f"spanforge {cli.TOOL_VERSION}\n"
 
 
+# every subcommand's options, in the order declared: option strings, type,
+# choices, default, required and help.  Unlike argparse's help layout, these
+# do not depend on the Python version.
+PINNED_OPTIONS = {
+    "evaluate": [
+        (("-h", "--help"), None, None, argparse.SUPPRESS, False, "show this help message and exit"),
+        (("--program",), None, None, None, False, "low-level or compiled program JSON"),
+        (("--highlevel",), None, None, None, False, "high-level program JSON"),
+        (("--input",), None, None, None, True, "bit string, or matrix JSON path for --highlevel"),
+        (("--tol",), float, None, None, False, None),
+        (("--out",), None, None, None, False, None),
+        (("--format",), None, ("json",), "json", False, None),
+    ],
+    "witness": [
+        (("-h", "--help"), None, None, argparse.SUPPRESS, False, "show this help message and exit"),
+        (("--program",), None, None, None, False, None),
+        (("--highlevel",), None, None, None, False, None),
+        (("--input",), None, None, None, True, None),
+        (("--side",), None, ("auto", "pos", "neg"), "auto", False, None),
+        (("--tol",), float, None, None, False, None),
+        (("--out",), None, None, None, False, None),
+        (("--format",), None, ("json",), "json", False, None),
+    ],
+    "compile": [
+        (("-h", "--help"), None, None, argparse.SUPPRESS, False, "show this help message and exit"),
+        (("--highlevel",), None, None, None, True, None),
+        (("--mode",), None, ("dense", "sparse_cols", "sparse"), None, True, None),
+        (("--bits",), int, None, None, True, "fixed-point precision k"),
+        (("--k-nnz",), int, None, None, False, "column sparsity budget"),
+        (("--l-nnz",), int, None, None, False, "row sparsity budget"),
+        (("--out",), None, None, None, False, None),
+    ],
+    "rank-experiment": [
+        (("-h", "--help"), None, None, argparse.SUPPRESS, False, "show this help message and exit"),
+        (("--config",), None, None, None, False, "JSON config {n,m,r,L,trials,master_seed,tolerance}"),
+        (("--n",), int, None, None, False, None),
+        (("--m",), int, None, None, False, None),
+        (("--r",), int, None, None, False, None),
+        (("--L",), float, None, None, False, None),
+        (("--trials",), int, None, None, False, None),
+        (("--seed",), int, None, None, False, None),
+        (("--tol",), float, None, None, False, None),
+        (("--out",), None, None, None, False, None),
+        (("--format",), None, ("csv", "json"), "csv", False, None),
+    ],
+    "wishart-experiment": [
+        (("-h", "--help"), None, None, argparse.SUPPRESS, False, "show this help message and exit"),
+        (("--kind",), None, ("trace", "lambda-min", "block"), "trace", False, None),
+        (("--n",), int, None, None, True, None),
+        (("--m",), int, None, None, False, None),
+        (("--trials",), int, None, None, True, None),
+        (("--seed",), int, None, None, True, None),
+        (("--out",), None, None, None, False, None),
+        (("--format",), None, ("csv", "json"), "csv", False, None),
+    ],
+    "ratio-experiment": [
+        (("-h", "--help"), None, None, argparse.SUPPRESS, False, "show this help message and exit"),
+        (("--n",), None, None, None, True, "comma-separated sizes, e.g. 50,100,200,400"),
+        (("--trials",), int, None, None, True, None),
+        (("--seed",), int, None, None, True, None),
+        (("--out",), None, None, None, False, None),
+        (("--format",), None, ("csv", "json"), "csv", False, None),
+    ],
+    "lowerbound-suite": [
+        (("-h", "--help"), None, None, argparse.SUPPRESS, False, "show this help message and exit"),
+        (("--n",), int, None, 4, False, None),
+        (("--m",), int, None, 3, False, None),
+        (("--out",), None, None, None, False, None),
+        (("--format",), None, ("csv", "json"), "csv", False, None),
+    ],
+}
+
+
+def test_every_subcommand_keeps_its_options():
+    def read(action):
+        return (tuple(action.option_strings), action.type, tuple(action.choices) if action.choices else None,
+                action.default, action.required, action.help)
+
+    assert {name: [read(action) for action in sub._actions] for name, sub in _subparsers().items()} == PINNED_OPTIONS
+
+
 # ---------------------------------------------------------------------------
 # argv property
 
@@ -121,7 +204,7 @@ def _value(action, files, clean):
     any value or none."""
     flag = action.option_strings[0]
     if flag == "--out":  # never write outside the test's directory
-        return st.sampled_from([str(files["out"])] if clean else [str(files["out"]), str(files["dir"]), None])
+        return st.sampled_from([str(files["out"])] if clean else [str(files["out"]), str(files["dir"]), "", None])
     if flag == "--trials":
         typed = st.integers(-2, 3).map(str)
     elif action.choices:
@@ -163,16 +246,91 @@ def test_any_command_line_exits_0_1_or_2(files):
     assert before[0] == 0 and json.loads(before[1])["decision"] == 1
 
     # once an empty --program fell through to the high-level branch
-    # (TypeError), and --L 1e300 overflowed the bound's L**2 (OverflowError)
+    # (TypeError), --L 1e300 overflowed the bound's L**2 (OverflowError), and
+    # an empty --out printed the report and exited 0
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @example([["evaluate", "--program", "", "--input", "-"]])
     @example([["rank-experiment", "--n", "4", "--m", "4", "--r", "4", "--trials", "1", "--seed", "1", "--L", "1e300"]])
+    @example([["lowerbound-suite", "--out", ""]])
     @given(st.lists(command_lines(_subparsers(), files), min_size=1, max_size=3))
     def check(sequence):
         for argv in sequence:
-            code, _, err = _run(argv)
+            code, out, err = _run(argv)
             assert code in (0, 1, 2, ("exit", 0), ("exit", 2)), (argv, code)
             assert "Traceback" not in err, argv
+            empty_out = "--out" in argv and argv[argv.index("--out") + 1:][:1] == [""]
+            if empty_out and code in (0, 1, 2):  # parsed, so main checked --out first
+                assert (code, out) == (1, "") and "--out" in err, argv
         assert _run(reference) == before
+
+    check()
+
+
+# ---------------------------------------------------------------------------
+# file property
+
+# what a JSON file may hold in place of any value: other types, numbers numpy
+# reads from non-numbers, huge integers, NaN and infinities, empty and nested
+# containers
+VALUES = st.sampled_from([None, True, False, "", "1", "x", 0, 1, -1, 2, 0.5, -0.0, 1e308, -1e308, 10**400,
+                          float("nan"), float("inf"), float("-inf"), [], {}, [1.0], [[1.0, 0.0]], [True], ["1"]])
+
+LOWLEVEL = {"dim": 2, "num_vars": 1, "target": [1.0, 0.0], "free": [[0.0, 0.0]],
+            "labeled": [{"vec": [1.0, 0.0], "var": 1, "val": 1}, {"vec": [0.0, 1.0], "var": 1, "val": 0}],
+            "tol": 1e-9}
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one node, reached by a random walk from the root,
+    replaced by a value from ``VALUES``, dropped, or joined by a sibling: an
+    extra key, or a repeated or extra list entry (a ragged list)."""
+    doc = copy.deepcopy(doc)
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and draw(st.integers(0, 3)):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        parent, node = node, node[key]
+    action = draw(st.sampled_from(["replace", "drop", "add"]))
+    if parent is None:
+        return draw(VALUES) if action == "replace" else doc
+    if action == "replace":
+        parent[key] = draw(VALUES)
+    elif action == "drop":
+        del parent[key]
+    elif isinstance(parent, dict):
+        parent["extra"] = draw(VALUES)
+    else:
+        parent.append(copy.deepcopy(node) if draw(st.booleans()) else draw(VALUES))
+    return doc
+
+
+def test_any_input_file_exits_0_1_or_2(files):
+    compiled, bits = json.loads(files["compiled.json"].read_text()), files["bits"][0]
+    matrix, out = str(files["accept.json"]), ["--out", str(files["out"])]
+    kinds = {  # the file's document, and the commands that read it from path F
+        "highlevel": (json.loads(files["hl.json"].read_text()),
+                      [["evaluate", "--highlevel", "F", "--input", matrix], ["witness", "--highlevel", "F", "--input", matrix],
+                       ["compile", "--highlevel", "F", "--mode", "sparse", "--bits", "1", "--k-nnz", "1", "--l-nnz", "1"]]),
+        "compiled": (compiled, [["evaluate", "--program", "F", "--input", bits], ["witness", "--program", "F", "--input", bits]]),
+        "lowlevel": (LOWLEVEL, [["evaluate", "--program", "F", "--input", "1"], ["witness", "--program", "F", "--input", "1"]]),
+        "matrix": (json.loads(files["accept.json"].read_text()),
+                   [["evaluate", "--highlevel", str(files["hl.json"]), "--input", "F"],
+                    ["witness", "--highlevel", str(files["hl.json"]), "--input", "F", "--side", "pos"]]),
+        "config": (json.loads(files["config.json"].read_text()), [["rank-experiment", "--config", "F", "--format", "json"]]),
+    }
+    path = files["dir"] / "fuzzed.json"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(kinds)).flatmap(lambda kind: st.tuples(st.just(kind), mutated(kinds[kind][0]))))
+    def check(case):
+        kind, doc = case
+        # a huge trial count is a long run, not a malformed file
+        assume(not (kind == "config" and isinstance(doc, dict) and isinstance(doc.get("trials"), int)
+                    and doc["trials"] > 2))
+        path.write_text(json.dumps(doc))
+        for argv in kinds[kind][1]:
+            argv = [str(path) if arg == "F" else arg for arg in argv] + out
+            code, stdout, err = _run(argv)
+            assert code in (0, 1, 2) and stdout == "" and "Traceback" not in err, (argv, doc, code, err)
 
     check()

@@ -5,6 +5,7 @@ load: they exit 1 asking for a recompile."""
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,27 @@ def test_benchmark_rank_program_store_is_pinned():
     comp = compile_sparse(prog, k_nnz=3, l_nnz=3, precision=3)
     assert comp.program.all_vectors().shape == (480, 876)
     assert _store_digest(comp.program) == "7ba75b3fc32c23f62c3364ed3e75d735049de7cc7e917a8853e7bf24566fa03a"
+
+
+def test_a_sparse_build_peaks_at_60_bytes_per_store_entry():
+    # the store keeps 24 bytes per entry (row, column, value); a build that
+    # holds its unsorted and its sorted triplets at once needs over 60
+    prog = build_rank_program(64, 64, 32, np.random.default_rng(64))
+    compile_sparse(prog, k_nnz=3, l_nnz=3, precision=3)  # warm every code path first
+    tracemalloc.start()
+    try:
+        comp = compile_sparse(prog, k_nnz=3, l_nnz=3, precision=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    store = comp.program.store
+    assert store.data.size == 102_080
+    assert peak <= 60 * store.data.size
+    h = hashlib.sha256()
+    for a in (store.indptr, store.indices, comp.program.var, comp.program.val):
+        h.update(a.astype("<i8").tobytes())
+    h.update(store.data.astype("<f8").tobytes())
+    assert h.hexdigest() == "190d0403f09df0f90c5862a8cb49089023fecb4e9e8545dd9d977876d262da3e"
 
 
 def _gadget_store(comp, free_basis):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -207,15 +208,15 @@ def test_negative_rows_use_threshold_as_bound():
 
 def test_config_json_roundtrip():
     cfg = _config(L=2.5, tolerance=1e-8)
-    data = cfg.to_json_dict()
+    data = dataclasses.asdict(cfg)
     assert RankExperimentConfig.from_json_dict(data) == cfg
-    null_l = _config().to_json_dict()
+    null_l = dataclasses.asdict(_config())
     assert null_l["L"] is None
     assert RankExperimentConfig.from_json_dict(null_l) == _config()
 
 
 def test_config_missing_field_and_validation():
-    data = _config().to_json_dict()
+    data = dataclasses.asdict(_config())
     del data["master_seed"]
     with pytest.raises(ValueError, match="master_seed"):
         RankExperimentConfig.from_json_dict(data)
