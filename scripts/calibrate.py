@@ -9,11 +9,22 @@ from __future__ import annotations
 import numpy as np
 
 from spanforge.programs import RankExperimentConfig, run_rank_trials
-from spanforge.randmat import RngStream, _batched_c, _draws, _gaussian
+from spanforge.randmat import RngStream, _draws
 
 CALIBRATION_SEED = 20240817
 CALIBRATION_TRIALS_RANK = 2000
 CALIBRATION_TRIALS_DELTA = 20000
+
+
+def gaussian(rng: np.random.Generator, size: int, n: int, m: int) -> np.ndarray:
+    """``size`` standard Gaussian n x m matrices, as one array."""
+    return rng.standard_normal((size, n, m))
+
+
+def batched_c(a: np.ndarray) -> np.ndarray:
+    """c(A) per dense matrix of a batch, from its singular values."""
+    sigma = np.linalg.svd(a, compute_uv=False)
+    return np.sqrt(np.mean(1.0 / sigma**2, axis=1))
 
 
 def calibrate_rank_constant() -> None:
@@ -41,7 +52,7 @@ def calibrate_delta() -> None:
     print("== c(A) exceedance threshold ==")
     n = 10
     stream = RngStream(seed=CALIBRATION_SEED, stream_id=90)
-    cs = np.concatenate(_draws(_gaussian, _batched_c, n, n, CALIBRATION_TRIALS_DELTA, stream, chunk=1024))
+    cs = np.concatenate(_draws(gaussian, batched_c, n, n, CALIBRATION_TRIALS_DELTA, stream, chunk=1024))
     for q in (11 / 12, 0.93, 0.95):
         print(f"  n={n}: q{q:.4f} of c(A) = {np.quantile(cs, q):.4f}")
     delta = float(np.quantile(cs, 0.93))

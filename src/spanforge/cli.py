@@ -36,6 +36,7 @@ from .programs import (
 )
 from .randmat import (
     RngStream,
+    check_trials,
     exp_block_inverse_norm,
     exp_inverse_wishart_trace,
     exp_lambda_min_cdf,
@@ -141,6 +142,7 @@ def _cmd_rank_experiment(args) -> str:
     # n - r free vectors), is at most n x (n + m)
     n, m = config.n, config.m
     _check_matrix_size(n, n + m, {"n": n, "m": m} if args.config else {"--n": n, "--m": m})
+    check_trials(config.trials, "trials" if args.config else "--trials")
     summary = run_rank_trials(
         config,
         bound_constant=calibration.RANK_POSITIVE_C,

@@ -76,16 +76,6 @@ def _listed(lists: np.ndarray, m: int) -> np.ndarray:
     return out[:, :m]
 
 
-def sparse_columns_from_dense(a: np.ndarray, k_nnz: int) -> tuple[tuple[tuple[int, float], ...], ...]:
-    """Per-column (row, value) payload slots, padded with zero entries."""
-    return tuple(tuple((i, float(a[i, j])) for i in rows) for j, rows in enumerate(_payload_rows(a, k_nnz).tolist()))
-
-
-def row_lists_from_dense(a: np.ndarray, l_nnz: int) -> tuple[tuple[int, ...], ...]:
-    """Per-row lists of column indices covering every nonzero, padded."""
-    return tuple(map(tuple, _row_lists(a, l_nnz).tolist()))
-
-
 def _items(x, what: str) -> list:
     try:
         return list(x)

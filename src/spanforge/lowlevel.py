@@ -182,16 +182,6 @@ class LabeledVector:
 
 
 @dataclass(frozen=True)
-class AvailableColumns:
-    """Available vectors for one input: ``matrix``, the columns of the
-    program's store that ``mask`` selects (free vectors first, then labeled
-    ones)."""
-
-    matrix: Columns
-    mask: np.ndarray
-
-
-@dataclass(frozen=True)
 class WitnessReport:
     decision: int
     size: float
@@ -416,7 +406,7 @@ class Peel:
             return True
         rows, cols, at, values, owner, pivot, starts, spans = self._pivots
         size, pivot = np.abs(values), np.abs(pivot)
-        xi = float(np.sqrt(np.bincount(owner, size).max()) * np.sqrt(np.bincount(at, size).max()))
+        xi = _norm_bound(np.bincount(owner, size), np.bincount(at, size))
         dim = self.matrix.shape[0]
         y, pushed = np.empty(cols.size), np.zeros(dim)  # M y = 1, forward
         for a, b, e, f in spans:
@@ -425,7 +415,7 @@ class Peel:
         z = np.zeros(dim)  # M^T z = 1, backward
         for a, b, e, f in reversed(spans):
             z[rows[a:b]] = (1.0 + np.bincount(owner[e:f] - a, size[e:f] * z[at[e:f]], b - a)) / pivot[a:b]
-        kappa = float(np.sqrt(y.max()) * np.sqrt(z.max()))
+        kappa = _norm_bound(y, z)
         grow = shrink = 1.0
         if self.merges:
             down, up, into = np.ones(self.cols.size), np.ones(self.cols.size), np.zeros(self.cols.size)
@@ -434,7 +424,7 @@ class Peel:
             for js, ks, ms in self.merges:
                 np.add.at(up, js, np.abs(ms) * up[ks])
                 np.add.at(into, js, np.abs(ms))
-            grow, shrink = float(np.sqrt(down.max()) * np.sqrt(up.max())), 1.0 + float(np.sqrt(into.max()))
+            grow, shrink = _norm_bound(down, up), 1.0 + float(np.sqrt(into.max()))
         sigma, r = dec.sigma, dec.rank
         s_1 = sigma[0] if sigma.size else 0.0
         s_r, s_next = (sigma[r - 1] if r else np.inf), (sigma[r] if r < sigma.size else 0.0)
@@ -758,15 +748,9 @@ class LowLevelProgram:
         mask[self.num_free :] = bits[self.var - 1] == self.val
         return mask
 
-    def available_vectors(self, x) -> AvailableColumns:
-        mask = self.available_mask(x)
-        return AvailableColumns(matrix=self.store.select(mask), mask=mask)
-
-    def all_vectors(self) -> np.ndarray:
-        """All input vectors (free then labeled) as the columns of a dense,
-        read-only copy of the store; negative sizes are squared norms of its
-        transpose times the witness (``store_product``)."""
-        return self.store.toarray()
+    def available_vectors(self, x) -> Columns:
+        """The store's columns available on input ``x`` (``available_mask``)."""
+        return self.store.select(self.available_mask(x))
 
     def _join(self, rows, cols, values, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Each store entry met with the entries on its row of the ``dim x
@@ -830,7 +814,7 @@ class LowLevelProgram:
         merged, so ``vt[rank:]`` spans the block's null space, which
         ``Peel.lift`` needs.  The thin factors are already complete otherwise.
         """
-        avail = self.available_vectors(x).matrix
+        avail = self.available_vectors(x)
         rows, cols = avail.shape
         peel = Peel(avail, self.target) if rows * cols < PEEL_MIN_CELLS else Peel.of(avail, self.target)
         while True:

@@ -7,7 +7,7 @@ regardless of how many worker threads SPANFORGE_THREADS allows.  Every
 experiment draws through one driver, _draws, with its sampler as an
 argument: the experiments use bidiagonal factors (sample_bidiagonal), whose
 singular values have the law of a dense Gaussian matrix's; the dense sampler
-(_gaussian) is kept for scripts/calibrate.py and as the tests' reference.
+lives in scripts/calibrate.py and, as the tests' reference, in tests/references.py.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ def chunk_sizes(trials: int, chunk: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # samplers
-
-
-def _gaussian(rng: np.random.Generator, size: int, n: int, m: int) -> np.ndarray:
-    """``size`` standard Gaussian n x m matrices, as one array."""
-    return rng.standard_normal((size, n, m))
 
 
 @dataclass(frozen=True)
@@ -205,6 +200,15 @@ def _require_at_least(flag: str, value: int, least: int) -> None:
         raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
+def check_trials(trials: int, name: str = "--trials") -> None:
+    """A trial count of at least 1 and at most ``MAX_DENSE_ENTRIES``: a run
+    keeps one float per trial (two rows per rank trial), so past the cap of
+    every other dense array ``name`` is refused before anything is drawn."""
+    _require_at_least(name, trials, 1)
+    if trials > MAX_DENSE_ENTRIES:
+        raise ValueError(f"{name}={trials} is past the cap of {MAX_DENSE_ENTRIES} trials")
+
+
 def _require_draw_fits(flag: str, n: int) -> None:
     """A bidiagonal draw of order n holds 2n - 1 chi variates, and its
     Golub-Kahan tridiagonal (``Bidiagonal.sigma_min``) 2n entries; past
@@ -260,9 +264,11 @@ def exp_inverse_wishart_trace(n: int, m: int, trials: int, stream: RngStream) ->
     """Monte Carlo E[tr W(n, m)^-1]; exact value n / (m - n - 1)."""
     _require_at_least("--n", n, 1)
     _require_draw_fits("--n", n)
-    _require_at_least("--trials", trials, 1)
+    check_trials(trials)
     if m <= n + 1:
         raise ValueError(f"mean of the inverse Wishart needs m > n + 1, got n={n}, m={m}")
+    if m > 2**53:
+        raise ValueError(f"--m={m} is past 2^53, where the chi-square degrees of freedom stop being exact floats")
 
     # tr W^-1 = ||B^-1||_F^2 for the bidiagonal factor B of W
     values = _draws(sample_bidiagonal, Bidiagonal.inverse_frobenius_sq, n, m, trials, stream, chunk=4096)
@@ -278,7 +284,7 @@ def exp_block_inverse_norm(n: int, trials: int, stream: RngStream) -> MeanEstima
     if n <= 3:
         raise ValueError(f"block check needs n > 3, got {n}")
     _require_draw_fits("--n", n)
-    _require_at_least("--trials", trials, 1)
+    check_trials(trials)
     block = n - 2
     # the leading block of W(n, n) = A @ A.T is W(n - 2, n), from A's first n - 2 rows
     values = _draws(sample_bidiagonal, Bidiagonal.inverse_frobenius_sq, block, n, trials, stream, chunk=4096)
@@ -299,7 +305,7 @@ def exp_lambda_min_cdf(n: int, trials: int, stream: RngStream) -> LambdaMinResul
     the limit CDF."""
     _require_at_least("--n", n, 1)
     _require_draw_fits("--n", n)
-    _require_at_least("--trials", trials, 1)
+    check_trials(trials)
 
     def scaled_lambda_min(b):
         return n * b.sigma_min() ** 2
@@ -323,17 +329,11 @@ class ExceedanceRow:
     stderr: float
 
 
-def _batched_c(a: np.ndarray) -> np.ndarray:
-    """c(A) per dense matrix of a batch, from its singular values."""
-    sigma = np.linalg.svd(a, compute_uv=False)
-    return np.sqrt(np.mean(1.0 / sigma**2, axis=1))
-
-
 def exp_c_bounded(n_list, trials: int, delta: float, stream: RngStream) -> list[ExceedanceRow]:
     """Per n, the empirical probability that c(A) exceeds delta for a square
     standard Gaussian A; the law is (conjecturally) tight uniformly in n, so
     the exceedance should stay flat once delta is calibrated."""
-    _require_at_least("--trials", trials, 1)
+    check_trials(trials)
 
     def exceeding(b):
         return int(np.sum(b.c() > delta))
@@ -368,7 +368,7 @@ def exp_ratio_scaling(n_list, trials: int, stream: RngStream) -> RatioScalingRes
     """Median of (1/sigma_min) / c(A) per n, with the log-log regression
     slope across n.  The ratio is at least 1 for every sample: the largest
     reciprocal singular value dominates their quadratic mean."""
-    _require_at_least("--trials", trials, 1)
+    check_trials(trials)
     for n in n_list:
         # at n = 1 the ratio is identically 1, and log 1 = 0 leaves a fit over n = 1 singular
         _require_at_least("--n", n, 2)

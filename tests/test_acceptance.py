@@ -23,9 +23,8 @@ from spanforge.compiler import (
     compile_dense,
     compile_sparse,
     measure_overhead,
-    sparse_columns_from_dense,
 )
-from spanforge.encoding import grid_values, index_bit_width
+from spanforge.encoding import index_bit_width
 from spanforge.errors import NoNegativeWitness, NoPositiveWitness
 from spanforge.highlevel import HighLevelProgram
 from spanforge.lowlevel import LowLevelProgram
@@ -45,10 +44,11 @@ from spanforge.randmat import (
     exp_lambda_min_cdf,
     exp_ratio_scaling,
 )
+from references import grid_values, sparse_columns_from_dense
 
 
 def _oracle_negative_size(prog: LowLevelProgram, bits) -> float:
-    avail = prog.available_vectors(bits).matrix.toarray()
+    avail = prog.available_vectors(bits).toarray()
     constraints = np.vstack([prog.target.reshape(1, -1), avail.T])
     rhs = np.zeros(constraints.shape[0])
     rhs[0] = 1.0
@@ -58,7 +58,7 @@ def _oracle_negative_size(prog: LowLevelProgram, bits) -> float:
     _, s, vt = np.linalg.svd(constraints)
     rank = int(np.sum(s > 1e-11 * (s[0] if len(s) else 1.0)))
     basis = vt[rank:].T
-    m_all = prog.all_vectors()
+    m_all = prog.store.toarray()
     if basis.shape[1]:
         y = np.linalg.lstsq(m_all.T @ basis, -m_all.T @ w0, rcond=None)[0]
         w = w0 + basis @ y
@@ -97,7 +97,7 @@ def test_criterion_01_witness_duality(criterion_report):
             if rep.decision != decision:
                 problems.append("witness dispatcher disagrees with evaluate")
                 continue
-            avail = prog.available_vectors(bits).matrix.toarray()
+            avail = prog.available_vectors(bits).toarray()
             if decision:
                 pos = prog.positive_witness(bits)
                 reach = avail @ pos.witness

@@ -432,8 +432,20 @@ def test_experiment_sizes_out_of_range_exit_1(capsys, argv, flag):
       "--n=1000000000000 asks for bidiagonal draws of 2000000000000 entries, past the cap of 16777216 entries"),
      ("wishart-experiment --kind trace --n 8388609 --m 8388611 --trials 1 --seed 1", "--n=8388609 asks"),
      ("wishart-experiment --kind block --n 8388609 --trials 1 --seed 1", "--n=8388609 asks"),
-     ("ratio-experiment --n 2,1000000000000 --trials 1 --seed 1", "--n=1000000000000 asks for bidiagonal draws")],
-    ids=["rank", "rank-one-past", "lambda-min", "trace", "block", "ratio"],
+     ("ratio-experiment --n 2,1000000000000 --trials 1 --seed 1", "--n=1000000000000 asks for bidiagonal draws"),
+     # a run keeps one float per trial, and the chi-square degrees of freedom m - i are floats
+     (f"wishart-experiment --kind trace --n 3 --m {10**24} --trials 1 --seed 1",
+      f"--m={10**24} is past 2^53, where the chi-square degrees of freedom stop being exact floats"),
+     (f"wishart-experiment --kind trace --n 3 --m {2**53 + 1} --trials 1 --seed 1", f"--m={2**53 + 1} is past 2^53"),
+     (f"wishart-experiment --n 3 --m 8 --trials {10**24} --seed 1",
+      f"--trials={10**24} is past the cap of 16777216 trials"),
+     (f"wishart-experiment --kind lambda-min --n 3 --trials {10**24} --seed 1", f"--trials={10**24} is past the cap"),
+     ("wishart-experiment --kind block --n 5 --trials 16777217 --seed 1", "--trials=16777217 is past the cap"),
+     (f"ratio-experiment --n 2,4 --trials {10**21} --seed 1", f"--trials={10**21} is past the cap"),
+     (f"rank-experiment --n 4 --m 4 --r 2 --trials {10**24} --seed 1", f"--trials={10**24} is past the cap")],
+    ids=["rank", "rank-one-past", "lambda-min", "trace", "block", "ratio", "trace-huge-m", "trace-m-one-past",
+         "trace-huge-trials", "lambda-min-huge-trials", "block-trials-one-past", "ratio-huge-trials",
+         "rank-huge-trials"],
 )
 def test_experiment_sizes_past_the_dense_cap_exit_1(capsys, monkeypatch, argv, message):
     # sized before drawing: no trial or draw runs
@@ -453,6 +465,9 @@ def test_rank_experiment_config_past_the_dense_cap_names_its_fields(capsys, tmp_
     code, out, err = _run(capsys, ["rank-experiment", "--config", str(cfg)])
     assert code == 1 and out == ""
     assert err == "error: n=10000000, m=10000000 ask for a 10000000 x 20000000 matrix, past the cap of 16777216 entries\n"
+    cfg.write_text(json.dumps({**_CONFIG, "trials": 10**24}))
+    assert _run(capsys, ["rank-experiment", "--config", str(cfg)]) == (
+        1, "", f"error: trials={10**24} is past the cap of 16777216 trials\n")
 
 
 def test_sizes_at_the_dense_cap_reach_the_draws(capsys, monkeypatch):
@@ -465,7 +480,9 @@ def test_sizes_at_the_dense_cap_reach_the_draws(capsys, monkeypatch):
                  "wishart-experiment --kind trace --n 8388608 --m 8388610 --trials 1 --seed 1",
                  "wishart-experiment --kind block --n 8388608 --trials 1 --seed 1",
                  "wishart-experiment --kind lambda-min --n 8388608 --trials 1 --seed 1",
-                 "ratio-experiment --n 2,8388608 --trials 1 --seed 1"):
+                 "ratio-experiment --n 2,8388608 --trials 1 --seed 1",
+                 f"wishart-experiment --kind trace --n 3 --m {2**53} --trials 16777216 --seed 1",
+                 "rank-experiment --n 4 --m 4 --r 2 --trials 16777216 --seed 1"):
         assert _run(capsys, argv.split()) == (1, "", "error: reached the draws\n"), argv
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from spanforge import cli
 from spanforge.compiler import compile_dense
 from spanforge.highlevel import HighLevelProgram
+from spanforge.lowlevel import MAX_DENSE_ENTRIES
 
 SUBCOMMANDS = ("evaluate", "witness", "compile", "rank-experiment", "wishart-experiment",
                "ratio-experiment", "lowerbound-suite")
@@ -189,7 +190,9 @@ PATHS = {"--program": ("compiled.json", "hl.json", "dir", "missing"),
          "--highlevel": ("hl.json", "compiled.json", "missing"),
          "--input": ("accept.json", "reject.json", "hl.json", "missing"),
          "--config": ("config.json", "hl.json", "dir", "missing")}
-INTS = st.integers(-2, 6).map(str)
+# huge integers, past every cap, go to every integer option
+HUGE = st.sampled_from([str(10**18), str(10**24)])
+INTS = st.integers(-2, 6).map(str) | HUGE
 FLOATS = st.sampled_from(["0", "0.5", "-0.25", "1e-12", "1e300", "nan", "inf", "-inf"])
 JUNK = st.sampled_from(["", "x", "-", "--", "0,1", "2,4", "3,3", "0110", "[]", "{}", "\u0661"])
 
@@ -206,7 +209,7 @@ def _value(action, files, clean):
     if flag == "--out":  # never write outside the test's directory
         return st.sampled_from([str(files["out"])] if clean else [str(files["out"]), str(files["dir"]), "", None])
     if flag == "--trials":
-        typed = st.integers(-2, 3).map(str)
+        typed = st.integers(-2, 3).map(str) | HUGE
     elif action.choices:
         typed = st.sampled_from(list(action.choices))
     elif flag in PATHS:
@@ -272,8 +275,9 @@ def test_any_command_line_exits_0_1_or_2(files):
 # what a JSON file may hold in place of any value: other types, numbers numpy
 # reads from non-numbers, huge integers, NaN and infinities, empty and nested
 # containers
-VALUES = st.sampled_from([None, True, False, "", "1", "x", 0, 1, -1, 2, 0.5, -0.0, 1e308, -1e308, 10**400,
-                          float("nan"), float("inf"), float("-inf"), [], {}, [1.0], [[1.0, 0.0]], [True], ["1"]])
+VALUES = st.sampled_from([None, True, False, "", "1", "x", 0, 1, -1, 2, 0.5, -0.0, 1e308, -1e308, 10**18, 10**24,
+                          10**400, float("nan"), float("inf"), float("-inf"), [], {}, [1.0], [[1.0, 0.0]], [True],
+                          ["1"]])
 
 LOWLEVEL = {"dim": 2, "num_vars": 1, "target": [1.0, 0.0], "free": [[0.0, 0.0]],
             "labeled": [{"vec": [1.0, 0.0], "var": 1, "val": 1}, {"vec": [0.0, 1.0], "var": 1, "val": 0}],
@@ -304,7 +308,7 @@ def mutated(draw, doc):
     return doc
 
 
-def test_any_input_file_exits_0_1_or_2(files):
+def test_any_input_file_exits_0_1_or_2(files, monkeypatch):
     compiled, bits = json.loads(files["compiled.json"].read_text()), files["bits"][0]
     matrix, out = str(files["accept.json"]), ["--out", str(files["out"])]
     kinds = {  # the file's document, and the commands that read it from path F
@@ -319,18 +323,30 @@ def test_any_input_file_exits_0_1_or_2(files):
         "config": (json.loads(files["config.json"].read_text()), [["rank-experiment", "--config", "F", "--format", "json"]]),
     }
     path = files["dir"] / "fuzzed.json"
+    run = cli.run_rank_trials
+
+    def run_under_the_cap(config, **kwargs):  # a count past the cap is refused before it runs
+        assert config.trials <= MAX_DENSE_ENTRIES, config
+        return run(config, **kwargs)
+
+    monkeypatch.setattr(cli, "run_rank_trials", run_under_the_cap)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @example(("config", {"n": 4, "m": 4, "r": 2, "trials": MAX_DENSE_ENTRIES + 1, "master_seed": 3}))
+    @example(("config", {"n": 4, "m": 4, "r": 2, "trials": 10**24, "master_seed": 3}))
     @given(st.sampled_from(sorted(kinds)).flatmap(lambda kind: st.tuples(st.just(kind), mutated(kinds[kind][0]))))
     def check(case):
         kind, doc = case
-        # a huge trial count is a long run, not a malformed file
-        assume(not (kind == "config" and isinstance(doc, dict) and isinstance(doc.get("trials"), int)
-                    and doc["trials"] > 2))
+        trials = doc.get("trials") if kind == "config" and isinstance(doc, dict) else None
+        counted = isinstance(trials, int) and not isinstance(trials, bool)
+        # a trial count above 2 but under the cap is a long run, not a malformed file
+        assume(not (counted and 2 < trials <= MAX_DENSE_ENTRIES))
         path.write_text(json.dumps(doc))
         for argv in kinds[kind][1]:
             argv = [str(path) if arg == "F" else arg for arg in argv] + out
             code, stdout, err = _run(argv)
             assert code in (0, 1, 2) and stdout == "" and "Traceback" not in err, (argv, doc, code, err)
+            if counted and trials > MAX_DENSE_ENTRIES:
+                assert code == 1 and "trials" in err, (doc, err)
 
     check()

@@ -37,7 +37,7 @@ def _same_program(a, b):
     """Bit-for-bit equality of two low-level programs."""
     assert (a.dim, a.num_vars, a.tol) == (b.dim, b.num_vars, b.tol)
     assert np.array_equal(a.target, b.target)
-    assert np.array_equal(a.all_vectors(), b.all_vectors())
+    assert np.array_equal(a.store.toarray(), b.store.toarray())
     assert len(a.free) == len(b.free)
     assert [(lv.var, lv.val) for lv in a.labeled] == [(lv.var, lv.val) for lv in b.labeled]
 
@@ -46,7 +46,7 @@ def _store_digest(prog):
     """SHA-256 of a program's store, target and labels, as little-endian
     float64 / int64 bytes (the store in row-major order)."""
     h = hashlib.sha256()
-    h.update(prog.all_vectors().astype("<f8").tobytes())
+    h.update(prog.store.toarray().astype("<f8").tobytes())
     h.update(prog.target.astype("<f8").tobytes())
     h.update(np.array([(lv.var, lv.val) for lv in prog.labeled], dtype="<i8").tobytes())
     return h.hexdigest()
@@ -99,7 +99,7 @@ def test_benchmark_rank_program_store_is_pinned():
     # the sparse n = 8 rank program of the cli-roundtrip benchmark at seed 7
     prog = build_rank_program(8, 8, 4, np.random.default_rng([7, 4]))
     comp = compile_sparse(prog, k_nnz=3, l_nnz=3, precision=3)
-    assert comp.program.all_vectors().shape == (480, 876)
+    assert comp.program.store.shape == (480, 876)
     assert _store_digest(comp.program) == "7ba75b3fc32c23f62c3364ed3e75d735049de7cc7e917a8853e7bf24566fa03a"
 
 
@@ -129,7 +129,7 @@ def _gadget_store(comp, free_basis):
     a time from its tables, with each labeled column's (var, val) checked."""
     lay, tab, prog = comp.layout, comp.tables, comp.program
     nf, digits = prog.num_free, lay.precision + 1
-    store = np.zeros(prog.all_vectors().shape)
+    store = np.zeros(prog.store.shape)
     store[: lay.n, : lay.num_hl] = free_basis
     labels = {}
     for j, s in np.ndindex(tab.pivots.shape):
@@ -192,7 +192,7 @@ def test_every_store_column_is_its_gadget(mode):
             prog = HighLevelProgram(space_dim=n, num_inputs=m, target=rng.standard_normal(n), free_basis=free)
             comp = _compile(mode, prog, precision, min(2, n), l_nnz)
             expected = _gadget_store(comp, prog.free_basis)
-            assert expected.tobytes() == comp.program.all_vectors().tobytes(), (mode, n, m, precision, l_nnz)
+            assert expected.tobytes() == comp.program.store.toarray().tobytes(), (mode, n, m, precision, l_nnz)
 
 
 @st.composite

@@ -13,14 +13,13 @@ from spanforge.compiler import (
     compile_dense,
     compile_sparse,
     measure_overhead,
-    row_lists_from_dense,
-    sparse_columns_from_dense,
 )
-from spanforge.encoding import grid_values, index_bit_width
+from spanforge.encoding import index_bit_width
 from spanforge.errors import SparseFormatError
 from spanforge.highlevel import HighLevelProgram
 from spanforge.linalg import min_norm_solve
 from spanforge.lowlevel import Columns, LowLevelProgram
+from references import grid_values, row_lists_from_dense, sparse_columns_from_dense
 
 RNG = np.random.default_rng(909)
 
@@ -189,10 +188,10 @@ def test_sparse_duplicate_payload_rows_rejected():
 def test_sparse_format_errors():
     a = np.array([[0.5, 0.0], [0.5, 0.0], [0.5, 0.0]])
     with pytest.raises(SparseFormatError, match="column 1"):
-        sparse_columns_from_dense(a, k_nnz=2)
+        compile_sparse(_hl(3, 2, target=[1.0, 0.0, 0.0]), k_nnz=2, precision=1).encode(a)
     b = np.array([[0.5, 0.5], [0.0, 0.0]])
     with pytest.raises(SparseFormatError, match="row 1"):
-        row_lists_from_dense(b, l_nnz=1)
+        compile_sparse(_hl(2, 2, target=[1.0, 0.0]), k_nnz=1, l_nnz=1, precision=1).encode(b)
 
 
 def test_sparse_consistency_validation():
@@ -252,6 +251,9 @@ def test_canonical_padding_is_deterministic():
     assert cols[1] == ((0, -0.5), (1, 0.0))
     rows = row_lists_from_dense(a, l_nnz=2)
     assert rows == ((0, 1), (0, 1), (0, 1))
+    # a dense matrix encodes as its padded description does
+    comp = compile_sparse(_hl(3, 2, target=[1.0, 0.0, 0.0]), k_nnz=2, l_nnz=2, precision=1)
+    assert comp.encode(a) == comp.encode({"columns": cols, "rows": rows})
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +484,7 @@ def test_lift_positive_reaches_target(mode):
         comp = compile_sparse(prog, k_nnz=2, l_nnz=2, precision=k)
     lifted = comp.lift_positive(a)
     avail = comp.program.available_vectors(lifted.bits)
-    assert np.allclose(avail.matrix.toarray() @ lifted.coefficients, comp.program.target, atol=1e-9)
+    assert np.allclose(avail.toarray() @ lifted.coefficients, comp.program.target, atol=1e-9)
     opt = comp.program.positive_witness(lifted.bits).size
     assert lifted.size >= opt - 1e-9
     # the forced-structure argument makes the lift optimal
@@ -513,7 +515,7 @@ def test_lift_negative_is_valid_witness(mode):
         lifted = comp.lift_negative(a)
         avail = comp.program.available_vectors(lifted.bits)
         assert lifted.vector @ comp.program.target == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(avail.matrix.toarray().T @ lifted.vector, 0.0, atol=1e-9)
+        assert np.allclose(avail.toarray().T @ lifted.vector, 0.0, atol=1e-9)
         opt = comp.program.negative_witness(lifted.bits).size
         assert lifted.size >= opt * (1.0 - 1e-9) - 1e-9
         found += 1
@@ -526,7 +528,7 @@ def test_lift_positive_accepts_supplied_witness():
     w = np.array([-1.0, 0.0])
     lifted = comp.lift_positive(a, w=w)
     avail = comp.program.available_vectors(lifted.bits)
-    assert np.allclose(avail.matrix.toarray() @ lifted.coefficients, comp.program.target, atol=1e-12)
+    assert np.allclose(avail.toarray() @ lifted.coefficients, comp.program.target, atol=1e-12)
     with pytest.raises(ValueError, match="witness"):
         comp.lift_positive(a, w=np.array([5.0, 5.0]))
 
@@ -602,7 +604,7 @@ def test_builder_hands_over_the_nonzero_pattern(mode):
         else:
             comp = compile_sparse(prog, k_nnz=min(2, n), precision=k, l_nnz=min(3, m) if mode == "sparse" else None)
         for p in (comp.program, CompiledProgram.from_json(comp.to_json()).program):
-            for handed, derived in zip(p.store.entries, Columns.of(p.all_vectors()).entries):
+            for handed, derived in zip(p.store.entries, Columns.of(p.store.toarray()).entries):
                 assert handed.tobytes() == derived.tobytes()
             count = np.bincount(p.store.cols, minlength=p.store.shape[1])
             assert p.store.indptr.tolist() == [0, *np.cumsum(count).tolist()]

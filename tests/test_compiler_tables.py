@@ -2,8 +2,8 @@
 
 ``CompiledProgram`` runs these steps as array gathers over index tables of
 its layout.  The references here read and write one fixed-point or index
-code at a time, through ``FixedPointCode``/``IntegerCode``, and read the
-variables of each (column, slot) or (row, slot) from the tables.
+code at a time (``references``), and read the variables of each (column,
+slot) or (row, slot) from the tables.
 """
 
 import functools
@@ -15,10 +15,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spanforge.compiler import compile_dense, compile_sparse
-from spanforge.encoding import FixedPointCode, IntegerCode, encode_int, encode_real
+from spanforge.encoding import grid_levels, index_bit_width
 from spanforge.errors import SparseFormatError
 from spanforge.highlevel import HighLevelProgram
 from spanforge.programs import build_rank_program
+from references import bits_index, digits_value, index_bits, level_digits, padded
 from test_acceptance import criterion_03_programs
 
 MODES = ("dense", "sparse_cols", "sparse")
@@ -41,14 +42,11 @@ def reference_decode(comp, bits):
     lay, tab = comp.layout, comp.tables
     bits = tuple(int(b) for b in bits)
 
-    def read(code, var_ids, **kw):
-        return code(bits=tuple(bits[v] for v in var_ids), **kw).value
-
     def real(j, slot):
-        return read(FixedPointCode, tab.digits[j, slot], precision=lay.precision)
+        return digits_value([bits[v] for v in tab.digits[j, slot]])
 
     def index(routes, owner, slot):
-        return read(IntegerCode, routes.bits[owner, slot], width=routes.bits.shape[-1])
+        return bits_index([bits[v] for v in routes.bits[owner, slot]])
 
     out = np.zeros((lay.n, lay.m))
     if lay.mode == "dense":
@@ -75,11 +73,6 @@ def reference_decode(comp, bits):
     return out
 
 
-def _padded(used, size, budget):
-    """``used`` indices plus the first unused ones, ``budget`` in all, sorted."""
-    return sorted(list(used) + [i for i in range(size) if i not in used][: budget - len(used)])
-
-
 def reference_encode(comp, a=None, columns=None, rows=None):
     """Bits of a dense matrix ``a`` or of explicit ``columns`` payloads (lists
     of (row, value)) and ``rows`` lists, one code at a time."""
@@ -87,25 +80,28 @@ def reference_encode(comp, a=None, columns=None, rows=None):
     bits = [0] * lay.num_vars
 
     def put(var_ids, code):
-        for v, b in zip(var_ids, code.bits, strict=True):
+        for v, b in zip(var_ids, code, strict=True):
             bits[v] = b
+
+    def real(x):
+        return level_digits(int(grid_levels(x, lay.precision)), lay.precision)
 
     if lay.mode == "dense":
         for j in range(lay.m):
             for i in range(lay.n):
-                put(tab.digits[j, i], encode_real(float(a[i, j]), lay.precision))
+                put(tab.digits[j, i], real(float(a[i, j])))
         return tuple(bits)
     if columns is None:
         columns = [[(i, a[i, j]) for i in range(lay.n) if a[i, j] != 0] for j in range(lay.m)]
         rows = [[j for j in range(lay.m) if a[i, j] != 0] for i in range(lay.n)]
     for j, payload in enumerate(columns):
         values = dict(payload)
-        for slot, r in enumerate(_padded([r for r, _ in payload], lay.n, lay.k_nnz)):
-            put(tab.digits[j, slot], encode_real(float(values.get(r, 0.0)), lay.precision))
-            put(tab.cols.bits[j, slot], encode_int(r, lay.n))
+        for slot, r in enumerate(padded([r for r, _ in payload], lay.n, lay.k_nnz)):
+            put(tab.digits[j, slot], real(float(values.get(r, 0.0))))
+            put(tab.cols.bits[j, slot], index_bits(r, index_bit_width(lay.n)))
     for i, cols in enumerate(rows if lay.mode == "sparse" else ()):
-        for slot, c in enumerate(_padded(cols, lay.m, lay.l_nnz)):
-            put(tab.rows.bits[i, slot], encode_int(c, lay.m))
+        for slot, c in enumerate(padded(cols, lay.m, lay.l_nnz)):
+            put(tab.rows.bits[i, slot], index_bits(c, index_bit_width(lay.m)))
     return tuple(bits)
 
 
@@ -284,7 +280,7 @@ def test_lift_positive_carries_a_column_listed_twice_once():
     comp = compile_sparse(prog, k_nnz=1, l_nnz=2, precision=0)
     source = {"columns": [[(0, -1.0)], [(1, -1.0)]], "rows": [[0, 0], [1, 1]]}
     lifted = comp.lift_positive(source)
-    avail = comp.program.available_vectors(lifted.bits).matrix.toarray()
+    avail = comp.program.available_vectors(lifted.bits).toarray()
     assert np.allclose(avail @ lifted.coefficients, comp.program.target, atol=1e-12)
 
 

@@ -161,7 +161,7 @@ def _rounds(peel):
 
 def test_peel_drops_dead_ends_round_by_round():
     prog = _chain_program()
-    avail = prog.available_vectors("1").matrix.toarray()
+    avail = prog.available_vectors("1").toarray()
     cols, rows, values = Columns.of(avail).entries
     assert list(zip(cols.tolist(), rows.tolist())) == [(0, 0), (0, 1), (1, 1), (1, 2), (2, 0), (3, 3)]
     assert values.tolist() == [1.0, 1.0, 1.0, 2.0, 1.0, 1.0]
@@ -190,7 +190,7 @@ def test_peel_keeps_singleton_columns_in_the_block():
     """The peel pivots only on rows where the target is 0: the singleton
     columns stay in the block, and the witness is the unpeeled one."""
     prog = _singleton_chain_program()
-    avail = prog.available_vectors("").matrix.toarray()
+    avail = prog.available_vectors("").toarray()
     peel = Peel.of(Columns.of(avail), prog.target)
     assert _rounds(peel) == [([3], [3])] and peel.merges == ()
     assert peel.rows.tolist() == peel.cols.tolist() == [True, True, True, False, True]
@@ -216,7 +216,7 @@ def _doubleton_chain_program():
 
 def test_peel_merges_doubleton_rows_round_by_round():
     prog = _doubleton_chain_program()
-    avail = prog.available_vectors("").matrix.toarray()
+    avail = prog.available_vectors("").toarray()
     peel = Peel.of(Columns.of(avail), prog.target)
     # round 1 pivots row 0 on column 1 (m = 1/2); row 1 shares column 1 and
     # waits.  The merge leaves column 0 at -1/2 on row 1, so round 2 pivots
@@ -239,7 +239,7 @@ def test_peel_merges_doubleton_rows_round_by_round():
 
 def test_peel_extends_the_complement_over_pivot_rows():
     prog = _chain_program()
-    avail = prog.available_vectors("0").matrix.toarray()
+    avail = prog.available_vectors("0").toarray()
     peel = Peel.of(Columns.of(avail), prog.target)
     assert _rounds(peel) == [([2], [1]), ([1], [0])] and peel.merges == ()
     # row 3 touches no available column and its target is 0: it leaves the
@@ -283,7 +283,7 @@ def _near_float_max_program() -> LowLevelProgram:
 
 def test_peel_of_a_store_near_the_float_maximum_stands_without_overflow():
     prog = _near_float_max_program()
-    avail = prog.available_vectors("").matrix.toarray()
+    avail = prog.available_vectors("").toarray()
     assert in_span(avail, prog.target, prog.tol)[2] == 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -313,7 +313,7 @@ def test_peel_stands_only_where_it_keeps_the_decision(free, target, tol, decisio
     last row with its last column; where the block could decide otherwise,
     the peel does not stand."""
     prog = LowLevelProgram(dim=len(target), num_vars=0, target=target, free=free, tol=tol)
-    avail = prog.available_vectors("").matrix.toarray()
+    avail = prog.available_vectors("").toarray()
     assert in_span(avail, prog.target, tol)[2] == decision
     assert prog.evaluate("") == prog.witness("").decision == decision
     peel = Peel.of(Columns.of(avail), prog.target)
@@ -348,7 +348,7 @@ def test_singleton_peel_stands_only_where_it_keeps_the_decision(free, target, to
     0, row 0 is a doubleton; elsewhere nothing peels, and ``stands`` is not
     read."""
     prog = LowLevelProgram(dim=len(target), num_vars=0, target=target, free=free, tol=tol)
-    avail = prog.available_vectors("").matrix.toarray()
+    avail = prog.available_vectors("").toarray()
     assert in_span(avail, prog.target, tol)[2] == decision
     assert prog.evaluate("") == prog.witness("").decision == decision
     peel = Peel.of(Columns.of(avail), prog.target)
@@ -383,7 +383,7 @@ def test_doubleton_peel_stands_only_where_it_keeps_the_decision(free, target, to
     """Each program merges column 1 into column 0 at row 0, the larger entry
     of the row (the later one on a tie) as the pivot."""
     prog = LowLevelProgram(dim=len(target), num_vars=0, target=target, free=free, tol=tol)
-    avail = prog.available_vectors("").matrix.toarray()
+    avail = prog.available_vectors("").toarray()
     assert in_span(avail, prog.target, tol)[2] == decision
     assert prog.evaluate("") == prog.witness("").decision == decision
     peel = Peel.of(Columns.of(avail), prog.target)
@@ -415,7 +415,7 @@ def _oracle_negative_size(prog: LowLevelProgram, bits) -> float:
     The particular solution is feasible to 1e-9 times ``|constraints|_F |w0|``
     (at least 1): a target near the span makes w0 large, and rounding leaves
     a residual in proportion to it."""
-    avail = prog.available_vectors(bits).matrix.toarray()
+    avail = prog.available_vectors(bits).toarray()
     constraints = np.vstack([prog.target.reshape(1, -1), avail.T])
     rhs = np.zeros(constraints.shape[0])
     rhs[0] = 1.0
@@ -425,7 +425,7 @@ def _oracle_negative_size(prog: LowLevelProgram, bits) -> float:
     u, s, vt = np.linalg.svd(constraints)
     rank = int(np.sum(s > 1e-11 * (s[0] if len(s) else 1.0)))
     basis = vt[rank:].T
-    m_all = prog.all_vectors()
+    m_all = prog.store.toarray()
     if basis.shape[1]:
         y = np.linalg.lstsq(m_all.T @ basis, -m_all.T @ w0, rcond=None)[0]
         w = w0 + basis @ y
@@ -443,7 +443,7 @@ def test_witness_duality_random_programs():
             decision = prog.evaluate(bits)
             if decision:
                 rep = prog.positive_witness(bits)
-                avail = prog.available_vectors(bits).matrix.toarray()
+                avail = prog.available_vectors(bits).toarray()
                 assert np.allclose(avail @ rep.witness, prog.target, atol=1e-7)
                 # minimal norm against the Moore-Penrose solution
                 ref = np.linalg.pinv(avail) @ prog.target
@@ -452,7 +452,7 @@ def test_witness_duality_random_programs():
                     prog.negative_witness(bits)
             else:
                 rep = prog.negative_witness(bits)
-                avail = prog.available_vectors(bits).matrix.toarray()
+                avail = prog.available_vectors(bits).toarray()
                 assert rep.witness @ prog.target == pytest.approx(1.0, abs=1e-7)
                 assert np.allclose(avail.T @ rep.witness, 0.0, atol=1e-7)
                 ref = _oracle_negative_size(prog, bits)

@@ -17,12 +17,12 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from spanforge.compiler import CompiledProgram, compile_dense, compile_sparse
-from spanforge.encoding import grid_values
 from spanforge.errors import NoNegativeWitness, NoPositiveWitness
 from spanforge.highlevel import HighLevelProgram, source_json
 from spanforge.linalg import DEFAULT_TOL, in_span, min_norm_solve, min_quadratic_on_hyperplane, svd
 from spanforge.lowlevel import PEEL_MIN_CELLS, Columns, LowLevelProgram, Peel, Reduced, normalize_bits
 from spanforge.programs import build_rank_program
+from references import grid_values
 from test_lowlevel import _oracle_negative_size
 from test_peel_reference import _rank_queries, assert_matches_reference, assert_program_peel_matches
 
@@ -131,7 +131,7 @@ def test_sizes_match_pinv_and_negative_oracle(case):
     near_span, prog = case
     for x in _inputs(prog):
         rep = prog.witness(x)
-        avail = prog.available_vectors(x).matrix.toarray()
+        avail = prog.available_vectors(x).toarray()
         if rep.decision:
             ref = np.linalg.pinv(avail, rcond=prog.tol) @ prog.target
             assert np.allclose(avail @ rep.witness, prog.target, atol=1e-7)
@@ -153,9 +153,9 @@ def test_available_vectors_match_column_loop(prog):
     for x in _inputs(prog):
         avail = prog.available_vectors(x)
         matrix, provenance = _seed_available(prog, x)
-        assert np.array_equal(avail.matrix.toarray(), matrix)
+        assert np.array_equal(avail.toarray(), matrix)
         columns = [i if kind == "free" else prog.num_free + i for kind, i in provenance]
-        assert np.flatnonzero(avail.mask).tolist() == columns
+        assert np.flatnonzero(prog.available_mask(x)).tolist() == columns
 
 
 @st.composite
@@ -185,12 +185,12 @@ def compiled_programs(draw) -> LowLevelProgram:
 def test_vectors_are_stored_once_and_read_only(prog):
     """One ``Columns`` holds every vector; the dense copies made of it, and
     its arrays, are read-only."""
-    store = prog.all_vectors()
+    store = prog.store.toarray()
     vectors = list(prog.free) + [lv.vec for lv in prog.labeled]
     assert store.shape == prog.store.shape == (prog.dim, len(vectors))
     for j, vec in enumerate(vectors):
         assert np.array_equal(vec, store[:, j])
-    avail = prog.available_vectors(next(_inputs(prog))).matrix
+    avail = prog.available_vectors(next(_inputs(prog)))
     columns = [getattr(c, name) for c in (prog.store, avail) for name in ("indptr", "indices", "data", "cols")]
     for arr in (store, prog.target, *vectors, avail.toarray(), *columns):
         with pytest.raises(ValueError):
@@ -235,7 +235,7 @@ def test_the_column_store_is_the_dense_build_s_nonzeros(build):
     for got, want in zip(prog.store.entries, Columns.of(dense).entries):
         assert got.tobytes() == want.tobytes()
     assert prog.store.indptr.tolist() == [0, *np.cumsum(np.count_nonzero(dense, axis=0)).tolist()]
-    assert prog.all_vectors().tobytes() == (dense + 0.0).tobytes()
+    assert prog.store.toarray().tobytes() == (dense + 0.0).tobytes()
     if comp is prog:
         nf = prog.num_free
         written = {"dim": prog.dim, "num_vars": 1, "target": prog.target.tolist(),
@@ -280,13 +280,13 @@ def compiled_queries(draw) -> tuple[LowLevelProgram, list]:
 def _unpeeled(prog: LowLevelProgram, bits) -> tuple[int, float, np.ndarray | None]:
     """Decision, optimal size and, when accepted, the positive witness from
     one SVD of all available columns."""
-    avail = prog.available_vectors(bits).matrix.toarray()
+    avail = prog.available_vectors(bits).toarray()
     dec, _, decision = in_span(avail, prog.target, prog.tol, full_matrices=avail.shape[1] < prog.dim)
     if decision:
         w = min_norm_solve(avail, prog.target, prog.tol, dec)
         return 1, float(w @ w), w
     nbasis = dec.u[:, dec.rank :]
-    size, _ = min_quadratic_on_hyperplane(prog.all_vectors().T @ nbasis, nbasis.T @ prog.target, prog.tol)
+    size, _ = min_quadratic_on_hyperplane(prog.store.toarray().T @ nbasis, nbasis.T @ prog.target, prog.tol)
     return 0, size, None
 
 
@@ -295,7 +295,7 @@ def _unpeeled(prog: LowLevelProgram, bits) -> tuple[int, float, np.ndarray | Non
 def test_peeled_witnesses_match_the_unpeeled_solver(query):
     prog, inputs = query
     for bits in inputs:
-        avail = prog.available_vectors(bits).matrix.toarray()
+        avail = prog.available_vectors(bits).toarray()
         assert_program_peel_matches(prog, bits)
         rep = prog.witness(bits)
         decision, size, positive = _unpeeled(prog, bits)
@@ -350,7 +350,7 @@ def reference_negative(prog: LowLevelProgram, peel: Peel, dec, tol: float,
     quadratic on that product.  Its size, witness and the rank of the
     product."""
     nbasis = np.linalg.qr(_swept(peel, dec))[0]
-    product = prog.all_vectors().T @ nbasis if dense else prog.store_product(nbasis)
+    product = prog.store.toarray().T @ nbasis if dense else prog.store_product(nbasis)
     size, y = min_quadratic_on_hyperplane(product, nbasis.T @ prog.target, tol)
     return size, nbasis @ y, svd(product, tol).rank
 
@@ -427,7 +427,7 @@ def test_a_dense_program_s_rejected_input_multiplies_dense_blocks_of_the_store()
     nbasis = dec.u[:, dec.rank :]
     assert rep.decision == 0 and not (peel.rounds or peel.zero) and nbasis.shape[1] == 60
     assert peak < 4e6
-    product = prog.all_vectors().T @ nbasis
+    product = prog.store.toarray().T @ nbasis
     np.testing.assert_allclose(prog.store_product(nbasis), product, rtol=1e-12, atol=1e-12)
     size, _ = min_quadratic_on_hyperplane(product, nbasis.T @ prog.target, prog.tol)
     assert rep.size == pytest.approx(size, rel=1e-12)
@@ -449,7 +449,7 @@ def test_the_whole_matrix_fallback_s_product_holds_about_its_result(monkeypatch)
     assert decision == 0 and not (peel.rounds or peel.zero) and nbasis.shape[1] == 41
     rep, peak = _traced_peak(lambda: prog._negative(peel, dec, prog.tol))
     assert peak < 4 * prog.store.shape[1] * nbasis.shape[1] * 8
-    size, _ = min_quadratic_on_hyperplane(prog.all_vectors().T @ nbasis, nbasis.T @ prog.target, prog.tol)
+    size, _ = min_quadratic_on_hyperplane(prog.store.toarray().T @ nbasis, nbasis.T @ prog.target, prog.tol)
     assert rep.size == pytest.approx(size, rel=1e-12)
 
 
@@ -465,7 +465,7 @@ def test_every_dense_matrix_of_a_query_is_capped(monkeypatch):
     peel, dec, _ = prog._decide(rejected, 0.0)  # at tol = 0 the QR path runs
     product = (prog.store.shape[1], dec.u.shape[1] - dec.rank + len(peel.zero))
     block = prog._decide(accepted, prog.tol)[0].block.shape
-    whole = prog.available_vectors(accepted).matrix.shape
+    whole = prog.available_vectors(accepted).shape
     for shape in (block, product):
         monkeypatch.setattr("spanforge.lowlevel.MAX_DENSE_ENTRIES", shape[0] * shape[1] - 1)
         with pytest.raises(ValueError, match=f"a dense {shape[0]} x {shape[1]} matrix is past the cap"):
@@ -516,7 +516,7 @@ def test_reduction_stands_only_where_it_matches_the_qr_path(query):
     path, or misses its size by more than 1e-10, the reduction does not
     stand, and the QR path runs."""
     prog, tol = query
-    avail = prog.available_vectors((0,)).matrix.toarray()
+    avail = prog.available_vectors((0,)).toarray()
     peel = Peel.of(Columns.of(avail), prog.target)
     rows, cols = peel.block.shape
     dec, _, decision = in_span(peel.block, peel.target, tol, full_matrices=cols < rows or bool(peel.merges))
@@ -540,7 +540,7 @@ def test_reduction_refuses_a_sweep_through_tiny_pivots():
     store[:, 2] = [0.0, 1.0, 1.0, 0.0, 1e-10]
     store[:, 3:] = np.random.default_rng(3).standard_normal((5, 2))
     prog = LowLevelProgram.from_store(1, [1.0, 1.0, 1.0, 0.0, 0.0], Columns.of(store), 3, [1, 1], [1, 1])
-    avail = prog.available_vectors((0,)).matrix.toarray()
+    avail = prog.available_vectors((0,)).toarray()
     peel = Peel.of(Columns.of(avail), prog.target)
     assert [(r.tolist(), c.tolist()) for r, c in peel.rounds] == [([3], [1]), ([4], [2])]
     dec, _, decision = in_span(peel.block, peel.target, prog.tol, full_matrices=True)
@@ -559,7 +559,7 @@ def _near_tolerance(prog: LowLevelProgram, rng, tol: float) -> LowLevelProgram:
     column, two columns scaled by 1e-4, 1 or 1e4, and last up to three rows
     made doubletons (target 0, two nonzero entries) whose entries differ, up
     to sign, by a factor 1 + 1e-3 tol or 1 + 1e3 tol."""
-    store, target = np.array(prog.all_vectors()), np.array(prog.target)
+    store, target = np.array(prog.store.toarray()), np.array(prog.target)
     ncols = store.shape[1]
     for i in rng.choice(prog.dim, size=min(prog.dim - 1, int(rng.integers(0, 4))), replace=False):
         store[i, np.arange(ncols) != rng.integers(ncols)] = target[i] = 0.0
@@ -608,7 +608,7 @@ def test_peel_keeps_the_decision_near_the_tolerance(query):
     stand."""
     prog, inputs = query
     for bits in inputs:
-        avail = prog.available_vectors(bits).matrix.toarray()
+        avail = prog.available_vectors(bits).toarray()
         decision = in_span(avail, prog.target, prog.tol)[2]
         assert prog.evaluate(bits) == prog.witness(bits).decision == decision
         # the peel itself, also where the available matrix is too small for
@@ -633,7 +633,7 @@ def test_compiled_sparse_inputs_peel():
     for _ in range(4):
         a = _budgeted_grid_matrix(rng, 4, 4, 2, 2, 2)
         bits = comp.encode(a)
-        avail = comp.program.available_vectors(bits).matrix.toarray()
+        avail = comp.program.available_vectors(bits).toarray()
         block = Peel.of(Columns.of(avail), comp.program.target).block
         assert block.shape[0] < avail.shape[0] and block.shape[1] < avail.shape[1]
         # and the peel stands
@@ -655,7 +655,7 @@ def test_compiled_dense_inputs_peel():
         prog = comp.program
         for _ in range(4):
             bits = comp.encode(_budgeted_grid_matrix(rng, n, m, precision, k_nnz, l_nnz))
-            avail = prog.available_vectors(bits).matrix.toarray()
+            avail = prog.available_vectors(bits).toarray()
             assert avail.size >= PEEL_MIN_CELLS or k_nnz is not None  # evaluate peels every dense query
             peel = Peel.of(Columns.of(avail), prog.target)
             rows, cols = peel.block.shape

@@ -199,7 +199,7 @@ def assert_matches_reference(peel: Peel, matrix: np.ndarray, target: np.ndarray)
 def assert_program_peel_matches(prog: LowLevelProgram, bits) -> Peel:
     """The peel of ``bits`` on the columns of the store of ``prog`` that
     ``available_vectors`` gathers matches the reference; returns it."""
-    avail = prog.available_vectors(bits).matrix
+    avail = prog.available_vectors(bits)
     peel = Peel.of(avail, prog.target)
     assert_matches_reference(peel, avail.toarray(), prog.target)
     return peel
@@ -215,7 +215,7 @@ def _sparse_criterion_01_program(rng) -> LowLevelProgram:
     coordinates set to 0, so that rows where the target is 0 and one or two
     available columns are nonzero peel."""
     prog = _random_lowlevel(rng)
-    store, target = np.array(prog.all_vectors()), np.array(prog.target)
+    store, target = np.array(prog.store.toarray()), np.array(prog.target)
     store[rng.random(store.shape) < 0.5] = 0.0
     target[rng.choice(prog.dim, size=int(rng.integers(0, prog.dim)), replace=False)] = 0.0
     return LowLevelProgram.from_store(prog.num_vars, target, Columns.of(store), prog.num_free, prog.var, prog.val,
@@ -295,7 +295,7 @@ def test_doubleton_round_takes_a_row_after_one_that_waits():
         dim=4, num_vars=0, target=[0.0, 0.0, 0.0, 1.0],
         free=([1.0, 2.0, 0.0, 1.0], [2.0, 0.0, 0.0, 1.0], [0.0, 1.0, 2.0, 1.0], [0.0, 0.0, 1.0, 1.0]),
     )
-    avail = prog.available_vectors("").matrix.toarray()
+    avail = prog.available_vectors("").toarray()
     peel = Peel.of(Columns.of(avail), prog.target)
     assert_matches_reference(peel, avail, prog.target)
     assert [(rows.tolist(), cols.tolist()) for rows, cols in peel.rounds] == [([0, 2], [1, 2]), ([1], [0])]

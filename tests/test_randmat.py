@@ -8,9 +8,7 @@ from spanforge.errors import SolverFailure
 from spanforge.randmat import (
     Bidiagonal,
     RngStream,
-    _batched_c,
     _draws,
-    _gaussian,
     chunk_sizes,
     exp_block_inverse_norm,
     exp_c_bounded,
@@ -25,6 +23,7 @@ from spanforge.randmat import (
     spectral_stats,
     worker_count,
 )
+from references import batched_c, gaussian
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +173,12 @@ def test_sigma_min_is_the_tridiagonal_eigenvalue_bit_for_bit(monkeypatch):
 
 # (dense statistic of a Gaussian batch, bidiagonal statistic, n, m) per law
 LAWS = {
-    "c": (_batched_c, Bidiagonal.c, 10, 10),
+    "c": (batched_c, Bidiagonal.c, 10, 10),
     "n_lambda_min": (lambda a: 10 * np.linalg.svd(a, compute_uv=False)[:, -1] ** 2,
                      lambda b: 10 * b.sigma_min() ** 2, 10, 10),
     "trace_inverse_wishart": (lambda a: np.einsum("tii->t", np.linalg.inv(a @ a.transpose(0, 2, 1))),
                               Bidiagonal.inverse_frobenius_sq, 4, 9),
-    "ratio": (lambda a: 1.0 / (np.linalg.svd(a, compute_uv=False)[:, -1] * _batched_c(a)),
+    "ratio": (lambda a: 1.0 / (np.linalg.svd(a, compute_uv=False)[:, -1] * batched_c(a)),
               lambda b: 1.0 / (b.sigma_min() * b.c()), 10, 10),
 }
 
@@ -189,7 +188,7 @@ def test_bidiagonal_draws_agree_with_dense_gaussian_draws(law):
     # fixed-seed two-sample KS: the experiments' statistics from bidiagonal
     # draws against the same statistics of dense Gaussian draws
     dense_stat, bidiagonal_stat, n, m = LAWS[law]
-    dense = np.concatenate(_draws(_gaussian, dense_stat, n, m, 3000, RngStream(seed=71), chunk=1024))
+    dense = np.concatenate(_draws(gaussian, dense_stat, n, m, 3000, RngStream(seed=71), chunk=1024))
     bidiagonal = np.concatenate(
         _draws(sample_bidiagonal, bidiagonal_stat, n, m, 3000, RngStream(seed=72), chunk=1024)
     )
