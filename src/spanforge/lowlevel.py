@@ -195,16 +195,6 @@ class WitnessReport:
 # breaks even near 80 x 84 and is 40-80% faster from 105 x 94 on).
 PEEL_MIN_CELLS = 4096
 
-# A rejected input's swept basis goes to its ``Reduced`` problem only when
-# the QR path's product of the store with it, dim x width x store columns
-# multiply-adds, reaches this (``LowLevelProgram._reduces``): below it that
-# product costs less than the reduction's fixed numpy steps (on compiled
-# programs, with one BLAS thread, the reduction takes 2.2-2.8x as long at
-# 1e4 to 3e5, 1.0-1.5x at 6e5 to 2.7e6, 0.8-0.9x at 5e6 to 6e6 and 0.45x at
-# 1.7e7).
-REDUCE_MIN_WORK = 1 << 22
-
-
 class Peel:
     """The coordinates of one input removed before factoring.
 
@@ -442,15 +432,17 @@ class Peel:
         """A basis N of the complement of the span of ``matrix``, as its
         (row, column, value) entries sorted by row, then column, from
         ``basis``, an orthonormal basis of the complement of the kept block's
-        span on the kept rows; N has ``basis``'s columns, then one per zero
-        row, whose unit vector it adds.  Where nothing peeled, N is ``basis``
-        itself.  Sweeping the rounds from last to first, each pivot column's
-        orthogonality fixes N at its pivot row: each entry of the column
-        meets the entries of N on its row, and their products, summed per
-        pivot and column of N in the column's order, divided by the pivot,
-        are N's entries on the pivot row.  N is not orthonormal; it has full
-        column rank, since its columns, restricted to the kept and zero rows,
-        are orthonormal."""
+        span on the kept rows: N_0, ``basis``'s columns, then N_z, one column
+        per zero row, whose unit vector it adds.  Where nothing peeled, N is
+        ``basis`` itself.  Sweeping the rounds from last to first, each pivot
+        column's orthogonality fixes N at its pivot row: each entry of the
+        column meets the entries of N on its row, and their products, summed
+        per pivot and column of N in the column's order, divided by the
+        pivot, are N's entries on the pivot row.  N is not orthonormal; it
+        has full column rank, since its columns, restricted to the kept and
+        zero rows, are orthonormal.  N_z is nonzero only on zero and pivot
+        rows, where the target is 0, so it is exactly orthogonal to the
+        target (``LowLevelProgram._project``)."""
         kept, cols = np.nonzero(basis)
         width, zero = basis.shape[1] + len(self.zero), np.asarray(self.zero, dtype=np.intp)
         rows = np.concatenate([np.flatnonzero(self.rows)[kept], zero])
@@ -503,166 +495,29 @@ class Peel:
         return x
 
 
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2
-
-
-def _gamma(k) -> float:
-    """Higham's ``gamma_k = k u / (1 - k u)``, u the unit roundoff: the
-    relative error bound of a sum or product of k terms."""
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-
-
 def _norm_bound(col_sums: np.ndarray, row_sums: np.ndarray) -> float:
     """``sqrt(|.|_1 |.|_inf)``, a bound on the 2-norm of a nonnegative matrix,
     from its column and row sums."""
     return float(np.sqrt(col_sums.max(initial=0.0)) * np.sqrt(row_sums.max(initial=0.0)))
 
 
-class Reduced:
-    """The negative witness problem on a basis N of the complement, reduced
-    to q x q through two Choleskys.
-
-    For any basis N of the space negative witnesses live in, the witness is
-    ``N y`` and its size ``|S^T N y|^2`` (S the store, every column), the
-    least subject to ``<N^T t, y> = 1`` (t the target).  With ``N^T N =
-    R_N^T R_N`` and ``B^T B = R_B^T R_B`` for ``B = S^T N``, the basis ``Q =
-    N R_N^-1`` is orthonormal and ``|S^T Q y| = |R_B R_N^-1 y|``: the
-    problem on Q is that of ``matrix = R_B R_N^-1`` (upper triangular) and
-    ``c = R_N^-T N^T t``, and the witness is ``N R_N^-1 y``.  N stays an
-    entry list, and so does B, the sums of ``LowLevelProgram._join`` that
-    do not cancel; ``N^T N`` and ``B^T B`` sum the products of the nonzeros
-    on each row of N and of B, in order.  ``x`` is the computed
-    ``R_N^-1``.  Where a factor overflows (a store near the float
-    maximum, or tiny pivots in N), ``of`` gives None, as it does when a
-    Cholesky fails.
-    """
-
-    def __init__(self, program: "LowLevelProgram", basis, width: int):
-        rows, cols, values = self.basis = basis
-        self.program, self.width = program, width
-        met, entry = _column_runs(rows, rows, program.dim)
-        gram_n = np.bincount(cols[entry] * width + cols[met], values[entry] * values[met], width * width)
-        keys, products = program._join(rows, cols, values, width)
-        keys, slot = np.unique(keys, return_inverse=True)
-        sums = np.bincount(slot, products, keys.size)
-        keys, sums = keys[sums != 0.0], sums[sums != 0.0]
-        at, b_cols, terms = self.product = keys // width, keys % width, sums  # B
-        met, entry = _column_runs(at, at, program.store.shape[1])
-        gram_b = np.bincount(b_cols[entry] * width + b_cols[met], terms[entry] * terms[met], width * width)
-        self.l_n = np.linalg.cholesky(gram_n.reshape(width, width))  # R_N^T
-        self.l_b = np.linalg.cholesky(gram_b.reshape(width, width))
-        self.x = np.linalg.inv(self.l_n.T)  # no pivoting on a triangular matrix: back substitution
-        self.matrix = self.l_b.T @ self.x
-        self.plain_c = np.bincount(cols, values * program.target[rows], width)  # N^T t
-        self.c = self.plain_c @ self.x
-
-    @classmethod
-    def of(cls, program: "LowLevelProgram", basis, width: int) -> "Reduced | None":
-        """The reduction on ``basis``, N's (row, column, value) entries sorted
-        by row (``Peel.extend``), or None where it has no finite factors."""
-        with np.errstate(all="ignore"):
-            try:
-                red = cls(program, basis, width)
-            except np.linalg.LinAlgError:
-                return None
-        return red if np.isfinite(red.matrix).all() and np.isfinite(red.c).all() else None
-
-    def witness(self, y: np.ndarray) -> np.ndarray:
-        """``N R_N^-1 y``."""
-        rows, cols, values = self.basis
-        return np.bincount(rows, values * (self.x @ y)[cols], self.program.dim)
-
-    def stands(self, dec: SvdResult, tol: float) -> bool:
-        """Whether the problem of ``matrix`` and ``c`` decides the rank as
-        the QR path does, a Householder QR of N, its product with S and the
-        SVD of that, and gives the size within 1e-10 relative, with ``dec``
-        the SVD of ``matrix``.  A bound to first order in the unit roundoff u.
-
-        Write ``g(k) = k u / (1 - k u)`` and, for a nonnegative matrix, ``n(.)
-        = sqrt(|.|_1 |.|_inf)``, at least its 2-norm; |.| is entrywise, X the
-        computed ``R_N^-1``.  A sum of k products is within ``g(k)`` of the
-        sum of their absolute values (Higham, *Accuracy and Stability of
-        Numerical Algorithms*, 2nd ed., 2002, ch. 3); a Cholesky factor within
-        ``g(q + 1) |R^T| |R|`` (thm. 10.3); back substitution leaves ``|R_N X
-        - I| <= g(q) |R_N| |X|`` (thm. 8.5); an SVD moves singular values by
-        ``g(4q)`` times the largest.  With m_N, m_B and m_S the most
-        nonzeros in a column of N, B and S:
-
-        - ``Q = N X`` has ``|Q^T Q - I| <= phi = g(m_N + 3q + 1) (eta^2 +
-          nu^2)``, with ``eta = n(|N| |X|)`` and ``nu = n(|R_N| |X|)``: the
-          rounding of ``N^T N``, of its Cholesky and of X (``nu >= 1``).  This
-          is the cond(N)^2 u of the reduction.
-        - ``matrix^T matrix`` with the SVD's backward error is ``(B X)^T (B
-          X)`` within ``psi = g(m_B + q + 1) (beta^2 + lambda^2) + 2 mu_1
-          (g(m_S) omega + g(q) lambda) + 3 g(4q) mu_1^2``, with ``beta = n(|B|
-          |X|)``, ``lambda = n(|R_B| |X|)``, ``omega = n(|S|^T |N| |X|)`` and
-          ``mu_1 >= ... >= mu_q`` the singular values in ``dec``: the
-          rounding of B, of ``B^T B``, of its Cholesky and of ``matrix``.
-
-        So (Weyl's and Ostrowski's theorems) the singular values ``s_i`` of
-        ``S^T Q_0``, for any orthonormal basis Q_0 of span(N), lie between
-        ``lo = sqrt((mu_q^2 - psi) / (1 + phi))`` and ``hi = sqrt((mu_1^2 +
-        psi) / (1 - phi))``.  The QR path factors ``S^T Q_0`` within ``delta
-        = sqrt(q) g(d q) n(|S|) (2 + |N|_F n(|X|)) + g(4q) hi`` for d rows
-        (thm. 19.4: its Q is within ``sqrt(q) g(dq)`` of an orthonormal basis
-        of ``span(N + E)``, ``|E| <= sqrt(q) g(dq) |N|_F``).  It stands when:
-
-        - ``tol > g(6q)``: at full rank the null-space test of
-          ``min_quadratic_on_hyperplane`` measures rounding against ``tol
-          |c|``, and fails on both paths;
-        - ``lo - delta > tol (hi + delta)``: every s_i clears the cutoff on
-          both paths, so both keep rank q (``dec`` too);
-        - both optima ``1 / <c, G^-1 c>`` stay within 1e-10 relative of the
-          exact one: this path's moves by ``psi / (mu_q^2 - psi)`` from the
-          perturbation of G and ``2 (hi / lo) |dc| / |c|`` from that of c,
-          ``|dc| <= g(m_N) |(|t|^T |N| |X|)| + g(q) |(|N^T t|^T |X|)|``; the
-          QR path's, backward stable, by about ``2 (hi / lo) u kappa (|t| /
-          |c| + n(|S|) / lo)``, its data moved by u relative and its span by
-          ``kappa = n(|R_N|) n(|X|) >= cond(N)`` times that (this term is a
-          model, without the dimension factors of thm. 19.4, which would
-          refuse every compiled program).
-        """
-        rows, cols, values = self.basis
-        q, dim, count = self.width, self.program.dim, self.program.store.shape[1]
-        sigma = dec.sigma
-        if not tol > _gamma(6 * q) or sigma.size < q:
-            return False
-        s_cols, s_rows, s_values = self.program.store.entries
-        with np.errstate(all="ignore"):
-            b_rows, b_cols, b_abs = self.product
-            s_abs, n_abs, b_abs, ax = np.abs(s_values), np.abs(values), np.abs(b_abs), np.abs(self.x)
-            ax_rows = ax.sum(axis=1)  # |X| 1
-            n_ax = np.bincount(rows, n_abs * ax_rows[cols], dim)  # |N| |X| 1
-            s_rows_sum = np.bincount(s_rows, s_abs, dim)  # |S| 1
-            eta = _norm_bound(np.bincount(cols, n_abs, q) @ ax, n_ax)
-            omega = _norm_bound(np.bincount(cols, n_abs * s_rows_sum[rows], q) @ ax,
-                                np.bincount(s_cols, s_abs * n_ax[s_rows], count))
-            beta = _norm_bound(np.bincount(b_cols, b_abs, q) @ ax, np.bincount(b_rows, b_abs * ax_rows[b_cols], count))
-            nu, lam = (_norm_bound(np.abs(low).sum(axis=1) @ ax, np.abs(low).T @ ax_rows)  # R = L^T
-                       for low in (self.l_n, self.l_b))
-            m_n, m_b = np.bincount(cols, minlength=q).max(), np.bincount(b_cols, minlength=q).max()
-            m_s = np.bincount(s_cols).max(initial=0)
-            mu_1, mu_q = sigma[0], sigma[q - 1]
-            phi = _gamma(m_n + 3 * q + 1) * (eta**2 + nu**2)
-            psi = (_gamma(m_b + q + 1) * (beta**2 + lam**2) + 2 * mu_1 * (_gamma(m_s) * omega + _gamma(q) * lam)
-                   + 3 * _gamma(4 * q) * mu_1**2)
-            floor = mu_q**2 - psi
-            if not (phi < 1.0 and floor > 0.0):
-                return False
-            lo, hi = np.sqrt(floor / (1.0 + phi)), np.sqrt((mu_1**2 + psi) / (1.0 - phi))
-            x_norm = _norm_bound(ax.sum(axis=0), ax_rows)
-            sigma_s = _norm_bound(np.bincount(s_cols, s_abs, count), s_rows_sum)
-            delta = (np.sqrt(q) * _gamma(dim * q) * sigma_s * (2.0 + np.sqrt(values @ values) * x_norm)
-                     + _gamma(4 * q) * hi)
-            if not lo - delta > tol * (hi + delta):
-                return False
-            t_abs, c_norm = np.abs(self.program.target), np.linalg.norm(self.c)
-            dc = (_gamma(m_n) * np.linalg.norm(np.bincount(cols, n_abs * t_abs[rows], q) @ ax)
-                  + _gamma(q) * np.linalg.norm(np.abs(self.plain_c) @ ax))
-            kappa = _norm_bound(np.abs(self.l_n).sum(axis=0), np.abs(self.l_n).sum(axis=1)) * x_norm
-            qr_moved = _UNIT_ROUNDOFF * kappa * (np.linalg.norm(self.program.target) / c_norm + sigma_s / lo)
-            error = psi / floor + 2.0 * hi / lo * (dc / c_norm + qr_moved)
-            return bool(error <= 1e-10)
+def _cg(apply, rhs: np.ndarray, rtol: float, steps: int) -> np.ndarray:
+    """Conjugate gradients (Hestenes and Stiefel, 1952) on ``apply(x) = rhs``
+    from 0, for at most ``steps`` steps, to a residual within ``rtol |rhs|``."""
+    x, s = np.zeros_like(rhs), rhs.copy()
+    p, gamma = s.copy(), float(s @ s)
+    stop = rtol * rtol * gamma
+    while gamma > stop and steps > 0:
+        q = apply(p)
+        curve = float(p @ q)
+        if not curve > 0.0:
+            break
+        x += gamma / curve * p
+        s -= gamma / curve * q
+        gamma, old = float(s @ s), gamma
+        p = s + gamma / old * p
+        steps -= 1
+    return x
 
 
 class LowLevelProgram:
@@ -843,43 +698,105 @@ class LowLevelProgram:
         """The negative witness of a rejected input, from its peel and the SVD
         of the kept block: ``w'`` in the complement of the available span
         with ``<w', t> = 1`` and the least ``|S^T w'|^2``.  Where the peel took
-        rounds, on the ``Reduced`` problem of the swept basis, where it pays
-        (``_reduces``) and stands; otherwise on an orthonormal basis of the
-        complement, a thin QR of the swept basis where there is one, and its
-        ``store_product``."""
+        rounds or found zero rows, on the swept basis projected off its
+        zero-row directions (``_project``), where that is certified;
+        otherwise on an orthonormal basis of the complement, a thin QR of the
+        swept basis where there is one, and its ``store_product``."""
         nbasis = dec.u[:, dec.rank :]
         if peel.rounds or peel.zero:
             rows, cols, values = basis = peel.extend(nbasis)
             width = nbasis.shape[1] + len(peel.zero)
-            red = Reduced.of(self, basis, width) if peel.rounds and self._reduces(rows, width) else None
-            if red is not None:
-                reduced = svd(red.matrix, tol)
-                if red.stands(reduced, tol):
-                    size, y = min_quadratic_on_hyperplane(red.matrix, red.c, tol, reduced)
-                    return WitnessReport(decision=0, size=float(size), witness=red.witness(y))
+            if (rep := self._project(basis, nbasis.shape[1], width, tol)) is not None:
+                return rep
             nbasis = _dense((self.dim, width), rows, cols, values)
             if peel.rounds:  # the zero rows alone keep it orthonormal
                 nbasis = np.linalg.qr(nbasis)[0]
         size, y = min_quadratic_on_hyperplane(self.store_product(nbasis), nbasis.T @ self.target, tol)
         return WitnessReport(decision=0, size=float(size), witness=nbasis @ y)
 
-    def _reduces(self, rows: np.ndarray, width: int) -> bool:
-        """Whether a swept basis of ``width`` columns with entries on
-        ``rows`` goes to its ``Reduced`` problem: a dense product of the
-        store with it, dim x width x store columns multiply-adds, reaches
-        ``REDUCE_MIN_WORK``, and the reduction's joins (each store entry
-        with the entries of N on its row, and the pairs of entries on one
-        row of N and of B) hold no more products than the QR path's dense
-        arrays hold entries.  Its q x q factors stay within
-        ``MAX_DENSE_ENTRIES``."""
-        count = self.store.shape[1]
-        if self.dim * width * count < REDUCE_MIN_WORK or width * width > MAX_DENSE_ENTRIES:
-            return False
-        s_cols, s_rows, _ = self.store.entries
-        per_row = np.bincount(rows, minlength=self.dim)
-        per_col = np.bincount(s_cols, per_row[s_rows], count)  # products per store column
-        per_b = np.minimum(per_col, width)  # at least the entries of its row of B
-        return per_col.sum() + per_row @ per_row + per_b @ per_b <= (self.dim + count) * width
+    @np.errstate(all="ignore")  # a store near the float maximum can overflow: then nothing is certified
+    def _project(self, basis, k: int, width: int, tol: float) -> WitnessReport | None:
+        """The negative witness on the swept basis N = [N_0, N_z] (entries from
+        ``Peel.extend``): N_0 its first ``k`` columns, N_z one per zero row.
+        The witness is N y for the y of least |B y|^2, B = S^T N for the store
+        S, with <N^T t, y> = 1.  N_z is orthogonal to t, so its coordinates are
+        free: the optimum is the k-column problem of c_0 = N_0^T t and R = B_0
+        - B_z Z, B_0 projected off span(B_z) by the least-squares Z, and the
+        witness is N_0 y_0 - N_z Z y_0.  B_0 is ``store_product(N_0)``, B_z an
+        entry list of ``_join``'s sums; Z solves B_z^T B_z Z = B_z^T B_0 by
+        conjugate gradients (Bjorck, *Numerical Methods for Least Squares
+        Problems*, SIAM 1996, sec. 7.4), two ``bincount``s a step.
+
+        The result is certified a posteriori, or None; norms of nonnegative
+        matrices are ``_norm_bound``s.  M = 2 diag(B_z^T B_z) - |B_z|^T |B_z|
+        is a symmetric Z-matrix below the comparison matrix of B_z^T B_z (Horn
+        and Johnson, *Topics in Matrix Analysis*, 1991, sec. 2.5), so for any d
+        > 0, here from a few steps on M d = 1, the least ``(M d)_i / d_i``,
+        less rounding, is a^2 <= sigma_min(B_z)^2.  F = B_z^T R, the zero-row
+        part of the dual residual B^T B y - size c, puts R within |F| / a of
+        the exact projection, inside span(B_z): with b = sigma_k(R) - |F| / a,
+        the size is at least the exact one and at most 1 + (|F| / ab)^2 times
+        it, and Z within |F| / a^2 of the exact Z*, which moves the witness by
+        at most |N| |F| |y_0| / a^2.  Rounding moves the size, to first order,
+        by at most eps m (|S|^T |N| |y| / sqrt(size) + |t|^T |N| |y|) relative,
+        |y| = (|y_0|, |Z| |y_0|) and m the most terms in a sum of B, of B_z Z
+        and of c_0, plus k for the SVD of R.  The QR path keeps the rank
+        ``width`` at ``tol``, its null-space test failing, where ``tol > 3
+        width eps`` and ``lo - rho > tol (hi + rho)``: S^T Q, for Q an
+        orthonormal basis of span(N), has singular values from ``lo`` = min(a,
+        b) / sqrt(1 + zeta + zeta^2) / |N|, zeta >= |Z*|, to ``hi`` = |S|, and
+        ``rho = eps |N| |S|`` models its rounding (span(Q) turns by about eps
+        cond(N)).  Certified, the size and the witness are within 1e-10.
+        """
+        eps, count, q = np.finfo(float).eps, self.store.shape[1], width - k
+        rows, cols, values = basis
+        head = cols < k
+        n_0 = _dense((self.dim, k), rows[head], cols[head], values[head])
+        r_hat, c_0 = self.store_product(n_0), n_0.T @ self.target  # B_0, then R
+        a, z, f, m_z = np.inf, np.zeros((q, k)), 0.0, 0
+        if q:
+            keys, products = self._join(rows[~head], cols[~head] - k, values[~head], q)
+            keys, slot = np.unique(keys, return_inverse=True)
+            at, j, v = keys // q, keys % q, np.bincount(slot, products, keys.size)  # B_z
+            size_v, gram, m_z = np.abs(v), np.bincount(j, v * v, q), np.bincount(at).max(initial=0)
+
+            def times(x, transpose=False, entries=v):  # B_z x or B_z^T x, or |B_z|'s with entries=size_v
+                into, at_x, size = (j, at, q) if transpose else (at, j, count)
+                return np.bincount(into, entries * x[at_x], size)
+
+            def spread(d):  # |B_z|^T |B_z| d
+                return times(times(d, False, size_v), True, size_v)
+
+            d = _cg(lambda d: 2.0 * gram * d - spread(d), np.ones(q), 0.5 / np.sqrt(q), 2 * q)  # M d = 1
+            up, down = 2.0 * gram * d, spread(d)
+            mu = np.min((up - down - eps * v.size * (up + down)) / d) if (d > 0.0).all() else 0.0
+            if not mu > 0.0:
+                return None
+            a = np.sqrt(mu)
+            z = np.column_stack([_cg(lambda p: times(times(p), True), times(b_0, True), 1e-14, 2 * q)
+                                 for b_0 in r_hat.T])
+            r_hat = r_hat - np.column_stack([times(col) for col in z.T])
+            f = np.linalg.norm([times(col, True) for col in r_hat.T])
+        small = svd(r_hat, tol)
+        size, y_0 = min_quadratic_on_hyperplane(r_hat, c_0, tol, small)
+        b = small.sigma[k - 1] - f / a if small.rank == k else 0.0
+        if not (b > 0.0 and size > 0.0):
+            return None
+        witness = np.bincount(rows, values * np.concatenate([y_0, -(z @ y_0)])[cols], self.dim)
+        s_cols, s_rows, s_values = self.store.entries
+        size_n, size_s = np.abs(values), np.abs(s_values)
+        n_norm = _norm_bound(np.bincount(cols, size_n, width), np.bincount(rows, size_n, self.dim))
+        hi = _norm_bound(np.bincount(s_cols, size_s, count), np.bincount(s_rows, size_s, self.dim))
+        zeta = np.linalg.norm(z) + f / a**2
+        lo, rho = min(a, b) / np.sqrt(1.0 + zeta + zeta**2) / n_norm, eps * n_norm * hi
+        reach = np.bincount(rows, size_n * np.concatenate([np.abs(y_0), np.abs(z) @ np.abs(y_0)])[cols], self.dim)
+        moved = np.linalg.norm(np.bincount(s_cols, size_s * reach[s_rows], count)) / np.sqrt(size)
+        terms = np.diff(self.store.indptr).max() + m_z + np.count_nonzero(self.target) + k
+        size_err = (f / (a * b)) ** 2 + eps * terms * (moved + np.abs(self.target) @ reach)
+        witness_err = n_norm * f * np.linalg.norm(y_0) / (a * a * np.linalg.norm(witness))
+        if tol > 3 * width * eps and lo - rho > tol * (hi + rho) and size_err <= 1e-10 and witness_err <= 1e-10:
+            return WitnessReport(decision=0, size=float(size), witness=witness)
+        return None
 
     # -- serialization ---------------------------------------------------
 

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from spanforge.cli import main
-from spanforge.compiler import CompiledProgram
+from spanforge.compiler import CompiledProgram, compile_sparse
 from spanforge.highlevel import HighLevelProgram
 from spanforge.lowlevel import LabeledVector, LowLevelProgram
+from spanforge.programs import build_rank_program
 from test_lowlevel import _near_float_max_program
 
 
@@ -709,6 +710,24 @@ def test_cli_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_a_rejected_compiled_witness_leaves_scipy_unloaded(tmp_path):
+    """The negative side's projection and its certificate run on numpy
+    alone: in a fresh interpreter, the witness of a rejected query of the
+    compiled sparse n = 8 rank program loads no scipy."""
+    comp = compile_sparse(build_rank_program(8, 8, 4, np.random.default_rng(7)), k_nnz=3, l_nnz=3, precision=3)
+    path, out = tmp_path / "rank8.compiled.json", tmp_path / "witness.json"
+    path.write_text(comp.to_json())
+    bits = "".join(map(str, comp.encode(np.diag([0.5] * 3 + [0.0] * 5))))
+    argv = ["witness", "--program", str(path), "--input", bits, "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, spanforge.cli; print(spanforge.cli.main({argv!r}), 'scipy' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    assert json.loads(out.read_text())["decision"] == 0
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ on valid encodings against their lifted witnesses.
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from spanforge.compiler import CompiledProgram, compile_dense, compile_sparse
 from spanforge.errors import NoNegativeWitness, NoPositiveWitness
 from spanforge.highlevel import HighLevelProgram, source_json
 from spanforge.linalg import DEFAULT_TOL, in_span, min_norm_solve, min_quadratic_on_hyperplane, svd
-from spanforge.lowlevel import PEEL_MIN_CELLS, Columns, LowLevelProgram, Peel, Reduced, normalize_bits
+from spanforge.lowlevel import PEEL_MIN_CELLS, Columns, LowLevelProgram, Peel, normalize_bits
 from spanforge.programs import build_rank_program
 from references import grid_values
 from test_lowlevel import _oracle_negative_size
@@ -358,29 +359,25 @@ def reference_negative(prog: LowLevelProgram, peel: Peel, dec, tol: float,
 def assert_negative_matches_reference(prog: LowLevelProgram, peel: Peel, dec, tol: float) -> bool:
     """The negative witness of a rejected, peeled input is the QR path's,
     within 1e-10 relative in size and 1e-9 in the witness, and bit for bit
-    where the reduction is not taken.  Returns whether it is taken: it
-    stands, and it pays."""
+    where the projection is not certified.  Returns whether it is."""
     rep = prog._negative(peel, dec, tol)
     size, w, _ = reference_negative(prog, peel, dec, tol)
-    width = dec.u.shape[1] - dec.rank + len(peel.zero)
-    basis = peel.extend(dec.u[:, dec.rank :])
-    red = Reduced.of(prog, basis, width)
-    reduced = None if red is None else svd(red.matrix, tol)
-    taken = red is not None and red.stands(reduced, tol) and prog._reduces(basis[0], width)
-    if taken:
-        got, y = min_quadratic_on_hyperplane(red.matrix, red.c, tol, reduced)
-        assert rep.size == got and rep.witness.tobytes() == red.witness(y).tobytes()
+    k = dec.u.shape[1] - dec.rank
+    projected = prog._project(peel.extend(dec.u[:, dec.rank :]), k, k + len(peel.zero), tol)
+    if projected is not None:
+        assert rep.size == projected.size and rep.witness.tobytes() == projected.witness.tobytes()
     else:
         assert rep.size == size and rep.witness.tobytes() == w.tobytes()
     assert rep.size == pytest.approx(size, rel=1e-10)
     assert np.linalg.norm(rep.witness - w) <= 1e-9 * np.linalg.norm(w)
-    return taken
+    return projected is not None
 
 
-def test_rejected_compiled_sparse_rank_queries_take_the_reduction():
+def test_rejected_compiled_sparse_rank_queries_take_the_projection():
     """Every rejected query of the compiled sparse n = 8 rank programs at
-    seeds 7 and 402 is solved on the reduction, as the QR path solves it.
-    At tol = 0 the reduction does not stand, and the QR path runs."""
+    seeds 7 and 402, and one at n = 20, is solved on the projection off the
+    zero-row directions, as the QR path solves it.  At tol = 0 the
+    projection is not certified, and the QR path runs."""
     rejected = 0
     for seed in (7, 402):
         rng = np.random.default_rng(seed)
@@ -391,7 +388,7 @@ def test_rejected_compiled_sparse_rank_queries_take_the_reduction():
                 bits = comp.encode(a)
                 peel, dec, decision = prog._decide(bits, prog.tol)
                 if not decision:
-                    assert peel.rounds and assert_negative_matches_reference(prog, peel, dec, prog.tol)
+                    assert peel.rounds and peel.zero and assert_negative_matches_reference(prog, peel, dec, prog.tol)
                     sparse, dense = (reference_negative(prog, peel, dec, prog.tol, dense)[0] for dense in (0, 1))
                     assert sparse == pytest.approx(dense, rel=1e-13)
                     swept = reference_sweep(peel, dec.u[:, dec.rank :])
@@ -399,6 +396,9 @@ def test_rejected_compiled_sparse_rank_queries_take_the_reduction():
                     rejected, last = rejected + 1, (peel, dec)
         assert not assert_negative_matches_reference(prog, *last, 0.0)
     assert rejected == 24
+    comp = compile_sparse(build_rank_program(20, 20, 10, np.random.default_rng(20)), k_nnz=3, l_nnz=3, precision=3)
+    peel, dec, decision = comp.program._decide(comp.encode(np.diag([0.5] * 9 + [0.0] * 11)), comp.program.tol)
+    assert not decision and assert_negative_matches_reference(comp.program, peel, dec, comp.program.tol)
 
 
 def _traced_peak(call):
@@ -511,43 +511,81 @@ def ill_conditioned_queries(draw) -> tuple[LowLevelProgram, float]:
 
 @PROPERTY_SETTINGS
 @given(ill_conditioned_queries())
-def test_reduction_stands_only_where_it_matches_the_qr_path(query):
-    """Where the reduced problem decides the rank otherwise than the QR
-    path, or misses its size by more than 1e-10, the reduction does not
-    stand, and the QR path runs."""
+def test_projection_stands_only_where_it_matches_the_qr_path(query):
+    """Where the QR path keeps less than the full rank of the swept basis,
+    or the projection misses its size by more than 1e-10 or its witness by
+    more than 1e-9, the projection is not certified, and the QR path runs."""
     prog, tol = query
     avail = prog.available_vectors((0,)).toarray()
     peel = Peel.of(Columns.of(avail), prog.target)
     rows, cols = peel.block.shape
     dec, _, decision = in_span(peel.block, peel.target, tol, full_matrices=cols < rows or bool(peel.merges))
     assume(peel.rounds and not decision)
-    red = Reduced.of(prog, peel.extend(dec.u[:, dec.rank :]), dec.u.shape[1] - dec.rank + len(peel.zero))
-    if red is not None:
-        reduced = svd(red.matrix, tol)
-        size, _ = min_quadratic_on_hyperplane(red.matrix, red.c, tol, reduced)
-        ref_size, _, ref_rank = reference_negative(prog, peel, dec, tol)
-        if reduced.rank != ref_rank or abs(size - ref_size) > 1e-10 * ref_size:
-            assert not red.stands(reduced, tol)
+    k = dec.u.shape[1] - dec.rank
+    if prog._project(peel.extend(dec.u[:, dec.rank :]), k, k + len(peel.zero), tol) is not None:
+        assert reference_negative(prog, peel, dec, tol)[2] == k + len(peel.zero)
     assert_negative_matches_reference(prog, peel, dec, tol)
 
 
-def test_reduction_refuses_a_sweep_through_tiny_pivots():
+def _rejected_peel(prog: LowLevelProgram):
+    """The peel of ``prog``'s available columns on input 0, its block's SVD
+    and the swept basis's two widths, for a rejected input."""
+    avail = prog.available_vectors((0,)).toarray()
+    peel = Peel.of(Columns.of(avail), prog.target)
+    dec, _, decision = in_span(peel.block, peel.target, prog.tol, full_matrices=True)
+    assert decision == 0
+    k = dec.u.shape[1] - dec.rank
+    return peel, dec, k, k + len(peel.zero)
+
+
+def test_projection_refuses_a_sweep_through_tiny_pivots():
     """Two dead ends in a chain, each pivot 1e-10 of its column, make the
-    swept basis too ill-conditioned for the reduction: the QR path runs."""
+    swept basis too ill-conditioned for the projection: the QR path runs."""
     store = np.zeros((5, 5))
     store[:, 0] = [1.0, 0.5, 0.0, 0.0, 0.0]
     store[:, 1] = [1.0, 0.0, 1.0, 1e-10, 1.0]
     store[:, 2] = [0.0, 1.0, 1.0, 0.0, 1e-10]
     store[:, 3:] = np.random.default_rng(3).standard_normal((5, 2))
     prog = LowLevelProgram.from_store(1, [1.0, 1.0, 1.0, 0.0, 0.0], Columns.of(store), 3, [1, 1], [1, 1])
-    avail = prog.available_vectors((0,)).toarray()
-    peel = Peel.of(Columns.of(avail), prog.target)
+    peel, dec, k, width = _rejected_peel(prog)
     assert [(r.tolist(), c.tolist()) for r, c in peel.rounds] == [([3], [1]), ([4], [2])]
-    dec, _, decision = in_span(peel.block, peel.target, prog.tol, full_matrices=True)
-    assert decision == 0
-    red = Reduced.of(prog, peel.extend(dec.u[:, dec.rank :]), dec.u.shape[1] - dec.rank)
-    assert red is None or not red.stands(svd(red.matrix, prog.tol), prog.tol)
+    assert prog._project(peel.extend(dec.u[:, dec.rank :]), k, width, prog.tol) is None
     assert not assert_negative_matches_reference(prog, peel, dec, prog.tol)
+
+
+@pytest.mark.parametrize("unavailable", [
+    # parallel within 1e-9 on the zero rows
+    [[1.0, 0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0, 1.0 + 1e-9]],
+    # 1e-8 on zero row 4, where conjugate gradients, stopped by their
+    # residual, leave Z 0.1 short
+    [[1.0, 0.0, 0.0, 1.0, 0.0], [1e-9, 0.0, 0.0, 0.0, 1e-8], [1.0, 0.0, 0.0, 0.0, 0.0]],
+], ids=["near-parallel", "small-direction"])
+def test_projection_refuses_an_ill_conditioned_b_z(unavailable):
+    """Two zero rows (3 and 4) on which the unavailable store columns make
+    B_z = S^T N_z nearly singular: the projection is not certified, and the
+    QR path runs."""
+    free = [[1.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]]  # row 2 is a dead end
+    store = np.array(free + unavailable).T
+    labels = [1] * len(unavailable)
+    prog = LowLevelProgram.from_store(1, [1.0, 1.0, 0.0, 0.0, 0.0], Columns.of(store), 2, labels, labels)
+    peel, dec, k, width = _rejected_peel(prog)
+    assert peel.rounds and peel.zero == [3, 4]
+    assert prog._project(peel.extend(dec.u[:, dec.rank :]), k, width, prog.tol) is None
+    assert not assert_negative_matches_reference(prog, peel, dec, prog.tol)
+
+
+def test_a_store_near_the_float_maximum_overflows_the_projection_quietly():
+    """The compiled sparse n = 8 rank program's store scaled by 1e100: the
+    projection's sums overflow, nothing is certified, and a rejected input's
+    witness is the QR path's, without a warning."""
+    comp = compile_sparse(build_rank_program(8, 8, 4, np.random.default_rng(8)), k_nnz=3, l_nnz=3, precision=3)
+    prog, store = comp.program, comp.program.store
+    big = Columns(store.shape, store.cols.copy(), store.indices.copy(), store.data * 1e100)
+    prog = LowLevelProgram.from_store(prog.num_vars, prog.target, big, prog.num_free, prog.var, prog.val, prog.tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        peel, dec, decision = prog._decide(comp.encode(np.diag([0.5] * 3 + [0.0] * 5)), prog.tol)
+        assert not decision and peel.rounds and not assert_negative_matches_reference(prog, peel, dec, prog.tol)
 
 
 def _near_tolerance(prog: LowLevelProgram, rng, tol: float) -> LowLevelProgram:
