@@ -143,11 +143,7 @@ def _cmd_rank_experiment(args) -> str:
     n, m = config.n, config.m
     _check_matrix_size(n, n + m, {"n": n, "m": m} if args.config else {"--n": n, "--m": m})
     check_trials(config.trials, "trials" if args.config else "--trials")
-    summary = run_rank_trials(
-        config,
-        bound_constant=calibration.RANK_POSITIVE_C,
-        negative_threshold=calibration.RANK_NEGATIVE_THRESHOLD,
-    )
+    summary = run_rank_trials(config, bound_constant=calibration.RANK_POSITIVE_C)
     header = [field.name for field in dataclasses.fields(RankTrialRow)]
     rows = [dataclasses.astuple(row) for row in summary.rows]
     results = {

@@ -316,7 +316,7 @@ class CompiledProgram:
     def _source(self) -> HighLevelProgram:
         lay = self.layout
         return HighLevelProgram(space_dim=lay.n, num_inputs=lay.m, target=self.source_target(),
-                                free_basis=self.source_free_basis(), tol=self.program.tol)
+                                free_basis=self.free_basis, tol=self.program.tol)
 
     # -- encoding ------------------------------------------------------
 
@@ -405,9 +405,6 @@ class CompiledProgram:
     def source_target(self) -> np.ndarray:
         return self.program.target[: self.layout.n]
 
-    def source_free_basis(self) -> np.ndarray:
-        return self.free_basis
-
     # -- witness lifting ------------------------------------------------
 
     def _lift_inputs(self, source, w, side: int):
@@ -429,7 +426,7 @@ class CompiledProgram:
         """
         lay, tab = self.layout, self.tables
         bits, (levels, rows, lists), aq, w = self._lift_inputs(source, w, side=1)
-        t, fbasis = self.source_target(), self.source_free_basis()
+        t, fbasis = self.source_target(), self.free_basis
         resid = t - aq @ w
         phi = fbasis.T @ resid
         if np.linalg.norm(resid - fbasis @ phi) > 1e-6 * (1.0 + np.linalg.norm(t)):
@@ -481,7 +478,7 @@ class CompiledProgram:
     def to_json_dict(self) -> dict:
         lay = self.layout
         return {
-            "source": source_json(lay.n, lay.m, self.source_target(), self.source_free_basis(), self.program.tol),
+            "source": source_json(lay.n, lay.m, self.source_target(), self.free_basis, self.program.tol),
             "encoder": {"mode": lay.mode, "k": lay.precision, "k_nnz": lay.k_nnz, "l_nnz": lay.l_nnz},
         }
 

@@ -153,6 +153,6 @@ def source_json(space_dim: int, num_inputs: int, target: np.ndarray, free_basis:
             "free_basis": free_basis.T.tolist(), "tol": tol}
 
 
-def wsize_over_inputs(program: HighLevelProgram, matrices, tol: float | None = None) -> DomainWitnessSizes:
+def wsize_over_inputs(program: HighLevelProgram, matrices) -> DomainWitnessSizes:
     """Worst-case witness sizes over a finite family of input matrices."""
-    return fold_witness_sizes((str(idx), program.witness(a, tol)) for idx, a in enumerate(matrices))
+    return fold_witness_sizes((str(idx), program.witness(a)) for idx, a in enumerate(matrices))

@@ -618,19 +618,22 @@ class LowLevelProgram:
 
     def store_product(self, basis: np.ndarray) -> np.ndarray:
         """``S^T N``, dense, for the store S and a dense ``dim x width`` N;
-        past ``MAX_DENSE_ENTRIES`` it raises.  Where ``_join`` holds no more
-        products than the result has entries or the store nonzeros, one
-        ``bincount`` sums them; otherwise blocks of store columns, each made
-        dense with no more entries than that, multiply N.  So it holds about
-        as many numbers as the result or the store, however dense N is."""
+        past ``MAX_DENSE_ENTRIES`` it raises.  Where the nonzero products of
+        store entries with N number no more than the result's entries or the
+        store nonzeros, each column of N is gathered at the store's rows and
+        one ``bincount`` sums its products; otherwise blocks of store
+        columns, each made dense with no more entries than that, multiply N.
+        So it holds about as many numbers as the result or the store, however
+        dense N is."""
         count, width = self.store.shape[1], basis.shape[1]
         _check_dense(count, width)
         s_cols, s_rows, s_values = self.store.entries
-        budget = max(count * width, s_cols.size)
+        budget, out = max(count * width, s_cols.size), np.empty((count, width))
         if np.count_nonzero(basis, axis=1)[s_rows].sum() <= budget:
-            rows, cols = np.nonzero(basis)
-            return np.bincount(*self._join(rows, cols, basis[rows, cols], width), count * width).reshape(count, width)
-        out, step, ptr = np.empty((count, width)), max(1, budget // self.dim), self.store.indptr
+            for j, col in enumerate(basis.T):
+                out[:, j] = np.bincount(s_cols, s_values * col[s_rows], count)
+            return out
+        step, ptr = max(1, budget // self.dim), self.store.indptr
         for a in range(0, count, step):
             b = min(a + step, count)
             block = _dense((b - a, self.dim), s_cols[ptr[a] : ptr[b]] - a, s_rows[ptr[a] : ptr[b]],
@@ -876,7 +879,7 @@ def fold_witness_sizes(reports) -> DomainWitnessSizes:
     return DomainWitnessSizes(wsize_0=w0, wsize_1=w1, combined=float(np.sqrt(w0 * w1)), per_input=tuple(rows))
 
 
-def wsize_over_domain(program: LowLevelProgram, domain, tol: float | None = None) -> DomainWitnessSizes:
+def wsize_over_domain(program: LowLevelProgram, domain) -> DomainWitnessSizes:
     """Witness sizes over ``domain``, an iterable of bit strings."""
     inputs = (normalize_bits(x, program.num_vars) for x in domain)
-    return fold_witness_sizes(("".join(map(str, bits)), program.witness(bits, tol)) for bits in inputs)
+    return fold_witness_sizes(("".join(map(str, bits)), program.witness(bits)) for bits in inputs)

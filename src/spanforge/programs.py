@@ -1,5 +1,5 @@
-"""Concrete program families: the randomized rank test, its threshold-function
-reduction, and the two hand-built query lower-bound examples.
+"""Concrete program families: the randomized rank test and the two hand-built
+query lower-bound examples.
 
 The rank-r test works in R^n: draw a standard-normal target t and n-r
 standard-normal free vectors, then ask whether t can be reached from the
@@ -17,32 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibration import RANK_NEGATIVE_THRESHOLD
 from .highlevel import HighLevelProgram
-from .linalg import DEFAULT_TOL, as_matrix, float_field, int_field, tol_field
+from .linalg import DEFAULT_TOL, float_field, int_field, tol_field
 from .lowlevel import normalize_bits
 from .randmat import RngStream, run_seeded_trials, spectral_stats
-
-
-@dataclass(frozen=True)
-class RankInstance:
-    """An n x m matrix with entries in [-1, 1], a rank threshold r, and a
-    promised bound L on the reciprocal-singular-value mean c_r for positive
-    instances."""
-
-    matrix: np.ndarray
-    r: int
-    L: float
-
-    def __post_init__(self):
-        a = as_matrix(self.matrix)
-        object.__setattr__(self, "matrix", a)
-        n = a.shape[0]
-        if not 0 <= self.r <= n:
-            raise ValueError(f"rank threshold {self.r} outside [0, {n}]")
-        if a.size and np.abs(a).max() > 1.0 + 1e-12:
-            raise ValueError("matrix entries must lie in [-1, 1]")
-        if self.L <= 0:
-            raise ValueError(f"promised bound L must be positive, got {self.L}")
 
 
 def build_rank_program(n: int, m: int, r: int, rng: np.random.Generator) -> HighLevelProgram:
@@ -53,18 +32,6 @@ def build_rank_program(n: int, m: int, r: int, rng: np.random.Generator) -> High
     t = rng.standard_normal(n)
     v = rng.standard_normal((n, n - r))
     return HighLevelProgram(space_dim=n, num_inputs=m, target=t, free_basis=v)
-
-
-def rank_decision(instance: RankInstance, rng: np.random.Generator, tol: float = DEFAULT_TOL) -> int:
-    """Evaluate a fresh program sample on the instance matrix."""
-    n, m = instance.matrix.shape
-    return build_rank_program(n, m, instance.r, rng).evaluate(instance.matrix, tol)
-
-
-def threshold_matrix(x) -> np.ndarray:
-    """diag(x) for a bit-string x; rank equals the Hamming weight."""
-    bits = normalize_bits(x, len(x))
-    return np.diag(np.array(bits, dtype=float))
 
 
 def grover_dj_program(n: int, m: int) -> HighLevelProgram:
@@ -78,19 +45,6 @@ def grover_dj_program(n: int, m: int) -> HighLevelProgram:
     return HighLevelProgram(
         space_dim=n, num_inputs=m, target=np.ones(n), free_basis=np.zeros((n, 0))
     )
-
-
-def grover_dj_columns(n: int) -> list[np.ndarray]:
-    """The promise column family: the all-ones column first, then every
-    balanced +-1 column in lexicographic sign order."""
-    if n <= 0 or n % 2:
-        raise ValueError(f"n must be positive and even, got {n}")
-    cols = [np.ones(n)]
-    for mask in range(1 << n):
-        signs = np.array([1.0 if (mask >> i) & 1 else -1.0 for i in range(n)])
-        if signs.sum() == 0.0:
-            cols.append(signs)
-    return cols
 
 
 def unique_search_program(n: int) -> HighLevelProgram:
@@ -133,8 +87,8 @@ class RankExperimentConfig:
     def __post_init__(self):
         if self.n <= 0 or self.m <= 0:
             raise ValueError("n and m must be positive")
-        if not 1 <= self.r <= self.n:
-            raise ValueError(f"r must lie in [1, {self.n}], got {self.r}")
+        if not 1 <= self.r <= min(self.n, self.m):  # random_rank_matrix draws rank r in n x m
+            raise ValueError(f"r must lie in [1, {min(self.n, self.m)}], got {self.r}")
         if self.trials <= 0:
             raise ValueError("trials must be positive")
         if self.master_seed < 0:
@@ -188,43 +142,35 @@ class RankTrialRow:
 
 @dataclass(frozen=True)
 class RankTrialSummary:
-    config: RankExperimentConfig
     rows: tuple[RankTrialRow, ...]
     fraction_correct: float
     positive_within_bound: float
     negative_within_threshold: float
-    bound_constant: float
-    negative_threshold: float
 
 
-def run_rank_trials(
-    config: RankExperimentConfig,
-    bound_constant: float,
-    negative_threshold: float = 25.0,
-    stream: RngStream | None = None,
-) -> RankTrialSummary:
+def run_rank_trials(config: RankExperimentConfig, bound_constant: float) -> RankTrialSummary:
     """Per trial, one rank-r (positive) and one rank-(r-1) (negative)
     instance, each judged by a fresh program sample.
 
     Positive rows check witness_size <= C*(n-r+1)*r*L^2 with L the measured
     c_r (or the configured promise, met by bounded resampling).  Negative
-    rows check witness_size <= the fixed threshold.  Both checks hold with
-    probability 5/6-ish per trial, not always; callers assert frequencies.
+    rows check witness_size <= the fixed RANK_NEGATIVE_THRESHOLD.
+    Both checks hold with probability 5/6-ish per trial, not always; callers
+    assert frequencies.
     """
-    if stream is None:
-        stream = RngStream(seed=config.master_seed)
+    stream = RngStream(seed=config.master_seed)
     n, m, r = config.n, config.m, config.r
 
     def trial_rows(trial: int, rng: np.random.Generator) -> tuple[RankTrialRow, RankTrialRow]:
         # positive side: rank exactly r
         a = random_rank_matrix(n, m, r, rng)
-        c_r = spectral_stats(a, r).c_r
+        c_r = spectral_stats(a, r)
         promise_met = True
         if config.L is not None:
             attempts = 0
             while c_r > config.L and attempts < MAX_PROMISE_RESAMPLES:
                 a = random_rank_matrix(n, m, r, rng)
-                c_r = spectral_stats(a, r).c_r
+                c_r = spectral_stats(a, r)
                 attempts += 1
             promise_met = c_r <= config.L
             l_used = config.L
@@ -247,7 +193,7 @@ def run_rank_trials(
         negative = RankTrialRow(
             trial=trial, side="rank_lt_r", decision=decision_neg, correct=decision_neg == 0,
             witness_size=size_neg, c_r=float("inf"), L_used=l_used,
-            bound=negative_threshold, within_bound=size_neg <= negative_threshold,
+            bound=RANK_NEGATIVE_THRESHOLD, within_bound=size_neg <= RANK_NEGATIVE_THRESHOLD,
             promise_met=True,
         )
         return positive, negative
@@ -257,11 +203,8 @@ def run_rank_trials(
     pos = [row for row in rows if row.side == "rank_ge_r" and row.promise_met]
     neg = [row for row in rows if row.side == "rank_lt_r"]
     return RankTrialSummary(
-        config=config,
         rows=rows,
         fraction_correct=float(np.mean([row.correct for row in rows])),
         positive_within_bound=float(np.mean([row.within_bound for row in pos])) if pos else 0.0,
         negative_within_threshold=float(np.mean([row.within_bound for row in neg])) if neg else 0.0,
-        bound_constant=bound_constant,
-        negative_threshold=negative_threshold,
     )

@@ -133,38 +133,19 @@ def sample_bidiagonal(rng: np.random.Generator, size: int, n: int, m: int) -> Bi
 # spectral statistics
 
 
-@dataclass(frozen=True)
-class SpectralStats:
-    """c_r is the quadratic mean of the reciprocals of the top r singular
-    values (+inf when the matrix has rank below r); c is c at full order."""
-
-    r: int
-    c_r: float
-    c: float
-    sigma_min: float
-    sigma_max: float
-
-
-def spectral_stats(a, r: int | None = None, tol: float = DEFAULT_TOL) -> SpectralStats:
+def spectral_stats(a, r: int) -> float:
+    """c_r, the quadratic mean of the reciprocals of the top r singular values
+    of ``a`` (+inf when the matrix has rank below r at ``DEFAULT_TOL``)."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     order = min(a.shape)
-    if r is None:
-        r = order
     if not 1 <= r <= order:
         raise ValueError(f"r must lie in [1, {order}], got {r}")
     sigma = np.linalg.svd(a, compute_uv=False)
-    sigma_max = float(sigma[0]) if order else 0.0
-    sigma_min = float(sigma[order - 1]) if order else 0.0
-    above = int(np.sum(sigma > tol * sigma_max)) if sigma_max > 0.0 else 0
-
-    def c_of(k: int) -> float:
-        if above < k:
-            return float("inf")
-        return float(np.sqrt(np.mean(1.0 / sigma[:k] ** 2)))
-
-    return SpectralStats(r=r, c_r=c_of(r), c=c_of(order), sigma_min=sigma_min, sigma_max=sigma_max)
+    if np.count_nonzero(sigma > DEFAULT_TOL * sigma[0]) < r:
+        return float("inf")
+    return float(np.sqrt(np.mean(1.0 / sigma[:r] ** 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,20 @@
 
 The fixed-point grid and its codes one entry at a time, against which the
 compiler's table encoder (``CompiledProgram.encode``/``decode``) is checked;
-the canonical sparse descriptions of a dense matrix; and the dense Gaussian
+the canonical sparse descriptions of a dense matrix; the dense Gaussian
 sampler with its c(A) statistic, against which the bidiagonal draws are
-checked.
+checked; and the rank-test instances, the threshold-function reduction and
+the promise columns of the Grover/Deutsch-Jozsa program, on which the
+program families are checked.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from spanforge.linalg import DEFAULT_TOL, as_matrix
+from spanforge.lowlevel import normalize_bits
+from spanforge.programs import build_rank_program
 
 
 def grid_values(k: int) -> list[float]:
@@ -66,3 +74,50 @@ def batched_c(a: np.ndarray) -> np.ndarray:
     """c(A) per dense matrix of a batch, from its singular values."""
     sigma = np.linalg.svd(a, compute_uv=False)
     return np.sqrt(np.mean(1.0 / sigma**2, axis=1))
+
+
+@dataclass(frozen=True)
+class RankInstance:
+    """An n x m matrix with entries in [-1, 1], a rank threshold r, and a
+    promised bound L on the reciprocal-singular-value mean c_r for positive
+    instances."""
+
+    matrix: np.ndarray
+    r: int
+    L: float
+
+    def __post_init__(self):
+        a = as_matrix(self.matrix)
+        object.__setattr__(self, "matrix", a)
+        n = a.shape[0]
+        if not 0 <= self.r <= n:
+            raise ValueError(f"rank threshold {self.r} outside [0, {n}]")
+        if a.size and np.abs(a).max() > 1.0 + 1e-12:
+            raise ValueError("matrix entries must lie in [-1, 1]")
+        if self.L <= 0:
+            raise ValueError(f"promised bound L must be positive, got {self.L}")
+
+
+def rank_decision(instance: RankInstance, rng: np.random.Generator, tol: float = DEFAULT_TOL) -> int:
+    """Evaluate a fresh program sample on the instance matrix."""
+    n, m = instance.matrix.shape
+    return build_rank_program(n, m, instance.r, rng).evaluate(instance.matrix, tol)
+
+
+def threshold_matrix(x) -> np.ndarray:
+    """diag(x) for a bit-string x; rank equals the Hamming weight."""
+    bits = normalize_bits(x, len(x))
+    return np.diag(np.array(bits, dtype=float))
+
+
+def grover_dj_columns(n: int) -> list[np.ndarray]:
+    """The promise column family: the all-ones column first, then every
+    balanced +-1 column in lexicographic sign order."""
+    if n <= 0 or n % 2:
+        raise ValueError(f"n must be positive and even, got {n}")
+    cols = [np.ones(n)]
+    for mask in range(1 << n):
+        signs = np.array([1.0 if (mask >> i) & 1 else -1.0 for i in range(n)])
+        if signs.sum() == 0.0:
+            cols.append(signs)
+    return cols

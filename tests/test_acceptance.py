@@ -15,7 +15,6 @@ from spanforge.calibration import (
     CALIBRATION_SEED,
     C_BOUNDED_DELTA,
     C_BOUNDED_EPSILON,
-    RANK_NEGATIVE_THRESHOLD,
     RANK_POSITIVE_C,
 )
 from spanforge.cli import main
@@ -30,7 +29,6 @@ from spanforge.highlevel import HighLevelProgram
 from spanforge.lowlevel import LowLevelProgram
 from spanforge.programs import (
     RankExperimentConfig,
-    grover_dj_columns,
     grover_dj_program,
     run_rank_trials,
     unique_search_input,
@@ -44,7 +42,7 @@ from spanforge.randmat import (
     exp_lambda_min_cdf,
     exp_ratio_scaling,
 )
-from references import grid_values, sparse_columns_from_dense
+from references import grid_values, grover_dj_columns, sparse_columns_from_dense
 
 
 def _oracle_negative_size(prog: LowLevelProgram, bits) -> float:
@@ -440,9 +438,7 @@ def test_criterion_09_rank_experiment(criterion_report):
     fractions = []
     for r in (1, 4, 8):
         cfg = RankExperimentConfig(n=8, m=8, r=r, L=None, trials=500, master_seed=701)
-        summary = run_rank_trials(
-            cfg, bound_constant=RANK_POSITIVE_C, negative_threshold=RANK_NEGATIVE_THRESHOLD
-        )
+        summary = run_rank_trials(cfg, bound_constant=RANK_POSITIVE_C)
         fractions.append(
             (r, summary.fraction_correct, summary.positive_within_bound, summary.negative_within_threshold)
         )

@@ -1,9 +1,10 @@
-"""scripts/calibrate.py still reproduces the frozen c(A) threshold."""
+"""scripts/calibrate.py still reproduces the frozen c(A) threshold and the
+measurement behind the frozen rank bound constant."""
 
 import importlib.util
 from pathlib import Path
 
-from spanforge.calibration import CALIBRATION_SEED, C_BOUNDED_DELTA
+from spanforge.calibration import CALIBRATION_SEED, C_BOUNDED_DELTA, RANK_POSITIVE_C
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "calibrate.py"
 
@@ -24,3 +25,11 @@ def test_calibrate_delta_reproduces_frozen_threshold(capsys):
     suggested = lines[-1]
     assert suggested == "  suggested delta (q0.93, rounded up) = 14.30"
     assert float(suggested.rsplit("=", 1)[1]) == C_BOUNDED_DELTA
+
+
+def test_calibrate_rank_constant_stays_under_the_frozen_c(capsys):
+    _load_script().calibrate_rank_constant()
+    lines = capsys.readouterr().out.splitlines()
+    worst = "  max q0.90 ratio across settings = 41.1945"
+    assert worst in lines
+    assert float(worst.rsplit("=", 1)[1]) < RANK_POSITIVE_C

