@@ -394,6 +394,24 @@ class Peel:
         """
         if not self.rounds:  # zero rows alone move neither the span nor the residual
             return True
+        xi, kappa, grow, shrink = self.bounds()
+        sigma, r = dec.sigma, dec.rank
+        s_1 = sigma[0] if sigma.size else 0.0
+        s_r, s_next = (sigma[r - 1] if r else np.inf), (sigma[r] if r < sigma.size else 0.0)
+        cutoff = tol * shrink * np.hypot(s_1, xi)
+        floor = 1.0 / (grow * (1.0 / s_r + kappa * (1.0 + xi / s_r))) - shrink * s_next
+        if not floor > cutoff or grow * shrink * s_next > tol * s_1:
+            return False
+        norm = np.linalg.norm(self.whole)
+        bound, shift = tol * norm, norm * shrink * s_next / floor
+        if resid <= tol * np.linalg.norm(self.target):  # the block accepts
+            return resid + shift <= bound
+        return resid / np.hypot(1.0, xi * kappa) - shift > bound
+
+    def bounds(self) -> tuple[float, float, float, float]:
+        """``stands``' bounds of a peel with rounds: ``xi`` on the norm of the
+        pivot columns, ``kappa`` on |D^-1|, ``grow`` on |C| and ``shrink`` on
+        |C^-1|."""
         rows, cols, at, values, owner, pivot, starts, spans = self._pivots
         size, pivot = np.abs(values), np.abs(pivot)
         xi = _norm_bound(np.bincount(owner, size), np.bincount(at, size))
@@ -415,18 +433,7 @@ class Peel:
                 np.add.at(up, js, np.abs(ms) * up[ks])
                 np.add.at(into, js, np.abs(ms))
             grow, shrink = _norm_bound(down, up), 1.0 + float(np.sqrt(into.max()))
-        sigma, r = dec.sigma, dec.rank
-        s_1 = sigma[0] if sigma.size else 0.0
-        s_r, s_next = (sigma[r - 1] if r else np.inf), (sigma[r] if r < sigma.size else 0.0)
-        cutoff = tol * shrink * np.hypot(s_1, xi)
-        floor = 1.0 / (grow * (1.0 / s_r + kappa * (1.0 + xi / s_r))) - shrink * s_next
-        if not floor > cutoff or grow * shrink * s_next > tol * s_1:
-            return False
-        norm = np.linalg.norm(self.whole)
-        bound, shift = tol * norm, norm * shrink * s_next / floor
-        if resid <= tol * np.linalg.norm(self.target):  # the block accepts
-            return resid + shift <= bound
-        return resid / np.hypot(1.0, xi * kappa) - shift > bound
+        return xi, kappa, grow, shrink
 
     def extend(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A basis N of the complement of the span of ``matrix``, as its

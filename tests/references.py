@@ -4,9 +4,11 @@ The fixed-point grid and its codes one entry at a time, against which the
 compiler's table encoder (``CompiledProgram.encode``/``decode``) is checked;
 the canonical sparse descriptions of a dense matrix; the dense Gaussian
 sampler with its c(A) statistic, against which the bidiagonal draws are
-checked; and the rank-test instances, the threshold-function reduction and
+checked; the rank-test instances, the threshold-function reduction and
 the promise columns of the Grover/Deutsch-Jozsa program, on which the
-program families are checked.
+program families are checked; and the peel's pivot gather, its ``stands``
+bounds and its ``extend`` sweep as they were before its bookkeeping was
+rewritten, against which ``Peel`` is checked bit for bit.
 """
 
 from dataclasses import dataclass
@@ -121,3 +123,105 @@ def grover_dj_columns(n: int) -> list[np.ndarray]:
         if signs.sum() == 0.0:
             cols.append(signs)
     return cols
+
+
+# ---------------------------------------------------------------------------
+# the peel's pivot gather, bounds and sweep, verbatim from before its rewrite
+
+
+def _runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions ``lo[i], ..., hi[i] - 1``, one run after another, with
+    the run i each belongs to."""
+    owner = np.repeat(np.arange(lo.size), hi - lo)
+    start = np.cumsum(hi - lo) - (hi - lo)  # where each run begins in the result
+    return np.arange(owner.size) - start[owner] + lo[owner], owner
+
+
+def _column_runs(cols: np.ndarray, which: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the entries of the columns ``which`` are in ``cols``, sorted
+    column indices (below ``size``) of an entry list: one column after
+    another, with the index in ``which`` each entry belongs to."""
+    count = np.bincount(cols, minlength=size)
+    lo = (np.cumsum(count) - count)[which]
+    return _runs(lo, lo + count[which])
+
+
+def reference_pivots(peel):
+    """The pivots in the order of D: their rows and columns, the entries
+    of their columns (rows, values, and the pivot each belongs to), the
+    pivot entries, and per round the (first pivot, end, first entry, end)
+    spans."""
+    rows = np.concatenate([r for r, _ in peel.rounds])
+    cols = np.concatenate([c for _, c in peel.rounds])
+    by_col, at, values = peel.nonzeros
+    pick, owner = _column_runs(by_col, cols, peel.cols.size)  # owner: entry -> its pivot, in order
+    at, values = at[pick], values[pick]
+    starts = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=cols.size))])  # pivot -> its first entry
+    pivot = values[at == rows[owner]]
+    ends = np.cumsum([0] + [len(c) for _, c in peel.rounds]).tolist()
+    spans = [(a, b, int(starts[a]), int(starts[b])) for a, b in zip(ends, ends[1:])]
+    return rows, cols, at, values, owner, pivot, starts, spans
+
+
+def _norm_bound(col_sums: np.ndarray, row_sums: np.ndarray) -> float:
+    """``sqrt(|.|_1 |.|_inf)``, a bound on the 2-norm of a nonnegative matrix,
+    from its column and row sums."""
+    return float(np.sqrt(col_sums.max(initial=0.0)) * np.sqrt(row_sums.max(initial=0.0)))
+
+
+def reference_bounds(peel) -> tuple[float, float, float, float]:
+    """``Peel.stands``' xi, kappa, grow and shrink of a peel with rounds."""
+    rows, cols, at, values, owner, pivot, starts, spans = reference_pivots(peel)
+    size, pivot = np.abs(values), np.abs(pivot)
+    xi = _norm_bound(np.bincount(owner, size), np.bincount(at, size))
+    dim = peel.matrix.shape[0]
+    y, pushed = np.empty(cols.size), np.zeros(dim)  # M y = 1, forward
+    for a, b, e, f in spans:
+        y[a:b] = (1.0 + pushed[rows[a:b]]) / pivot[a:b]
+        pushed += np.bincount(at[e:f], size[e:f] * y[owner[e:f]], dim)
+    z = np.zeros(dim)  # M^T z = 1, backward
+    for a, b, e, f in reversed(spans):
+        z[rows[a:b]] = (1.0 + np.bincount(owner[e:f] - a, size[e:f] * z[at[e:f]], b - a)) / pivot[a:b]
+    kappa = _norm_bound(y, z)
+    grow = shrink = 1.0
+    if peel.merges:
+        down, up, into = np.ones(peel.cols.size), np.ones(peel.cols.size), np.zeros(peel.cols.size)
+        for js, ks, ms in reversed(peel.merges):
+            down[ks] = 1.0 + np.abs(ms) * down[js]
+        for js, ks, ms in peel.merges:
+            np.add.at(up, js, np.abs(ms) * up[ks])
+            np.add.at(into, js, np.abs(ms))
+        grow, shrink = _norm_bound(down, up), 1.0 + float(np.sqrt(into.max()))
+    return xi, kappa, grow, shrink
+
+
+def reference_extend(peel, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``Peel.extend``: the swept basis N of the complement of the span of
+    the peeled matrix, as (row, column, value) entries sorted by row, then
+    column."""
+    kept, cols = np.nonzero(basis)
+    width, zero = basis.shape[1] + len(peel.zero), np.asarray(peel.zero, dtype=np.intp)
+    rows = np.concatenate([np.flatnonzero(peel.rows)[kept], zero])
+    values = np.concatenate([basis[kept, cols], np.ones(zero.size)])
+    cols = np.concatenate([cols, np.arange(basis.shape[1], width)])
+    if peel.rounds:
+        # every row gets its entries at once, so they stay contiguous: row
+        # r's are start[r], ..., start[r] + count[r] - 1
+        count = np.bincount(rows, minlength=peel.matrix.shape[0])
+        start, first = np.zeros_like(count), np.flatnonzero(np.diff(rows, prepend=-1))
+        start[rows[first]] = first
+        pivot_rows, _, at, col_values, owner, pivot, _, spans = reference_pivots(peel)
+        for a, b, e, f in reversed(spans):
+            lo = start[at[e:f]]
+            met, entry = _runs(lo, lo + count[at[e:f]])
+            entry += e  # the entries of N on the row of each entry of the round's pivot columns
+            keys, slot = np.unique((owner[entry] - a) * width + cols[met], return_inverse=True)
+            sums = np.bincount(slot, col_values[entry] * values[met], keys.size)
+            pivots, filled = a + keys // width, pivot_rows[a:b]
+            count[filled] = np.bincount(pivots - a, minlength=b - a)
+            start[filled] = rows.size + np.cumsum(count[filled]) - count[filled]
+            rows = np.concatenate([rows, pivot_rows[pivots]])
+            cols = np.concatenate([cols, keys % width])
+            values = np.concatenate([values, -sums / pivot[pivots]])
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], values[order]
