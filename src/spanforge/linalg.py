@@ -225,11 +225,11 @@ def min_quadratic_on_hyperplane(b, c, tol: float = DEFAULT_TOL,
                                 dec: SvdResult | None = None) -> tuple[float, np.ndarray]:
     """Minimize ``|B y|^2`` subject to ``<c, y> = 1``.
 
-    Closed form via G = B^T B: a null vector z of G with <c, z> != 0 gives
-    value 0 at y = z / <c, z>; otherwise c lies in the row space of B and the
-    optimum is 1 / <c, G^+ c> at y = G^+ c / <c, G^+ c>.  ``dec`` is a thin
-    SVD of ``b`` already computed with the same ``tol``; without it ``b`` is
-    factored here.
+    Closed form via G = B^T B: where B's rank at ``tol`` is below its column
+    count, a null vector z of G with <c, z> != 0 gives value 0 at y = z / <c,
+    z>; otherwise the optimum is 1 / <c, G^+ c> at y = G^+ c / <c, G^+ c>.
+    ``dec`` is a thin SVD of ``b`` already computed with the same ``tol``;
+    without it ``b`` is factored here.
 
     Returns (value, y).  Raises ZeroConstraint when c is numerically zero.
     """
@@ -248,7 +248,7 @@ def min_quadratic_on_hyperplane(b, c, tol: float = DEFAULT_TOL,
     vr = dec.vt[: dec.rank]
     proj = vr @ con
     z = con - vr.T @ proj
-    if np.linalg.norm(z) > tol * cnorm:
+    if dec.rank < mat.shape[1] and np.linalg.norm(z) > tol * cnorm:  # at full column rank z is rounding
         return 0.0, z / float(con @ z)
     # G^+ c computed off the SVD of B to avoid squaring the condition number.
     gpc = vr.T @ (proj / dec.sigma[: dec.rank] ** 2)

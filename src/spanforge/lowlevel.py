@@ -10,12 +10,14 @@ wire format; bit strings are indexed ``x[var - 1]``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import NoNegativeWitness, NoPositiveWitness
+from .errors import NoNegativeWitness, NoPositiveWitness, ZeroConstraint
 from .linalg import (
     DEFAULT_TOL,
     SvdResult,
@@ -114,21 +116,31 @@ class Columns:
         return _dense((self.shape[0], stop - start), self.indices[lo:hi], self.cols[lo:hi] - start, self.data[lo:hi])
 
 
-def _runs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions ``lo[i], ..., hi[i] - 1``, one run after another, with
-    the run i each belongs to."""
-    owner = np.repeat(np.arange(lo.size), hi - lo)
-    start = np.cumsum(hi - lo) - (hi - lo)  # where each run begins in the result
-    return np.arange(owner.size) - start[owner] + lo[owner], owner
+def _runs(lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The positions ``lo[i], ..., lo[i] + length[i] - 1``, one run after
+    another; ``np.arange(lo.size).repeat(length)`` is the run of each."""
+    ends = length.cumsum()
+    # a run's first position, less where it begins in the result
+    return np.arange(ends[-1] if ends.size else 0) + (lo + length - ends).repeat(length)
 
 
-def _column_runs(cols: np.ndarray, which: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _sorted_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``keys`` sorted, stably: the order, the sorted keys, the group (run of equal
+    keys) of each and where each group starts, as ``np.unique`` finds them."""
+    order = keys.argsort(kind="stable")
+    keys, head = keys[order], np.empty(keys.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    return order, keys, head.cumsum() - 1, head.nonzero()[0]
+
+
+def _column_runs(cols: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where the entries of the columns ``which`` are in ``cols``, sorted
-    column indices (below ``size``) of an entry list: one column after
-    another, with the index in ``which`` each entry belongs to."""
-    count = np.bincount(cols, minlength=size)
-    lo = (np.cumsum(count) - count)[which]
-    return _runs(lo, lo + count[which])
+    column indices of an entry list: one column after another, with the
+    index in ``which`` each entry belongs to."""
+    lo = cols.searchsorted(which)
+    length = cols.searchsorted(which, "right") - lo
+    return _runs(lo, length), np.arange(which.size).repeat(length)
 
 
 def bit_array(x, num_vars: int) -> np.ndarray:
@@ -212,22 +224,25 @@ class Peel:
       ``m = A[r, j] / A[r, k]``, which leaves row r a dead end of column k
       (threshold pivoting: ``|m| <= 1``).
 
-    Each round is a few numpy steps over the nonzeros of the merged matrix,
-    one (column, row, value) entry list sorted by column, in which a kept
-    column is nonzero on kept rows only: one ``bincount`` of the kept
-    columns' entries gives every row its degree.  A dead-end round takes
+    Each round is a few cheap numpy steps, no set operation, over the
+    nonzeros of the merged matrix, one (column, row, value) entry list sorted
+    by column, in which a kept column is nonzero on kept rows only: one
+    ``bincount`` of the kept columns' entries gives every row its degree, a
+    second, weighted by column, a dead end its column.  A dead-end round takes
     every dead end, but the first of them, in row order, takes each column.
     A doubleton round takes its rows in order, and a row waits for a later
-    round when a row the round took before it pivots on j or on k, or
-    merges into k (two rows may merge into one column).  So no column a
-    round pivots on is nonzero on another row of the round, its merges reach
-    none of them, and they commute.  They are applied in row order, each
-    entry of ``a_k`` but the one on row r subtracted from ``a_j``; the
-    updates of one entry run in turn (``np.subtract.accumulate``), entries
-    that cancel exactly leave the list, and an entry an update makes
-    nonzero enters its column behind those already there.  So a column
-    keeps its entries in the order they entered it, the store's own by row,
-    and ``stands`` and ``extend`` sum them in that order.
+    round when a row the round took before it pivots on j or on k, or merges
+    into k (two rows may merge into one column); only a row on a contested
+    column, one row's k that another row uses too, can.  So no column a round
+    pivots on is nonzero on another row of the round, its merges reach none
+    of them, and they commute.  They are applied in row order, each entry of
+    ``a_k`` (by binary search) but the one on row r subtracted from ``a_j``,
+    grouped with the entry it updates by one stable sort; the updates of one
+    entry run in turn (``np.subtract.accumulate``), entries that cancel
+    exactly leave the list, and an entry an update makes nonzero enters its
+    column behind those already there.  So a column keeps its entries in the
+    order they entered it, the store's own by row, and ``stands`` and
+    ``extend`` sum them in that order.
 
     Dead-end rounds run until none is left, then one doubleton round runs,
     and so on until neither finds anything.  The kept rows where the target
@@ -236,11 +251,11 @@ class Peel:
     included, in order; ``merges`` the (j, k, m) arrays of each doubleton
     round.  ``nonzeros`` is the entry list the rounds leave, each pivot
     column's entries as they were when it went; ``rows`` and ``cols`` mask
-    what is kept, and ``block`` and ``target`` are what is factored, the
-    block written densely from the kept columns' entries (``_dense``, so
-    past ``MAX_DENSE_ENTRIES`` it raises).  ``Peel(matrix, target)`` peels
-    nothing and factors ``matrix`` whole.  ``whole`` is the target on every
-    row.
+    what is kept (``kept``, from ``of``), and ``block`` and ``target`` are
+    what is factored, the block written densely from the kept columns'
+    entries (``_dense``, so past ``MAX_DENSE_ENTRIES`` it raises).
+    ``Peel(matrix, target)`` peels nothing and factors ``matrix`` whole.
+    ``whole`` is the target on every row.
 
     The peel is exact.  Each merge is an invertible column operation, so
     the merged matrix is ``A C`` for a unit triangular C with span(A C) =
@@ -259,18 +274,15 @@ class Peel:
     (``stands``).
     """
 
-    def __init__(self, matrix: Columns, target: np.ndarray, rounds=(), zero=(), nonzeros=None, merges=()):
+    def __init__(self, matrix: Columns, target: np.ndarray, rounds=(), zero=(), nonzeros=None, merges=(), kept=None):
         self.matrix, self.whole = matrix, target
         self.nonzeros = matrix.entries if nonzeros is None else nonzeros
         self.rounds, self.zero, self.merges = tuple(rounds), list(zero), tuple(merges)
-        self.rows, self.cols = np.ones(matrix.shape[0], dtype=bool), np.ones(matrix.shape[1], dtype=bool)
-        self.rows[self.zero] = False
-        for rows, cols in self.rounds:
-            self.rows[rows], self.cols[cols] = False, False
+        self.rows, self.cols = kept or (np.ones(matrix.shape[0], dtype=bool), np.ones(matrix.shape[1], dtype=bool))
         cols, rows, values = self.nonzeros
         at = self.cols[cols]  # a kept column is nonzero on kept rows only
-        self.block = _dense((int(self.rows.sum()), int(self.cols.sum())), (np.cumsum(self.rows) - 1)[rows[at]],
-                            (np.cumsum(self.cols) - 1)[cols[at]], values[at])
+        self.block = _dense((np.count_nonzero(self.rows), np.count_nonzero(self.cols)),
+                            (self.rows.cumsum() - 1)[rows[at]], (self.cols.cumsum() - 1)[cols[at]], values[at])
         self.target = target[self.rows]
 
     @classmethod
@@ -282,63 +294,69 @@ class Peel:
         rounds, merges = [], []
         while True:
             live = col_kept[cols]  # a kept column is nonzero on kept rows only
-            degree = np.bincount(rows[live], minlength=dim)
-            at = (live & (open_rows & (degree == 1))[rows]).nonzero()[0]
-            if at.size:  # dead ends: the first of them, in row order, takes each column
-                at = at[rows[at].argsort()]
-                at = at[np.sort(np.unique(cols[at], return_index=True)[1])]
-                rounds.append((rows[at], cols[at]))
-                row_kept[rows[at]], col_kept[cols[at]] = False, False
+            live_rows = rows[live]
+            degree = np.bincount(live_rows, minlength=dim)
+            ends = (open_rows & (degree == 1)).nonzero()[0]
+            if ends.size:  # dead ends: the first of them, in row order, takes each column
+                col = np.bincount(live_rows, cols[live], dim)[ends].astype(np.intp)  # a dead end's one kept column
+                first = np.full(count, dim)
+                np.minimum.at(first, col, ends)
+                took = first[col] == ends
+                r, k = ends[took], col[took]
+                rounds.append((r, k))
+                row_kept[r], col_kept[k] = False, False
                 continue
             at = (live & (open_rows & (degree == 2))[rows]).nonzero()[0]
+            if not at.size:
+                break
             at = at[rows[at].argsort(kind="stable")]
             a, b = at[0::2], at[1::2]  # the two entries of each doubleton row, by column
             later = np.abs(values[b]) >= np.abs(values[a])  # k, the column of the larger entry
             at_j, at_k = np.where(later, a, b), np.where(later, b, a)
-            pivoted, merged, take = set(), set(), []
-            for t, (j, k) in enumerate(zip(cols[at_j].tolist(), cols[at_k].tolist())):
-                if j not in pivoted and k not in pivoted and k not in merged:
-                    pivoted.add(k)
-                    merged.add(j)
-                    take.append(t)
-            if not take:
-                break
+            j, k = cols[at_j], cols[at_k]
+            # only a row on a contested column, one row's k that another row uses too, can wait
+            hot = (np.bincount(np.concatenate([j, k]))[k] > 1) | (np.bincount(k, minlength=count)[j] > 0)
+            pivoted, merged, take, taken = set(), set(), ~hot, []
+            for t, jt, kt in zip(hot.nonzero()[0].tolist(), j[hot].tolist(), k[hot].tolist()):
+                if jt not in pivoted and kt not in pivoted and kt not in merged:
+                    pivoted.add(kt)
+                    merged.add(jt)
+                    taken.append(t)
+            take[taken] = True
             at_j, at_k = at_j[take], at_k[take]
             r, j, k, m = rows[at_k], cols[at_j], cols[at_k], values[at_j] / values[at_k]
             rounds.append((r, k))
             merges.append((j, k, m))
             row_kept[r], col_kept[k] = False, False
             # a_j <- a_j - m a_k, merge by merge in row order, except on row r
-            src, owner = _column_runs(cols, k, count)
+            src, owner = _column_runs(cols, k)
             keep = rows[src] != r[owner]
             src, owner = src[keep], owner[keep]
-            into = np.isin(cols, j)
+            into = np.bincount(j, minlength=count)[cols] > 0
             old = (into & row_kept[rows]).nonzero()[0]
-            keys, slot = np.unique(np.concatenate([cols[old] * dim + rows[old], j[owner] * dim + rows[src]]),
-                                   return_inverse=True)
-            was, hit = slot[: old.size], slot[old.size :]  # the entry of a_j of each old entry and update
-            hits = np.bincount(hit, minlength=keys.size)
-            by_entry = hit.argsort(kind="stable")
-            nth = np.empty_like(hit)  # how many updates of the same entry come before each
-            nth[by_entry] = np.arange(hit.size) - (np.cumsum(hits) - hits)[hit[by_entry]]
-            steps = np.zeros((keys.size, hits.max(initial=0) + 1))
-            steps[was, 0] = values[old]
-            steps[hit, nth + 1] = m[owner] * values[src]
+            # per entry of a_j, by (column, row), from 0: minus its old value, then its updates in turn
+            order, keys, entry, start = _sorted_groups(np.concatenate([cols[old] * dim + rows[old],
+                                                                       j[owner] * dim + rows[src]]))
+            step = np.arange(1, keys.size + 1) - start[entry]
+            steps = np.zeros((start.size, step.max(initial=0) + 1))
+            steps[entry, step] = np.concatenate([-values[old], m[owner] * values[src]])[order]
             steps = np.subtract.accumulate(steps, axis=1)  # each entry after each of its updates, in turn
-            # an entry enters its column, behind those already there, when an update makes it nonzero
-            born = (steps[hit, nth] == 0.0) & (steps[hit, nth + 1] != 0.0)
-            last = np.full(keys.size, -1)
-            np.maximum.at(last, hit[born], born.nonzero()[0])
-            now = steps[:, -1] != 0.0  # exact cancellations leave the list
-            entered = (now & (last >= 0)).nonzero()[0]
-            new = np.concatenate([was[now[was] & (last[was] < 0)], entered[last[entered].argsort()]])
-            cols = np.concatenate([cols[~into], keys[new] // dim])
-            rows = np.concatenate([rows[~into], keys[new] % dim])
-            values = np.concatenate([values[~into], steps[new, -1]])
+            # an entry enters its column, behind those already there, when an update makes it nonzero: it
+            # goes by the last such update, or, never emptied, by where it was
+            born = (steps[entry, step - 1] == 0.0) & (steps[entry, step] != 0.0)  # an old value too, at its place
+            place = order[start]
+            np.maximum.at(place, entry[born], order[born])
+            now = (steps[:, -1] != 0.0).nonzero()[0]  # exact cancellations leave the list
+            now = now[place[now].argsort()]
+            into, keys = ~into, keys[start[now]]
+            cols = np.concatenate([cols[into], keys // dim])
+            rows = np.concatenate([rows[into], keys % dim])
+            values = np.concatenate([values[into], steps[now, -1]])
             order = cols.argsort(kind="stable")
             cols, rows, values = cols[order], rows[order], values[order]
-        zero = np.flatnonzero(open_rows & row_kept & (degree == 0)).tolist()
-        return cls(matrix, target, rounds, zero, (cols, rows, values), merges)
+        zero = (open_rows & row_kept & (degree == 0)).nonzero()[0]
+        row_kept[zero] = False
+        return cls(matrix, target, rounds, zero.tolist(), (cols, rows, values), merges, (row_kept, col_kept))
 
     @cached_property
     def _pivots(self):
@@ -349,11 +367,11 @@ class Peel:
         rows = np.concatenate([r for r, _ in self.rounds])
         cols = np.concatenate([c for _, c in self.rounds])
         by_col, at, values = self.nonzeros
-        pick, owner = _column_runs(by_col, cols, self.cols.size)  # owner: entry -> its pivot, in order
+        pick, owner = _column_runs(by_col, cols)  # owner: entry -> its pivot, in order
         at, values = at[pick], values[pick]
-        starts = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=cols.size))])  # pivot -> its first entry
+        starts = np.concatenate([[0], np.bincount(owner, minlength=cols.size).cumsum()])  # pivot -> its first entry
         pivot = values[at == rows[owner]]
-        ends = np.cumsum([0] + [len(c) for _, c in self.rounds]).tolist()
+        ends = [0, *accumulate(len(c) for _, c in self.rounds)]
         spans = [(a, b, int(starts[a]), int(starts[b])) for a, b in zip(ends, ends[1:])]
         return rows, cols, at, values, owner, pivot, starts, spans
 
@@ -402,37 +420,39 @@ class Peel:
         floor = 1.0 / (grow * (1.0 / s_r + kappa * (1.0 + xi / s_r))) - shrink * s_next
         if not floor > cutoff or grow * shrink * s_next > tol * s_1:
             return False
-        norm = np.linalg.norm(self.whole)
+        norm = math.sqrt(self.whole @ self.whole)  # as np.linalg.norm
         bound, shift = tol * norm, norm * shrink * s_next / floor
-        if resid <= tol * np.linalg.norm(self.target):  # the block accepts
+        if resid <= tol * math.sqrt(self.target @ self.target):  # the block accepts
             return resid + shift <= bound
         return resid / np.hypot(1.0, xi * kappa) - shift > bound
 
     def bounds(self) -> tuple[float, float, float, float]:
         """``stands``' bounds of a peel with rounds: ``xi`` on the norm of the
-        pivot columns, ``kappa`` on |D^-1|, ``grow`` on |C| and ``shrink`` on
-        |C^-1|."""
+        pivot columns, ``kappa`` on |D^-1|, ``grow`` on |C|, ``shrink`` on |C^-1|."""
         rows, cols, at, values, owner, pivot, starts, spans = self._pivots
         size, pivot = np.abs(values), np.abs(pivot)
         xi = _norm_bound(np.bincount(owner, size), np.bincount(at, size))
         dim = self.matrix.shape[0]
-        y, pushed = np.empty(cols.size), np.zeros(dim)  # M y = 1, forward
-        for a, b, e, f in spans:
-            y[a:b] = (1.0 + pushed[rows[a:b]]) / pivot[a:b]
+        # M y = 1 forward and M^T z = 1 backward, round by round; where nothing
+        # is pushed yet, on the first round of each, the sweep leaves 1 / pivot
+        y, z, pushed = 1.0 / pivot, np.zeros(dim), np.zeros(dim)
+        z[rows[spans[-1][0] :]] = y[spans[-1][0] :]
+        for (_, _, e, f), (a, b, _, _) in zip(spans, spans[1:]):
             pushed += np.bincount(at[e:f], size[e:f] * y[owner[e:f]], dim)
-        z = np.zeros(dim)  # M^T z = 1, backward
-        for a, b, e, f in reversed(spans):
-            z[rows[a:b]] = (1.0 + np.bincount(owner[e:f] - a, size[e:f] * z[at[e:f]], b - a)) / pivot[a:b]
+            y[a:b] = (1.0 + pushed[rows[a:b]]) / pivot[a:b]
+        for a, b, e, f in reversed(spans[:-1]):
+            z[rows[a:b]] = (1.0 + np.bincount(owner[e:f], size[e:f] * z[at[e:f]], b)[a:]) / pivot[a:b]
         kappa = _norm_bound(y, z)
         grow = shrink = 1.0
         if self.merges:
-            down, up, into = np.ones(self.cols.size), np.ones(self.cols.size), np.zeros(self.cols.size)
-            for js, ks, ms in reversed(self.merges):
-                down[ks] = 1.0 + np.abs(ms) * down[js]
-            for js, ks, ms in self.merges:
-                np.add.at(up, js, np.abs(ms) * up[ks])
-                np.add.at(into, js, np.abs(ms))
-            grow, shrink = _norm_bound(down, up), 1.0 + float(np.sqrt(into.max()))
+            sizes = [np.abs(ms) for _, _, ms in self.merges]
+            down, up = np.ones(self.cols.size), np.ones(self.cols.size)
+            for (js, ks, _), m in zip(reversed(self.merges), reversed(sizes)):
+                down[ks] = 1.0 + m * down[js]
+            for (js, ks, _), m in zip(self.merges, sizes):
+                np.add.at(up, js, m * up[ks])
+            into = np.bincount(np.concatenate([js for js, _, _ in self.merges]), np.concatenate(sizes), self.cols.size)
+            grow, shrink = _norm_bound(down, up), 1.0 + math.sqrt(into.max())
         return xi, kappa, grow, shrink
 
     def extend(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -463,14 +483,14 @@ class Peel:
             start[rows[first]] = first
             pivot_rows, _, at, col_values, owner, pivot, _, spans = self._pivots
             for a, b, e, f in reversed(spans):
-                lo = start[at[e:f]]
-                met, entry = _runs(lo, lo + count[at[e:f]])
-                entry += e  # the entries of N on the row of each entry of the round's pivot columns
-                keys, slot = np.unique((owner[entry] - a) * width + cols[met], return_inverse=True)
-                sums = np.bincount(slot, col_values[entry] * values[met], keys.size)
-                pivots, filled = a + keys // width, pivot_rows[a:b]
-                count[filled] = np.bincount(pivots - a, minlength=b - a)
-                start[filled] = rows.size + np.cumsum(count[filled]) - count[filled]
+                length = count[at[e:f]]  # the entries of N on the row of each entry of the round's pivot columns
+                met = _runs(start[at[e:f]], length)
+                order, keys, group, first = _sorted_groups(owner[e:f].repeat(length) * width + cols[met])
+                sums = np.bincount(group, (col_values[e:f].repeat(length) * values[met])[order])
+                keys = keys[first]
+                pivots, filled = keys // width, pivot_rows[a:b]
+                filling = np.bincount(pivots - a, minlength=b - a)
+                count[filled], start[filled] = filling, rows.size + filling.cumsum() - filling
                 rows = np.concatenate([rows, pivot_rows[pivots]])
                 cols = np.concatenate([cols, keys % width])
                 values = np.concatenate([values, -sums / pivot[pivots]])
@@ -505,7 +525,7 @@ class Peel:
 def _norm_bound(col_sums: np.ndarray, row_sums: np.ndarray) -> float:
     """``sqrt(|.|_1 |.|_inf)``, a bound on the 2-norm of a nonnegative matrix,
     from its column and row sums."""
-    return float(np.sqrt(col_sums.max(initial=0.0)) * np.sqrt(row_sums.max(initial=0.0)))
+    return math.sqrt(col_sums.max(initial=0.0)) * math.sqrt(row_sums.max(initial=0.0))
 
 
 def _cg(apply, rhs: np.ndarray, rtol: float, steps: int) -> np.ndarray:
@@ -600,6 +620,16 @@ class LowLevelProgram:
         return tuple(LabeledVector(vec, var, val) for vec, var, val in
                      zip(self.store.toarray(self.num_free).T, self.var.tolist(), self.val.tolist()))
 
+    @cached_property
+    @np.errstate(all="ignore")  # a store near the float maximum can overflow ``hi``, as in ``_project``
+    def _store_sums(self) -> tuple[np.ndarray, np.ndarray, float, int]:
+        """The store's entries per row (``store_product``); its absolute values, their
+        ``_norm_bound`` ``hi`` and the most entries in a column (``_project``)."""
+        s_cols, s_rows, s_values = self.store.entries
+        size_s, count = np.abs(s_values), np.bincount(s_rows, minlength=self.dim)
+        hi = _norm_bound(np.bincount(s_cols, size_s, self.store.shape[1]), np.bincount(s_rows, size_s, self.dim))
+        return count, size_s, hi, np.diff(self.store.indptr).max()
+
     # -- queries ---------------------------------------------------------
 
     def available_mask(self, x) -> np.ndarray:
@@ -620,7 +650,7 @@ class LowLevelProgram:
         row: per pair the key ``store column * width + column of N`` and the
         product, in the order of the store's entries."""
         s_cols, s_rows, s_values = self.store.entries
-        met, entry = _column_runs(rows, s_rows, self.dim)
+        met, entry = _column_runs(rows, s_rows)
         return s_cols[entry] * width + cols[met], s_values[entry] * values[met]
 
     def store_product(self, basis: np.ndarray) -> np.ndarray:
@@ -636,7 +666,7 @@ class LowLevelProgram:
         _check_dense(count, width)
         s_cols, s_rows, s_values = self.store.entries
         budget, out = max(count * width, s_cols.size), np.empty((count, width))
-        if np.count_nonzero(basis, axis=1)[s_rows].sum() <= budget:
+        if np.count_nonzero(basis, axis=1) @ self._store_sums[0] <= budget:
             for j, col in enumerate(basis.T):
                 out[:, j] = np.bincount(s_cols, s_values * col[s_rows], count)
             return out
@@ -713,6 +743,8 @@ class LowLevelProgram:
         otherwise on an orthonormal basis of the complement, a thin QR of the
         swept basis where there is one, and its ``store_product``."""
         nbasis = dec.u[:, dec.rank :]
+        if not nbasis.shape[1]:  # N^T t is 0: a block of full row rank rejects by rounding alone
+            raise ZeroConstraint(f"no negative witness at tol {tol:g}: the input is rejected by rounding alone")
         if peel.rounds or peel.zero:
             rows, cols, values = basis = peel.extend(nbasis)
             width = nbasis.shape[1] + len(peel.zero)
@@ -766,8 +798,9 @@ class LowLevelProgram:
         a, z, f, m_z = np.inf, np.zeros((q, k)), 0.0, 0
         if q:
             keys, products = self._join(rows[~head], cols[~head] - k, values[~head], q)
-            keys, slot = np.unique(keys, return_inverse=True)
-            at, j, v = keys // q, keys % q, np.bincount(slot, products, keys.size)  # B_z
+            order, keys, slot, first = _sorted_groups(keys)
+            keys, v = keys[first], np.bincount(slot, products[order])  # B_z
+            at, j = keys // q, keys % q
             size_v, gram, m_z = np.abs(v), np.bincount(j, v * v, q), np.bincount(at).max(initial=0)
 
             def times(x, transpose=False, entries=v):  # B_z x or B_z^T x, or |B_z|'s with entries=size_v
@@ -793,15 +826,14 @@ class LowLevelProgram:
         if not (b > 0.0 and size > 0.0):
             return None
         witness = np.bincount(rows, values * np.concatenate([y_0, -(z @ y_0)])[cols], self.dim)
-        s_cols, s_rows, s_values = self.store.entries
-        size_n, size_s = np.abs(values), np.abs(s_values)
+        s_cols, s_rows, _ = self.store.entries
+        (_, size_s, hi, longest), size_n = self._store_sums, np.abs(values)
         n_norm = _norm_bound(np.bincount(cols, size_n, width), np.bincount(rows, size_n, self.dim))
-        hi = _norm_bound(np.bincount(s_cols, size_s, count), np.bincount(s_rows, size_s, self.dim))
         zeta = np.linalg.norm(z) + f / a**2
         lo, rho = min(a, b) / np.sqrt(1.0 + zeta + zeta**2) / n_norm, eps * n_norm * hi
         reach = np.bincount(rows, size_n * np.concatenate([np.abs(y_0), np.abs(z) @ np.abs(y_0)])[cols], self.dim)
         moved = np.linalg.norm(np.bincount(s_cols, size_s * reach[s_rows], count)) / np.sqrt(size)
-        terms = np.diff(self.store.indptr).max() + m_z + np.count_nonzero(self.target) + k
+        terms = longest + m_z + np.count_nonzero(self.target) + k
         size_err = (f / (a * b)) ** 2 + eps * terms * (moved + np.abs(self.target) @ reach)
         witness_err = n_norm * f * np.linalg.norm(y_0) / (a * a * np.linalg.norm(witness))
         if tol > 3 * width * eps and lo - rho > tol * (hi + rho) and size_err <= 1e-10 and witness_err <= 1e-10:

@@ -737,6 +737,26 @@ def test_a_rejected_compiled_witness_leaves_scipy_unloaded(tmp_path):
     assert json.loads(out.read_text())["decision"] == 0
 
 
+@pytest.mark.parametrize("diagonal", [[0.5] * 3 + [0.0] * 5, [0.0] * 8], ids=["rank-3", "zero"])
+def test_a_rejected_witness_at_tol_0_keeps_its_size(capsys, tmp_path, diagonal):
+    """On the compiled sparse n = 8 rank program, ``witness --tol 0`` reports
+    the rejected input's negative witness of the default tolerance: at full
+    column rank the rounding left in the constraint is no null space."""
+    comp = compile_sparse(build_rank_program(8, 8, 4, np.random.default_rng(8)), k_nnz=3, l_nnz=3, precision=3)
+    path = tmp_path / "rank8.compiled.json"
+    path.write_text(comp.to_json())
+    bits = "".join(map(str, comp.encode(np.diag(diagonal))))
+    sizes = []
+    for tol in ([], ["--tol", "0"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(capsys, ["witness", "--program", str(path), "--input", bits, *tol])
+        report = json.loads(out)
+        assert code == 0 and err == "" and report["decision"] == 0
+        sizes.append(report["size"])
+    assert sizes[0] > 0.0 and sizes[1] == pytest.approx(sizes[0], rel=1e-9)
+
+
 @pytest.mark.parametrize(
     "text,entry",
     [("[[1e400, 0], [0, 0]]", "[0][0]"),  # JSON reads 1e400 as inf

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from spanforge.errors import NoNegativeWitness, NoPositiveWitness
+from spanforge.compiler import compile_sparse
+from spanforge.errors import NoNegativeWitness, NoPositiveWitness, ZeroConstraint
 from spanforge.linalg import DEFAULT_TOL, in_span, min_norm_solve
 from spanforge.lowlevel import (
     Columns,
@@ -14,6 +15,7 @@ from spanforge.lowlevel import (
     normalize_bits,
     wsize_over_domain,
 )
+from spanforge.programs import build_rank_program
 
 RNG = np.random.default_rng(77)
 
@@ -136,6 +138,20 @@ def test_empty_available_set_rejects():
     rep = prog.negative_witness("0")
     # w' = t / ||t||^2; the only (unavailable) column pays <w', e_2>^2 = 1/9
     assert rep.size == pytest.approx(1.0 / 9.0, abs=1e-9)
+
+
+def test_a_block_of_full_row_rank_has_no_negative_witness():
+    """The kept block of an accepted input of the compiled sparse n = 8 rank
+    program has full row rank, so the complement of its span is empty and
+    N^T t is 0.  A rejection there (at tol 0, by rounding alone) would ask
+    for a negative witness on it: ``_negative`` refuses, naming the
+    tolerance."""
+    comp = compile_sparse(build_rank_program(8, 8, 4, np.random.default_rng(8)), k_nnz=3, l_nnz=3, precision=3)
+    prog = comp.program
+    peel, dec, decision = prog._decide(comp.encode(np.eye(8) * 0.5), prog.tol)
+    assert decision == 1 and peel.rounds and dec.rank == peel.block.shape[0]
+    with pytest.raises(ZeroConstraint, match="no negative witness at tol 1e-09"):
+        prog._negative(peel, dec, prog.tol)
 
 
 def test_witness_dispatcher_matches_sides():
