@@ -105,7 +105,7 @@ class Columns:
     def select(self, mask: np.ndarray) -> "Columns":
         """The columns where ``mask`` is True."""
         at = mask[self.cols]
-        return Columns((self.shape[0], int(mask.sum())), (np.cumsum(mask) - 1)[self.cols[at]],
+        return Columns((self.shape[0], np.count_nonzero(mask)), (np.cumsum(mask) - 1)[self.cols[at]],
                        self.indices[at], self.data[at])
 
     def toarray(self, start: int = 0, stop: int | None = None) -> np.ndarray:
@@ -478,9 +478,8 @@ class Peel:
         if self.rounds:
             # every row gets its entries at once, so they stay contiguous: row
             # r's are start[r], ..., start[r] + count[r] - 1
-            count = np.bincount(rows, minlength=self.matrix.shape[0])
-            start, first = np.zeros_like(count), np.flatnonzero(np.diff(rows, prepend=-1))
-            start[rows[first]] = first
+            count, start = np.bincount(rows, minlength=self.matrix.shape[0]), np.full(self.matrix.shape[0], rows.size)
+            np.minimum.at(start, rows, np.arange(rows.size))
             pivot_rows, _, at, col_values, owner, pivot, _, spans = self._pivots
             for a, b, e, f in reversed(spans):
                 length = count[at[e:f]]  # the entries of N on the row of each entry of the round's pivot columns
@@ -716,7 +715,7 @@ class LowLevelProgram:
             rows, cols = peel.block.shape
             dec, resid, decision = in_span(peel.block, peel.target, tol,
                                            full_matrices=cols < rows or bool(peel.merges))
-            if peel.stands(dec, float(np.linalg.norm(resid)), tol):
+            if peel.stands(dec, math.sqrt(resid @ resid), tol):  # as np.linalg.norm
                 return peel, dec, decision
             peel = Peel(avail, self.target)
 
@@ -816,8 +815,8 @@ class LowLevelProgram:
             if not mu > 0.0:
                 return None
             a = np.sqrt(mu)
-            z = np.column_stack([_cg(lambda p: times(times(p), True), times(b_0, True), 1e-14, 2 * q)
-                                 for b_0 in r_hat.T])
+            z = np.column_stack([_cg(lambda p: np.bincount(j, v * np.bincount(at, v * p[j], count)[at], q),
+                                     times(b_0, True), 1e-14, 2 * q) for b_0 in r_hat.T])  # times(times(p), True)
             r_hat = r_hat - np.column_stack([times(col) for col in z.T])
             f = np.linalg.norm([times(col, True) for col in r_hat.T])
         small = svd(r_hat, tol)
