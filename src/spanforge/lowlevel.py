@@ -134,13 +134,12 @@ def _sorted_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return order, keys, head.cumsum() - 1, head.nonzero()[0]
 
 
-def _column_runs(cols: np.ndarray, which: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _column_runs(cols: np.ndarray, which: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Where the entries of the columns ``which`` are in ``cols``, sorted
-    column indices of an entry list: one column after another, with the
-    index in ``which`` each entry belongs to."""
-    lo = cols.searchsorted(which)
-    length = cols.searchsorted(which, "right") - lo
-    return _runs(lo, length), np.arange(which.size).repeat(length)
+    column indices (below ``size``) of an entry list: one column after
+    another, with the index in ``which`` each entry belongs to."""
+    count = np.bincount(cols, minlength=size)
+    return _runs((count.cumsum() - count)[which], count[which]), np.arange(which.size).repeat(count[which])
 
 
 def bit_array(x, num_vars: int) -> np.ndarray:
@@ -236,8 +235,8 @@ class Peel:
     column, one row's k that another row uses too, can.  So no column a round
     pivots on is nonzero on another row of the round, its merges reach none
     of them, and they commute.  They are applied in row order, each entry of
-    ``a_k`` (by binary search) but the one on row r subtracted from ``a_j``,
-    grouped with the entry it updates by one stable sort; the updates of one
+    ``a_k`` but the one on row r subtracted from ``a_j``, grouped with the
+    entry it updates by one stable sort; the updates of one
     entry run in turn (``np.subtract.accumulate``), entries that cancel
     exactly leave the list, and an entry an update makes nonzero enters its
     column behind those already there.  So a column keeps its entries in the
@@ -329,7 +328,7 @@ class Peel:
             merges.append((j, k, m))
             row_kept[r], col_kept[k] = False, False
             # a_j <- a_j - m a_k, merge by merge in row order, except on row r
-            src, owner = _column_runs(cols, k)
+            src, owner = _column_runs(cols, k, count)
             keep = rows[src] != r[owner]
             src, owner = src[keep], owner[keep]
             into = np.bincount(j, minlength=count)[cols] > 0
@@ -367,7 +366,7 @@ class Peel:
         rows = np.concatenate([r for r, _ in self.rounds])
         cols = np.concatenate([c for _, c in self.rounds])
         by_col, at, values = self.nonzeros
-        pick, owner = _column_runs(by_col, cols)  # owner: entry -> its pivot, in order
+        pick, owner = _column_runs(by_col, cols, self.cols.size)  # owner: entry -> its pivot, in order
         at, values = at[pick], values[pick]
         starts = np.concatenate([[0], np.bincount(owner, minlength=cols.size).cumsum()])  # pivot -> its first entry
         pivot = values[at == rows[owner]]
@@ -649,7 +648,7 @@ class LowLevelProgram:
         row: per pair the key ``store column * width + column of N`` and the
         product, in the order of the store's entries."""
         s_cols, s_rows, s_values = self.store.entries
-        met, entry = _column_runs(rows, s_rows)
+        met, entry = _column_runs(rows, s_rows, self.dim)
         return s_cols[entry] * width + cols[met], s_values[entry] * values[met]
 
     def store_product(self, basis: np.ndarray) -> np.ndarray:
@@ -797,9 +796,8 @@ class LowLevelProgram:
         a, z, f, m_z = np.inf, np.zeros((q, k)), 0.0, 0
         if q:
             keys, products = self._join(rows[~head], cols[~head] - k, values[~head], q)
-            order, keys, slot, first = _sorted_groups(keys)
-            keys, v = keys[first], np.bincount(slot, products[order])  # B_z
-            at, j = keys // q, keys % q
+            keys, slot = np.unique(keys, return_inverse=True)
+            at, j, v = keys // q, keys % q, np.bincount(slot, products, keys.size)  # B_z
             size_v, gram, m_z = np.abs(v), np.bincount(j, v * v, q), np.bincount(at).max(initial=0)
 
             def times(x, transpose=False, entries=v):  # B_z x or B_z^T x, or |B_z|'s with entries=size_v
