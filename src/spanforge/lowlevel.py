@@ -199,11 +199,11 @@ class WitnessReport:
     witness: np.ndarray
 
 
-# Available matrices with fewer entries are factored without a peel: there
-# one SVD costs less than the peel's bookkeeping (on compiled programs, with
-# one BLAS thread, a peeled decision is about 2x slower at 44 x 44 to
-# 51 x 47, 25% slower at 52 x 53 and 10% slower at 64 x 67 to 76 x 68,
-# breaks even near 80 x 84 and is 40-80% faster from 105 x 94 on).
+# Available matrices with fewer entries are factored without a peel (on
+# compiled programs, with one BLAS thread, a peeled decision is 1.75x slower
+# at 30 x 31 to 46 x 42 and 1.3x at 45 x 46 to 52 x 53, breaks even near
+# 52 x 55, and is 12-60% faster from 55 x 58 on); the split stays where it was,
+# since it decides which queries peel, and with that their results' last bits.
 PEEL_MIN_CELLS = 4096
 
 class Peel:
@@ -333,7 +333,7 @@ class Peel:
             src, owner = src[keep], owner[keep]
             into = np.bincount(j, minlength=count)[cols] > 0
             old = (into & row_kept[rows]).nonzero()[0]
-            # per entry of a_j, by (column, row), from 0: minus its old value, then its updates in turn
+            # per entry of a_j, by (column, row), from 0: minus its old value, then each of its updates
             order, keys, entry, start = _sorted_groups(np.concatenate([cols[old] * dim + rows[old],
                                                                        j[owner] * dim + rows[src]]))
             step = np.arange(1, keys.size + 1) - start[entry]
@@ -428,7 +428,7 @@ class Peel:
     def bounds(self) -> tuple[float, float, float, float]:
         """``stands``' bounds of a peel with rounds: ``xi`` on the norm of the
         pivot columns, ``kappa`` on |D^-1|, ``grow`` on |C|, ``shrink`` on |C^-1|."""
-        rows, cols, at, values, owner, pivot, starts, spans = self._pivots
+        rows, _, at, values, owner, pivot, _, spans = self._pivots
         size, pivot = np.abs(values), np.abs(pivot)
         xi = _norm_bound(np.bincount(owner, size), np.bincount(at, size))
         dim = self.matrix.shape[0]
