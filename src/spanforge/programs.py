@@ -198,7 +198,7 @@ def run_rank_trials(config: RankExperimentConfig, bound_constant: float) -> Rank
         )
         return positive, negative
 
-    # one trial per chunk: trial i draws from stream.generator(i) at any worker count
+    # one trial per chunk: trial i draws from stream.generator(i)
     rows = tuple(row for pair in run_seeded_trials(trial_rows, config.trials, stream) for row in pair)
     pos = [row for row in rows if row.side == "rank_ge_r" and row.promise_met]
     neg = [row for row in rows if row.side == "rank_lt_r"]

@@ -2,8 +2,8 @@
 
 Reproducibility contract: every randomized routine takes an RngStream
 (seed, stream_id) and derives per-chunk generators as
-default_rng([seed, stream_id, chunk_index]), so results are bit-identical
-regardless of how many worker threads SPANFORGE_THREADS allows.  Every
+default_rng([seed, stream_id, chunk_index]), so chunk i always draws from
+generator i and results are bit-identical from run to run.  Every
 experiment draws through one driver, _draws, with its sampler as an
 argument: the experiments use bidiagonal factors (sample_bidiagonal), whose
 singular values have the law of a dense Gaussian matrix's; the dense sampler
@@ -13,9 +13,7 @@ lives in scripts/calibrate.py and, as the tests' reference, in tests/references.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,23 +33,9 @@ class RngStream:
         return np.random.default_rng([self.seed, self.stream_id, *extra])
 
 
-def worker_count() -> int:
-    """Worker cap from SPANFORGE_THREADS; defaults to single-threaded."""
-    raw = os.environ.get("SPANFORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_seeded_trials(fn, num_chunks: int, stream: RngStream) -> list:
-    """Run fn(chunk_index, generator) for every chunk, in parallel when
-    allowed; results always come back in chunk order."""
-    workers = min(worker_count(), num_chunks) if num_chunks else 1
-    if workers <= 1:
-        return [fn(i, stream.generator(i)) for i in range(num_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda i: fn(i, stream.generator(i)), range(num_chunks)))
+    """fn(chunk_index, stream.generator(chunk_index)) for every chunk, in chunk order."""
+    return [fn(i, stream.generator(i)) for i in range(num_chunks)]
 
 
 def chunk_sizes(trials: int, chunk: int) -> list[int]:
@@ -266,10 +250,8 @@ def exp_block_inverse_norm(n: int, trials: int, stream: RngStream) -> MeanEstima
         raise ValueError(f"block check needs n > 3, got {n}")
     _require_draw_fits("--n", n)
     check_trials(trials)
-    block = n - 2
     # the leading block of W(n, n) = A @ A.T is W(n - 2, n), from A's first n - 2 rows
-    values = _draws(sample_bidiagonal, Bidiagonal.inverse_frobenius_sq, block, n, trials, stream, chunk=4096)
-    return _mean_estimate(n, block, trials, float(block), values)
+    return replace(exp_inverse_wishart_trace(n - 2, n, trials, stream), n=n, size=n - 2)
 
 
 @dataclass(frozen=True)

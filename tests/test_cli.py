@@ -709,10 +709,12 @@ def test_store_near_the_float_maximum_exits_0_quietly(capsys, tmp_path):
         assert code == 0 and err == "" and json.loads(out)["decision"] == 0
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # loading scipy.linalg takes about as long as importing the CLI; only the sigma_min kernel needs it
+@pytest.mark.parametrize("module", ["scipy", "concurrent.futures"])
+def test_cli_import_leaves_scipy_unloaded(module):
+    # loading scipy.linalg takes about as long as importing the CLI; only the
+    # sigma_min kernel needs it.  The Monte Carlo driver is serial, so no thread pool is loaded
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, spanforge.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, spanforge.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
