@@ -1,10 +1,10 @@
 """High-level span programs queried on real input matrices.
 
 The program accepts an n x m matrix A when the affine subspace target + F
-meets the column span of A.  The free subspace F is orthonormalized once at
-construction.  Witness conventions here are deliberately not the low-level
-ones: a positive witness counts only the coefficients on A's columns, and a
-negative witness size is the squared norm of the witness vector itself.
+meets the column span of A, F orthonormalized at construction.  One SVD of
+[A - F F^T A, F] decides and gives either witness: A counts only off F.  Unlike
+low-level ones, a positive witness counts only the coefficients on A's columns,
+and a negative witness size is the squared norm of the witness vector itself.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 from .errors import NoNegativeWitness, NoPositiveWitness
 from .linalg import (
     DEFAULT_TOL,
+    SvdResult,
     as_matrix,
     check_norm,
     finite_vector,
@@ -49,18 +50,16 @@ class HighLevelProgram:
     def _check_input(self, a) -> np.ndarray:
         return input_matrix(a, (self.space_dim, self.num_inputs))
 
-    def _free_projector(self) -> np.ndarray:
-        f = self.free_basis
-        return np.eye(self.space_dim) - f @ f.T
-
-    def _decide(self, a, tol: float) -> tuple[np.ndarray, np.ndarray, int]:
-        """Checked input, residual of the target off span(A, F), decision."""
+    def _decide(self, a, tol: float) -> tuple[np.ndarray, SvdResult, np.ndarray, int]:
+        """S = [A - F F^T A, F] for the checked input A, its SVD, the residual of
+        the target off span(S) = span(A, F), and the decision; with F empty, S is A."""
         mat = self._check_input(a)
-        _, resid, decision = in_span(np.hstack([mat, self.free_basis]), self.target, tol)
-        return mat, resid, decision
+        span = np.hstack([mat - self.free_basis @ (self.free_basis.T @ mat), self.free_basis])
+        dec, resid, decision = in_span(span, self.target, tol)
+        return span, dec, resid, decision
 
     def evaluate(self, a, tol: float | None = None) -> int:
-        return self._decide(a, self.tol if tol is None else tol)[2]
+        return self._decide(a, self.tol if tol is None else tol)[3]
 
     def positive_witness(self, a, tol: float | None = None) -> WitnessReport:
         """Min |w|^2 with A w in target + F; only A-column coefficients count."""
@@ -74,18 +73,16 @@ class HighLevelProgram:
         return self._solve(a, tol, side=None)
 
     def _solve(self, a, tol: float | None, side: int | None) -> WitnessReport:
-        """Decide ``a`` once and build the witness of ``side`` (None: the side
-        the decision gives).  The negative witness is the decision's own
-        residual, rescaled."""
+        """Decide ``a`` and build the witness of ``side`` (None: the side decided)
+        from the one SVD: S x = target's least-norm A block, or the residual rescaled."""
         tol = self.tol if tol is None else tol
-        mat, resid, decision = self._decide(a, tol)
+        span, dec, resid, decision = self._decide(a, tol)
         if side == 1 and not decision:
             raise NoPositiveWitness("program rejects this matrix; no positive witness")
         if side == 0 and decision:
             raise NoNegativeWitness("program accepts this matrix; no negative witness")
         if decision:
-            q = self._free_projector()
-            w = min_norm_solve(q @ mat, q @ self.target, tol)
+            w = min_norm_solve(span, self.target, tol, dec)[: self.num_inputs]
             return WitnessReport(decision=1, size=float(w @ w), witness=w)
         unorm2 = float(resid @ resid)
         return WitnessReport(decision=0, size=1.0 / unorm2, witness=resid / unorm2)

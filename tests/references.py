@@ -6,17 +6,19 @@ the canonical sparse descriptions of a dense matrix; the dense Gaussian
 sampler with its c(A) statistic, against which the bidiagonal draws are
 checked; the rank-test instances, the threshold-function reduction and
 the promise columns of the Grover/Deutsch-Jozsa program, on which the
-program families are checked; and the peel's pivot gather, its ``stands``
+program families are checked; the peel's pivot gather, its ``stands``
 bounds and its ``extend`` sweep as they were before its bookkeeping was
-rewritten, against which ``Peel`` is checked bit for bit.
+rewritten, against which ``Peel`` is checked bit for bit; and the
+high-level witness as two SVDs gave it, against which the one SVD of
+``HighLevelProgram._decide`` is checked.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from spanforge.linalg import DEFAULT_TOL, as_matrix
-from spanforge.lowlevel import normalize_bits
+from spanforge.linalg import DEFAULT_TOL, as_matrix, in_span, input_matrix, min_norm_solve
+from spanforge.lowlevel import WitnessReport, normalize_bits
 from spanforge.programs import build_rank_program
 
 
@@ -225,3 +227,20 @@ def reference_extend(peel, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
             values = np.concatenate([values, -sums / pivot[pivots]])
     order = np.lexsort((cols, rows))
     return rows[order], cols[order], values[order]
+
+
+def reference_highlevel_witness(program, a, tol: float | None = None) -> WitnessReport:
+    """``HighLevelProgram.witness`` as two SVDs gave it: the decision from
+    an SVD of [A, F], then, on acceptance, the minimum-norm solution of
+    QA w = Q target from a second SVD, Q = I - F F^T.  Each SVD sets its own
+    rank, so near the tolerance the solve can refuse what the decision
+    accepted; away from it both witnesses agree with the one-SVD path."""
+    tol = program.tol if tol is None else tol
+    mat = input_matrix(a, (program.space_dim, program.num_inputs))
+    _, resid, decision = in_span(np.hstack([mat, program.free_basis]), program.target, tol)
+    if decision:
+        q = np.eye(program.space_dim) - program.free_basis @ program.free_basis.T
+        w = min_norm_solve(q @ mat, q @ program.target, tol)
+        return WitnessReport(decision=1, size=float(w @ w), witness=w)
+    unorm2 = float(resid @ resid)
+    return WitnessReport(decision=0, size=1.0 / unorm2, witness=resid / unorm2)

@@ -144,6 +144,40 @@ def test_witness_highlevel(capsys, hl_files):
     assert json.loads(out)["size"] == pytest.approx(1.0)
 
 
+# A free space F spanning R^2, a target inside F with no input columns, and a
+# column 1e-4 e_1 toward the target e_1 with a large or no part along the free
+# e_0: each accepted, and witnessed, on the one SVD of [A - F F^T A, F].
+FREE_SPACE_QUERIES = {
+    "free-spans": ({"space_dim": 2, "num_inputs": 1, "target": [1.0, 0.0], "free_basis": [[1.0, 2.0], [3.0, -1.0]]},
+                   [[[1.0], [2.0]]]),
+    "target-in-free": ({"space_dim": 2, "num_inputs": 0, "target": [1.0, 1.0], "free_basis": [[1.0, 1.0]]}, [[[], []]]),
+    "part-in-free": ({"space_dim": 2, "num_inputs": 1, "target": [0.0, 1.0], "free_basis": [[1.0, 0.0]]},
+                     [[[1000.0], [0.0001]], [[0.0], [0.0001]]]),
+}
+
+
+@pytest.mark.parametrize("name", list(FREE_SPACE_QUERIES))
+def test_witness_agrees_with_evaluate_where_the_free_space_decides(capsys, tmp_path, name):
+    program, inputs = FREE_SPACE_QUERIES[name]
+    ppath = tmp_path / "program.json"
+    ppath.write_text(json.dumps(program))
+    sizes = []
+    for i, a in enumerate(inputs):
+        apath = tmp_path / f"a{i}.json"
+        apath.write_text(json.dumps(a))
+        code, out, err = _run(capsys, ["evaluate", "--highlevel", str(ppath), "--input", str(apath)])
+        assert (code, err, json.loads(out)["decision"]) == (0, "", 1)
+        code, out, err = _run(capsys, ["witness", "--highlevel", str(ppath), "--input", str(apath)])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["decision"] == 1
+        sizes.append(report["size"])
+    # A counts only through its part off F: both e_1 inputs need |w|^2 = 1e8
+    if name == "part-in-free":
+        assert sizes[0] == pytest.approx(sizes[1], rel=1e-12, abs=0.0)
+        assert sizes[1] == pytest.approx(1e8, rel=1e-12)
+
+
 @pytest.fixture
 def near_span_files(tmp_path):
     """Low- and high-level programs whose target sits 1% off the span of the
@@ -603,13 +637,14 @@ def test_experiment_output_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# SHA-256 of rank-experiment stdout from the serial trial loop that preceded
-# run_seeded_trials; trial i keeps drawing from generator i.
+# SHA-256 of rank-experiment stdout: trial i draws from generator i, as in
+# the serial trial loop that preceded run_seeded_trials, and its witness
+# sizes come from the one SVD of [A - F F^T A, F] (HighLevelProgram._decide).
 PINNED_RANK = [
     ("rank-experiment --n 8 --m 8 --r 4 --trials 60 --seed 701",
-     "2c622945e51ab17ffed304c9f5d862854a413251e3e9426def7c116da4d20cc1"),
+     "c43619a622159eb7302a406a4028ab75935d6817a1cf7dd72a768399e449391e"),
     ("rank-experiment --n 8 --m 8 --r 4 --L 1.5 --trials 40 --seed 702 --format json",
-     "c946f96c20401a102966c72c9b4cc9fc05a2bc84a261aec11165f42c83cbf13f"),
+     "35f328e121831460fa889f4e584b38f15fd0d85ec519daa46570c2b06e564dbf"),
 ]
 
 

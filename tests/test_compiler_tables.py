@@ -285,17 +285,18 @@ def test_lift_positive_carries_a_column_listed_twice_once():
 
 
 # SHA-256 over (bits, coefficients or vector, size) of each lift, as
-# little-endian int64 / float64 bytes and the size in float.hex(), taken from
-# the per-entry implementation of encode, decode and the lifts.  A negative
-# lift's size sums |S^T w|^2 over the store's entry list (store_product):
-# 1-2 ulp from the dense product's, which set the earlier negative digests.
+# little-endian int64 / float64 bytes and the size in float.hex().  The
+# table-driven encode, decode and lifts give the bytes of the per-entry
+# implementation they replaced; a negative lift's size sums |S^T w|^2 over
+# the store's entry list (store_product).  The high-level witnesses lifted
+# come from the one SVD of [A - F F^T A, F] (HighLevelProgram._decide).
 PINNED_LIFTS = [
-    ("dense", 6, "26e9b33605cab8f3f9a9d5b2f7e30bc35790623cdf712350179ca2181fcfbe4c",
-     "14df4795ce281f0ff6cb9a1d09761dc1aad83980b335c9f6926a4b0576e88d55"),
-    ("dense", 8, "df1c6c05f03c68df0f8bc92bd81b2ef1c3fda5207753b8eb5619146c9546d3a1",
-     "b62c80f484bd9f3ddaab72701eb166d78b34f7354aa6c239cfb679396ab75862"),
-    ("sparse", 8, "aa07fea5ef6d29a443fe3089d9623f30cacc79f845271d9fb2735de72ffca8f5",
-     "b020f4112cb15e19ef04dc018517b530fefe7fda58d9f94c4b8db1f2660dbaf1"),
+    ("dense", 6, "a8e10dde9ddc07f7e96027a04d25600a987cd6fed631ddc4f97499fd49e71687",
+     "445592ebd758bb4e44cb1b40aa1afcc5cc947d409399297dde4d9ff7b333e9ee"),
+    ("dense", 8, "722dc10db93d413555b1c1f785624c95a5f723745c7f957cd64a9f758caf890f",
+     "bfc8689dfbee0619f3644f20b8121fa4053031bc74604f025bf4d6f76e3e5111"),
+    ("sparse", 8, "d16ac1f52ccad4c1a3e0fd5731acdc46bd9febd1502bc8d133604e7d55143aec",
+     "fbfb8526fee8ef40b45c61341bf11dcd0aeefa48353b3f76bc387898002669d0"),
 ]
 
 
