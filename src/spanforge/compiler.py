@@ -10,6 +10,11 @@ plus, in the sparse modes, binary row/column indices.  Three modes:
                      then per-row routing trees (driven by row adjacency
                      lists) move mass into the target space.
 
+``encode``, ``quantize`` and the lifts take an n x m input matrix.  In the
+sparse modes a column's payload holds its nonzero rows and a row's list its
+nonzero columns, each padded with the first unused indices; any other
+description of an input is a bit string, which ``decode`` reads.
+
 The vector-loading gadget for one payload slot uses working coordinates
 f_a and labeled vectors b * 2^(-a/2) e - f_a per digit, plus one free vector
 sum_a 2^(-a/2) f_a - sum e tying the digits together; the only combinations
@@ -30,7 +35,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -74,79 +78,6 @@ def _listed(lists: np.ndarray, m: int) -> np.ndarray:
     out = np.zeros((len(lists), m + 1), dtype=bool)
     out[np.arange(len(lists))[:, None], np.minimum(lists, m)] = True
     return out[:, :m]
-
-
-def _items(x, what: str) -> list:
-    try:
-        return list(x)
-    except TypeError:
-        raise SparseFormatError(f"{what} must be a list, got {x!r}") from None
-
-
-def _index(x, what: str) -> int:
-    """A payload row or a listed column: a Python or numpy integer, not a bool."""
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return int(x)
-    raise SparseFormatError(f"{what} must be an integer, got {x!r}")
-
-
-def _slot(slot, j: int) -> tuple[int, float]:
-    """A (row, value) slot of the payload of column ``j`` (1-based): the value
-    a Python or numpy number, not a bool, that is finite as a float."""
-    try:
-        r, v = slot
-    except (TypeError, ValueError):
-        raise SparseFormatError(f"column {j} payload slot {slot!r} is not a (row, value) pair") from None
-    r = _index(r, f"column {j} payload row")
-    at = f"column {j} payload value at row {r}"
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)):
-        raise SparseFormatError(f"{at} must be a number, got {v!r}")
-    if isinstance(v, (int, np.integer)) and abs(v) > sys.float_info.max:
-        raise SparseFormatError(f"{at} is too large for a float")
-    if not math.isfinite(v):
-        raise SparseFormatError(f"{at} is not finite: {v}")
-    return r, float(v)
-
-
-def validate_sparse_columns(entries, n: int, m: int, k_nnz: int) -> tuple[np.ndarray, np.ndarray]:
-    """(slot rows, values), each (m, k_nnz), of explicit column payloads:
-    every column padded with zero entries on its first unused rows, in row
-    order."""
-    entries = _items(entries, "the column payloads")
-    if len(entries) != m:
-        raise SparseFormatError(f"expected {m} column payloads, got {len(entries)}")
-    canon = []
-    for j, slots in enumerate(entries, 1):
-        slots = [_slot(slot, j) for slot in _items(slots, f"column {j} payload")]
-        if len(slots) > k_nnz:
-            raise SparseFormatError(f"column {j} has {len(slots)} entries, the payload holds {k_nnz}")
-        rows = [r for r, _ in slots]
-        if len(set(rows)) != len(rows):
-            raise SparseFormatError(f"column {j} repeats a row index in its payload")
-        for r in rows:
-            if not 0 <= r < n:
-                raise SparseFormatError(f"column {j} addresses row {r}, outside [0, {n})")
-        canon += sorted(slots + [(i, 0.0) for i in range(n) if i not in rows][: k_nnz - len(slots)])
-    canon = np.array(canon, dtype=float).reshape(m, k_nnz, 2)
-    return canon[..., 0].astype(np.intp), canon[..., 1]
-
-
-def validate_row_lists(lists, n: int, m: int, l_nnz: int) -> np.ndarray:
-    """(n, l_nnz) column lists of the rows, each padded with its first
-    unlisted columns and sorted."""
-    lists = _items(lists, "the row lists")
-    if len(lists) != n:
-        raise SparseFormatError(f"expected {n} row lists, got {len(lists)}")
-    canon = []
-    for i, cols in enumerate(lists, 1):
-        cols = [_index(c, f"row {i} list entry") for c in _items(cols, f"row {i} list")]
-        if len(cols) > l_nnz:
-            raise SparseFormatError(f"row {i} lists {len(cols)} columns, the row list holds {l_nnz}")
-        for c in cols:
-            if not 0 <= c < m:
-                raise SparseFormatError(f"row {i} lists column {c}, outside [0, {m})")
-        canon.append(sorted(cols + [j for j in range(m) if j not in cols][: l_nnz - len(cols)]))
-    return np.array(canon, dtype=np.intp).reshape(n, l_nnz)
 
 
 # ---------------------------------------------------------------------------
@@ -321,37 +252,17 @@ class CompiledProgram:
     # -- encoding ------------------------------------------------------
 
     def _canonical(self, source):
-        """An input as (slot values and slot rows by column, column lists by
-        row), None where the mode lacks one; dense mode's slots are the rows.
-        Sparse descriptions are validated and padded."""
+        """An n x m input matrix as (slot values and slot rows by column,
+        column lists by row), None where the mode lacks one; dense mode's
+        slots are the rows.  A payload holds its column's nonzero rows and a
+        row list its row's nonzero columns, each padded with the first unused
+        indices."""
         lay = self.layout
+        a = input_matrix(source, (lay.n, lay.m))
         if lay.mode == "dense":
-            return input_matrix(source, (lay.n, lay.m)).T, None, None
-        if _looks_dense(source):
-            a = input_matrix(source, (lay.n, lay.m))
-            rows = _payload_rows(a, lay.k_nnz)
-            return a[rows, np.arange(lay.m)[:, None]], rows, _row_lists(a, lay.l_nnz) if lay.l_nnz else None
-        if isinstance(source, dict):
-            if "columns" not in source:
-                raise SparseFormatError("sparse input dict is missing field 'columns'")
-            payload = source["columns"]
-        elif lay.mode == "sparse":
-            raise SparseFormatError("sparse mode needs a 'rows' adjacency list alongside 'columns'")
-        else:
-            payload = source
-        rows, values = validate_sparse_columns(payload, lay.n, lay.m, lay.k_nnz)
-        if lay.mode == "sparse_cols":
-            return values, rows, None
-        if "rows" not in source:
-            raise SparseFormatError("sparse mode needs a 'rows' adjacency list")
-        lists = validate_row_lists(source["rows"], lay.n, lay.m, lay.l_nnz)
-        # every nonzero payload entry must be reachable through its row list
-        unlisted = (values != 0.0) & ~_listed(lists, lay.m)[rows, np.arange(lay.m)[:, None]]
-        if unlisted.any():
-            j, slot = np.argwhere(unlisted)[0]
-            r = rows[j, slot]
-            raise SparseFormatError(f"column {j + 1} has a nonzero in row {r + 1} but row {r + 1}'s list omits it")
-        return values, rows, lists
+            return a.T, None, None
+        rows = _payload_rows(a, lay.k_nnz)
+        return a[rows, np.arange(lay.m)[:, None]], rows, _row_lists(a, lay.l_nnz) if lay.l_nnz else None
 
     def _query(self, source):
         """(grid levels, slot rows, row lists) of an input."""
@@ -429,7 +340,9 @@ class CompiledProgram:
         t, fbasis = self.source_target(), self.free_basis
         resid = t - aq @ w
         phi = fbasis.T @ resid
-        if np.linalg.norm(resid - fbasis @ phi) > 1e-6 * (1.0 + np.linalg.norm(t)):
+        # the source accepts a residual off t + F of up to tol |t|; the floor
+        # 1e-6 leaves room for rounding at small tol
+        if np.linalg.norm(resid - fbasis @ phi) > max(1e-6, self.program.tol) * (1.0 + np.linalg.norm(t)):
             raise ValueError("w is not a valid positive witness for the quantized input")
         # coefficients of every column of the store, written gadget by gadget;
         # the available ones are kept
@@ -441,13 +354,8 @@ class CompiledProgram:
         full[nf + tab.loader_labeled] = w[:, None] * tab.digit_scale
         if rows is not None:  # each payload slot carries its decoded entry times gamma_j
             tab.cols.carry(full, nf, rows, w[:, None] * (levels * 2.0**-lay.precision - 1.0))
-        if lists is not None:
-            # mass arriving at each row-route root from its selected column; a
-            # column listed twice in one (sorted) row carries it on its first route only
-            first = np.ones(lists.shape, dtype=bool)
-            first[:, 1:] = lists[:, 1:] != lists[:, :-1]
-            mass = -(w[lists] * aq[np.arange(lay.n)[:, None], lists])
-            tab.rows.carry(full, nf, lists, np.where(first, mass, -0.0))
+        if lists is not None:  # mass arriving at each row-route root from its selected column
+            tab.rows.carry(full, nf, lists, -(w[lists] * aq[np.arange(lay.n)[:, None], lists]))
         coeffs = full[mask]
         return LiftedWitness(bits=bits, coefficients=coeffs, vector=None, size=float(coeffs @ coeffs))
 
@@ -506,18 +414,6 @@ class CompiledProgram:
     @classmethod
     def from_json(cls, text: str) -> "CompiledProgram":
         return cls.from_json_dict(json.loads(text))
-
-
-def _looks_dense(source) -> bool:
-    """Array-likes whose innermost elements are scalars are dense matrices;
-    lists of (row, value) pairs are explicit sparse payloads."""
-    if isinstance(source, np.ndarray):
-        return True
-    if isinstance(source, (list, tuple)) and source:
-        head = source[0]
-        if isinstance(head, (list, tuple, np.ndarray)) and len(head):
-            return np.isscalar(head[0]) or isinstance(head[0], (int, float, np.generic))
-    return False
 
 
 def _encoder_params(enc: dict, n: int, m: int, num_hl: int) -> tuple[int, int | None, int | None]:

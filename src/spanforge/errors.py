@@ -26,4 +26,5 @@ class NoNegativeWitness(SpanforgeError):
 
 
 class SparseFormatError(SpanforgeError, ValueError):
-    """Malformed or mutually inconsistent sparse matrix description."""
+    """An input matrix has more nonzeros in a column or row than a sparse
+    compiled program's payload or row list holds."""

@@ -1,6 +1,5 @@
 import itertools
 import json
-import re
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from spanforge.highlevel import HighLevelProgram
 from spanforge.linalg import min_norm_solve
 from spanforge.lowlevel import Columns, LowLevelProgram
 from references import grid_values, row_lists_from_dense, sparse_columns_from_dense
+from test_compiler_tables import reference_encode
 
 RNG = np.random.default_rng(909)
 
@@ -178,13 +178,6 @@ def test_decode_checks_its_bits():
         comp.decode("101")
 
 
-def test_sparse_duplicate_payload_rows_rejected():
-    prog = _hl(3, 1, target=[1.0, 0.0, 0.0])
-    comp = compile_sparse(prog, k_nnz=2, precision=0, l_nnz=None)
-    with pytest.raises(SparseFormatError, match="repeats a row"):
-        comp.encode([[(0, -1.0), (0, -1.0)]])
-
-
 def test_sparse_format_errors():
     a = np.array([[0.5, 0.0], [0.5, 0.0], [0.5, 0.0]])
     with pytest.raises(SparseFormatError, match="column 1"):
@@ -194,12 +187,14 @@ def test_sparse_format_errors():
         compile_sparse(_hl(2, 2, target=[1.0, 0.0]), k_nnz=1, l_nnz=1, precision=1).encode(b)
 
 
-def test_sparse_consistency_validation():
+def test_encode_takes_only_a_matrix():
+    # (row, value) payloads and row lists describe a sparse input only as bits
     prog = _hl(2, 2, target=[1.0, 0.0])
-    comp = compile_sparse(prog, k_nnz=1, l_nnz=1, precision=0)
-    # nonzero at (row 0, col 1) but row 0 lists only column 0
-    with pytest.raises(SparseFormatError, match="row 1"):
-        comp.encode({"columns": [[(1, 0.0)], [(0, -1.0)]], "rows": [[0], [1]]})
+    for comp in (compile_sparse(prog, k_nnz=1, precision=1), compile_sparse(prog, k_nnz=1, l_nnz=1, precision=1)):
+        with pytest.raises(ValueError, match=r"^input matrix must be 2-D, got shape \(2, 1, 2\)$"):
+            comp.encode([[(0, 0.5)], [(1, 0.5)]])
+        with pytest.raises(ValueError, match="^input matrix must be an array of rows$"):
+            comp.quantize({"columns": [[(0, 0.5)], [(1, 0.5)]], "rows": [[0], [1]]})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=["nan", "inf", "-inf"])
@@ -209,39 +204,6 @@ def test_encode_rejects_nonfinite_entries(bad):
     for comp in (compile_dense(prog, precision=1), compile_sparse(prog, k_nnz=1, l_nnz=1, precision=1)):
         with pytest.raises(ValueError, match=r"entry \[1\]\[1\] is not finite"):
             comp.encode(a)
-    comp = compile_sparse(prog, k_nnz=1, precision=1)
-    with pytest.raises(SparseFormatError, match="column 2 payload value at row 1 is not finite"):
-        comp.encode([[(0, 0.5)], [(1, bad)]])
-
-
-@pytest.mark.parametrize("columns,rows,message", [
-    ([[(1.7, 0.5)], []], None, "column 1 payload row must be an integer, got 1.7"),
-    ([[(True, 0.5)], []], None, "column 1 payload row must be an integer, got True"),
-    ([[], [(0, 10**400)]], None, "column 2 payload value at row 0 is too large for a float"),
-    ([[(0, "x")], []], None, "column 1 payload value at row 0 must be a number, got 'x'"),
-    ([[(0, 0.5)], [(1,)]], None, "column 2 payload slot (1,) is not a (row, value) pair"),
-    ([[(0, 0.5)], []], [[0.9], [], []], "row 1 list entry must be an integer, got 0.9"),
-    ([[(0, 0.5)], []], [[0], [True], []], "row 2 list entry must be an integer, got True"),
-], ids=["float-row", "bool-row", "huge-value", "string-value", "short-slot", "float-column", "bool-column"])
-def test_explicit_payloads_take_integer_indices_and_finite_values(columns, rows, message):
-    # a float or bool index was truncated to a row or column, and the other
-    # cases raised Python's unnamed errors
-    comp = compile_sparse(_hl(3, 2, target=[1.0, 0.0, 0.0]), k_nnz=2, precision=1, l_nnz=None if rows is None else 1)
-    with pytest.raises(SparseFormatError, match=f"^{re.escape(message)}$"):
-        comp.encode(columns if rows is None else {"columns": columns, "rows": rows})
-
-
-def test_explicit_payloads_take_numpy_scalars():
-    comp = compile_sparse(_hl(3, 2, target=[1.0, 0.0, 0.0]), k_nnz=2, precision=1, l_nnz=1)
-    source = {"columns": [[(np.int64(1), np.float32(0.5))], []], "rows": [[0], [np.int32(0)], [1]]}
-    assert comp.encode(source) == comp.encode({"columns": [[(1, 0.5)], []], "rows": [[0], [0], [1]]})
-
-
-def test_sparse_needs_row_lists():
-    prog = _hl(2, 2, target=[1.0, 0.0])
-    comp = compile_sparse(prog, k_nnz=1, l_nnz=1, precision=0)
-    with pytest.raises(SparseFormatError, match="rows"):
-        comp.encode([[(0, -1.0)], [(1, -1.0)]])
 
 
 def test_canonical_padding_is_deterministic():
@@ -253,7 +215,7 @@ def test_canonical_padding_is_deterministic():
     assert rows == ((0, 1), (0, 1), (0, 1))
     # a dense matrix encodes as its padded description does
     comp = compile_sparse(_hl(3, 2, target=[1.0, 0.0, 0.0]), k_nnz=2, l_nnz=2, precision=1)
-    assert comp.encode(a) == comp.encode({"columns": cols, "rows": rows})
+    assert comp.encode(a) == reference_encode(comp, columns=cols, rows=rows)
 
 
 # ---------------------------------------------------------------------------

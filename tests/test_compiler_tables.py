@@ -208,12 +208,14 @@ def test_encode_matches_the_reference(case):
     assert comp.quantize(a).tobytes() == reference_decode(comp, bits).tobytes()
     if columns is None:
         return
-    expected = reference_encode(comp, columns=columns, rows=rows)
-    if rows is None:
-        assert comp.encode(columns) == expected
-        assert comp.encode({"columns": columns}) == expected
-    else:
-        assert comp.encode({"columns": columns, "rows": rows}) == expected
+    # canonical row lists never repeat a column, so a row route carries each
+    # listed column's mass once
+    for route_bits in comp.tables.rows.bits if rows is not None else ():
+        listed = [bits_index([bits[v] for v in slot]) for slot in route_bits]
+        assert listed == sorted(set(listed))
+    # a padded description that is not canonical is still an input, as bits
+    other = reference_encode(comp, columns=columns, rows=rows)
+    assert comp.decode(other).tobytes() == reference_decode(comp, other).tobytes() == comp.quantize(a).tobytes()
 
 
 def test_over_budget_inputs_name_the_first_column_then_row():
@@ -227,8 +229,6 @@ def test_over_budget_inputs_name_the_first_column_then_row():
     for source, message in [
         (a, column),
         (b, row),
-        ({"columns": [[], [(0, 0.5), (1, 0.5), (2, 0.5)], []], "rows": [[], [], []]}, column),
-        ({"columns": [[(0, 0.5)], [(0, 0.5)], [(0, 0.5)]], "rows": [[0, 1, 2], [], []]}, row),
     ]:
         with pytest.raises(SparseFormatError) as err:
             comp.encode(source)
@@ -242,10 +242,10 @@ def test_over_budget_inputs_name_the_first_column_then_row():
 def test_a_program_without_input_columns_encodes_decodes_and_lifts(mode):
     prog = HighLevelProgram(space_dim=2, num_inputs=0, target=[1.0, 0.0], free_basis=[[1.0], [0.0]])
     comp = _compile(mode, prog, 1, 1)
-    a = np.zeros((2, 0))
-    assert comp.encode(a) == ()
-    assert comp.decode(()).shape == comp.quantize(a).shape == (2, 0)
-    assert comp.lift_positive(a).size == 1.0
+    for a in (np.zeros((2, 0)), [[], []]):
+        assert comp.encode(a) == ()
+        assert comp.decode(()).shape == comp.quantize(a).shape == (2, 0)
+        assert comp.lift_positive(a).size == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +271,6 @@ def _rank_inputs(mode, n, r, rng):
         low[:, r - 1 :] = 0.0
         out += [a, low]
     return out
-
-
-def test_lift_positive_carries_a_column_listed_twice_once():
-    # row 1's list names column 1 twice: its mass arrives on the first route
-    # only, or the lifted coefficients would load the entry twice
-    prog = HighLevelProgram(space_dim=2, num_inputs=2, target=[1.0, 0.0], free_basis=np.zeros((2, 0)))
-    comp = compile_sparse(prog, k_nnz=1, l_nnz=2, precision=0)
-    source = {"columns": [[(0, -1.0)], [(1, -1.0)]], "rows": [[0, 0], [1, 1]]}
-    lifted = comp.lift_positive(source)
-    avail = comp.program.available_vectors(lifted.bits).toarray()
-    assert np.allclose(avail @ lifted.coefficients, comp.program.target, atol=1e-12)
 
 
 # SHA-256 over (bits, coefficients or vector, size) of each lift, as
@@ -317,3 +306,20 @@ def test_lifts_are_pinned_on_the_rank_programs():
             h.update(float(lifted.size).hex().encode())
         assert sides == [1, 0, 1, 0]
         assert (digests[1].hexdigest(), digests[0].hexdigest()) == (pos_digest, neg_digest)
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-2])
+@pytest.mark.parametrize("mode", MODES)
+def test_lift_positive_takes_a_witness_the_source_accepts_at_its_tol(mode, tol):
+    # the target lies off span(A) + F by 0.45 tol, within tol |t|, so the
+    # source accepts A and its witness leaves that residual
+    t = [0.5, 0.75, 0.45 * tol]
+    prog = HighLevelProgram(space_dim=3, num_inputs=1, target=t, free_basis=[[0.0], [1.0], [0.0]], tol=tol)
+    comp = _compile(mode, prog, 3, 1, 1)
+    a = np.array([[0.5], [0.0], [0.0]])
+    assert prog.evaluate(comp.quantize(a)) == 1
+    lifted = comp.lift_positive(a)
+    avail = comp.program.available_vectors(lifted.bits).toarray()
+    residual = np.linalg.norm(avail @ lifted.coefficients - comp.program.target)
+    assert residual == pytest.approx(0.45 * tol, rel=1e-9)
+    assert comp.program.evaluate(lifted.bits) == 1

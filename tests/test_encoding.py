@@ -8,7 +8,6 @@ import pytest
 
 from spanforge.compiler import compile_dense, compile_sparse
 from spanforge.encoding import MAX_PRECISION, grid_levels, index_bit_width
-from spanforge.errors import SparseFormatError
 from spanforge.highlevel import HighLevelProgram
 from references import digits_value, grid_values, index_bits, level_digits
 
@@ -32,6 +31,13 @@ def _row_index(n: int):
     return comp, comp.tables.cols.bits[0, 0]
 
 
+def _entry_at(n: int, c: int) -> np.ndarray:
+    """The n x 1 matrix with -1 in row c, its one entry."""
+    a = np.zeros((n, 1))
+    a[c, 0] = -1.0
+    return a
+
+
 def _decoded_rows(comp, bits) -> list[int]:
     return np.flatnonzero(comp.decode(bits)[:, 0]).tolist()
 
@@ -45,10 +51,10 @@ def test_index_bit_width_values():
 def test_encode_int_little_endian():
     comp, index = _row_index(8)
     for c, expected in [(5, [1, 0, 1]), (6, [0, 1, 1])]:
-        bits = comp.encode([[(c, -1.0)]])
+        bits = comp.encode(_entry_at(8, c))
         assert [bits[v] for v in index] == expected
     comp, index = _row_index(1)
-    assert index.size == 0 and _decoded_rows(comp, comp.encode([[(0, -1.0)]])) == [0]
+    assert index.size == 0 and _decoded_rows(comp, comp.encode(_entry_at(1, 0))) == [0]
 
 
 def test_encode_decode_int_roundtrip():
@@ -56,7 +62,7 @@ def test_encode_decode_int_roundtrip():
         comp, index = _row_index(n)
         assert index.size == index_bit_width(n)
         for c in range(n):
-            bits = comp.encode([[(c, -1.0)]])
+            bits = comp.encode(_entry_at(n, c))
             assert [bits[v] for v in index] == index_bits(c, index.size)
             assert _decoded_rows(comp, bits) == [c]
             # bit i weighs 2^i: flipped, it moves the entry to row c ^ 2^i
@@ -67,20 +73,11 @@ def test_encode_decode_int_roundtrip():
                 assert _decoded_rows(comp, flipped) == ([moved] if moved < n else [])
 
 
-def test_encode_int_range_errors():
-    comp, _ = _row_index(3)
-    with pytest.raises(SparseFormatError, match=r"addresses row 3, outside \[0, 3\)"):
-        comp.encode([[(3, -1.0)]])
-    comp, _ = _row_index(4)
-    with pytest.raises(SparseFormatError, match=r"addresses row -1, outside \[0, 4\)"):
-        comp.encode([[(-1, -1.0)]])
-
-
 def test_integer_code_value_beyond_range():
     # three bits can select up to 7 even if only 5 rows exist; a nonzero
     # routed past them reaches no row
     comp, index = _row_index(5)
-    bits = list(comp.encode([[(0, -1.0)]]))
+    bits = list(comp.encode(_entry_at(5, 0)))
     for v in index:
         bits[v] = 1
     assert index.size == 3 and _decoded_rows(comp, bits) == []

@@ -39,17 +39,14 @@ def test_rng_stream_deterministic_and_stream_separated():
     assert not np.array_equal(a, d)
 
 
-def test_run_seeded_trials_order_and_thread_invariance(monkeypatch):
+def test_run_seeded_trials_keeps_order_and_reruns_the_same():
     def fn(idx, rng):
         return (idx, float(rng.standard_normal()))
 
     stream = RngStream(seed=99)
-    monkeypatch.setenv("SPANFORGE_THREADS", "1")
-    serial = run_seeded_trials(fn, 8, stream)
-    monkeypatch.setenv("SPANFORGE_THREADS", "4")
-    parallel = run_seeded_trials(fn, 8, stream)
-    assert serial == parallel
-    assert [idx for idx, _ in serial] == list(range(8))
+    first = run_seeded_trials(fn, 8, stream)
+    assert run_seeded_trials(fn, 8, stream) == first
+    assert [idx for idx, _ in first] == list(range(8))
 
 
 def test_chunk_sizes_partition():
@@ -314,12 +311,9 @@ EXPERIMENTS = {
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
-def test_experiments_deterministic_across_thread_counts(monkeypatch, name):
-    # every size above spans several chunks (the m = 300 trace through the
-    # chunk cap), and SPANFORGE_THREADS, which nothing reads, changes none of them
-    monkeypatch.setenv("SPANFORGE_THREADS", "1")
+def test_experiments_rerun_gives_the_same_result(name):
+    # every size above spans several chunks (the m = 300 trace through the chunk cap)
     a = EXPERIMENTS[name](RngStream(seed=51))
-    monkeypatch.setenv("SPANFORGE_THREADS", "4")
     assert EXPERIMENTS[name](RngStream(seed=51)) == a
 
 
