@@ -44,7 +44,7 @@ from .encoding import check_precision, grid_levels, index_bit_width
 from .errors import SparseFormatError
 from .highlevel import HighLevelProgram, read_source, source_json, wsize_over_inputs
 from .linalg import input_matrix, int_field
-from .lowlevel import Columns, DomainWitnessSizes, LowLevelProgram, bit_array, wsize_over_domain
+from .lowlevel import Columns, DomainWitnessSizes, LowLevelProgram, WitnessReport, bit_array, wsize_over_domain
 
 MODES = ("dense", "sparse_cols", "sparse")
 
@@ -94,14 +94,6 @@ class CompiledLayout:
     l_nnz: int | None
     num_vars: int
     num_hl: int  # source free-basis vectors, the program's first free vectors
-
-
-@dataclass(frozen=True)
-class LiftedWitness:
-    bits: tuple[int, ...]
-    coefficients: np.ndarray | None  # positive side: per available column
-    vector: np.ndarray | None  # negative side: point in the compiled space
-    size: float
 
 
 COORD, VAR, FREE, LABELED = range(4)  # the kinds of index a build claims
@@ -328,8 +320,8 @@ class CompiledProgram:
             w = (self._source.positive_witness if side else self._source.negative_witness)(aq).witness
         return self._bits(*query), query, aq, np.asarray(w, dtype=float)
 
-    def lift_positive(self, source, w: np.ndarray | None = None) -> LiftedWitness:
-        """Turn a high-level positive witness into compiled coefficients.
+    def lift_positive(self, source, w: np.ndarray | None = None) -> WitnessReport:
+        """Lift a high-level positive witness: a decision-1 report of coefficients on the available columns.
 
         Digit vectors of loader j carry gamma_j * 2^(-a/2), its free vector
         gamma_j, each routing edge on a selected path the routed mass, and
@@ -346,7 +338,6 @@ class CompiledProgram:
             raise ValueError("w is not a valid positive witness for the quantized input")
         # coefficients of every column of the store, written gadget by gadget;
         # the available ones are kept
-        bits = tuple(bits.tolist())
         mask, nf = self.program.available_mask(bits), self.program.num_free
         full = np.zeros(mask.size)
         full[: lay.num_hl] = phi
@@ -357,10 +348,10 @@ class CompiledProgram:
         if lists is not None:  # mass arriving at each row-route root from its selected column
             tab.rows.carry(full, nf, lists, -(w[lists] * aq[np.arange(lay.n)[:, None], lists]))
         coeffs = full[mask]
-        return LiftedWitness(bits=bits, coefficients=coeffs, vector=None, size=float(coeffs @ coeffs))
+        return WitnessReport(decision=1, size=float(coeffs @ coeffs), witness=coeffs)
 
-    def lift_negative(self, source, wprime: np.ndarray | None = None) -> LiftedWitness:
-        """Extend a high-level negative witness across the compiled space.
+    def lift_negative(self, source, wprime: np.ndarray | None = None) -> WitnessReport:
+        """Lift a high-level negative witness: a decision-0 report of a vector on the compiled space.
 
         Scratch coordinates adopt the value of the leaf their routing chain
         reaches; row-scratch coordinates of unlisted columns, and interiors
@@ -378,8 +369,7 @@ class CompiledProgram:
                 routes.spread(wt, sel)
         wt[tab.working] = bits[tab.digits] * tab.half * wt[tab.pivots][..., None]
         product = self.program.store_product(wt[:, None])[:, 0]
-        size = float(product @ product)
-        return LiftedWitness(bits=tuple(bits.tolist()), coefficients=None, vector=wt, size=size)
+        return WitnessReport(decision=0, size=float(product @ product), witness=wt)
 
     # -- serialization --------------------------------------------------
 

@@ -21,7 +21,6 @@ from .errors import NoNegativeWitness, NoPositiveWitness, ZeroConstraint
 from .linalg import (
     DEFAULT_TOL,
     SvdResult,
-    as_vector,
     check_norm,
     check_numbers,
     finite_vector,
@@ -178,18 +177,6 @@ def bit_array(x, num_vars: int) -> np.ndarray:
 def normalize_bits(x, num_vars: int) -> tuple[int, ...]:
     """``bit_array`` as a tuple of ints."""
     return tuple(bit_array(x, num_vars).tolist())
-
-
-@dataclass(frozen=True)
-class LabeledVector:
-    """Input vector available when variable ``var`` (1-based) equals ``val``."""
-
-    vec: np.ndarray
-    var: int
-    val: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "vec", _frozen(as_vector(self.vec)))
 
 
 @dataclass(frozen=True)
@@ -552,13 +539,13 @@ class LowLevelProgram:
     ``dim x N`` ``Columns``, the store (free vectors, then labeled ones), with
     the labeled vectors' variables and values in two integer arrays.
     ``free`` and ``labeled`` accept any 1-D sequences, stacked and converted
-    into the store in one step; ``labeled`` entries may be
-    ``LabeledVector``s or ``(vec, var, val)`` tuples.  Read back, ``free[i]``
-    and ``labeled[i].vec`` are read-only dense columns, made on first read.
+    into the store in one step; ``labeled`` entries are ``(vec, var, val)``
+    tuples, and read back as such.  ``free[i]`` and ``labeled[i][0]`` are
+    read-only views into dense copies of the store, made on first read.
     """
 
     def __init__(self, dim: int, num_vars: int, target, free=(), labeled=(), tol: float = DEFAULT_TOL):
-        labels = [(lv.vec, lv.var, lv.val) if isinstance(lv, LabeledVector) else tuple(lv) for lv in labeled]
+        labels = [tuple(lv) for lv in labeled]
         self._adopt(dim, num_vars, target, [*free, *(vec for vec, _, _ in labels)], len(free),
                     [var for _, var, _ in labels], [val for _, _, val in labels], tol)
 
@@ -614,9 +601,8 @@ class LowLevelProgram:
         return tuple(self.store.toarray(0, self.num_free).T)
 
     @cached_property
-    def labeled(self) -> tuple[LabeledVector, ...]:
-        return tuple(LabeledVector(vec, var, val) for vec, var, val in
-                     zip(self.store.toarray(self.num_free).T, self.var.tolist(), self.val.tolist()))
+    def labeled(self) -> tuple[tuple[np.ndarray, int, int], ...]:
+        return tuple(zip(self.store.toarray(self.num_free).T, self.var.tolist(), self.val.tolist()))
 
     @cached_property
     @np.errstate(all="ignore")  # a store near the float maximum can overflow ``hi``, as in ``_project``
@@ -626,7 +612,7 @@ class LowLevelProgram:
         s_cols, s_rows, s_values = self.store.entries
         size_s, count = np.abs(s_values), np.bincount(s_rows, minlength=self.dim)
         hi = _norm_bound(np.bincount(s_cols, size_s, self.store.shape[1]), np.bincount(s_rows, size_s, self.dim))
-        return count, size_s, hi, np.diff(self.store.indptr).max()
+        return count, size_s, hi, np.diff(self.store.indptr).max(initial=0)
 
     # -- queries ---------------------------------------------------------
 
@@ -729,7 +715,8 @@ class LowLevelProgram:
             raise NoNegativeWitness(f"program accepts input {x!r}; no negative witness")
         if decision:
             w = peel.lift(min_norm_solve(peel.block, peel.target, tol, dec), dec.vt[dec.rank :].T)
-            return WitnessReport(decision=1, size=float(w @ w), witness=w)
+            # sized on the view (a copy sums to other last bits), kept as a copy, which frees the lift's work array
+            return WitnessReport(decision=1, size=float(w @ w), witness=np.ascontiguousarray(w))
         return self._negative(peel, dec, tol)
 
     def _negative(self, peel: Peel, dec: SvdResult, tol: float) -> WitnessReport:

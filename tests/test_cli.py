@@ -12,7 +12,7 @@ import pytest
 from spanforge.cli import main
 from spanforge.compiler import CompiledProgram, compile_sparse
 from spanforge.highlevel import HighLevelProgram
-from spanforge.lowlevel import LabeledVector, LowLevelProgram
+from spanforge.lowlevel import LowLevelProgram
 from spanforge.programs import build_rank_program
 from test_lowlevel import _near_float_max_program
 
@@ -26,8 +26,8 @@ def onehot_program(tmp_path):
         target=np.array([1.0, 0.0]),
         free=np.zeros((0, 2)),
         labeled=(
-            LabeledVector(vec=np.array([1.0, 0.0]), var=1, val=1),
-            LabeledVector(vec=np.array([0.0, 1.0]), var=1, val=0),
+            (np.array([1.0, 0.0]), 1, 1),
+            (np.array([0.0, 1.0]), 1, 0),
         ),
     )
     path = tmp_path / "onehot.json"
@@ -122,6 +122,19 @@ def test_witness_auto_both_sides(capsys, onehot_program):
     payload = json.loads(out)
     assert payload["decision"] == 0
     assert payload["size"] == pytest.approx(1.0)
+
+
+def test_program_without_vectors_has_a_negative_witness(capsys, tmp_path):
+    # nothing is ever available, so t / |t|^2 is the witness, of size 0
+    prog = LowLevelProgram(dim=2, num_vars=1, target=[3.0, 4.0])
+    for rep in (prog.witness("0"), prog.negative_witness("0")):
+        assert (rep.decision, rep.size, rep.witness.tolist()) == (0, 0.0, [0.12, 0.16])
+    ppath = tmp_path / "no-vectors.json"
+    ppath.write_text(prog.to_json())
+    code, out, err = _run(capsys, ["witness", "--program", str(ppath), "--input", "0"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert (payload["decision"], payload["size"], payload["witness"]) == (0, 0.0, [0.12, 0.16])
 
 
 def test_witness_missing_side_is_infeasible(capsys, onehot_program):

@@ -39,7 +39,7 @@ def _same_program(a, b):
     assert np.array_equal(a.target, b.target)
     assert np.array_equal(a.store.toarray(), b.store.toarray())
     assert len(a.free) == len(b.free)
-    assert [(lv.var, lv.val) for lv in a.labeled] == [(lv.var, lv.val) for lv in b.labeled]
+    assert [(var, val) for _, var, val in a.labeled] == [(var, val) for _, var, val in b.labeled]
 
 
 def _store_digest(prog):
@@ -48,7 +48,7 @@ def _store_digest(prog):
     h = hashlib.sha256()
     h.update(prog.store.toarray().astype("<f8").tobytes())
     h.update(prog.target.astype("<f8").tobytes())
-    h.update(np.array([(lv.var, lv.val) for lv in prog.labeled], dtype="<i8").tobytes())
+    h.update(np.array([(var, val) for _, var, val in prog.labeled], dtype="<i8").tobytes())
     return h.hexdigest()
 
 

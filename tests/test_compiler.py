@@ -17,7 +17,7 @@ from spanforge.encoding import index_bit_width
 from spanforge.errors import SparseFormatError
 from spanforge.highlevel import HighLevelProgram
 from spanforge.linalg import min_norm_solve
-from spanforge.lowlevel import Columns, LowLevelProgram
+from spanforge.lowlevel import Columns, LowLevelProgram, fold_witness_sizes
 from references import grid_values, row_lists_from_dense, sparse_columns_from_dense
 from test_compiler_tables import reference_encode
 
@@ -53,7 +53,7 @@ def test_loader_vectors_smallest_case():
     assert ll.dim == 2 and ll.num_vars == 1
     # coordinate 0 is the target pivot, coordinate 1 the working coord
     assert np.allclose(ll.free[0], [-1.0, 1.0])
-    by_val = {lv.val: lv.vec for lv in ll.labeled}
+    by_val = {val: vec for vec, _, val in ll.labeled}
     assert np.allclose(by_val[0], [0.0, -1.0])
     assert np.allclose(by_val[1], [1.0, -1.0])
 
@@ -64,9 +64,9 @@ def test_loader_digit_weights():
     tab = comp.tables
     for a in range(3):
         # slot 0's labeled vectors run by digit, then value 0 and 1
-        lv = comp.program.labeled[tab.loader_labeled[0, 2 * a + 1]]
-        assert lv.vec[0] == pytest.approx(2.0 ** (-a / 2.0), abs=1e-15)
-        assert lv.vec[tab.working[0, 0, a]] == -1.0
+        vec, _, _ = comp.program.labeled[tab.loader_labeled[0, 2 * a + 1]]
+        assert vec[0] == pytest.approx(2.0 ** (-a / 2.0), abs=1e-15)
+        assert vec[tab.working[0, 0, a]] == -1.0
     free = comp.program.free[tab.loader_free[0]]
     assert free[0] == -1.0
     for a in range(3):
@@ -85,7 +85,7 @@ def test_route_tree_telescopes_to_leaf_minus_root():
         for a in range(2):  # the edge at level a leaves node (a, sel mod 2^a) by bit a, to child sel mod 2^(a+1)
             idx = routes.edges[0, 0][(routes.edge_level == a) & (routes.edge_child == sel % (2 << a))]
             assert idx.shape == (1,)
-            total += comp.program.labeled[idx[0]].vec
+            total += comp.program.labeled[idx[0]][0]
         expected = np.zeros(comp.program.dim)
         expected[sel] += 1.0  # leaf sel is coordinate sel of V
         expected[root] -= 1.0
@@ -444,10 +444,11 @@ def test_lift_positive_reaches_target(mode):
         comp = compile_sparse(prog, k_nnz=2, precision=k, l_nnz=None)
     else:
         comp = compile_sparse(prog, k_nnz=2, l_nnz=2, precision=k)
-    lifted = comp.lift_positive(a)
-    avail = comp.program.available_vectors(lifted.bits)
-    assert np.allclose(avail.toarray() @ lifted.coefficients, comp.program.target, atol=1e-9)
-    opt = comp.program.positive_witness(lifted.bits).size
+    lifted, bits = comp.lift_positive(a), comp.encode(a)
+    assert lifted.decision == 1
+    avail = comp.program.available_vectors(bits)
+    assert np.allclose(avail.toarray() @ lifted.witness, comp.program.target, atol=1e-9)
+    opt = comp.program.positive_witness(bits).size
     assert lifted.size >= opt - 1e-9
     # the forced-structure argument makes the lift optimal
     assert lifted.size == pytest.approx(opt, abs=1e-8, rel=1e-8)
@@ -474,11 +475,12 @@ def test_lift_negative_is_valid_witness(mode):
             comp = compile_sparse(prog, k_nnz=2, precision=k, l_nnz=None)
         else:
             comp = compile_sparse(prog, k_nnz=2, l_nnz=2, precision=k)
-        lifted = comp.lift_negative(a)
-        avail = comp.program.available_vectors(lifted.bits)
-        assert lifted.vector @ comp.program.target == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(avail.toarray().T @ lifted.vector, 0.0, atol=1e-9)
-        opt = comp.program.negative_witness(lifted.bits).size
+        lifted, bits = comp.lift_negative(a), comp.encode(a)
+        assert lifted.decision == 0
+        avail = comp.program.available_vectors(bits)
+        assert lifted.witness @ comp.program.target == pytest.approx(1.0, abs=1e-9)
+        assert np.allclose(avail.toarray().T @ lifted.witness, 0.0, atol=1e-9)
+        opt = comp.program.negative_witness(bits).size
         assert lifted.size >= opt * (1.0 - 1e-9) - 1e-9
         found += 1
 
@@ -489,10 +491,20 @@ def test_lift_positive_accepts_supplied_witness():
     a = np.array([[-1.0, 0.0], [0.0, -1.0]])
     w = np.array([-1.0, 0.0])
     lifted = comp.lift_positive(a, w=w)
-    avail = comp.program.available_vectors(lifted.bits)
-    assert np.allclose(avail.toarray() @ lifted.coefficients, comp.program.target, atol=1e-12)
+    avail = comp.program.available_vectors(comp.encode(a))
+    assert np.allclose(avail.toarray() @ lifted.witness, comp.program.target, atol=1e-12)
     with pytest.raises(ValueError, match="witness"):
         comp.lift_positive(a, w=np.array([5.0, 5.0]))
+
+
+def test_lifts_fold_into_witness_sizes():
+    # both lifts are WitnessReports, so the one witness fold reads them
+    comp = compile_dense(_hl(2, 2, target=[1.0, 0.0]), precision=0)
+    pos, neg = comp.lift_positive(-np.eye(2)), comp.lift_negative(np.zeros((2, 2)))
+    assert (pos.decision, neg.decision) == (1, 0) and pos.size > 0.0 and neg.size > 0.0
+    folded = fold_witness_sizes([("pos", pos), ("neg", neg)])
+    assert (folded.wsize_1, folded.wsize_0) == (pos.size, neg.size)
+    assert folded.per_input == (("pos", 1, pos.size), ("neg", 0, neg.size))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +593,7 @@ def _two_vector_program(free_entry, var):
 def test_builder_store_is_checked_naming_the_field(monkeypatch):
     prog = _two_vector_program(0.5, 1)
     assert (prog.evaluate("0"), prog.evaluate("1")) == (0, 1) and np.array_equal(prog.free[0], [1.0, 0.5])
-    assert (prog.labeled[0].var, prog.labeled[0].val) == (1, 1)
+    assert prog.labeled[0][1:] == (1, 1)
     with pytest.raises(ValueError, match=r"free\[0\]\[1\] is not finite: nan"):
         _two_vector_program(float("nan"), 1)
     with pytest.raises(ValueError, match=r"labeled\[0\]\.var=3 outside 1\.\.1"):

@@ -301,8 +301,8 @@ def test_lifts_are_pinned_on_the_rank_programs():
             lifted = comp.lift_positive(a) if side else comp.lift_negative(a)
             h = digests[side]
             sides.append(side)
-            h.update(np.array(lifted.bits, dtype="<i8").tobytes())
-            h.update((lifted.coefficients if side else lifted.vector).astype("<f8").tobytes())
+            h.update(np.array(comp.encode(a), dtype="<i8").tobytes())
+            h.update(lifted.witness.astype("<f8").tobytes())
             h.update(float(lifted.size).hex().encode())
         assert sides == [1, 0, 1, 0]
         assert (digests[1].hexdigest(), digests[0].hexdigest()) == (pos_digest, neg_digest)
@@ -318,8 +318,8 @@ def test_lift_positive_takes_a_witness_the_source_accepts_at_its_tol(mode, tol):
     comp = _compile(mode, prog, 3, 1, 1)
     a = np.array([[0.5], [0.0], [0.0]])
     assert prog.evaluate(comp.quantize(a)) == 1
-    lifted = comp.lift_positive(a)
-    avail = comp.program.available_vectors(lifted.bits).toarray()
-    residual = np.linalg.norm(avail @ lifted.coefficients - comp.program.target)
+    lifted, bits = comp.lift_positive(a), comp.encode(a)
+    avail = comp.program.available_vectors(bits).toarray()
+    residual = np.linalg.norm(avail @ lifted.witness - comp.program.target)
     assert residual == pytest.approx(0.45 * tol, rel=1e-9)
-    assert comp.program.evaluate(lifted.bits) == 1
+    assert comp.program.evaluate(bits) == 1

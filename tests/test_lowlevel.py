@@ -9,7 +9,6 @@ from spanforge.errors import NoNegativeWitness, NoPositiveWitness, ZeroConstrain
 from spanforge.linalg import DEFAULT_TOL, in_span, min_norm_solve
 from spanforge.lowlevel import (
     Columns,
-    LabeledVector,
     LowLevelProgram,
     Peel,
     normalize_bits,
@@ -152,6 +151,18 @@ def test_a_block_of_full_row_rank_has_no_negative_witness():
     assert decision == 1 and peel.rounds and dec.rank == peel.block.shape[0]
     with pytest.raises(ZeroConstraint, match="no negative witness at tol 1e-09"):
         prog._negative(peel, dec, prog.tol)
+
+
+def test_an_accepted_witness_does_not_hold_the_lift_work_array():
+    """The accepted input of the compiled sparse n = 8 rank program peels with
+    merges, so ``Peel.lift`` carries the solution and the null space through
+    them in one (available columns) x (1 + nullity) array.  The report holds
+    its own copy of the solution, not a view that keeps that array alive."""
+    comp = compile_sparse(build_rank_program(8, 8, 4, np.random.default_rng(8)), k_nnz=3, l_nnz=3, precision=3)
+    prog, bits = comp.program, comp.encode(np.eye(8) * 0.5)
+    assert prog._decide(bits, prog.tol)[0].merges
+    rep = prog.witness(bits)
+    assert rep.decision == 1 and rep.witness.base is None and rep.witness.flags.c_contiguous
 
 
 def test_witness_dispatcher_matches_sides():
@@ -501,9 +512,13 @@ def test_validation_rejects_bad_programs():
 
 def test_labeled_vector_wrapping():
     prog = _one_hot_program()
-    assert all(isinstance(lv, LabeledVector) for lv in prog.labeled)
-    assert prog.labeled[0].var == 1
-    assert prog.labeled[0].val == 1
+    (vec_1, var_1, val_1), (vec_0, var_0, val_0) = prog.labeled
+    assert [type(x) for x in (var_1, val_1, var_0, val_0)] == [int] * 4
+    assert (var_1, val_1, var_0, val_0) == (1, 1, 1, 0)
+    assert vec_1.tolist() == [1.0, 0.0] and vec_0.tolist() == [0.0, 1.0]
+    # views into one read-only dense array
+    assert not vec_1.flags.writeable and not vec_0.flags.writeable
+    assert vec_1.base is not None and vec_1.base is vec_0.base
 
 
 def test_json_roundtrip():

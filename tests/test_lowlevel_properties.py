@@ -78,9 +78,9 @@ def _seed_available(prog: LowLevelProgram, x):
     for i, v in enumerate(prog.free):
         cols.append(v)
         prov.append(("free", i))
-    for i, lv in enumerate(prog.labeled):
-        if bits[lv.var - 1] == lv.val:
-            cols.append(lv.vec)
+    for i, (vec, var, val) in enumerate(prog.labeled):
+        if bits[var - 1] == val:
+            cols.append(vec)
             prov.append(("labeled", i))
     matrix = np.column_stack(cols) if cols else np.zeros((prog.dim, 0))
     return matrix, tuple(prov)
@@ -187,7 +187,7 @@ def test_vectors_are_stored_once_and_read_only(prog):
     """One ``Columns`` holds every vector; the dense copies made of it, and
     its arrays, are read-only."""
     store = prog.store.toarray()
-    vectors = list(prog.free) + [lv.vec for lv in prog.labeled]
+    vectors = list(prog.free) + [vec for vec, _, _ in prog.labeled]
     assert store.shape == prog.store.shape == (prog.dim, len(vectors))
     for j, vec in enumerate(vectors):
         assert np.array_equal(vec, store[:, j])
