@@ -195,10 +195,10 @@ def _cmd_lowerbound_suite(args) -> str:
     n, m = args.n, args.m
     if n % 2:
         raise ValueError(f"--n must be even for the promise family, got {n}")
-    # the largest matrices built are the (n + 1) x (n + 1) projector of the
-    # unique-search witness and the n x m promise inputs
+    # the largest matrices built are the n x m promise inputs and the
+    # (n + 1) x 1 unique-search input
     if min(n, m) > 0:
-        _check_matrix_size(*max((n + 1, n + 1), (n, m), key=lambda shape: shape[0] * shape[1]), {"--n": n, "--m": m})
+        _check_matrix_size(*max((n + 1, 1), (n, m), key=lambda shape: shape[0] * shape[1]), {"--n": n, "--m": m})
     rows = []
     gd = grover_dj_program(n, m)
     ones = np.ones((n, 1))

@@ -47,6 +47,9 @@ from .linalg import input_matrix, int_field
 from .lowlevel import Columns, DomainWitnessSizes, LowLevelProgram, WitnessReport, bit_array, wsize_over_domain
 
 MODES = ("dense", "sparse_cols", "sparse")
+# Most an entry of F^T F - I may be off for a stored free basis F.  compile
+# writes the left singular vectors of an SVD, off by a few eps * n.
+ORTHONORMAL_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +390,8 @@ class CompiledProgram:
     def from_json_dict(cls, data: dict) -> "CompiledProgram":
         """Run the build on the stored source and encoder parameters; the
         source's free basis is not orthonormalized again, so the build repeats
-        the one that wrote the file."""
+        the one that wrote the file, and a basis that is not orthonormal is
+        refused."""
         if not isinstance(data, dict):
             raise ValueError("compiled program JSON must be an object")
         if "encoder" not in data:
@@ -399,6 +403,12 @@ class CompiledProgram:
                              "recompile the file from its high-level program")
         n, m, target, free_basis, tol = read_source(data["source"], "source.")
         k, k_nnz, l_nnz = _encoder_params(data["encoder"], n, m, free_basis.shape[1])
+        # compile writes orthonormal columns, which lift_positive relies on;
+        # checked after the sizes, which bound this product's cost
+        off = np.abs(free_basis.T @ free_basis - np.eye(free_basis.shape[1])).max(initial=0.0)
+        if off > ORTHONORMAL_TOL:
+            raise ValueError(f"source.free_basis is not orthonormal: F^T F is {off:.3g} off the identity "
+                             f"(at most {ORTHONORMAL_TOL:g}); recompile the file from its high-level program")
         return _build(target, free_basis, tol, m, k, k_nnz, l_nnz)
 
     @classmethod

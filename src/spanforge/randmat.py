@@ -75,28 +75,129 @@ class Bidiagonal:
         return np.sqrt(self.inverse_frobenius_sq() / self.d.shape[1])
 
     def sigma_min(self) -> np.ndarray:
-        """Smallest singular value per matrix: eigenvalue n (0-based, in
-        ascending order) of the 2n x 2n Golub-Kahan tridiagonal with zero
-        diagonal and off-diagonal d[0], e[0], d[1], ..., d[n-1], whose
-        eigenvalues are the +-sigma of B.  Bisection on it keeps small sigma
-        to near full relative precision; the eigenvalues of B @ B.T would
-        lose about half their digits.  LAPACK's ``stebz`` is called as
-        ``scipy.linalg.eigvalsh_tridiagonal`` calls it, without its checks."""
-        # imported here, not at module level: loading scipy.linalg takes about
-        # as long as importing the whole CLI, and only this kernel needs it
-        from scipy.linalg import get_lapack_funcs
-
-        batch, n = self.d.shape
-        zeros, off = np.zeros(2 * n), np.empty((batch, 2 * n - 1))
-        off[:, 0::2], off[:, 1::2] = self.d, self.e
-        (stebz,) = get_lapack_funcs(("stebz",), (zeros, off))
-        out = np.empty(batch)
-        for t in range(batch):  # by index (2), eigenvalue n + 1 of 2n (1-based), tolerance 0, in order (E)
-            m, w, _, _, info = stebz(zeros, off[t], 2, 0.0, 1.0, n + 1, n + 1, 0.0, "E")
-            if info or m != 1:
-                raise SolverFailure(f"stebz found {m} eigenvalues of a {2 * n}-row tridiagonal (info {info})")
-            out[t] = w[0]
+        """Smallest singular value per matrix, to a few ulps of the exact one
+        for the stored d and e on either path; the ulps grow slowly with n,
+        as rounding in the recurrences does.  Batches of at least ``SWEEP_MIN_DRAWS`` draws run the sweeps of
+        ``_lambda_min_sweeps``; smaller batches, and the draws the sweeps
+        leave unconverged, go to ``_stebz_sigma_min``."""
+        if self.d.shape[0] < SWEEP_MIN_DRAWS:
+            return _stebz_sigma_min(self.d, self.e)
+        lam, left = _lambda_min_sweeps(self.d, self.e)
+        out = np.sqrt(lam)
+        if left.size:
+            out[left] = _stebz_sigma_min(self.d[left], self.e[left])
         return out
+
+
+# Batches of fewer draws skip the sweeps, and draws still unconverged after
+# SWEEP_CAP sweeps finish in stebz.  Timed with one BLAS thread at n = 20,
+# 100 and 400 (table in CHANGES.md), the sweeps break even with stebz near
+# 32 to 48 draws and are 1.5x to 2.2x faster at 64.  Nine sweeps leave
+# under 1% of 1,024 draws to stebz, against 2-3% after eight, and are
+# 8-24% faster for it; a tenth moves the times by under 15% either way.
+SWEEP_MIN_DRAWS = 64
+SWEEP_CAP = 9
+
+# LAPACK's advice for stebz's most accurate eigenvalues: with an absolute
+# tolerance of 0, bisection stops at an absolute width near eps * ||T||
+_STEBZ_ABSTOL = 2 * np.finfo(float).tiny
+
+
+def _lambda_min_sweeps(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, left): x[k] is lambda_1 = sigma_min^2 of draw k, except for the
+    draws listed in ``left``, still unconverged after ``SWEEP_CAP`` sweeps.
+
+    For x below lambda_1, B^T B - x I = L L^T by the differential stationary
+    qd recurrence on q = d^2 and eps = e^2: t_0 = q_0 - x, l_i^2 = t_i +
+    eps_i (l_(n-1)^2 = t_(n-1)), t_(i+1) = q_(i+1) t_i / l_i^2 - x, which
+    keeps the small eigenvalues to high relative accuracy (Demmel and Kahan,
+    SIAM J. Sci. Stat. Comput. 11, 1990).  f(x) = tr (B^T B - x I)^-1 =
+    ||L^-1||_F^2 sums the positive squared row norms S_i = (S_(i-1) eps_(i-1)
+    q_i / l_(i-1)^2 + 1) / l_i^2.  As f(x) > 1 / (lambda_1 - x), each step
+    x += 1 / f(x) from x = 0 stays below lambda_1, and the error shrinks
+    from err to err^2 S / (1 + err S), S the sum of 1 / (lambda_k - x) over
+    k >= 2: quadratically once err S is small.
+
+    A draw stops when the steps left, a geometric series at the ratio of its
+    last two steps, sum to under eps * x, or when a pivot is not positive:
+    past lambda_1, by a rounding, f(x) turns negative, and a zero pivot
+    makes it infinite or nan; either way x stays where it is.  The sweeps
+    run on all active draws at once, one numpy call per row and operation."""
+    batch, n = d.shape
+    q_buf, eps_buf = np.empty(n * batch), np.empty((n - 1) * batch)
+
+    def squares(active):
+        """q and eps of the ``active`` draws, rows transposed, written from d
+        and e over the two buffers 64 draws at a time, so that no copy of
+        more than 64 draws is alive."""
+        k = active.size
+        q, eps = q_buf[: n * k].reshape(n, k), eps_buf[: (n - 1) * k].reshape(n - 1, k)
+        for lo in range(0, k, 64):
+            part = active[lo : lo + 64]
+            np.square(d[part].T, out=q[:, lo : lo + 64])
+            np.square(e[part].T, out=eps[:, lo : lo + 64])
+        return q, eps
+
+    lam = np.zeros(batch)
+    active = np.arange(batch)
+    x, prev = lam.copy(), lam.copy()  # prev = 0: no ratio before the second step
+    q, eps = squares(active)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(SWEEP_CAP):
+            t = q[0] - x
+            l2 = t + eps[0] if n > 1 else t
+            s = 1.0 / l2
+            f, u = s.copy(), np.empty_like(s)
+            for i in range(1, n):
+                np.divide(q[i], l2, out=u)  # q_i / l_(i-1)^2
+                t *= u
+                t -= x
+                s *= u
+                s *= eps[i - 1]
+                l2 = np.add(t, eps[i], out=l2) if i < n - 1 else t
+                s += 1.0
+                s /= l2
+                f += s
+            step = 1.0 / f
+            moving = step > 0  # false where a pivot was not positive
+            x += np.where(moving, step, 0.0)
+            rho = step / prev
+            stop = ~moving | ((rho < 1) & (step * rho <= np.finfo(float).eps * x * (1 - rho)))
+            prev = step
+            if stop.any():
+                lam[active[stop]] = x[stop]
+                keep = ~stop
+                active, x, prev = active[keep], x[keep], prev[keep]
+                if not active.size:
+                    break
+                q, eps = squares(active)
+    return lam, active
+
+
+def _stebz_sigma_min(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Smallest singular value per matrix: eigenvalue n (0-based, in
+    ascending order) of the 2n x 2n Golub-Kahan tridiagonal with zero
+    diagonal and off-diagonal d[0], e[0], d[1], ..., d[n-1], whose
+    eigenvalues are the +-sigma of B.  Bisection on it at an absolute
+    tolerance of ``_STEBZ_ABSTOL`` keeps small sigma to a few ulps; the
+    eigenvalues of B @ B.T would lose about half their digits.  LAPACK's
+    ``stebz`` is called as ``scipy.linalg.eigvalsh_tridiagonal(..., tol=
+    _STEBZ_ABSTOL)`` calls it, without its checks."""
+    # imported here, not at module level: loading scipy.linalg takes about
+    # as long as importing the whole CLI, and only this path needs it
+    from scipy.linalg import get_lapack_funcs
+
+    batch, n = d.shape
+    zeros, off = np.zeros(2 * n), np.empty((batch, 2 * n - 1))
+    off[:, 0::2], off[:, 1::2] = d, e
+    (stebz,) = get_lapack_funcs(("stebz",), (zeros, off))
+    out = np.empty(batch)
+    for t in range(batch):  # by index (2), eigenvalue n + 1 of 2n (1-based), in order (E)
+        m, w, _, _, info = stebz(zeros, off[t], 2, 0.0, 1.0, n + 1, n + 1, _STEBZ_ABSTOL, "E")
+        if info or m != 1:
+            raise SolverFailure(f"stebz found {m} eigenvalues of a {2 * n}-row tridiagonal (info {info})")
+        out[t] = w[0]
+    return out
 
 
 def sample_bidiagonal(rng: np.random.Generator, size: int, n: int, m: int) -> Bidiagonal:
@@ -176,7 +277,7 @@ def check_trials(trials: int, name: str = "--trials") -> None:
 
 def _require_draw_fits(flag: str, n: int) -> None:
     """A bidiagonal draw of order n holds 2n - 1 chi variates, and its
-    Golub-Kahan tridiagonal (``Bidiagonal.sigma_min``) 2n entries; past
+    Golub-Kahan tridiagonal (``_stebz_sigma_min``) 2n entries; past
     ``MAX_DENSE_ENTRIES`` the size ``flag`` is refused before drawing."""
     if 2 * n > MAX_DENSE_ENTRIES:
         raise ValueError(f"{flag}={n} asks for bidiagonal draws of {2 * n} entries, "

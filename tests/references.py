@@ -4,16 +4,18 @@ The fixed-point grid and its codes one entry at a time, against which the
 compiler's table encoder (``CompiledProgram.encode``/``decode``) is checked;
 the canonical sparse descriptions of a dense matrix; the dense Gaussian
 sampler with its c(A) statistic, against which the bidiagonal draws are
-checked; the rank-test instances, the threshold-function reduction and
-the promise columns of the Grover/Deutsch-Jozsa program, on which the
-program families are checked; the peel's pivot gather, its ``stands``
-bounds and its ``extend`` sweep as they were before its bookkeeping was
-rewritten, against which ``Peel`` is checked bit for bit; and the
-high-level witness as two SVDs gave it, against which the one SVD of
-``HighLevelProgram._decide`` is checked.
+checked, and the 40-digit smallest singular value of a bidiagonal draw,
+against which ``Bidiagonal.sigma_min`` is; the rank-test instances, the
+threshold-function reduction and the promise columns of the
+Grover/Deutsch-Jozsa program, on which the program families are checked;
+the peel's pivot gather, its ``stands`` bounds and its ``extend`` sweep as
+they were before its bookkeeping was rewritten, against which ``Peel`` is
+checked bit for bit; and the high-level witness as two SVDs gave it,
+against which the one SVD of ``HighLevelProgram._decide`` is checked.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -78,6 +80,37 @@ def batched_c(a: np.ndarray) -> np.ndarray:
     """c(A) per dense matrix of a batch, from its singular values."""
     sigma = np.linalg.svd(a, compute_uv=False)
     return np.sqrt(np.mean(1.0 / sigma**2, axis=1))
+
+
+def sigma_min_reference(d, e) -> float:
+    """The smallest singular value of the lower-bidiagonal B with diagonal
+    ``d`` and subdiagonal ``e``, rounded to a double from 40 digits: a
+    bisection on the Sturm count of B^T B - x I, the negative pivots of its
+    L D L^T factorization, in ``decimal`` arithmetic.  The entries are exact
+    doubles, so 40 digits hold their squares exactly and the pivots' rounding
+    is far below a double's ulp.  B is singular exactly when a d[i] is 0."""
+    if not all(d):
+        return 0.0
+    with localcontext() as ctx:
+        ctx.prec = 40
+        q = [Decimal(float(v)) ** 2 for v in d]
+        eps = [Decimal(float(v)) ** 2 for v in e] + [Decimal(0)]
+
+        def below(x):  # eigenvalues of B^T B below x
+            count, t = 0, q[0] - x
+            for i in range(len(q)):
+                pivot = t + eps[i]
+                count += pivot < 0
+                if i + 1 < len(q):
+                    t = q[i + 1] * t / (pivot or Decimal("1e-100")) - x
+            return count
+
+        # a diagonal entry of B^T B is a Rayleigh quotient, so at least lambda_1
+        lo, hi = Decimal(0), min(a + b for a, b in zip(q, eps))
+        while hi - lo > lo * Decimal("1e-25"):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if below(mid) else (mid, hi)
+        return float(((lo + hi) / 2).sqrt())
 
 
 @dataclass(frozen=True)

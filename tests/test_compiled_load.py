@@ -296,6 +296,18 @@ def test_edited_new_file_is_rejected_naming_the_field(tmp_path, capsys, edit, fi
     _rejected(tmp_path, capsys, data, field)
 
 
+def test_a_free_basis_that_is_not_orthonormal_is_refused_at_load(tmp_path, capsys):
+    """compile writes F = [e_1] for this program; with that entry doubled the
+    file would load and decide, but ``lift_positive``, which takes F^T r as
+    the coefficients of r's part in F, would refuse the input it accepts."""
+    prog = HighLevelProgram(space_dim=3, num_inputs=1, target=[1.0, 1.0, 0.0], free_basis=[[0.0], [1.0], [0.0]])
+    data = compile_dense(prog, precision=3).to_json_dict()
+    assert data["source"]["free_basis"] == [[0.0, 1.0, 0.0]]
+    assert CompiledProgram.from_json_dict(data).lift_positive([[0.5], [0.0], [0.0]]).decision == 1
+    data["source"]["free_basis"] = [[0.0, 2.0, 0.0]]
+    _rejected(tmp_path, capsys, data, "source.free_basis")
+
+
 _HUGE = {"mode": "sparse", "k": 51, "k_nnz": 8, "l_nnz": 32}
 _E1 = [1.0] + [0.0] * 7
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from spanforge import randmat
 from spanforge.errors import SolverFailure
 from spanforge.randmat import (
+    SWEEP_MIN_DRAWS,
     Bidiagonal,
     RngStream,
     _draws,
@@ -22,7 +24,7 @@ from spanforge.randmat import (
     sample_bidiagonal,
     spectral_stats,
 )
-from references import batched_c, gaussian
+from references import batched_c, gaussian, sigma_min_reference
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +141,9 @@ def test_bidiagonal_kernels_match_dense_svd(draws):
 
 
 def test_sigma_min_is_the_tridiagonal_eigenvalue_bit_for_bit(monkeypatch):
-    """``sigma_min`` calls LAPACK's ``stebz`` as ``eigvalsh_tridiagonal``
-    does, so it returns that wrapper's bits; a call that fails raises."""
+    """Below ``SWEEP_MIN_DRAWS`` draws, ``sigma_min`` calls LAPACK's
+    ``stebz`` as ``eigvalsh_tridiagonal`` does at tol = 2 * tiny, so it
+    returns that wrapper's bits; a call that fails raises."""
     import scipy.linalg
 
     for b in (sample_bidiagonal(np.random.default_rng(6), 8, 9, 11), _ill_conditioned()):
@@ -148,12 +151,62 @@ def test_sigma_min_is_the_tridiagonal_eigenvalue_bit_for_bit(monkeypatch):
         ref = []
         for d, e in zip(b.d, b.e):
             off = np.insert(d, np.arange(1, n), e)  # d[0], e[0], d[1], ..., d[n - 1]
-            ref.append(scipy.linalg.eigvalsh_tridiagonal(np.zeros(2 * n), off, select="i", select_range=(n, n))[0])
+            ref.append(scipy.linalg.eigvalsh_tridiagonal(np.zeros(2 * n), off, select="i", select_range=(n, n),
+                                                          tol=2 * np.finfo(float).tiny)[0])
         assert b.sigma_min().tobytes() == np.array(ref).tobytes()
     monkeypatch.setattr(scipy.linalg, "get_lapack_funcs",
                         lambda names, arrays: (lambda *args: (0, np.zeros(1), None, None, 2),))
     with pytest.raises(SolverFailure, match=r"stebz found 0 eigenvalues of a 24-row tridiagonal \(info 2\)"):
         _ill_conditioned().sigma_min()
+
+
+def _zero_diagonals() -> Bidiagonal:
+    b = sample_bidiagonal(np.random.default_rng(8), 3, 7, 7)
+    d = b.d.copy()
+    d[[0, 1, 2], [0, 3, 6]] = 0.0  # singular, so sigma_min = 0
+    return Bidiagonal(d=d, e=b.e)
+
+
+def _close_pair() -> Bidiagonal:
+    """Two copies of a 3 x 3 factor joined by a subdiagonal entry of 1e-9:
+    the two smallest singular values differ by about 1e-9 relative, so the
+    sweeps halve the error per sweep and reach the cap first."""
+    d, e = np.tile([2.0, 3.0, 1.0], 2), np.array([0.5, 0.5, 1e-9, 0.5, 0.5])
+    return Bidiagonal(d=np.array([d, 1.5 * d]), e=np.array([e, e]))
+
+
+SIGMA_MIN_DRAWS = {
+    "ill-conditioned": _ill_conditioned,
+    "n=1": lambda: sample_bidiagonal(np.random.default_rng(9), 4, 1, 1),
+    "m>n": lambda: sample_bidiagonal(np.random.default_rng(9), 4, 5, 13),
+    "zero-diagonal": _zero_diagonals,
+    "close-pair": _close_pair,
+}
+
+
+@pytest.mark.parametrize("path", ["stebz", "sweeps"])
+@pytest.mark.parametrize("draws", list(SIGMA_MIN_DRAWS))
+def test_sigma_min_within_ulps_of_the_exact_value(monkeypatch, draws, path):
+    """Both paths of ``sigma_min`` land within 4 ulps of a 40-digit value:
+    the draws alone, below the break-even, go to stebz whole; padded with
+    ordinary draws of the same order they run the sweeps, and the close
+    pair is handed to stebz at the sweep cap."""
+    special = SIGMA_MIN_DRAWS[draws]()
+    k, n = special.d.shape
+    b = special
+    if path == "sweeps":
+        fill = sample_bidiagonal(np.random.default_rng(10), SWEEP_MIN_DRAWS - k, n, n)
+        b = Bidiagonal(d=np.vstack([special.d, fill.d]), e=np.vstack([special.e, fill.e]))
+    handed, stebz = [], randmat._stebz_sigma_min
+    monkeypatch.setattr(randmat, "_stebz_sigma_min", lambda d, e: handed.append(d) or stebz(d, e))
+    got = b.sigma_min()
+    exact = np.array([sigma_min_reference(d, e) for d, e in zip(b.d, b.e)])
+    # stebz places a zero sigma within its pivot floor, about tiny * max(d, e)^2
+    assert np.all(np.abs(got - exact) <= 4 * np.spacing(exact) + 1e-300)
+    if path == "stebz":
+        assert [len(d) for d in handed] == [k]
+    elif draws == "close-pair":
+        assert np.array_equal(handed[0][:k], special.d)
 
 
 # (dense statistic of a Gaussian batch, bidiagonal statistic, n, m) per law
