@@ -667,8 +667,10 @@ PINNED_RANK = [
 ]
 
 
+@pytest.mark.parametrize("workers", ["1", "4"])
 @pytest.mark.parametrize("argv,digest", PINNED_RANK, ids=["csv", "promise-json"])
-def test_rank_experiment_output_pinned(capsys, argv, digest):
+def test_rank_experiment_pinned_at_any_worker_count(capsys, monkeypatch, workers, argv, digest):
+    monkeypatch.setenv("SPANFORGE_THREADS", workers)
     code, out, _ = _run(capsys, argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
